@@ -1,7 +1,7 @@
 //! Experiment B2 + ablation A1: Extended XPath over GODDAG.
 //!
 //! Series regenerated:
-//! * `query/Q*/{words}` — the eight editorial queries of EXPERIMENTS.md,
+//! * `query/Q*/{words}` — the eight editorial queries ([`QUERIES`]),
 //!   indexed evaluator;
 //! * `query/overlap_index_vs_scan/{indexed|scan}/{words}` — the `overlapping`
 //!   axis with the interval index vs the naive elements scan (A1; expect the

@@ -1,5 +1,8 @@
-//! Shared helpers for the benchmark harness (experiments B1–B5, A1–A2 of
-//! DESIGN.md).
+//! Shared workloads for the criterion suites under `benches/`: the
+//! paper-core experiments (parse, query, edit, round-trip, pipeline, memory,
+//! store, prevalidation) and the diagnostics-overhead ablations. The served
+//! stack — wire, cluster, WAL, replication, faults — is measured end to end
+//! by `cxbench/`, not here.
 
 use corpus::{generate, Manuscript, Params};
 

@@ -10,8 +10,8 @@ fn usage() -> ExitCode {
         "usage: cxlint check [--json] [--root <dir>]\n\
          \n\
          Runs the workspace's own static analyses (lock ordering, failpoint\n\
-         and metric conformance, poison/panic audits, wire exhaustiveness)\n\
-         over every Rust source file. Findings print one per line as\n\
+         and metric conformance, poison/panic audits) over every Rust\n\
+         source file. Findings print one per line as\n\
          `file:line: rule-id: message`; --json emits a JSON array instead\n\
          (exactly `[]` when clean). Exceptions live in cxlint.toml."
     );

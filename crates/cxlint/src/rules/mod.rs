@@ -9,7 +9,6 @@ pub mod lock_order;
 pub mod metrics;
 pub mod panics;
 pub mod poison;
-pub mod wire;
 
 /// True when token `i` is the identifier `name`.
 pub(crate) fn is_ident(t: &[Token], i: usize, name: &str) -> bool {

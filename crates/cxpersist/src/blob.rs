@@ -21,10 +21,10 @@
 //! id-for-id and epoch-for-epoch equivalent to the captured one, and log
 //! replay is deterministic.
 
-use crate::codec::{crc32, dec, enc, parse_tok};
+use crate::codec::crc32;
 use crate::error::PersistError;
 use goddag::{Goddag, NodeId};
-use sacx::StandoffDoc;
+use sacx::{escape_field, take_line, StandoffDoc, Tokens};
 use std::fmt::Write as _;
 
 /// A complete serialized document (see module docs).
@@ -148,7 +148,7 @@ impl DocBlob {
         }
         out.push('\n');
         for (h, text) in &self.dtds {
-            let _ = writeln!(out, "dtd {h} {}", enc(text));
+            let _ = writeln!(out, "dtd {h} {}", escape_field(text));
         }
         let _ = writeln!(out, "standoff {}", self.standoff.len());
         out.push_str(&self.standoff);
@@ -181,25 +181,8 @@ impl DocBlob {
 
         let mut rest = body.as_str();
         let mut ln = 0usize;
-        let next_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            match rest.find('\n') {
-                Some(i) => {
-                    let l = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(l)
-                }
-                None => {
-                    let l = rest.to_string();
-                    *rest = "";
-                    Some(l)
-                }
-            }
-        };
 
-        let header = next_line(&mut rest).ok_or_else(|| bad(1, "empty blob".into()))?;
+        let header = take_line(&mut rest).ok_or_else(|| bad(1, "empty blob".into()))?;
         if header.trim() != "#cxblob v1" {
             return Err(bad(1, "bad blob magic".into()));
         }
@@ -208,64 +191,62 @@ impl DocBlob {
         let mut leaves: Option<Vec<(u32, usize)>> = None;
         let mut dtds: Vec<(u16, String)> = Vec::new();
         let mut standoff: Option<String> = None;
-        while let Some(line) = next_line(&mut rest) {
+        while let Some(line) = take_line(&mut rest) {
             ln += 1;
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("arena") => {
-                    let len: u32 = parse_tok(parts.next(), ln, "arena length")?;
-                    let root: u32 = parse_tok(parts.next(), ln, "root id")?;
-                    let epoch: u64 = parse_tok(parts.next(), ln, "epoch")?;
-                    arena = Some((len, root, epoch));
-                }
-                Some("elems") => {
-                    let n: usize = parse_tok(parts.next(), ln, "element count")?;
-                    let ids: Vec<u32> = parts
-                        .map(|t| t.parse())
-                        .collect::<Result<_, _>>()
-                        .map_err(|_| bad(ln, "bad element id".into()))?;
-                    if ids.len() != n {
-                        return Err(bad(ln, "element count mismatch".into()));
-                    }
-                    elems = Some(ids);
-                }
-                Some("leaves") => {
-                    let n: usize = parse_tok(parts.next(), ln, "leaf count")?;
-                    let mut ids = Vec::with_capacity(n);
-                    for t in parts {
-                        let (id, off) = t
-                            .split_once(':')
-                            .ok_or_else(|| bad(ln, format!("bad leaf entry {t:?}")))?;
-                        ids.push((
-                            id.parse().map_err(|_| bad(ln, "bad leaf id".into()))?,
-                            off.parse().map_err(|_| bad(ln, "bad leaf offset".into()))?,
+            let mut t = Tokens::new(line);
+            let mut directive = || -> Result<(), String> {
+                match t.token("directive")? {
+                    "arena" => {
+                        arena = Some((
+                            t.parse("arena length")?,
+                            t.parse("root id")?,
+                            t.parse("epoch")?,
                         ));
                     }
-                    if ids.len() != n {
-                        return Err(bad(ln, "leaf count mismatch".into()));
+                    "elems" => {
+                        let n: usize = t.parse("element count")?;
+                        let ids: Vec<u32> = t
+                            .by_ref()
+                            .map(str::parse)
+                            .collect::<Result<_, _>>()
+                            .map_err(|_| "bad element id")?;
+                        if ids.len() != n {
+                            return Err("element count mismatch".into());
+                        }
+                        elems = Some(ids);
                     }
-                    leaves = Some(ids);
-                }
-                Some("dtd") => {
-                    let h: u16 = parse_tok(parts.next(), ln, "hierarchy index")?;
-                    let text =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing DTD text".into()))?, ln)?;
-                    dtds.push((h, text));
-                }
-                Some("standoff") => {
-                    let len: usize = parse_tok(parts.next(), ln, "stand-off length")?;
-                    if rest.len() < len || !rest.is_char_boundary(len) {
-                        return Err(bad(ln, "stand-off length out of bounds".into()));
+                    "leaves" => {
+                        let n: usize = t.parse("leaf count")?;
+                        let ids: Vec<(u32, usize)> = t
+                            .by_ref()
+                            .map(|entry| {
+                                let (id, off) = entry.split_once(':')?;
+                                Some((id.parse().ok()?, off.parse().ok()?))
+                            })
+                            .collect::<Option<_>>()
+                            .ok_or("bad leaf entry")?;
+                        if ids.len() != n {
+                            return Err("leaf count mismatch".into());
+                        }
+                        leaves = Some(ids);
                     }
-                    standoff = Some(rest[..len].to_string());
-                    rest = &rest[len..];
-                    if let Some(r) = rest.strip_prefix('\n') {
-                        rest = r;
+                    "dtd" => dtds.push((t.parse("hierarchy index")?, t.string("DTD text")?)),
+                    "standoff" => {
+                        let len: usize = t.parse("stand-off length")?;
+                        if rest.len() < len || !rest.is_char_boundary(len) {
+                            return Err("stand-off length out of bounds".into());
+                        }
+                        standoff = Some(rest[..len].to_string());
+                        rest = &rest[len..];
+                        if let Some(r) = rest.strip_prefix('\n') {
+                            rest = r;
+                        }
                     }
+                    other => return Err(format!("unknown blob directive {other:?}")),
                 }
-                Some(other) => return Err(bad(ln, format!("unknown blob directive {other:?}"))),
-                None => {}
-            }
+                Ok(())
+            };
+            directive().map_err(|detail| bad(ln, detail))?;
         }
         let (arena_len, root, epoch) = arena.ok_or_else(|| bad(ln, "missing arena line".into()))?;
         Ok(DocBlob {

@@ -18,6 +18,7 @@
 //! exclusively, which drains all in-flight mutators before it reads
 //! documents and rotates the log.
 
+use crate::apply::{apply_logged, Applied};
 use crate::blob::DocBlob;
 use crate::codec::{encode_record, scan_tail, skip_record, WalOp, WAL_HEADER};
 use crate::error::{PersistError, Result};
@@ -326,7 +327,13 @@ impl DurableStore {
                         continue; // retired by the snapshot
                     }
                     lsn = rec.lsn;
-                    Self::replay(&store, &wal_path, rec.lsn, rec.op, &mut removed, &mut report)?;
+                    match apply_logged(&store, rec.lsn, rec.op, &mut removed) {
+                        Ok(Applied::Done) => report.replayed_ops += 1,
+                        Ok(Applied::Rejected) => report.replayed_rejected += 1,
+                        Err(detail) => {
+                            return Err(PersistError::Corrupt { path: wal_path, detail });
+                        }
+                    }
                 }
             }
         }
@@ -385,79 +392,6 @@ impl DurableStore {
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
         })
-    }
-
-    fn replay(
-        store: &Store,
-        wal_path: &Path,
-        lsn: u64,
-        op: WalOp,
-        removed: &mut std::collections::HashSet<u64>,
-        report: &mut RecoveryReport,
-    ) -> Result<()> {
-        let corrupt = |detail: String| PersistError::Corrupt {
-            path: wal_path.to_path_buf(),
-            detail: format!("record {lsn}: {detail}"),
-        };
-        match op {
-            WalOp::Edit { doc, epoch, op } => {
-                let cur = match store.epoch(doc) {
-                    Ok(cur) => cur,
-                    // An edit may be logged just after a concurrent remove
-                    // of the same document (the remove appends under the
-                    // store gate, not the document lock): the pre-crash
-                    // outcome was a mutation on an already-detached entry,
-                    // observably gone either way. Only edits targeting a
-                    // document the log never removed indicate real
-                    // corruption.
-                    Err(_) if removed.contains(&doc.raw()) => {
-                        report.replayed_rejected += 1;
-                        return Ok(());
-                    }
-                    Err(_) => return Err(corrupt(format!("edit targets unknown document {doc}"))),
-                };
-                if cur != epoch {
-                    return Err(corrupt(format!(
-                        "replay diverged on {doc}: log expects epoch {epoch}, document is at {cur}"
-                    )));
-                }
-                // Ungated apply: the pre-crash gate already passed this op
-                // (gate-rejected edits never reach the log), so replay
-                // skips re-paying prevalidation — the same contract the
-                // replication followers rely on.
-                match store.apply_replicated(doc, op) {
-                    Ok(_) => report.replayed_ops += 1,
-                    // A logged op that failed structurally pre-crash fails
-                    // identically here (the log runs ahead of the mutation).
-                    Err(_) => report.replayed_rejected += 1,
-                }
-            }
-            WalOp::DocInsert { doc, name, blob } => {
-                let g = blob.restore()?;
-                store.insert_with_id(doc, g).map_err(|e| corrupt(format!("insert: {e}")))?;
-                if let Some(name) = name {
-                    store.bind_name(name, doc).map_err(|e| corrupt(format!("bind: {e}")))?;
-                }
-                report.replayed_ops += 1;
-            }
-            WalOp::DocRemove { doc } => {
-                store.remove(doc);
-                removed.insert(doc.raw());
-                report.replayed_ops += 1;
-            }
-            WalOp::BindName { doc, name } => match store.bind_name(name, doc) {
-                Ok(()) => report.replayed_ops += 1,
-                // Same remove-race tolerance as edits.
-                Err(_) => report.replayed_rejected += 1,
-            },
-            WalOp::UnbindName { name } => {
-                // Unbinding an already-unbound name is a no-op, not
-                // corruption (the snapshot may already reflect the unbind).
-                store.unbind_name(&name);
-                report.replayed_ops += 1;
-            }
-        }
-        Ok(())
     }
 
     /// What recovery found when this store was opened.

@@ -54,12 +54,14 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod apply;
 mod blob;
 mod codec;
 mod durable;
 mod error;
 mod snapshot;
 
+pub use apply::{apply_logged, Applied};
 pub use blob::DocBlob;
 pub use codec::{
     crc32, decode_record, encode_record, scan, scan_batch, scan_tail, BatchScan, WalOp, WalRecord,

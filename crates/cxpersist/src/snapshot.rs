@@ -19,9 +19,10 @@
 //! newest otherwise.
 
 use crate::blob::DocBlob;
-use crate::codec::{crc32, dec, enc, parse_tok};
+use crate::codec::crc32;
 use crate::error::{PersistError, Result};
 use cxstore::{DocId, Store};
+use sacx::{escape_field, Tokens};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -64,10 +65,10 @@ impl Manifest {
         let _ = writeln!(out, "lsn {}", self.lsn);
         let _ = writeln!(out, "next {}", self.next_doc);
         for d in &self.docs {
-            let _ = writeln!(out, "doc {} {} {}", d.doc, d.epoch, enc(&d.file));
+            let _ = writeln!(out, "doc {} {} {}", d.doc, d.epoch, escape_field(&d.file));
         }
         for (n, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", enc(n));
+            let _ = writeln!(out, "name {} {id}", escape_field(n));
         }
         let crc = crc32(out.as_bytes());
         let _ = writeln!(out, "crc {crc:08x}");
@@ -96,32 +97,25 @@ impl Manifest {
         let mut m = Manifest::default();
         let mut saw_lsn = false;
         for (i, line) in lines {
-            let ln = i + 1;
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("lsn") => {
-                    m.lsn = parse_tok(parts.next(), ln, "lsn")?;
-                    saw_lsn = true;
+            let mut t = Tokens::new(line);
+            let mut directive = || -> std::result::Result<(), String> {
+                match t.token("directive")? {
+                    "lsn" => {
+                        m.lsn = t.parse("lsn")?;
+                        saw_lsn = true;
+                    }
+                    "next" => m.next_doc = t.parse("next id")?,
+                    "doc" => m.docs.push(ManifestDoc {
+                        doc: t.parse("doc id")?,
+                        epoch: t.parse("epoch")?,
+                        file: t.string("blob file")?,
+                    }),
+                    "name" => m.names.push((t.string("name")?, t.parse("doc id")?)),
+                    other => return Err(format!("unknown manifest directive {other:?}")),
                 }
-                Some("next") => m.next_doc = parse_tok(parts.next(), ln, "next id")?,
-                Some("doc") => {
-                    let doc: u64 = parse_tok(parts.next(), ln, "doc id")?;
-                    let epoch: u64 = parse_tok(parts.next(), ln, "epoch")?;
-                    let file =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing blob file".into()))?, ln)?;
-                    m.docs.push(ManifestDoc { doc, epoch, file });
-                }
-                Some("name") => {
-                    let name =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing name".into()))?, ln)?;
-                    let id: u64 = parse_tok(parts.next(), ln, "doc id")?;
-                    m.names.push((name, id));
-                }
-                Some(other) => {
-                    return Err(bad(ln, format!("unknown manifest directive {other:?}")))
-                }
-                None => {}
-            }
+                Ok(())
+            };
+            directive().map_err(|detail| bad(i + 1, detail))?;
         }
         if !saw_lsn {
             return Err(bad(0, "manifest missing lsn".into()));
@@ -194,7 +188,7 @@ impl StoreSnapshot {
         let _ = writeln!(out, "lsn {}", self.lsn);
         let _ = writeln!(out, "next {}", self.next_doc);
         for (name, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", enc(name));
+            let _ = writeln!(out, "name {} {id}", escape_field(name));
         }
         for (raw, blob) in &self.docs {
             let text = blob.to_text();
@@ -226,37 +220,31 @@ impl StoreSnapshot {
         let mut complete = false;
         while let Some(line) = next_line(&mut rest) {
             ln += 1;
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("lsn") => {
-                    snap.lsn = parse_tok(parts.next(), ln, "lsn")?;
-                    saw_lsn = true;
-                }
-                Some("next") => snap.next_doc = parse_tok(parts.next(), ln, "next id")?,
-                Some("name") => {
-                    let name =
-                        dec(parts.next().ok_or_else(|| bad(ln, "missing name".into()))?, ln)?;
-                    let id: u64 = parse_tok(parts.next(), ln, "doc id")?;
-                    snap.names.push((name, id));
-                }
-                Some("doc") => {
-                    let raw: u64 = parse_tok(parts.next(), ln, "doc id")?;
-                    let len: usize = parse_tok(parts.next(), ln, "blob length")?;
-                    if rest.len() < len || !rest.is_char_boundary(len) {
-                        return Err(bad(ln, "blob length out of bounds".into()));
+            let mut t = Tokens::new(&line);
+            // A `doc` line is followed by its blob: `(raw id, byte length)`.
+            let mut directive = || -> std::result::Result<Option<(u64, usize)>, String> {
+                match t.token("directive")? {
+                    "lsn" => {
+                        snap.lsn = t.parse("lsn")?;
+                        saw_lsn = true;
                     }
-                    let blob = DocBlob::parse_text(&rest[..len])?;
-                    rest = &rest[len..];
-                    snap.docs.push((raw, blob));
+                    "next" => snap.next_doc = t.parse("next id")?,
+                    "name" => snap.names.push((t.string("name")?, t.parse("doc id")?)),
+                    "doc" => return Ok(Some((t.parse("doc id")?, t.parse("blob length")?))),
+                    "end" => complete = true,
+                    other => return Err(format!("unknown snapshot directive {other:?}")),
                 }
-                Some("end") => {
-                    complete = true;
-                    break;
+                Ok(None)
+            };
+            if let Some((raw, len)) = directive().map_err(|detail| bad(ln, detail))? {
+                if rest.len() < len || !rest.is_char_boundary(len) {
+                    return Err(bad(ln, "blob length out of bounds".into()));
                 }
-                Some(other) => {
-                    return Err(bad(ln, format!("unknown snapshot directive {other:?}")))
-                }
-                None => {}
+                snap.docs.push((raw, DocBlob::parse_text(&rest[..len])?));
+                rest = &rest[len..];
+            }
+            if complete {
+                break;
             }
         }
         if !saw_lsn {

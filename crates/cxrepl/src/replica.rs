@@ -2,7 +2,7 @@
 
 use crate::error::{ReplError, Result};
 use cxobs::{Exposition, Histogram, Observable};
-use cxpersist::{scan_batch, DurableStore, Options, StoreSnapshot, WalOp};
+use cxpersist::{apply_logged, scan_batch, Applied, DurableStore, Options, StoreSnapshot};
 use cxstore::{Store, StoreStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -20,16 +20,6 @@ pub struct BatchApply {
     /// Whether a torn/corrupt tail was dropped — the caller re-requests
     /// from [`ReplicaStore::last_applied`].
     pub torn: bool,
-}
-
-/// Apply-side bookkeeping that must move atomically with the applied LSN.
-#[derive(Default)]
-struct ApplyState {
-    /// Documents the shipped stream removed — an edit logged just after a
-    /// concurrent remove of its document is tolerated exactly as the
-    /// recovery path tolerates it (the document is observably gone either
-    /// way).
-    removed: HashSet<u64>,
 }
 
 #[derive(Default)]
@@ -57,9 +47,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The apply path **bypasses the prevalidation gate** — the primary
 /// already gated every logged operation, and gate-rejected edits never
 /// reach the log — but **verifies the recorded edit epoch** of every
-/// record against the live document, exactly like crash recovery: a
-/// mismatch means the replica's history diverged from the primary's, and
-/// the replica refuses to apply further rather than serve wrong data.
+/// record against the live document — it is [`cxpersist::apply_logged`],
+/// the same function crash recovery replays its log with: a mismatch means
+/// the replica's history diverged from the primary's, and the replica
+/// refuses to apply further rather than serve wrong data.
 ///
 /// Appliers are serialized (one batch at a time, in LSN order); readers
 /// are not — the underlying store's per-document locks let queries run
@@ -67,7 +58,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// applied record atomically on documents it is.
 pub struct ReplicaStore {
     store: Store,
-    apply: Mutex<ApplyState>,
+    /// Serializes appliers, and holds what must move atomically with the
+    /// applied LSN: the documents the shipped stream has removed so far
+    /// ([`apply_logged`] tolerates an edit logged just after a concurrent
+    /// remove of its document).
+    apply: Mutex<HashSet<u64>>,
     last_applied: AtomicU64,
     last_head: AtomicU64,
     counters: ReplicaCounters,
@@ -138,7 +133,7 @@ impl ReplicaStore {
     /// gaps and divergence. Concurrent readers keep working throughout.
     pub fn apply_batch(&self, bytes: &[u8]) -> Result<BatchApply> {
         let _span = self.apply_ns.span();
-        let mut state = lock(&self.apply);
+        let mut removed = lock(&self.apply);
         let scan = scan_batch(bytes, self.last_applied());
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         if scan.torn {
@@ -152,9 +147,17 @@ impl ReplicaStore {
                 self.store.registry().event("repl.error", err.to_string());
                 return Err(err);
             }
-            if let Err(e) = self.apply_record(&mut state, rec.lsn, rec.op, &mut out) {
-                self.store.registry().event("repl.error", e.to_string());
-                return Err(e);
+            match apply_logged(&self.store, rec.lsn, rec.op, &mut removed) {
+                Ok(Applied::Done) => {}
+                Ok(Applied::Rejected) => {
+                    out.rejected += 1;
+                    self.counters.records_rejected.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(detail) => {
+                    let err = ReplError::Diverged { detail };
+                    self.store.registry().event("repl.error", err.to_string());
+                    return Err(err);
+                }
             }
             // Keep `head ≥ applied` invariant *before* publishing the new
             // applied LSN, so `lag()` observes a coherent pair (see its
@@ -168,79 +171,17 @@ impl ReplicaStore {
         Ok(out)
     }
 
-    fn apply_record(
-        &self,
-        state: &mut ApplyState,
-        lsn: u64,
-        op: WalOp,
-        out: &mut BatchApply,
-    ) -> Result<()> {
-        let diverged =
-            |detail: String| ReplError::Diverged { detail: format!("record {lsn}: {detail}") };
-        match op {
-            WalOp::Edit { doc, epoch, op } => {
-                let cur = match self.store.epoch(doc) {
-                    Ok(cur) => cur,
-                    // Same remove-race tolerance as recovery: an edit
-                    // logged just after a concurrent remove targets a
-                    // document that is observably gone either way.
-                    Err(_) if state.removed.contains(&doc.raw()) => {
-                        out.rejected += 1;
-                        self.counters.records_rejected.fetch_add(1, Ordering::Relaxed);
-                        return Ok(());
-                    }
-                    Err(_) => return Err(diverged(format!("edit targets unknown document {doc}"))),
-                };
-                if cur != epoch {
-                    return Err(diverged(format!(
-                        "{doc}: stream expects epoch {epoch}, document is at {cur}"
-                    )));
-                }
-                // Ungated apply: the primary's gate already passed this op.
-                // Structural failures re-fail deterministically, like
-                // recovery replay.
-                if self.store.apply_replicated(doc, op).is_err() {
-                    out.rejected += 1;
-                    self.counters.records_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            WalOp::DocInsert { doc, name, blob } => {
-                let g = blob.restore()?;
-                self.store.insert_with_id(doc, g).map_err(|e| diverged(format!("insert: {e}")))?;
-                if let Some(name) = name {
-                    self.store.bind_name(name, doc).map_err(|e| diverged(format!("bind: {e}")))?;
-                }
-            }
-            WalOp::DocRemove { doc } => {
-                self.store.remove(doc);
-                state.removed.insert(doc.raw());
-            }
-            WalOp::BindName { doc, name } => {
-                // Remove-race tolerance, as in recovery.
-                if self.store.bind_name(name, doc).is_err() {
-                    out.rejected += 1;
-                    self.counters.records_rejected.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            WalOp::UnbindName { name } => {
-                // Unbinding an unbound name is a no-op, as in recovery.
-                self.store.unbind_name(&name);
-            }
-        }
-        Ok(())
-    }
-
     /// Replace the replica's entire state with a shipped snapshot (the
     /// bootstrap path, and the recovery path for a follower that fell
     /// behind the primary's retention floor). In-flight readers holding
     /// document entries finish against the pre-snapshot documents.
     pub fn install_snapshot(&self, snap: &StoreSnapshot) -> Result<()> {
-        let mut state = lock(&self.apply);
+        let mut removed = lock(&self.apply);
         for id in self.store.doc_ids() {
             self.store.remove(id);
         }
         snap.restore_into(&self.store)?;
-        state.removed.clear();
+        removed.clear();
         self.last_applied.store(snap.lsn, Ordering::Release);
         self.observe_head(snap.lsn);
         self.counters.snapshots_installed.fetch_add(1, Ordering::Relaxed);

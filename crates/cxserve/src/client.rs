@@ -146,7 +146,7 @@ impl Client {
     /// server restarted fails here once, and the retry dials fresh.
     fn call(&self, req: &Request) -> Result<Response> {
         let trace = cxtrace::span_or_root("client.call");
-        trace.attr("verb", req.verb());
+        trace.attr("verb", req.verb().name());
         let mut conn = match self.take_conn() {
             Ok(c) => c,
             Err(e) => {

@@ -69,23 +69,51 @@ pub enum WireError {
     Server(String),
 }
 
-impl WireError {
-    /// The stable machine-readable kind tag — the same token the wire
-    /// encoding leads with, and the `kind` label of the server's
+sacx::vocabulary! {
+    /// The stable machine-readable tag of a [`WireError`] — the token its
+    /// wire encoding leads with, and the `kind` label of the server's
     /// `cx_server_errors_total{kind=...}` counters.
-    pub fn kind(&self) -> &'static str {
+    pub enum WireErrorKind("error kind") {
+        /// [`WireError::Store`].
+        Store = "store",
+        /// [`WireError::Stale`].
+        Stale = "stale",
+        /// [`WireError::ShardDown`].
+        ShardDown = "shard_down",
+        /// [`WireError::Timeout`].
+        Timeout = "timeout",
+        /// [`WireError::Unavailable`].
+        Unavailable = "unavailable",
+        /// [`WireError::WrongShard`].
+        WrongShard = "wrong_shard",
+        /// [`WireError::Deadline`].
+        Deadline = "deadline",
+        /// [`WireError::Injected`].
+        Injected = "injected",
+        /// [`WireError::BadRequest`].
+        BadRequest = "bad_request",
+        /// [`WireError::Busy`].
+        Busy = "busy",
+        /// [`WireError::Server`].
+        Server = "server",
+    }
+}
+
+impl WireError {
+    /// Which kind of error this is.
+    pub fn kind(&self) -> WireErrorKind {
         match self {
-            WireError::Store(_) => "store",
-            WireError::Stale { .. } => "stale",
-            WireError::ShardDown(_) => "shard_down",
-            WireError::Timeout { .. } => "timeout",
-            WireError::Unavailable { .. } => "unavailable",
-            WireError::WrongShard { .. } => "wrong_shard",
-            WireError::Deadline { .. } => "deadline",
-            WireError::Injected(_) => "injected",
-            WireError::BadRequest(_) => "bad_request",
-            WireError::Busy => "busy",
-            WireError::Server(_) => "server",
+            WireError::Store(_) => WireErrorKind::Store,
+            WireError::Stale { .. } => WireErrorKind::Stale,
+            WireError::ShardDown(_) => WireErrorKind::ShardDown,
+            WireError::Timeout { .. } => WireErrorKind::Timeout,
+            WireError::Unavailable { .. } => WireErrorKind::Unavailable,
+            WireError::WrongShard { .. } => WireErrorKind::WrongShard,
+            WireError::Deadline { .. } => WireErrorKind::Deadline,
+            WireError::Injected(_) => WireErrorKind::Injected,
+            WireError::BadRequest(_) => WireErrorKind::BadRequest,
+            WireError::Busy => WireErrorKind::Busy,
+            WireError::Server(_) => WireErrorKind::Server,
         }
     }
 }

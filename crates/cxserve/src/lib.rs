@@ -46,6 +46,6 @@ pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientOptions, RouterClient};
-pub use error::{Result, ServeError, WireError};
-pub use proto::{Request, Response, TraceQuery, TraceSummaryWire, VERSION};
+pub use error::{Result, ServeError, WireError, WireErrorKind};
+pub use proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb, VERSION};
 pub use server::{ClusterServer, ServerOptions, SERVE_REQUEST_SITE};

@@ -4,38 +4,44 @@
 //! One request per frame, one response per frame, answered in order per
 //! connection (which is what makes client-side pipelining work: write
 //! *k* requests, read *k* responses). The payload is a line of
-//! space-separated tokens — strings percent-escaped exactly like the WAL
-//! codec's ([`sacx::escape_token`], empty spelled `%`) — optionally
-//! followed by a newline and a raw text body (document blobs, stand-off
-//! exports, metrics pages), so bulky artifacts ride unescaped:
+//! space-separated tokens read with the workspace's one token cursor
+//! ([`sacx::Tokens`]: strings percent-escaped, empty spelled `%`) —
+//! optionally followed by a newline and a raw text body (document blobs,
+//! stand-off exports, metrics pages), so bulky artifacts ride unescaped:
 //!
 //! ```text
-//! request  := "cxq1 " verb tokens… ["\n" body]
-//! response := ("ok " tokens… ["\n" body]) | ("err " kind tokens…)
+//! request  := "cxq1 " verb tokens… [" tc " trace "-" span] ["\n" body]
+//! response := ("ok " kind tokens… ["\n" body]) | ("err " kind tokens…)
 //! ```
 //!
 //! The leading `cxq1` is the protocol version: a server refuses anything
 //! else with a typed `bad_request`, so a v2 client talking to a v1 server
-//! fails loudly at the first exchange instead of misparsing.
+//! fails loudly at the first exchange instead of misparsing. Every keyword
+//! set — [`Verb`], [`WireErrorKind`], the response kinds, the `trace`
+//! sub-queries — is declared once with [`sacx::vocabulary!`] and matched
+//! as an enum, so a variant without an encoder or decoder arm does not
+//! compile. An `edit` request carries its operation as
+//! [`EditOp::write_tokens`] writes it: the spelling of the WAL record the
+//! edit becomes.
 //!
 //! Error frames are **typed** — `shard_down`, `timeout`, `stale`,
 //! `wrong_shard`, … — so a client can react structurally (refresh its
 //! routing table, treat a CAS replay as already-applied) instead of
 //! grepping a message.
 //!
-//! **Trace propagation.** Any request line may end with an optional
+//! **Trace propagation.** A request line may end with one
 //! `tc <trace_id>-<span_id>` token pair ([`Request::encode_traced`]):
 //! the client's current [`cxtrace::TraceContext`] riding the frame so
-//! the server's handler span joins the caller's trace. The extension is
-//! version-negotiated for free by `cxq1`'s grammar — every verb parser
-//! ignores trailing tokens, so an old server drops the pair silently
-//! and an old client simply never sends one; the wire bytes without
-//! tracing enabled are identical to the pre-trace protocol.
+//! the server's handler span joins the caller's trace. Nothing else may
+//! follow a verb's arguments — leftover tokens are a `bad_request`, not
+//! silently ignored — and the wire bytes without tracing enabled carry no
+//! pair at all.
 
-use crate::error::WireError;
+use crate::error::{WireError, WireErrorKind};
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
+use sacx::{escape_field, Tokens};
 use std::fmt::Write as _;
 
 /// Version sentinel opening every request line.
@@ -233,37 +239,76 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------
-// Tokens
+// Vocabularies
 // ---------------------------------------------------------------------
 
-/// Percent-escape into a space-free token; `""` spelled `%` (same
-/// convention as the WAL codec — positional tokens cannot be empty).
-fn enc(s: &str) -> String {
-    if s.is_empty() {
-        return "%".into();
+sacx::vocabulary! {
+    /// The verb token a request travels as — also the `verb` label of the
+    /// per-verb server metrics and trace spans.
+    pub enum Verb("verb") {
+        /// [`Request::Ping`].
+        Ping = "ping",
+        /// [`Request::Insert`] without a name.
+        Insert = "insert",
+        /// [`Request::Insert`] with a name.
+        InsertNamed = "insertn",
+        /// [`Request::Edit`].
+        Edit = "edit",
+        /// [`Request::Query`].
+        Query = "query",
+        /// [`Request::QueryAll`].
+        QueryAll = "qall",
+        /// [`Request::QueryPartial`].
+        QueryPartial = "qpart",
+        /// [`Request::Suggest`].
+        Suggest = "suggest",
+        /// [`Request::Export`].
+        Export = "export",
+        /// [`Request::IdByName`].
+        IdByName = "name",
+        /// [`Request::Epoch`].
+        Epoch = "epoch",
+        /// [`Request::Remove`].
+        Remove = "remove",
+        /// [`Request::Metrics`].
+        Metrics = "metrics",
+        /// [`Request::Routes`].
+        Routes = "routes",
+        /// [`Request::Trace`].
+        Trace = "trace",
     }
-    sacx::escape_token(s)
 }
 
-fn dec(tok: &str) -> Result<String, WireError> {
-    if tok == "%" {
-        return Ok(String::new());
+sacx::vocabulary! {
+    /// The sub-query of a `trace` request.
+    enum TraceVerb("trace query") { Recent = "recent", Slow = "slow", Get = "get" }
+}
+
+sacx::vocabulary! {
+    /// First token of every response.
+    enum Status("status") { Ok = "ok", Err = "err" }
+}
+
+sacx::vocabulary! {
+    /// Second token of an `ok` response: which [`Response`] follows.
+    enum ResponseKind("response kind") {
+        Pong = "pong",
+        Id = "id",
+        Edited = "edited",
+        Nodes = "nodes",
+        Hits = "hits",
+        Partial = "partial",
+        Tags = "tags",
+        Text = "text",
+        Epoch = "epoch",
+        Removed = "removed",
+        Routes = "routes",
+        Traces = "traces",
     }
-    sacx::unescape_token(tok).map_err(WireError::BadRequest)
 }
 
-fn bad(detail: impl Into<String>) -> WireError {
-    WireError::BadRequest(detail.into())
-}
-
-/// One numeric token, or a typed parse failure naming what was expected.
-fn num<T: std::str::FromStr>(tok: Option<&str>, what: &str) -> Result<T, WireError> {
-    tok.and_then(|s| s.parse().ok()).ok_or_else(|| bad(format!("expected {what}")))
-}
-
-fn tok<'a>(it: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, WireError> {
-    it.next().ok_or_else(|| bad(format!("expected {what}")))
-}
+/// Introduces the optional trailing trace-context token.
+const TRACE_TOKEN: &str = "tc";
 
 /// Split a payload into its token line and optional raw body.
 fn split_body(payload: &str) -> (&str, Option<&str>) {
@@ -273,71 +318,22 @@ fn split_body(payload: &str) -> (&str, Option<&str>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// EditOp
-// ---------------------------------------------------------------------
-
-fn encode_op(out: &mut String, op: &EditOp) {
-    match op {
-        EditOp::InsertElement { hierarchy, tag, attrs, start, end } => {
-            let _ =
-                write!(out, "insel {} {} {start} {end} {}", enc(hierarchy), enc(tag), attrs.len());
-            for (k, v) in attrs {
-                let _ = write!(out, " {} {}", enc(k), enc(v));
-            }
-        }
-        EditOp::RemoveElement(node) => {
-            let _ = write!(out, "rmel {}", node.0);
-        }
-        EditOp::InsertText { offset, text } => {
-            let _ = write!(out, "instext {offset} {}", enc(text));
-        }
-        EditOp::DeleteText { start, end } => {
-            let _ = write!(out, "deltext {start} {end}");
-        }
-        EditOp::SetAttr { node, name, value } => {
-            let _ = write!(out, "setattr {} {} {}", node.0, enc(name), enc(value));
-        }
-        EditOp::RemoveAttr { node, name } => {
-            let _ = write!(out, "rmattr {} {}", node.0, enc(name));
-        }
+/// A count-prefixed run of parsed tokens (`<k> <t1> … <tk>`). The
+/// pre-allocation is capped: the count is untrusted input.
+fn counted<T>(
+    t: &mut Tokens<'_>,
+    mut item: impl FnMut(&mut Tokens<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let k: usize = t.parse("count")?;
+    let mut out = Vec::with_capacity(k.min(1 << 12));
+    for _ in 0..k {
+        out.push(item(t)?);
     }
+    Ok(out)
 }
 
-fn decode_op<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<EditOp, WireError> {
-    Ok(match tok(it, "edit op kind")? {
-        "insel" => {
-            let hierarchy = dec(tok(it, "hierarchy")?)?;
-            let tag = dec(tok(it, "tag")?)?;
-            let start = num(it.next(), "start")?;
-            let end = num(it.next(), "end")?;
-            let n: usize = num(it.next(), "attr count")?;
-            let mut attrs = Vec::with_capacity(n.min(64));
-            for _ in 0..n {
-                let k = dec(tok(it, "attr name")?)?;
-                let v = dec(tok(it, "attr value")?)?;
-                attrs.push((k, v));
-            }
-            EditOp::InsertElement { hierarchy, tag, attrs, start, end }
-        }
-        "rmel" => EditOp::RemoveElement(NodeId(num(it.next(), "node")?)),
-        "instext" => {
-            EditOp::InsertText { offset: num(it.next(), "offset")?, text: dec(tok(it, "text")?)? }
-        }
-        "deltext" => {
-            EditOp::DeleteText { start: num(it.next(), "start")?, end: num(it.next(), "end")? }
-        }
-        "setattr" => EditOp::SetAttr {
-            node: NodeId(num(it.next(), "node")?),
-            name: dec(tok(it, "attr name")?)?,
-            value: dec(tok(it, "attr value")?)?,
-        },
-        "rmattr" => EditOp::RemoveAttr {
-            node: NodeId(num(it.next(), "node")?),
-            name: dec(tok(it, "attr name")?)?,
-        },
-        other => return Err(bad(format!("unknown edit op `{other}`"))),
-    })
+fn doc_id(t: &mut Tokens<'_>) -> Result<DocId, String> {
+    t.parse("document id").map(DocId::from_raw)
 }
 
 // ---------------------------------------------------------------------
@@ -347,201 +343,153 @@ fn decode_op<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<EditOp, WireE
 impl Request {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = format!("{VERSION} ");
-        match self {
-            Request::Ping => out.push_str("ping"),
-            Request::Insert { name, blob } => {
-                match name {
-                    Some(n) => {
-                        let _ = write!(out, "insertn {}", enc(n));
-                    }
-                    None => out.push_str("insert"),
-                }
-                out.push('\n');
-                out.push_str(&blob.to_text());
-            }
+        self.encode_traced(None)
+    }
+
+    /// [`Request::encode`] with the caller's trace context riding the
+    /// frame as a trailing `tc <trace>-<span>` token pair (before the
+    /// body separator, so body-carrying verbs work too). `None` encodes
+    /// identically to [`Request::encode`].
+    pub fn encode_traced(&self, ctx: Option<cxtrace::TraceContext>) -> Vec<u8> {
+        let f = escape_field;
+        let mut out = format!("{VERSION} {}", self.verb());
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Request::Ping | Request::Metrics | Request::Routes => Ok(()),
+            Request::Insert { name: None, .. } => Ok(()),
+            Request::Insert { name: Some(n), .. } => write!(out, " {}", f(n)),
             Request::Edit { doc, guard, op } => {
-                let _ = write!(out, "edit {} ", doc.raw());
-                match guard {
-                    Some(g) => {
-                        let _ = write!(out, "{g} ");
-                    }
-                    None => out.push_str("- "),
-                }
-                encode_op(&mut out, op);
+                let _ = match guard {
+                    Some(g) => write!(out, " {} {g} ", doc.raw()),
+                    None => write!(out, " {} - ", doc.raw()),
+                };
+                op.write_tokens(&mut out);
+                Ok(())
             }
-            Request::Query { doc, expr } => {
-                let _ = write!(out, "query {} {}", doc.raw(), enc(expr));
-            }
-            Request::QueryAll { expr } => {
-                let _ = write!(out, "qall {}", enc(expr));
-            }
-            Request::QueryPartial { timeout_ms, expr } => {
-                let _ = write!(out, "qpart {timeout_ms} {}", enc(expr));
-            }
+            Request::Query { doc, expr } => write!(out, " {} {}", doc.raw(), f(expr)),
+            Request::QueryAll { expr } => write!(out, " {}", f(expr)),
+            Request::QueryPartial { timeout_ms, expr } => write!(out, " {timeout_ms} {}", f(expr)),
             Request::Suggest { doc, hierarchy, start, end } => {
-                let _ = write!(out, "suggest {} {} {start} {end}", doc.raw(), enc(hierarchy));
+                write!(out, " {} {} {start} {end}", doc.raw(), f(hierarchy))
             }
-            Request::Export { doc } => {
-                let _ = write!(out, "export {}", doc.raw());
+            Request::Export { doc } | Request::Epoch { doc } | Request::Remove { doc } => {
+                write!(out, " {}", doc.raw())
             }
-            Request::IdByName { name } => {
-                let _ = write!(out, "name {}", enc(name));
+            Request::IdByName { name } => write!(out, " {}", f(name)),
+            Request::Trace(TraceQuery::Recent { limit }) => {
+                write!(out, " {} {limit}", TraceVerb::Recent)
             }
-            Request::Epoch { doc } => {
-                let _ = write!(out, "epoch {}", doc.raw());
+            Request::Trace(TraceQuery::Slow { limit }) => {
+                write!(out, " {} {limit}", TraceVerb::Slow)
             }
-            Request::Remove { doc } => {
-                let _ = write!(out, "remove {}", doc.raw());
+            Request::Trace(TraceQuery::Get { trace_id }) => {
+                write!(out, " {} {trace_id:016x}", TraceVerb::Get)
             }
-            Request::Metrics => out.push_str("metrics"),
-            Request::Routes => out.push_str("routes"),
-            Request::Trace(q) => match q {
-                TraceQuery::Recent { limit } => {
-                    let _ = write!(out, "trace recent {limit}");
-                }
-                TraceQuery::Slow { limit } => {
-                    let _ = write!(out, "trace slow {limit}");
-                }
-                TraceQuery::Get { trace_id } => {
-                    let _ = write!(out, "trace get {trace_id:016x}");
-                }
-            },
+        };
+        if let Some(ctx) = ctx {
+            let _ = write!(out, " {TRACE_TOKEN} {}", ctx.token());
+        }
+        if let Request::Insert { blob, .. } = self {
+            out.push('\n');
+            out.push_str(&blob.to_text());
         }
         out.into_bytes()
     }
 
-    /// [`Request::encode`] with the caller's trace context riding the
-    /// frame as a trailing `tc <trace>-<span>` token pair (spliced
-    /// before the body separator, so body-carrying verbs work too).
-    /// `None` encodes identically to [`Request::encode`].
-    pub fn encode_traced(&self, ctx: Option<cxtrace::TraceContext>) -> Vec<u8> {
-        let bytes = self.encode();
-        let Some(ctx) = ctx else { return bytes };
-        let tok = format!(" tc {}", ctx.token());
-        match bytes.iter().position(|&b| b == b'\n') {
-            Some(i) => {
-                // invariant: encode() emits only ASCII verbs, hex and
-                // percent-escaped text, so the bytes are always utf-8.
-                let mut s = String::from_utf8(bytes).expect("encode produces utf-8");
-                s.insert_str(i, &tok);
-                s.into_bytes()
-            }
-            None => {
-                let mut bytes = bytes;
-                bytes.extend_from_slice(tok.as_bytes());
-                bytes
-            }
-        }
-    }
-
-    /// The verb token this request travels as — the label of the
-    /// per-verb server metrics.
-    pub fn verb(&self) -> &'static str {
+    /// The verb this request travels as.
+    pub fn verb(&self) -> Verb {
         match self {
-            Request::Ping => "ping",
-            Request::Insert { .. } => "insert",
-            Request::Edit { .. } => "edit",
-            Request::Query { .. } => "query",
-            Request::QueryAll { .. } => "qall",
-            Request::QueryPartial { .. } => "qpart",
-            Request::Suggest { .. } => "suggest",
-            Request::Export { .. } => "export",
-            Request::IdByName { .. } => "name",
-            Request::Epoch { .. } => "epoch",
-            Request::Remove { .. } => "remove",
-            Request::Metrics => "metrics",
-            Request::Routes => "routes",
-            Request::Trace(_) => "trace",
+            Request::Ping => Verb::Ping,
+            Request::Insert { name: None, .. } => Verb::Insert,
+            Request::Insert { name: Some(_), .. } => Verb::InsertNamed,
+            Request::Edit { .. } => Verb::Edit,
+            Request::Query { .. } => Verb::Query,
+            Request::QueryAll { .. } => Verb::QueryAll,
+            Request::QueryPartial { .. } => Verb::QueryPartial,
+            Request::Suggest { .. } => Verb::Suggest,
+            Request::Export { .. } => Verb::Export,
+            Request::IdByName { .. } => Verb::IdByName,
+            Request::Epoch { .. } => Verb::Epoch,
+            Request::Remove { .. } => Verb::Remove,
+            Request::Metrics => Verb::Metrics,
+            Request::Routes => Verb::Routes,
+            Request::Trace(_) => Verb::Trace,
         }
     }
 
     /// Best-effort extraction of the `tc` token pair from a request
     /// payload — deliberately independent of [`Request::decode`], so a
     /// request that fails validation (or hits the injected-fault path
-    /// before decoding) can still adopt its caller's trace. Scans the
-    /// token line from the end; a verb argument that merely *looks*
-    /// like `tc` never matches because the following token must parse
-    /// as a well-formed context.
+    /// before decoding) can still adopt its caller's trace. Looks only at
+    /// the last two tokens of the line, where [`Request::encode_traced`]
+    /// puts the pair: a `tc` anywhere earlier is some verb's argument.
+    /// (Not decoding has a price: an *untraced* `setattr <node> tc <value>`
+    /// whose value happens to be a well-formed context still reads as one.)
     pub fn trace_context(payload: &[u8]) -> Option<cxtrace::TraceContext> {
         let text = std::str::from_utf8(payload).ok()?;
-        let (line, _) = split_body(text);
-        let toks: Vec<&str> = line.split(' ').collect();
-        toks.windows(2).rev().find_map(|w| {
-            (w[0] == "tc").then(|| cxtrace::TraceContext::parse_token(w[1])).flatten()
-        })
+        let mut last = split_body(text).0.rsplitn(3, ' ');
+        let (ctx, tc) = (last.next()?, last.next()?);
+        (tc == TRACE_TOKEN).then(|| cxtrace::TraceContext::parse_token(ctx)).flatten()
     }
 
     /// Parse a frame payload. Every failure is a typed
     /// [`WireError::BadRequest`] the server answers with — malformed
     /// input never panics a handler.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        let text = std::str::from_utf8(payload).map_err(|_| bad("request is not utf-8"))?;
+        Request::decode_text(payload).map_err(WireError::BadRequest)
+    }
+
+    fn decode_text(payload: &[u8]) -> Result<Request, String> {
+        let text = std::str::from_utf8(payload).map_err(|_| "request is not utf-8")?;
         let (line, body) = split_body(text);
-        let mut it = line.split(' ');
-        match it.next() {
-            Some(v) if v == VERSION => {}
-            Some(v) => return Err(bad(format!("unsupported protocol version `{v}`"))),
-            None => return Err(bad("empty request")),
+        let mut t = Tokens::new(line);
+        let version = t.token("protocol version")?;
+        if version != VERSION {
+            return Err(format!("unsupported protocol version `{version}`"));
         }
-        let doc_of = |t: &str| -> Result<DocId, WireError> {
-            t.parse::<u64>().map(DocId::from_raw).map_err(|_| bad("expected document id"))
+        let blob = || {
+            DocBlob::parse_text(body.ok_or("insert carries no blob")?)
+                .map_err(|e| format!("blob: {e}"))
         };
-        let req = match tok(&mut it, "verb")? {
-            "ping" => Request::Ping,
-            "insert" | "insertn" if body.is_none() => return Err(bad("insert carries no blob")),
-            "insert" => Request::Insert {
-                name: None,
-                // invariant: the arm above rejects insert without a body.
-                blob: DocBlob::parse_text(body.expect("checked above"))
-                    .map_err(|e| bad(format!("blob: {e}")))?,
+        let req = match Verb::parse(t.token("verb")?)? {
+            Verb::Ping => Request::Ping,
+            Verb::Insert => Request::Insert { name: None, blob: blob()? },
+            Verb::InsertNamed => Request::Insert { name: Some(t.string("name")?), blob: blob()? },
+            Verb::Edit => Request::Edit {
+                doc: doc_id(&mut t)?,
+                guard: t.parse_opt("guard epoch")?,
+                op: EditOp::read_tokens(&mut t)?,
             },
-            "insertn" => Request::Insert {
-                name: Some(dec(tok(&mut it, "name")?)?),
-                // invariant: the arm above rejects insertn without a body.
-                blob: DocBlob::parse_text(body.expect("checked above"))
-                    .map_err(|e| bad(format!("blob: {e}")))?,
-            },
-            "edit" => {
-                let doc = doc_of(tok(&mut it, "doc")?)?;
-                let guard = match tok(&mut it, "guard")? {
-                    "-" => None,
-                    g => Some(g.parse::<u64>().map_err(|_| bad("expected guard epoch"))?),
-                };
-                Request::Edit { doc, guard, op: decode_op(&mut it)? }
+            Verb::Query => Request::Query { doc: doc_id(&mut t)?, expr: t.string("expr")? },
+            Verb::QueryAll => Request::QueryAll { expr: t.string("expr")? },
+            Verb::QueryPartial => {
+                Request::QueryPartial { timeout_ms: t.parse("timeout")?, expr: t.string("expr")? }
             }
-            "query" => Request::Query {
-                doc: doc_of(tok(&mut it, "doc")?)?,
-                expr: dec(tok(&mut it, "expr")?)?,
+            Verb::Suggest => Request::Suggest {
+                doc: doc_id(&mut t)?,
+                hierarchy: t.string("hierarchy")?,
+                start: t.parse("start")?,
+                end: t.parse("end")?,
             },
-            "qall" => Request::QueryAll { expr: dec(tok(&mut it, "expr")?)? },
-            "qpart" => Request::QueryPartial {
-                timeout_ms: num(it.next(), "timeout")?,
-                expr: dec(tok(&mut it, "expr")?)?,
-            },
-            "suggest" => Request::Suggest {
-                doc: doc_of(tok(&mut it, "doc")?)?,
-                hierarchy: dec(tok(&mut it, "hierarchy")?)?,
-                start: num(it.next(), "start")?,
-                end: num(it.next(), "end")?,
-            },
-            "export" => Request::Export { doc: doc_of(tok(&mut it, "doc")?)? },
-            "name" => Request::IdByName { name: dec(tok(&mut it, "name")?)? },
-            "epoch" => Request::Epoch { doc: doc_of(tok(&mut it, "doc")?)? },
-            "remove" => Request::Remove { doc: doc_of(tok(&mut it, "doc")?)? },
-            "metrics" => Request::Metrics,
-            "routes" => Request::Routes,
-            "trace" => Request::Trace(match tok(&mut it, "trace query")? {
-                "recent" => TraceQuery::Recent { limit: num(it.next(), "limit")? },
-                "slow" => TraceQuery::Slow { limit: num(it.next(), "limit")? },
-                "get" => TraceQuery::Get {
-                    trace_id: u64::from_str_radix(tok(&mut it, "trace id")?, 16)
-                        .map_err(|_| bad("expected hex trace id"))?,
-                },
-                other => return Err(bad(format!("unknown trace query `{other}`"))),
+            Verb::Export => Request::Export { doc: doc_id(&mut t)? },
+            Verb::IdByName => Request::IdByName { name: t.string("name")? },
+            Verb::Epoch => Request::Epoch { doc: doc_id(&mut t)? },
+            Verb::Remove => Request::Remove { doc: doc_id(&mut t)? },
+            Verb::Metrics => Request::Metrics,
+            Verb::Routes => Request::Routes,
+            Verb::Trace => Request::Trace(match TraceVerb::parse(t.token("trace query")?)? {
+                TraceVerb::Recent => TraceQuery::Recent { limit: t.parse("limit")? },
+                TraceVerb::Slow => TraceQuery::Slow { limit: t.parse("limit")? },
+                TraceVerb::Get => TraceQuery::Get { trace_id: t.hex("trace id")? },
             }),
-            other => return Err(bad(format!("unknown verb `{other}`"))),
         };
+        // After the verb's arguments: nothing, or the caller's trace context.
+        if t.peek() == Some(TRACE_TOKEN) {
+            t.next();
+            cxtrace::TraceContext::parse_token(t.token("trace context")?)
+                .ok_or("malformed trace context")?;
+        }
+        t.finish()?;
         Ok(req)
     }
 }
@@ -552,60 +500,39 @@ impl Request {
 
 impl WireError {
     fn encode_tokens(&self, out: &mut String) {
-        match self {
-            WireError::Store(d) => {
-                let _ = write!(out, "store {}", enc(d));
-            }
-            WireError::Stale { current } => {
-                let _ = write!(out, "stale {current}");
-            }
-            WireError::ShardDown(s) => {
-                let _ = write!(out, "shard_down {s}");
-            }
-            WireError::Timeout { shard, ms } => {
-                let _ = write!(out, "timeout {shard} {ms}");
-            }
-            WireError::Unavailable { shard, detail } => {
-                let _ = write!(out, "unavailable {shard} {}", enc(detail));
-            }
-            WireError::WrongShard { owner } => {
-                let _ = write!(out, "wrong_shard {owner}");
-            }
-            WireError::Deadline { ms } => {
-                let _ = write!(out, "deadline {ms}");
-            }
-            WireError::Injected(d) => {
-                let _ = write!(out, "injected {}", enc(d));
-            }
-            WireError::BadRequest(d) => {
-                let _ = write!(out, "bad_request {}", enc(d));
-            }
-            WireError::Busy => out.push_str("busy"),
-            WireError::Server(d) => {
-                let _ = write!(out, "server {}", enc(d));
-            }
-        }
+        let f = escape_field;
+        let _ = write!(out, "{}", self.kind());
+        let _ = match self {
+            WireError::Store(d)
+            | WireError::Injected(d)
+            | WireError::BadRequest(d)
+            | WireError::Server(d) => write!(out, " {}", f(d)),
+            WireError::Stale { current } => write!(out, " {current}"),
+            WireError::ShardDown(s) => write!(out, " {s}"),
+            WireError::Timeout { shard, ms } => write!(out, " {shard} {ms}"),
+            WireError::Unavailable { shard, detail } => write!(out, " {shard} {}", f(detail)),
+            WireError::WrongShard { owner } => write!(out, " {owner}"),
+            WireError::Deadline { ms } => write!(out, " {ms}"),
+            WireError::Busy => Ok(()),
+        };
     }
 
-    fn decode_tokens<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<WireError, WireError> {
-        Ok(match tok(it, "error kind")? {
-            "store" => WireError::Store(dec(tok(it, "detail")?)?),
-            "stale" => WireError::Stale { current: num(it.next(), "epoch")? },
-            "shard_down" => WireError::ShardDown(num(it.next(), "shard")?),
-            "timeout" => {
-                WireError::Timeout { shard: num(it.next(), "shard")?, ms: num(it.next(), "ms")? }
+    fn decode_tokens(t: &mut Tokens<'_>) -> Result<WireError, String> {
+        use WireErrorKind as K;
+        Ok(match K::parse(t.token("error kind")?)? {
+            K::Store => WireError::Store(t.string("detail")?),
+            K::Stale => WireError::Stale { current: t.parse("epoch")? },
+            K::ShardDown => WireError::ShardDown(t.parse("shard")?),
+            K::Timeout => WireError::Timeout { shard: t.parse("shard")?, ms: t.parse("ms")? },
+            K::Unavailable => {
+                WireError::Unavailable { shard: t.parse("shard")?, detail: t.string("detail")? }
             }
-            "unavailable" => WireError::Unavailable {
-                shard: num(it.next(), "shard")?,
-                detail: dec(tok(it, "detail")?)?,
-            },
-            "wrong_shard" => WireError::WrongShard { owner: num(it.next(), "shard")? },
-            "deadline" => WireError::Deadline { ms: num(it.next(), "ms")? },
-            "injected" => WireError::Injected(dec(tok(it, "detail")?)?),
-            "bad_request" => WireError::BadRequest(dec(tok(it, "detail")?)?),
-            "busy" => WireError::Busy,
-            "server" => WireError::Server(dec(tok(it, "detail")?)?),
-            other => return Err(bad(format!("unknown error kind `{other}`"))),
+            K::WrongShard => WireError::WrongShard { owner: t.parse("shard")? },
+            K::Deadline => WireError::Deadline { ms: t.parse("ms")? },
+            K::Injected => WireError::Injected(t.string("detail")?),
+            K::BadRequest => WireError::BadRequest(t.string("detail")?),
+            K::Busy => WireError::Busy,
+            K::Server => WireError::Server(t.string("detail")?),
         })
     }
 }
@@ -614,95 +541,103 @@ impl WireError {
 // Responses
 // ---------------------------------------------------------------------
 
-fn encode_hit_line(out: &mut String, doc: DocId, nodes: &[NodeId]) {
-    let _ = write!(out, "{} {}", doc.raw(), nodes.len());
+fn encode_nodes(out: &mut String, nodes: &[NodeId]) {
+    let _ = write!(out, " {}", nodes.len());
     for n in nodes {
         let _ = write!(out, " {}", n.0);
     }
-    out.push('\n');
 }
 
-fn decode_hit_line(line: &str) -> Result<(DocId, Vec<NodeId>), WireError> {
-    let mut it = line.split(' ');
-    let doc = DocId::from_raw(num(it.next(), "doc")?);
-    let k: usize = num(it.next(), "node count")?;
-    let mut nodes = Vec::with_capacity(k.min(1 << 16));
-    for _ in 0..k {
-        nodes.push(NodeId(num(it.next(), "node")?));
+fn decode_nodes(t: &mut Tokens<'_>) -> Result<Vec<NodeId>, String> {
+    counted(t, |t| t.parse("node id").map(NodeId))
+}
+
+fn encode_hits(out: &mut String, hits: &[(DocId, Vec<NodeId>)]) {
+    for (doc, nodes) in hits {
+        let _ = write!(out, "{}", doc.raw());
+        encode_nodes(out, nodes);
+        out.push('\n');
     }
-    Ok((doc, nodes))
+}
+
+/// The next `k` body lines, each parsed by `item`.
+fn body_lines<'a, T>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    k: usize,
+    what: &str,
+    mut item: impl FnMut(&mut Tokens<'a>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(k.min(1 << 12));
+    for _ in 0..k {
+        let line = lines.next().ok_or_else(|| format!("expected {what} line"))?;
+        out.push(item(&mut Tokens::new(line))?);
+    }
+    Ok(out)
+}
+
+fn decode_hit(t: &mut Tokens<'_>) -> Result<(DocId, Vec<NodeId>), String> {
+    Ok((doc_id(t)?, decode_nodes(t)?))
 }
 
 impl Response {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
+        use ResponseKind as K;
+        let ok = Status::Ok;
         let mut out = String::new();
-        match self {
-            Response::Pong => out.push_str("ok pong"),
-            Response::Id(id) => {
-                let _ = write!(out, "ok id {}", id.raw());
+        // Writing into a `String` cannot fail.
+        let _ = match self {
+            Response::Pong => write!(out, "{ok} {}", K::Pong),
+            Response::Id(id) => write!(out, "{ok} {} {}", K::Id, id.raw()),
+            Response::Edited { node: Some(n), epoch } => {
+                write!(out, "{ok} {} {} {epoch}", K::Edited, n.0)
             }
-            Response::Edited { node, epoch } => match node {
-                Some(n) => {
-                    let _ = write!(out, "ok edited {} {epoch}", n.0);
-                }
-                None => {
-                    let _ = write!(out, "ok edited - {epoch}");
-                }
-            },
+            Response::Edited { node: None, epoch } => write!(out, "{ok} {} - {epoch}", K::Edited),
             Response::Nodes(nodes) => {
-                let _ = write!(out, "ok nodes {}", nodes.len());
-                for n in nodes {
-                    let _ = write!(out, " {}", n.0);
-                }
+                let _ = write!(out, "{ok} {}", K::Nodes);
+                encode_nodes(&mut out, nodes);
+                Ok(())
             }
             Response::Hits(hits) => {
-                let _ = writeln!(out, "ok hits {}", hits.len());
-                for (doc, nodes) in hits {
-                    encode_hit_line(&mut out, *doc, nodes);
-                }
+                let _ = writeln!(out, "{ok} {} {}", K::Hits, hits.len());
+                encode_hits(&mut out, hits);
+                Ok(())
             }
             Response::Partial { hits, errors } => {
-                let _ = writeln!(out, "ok partial {} {}", hits.len(), errors.len());
-                for (doc, nodes) in hits {
-                    encode_hit_line(&mut out, *doc, nodes);
-                }
+                let _ = writeln!(out, "{ok} {} {} {}", K::Partial, hits.len(), errors.len());
+                encode_hits(&mut out, hits);
                 for (shard, err) in errors {
                     let _ = write!(out, "{shard} ");
                     err.encode_tokens(&mut out);
                     out.push('\n');
                 }
+                Ok(())
             }
             Response::Tags(tags) => {
-                let _ = write!(out, "ok tags {}", tags.len());
+                let _ = write!(out, "{ok} {} {}", K::Tags, tags.len());
                 for t in tags {
-                    let _ = write!(out, " {}", enc(t));
+                    let _ = write!(out, " {}", escape_field(t));
                 }
+                Ok(())
             }
-            Response::Text(text) => {
-                out.push_str("ok text\n");
-                out.push_str(text);
-            }
-            Response::Epoch(e) => {
-                let _ = write!(out, "ok epoch {e}");
-            }
-            Response::Removed(r) => {
-                let _ = write!(out, "ok removed {}", u8::from(*r));
-            }
+            Response::Text(text) => write!(out, "{ok} {}\n{text}", K::Text),
+            Response::Epoch(e) => write!(out, "{ok} {} {e}", K::Epoch),
+            Response::Removed(r) => write!(out, "{ok} {} {}", K::Removed, u8::from(*r)),
             Response::Routes { shards, overrides } => {
-                let _ = writeln!(out, "ok routes {shards} {}", overrides.len());
+                let _ = writeln!(out, "{ok} {} {shards} {}", K::Routes, overrides.len());
                 for (raw, shard) in overrides {
                     let _ = writeln!(out, "{raw} {shard}");
                 }
+                Ok(())
             }
             Response::Traces(list) => {
-                let _ = writeln!(out, "ok traces {}", list.len());
+                let _ = writeln!(out, "{ok} {} {}", K::Traces, list.len());
                 for t in list {
                     let _ = writeln!(
                         out,
                         "{:016x} {} {} {} {} {} {}",
                         t.trace_id,
-                        enc(&t.root),
+                        escape_field(&t.root),
                         t.start_ns,
                         t.duration_ns,
                         t.spans,
@@ -710,112 +645,80 @@ impl Response {
                         u8::from(t.error),
                     );
                 }
+                Ok(())
             }
             Response::Err(e) => {
-                out.push_str("err ");
+                let _ = write!(out, "{} ", Status::Err);
                 e.encode_tokens(&mut out);
+                Ok(())
             }
-        }
+        };
         out.into_bytes()
     }
 
     /// Parse a frame payload. A malformed response is a protocol error
     /// (the connection is torn down — framing can no longer be trusted).
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        let text = std::str::from_utf8(payload).map_err(|_| bad("response is not utf-8"))?;
+        Response::decode_text(payload).map_err(WireError::BadRequest)
+    }
+
+    fn decode_text(payload: &[u8]) -> Result<Response, String> {
+        use ResponseKind as K;
+        let text = std::str::from_utf8(payload).map_err(|_| "response is not utf-8")?;
         let (line, body) = split_body(text);
-        let mut it = line.split(' ');
-        match tok(&mut it, "status")? {
-            "err" => return Ok(Response::Err(WireError::decode_tokens(&mut it)?)),
-            "ok" => {}
-            other => return Err(bad(format!("unknown status `{other}`"))),
+        let mut t = Tokens::new(line);
+        match Status::parse(t.token("status")?)? {
+            Status::Err => return Ok(Response::Err(WireError::decode_tokens(&mut t)?)),
+            Status::Ok => {}
         }
-        let mut body_lines = body.unwrap_or("").lines();
-        let resp = match tok(&mut it, "response kind")? {
-            "pong" => Response::Pong,
-            "id" => Response::Id(DocId::from_raw(num(it.next(), "id")?)),
-            "edited" => {
-                let node = match tok(&mut it, "node")? {
-                    "-" => None,
-                    n => Some(NodeId(n.parse().map_err(|_| bad("expected node id"))?)),
-                };
-                Response::Edited { node, epoch: num(it.next(), "epoch")? }
+        let flag = |t: &mut Tokens<'_>, what| t.parse::<u8>(what).map(|f| f != 0);
+        let mut lines = body.unwrap_or("").lines();
+        Ok(match K::parse(t.token("response kind")?)? {
+            K::Pong => Response::Pong,
+            K::Id => Response::Id(doc_id(&mut t)?),
+            K::Edited => Response::Edited {
+                node: t.parse_opt("node id")?.map(NodeId),
+                epoch: t.parse("epoch")?,
+            },
+            K::Nodes => Response::Nodes(decode_nodes(&mut t)?),
+            K::Hits => {
+                let k = t.parse("hit count")?;
+                Response::Hits(body_lines(&mut lines, k, "hit", decode_hit)?)
             }
-            "nodes" => {
-                let k: usize = num(it.next(), "count")?;
-                let mut nodes = Vec::with_capacity(k.min(1 << 16));
-                for _ in 0..k {
-                    nodes.push(NodeId(num(it.next(), "node")?));
+            K::Partial => {
+                let (hk, ek) = (t.parse("hit count")?, t.parse("error count")?);
+                Response::Partial {
+                    hits: body_lines(&mut lines, hk, "hit", decode_hit)?,
+                    errors: body_lines(&mut lines, ek, "error", |t| {
+                        Ok((t.parse("shard")?, WireError::decode_tokens(t)?))
+                    })?,
                 }
-                Response::Nodes(nodes)
             }
-            "hits" => {
-                let k: usize = num(it.next(), "count")?;
-                let mut hits = Vec::with_capacity(k.min(1 << 16));
-                for _ in 0..k {
-                    hits.push(decode_hit_line(tok(&mut body_lines, "hit line")?)?);
-                }
-                Response::Hits(hits)
-            }
-            "partial" => {
-                let hk: usize = num(it.next(), "hit count")?;
-                let ek: usize = num(it.next(), "error count")?;
-                let mut hits = Vec::with_capacity(hk.min(1 << 16));
-                for _ in 0..hk {
-                    hits.push(decode_hit_line(tok(&mut body_lines, "hit line")?)?);
-                }
-                let mut errors = Vec::with_capacity(ek.min(1 << 10));
-                for _ in 0..ek {
-                    let line = tok(&mut body_lines, "error line")?;
-                    let mut et = line.split(' ');
-                    let shard: usize = num(et.next(), "shard")?;
-                    errors.push((shard, WireError::decode_tokens(&mut et)?));
-                }
-                Response::Partial { hits, errors }
-            }
-            "tags" => {
-                let k: usize = num(it.next(), "count")?;
-                let mut tags = Vec::with_capacity(k.min(1 << 16));
-                for _ in 0..k {
-                    tags.push(dec(tok(&mut it, "tag")?)?);
-                }
-                Response::Tags(tags)
-            }
-            "text" => Response::Text(body.unwrap_or("").to_string()),
-            "epoch" => Response::Epoch(num(it.next(), "epoch")?),
-            "removed" => Response::Removed(num::<u8>(it.next(), "flag")? != 0),
-            "routes" => {
-                let shards: usize = num(it.next(), "shard count")?;
-                let k: usize = num(it.next(), "override count")?;
-                let mut overrides = Vec::with_capacity(k.min(1 << 16));
-                for _ in 0..k {
-                    let line = tok(&mut body_lines, "route line")?;
-                    let mut rt = line.split(' ');
-                    overrides.push((num(rt.next(), "raw id")?, num(rt.next(), "shard")?));
-                }
+            K::Tags => Response::Tags(counted(&mut t, |t| t.string("tag"))?),
+            K::Text => Response::Text(body.unwrap_or("").to_string()),
+            K::Epoch => Response::Epoch(t.parse("epoch")?),
+            K::Removed => Response::Removed(flag(&mut t, "flag")?),
+            K::Routes => {
+                let (shards, k) = (t.parse("shard count")?, t.parse("override count")?);
+                let overrides = body_lines(&mut lines, k, "route", |t| {
+                    Ok((t.parse("raw id")?, t.parse("shard")?))
+                })?;
                 Response::Routes { shards, overrides }
             }
-            "traces" => {
-                let k: usize = num(it.next(), "count")?;
-                let mut list = Vec::with_capacity(k.min(1 << 12));
-                for _ in 0..k {
-                    let line = tok(&mut body_lines, "trace line")?;
-                    let mut tt = line.split(' ');
-                    list.push(TraceSummaryWire {
-                        trace_id: u64::from_str_radix(tok(&mut tt, "trace id")?, 16)
-                            .map_err(|_| bad("expected hex trace id"))?,
-                        root: dec(tok(&mut tt, "root")?)?,
-                        start_ns: num(tt.next(), "start")?,
-                        duration_ns: num(tt.next(), "duration")?,
-                        spans: num(tt.next(), "spans")?,
-                        slow: num::<u8>(tt.next(), "slow flag")? != 0,
-                        error: num::<u8>(tt.next(), "error flag")? != 0,
-                    });
-                }
-                Response::Traces(list)
+            K::Traces => {
+                let k = t.parse("count")?;
+                Response::Traces(body_lines(&mut lines, k, "trace", |t| {
+                    Ok(TraceSummaryWire {
+                        trace_id: t.hex("trace id")?,
+                        root: t.string("root")?,
+                        start_ns: t.parse("start")?,
+                        duration_ns: t.parse("duration")?,
+                        spans: t.parse("spans")?,
+                        slow: flag(t, "slow flag")?,
+                        error: flag(t, "error flag")?,
+                    })
+                })?)
             }
-            other => return Err(bad(format!("unknown response kind `{other}`"))),
-        };
-        Ok(resp)
+        })
     }
 }

@@ -352,7 +352,7 @@ fn respond(svc: &Service, payload: &[u8]) -> Response {
     trace.attr("verb", verb);
     if let Response::Err(e) = &resp {
         trace.err(e.to_string());
-        svc.count_error(e.kind());
+        svc.count_error(e.kind().name());
     }
     // The histogram exemplar remembers which trace last landed in each
     // latency bucket — the bridge from "the p99 moved" to "this trace".
@@ -374,7 +374,7 @@ fn handle(svc: &Service, payload: &[u8], started: Instant) -> (&'static str, Res
         Ok(r) => r,
         Err(e) => return ("unknown", Response::Err(e)),
     };
-    let verb = req.verb();
+    let verb = req.verb().name();
     let resp = dispatch(svc, req, started);
     if started.elapsed() > svc.deadline && !matches!(resp, Response::Err(_)) {
         let ms = svc.deadline.as_millis() as u64;

@@ -5,7 +5,7 @@
 mod common;
 
 use cxpersist::DocBlob;
-use cxserve::{Request, Response, WireError};
+use cxserve::{Request, Response, TraceQuery, WireError};
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
 
@@ -29,34 +29,11 @@ fn every_request_shape_roundtrips() {
     rt_req(Request::Ping);
     rt_req(Request::Insert { name: None, blob: blob.clone() });
     rt_req(Request::Insert { name: Some("a name with spaces %/\n ok".into()), blob });
-    rt_req(Request::Edit {
-        doc: doc(7),
-        guard: None,
-        op: EditOp::InsertText { offset: 3, text: "x y\nz %".into() },
-    });
-    rt_req(Request::Edit {
-        doc: doc(9),
-        guard: Some(41),
-        op: EditOp::InsertElement {
-            hierarchy: "ling".into(),
-            tag: "phrase".into(),
-            attrs: vec![("n".into(), "p 1".into()), ("empty".into(), String::new())],
-            start: 4,
-            end: 19,
-        },
-    });
-    rt_req(Request::Edit { doc: doc(1), guard: Some(0), op: EditOp::RemoveElement(NodeId(12)) });
-    rt_req(Request::Edit { doc: doc(1), guard: None, op: EditOp::DeleteText { start: 2, end: 5 } });
-    rt_req(Request::Edit {
-        doc: doc(1),
-        guard: None,
-        op: EditOp::SetAttr { node: NodeId(3), name: "who".into(), value: String::new() },
-    });
-    rt_req(Request::Edit {
-        doc: doc(1),
-        guard: None,
-        op: EditOp::RemoveAttr { node: NodeId(3), name: "who".into() },
-    });
+    // The op itself is `EditOp::write_tokens` (round-tripped for every kind
+    // by cxstore's proptest); what this codec adds is the guard around it.
+    let op = EditOp::InsertText { offset: 3, text: "x y\nz %".into() };
+    rt_req(Request::Edit { doc: doc(7), guard: None, op: op.clone() });
+    rt_req(Request::Edit { doc: doc(9), guard: Some(41), op });
     rt_req(Request::Query { doc: doc(2), expr: "//w[@n='3']".into() });
     rt_req(Request::QueryAll { expr: "//sp//w".into() });
     rt_req(Request::QueryPartial { timeout_ms: 250, expr: "//del".into() });
@@ -67,6 +44,50 @@ fn every_request_shape_roundtrips() {
     rt_req(Request::Remove { doc: doc(4) });
     rt_req(Request::Metrics);
     rt_req(Request::Routes);
+    rt_req(Request::Trace(TraceQuery::Recent { limit: 5 }));
+    rt_req(Request::Trace(TraceQuery::Slow { limit: 0 }));
+    rt_req(Request::Trace(TraceQuery::Get { trace_id: u64::MAX }));
+}
+
+/// The attribute list of an `insel` op ends at the first token without a
+/// raw `=`; the trace pair is the next thing on the line. If the attribute
+/// scan ever swallowed it, the request would lose its trace (or its
+/// attributes would gain one).
+#[test]
+fn a_traced_insert_element_keeps_its_attributes_and_its_trace() {
+    let req = Request::Edit {
+        doc: doc(9),
+        guard: Some(41),
+        op: EditOp::InsertElement {
+            hierarchy: "ling".into(),
+            tag: "phrase".into(),
+            attrs: vec![
+                ("n".into(), "p 1".into()),
+                ("empty".into(), String::new()),
+                ("tc".into(), "0000000000000001-0000000000000002".into()),
+            ],
+            start: 4,
+            end: 19,
+        },
+    };
+    let ctx = cxtrace::TraceContext::mint();
+    let bytes = req.encode_traced(Some(ctx));
+    assert_eq!(Request::decode(&bytes).unwrap(), req);
+    let seen = Request::trace_context(&bytes).expect("the pair is found");
+    assert_eq!((seen.trace_id, seen.span_id), (ctx.trace_id, ctx.span_id));
+    // Untraced, the same request carries no context — not even the
+    // context-shaped value of its `tc` attribute.
+    assert_eq!(Request::trace_context(&req.encode()), None);
+    assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+    // A body-carrying verb keeps the pair on the token line.
+    let ins = Request::Insert {
+        name: Some("tc".into()),
+        blob: DocBlob::capture(&corpus::figure1::goddag()),
+    };
+    let bytes = ins.encode_traced(Some(ctx));
+    assert_eq!(Request::decode(&bytes).unwrap(), ins);
+    assert_eq!(Request::trace_context(&bytes).map(|c| c.trace_id), Some(ctx.trace_id));
+    assert_eq!(Request::trace_context(&ins.encode()), None);
 }
 
 #[test]
@@ -145,8 +166,15 @@ fn hostile_request_payloads_decode_to_typed_errors_never_panics() {
         b"cxq1 suggest 1 phys 0",      // missing end
         b"cxq1 insert\n<<<not a blob>>>",
         b"cxq1 insertn name-without-body",
-        b"\xff\xfe\x00\x80garbage",                // not UTF-8 at all
-        b"cxq1 edit 1 g1 insel h t 0 5 999999999", // absurd attr count
+        b"\xff\xfe\x00\x80garbage",                 // not UTF-8 at all
+        b"cxq1 edit 1 1 insel h t 0 5 999999999",   // the old count-prefixed spelling
+        b"cxq1 edit 1 1 insel h t 0 5 2 k v k2 v2", // ditto, with its attributes
+        b"cxq1 remove 7 8",                         // trailing junk after the arguments
+        b"cxq1 ping x y",
+        b"cxq1 ping tc",               // half a trace pair
+        b"cxq1 ping tc not-a-context", // malformed trace pair
+        b"cxq1 ping tc 1-2 tc 1-2",    // two of them
+        b"cxq1 edit 1 - rmel 4 a=b",   // attributes on an op that has none
     ];
     for payload in cases {
         match Request::decode(payload) {

@@ -8,8 +8,8 @@ use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
 use cxfault::{Fault, Trigger};
 use cxserve::{
-    Client, ClientOptions, ClusterServer, RouterClient, ServeError, ServerOptions, WireError,
-    SERVE_REQUEST_SITE,
+    Client, ClientOptions, ClusterServer, Request, Response, RouterClient, ServeError,
+    ServerOptions, TraceQuery, Verb, WireError, SERVE_REQUEST_SITE,
 };
 use cxstore::EditOp;
 use std::sync::Arc;
@@ -96,6 +96,52 @@ fn every_verb_over_a_real_socket() {
     assert!(!c.remove(b).unwrap());
 
     drop(c);
+    server.shutdown();
+}
+
+/// The vocabulary is closed over the server: one well-formed request per
+/// [`Verb`] — built by an exhaustive `match`, so a new verb cannot be added
+/// without a sample — gets a reply that is not `bad_request`.
+#[test]
+fn every_verb_in_the_vocabulary_is_served() {
+    let dir = TempDir::new("vocab");
+    let cluster = open_cluster(&dir, 2);
+    let server =
+        ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let g = manuscript(30, 31);
+    let doc = client(&server).insert_named("ms", &g).unwrap();
+    let blob = || cxpersist::DocBlob::capture(&g);
+    let sample = |verb: Verb| match verb {
+        Verb::Ping => Request::Ping,
+        Verb::Insert => Request::Insert { name: None, blob: blob() },
+        Verb::InsertNamed => Request::Insert { name: Some("ms-2".into()), blob: blob() },
+        Verb::Edit => Request::Edit {
+            doc,
+            guard: None,
+            op: EditOp::InsertText { offset: 0, text: "x".into() },
+        },
+        Verb::Query => Request::Query { doc, expr: "//w".into() },
+        Verb::QueryAll => Request::QueryAll { expr: "//w".into() },
+        Verb::QueryPartial => Request::QueryPartial { timeout_ms: 2000, expr: "//w".into() },
+        Verb::Suggest => Request::Suggest { doc, hierarchy: "ling".into(), start: 0, end: 1 },
+        Verb::Export => Request::Export { doc },
+        Verb::IdByName => Request::IdByName { name: "ms".into() },
+        Verb::Epoch => Request::Epoch { doc },
+        Verb::Remove => Request::Remove { doc },
+        Verb::Metrics => Request::Metrics,
+        Verb::Routes => Request::Routes,
+        Verb::Trace => Request::Trace(TraceQuery::Recent { limit: 1 }),
+    };
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    for &verb in Verb::ALL {
+        let req = sample(verb);
+        assert_eq!(req.verb(), verb);
+        cxwire::write_frame(&mut conn, &req.encode()).unwrap();
+        let resp = Response::decode(&cxwire::read_frame(&mut conn).unwrap()).unwrap();
+        assert!(!matches!(resp, Response::Err(WireError::BadRequest(_))), "{verb}: {resp:?}");
+    }
+    drop(conn);
     server.shutdown();
 }
 

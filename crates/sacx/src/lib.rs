@@ -31,6 +31,7 @@ mod fragmentation;
 mod milestone;
 mod prefix;
 mod standoff;
+mod token;
 
 pub mod driver;
 
@@ -43,6 +44,5 @@ pub use fragmentation::{
     count_fragments, export_fragmentation, import_fragmentation, FragmentationOptions, CX_JOIN,
 };
 pub use milestone::{export_milestone, import_milestone, MilestoneOptions, CX_MID, CX_MS};
-pub use standoff::{
-    escape_token, export_standoff, import_standoff, unescape_token, Annotation, StandoffDoc,
-};
+pub use standoff::{export_standoff, import_standoff, Annotation, StandoffDoc};
+pub use token::{escape_field, escape_token, take_line, unescape_field, write_attrs, Tokens};

@@ -20,6 +20,7 @@
 //! and newlines.
 
 use crate::error::{Result, SacxError};
+use crate::token::{escape_token, take_line, Tokens};
 use goddag::{Goddag, GoddagBuilder, HierarchyId, RangeSpec};
 use std::fmt::Write as _;
 use xmlcore::{Attribute, QName};
@@ -52,56 +53,6 @@ pub struct StandoffDoc {
     pub content: String,
     /// Annotations in document order (outer-first for equal spans).
     pub annotations: Vec<Annotation>,
-}
-
-/// Percent-escape a string into a single token free of spaces, newlines,
-/// `=` and non-ASCII bytes — the escaping used for names and attribute
-/// values in the stand-off text format (and reused by `cxpersist`'s WAL
-/// codec, which layers its own empty-string convention on top). Non-ASCII
-/// bytes are escaped byte-wise: pushing them as `char`s would re-encode
-/// each UTF-8 byte as its own code point and mangle the value on
-/// re-import.
-pub fn escape_token(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for b in s.bytes() {
-        match b {
-            b'%' | b'\n' | b'\r' | b' ' | b'=' | 0..=0x1f | 0x80.. => {
-                let _ = write!(out, "%{b:02x}");
-            }
-            _ => out.push(b as char),
-        }
-    }
-    out
-}
-
-/// Undo [`escape_token`]. Errors carry a bare detail string so callers in
-/// other crates can wrap them in their own error types.
-pub fn unescape_token(s: &str) -> std::result::Result<String, String> {
-    let mut bytes: Vec<u8> = Vec::with_capacity(s.len());
-    let raw = s.as_bytes();
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i] == b'%' {
-            let hex = raw.get(i + 1..i + 3).ok_or("truncated percent escape")?;
-            let hex = std::str::from_utf8(hex).map_err(|_| "invalid percent escape".to_string())?;
-            let b = u8::from_str_radix(hex, 16)
-                .map_err(|_| format!("invalid percent escape %{hex}"))?;
-            bytes.push(b);
-            i += 3;
-        } else {
-            bytes.push(raw[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(bytes).map_err(|_| "escape does not decode to UTF-8".to_string())
-}
-
-fn enc(s: &str) -> String {
-    escape_token(s)
-}
-
-fn dec(s: &str, line: usize) -> Result<String> {
-    unescape_token(s).map_err(|detail| SacxError::Standoff { line, detail })
 }
 
 impl StandoffDoc {
@@ -214,21 +165,22 @@ impl StandoffDoc {
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str("#cxml-standoff v1\n");
-        let _ = write!(out, "root {}", enc(&self.root));
+        let _ = write!(out, "root {}", escape_token(&self.root));
         for (n, v) in &self.root_attrs {
-            let _ = write!(out, " {}={}", enc(n), enc(v));
+            let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
         }
         out.push('\n');
         for h in &self.hierarchies {
-            let _ = writeln!(out, "hierarchy {}", enc(h));
+            let _ = writeln!(out, "hierarchy {}", escape_token(h));
         }
         let _ = writeln!(out, "content {}", self.content.len());
         out.push_str(&self.content);
         out.push('\n');
         for a in &self.annotations {
-            let _ = write!(out, "annot {} {} {} {}", a.hierarchy, enc(&a.tag), a.start, a.end);
+            let _ =
+                write!(out, "annot {} {} {} {}", a.hierarchy, escape_token(&a.tag), a.start, a.end);
             for (n, v) in &a.attrs {
-                let _ = write!(out, " {}={}", enc(n), enc(v));
+                let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
             }
             out.push('\n');
         }
@@ -238,25 +190,8 @@ impl StandoffDoc {
     /// Parse the line-oriented text format.
     pub fn parse_text(input: &str) -> Result<StandoffDoc> {
         let mut rest = input;
-        let next_line = |rest: &mut &str| -> Option<String> {
-            if rest.is_empty() {
-                return None;
-            }
-            match rest.find('\n') {
-                Some(i) => {
-                    let l = rest[..i].to_string();
-                    *rest = &rest[i + 1..];
-                    Some(l)
-                }
-                None => {
-                    let l = rest.to_string();
-                    *rest = "";
-                    Some(l)
-                }
-            }
-        };
 
-        let header = next_line(&mut rest)
+        let header = take_line(&mut rest)
             .ok_or(SacxError::Standoff { line: 1, detail: "empty input".into() })?;
         if header.trim() != "#cxml-standoff v1" {
             return Err(SacxError::Standoff { line: 1, detail: "bad magic line".into() });
@@ -268,106 +203,54 @@ impl StandoffDoc {
         let mut content: Option<String> = None;
         let mut annotations: Vec<Annotation> = Vec::new();
         let mut ln = 1usize;
-        while let Some(line) = next_line(&mut rest) {
+        while let Some(line) = take_line(&mut rest) {
             ln += 1;
             if line.trim().is_empty() || line.starts_with('#') {
                 continue;
             }
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("root") => {
-                    let name = parts.next().ok_or(SacxError::Standoff {
-                        line: ln,
-                        detail: "root needs a name".into(),
-                    })?;
-                    root = Some(dec(name, ln)?);
-                    for kv in parts {
-                        let (k, v) = kv.split_once('=').ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: format!("bad attribute {kv:?}"),
-                        })?;
-                        root_attrs.push((dec(k, ln)?, dec(v, ln)?));
+            // Trailing blanks on a hand-edited line are not tokens.
+            let mut t = Tokens::new(line.trim_end_matches(' '));
+            let mut directive = || -> std::result::Result<(), String> {
+                match t.token("directive")? {
+                    "root" => {
+                        root = Some(t.string("root name")?);
+                        root_attrs.extend(t.attrs()?);
+                        t.finish()?;
                     }
-                }
-                Some("hierarchy") => {
-                    let name = parts.next().ok_or(SacxError::Standoff {
-                        line: ln,
-                        detail: "hierarchy needs a name".into(),
-                    })?;
-                    hierarchies.push(dec(name, ln)?);
-                }
-                Some("content") => {
-                    let len: usize =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: "content needs a byte length".into(),
-                        })?;
-                    if rest.len() < len {
-                        return Err(SacxError::Standoff {
-                            line: ln,
-                            detail: format!(
+                    "hierarchy" => hierarchies.push(t.string("hierarchy name")?),
+                    "content" => {
+                        let len: usize = t.parse("content byte length")?;
+                        if rest.len() < len {
+                            return Err(format!(
                                 "content length {len} exceeds remaining input {}",
                                 rest.len()
-                            ),
-                        });
-                    }
-                    if !rest.is_char_boundary(len) {
-                        return Err(SacxError::Standoff {
-                            line: ln,
-                            detail: "content length splits a UTF-8 char".into(),
-                        });
-                    }
-                    content = Some(rest[..len].to_string());
-                    rest = &rest[len..];
-                    // Consume the newline terminating the content block.
-                    if let Some(r) = rest.strip_prefix('\n') {
-                        rest = r;
-                    }
-                }
-                Some("annot") => {
-                    let h: u16 =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: "annot needs a hierarchy index".into(),
-                        })?;
-                    let tag = dec(
-                        parts.next().ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: "annot needs a tag".into(),
-                        })?,
-                        ln,
-                    )?;
-                    let start: usize =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: "annot needs a start offset".into(),
-                        })?;
-                    let end: usize =
-                        parts.next().and_then(|s| s.parse().ok()).ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: "annot needs an end offset".into(),
-                        })?;
-                    let mut attrs = Vec::new();
-                    for kv in parts {
-                        if kv.is_empty() {
-                            continue;
+                            ));
                         }
-                        let (k, v) = kv.split_once('=').ok_or(SacxError::Standoff {
-                            line: ln,
-                            detail: format!("bad attribute {kv:?}"),
-                        })?;
-                        attrs.push((dec(k, ln)?, dec(v, ln)?));
+                        if !rest.is_char_boundary(len) {
+                            return Err("content length splits a UTF-8 char".into());
+                        }
+                        content = Some(rest[..len].to_string());
+                        rest = &rest[len..];
+                        // Consume the newline terminating the content block.
+                        if let Some(r) = rest.strip_prefix('\n') {
+                            rest = r;
+                        }
                     }
-                    annotations.push(Annotation { hierarchy: h, tag, start, end, attrs });
+                    "annot" => {
+                        annotations.push(Annotation {
+                            hierarchy: t.parse("hierarchy index")?,
+                            tag: t.string("tag")?,
+                            start: t.parse("start offset")?,
+                            end: t.parse("end offset")?,
+                            attrs: t.attrs()?,
+                        });
+                        t.finish()?;
+                    }
+                    other => return Err(format!("unknown directive {other:?}")),
                 }
-                Some(other) => {
-                    return Err(SacxError::Standoff {
-                        line: ln,
-                        detail: format!("unknown directive {other:?}"),
-                    })
-                }
-                None => {}
-            }
+                Ok(())
+            };
+            directive().map_err(|detail| SacxError::Standoff { line: ln, detail })?;
         }
         Ok(StandoffDoc {
             root: root.ok_or(SacxError::Standoff { line: ln, detail: "missing root".into() })?,
