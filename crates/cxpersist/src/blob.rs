@@ -11,19 +11,28 @@
 //! * the **id layout**: original arena length, the original id of every
 //!   element (in stand-off annotation order — an id-independent structural
 //!   order, see [`sacx::StandoffDoc::from_goddag_with_ids`]) and of every
-//!   leaf (in frontier order, with its byte offset so extra leaf boundaries
-//!   from past splits are re-created),
+//!   leaf (in frontier order, with its byte offset, so extra leaf boundaries
+//!   from past splits are kept),
 //! * the **edit epoch** the document was at.
 //!
-//! [`DocBlob::restore`] re-imports the stand-off, re-splits the frontier,
-//! relabels the arena to the recorded layout ([`goddag::Goddag`]'s
-//! `relabel_nodes`) and restores the epoch — after which the document is
-//! id-for-id and epoch-for-epoch equivalent to the captured one, and log
-//! replay is deterministic.
+//! [`DocBlob::restore`] is one build pass: the parsed stand-off goes to a
+//! [`goddag::GoddagBuilder`] together with the recorded [`goddag::Layout`],
+//! which places every leaf and element in its recorded arena slot (the
+//! other slots become tombstones) and numbers the document once; then the
+//! DTDs are re-attached and the epoch restored. The result is id-for-id and
+//! epoch-for-epoch equivalent to the captured document, so log replay is
+//! deterministic. Restore costs what building the document did — linear in
+//! its size.
+//!
+//! Stand-off does not record where an *empty* element sits among elements
+//! that open or close at its offset (an edit can put a milestone inside a
+//! word that ends there, or leave empty elements nested): such elements
+//! come back outermost, as siblings in id order, with the same ids, and a
+//! second capture → restore reproduces that document exactly.
 
 use crate::codec::crc32;
 use crate::error::PersistError;
-use goddag::{Goddag, NodeId};
+use goddag::{Goddag, Layout, NodeId};
 use sacx::{escape_field, take_line, StandoffDoc, Tokens};
 use std::fmt::Write as _;
 
@@ -52,6 +61,7 @@ pub struct DocBlob {
 impl DocBlob {
     /// Capture a document.
     pub fn capture(g: &Goddag) -> DocBlob {
+        let _trace = cxtrace::span("blob.capture");
         let (doc, elem_ids) = StandoffDoc::from_goddag_with_ids(g);
         let mut dtds = Vec::new();
         for h in g.hierarchy_ids() {
@@ -78,48 +88,25 @@ impl DocBlob {
         }
     }
 
-    /// Rebuild the document: re-import the stand-off, re-create recorded
-    /// leaf boundaries, relabel the arena to the recorded id layout,
-    /// re-attach DTDs, restore the epoch.
+    /// Rebuild the document in one pass: build the stand-off straight
+    /// into the recorded id layout, re-attach DTDs, restore the epoch. A
+    /// blob whose layout does not fit its stand-off is a
+    /// [`PersistError::Codec`], never a panic.
     pub fn restore(&self) -> Result<Goddag, PersistError> {
+        let _trace = cxtrace::span("blob.restore");
         let corrupt = |detail: String| PersistError::Codec { line: 0, detail };
-        let mut g = sacx::import_standoff(&self.standoff)
+        if self.root != 0 {
+            return Err(corrupt(format!("root id mismatch: 0 vs {}", self.root)));
+        }
+        let mut b = StandoffDoc::parse_text(&self.standoff)
+            .and_then(StandoffDoc::into_builder)
             .map_err(|e| corrupt(format!("stand-off import failed: {e}")))?;
-        // Frontier refinement: boundaries that earlier splits created but no
-        // surviving annotation implies.
-        for &(_, off) in &self.leaves {
-            g.split_leaf_at(off).map_err(|e| corrupt(format!("bad leaf boundary {off}: {e}")))?;
-        }
-        if g.leaves().len() != self.leaves.len() {
-            return Err(corrupt(format!(
-                "frontier mismatch: imported {} leaves, recorded {}",
-                g.leaves().len(),
-                self.leaves.len()
-            )));
-        }
-        // The id map: annotation order on the fresh import is the same
-        // structural order the capture recorded, so positions line up.
-        let (_, new_elems) = StandoffDoc::from_goddag_with_ids(&g);
-        if new_elems.len() != self.elems.len() {
-            return Err(corrupt(format!(
-                "element mismatch: imported {}, recorded {}",
-                new_elems.len(),
-                self.elems.len()
-            )));
-        }
-        if g.root().0 != self.root {
-            return Err(corrupt(format!("root id mismatch: {} vs {}", g.root(), self.root)));
-        }
-        let mut assignments = vec![NodeId(u32::MAX); g.arena_len()];
-        assignments[g.root().idx()] = g.root();
-        for (i, &l) in g.leaves().to_vec().iter().enumerate() {
-            assignments[l.idx()] = NodeId(self.leaves[i].0);
-        }
-        for (i, &e) in new_elems.iter().enumerate() {
-            assignments[e.idx()] = NodeId(self.elems[i]);
-        }
-        g.relabel_nodes(&assignments, self.arena_len as usize)
-            .map_err(|e| corrupt(format!("relabel failed: {e}")))?;
+        b.layout(Layout {
+            arena_len: self.arena_len as usize,
+            leaves: self.leaves.iter().map(|&(id, off)| (NodeId(id), off)).collect(),
+            elements: self.elems.iter().map(|&id| NodeId(id)).collect(),
+        });
+        let mut g = b.finish().map_err(|e| corrupt(format!("stand-off build failed: {e}")))?;
         for (h, text) in &self.dtds {
             let dtd = xmlcore::dtd::parse_dtd(text)
                 .map_err(|e| corrupt(format!("DTD for hierarchy {h} does not parse: {e}")))?;
@@ -163,14 +150,13 @@ impl DocBlob {
     /// Parse the text format, verifying the `crc` footer.
     pub fn parse_text(input: &str) -> Result<DocBlob, PersistError> {
         let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
-        let body = input
-            .strip_suffix('\n')
-            .unwrap_or(input)
-            .rsplit_once('\n')
-            .map(|(body, last)| (format!("{body}\n"), last.to_string()));
-        let Some((body, footer)) = body else {
+        // The CRC covers everything up to and including the newline before
+        // the footer line.
+        let trimmed = input.strip_suffix('\n').unwrap_or(input);
+        let Some(split) = trimmed.rfind('\n') else {
             return Err(bad(1, "blob too short".into()));
         };
+        let (body, footer) = (&input[..split + 1], &trimmed[split + 1..]);
         let crc_expect = footer
             .strip_prefix("crc ")
             .and_then(|h| u32::from_str_radix(h, 16).ok())
@@ -179,7 +165,7 @@ impl DocBlob {
             return Err(bad(0, "blob CRC mismatch".into()));
         }
 
-        let mut rest = body.as_str();
+        let mut rest = body;
         let mut ln = 0usize;
 
         let header = take_line(&mut rest).ok_or_else(|| bad(1, "empty blob".into()))?;

@@ -121,6 +121,41 @@ fn a_guarded_edit_yields_one_tree_across_every_layer() {
     }
 }
 
+/// An imported document's blob work is visible in its trace: the server
+/// restores the received blob and the durable store captures it again for
+/// the WAL, both inside the request handler's span.
+#[test]
+fn an_import_shows_blob_restore_and_capture_under_the_handler() {
+    let _faults = cxfault::Scenario::setup();
+    let dir = TempDir::new("trace-import");
+    let cluster = open_cluster(&dir, 1);
+    let server =
+        ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let c = Client::connect(server.addr(), ClientOptions::default()).unwrap();
+
+    let _trace = cxtrace::Scenario::setup();
+    c.insert(&manuscript(30, 77)).unwrap();
+
+    let t = cxtrace::recent()
+        .iter()
+        .filter_map(|s| cxtrace::find(s.trace_id))
+        .find(|t| t.spans.iter().any(|s| s.name == "blob.restore"))
+        .expect("the import's trace is retained");
+    assert_no_orphans(&t);
+    let serve = span_of(&t, "serve.request");
+    assert!(serve.attrs.iter().any(|(k, v)| *k == "verb" && v.to_string() == "insert"));
+    for name in ["blob.restore", "blob.capture"] {
+        let mut s = span_of(&t, name);
+        while s.span_id != serve.span_id {
+            s = t
+                .spans
+                .iter()
+                .find(|p| p.span_id == s.parent_id)
+                .unwrap_or_else(|| panic!("{name} is not inside serve.request"));
+        }
+    }
+}
+
 /// The flight recorder's retention guarantee over the wire: a request
 /// delayed past the slow threshold (via cxfault `Delay` at the server's
 /// request site) stays retrievable after 2×N ordinary requests churn

@@ -10,12 +10,38 @@
 //! This is the backend of the SACX parser: every surface representation
 //! (distributed documents, fragmentation, milestones, stand-off) reduces to a
 //! range set.
+//!
+//! By default nodes get fresh ids: the root, then the leaves in frontier
+//! order, then one element per range in the order ranges were added. A
+//! durable store restoring a snapshot instead hands over the recorded
+//! [`Layout`] — the frontier (which may hold more boundaries than the ranges
+//! imply, left by past splits), the id of every leaf and range, and the
+//! arena length — and the document is built straight into those slots, with
+//! tombstones in the slots no node claims. The result is id-for-id the
+//! captured document, so logged edits naming pre-crash ids replay onto it
+//! and future edits mint the same ids.
 
 use crate::error::{GoddagError, Result};
 use crate::graph::{Goddag, NodeData, NodeKind};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use xmlcore::{Attribute, QName};
+
+/// A recorded node-id layout to build into (see [`GoddagBuilder::layout`]).
+#[derive(Debug, Clone)]
+pub struct Layout {
+    /// Arena length: ids are `0..arena_len`, and future edits allocate from
+    /// here.
+    pub arena_len: usize,
+    /// `(id, byte offset)` of every leaf, in frontier order. The offsets
+    /// are the whole boundary set: strictly ascending from 0 (none for empty
+    /// content), and every range endpoint must be one of them or the
+    /// content end.
+    pub leaves: Vec<(NodeId, usize)>,
+    /// The id of each range, in the order the ranges were added. Ids are
+    /// distinct, below `arena_len`, and never the root's 0.
+    pub elements: Vec<NodeId>,
+}
 
 /// One markup range to place over the content.
 #[derive(Debug, Clone)]
@@ -41,6 +67,7 @@ pub struct GoddagBuilder {
     content: String,
     hierarchies: Vec<(String, Option<xmlcore::dtd::Dtd>)>,
     ranges: Vec<RangeSpec>,
+    layout: Option<Layout>,
 }
 
 impl GoddagBuilder {
@@ -52,7 +79,17 @@ impl GoddagBuilder {
             content: String::new(),
             hierarchies: Vec::new(),
             ranges: Vec::new(),
+            layout: None,
         }
+    }
+
+    /// Build into a recorded id layout instead of fresh ids (see the
+    /// module docs). [`GoddagBuilder::finish`] checks the layout against
+    /// the content and ranges and fails, rather than panics, on any
+    /// mismatch.
+    pub fn layout(&mut self, layout: Layout) -> &mut Self {
+        self.layout = Some(layout);
+        self
     }
 
     /// Set attributes on the shared root.
@@ -112,7 +149,8 @@ impl GoddagBuilder {
 
     /// Build the GODDAG.
     pub fn finish(self) -> Result<Goddag> {
-        let GoddagBuilder { root_name, root_attrs, content, hierarchies, ranges } = self;
+        let GoddagBuilder { root_name, root_attrs, content, hierarchies, mut ranges, layout } =
+            self;
         let mut g = Goddag::new(root_name);
         if let NodeKind::Root { attrs, .. } = &mut g.data_mut(NodeId(0)).kind {
             *attrs = root_attrs;
@@ -140,53 +178,60 @@ impl GoddagBuilder {
             }
         }
 
-        // Boundaries: content ends plus every range endpoint.
-        let mut boundary_set: Vec<usize> = Vec::with_capacity(ranges.len() * 2 + 2);
-        boundary_set.push(0);
-        boundary_set.push(len);
-        for r in &ranges {
-            boundary_set.push(r.start);
-            boundary_set.push(r.end);
+        // Boundaries: content ends, every range endpoint and every recorded
+        // leaf start.
+        let recorded = layout.as_ref().map_or(&[][..], |l| &l.leaves[..]);
+        if let Some(&(_, off)) = recorded.iter().find(|&&(_, off)| !content.is_char_boundary(off)) {
+            return Err(GoddagError::RangeOutOfBounds { start: off, end: off, len });
         }
-        boundary_set.sort_unstable();
-        boundary_set.dedup();
-        let boundaries = boundary_set;
+        let mut boundaries: Vec<usize> = Vec::with_capacity(ranges.len() * 2 + recorded.len() + 2);
+        boundaries.extend([0, len]);
+        for r in &ranges {
+            boundaries.extend([r.start, r.end]);
+        }
+        boundaries.extend(recorded.iter().map(|&(_, off)| off));
+        boundaries.sort_unstable();
+        boundaries.dedup();
+
+        // Node ids: the root, the leaves, then the elements in range order —
+        // or the recorded layout, in an arena pre-filled with tombstones.
+        let (leaf_ids, elem_ids) = match layout {
+            None => {
+                let first_elem = boundaries.len() as u32;
+                let elem_ids = (first_elem..).take(ranges.len()).map(NodeId).collect();
+                ((1..first_elem).map(NodeId).collect(), elem_ids)
+            }
+            Some(layout) => layout.into_ids(&mut g, &boundaries, ranges.len())?,
+        };
+        // Fresh ids are consecutive and arrive in order; recorded ones land
+        // in their pre-sized slots.
+        let place = |g: &mut Goddag, id: NodeId, d: NodeData| match g.nodes.get_mut(id.idx()) {
+            Some(slot) => *slot = d,
+            None => g.nodes.push(d),
+        };
 
         // Leaves between consecutive boundaries.
         let root = g.root();
-        for (i, window) in boundaries.windows(2).enumerate() {
+        for (i, (window, &id)) in boundaries.windows(2).zip(&leaf_ids).enumerate() {
             let (a, b) = (window[0], window[1]);
-            let id = NodeId(g.nodes.len() as u32);
-            g.nodes.push(NodeData {
-                kind: NodeKind::Leaf { text: content[a..b].to_string() },
-                parent: None,
-                children: Vec::new(),
+            let leaf = NodeData {
                 leaf_parents: vec![root; nhier],
                 span: Span::new(i as u32, i as u32 + 1),
                 char_start: a,
-                alive: true,
-            });
+                ..NodeData::new(NodeKind::Leaf { text: content[a..b].to_string() })
+            };
+            place(&mut g, id, leaf);
             g.leaves.push(id);
         }
 
         // Create element nodes up front (parents/children wired in the sweep).
-        let mut elem_ids: Vec<NodeId> = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let id = NodeId(g.nodes.len() as u32);
-            g.nodes.push(NodeData {
-                kind: NodeKind::Element {
-                    name: r.name.clone(),
-                    attrs: r.attrs.clone(),
-                    hierarchy: r.hierarchy,
-                },
-                parent: None,
-                children: Vec::new(),
-                leaf_parents: Vec::new(),
-                span: Span::empty_at(0),
-                char_start: 0,
-                alive: true,
+        for (r, &id) in ranges.iter_mut().zip(&elem_ids) {
+            let elem = NodeData::new(NodeKind::Element {
+                name: r.name.clone(),
+                attrs: std::mem::take(&mut r.attrs),
+                hierarchy: r.hierarchy,
             });
-            elem_ids.push(id);
+            place(&mut g, id, elem);
         }
 
         // Sweep each hierarchy.
@@ -197,6 +242,39 @@ impl GoddagBuilder {
 
         g.renumber();
         Ok(g)
+    }
+}
+
+impl Layout {
+    /// Check the layout against the boundaries the build derived (the
+    /// recorded leaf starts must be all of them but the content end), size
+    /// `g`'s arena to it, and split it into leaf and element ids: one per
+    /// leaf and range, distinct, inside the arena, never the root's.
+    fn into_ids(
+        self,
+        g: &mut Goddag,
+        boundaries: &[usize],
+        nranges: usize,
+    ) -> Result<(Vec<NodeId>, Vec<NodeId>)> {
+        let err = |detail: String| Err(GoddagError::Edit(format!("layout: {detail}")));
+        let Layout { arena_len, leaves, elements } = self;
+        let frontier = &boundaries[..boundaries.len() - 1];
+        if !leaves.iter().map(|&(_, off)| off).eq(frontier.iter().copied()) {
+            return err(format!("{} recorded leaves, {} boundaries", leaves.len(), frontier.len()));
+        }
+        if elements.len() != nranges {
+            return err(format!("{} element ids for {nranges} ranges", elements.len()));
+        }
+        let leaf_ids: Vec<NodeId> = leaves.into_iter().map(|(id, _)| id).collect();
+        let mut seen = vec![false; arena_len];
+        for &id in [g.root()].iter().chain(&leaf_ids).chain(&elements) {
+            match seen.get_mut(id.idx()) {
+                Some(seen) if !*seen => *seen = true,
+                _ => return err(format!("id {id} is the root's, taken, or outside {arena_len}")),
+            }
+        }
+        g.nodes.resize_with(arena_len, NodeData::tombstone);
+        Ok((leaf_ids, elements))
     }
 }
 
@@ -242,8 +320,11 @@ fn sweep_hierarchy(
             EvClass::End => {
                 ranges[b.range].start.cmp(&ranges[a.range].start).then(b.range.cmp(&a.range))
             }
-            // Milestones keep insertion order.
-            EvClass::Empty => a.range.cmp(&b.range),
+            // Milestones keep id order: insertion order for fresh ids, and
+            // for a recorded layout the order stand-off export lists
+            // same-depth milestones in, so a restored document re-exports
+            // the same way.
+            EvClass::Empty => elem_ids[a.range].cmp(&elem_ids[b.range]),
             // Outer ranges start first: larger end, then earlier insertion.
             EvClass::Start => {
                 ranges[b.range].end.cmp(&ranges[a.range].end).then(a.range.cmp(&b.range))
@@ -536,6 +617,60 @@ mod tests {
         let bb = g.elements().find(|&e| g.name(e).unwrap().local == "b").unwrap();
         assert!(g.span(a).precedes(g.span(bb)));
         assert_eq!(g.root_children[0], vec![a, bb]);
+    }
+
+    /// `overlap_doc` into a sparse layout with an extra boundary at 1.
+    fn sparse_layout() -> Layout {
+        let leaves = vec![(NodeId(9), 0), (NodeId(3), 1), (NodeId(5), 2), (NodeId(7), 4)];
+        Layout { arena_len: 12, leaves, elements: vec![NodeId(11), NodeId(2)] }
+    }
+
+    fn build_overlap(layout: Layout) -> Result<Goddag> {
+        let mut b = GoddagBuilder::new(q("r"));
+        b.content("abcdef");
+        let phys = b.hierarchy("phys");
+        let ling = b.hierarchy("ling");
+        b.range(phys, "line", vec![], 0, 4).unwrap();
+        b.range(ling, "w", vec![], 2, 6).unwrap();
+        b.layout(layout);
+        b.finish()
+    }
+
+    #[test]
+    fn layout_places_nodes_in_recorded_slots() {
+        let mut g = build_overlap(sparse_layout()).unwrap();
+        crate::validate::check_invariants(&g).unwrap();
+        assert_eq!(g.arena_len(), 12);
+        assert_eq!(g.leaves(), [NodeId(9), NodeId(3), NodeId(5), NodeId(7)]);
+        assert_eq!(g.leaf_text(NodeId(3)), Some("b"));
+        assert_eq!(g.name(NodeId(11)).unwrap().local, "line");
+        assert_eq!(g.text_of(NodeId(2)), "cdef");
+        assert_eq!(g.parent_in(NodeId(3), HierarchyId(0)), Some(NodeId(11)));
+        assert_eq!(g.parent_in(NodeId(3), HierarchyId(1)), Some(g.root()));
+        assert!(!g.is_alive(NodeId(1)) && !g.is_alive(NodeId(10)));
+        // Future allocations start at the recorded arena length.
+        let e = g.insert_element(HierarchyId(0), q("seg"), vec![], 0, 1).unwrap();
+        assert_eq!(e, NodeId(12));
+    }
+
+    #[test]
+    fn layout_mismatches_are_errors() {
+        let cases: [fn(&mut Layout); 8] = [
+            |l| l.leaves.retain(|&(_, off)| off != 2), // a range endpoint
+            |l| l.leaves[1].1 = 5,                     // not ascending
+            |l| l.leaves[0].1 = 1,                     // not from 0
+            |l| l.leaves.push((NodeId(8), 6)),         // at the content end
+            |l| l.elements.truncate(1),                // count mismatch
+            |l| l.elements[1] = NodeId(9),             // duplicate
+            |l| l.elements[1] = NodeId(0),             // the root's id
+            |l| l.arena_len = 11,                      // id 11 outside
+        ];
+        for (i, corrupt) in cases.iter().enumerate() {
+            let mut layout = sparse_layout();
+            corrupt(&mut layout);
+            assert!(build_overlap(layout).is_err(), "case {i}");
+        }
+        assert!(build_overlap(sparse_layout()).is_ok());
     }
 
     #[test]

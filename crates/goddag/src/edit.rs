@@ -33,11 +33,9 @@ impl Goddag {
     }
 
     fn check_offset(&self, off: usize) -> Result<()> {
-        let content = self.content();
-        if off > content.len() || !content.is_char_boundary(off) {
-            return Err(GoddagError::RangeOutOfBounds { start: off, end: off, len: content.len() });
-        }
-        Ok(())
+        let len = self.content_len;
+        let bad = GoddagError::RangeOutOfBounds { start: off, end: off, len };
+        self.is_char_boundary(off).then_some(()).ok_or(bad)
     }
 
     /// Mutable access to the child list of `p` within hierarchy `h`.
@@ -76,13 +74,8 @@ impl Goddag {
         let new_leaf = NodeId(self.nodes.len() as u32);
         let leaf_parents = self.data(leaf).leaf_parents.clone();
         self.nodes.push(NodeData {
-            kind: NodeKind::Leaf { text: after },
-            parent: None,
-            children: Vec::new(),
             leaf_parents: leaf_parents.clone(),
-            span: Span::empty_at(0),
-            char_start: 0,
-            alive: true,
+            ..NodeData::new(NodeKind::Leaf { text: after })
         });
         if let NodeKind::Leaf { text } = &mut self.data_mut(leaf).kind {
             *text = before;
@@ -180,13 +173,10 @@ impl Goddag {
         // Create the new element.
         let new_id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeData {
-            kind: NodeKind::Element { name, attrs, hierarchy: h },
             parent: Some(host),
             children: moved.clone(),
-            leaf_parents: Vec::new(),
             span,
-            char_start: 0,
-            alive: true,
+            ..NodeData::new(NodeKind::Element { name, attrs, hierarchy: h })
         });
 
         // Re-parent moved nodes.
@@ -317,13 +307,9 @@ impl Goddag {
             let nhier = self.hierarchies.len();
             let root = self.root;
             self.nodes.push(NodeData {
-                kind: NodeKind::Leaf { text: text.to_string() },
-                parent: None,
-                children: Vec::new(),
                 leaf_parents: vec![root; nhier],
                 span: Span::new(0, 1),
-                char_start: 0,
-                alive: true,
+                ..NodeData::new(NodeKind::Leaf { text: text.to_string() })
             });
             self.leaves.push(new_leaf);
             for h in 0..nhier {

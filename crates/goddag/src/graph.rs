@@ -49,6 +49,26 @@ pub(crate) struct NodeData {
     pub(crate) alive: bool,
 }
 
+impl NodeData {
+    /// A live node of `kind`, not wired yet: no parent, children or span.
+    pub(crate) fn new(kind: NodeKind) -> NodeData {
+        NodeData {
+            kind,
+            parent: None,
+            children: Vec::new(),
+            leaf_parents: Vec::new(),
+            span: Span::empty_at(0),
+            char_start: 0,
+            alive: true,
+        }
+    }
+
+    /// A dead placeholder for an arena slot no live node occupies.
+    pub(crate) fn tombstone() -> NodeData {
+        NodeData { alive: false, ..NodeData::new(NodeKind::Leaf { text: String::new() }) }
+    }
+}
+
 /// One markup hierarchy: a named vocabulary with an optional DTD.
 #[derive(Debug, Clone)]
 pub struct Hierarchy {
@@ -85,15 +105,7 @@ impl Goddag {
     /// from ranges, or the `sacx` crate to parse one.
     pub fn new(root_name: QName) -> Goddag {
         Goddag {
-            nodes: vec![NodeData {
-                kind: NodeKind::Root { name: root_name, attrs: Vec::new() },
-                parent: None,
-                children: Vec::new(),
-                leaf_parents: Vec::new(),
-                span: Span::empty_at(0),
-                char_start: 0,
-                alive: true,
-            }],
+            nodes: vec![NodeData::new(NodeKind::Root { name: root_name, attrs: Vec::new() })],
             root: NodeId(0),
             leaves: Vec::new(),
             root_children: Vec::new(),
@@ -114,6 +126,13 @@ impl Goddag {
     /// Record a mutation (called by every editing entry point).
     pub(crate) fn bump_epoch(&mut self) {
         self.epoch += 1;
+    }
+
+    /// Overwrite the edit epoch. A durable store restoring a snapshot uses
+    /// this to resume the counter where the pre-crash document left it, so
+    /// replayed edits land on the epochs the write-ahead log recorded.
+    pub fn force_edit_epoch(&mut self, epoch: u64) {
+        self.epoch = epoch;
     }
 
     // ------------------------------------------------------------------
@@ -322,6 +341,19 @@ impl Goddag {
         (self.data(first).char_start, last_d.char_start + last_len)
     }
 
+    /// Is byte offset `off` within the content and on a UTF-8 character
+    /// boundary? Binary search over the frontier, then a check inside one
+    /// leaf — the content is never materialised.
+    pub fn is_char_boundary(&self, off: usize) -> bool {
+        if off >= self.content_len {
+            return off == self.content_len;
+        }
+        self.leaf_at_char(off).is_some_and(|l| {
+            let text = self.leaf_text(l).unwrap_or_default();
+            text.is_char_boundary(off - self.data(l).char_start)
+        })
+    }
+
     /// The leaf containing byte offset `off` (the leaf whose char range
     /// includes `off`; offsets on a boundary resolve to the following leaf).
     pub fn leaf_at_char(&self, off: usize) -> Option<NodeId> {
@@ -460,6 +492,33 @@ mod tests {
         // Removing an absent attribute is a no-op, not an edit.
         assert!(!g.remove_attr(g.root(), "nope").unwrap());
         assert_eq!(g.edit_epoch(), last);
+    }
+
+    #[test]
+    fn is_char_boundary_matches_the_content() {
+        let mut b = crate::builder::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("swā þæt");
+        let h = b.hierarchy("phys");
+        b.range(h, "w", vec![], 0, 4).unwrap();
+        let mut g = b.finish().unwrap();
+        g.split_leaf_at(7).unwrap();
+        let content = g.content();
+        for off in 0..content.len() + 3 {
+            assert_eq!(g.is_char_boundary(off), content.is_char_boundary(off), "offset {off}");
+        }
+        let empty = Goddag::new(QName::parse("r").unwrap());
+        assert!(empty.is_char_boundary(0));
+        assert!(!empty.is_char_boundary(1));
+    }
+
+    #[test]
+    fn force_edit_epoch_sets_counter() {
+        let mut g = Goddag::new(QName::parse("r").unwrap());
+        g.add_hierarchy("a");
+        g.force_edit_epoch(1234);
+        assert_eq!(g.edit_epoch(), 1234);
+        g.insert_text(0, "X").unwrap();
+        assert_eq!(g.edit_epoch(), 1235);
     }
 
     #[test]

@@ -11,7 +11,15 @@
 //! * a **DOM-style API** for navigation (children/parent/siblings/ancestors,
 //!   hierarchy-qualified), **editing** (markup insertion/removal, text
 //!   edits), span algebra for **overlap queries**, per-hierarchy
-//!   **serialization**, and structural **invariant checking**.
+//!   **serialization**, and structural **invariant checking**;
+//! * one **range builder** ([`GoddagBuilder`]) under every parser, which
+//!   can also build straight into a recorded id [`Layout`] — how a durable
+//!   store restores a snapshot id-for-id in one pass.
+//!
+//! Modules: `builder` (ranges → GODDAG, fresh or recorded ids), `graph`
+//! (arena, accessors, char-boundary and epoch), `edit` (mutation),
+//! `navigate` / `iter` (traversal), `renumber` (span maintenance), `span`,
+//! `serialize`, `stats`, [`validate`].
 //!
 //! ```
 //! use goddag::GoddagBuilder;
@@ -37,14 +45,13 @@ mod graph;
 mod ids;
 mod iter;
 mod navigate;
-mod relabel;
 mod renumber;
 mod serialize;
 mod span;
 mod stats;
 pub mod validate;
 
-pub use builder::{GoddagBuilder, RangeSpec};
+pub use builder::{GoddagBuilder, Layout, RangeSpec};
 pub use error::{GoddagError, Result};
 pub use graph::{Goddag, Hierarchy, NodeKind};
 pub use ids::{HierarchyId, NodeId};

@@ -105,8 +105,7 @@ impl<'e> InsertionContext<'e> {
         if start > end || end > g.content_len() {
             return Err(Verdict::no(format!("range {start}..{end} out of bounds")));
         }
-        let content = g.content();
-        if !content.is_char_boundary(start) || !content.is_char_boundary(end) {
+        if !g.is_char_boundary(start) || !g.is_char_boundary(end) {
             return Err(Verdict::no(format!("range {start}..{end} splits a character")));
         }
 

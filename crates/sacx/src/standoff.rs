@@ -72,8 +72,9 @@ impl StandoffDoc {
     /// can leave a parent with a higher id than its child, and
     /// [`StandoffDoc::to_goddag`] nests equal spans outer-first in
     /// annotation order. The order is therefore id-independent, which is
-    /// what lets a persistence layer re-derive the same element sequence on
-    /// a freshly imported copy and map recorded ids onto it.
+    /// what lets a persistence layer record `ids` beside the text and later
+    /// build the document straight back into them
+    /// ([`StandoffDoc::into_builder`] + [`goddag::GoddagBuilder::layout`]).
     pub fn from_goddag_with_ids(g: &Goddag) -> (StandoffDoc, Vec<goddag::NodeId>) {
         // (span start, -span end, hierarchy, depth) — the structural sort key.
         type Key = (u32, i64, u16, u32);
@@ -132,33 +133,38 @@ impl StandoffDoc {
 
     /// Materialize the GODDAG.
     pub fn to_goddag(&self) -> Result<Goddag> {
-        let root = QName::parse(&self.root)
-            .map_err(|e| SacxError::Standoff { line: 0, detail: format!("bad root name: {e}") })?;
+        Ok(self.clone().into_builder()?.finish()?)
+    }
+
+    /// Hand the document to a [`GoddagBuilder`]: one range per annotation,
+    /// in annotation order. A caller holding a recorded id layout (element
+    /// ids parallel to the annotations) adds it with
+    /// [`GoddagBuilder::layout`] before `finish`.
+    pub fn into_builder(self) -> Result<GoddagBuilder> {
+        let bad = |detail: String| SacxError::Standoff { line: 0, detail };
+        let attrs = |pairs: Vec<(String, String)>| -> Vec<Attribute> {
+            pairs.into_iter().map(|(n, v)| Attribute::new(n.as_str(), v)).collect()
+        };
+        let root = QName::parse(&self.root).map_err(|e| bad(format!("bad root name: {e}")))?;
         let mut b = GoddagBuilder::new(root);
-        b.root_attrs(
-            self.root_attrs.iter().map(|(n, v)| Attribute::new(n.as_str(), v.clone())).collect(),
-        );
-        b.content(self.content.clone());
-        let hids: Vec<HierarchyId> =
-            self.hierarchies.iter().map(|n| b.hierarchy(n.clone())).collect();
-        for a in &self.annotations {
-            let h = *hids.get(a.hierarchy as usize).ok_or(SacxError::Standoff {
-                line: 0,
-                detail: format!("annotation references unknown hierarchy {}", a.hierarchy),
+        b.root_attrs(attrs(self.root_attrs));
+        b.content(self.content);
+        let hids: Vec<HierarchyId> = self.hierarchies.into_iter().map(|n| b.hierarchy(n)).collect();
+        for a in self.annotations {
+            let h = *hids.get(a.hierarchy as usize).ok_or_else(|| {
+                bad(format!("annotation references unknown hierarchy {}", a.hierarchy))
             })?;
-            let name = QName::parse(&a.tag).map_err(|e| SacxError::Standoff {
-                line: 0,
-                detail: format!("bad tag name {:?}: {e}", a.tag),
-            })?;
+            let name =
+                QName::parse(&a.tag).map_err(|e| bad(format!("bad tag name {:?}: {e}", a.tag)))?;
             b.range_spec(RangeSpec {
                 hierarchy: h,
                 name,
-                attrs: a.attrs.iter().map(|(n, v)| Attribute::new(n.as_str(), v.clone())).collect(),
+                attrs: attrs(a.attrs),
                 start: a.start,
                 end: a.end,
             });
         }
-        Ok(b.finish()?)
+        Ok(b)
     }
 
     /// Serialize to the line-oriented text format.
@@ -270,7 +276,7 @@ pub fn export_standoff(g: &Goddag) -> String {
 
 /// Convenience: stand-off text → GODDAG.
 pub fn import_standoff(input: &str) -> Result<Goddag> {
-    StandoffDoc::parse_text(input)?.to_goddag()
+    Ok(StandoffDoc::parse_text(input)?.into_builder()?.finish()?)
 }
 
 #[cfg(test)]

@@ -171,6 +171,46 @@ fn disarmed_failpoints_stay_within_nanoseconds() {
     );
 }
 
+/// Guards `DocBlob::restore` against going superlinear again. Restore once
+/// re-split every recorded leaf boundary, and each split copied the whole
+/// document to check its offset, so 8× the words cost 60–100× the time.
+/// The documents carry extra leaf boundaries (one split inside every
+/// eighth word), which the old re-split paid for once more each. Linear is
+/// 8×; the budget is 12×, min-of-5 per size.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn blob_restore_scales_linearly() {
+    const ROUNDS: usize = 5;
+
+    let restore_time = |words: usize| -> Duration {
+        let mut ms = corpus::generate(&corpus::Params::sized(words));
+        corpus::dtds::attach_standard(&mut ms.goddag);
+        for &(start, _) in ms.word_ranges.iter().step_by(8) {
+            if ms.goddag.is_char_boundary(start + 1) {
+                ms.goddag.split_leaf_at(start + 1).unwrap();
+            }
+        }
+        let blob = cxpersist::DocBlob::capture(&ms.goddag);
+        blob.restore().unwrap(); // Warm-up.
+        (0..ROUNDS)
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(blob.restore().unwrap());
+                t.elapsed()
+            })
+            .min()
+            .unwrap()
+    };
+
+    let small = restore_time(500);
+    let large = restore_time(4000);
+    let ratio = large.as_secs_f64() / small.as_secs_f64();
+    assert!(
+        ratio <= 12.0,
+        "restore took {large:?} at 4000 words vs {small:?} at 500: {ratio:.1}x (budget 12x)"
+    );
+}
+
 #[test]
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
 fn suggest_tags_200_words_stays_interactive() {
