@@ -13,6 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxml_bench::workload;
+use cxobs::names::{SERVER_REQUESTS_TOTAL, SERVER_REQUEST_NS};
 use cxobs::Registry;
 use cxstore::{EditOp, Store};
 use std::hint::black_box;
@@ -28,10 +29,11 @@ fn bench_obs(c: &mut Criterion) {
     // Primitive costs: one counter bump, one histogram observation.
     let live = Registry::new();
     let dead = Registry::disabled();
-    let (c_live, c_dead) = (live.counter("cx_bench_total"), dead.counter("cx_bench_total"));
+    let (c_live, c_dead) =
+        (live.counter(SERVER_REQUESTS_TOTAL), dead.counter(SERVER_REQUESTS_TOTAL));
     group.bench_function("counter/bump", |b| b.iter(|| c_live.add(black_box(1))));
     group.bench_function("counter/disabled", |b| b.iter(|| c_dead.add(black_box(1))));
-    let (h_live, h_dead) = (live.histogram("cx_bench_ns"), dead.histogram("cx_bench_ns"));
+    let (h_live, h_dead) = (live.histogram(SERVER_REQUEST_NS), dead.histogram(SERVER_REQUEST_NS));
     group.bench_function("histogram/record", |b| b.iter(|| h_live.record_ns(black_box(1234))));
     group.bench_function("histogram/span", |b| b.iter(|| drop(black_box(h_live.span()))));
     group.bench_function("histogram/disabled_span", |b| b.iter(|| drop(black_box(h_dead.span()))));

@@ -2,7 +2,8 @@
 
 use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
-use cxobs::{Exposition, Gauge, Histogram, Observable, Registry};
+use cxfault::Site;
+use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{CheckpointInfo, DocBlob, DurableStore, Options, StoreHealth};
 use cxrepl::Primary;
 use cxstore::{DocId, EditOp, EditOutcome, StoreError, StoreStats};
@@ -13,13 +14,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
-
-/// Failpoint consulted inside every per-shard fan-out worker of
-/// [`Cluster::query_all_partial`] — arm it (with a [`cxfault::Trigger`]
-/// of your choosing) to make individual shards slow
-/// ([`cxfault::Fault::Delay`]) or unavailable ([`cxfault::Fault::Io`])
-/// without touching their stores.
-pub const SHARD_QUERY_SITE: &str = "cluster.shard_query";
 
 /// One shard's health as the cluster sees it.
 ///
@@ -243,14 +237,14 @@ impl Cluster {
         let primaries = shards.iter().map(|_| OnceLock::new()).collect();
         let obs = Arc::new(Registry::new());
         let shard_inflight = (0..shards.len())
-            .map(|i| obs.gauge_with("cx_shard_writes_in_flight", &[("shard", &i.to_string())]))
+            .map(|i| obs.gauge_with(names::SHARD_WRITES_IN_FLIGHT, &[("shard", &i.to_string())]))
             .collect();
-        let gate_waiters = obs.gauge("cx_gate_waiters");
-        let fanout_threads = obs.gauge("cx_fanout_threads");
-        let move_doc_ns = obs.histogram("cx_move_doc_ns");
+        let gate_waiters = obs.gauge(names::GATE_WAITERS);
+        let fanout_threads = obs.gauge(names::FANOUT_THREADS);
+        let move_doc_ns = obs.histogram(names::MOVE_DOC_NS);
         let down = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
         let health_gauges = (0..shards.len())
-            .map(|i| obs.gauge_with("cx_shard_health", &[("shard", &i.to_string())]))
+            .map(|i| obs.gauge_with(names::SHARD_HEALTH, &[("shard", &i.to_string())]))
             .collect();
         Ok(Cluster {
             shards,
@@ -797,10 +791,10 @@ impl Cluster {
                 // The failpoint lets tests make *this* shard slow
                 // (`Delay` runs inside `fire`) or unreachable without
                 // touching its store.
-                let r = if cxfault::fire(SHARD_QUERY_SITE).is_some() {
+                let r = if cxfault::fire(Site::ClusterShardQuery).is_some() {
                     Err(ClusterError::ShardUnavailable {
                         shard: i,
-                        detail: cxfault::io_error(SHARD_QUERY_SITE).to_string(),
+                        detail: cxfault::io_error(Site::ClusterShardQuery).to_string(),
                     })
                 } else {
                     shard.store().query_all(&expr).map_err(ClusterError::Store)

@@ -51,6 +51,6 @@ mod cluster;
 mod error;
 mod router;
 
-pub use cluster::{Cluster, PartialResults, ShardError, ShardHealth, SHARD_QUERY_SITE};
+pub use cluster::{Cluster, PartialResults, ShardError, ShardHealth};
 pub use error::{ClusterError, Result};
 pub use router::{Router, ShardId};

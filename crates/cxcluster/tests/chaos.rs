@@ -12,7 +12,7 @@ mod common;
 
 use common::TempDir;
 use cxcluster::{Cluster, ClusterError, PartialResults, ShardHealth, ShardId};
-use cxfault::{Fault, Trigger};
+use cxfault::{Fault, Site, Trigger};
 use cxobs::Observable;
 use cxpersist::{FsyncPolicy, Options, PersistError};
 use cxrepl::{FaultTransport, Follower, FollowerHandle, InProcessTransport, ReplicaStore};
@@ -163,7 +163,7 @@ fn spawn_followers(c: &Cluster) -> Vec<FollowerHandle> {
         .map(|s| {
             let replica = Arc::new(ReplicaStore::new());
             let inner = InProcessTransport::new(c.primary(ShardId(s)).unwrap());
-            let transport = FaultTransport::with_site(inner, format!("repl.fetch.{s}"));
+            let transport = FaultTransport::for_link(inner, s);
             Follower::new(replica, transport).spawn(Duration::from_millis(2))
         })
         .collect()
@@ -205,12 +205,12 @@ fn chaos(edits: usize) {
 
     // ── The seeded fault schedule: three fault kinds ─────────────────
     // Every 37th WAL append across the cluster fails like ENOSPC.
-    cxfault::configure("wal.append", Trigger::EveryN(37), Fault::Io);
+    cxfault::configure(Site::WalAppend, Trigger::EveryN(37), Fault::Io);
     // Shard 0's replication link drops ~10% of fetches …
-    cxfault::configure_seeded("repl.fetch.0", Trigger::Probability(0.10), Fault::Io, 7);
+    cxfault::configure_seeded(Site::ReplFetch.link(0), Trigger::Probability(0.10), Fault::Io, 7);
     // … and shard 1's link tears ~8% of record batches mid-frame.
     cxfault::configure_seeded(
-        "repl.fetch.1",
+        Site::ReplFetch.link(1),
         Trigger::Probability(0.08),
         Fault::TornWrite(0.5),
         11,
@@ -220,7 +220,12 @@ fn chaos(edits: usize) {
     let mut k = 0usize;
     let wal_faults = drive(&cluster, &control, &docs, edits, &mut k);
     assert!(wal_faults >= 3, "the WAL fault schedule actually fired: {wal_faults}");
-    assert!(cxfault::fires("wal.append") >= wal_faults as u64);
+    assert!(cxfault::fires(Site::WalAppend) >= wal_faults as u64);
+    // Each link is its own series on the metrics page.
+    let page = cluster.exposition();
+    for link in ["repl.fetch.0", "repl.fetch.1"] {
+        assert!(page.contains(&format!("cx_fault_hits_total{{site=\"{link}\"}}")), "{page}");
+    }
 
     // ── Phase B: one shard marked down, cluster stays useful ─────────
     let sick = ShardId(1);
@@ -264,7 +269,7 @@ fn chaos(edits: usize) {
 
     // ── Phase B': a slow shard times out; the answer stays bounded ───
     cxfault::configure(
-        cxcluster::SHARD_QUERY_SITE,
+        Site::ClusterShardQuery,
         Trigger::Nth(1),
         Fault::Delay(Duration::from_millis(900)),
     );
@@ -279,7 +284,7 @@ fn chaos(edits: usize) {
     assert_eq!(errors.len(), 1, "exactly the delayed worker missed the budget: {errors:?}");
     assert!(matches!(errors[0].error, ClusterError::Timeout { ms: 150, .. }), "{errors:?}");
     assert!(!hits.is_empty() && hits.len() < docs.len(), "partial hits: {}", hits.len());
-    cxfault::disarm(cxcluster::SHARD_QUERY_SITE);
+    cxfault::disarm(Site::ClusterShardQuery);
 
     // ── Phase C: faults lift; everything converges byte-identically ──
     cxfault::clear();

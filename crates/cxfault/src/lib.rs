@@ -1,14 +1,21 @@
 //! cxfault — a dependency-free, deterministic failpoint registry.
 //!
-//! Production code names its fragile seams (`cxfault::fire("wal.append")`
-//! at the top of the WAL append path, `io_check("wal.fsync")` before the
-//! real fsync); tests arm those sites with a [`Trigger`] policy and a
-//! [`Fault`] action, then drive ordinary workloads and watch the stack
-//! absorb the failures. Nothing here is probabilistic unless asked:
-//! [`Trigger::Nth`] and [`Trigger::EveryN`] count hits, and
-//! [`Trigger::Probability`] draws from a per-site splitmix64 stream
-//! seeded at configure time, so a fault schedule replays identically
-//! run after run.
+//! Production code names its fragile seams with a [`Site`]
+//! (`cxfault::fire(Site::WalAppend)` at the top of the WAL append path,
+//! `io_check(Site::WalFsync)` before the real fsync); tests arm those
+//! sites with a [`Trigger`] policy and a [`Fault`] action, then drive
+//! ordinary workloads and watch the stack absorb the failures. Nothing
+//! here is probabilistic unless asked: [`Trigger::Nth`] and
+//! [`Trigger::EveryN`] count hits, and [`Trigger::Probability`] draws
+//! from a per-site splitmix64 stream seeded at configure time, so a fault
+//! schedule replays identically run after run.
+//!
+//! The seams are one closed enum, so a site is never a string: a typo is
+//! a compile error, not a failpoint that silently never fires.
+//!
+//! ```compile_fail
+//! cxfault::fire("wal.append"); // a site is a `Site`, not a name
+//! ```
 //!
 //! # Cost when idle
 //!
@@ -33,9 +40,10 @@
 // definitions remain for the inert API stubs.
 #![cfg_attr(feature = "off", allow(dead_code, unused_imports))]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The splitmix64 PRNG step — tiny, seedable, and good enough for fault
@@ -47,6 +55,88 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// Declares [`Site`] with its `ALL` table and `name()` in one list, so
+/// the three can never disagree.
+macro_rules! sites {
+    ($($(#[$doc:meta])* $variant:ident = $name:literal,)+) => {
+        /// One of the stack's fragile seams — the closed set of places a
+        /// fault can be injected.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Site { $($(#[$doc])* $variant),+ }
+
+        impl Site {
+            /// Every site, in declaration order.
+            pub const ALL: &'static [Site] = &[$(Site::$variant),+];
+
+            /// The site's name: its `cx_fault_*{site=…}` label and the
+            /// README failpoint table's first column.
+            pub const fn name(self) -> &'static str {
+                match self { $(Site::$variant => $name),+ }
+            }
+        }
+    };
+}
+
+sites! {
+    /// `wal.append` — every logged mutation (`cxpersist`): an `Io` append
+    /// never reaches the disk, a `TornWrite` is cut mid-record; either way
+    /// the store degrades.
+    WalAppend = "wal.append",
+    /// `wal.fsync` — the log fsync (per policy, `sync()`, heal probes).
+    WalFsync = "wal.fsync",
+    /// `checkpoint.rename` — the manifest publish rename of a checkpoint.
+    CheckpointRename = "checkpoint.rename",
+    /// `snapshot.capture` — the snapshot bootstrap capture a follower
+    /// fetch triggers.
+    SnapshotCapture = "snapshot.capture",
+    /// `repl.fetch` — every fetch through `cxrepl::FaultTransport`; narrow
+    /// it to one link with [`Site::link`].
+    ReplFetch = "repl.fetch",
+    /// `cluster.shard_query` — each per-shard fan-out worker of
+    /// `Cluster::query_all_partial`: `Delay` makes that shard slow, `Io`
+    /// unavailable, without touching its store.
+    ClusterShardQuery = "cluster.shard_query",
+    /// `serve.request` — the top of every server request, before
+    /// decoding: `Io` is answered as a typed `injected` frame, `Delay`
+    /// stalls into a `deadline` frame, `Panic` is caught and answered as
+    /// a `server` error.
+    ServeRequest = "serve.request",
+}
+
+impl Site {
+    /// This site narrowed to one numbered link (`repl.fetch.0`): armed
+    /// and counted independently of the bare site and of every other
+    /// link, so a multi-link test can fail one feed and spare the rest.
+    pub const fn link(self, link: usize) -> Failpoint {
+        Failpoint { site: self, link: Some(link) }
+    }
+}
+
+/// What can be armed: a [`Site`], or one numbered link of it
+/// ([`Site::link`]). Every entry point takes `impl Into<Failpoint>`, so a
+/// bare `Site` works wherever a link does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Failpoint {
+    site: Site,
+    link: Option<usize>,
+}
+
+impl From<Site> for Failpoint {
+    fn from(site: Site) -> Failpoint {
+        Failpoint { site, link: None }
+    }
+}
+
+impl fmt::Display for Failpoint {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.site.name())?;
+        match self.link {
+            Some(link) => write!(f, ".{link}"),
+            None => Ok(()),
+        }
+    }
 }
 
 /// When an armed site actually fires.
@@ -92,7 +182,8 @@ pub enum InjectedFault {
     Torn(f64),
 }
 
-struct Site {
+/// One armed failpoint's schedule and counters.
+struct Armed {
     trigger: Trigger,
     fault: Fault,
     /// splitmix64 state for `Probability` draws.
@@ -101,62 +192,59 @@ struct Site {
     fires: u64,
 }
 
-/// Hit/fire counts for one configured site (see [`site_stats`]).
+/// Hit/fire counts for one configured failpoint (see [`site_stats`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SiteStats {
-    pub site: String,
+    pub site: Failpoint,
     pub hits: u64,
     pub fires: u64,
 }
 
-/// Number of armed sites — the [`fire`] fast path checks only this.
+/// Number of armed failpoints — the [`fire`] fast path checks only this.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-fn registry() -> &'static Mutex<HashMap<String, Site>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<String, Site>>> = OnceLock::new();
-    REGISTRY.get_or_init(Mutex::default)
-}
+static REGISTRY: Mutex<BTreeMap<Failpoint, Armed>> = Mutex::new(BTreeMap::new());
 
-fn lock_registry() -> MutexGuard<'static, HashMap<String, Site>> {
+fn lock_registry() -> MutexGuard<'static, BTreeMap<Failpoint, Armed>> {
     // Poison recovery: a panic while holding the registry lock (only
     // possible through Fault::Panic, which fires after the guard is
     // dropped, or a caller panicking mid-configure) leaves plain counters
     // — safe to reuse.
-    registry().lock().unwrap_or_else(PoisonError::into_inner)
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Arm `site` with a default seed. See [`configure_seeded`].
-pub fn configure(site: impl Into<String>, trigger: Trigger, fault: Fault) {
-    configure_seeded(site, trigger, fault, 0xc0ffee);
+/// Arm `at` with a default seed. See [`configure_seeded`].
+pub fn configure(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault) {
+    configure_seeded(at, trigger, fault, 0xc0ffee);
 }
 
-/// Arm `site`: subsequent [`fire`] calls at that site evaluate `trigger`
-/// and, when due, perform `fault`. `seed` feeds the site's private
-/// splitmix64 stream (only `Trigger::Probability` draws from it); the
-/// site name is folded in so two sites armed with the same seed still
-/// see independent streams. Re-configuring a site resets its counters.
+/// Arm `at`: subsequent [`fire`] calls there evaluate `trigger` and, when
+/// due, perform `fault`. `seed` feeds the failpoint's private splitmix64
+/// stream (only `Trigger::Probability` draws from it); the rendered name
+/// is folded in so two failpoints armed with the same seed still see
+/// independent streams. Re-configuring resets the counters.
 #[cfg_attr(feature = "off", allow(unused_variables))]
-pub fn configure_seeded(site: impl Into<String>, trigger: Trigger, fault: Fault, seed: u64) {
+pub fn configure_seeded(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault, seed: u64) {
     #[cfg(not(feature = "off"))]
     {
-        let name = site.into();
+        let at = at.into();
         let mut h = seed;
-        for b in name.bytes() {
+        for b in at.to_string().bytes() {
             h = splitmix64(&mut h) ^ u64::from(b);
         }
         let mut map = lock_registry();
-        map.insert(name, Site { trigger, fault, rng: h, hits: 0, fires: 0 });
+        map.insert(at, Armed { trigger, fault, rng: h, hits: 0, fires: 0 });
         ARMED.store(map.len(), Ordering::Release);
     }
 }
 
-/// Disarm one site (its counters are discarded).
+/// Disarm one failpoint (its counters are discarded).
 #[cfg_attr(feature = "off", allow(unused_variables))]
-pub fn disarm(site: &str) {
+pub fn disarm(at: impl Into<Failpoint>) {
     #[cfg(not(feature = "off"))]
     {
         let mut map = lock_registry();
-        map.remove(site);
+        map.remove(&at.into());
         ARMED.store(map.len(), Ordering::Release);
     }
 }
@@ -171,33 +259,33 @@ pub fn clear() {
     }
 }
 
-/// Evaluate the failpoint at `site`. Returns `None` (by far the common
-/// case — one relaxed load when nothing is armed) unless the site is
-/// armed and its trigger fires, in which case `Delay` sleeps and `Panic`
-/// panics right here, while `Io` / `TornWrite` are returned for the call
-/// site to enact.
+/// Evaluate the failpoint at `at`. Returns `None` (by far the common
+/// case — one relaxed load when nothing is armed) unless it is armed and
+/// its trigger fires, in which case `Delay` sleeps and `Panic` panics
+/// right here, while `Io` / `TornWrite` are returned for the call site to
+/// enact.
 #[cfg(not(feature = "off"))]
 #[inline]
-pub fn fire(site: &str) -> Option<InjectedFault> {
+pub fn fire(at: impl Into<Failpoint>) -> Option<InjectedFault> {
     if ARMED.load(Ordering::Relaxed) == 0 {
         return None;
     }
-    fire_slow(site)
+    fire_slow(at.into())
 }
 
 /// With the `off` feature: a constant the optimizer erases.
 #[cfg(feature = "off")]
 #[inline(always)]
-pub fn fire(_site: &str) -> Option<InjectedFault> {
+pub fn fire(_at: impl Into<Failpoint>) -> Option<InjectedFault> {
     None
 }
 
 #[cfg(not(feature = "off"))]
 #[cold]
-fn fire_slow(site: &str) -> Option<InjectedFault> {
+fn fire_slow(at: Failpoint) -> Option<InjectedFault> {
     let fault = {
         let mut map = lock_registry();
-        let s = map.get_mut(site)?;
+        let s = map.get_mut(&at)?;
         s.hits += 1;
         let due = match s.trigger {
             Trigger::Always => true,
@@ -220,23 +308,24 @@ fn fire_slow(site: &str) -> Option<InjectedFault> {
             std::thread::sleep(d);
             None
         }
-        Fault::Panic => panic!("cxfault: injected panic at failpoint `{site}`"),
+        Fault::Panic => panic!("cxfault: injected panic at failpoint `{at}`"),
     }
 }
 
 /// The I/O error an injected fault reports — distinguishable in logs by
 /// its message, ordinary `io::Error` to everything else (exactly how a
 /// real ENOSPC would arrive).
-pub fn io_error(site: &str) -> std::io::Error {
-    std::io::Error::other(format!("injected fault at failpoint `{site}`"))
+pub fn io_error(at: impl Into<Failpoint>) -> std::io::Error {
+    std::io::Error::other(format!("injected fault at failpoint `{}`", at.into()))
 }
 
-/// Fire the site and fold any injected fault into an `io::Result` —
+/// Fire the failpoint and fold any injected fault into an `io::Result` —
 /// the one-liner for seams where "torn" and "failed" collapse to the
 /// same thing (fsync, rename).
-pub fn io_check(site: &str) -> std::io::Result<()> {
-    match fire(site) {
-        Some(_) => Err(io_error(site)),
+pub fn io_check(at: impl Into<Failpoint>) -> std::io::Result<()> {
+    let at = at.into();
+    match fire(at) {
+        Some(_) => Err(io_error(at)),
         None => Ok(()),
     }
 }
@@ -249,40 +338,38 @@ pub fn torn_len(full: usize, frac: f64) -> usize {
     keep.min(full.saturating_sub(1))
 }
 
-/// Lifetime hit count for `site` (0 if never armed).
-pub fn hits(site: &str) -> u64 {
-    stat(site).map(|(h, _)| h).unwrap_or(0)
+/// Lifetime hit count for `at` (0 if never armed).
+pub fn hits(at: impl Into<Failpoint>) -> u64 {
+    stat(at.into()).map(|(h, _)| h).unwrap_or(0)
 }
 
-/// Lifetime fire count for `site` (0 if never armed).
-pub fn fires(site: &str) -> u64 {
-    stat(site).map(|(_, f)| f).unwrap_or(0)
+/// Lifetime fire count for `at` (0 if never armed).
+pub fn fires(at: impl Into<Failpoint>) -> u64 {
+    stat(at.into()).map(|(_, f)| f).unwrap_or(0)
 }
 
 #[cfg_attr(feature = "off", allow(unused_variables))]
-fn stat(site: &str) -> Option<(u64, u64)> {
+fn stat(at: Failpoint) -> Option<(u64, u64)> {
     #[cfg(feature = "off")]
     return None;
     #[cfg(not(feature = "off"))]
     {
         let map = lock_registry();
-        map.get(site).map(|s| (s.hits, s.fires))
+        map.get(&at).map(|s| (s.hits, s.fires))
     }
 }
 
-/// Hit/fire counts for every configured site, sorted by name — the feed
-/// for `cx_fault_*` metric exposition.
+/// Hit/fire counts for every configured failpoint, sorted by rendered
+/// name — the feed for `cx_fault_*` metric exposition.
 pub fn site_stats() -> Vec<SiteStats> {
     #[cfg(feature = "off")]
     return Vec::new();
     #[cfg(not(feature = "off"))]
     {
         let map = lock_registry();
-        let mut v: Vec<SiteStats> = map
-            .iter()
-            .map(|(k, s)| SiteStats { site: k.clone(), hits: s.hits, fires: s.fires })
-            .collect();
-        v.sort_by(|a, b| a.site.cmp(&b.site));
+        let mut v: Vec<SiteStats> =
+            map.iter().map(|(&site, s)| SiteStats { site, hits: s.hits, fires: s.fires }).collect();
+        v.sort_by_cached_key(|s| s.site.to_string());
         v
     }
 }
@@ -293,8 +380,10 @@ static SCENARIO: Mutex<()> = Mutex::new(());
 /// both entry and exit. Hold it for the test's whole body:
 ///
 /// ```
+/// use cxfault::{Fault, Site, Trigger};
+///
 /// let _fp = cxfault::Scenario::setup();
-/// cxfault::configure("wal.append", cxfault::Trigger::Nth(3), cxfault::Fault::Io);
+/// cxfault::configure(Site::WalAppend, Trigger::Nth(3), Fault::Io);
 /// // … drive the workload …
 /// // drop clears every site even if the test panics first
 /// ```
@@ -320,6 +409,22 @@ impl Drop for Scenario {
     }
 }
 
+#[cfg(test)]
+mod site_names {
+    use super::*;
+
+    #[test]
+    fn sites_and_links_render_their_names() {
+        let names: Vec<&str> = Site::ALL.iter().map(|s| s.name()).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), names.len(), "site names are distinct: {names:?}");
+        assert_eq!(Failpoint::from(Site::ReplFetch).to_string(), "repl.fetch");
+        assert_eq!(Site::ReplFetch.link(1).to_string(), "repl.fetch.1");
+    }
+}
+
 #[cfg(all(test, not(feature = "off")))]
 mod tests {
     use super::*;
@@ -327,25 +432,25 @@ mod tests {
     #[test]
     fn unarmed_sites_are_silent() {
         let _fp = Scenario::setup();
-        assert_eq!(fire("nobody.configured"), None);
-        assert_eq!(hits("nobody.configured"), 0);
+        assert_eq!(fire(Site::WalAppend), None);
+        assert_eq!(hits(Site::WalAppend), 0);
     }
 
     #[test]
     fn nth_fires_exactly_once() {
         let _fp = Scenario::setup();
-        configure("t.nth", Trigger::Nth(3), Fault::Io);
-        let fired: Vec<bool> = (0..6).map(|_| fire("t.nth").is_some()).collect();
+        configure(Site::WalAppend, Trigger::Nth(3), Fault::Io);
+        let fired: Vec<bool> = (0..6).map(|_| fire(Site::WalAppend).is_some()).collect();
         assert_eq!(fired, vec![false, false, true, false, false, false]);
-        assert_eq!(hits("t.nth"), 6);
-        assert_eq!(fires("t.nth"), 1);
+        assert_eq!(hits(Site::WalAppend), 6);
+        assert_eq!(fires(Site::WalAppend), 1);
     }
 
     #[test]
     fn every_n_keeps_cadence() {
         let _fp = Scenario::setup();
-        configure("t.cadence", Trigger::EveryN(3), Fault::Io);
-        let fired: Vec<bool> = (0..9).map(|_| fire("t.cadence").is_some()).collect();
+        configure(Site::WalFsync, Trigger::EveryN(3), Fault::Io);
+        let fired: Vec<bool> = (0..9).map(|_| fire(Site::WalFsync).is_some()).collect();
         assert_eq!(fired, vec![false, false, true, false, false, true, false, false, true]);
     }
 
@@ -353,8 +458,8 @@ mod tests {
     fn probability_replays_identically_for_a_seed() {
         let _fp = Scenario::setup();
         let run = || -> Vec<bool> {
-            configure_seeded("t.prob", Trigger::Probability(0.4), Fault::Io, 42);
-            (0..64).map(|_| fire("t.prob").is_some()).collect()
+            configure_seeded(Site::ReplFetch, Trigger::Probability(0.4), Fault::Io, 42);
+            (0..64).map(|_| fire(Site::ReplFetch).is_some()).collect()
         };
         let a = run();
         let b = run();
@@ -362,16 +467,16 @@ mod tests {
         let fired = a.iter().filter(|&&f| f).count();
         assert!((10..=40).contains(&fired), "p=0.4 over 64 hits fired {fired} times");
         // A different seed gives a different schedule.
-        configure_seeded("t.prob", Trigger::Probability(0.4), Fault::Io, 43);
-        let c: Vec<bool> = (0..64).map(|_| fire("t.prob").is_some()).collect();
+        configure_seeded(Site::ReplFetch, Trigger::Probability(0.4), Fault::Io, 43);
+        let c: Vec<bool> = (0..64).map(|_| fire(Site::ReplFetch).is_some()).collect();
         assert_ne!(a, c);
     }
 
     #[test]
     fn torn_write_reports_clamped_fraction() {
         let _fp = Scenario::setup();
-        configure("t.torn", Trigger::Always, Fault::TornWrite(1.7));
-        assert_eq!(fire("t.torn"), Some(InjectedFault::Torn(1.0)));
+        configure(Site::WalAppend, Trigger::Always, Fault::TornWrite(1.7));
+        assert_eq!(fire(Site::WalAppend), Some(InjectedFault::Torn(1.0)));
         assert_eq!(torn_len(100, 1.0), 99, "a tear always drops at least one byte");
         assert_eq!(torn_len(100, 0.5), 50);
         assert_eq!(torn_len(0, 0.5), 0);
@@ -380,42 +485,55 @@ mod tests {
     #[test]
     fn delay_sleeps_then_proceeds() {
         let _fp = Scenario::setup();
-        configure("t.delay", Trigger::Always, Fault::Delay(Duration::from_millis(15)));
+        configure(Site::ServeRequest, Trigger::Always, Fault::Delay(Duration::from_millis(15)));
         let t0 = std::time::Instant::now();
-        assert_eq!(fire("t.delay"), None, "delay is transparent to the caller");
+        assert_eq!(fire(Site::ServeRequest), None, "delay is transparent to the caller");
         assert!(t0.elapsed() >= Duration::from_millis(15));
     }
 
     #[test]
     fn io_check_surfaces_the_site_name() {
         let _fp = Scenario::setup();
-        configure("t.sync", Trigger::Always, Fault::Io);
-        let err = io_check("t.sync").unwrap_err();
-        assert!(err.to_string().contains("t.sync"), "got: {err}");
-        assert!(io_check("t.other").is_ok());
+        configure(Site::WalFsync, Trigger::Always, Fault::Io);
+        let err = io_check(Site::WalFsync).unwrap_err();
+        assert!(err.to_string().contains("wal.fsync"), "got: {err}");
+        assert!(io_check(Site::CheckpointRename).is_ok());
     }
 
     #[test]
-    fn stats_enumerate_configured_sites() {
+    fn links_arm_independently_of_their_site() {
         let _fp = Scenario::setup();
-        configure("t.b", Trigger::Always, Fault::Io);
-        configure("t.a", Trigger::EveryN(2), Fault::Io);
-        fire("t.b");
-        fire("t.a");
+        configure(Site::ReplFetch.link(0), Trigger::Always, Fault::Io);
+        assert!(fire(Site::ReplFetch.link(0)).is_some());
+        assert_eq!(fire(Site::ReplFetch.link(1)), None);
+        assert_eq!(fire(Site::ReplFetch), None);
+        let err = io_check(Site::ReplFetch.link(0)).unwrap_err();
+        assert!(err.to_string().contains("`repl.fetch.0`"), "got: {err}");
+    }
+
+    #[test]
+    fn stats_enumerate_configured_sites_by_name() {
+        let _fp = Scenario::setup();
+        configure(Site::ServeRequest, Trigger::Always, Fault::Io);
+        configure(Site::CheckpointRename, Trigger::EveryN(2), Fault::Io);
+        fire(Site::ServeRequest);
+        fire(Site::CheckpointRename);
         let stats = site_stats();
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].site, "t.a");
-        assert_eq!(stats[0], SiteStats { site: "t.a".into(), hits: 1, fires: 0 });
-        assert_eq!(stats[1], SiteStats { site: "t.b".into(), hits: 1, fires: 1 });
-        disarm("t.b");
+        let row = |site: Site, hits, fires| SiteStats { site: site.into(), hits, fires };
+        assert_eq!(
+            stats,
+            vec![row(Site::CheckpointRename, 1, 0), row(Site::ServeRequest, 1, 1)],
+            "sorted by name, not declaration order"
+        );
+        disarm(Site::ServeRequest);
         assert_eq!(site_stats().len(), 1);
     }
 
     #[test]
-    #[should_panic(expected = "injected panic at failpoint `t.boom`")]
+    #[should_panic(expected = "injected panic at failpoint `snapshot.capture`")]
     fn panic_action_panics_at_the_site() {
         let _fp = Scenario::setup();
-        configure("t.boom", Trigger::Always, Fault::Panic);
-        fire("t.boom");
+        configure(Site::SnapshotCapture, Trigger::Always, Fault::Panic);
+        fire(Site::SnapshotCapture);
     }
 }

@@ -6,12 +6,11 @@ use std::fmt;
 /// object in `--json` mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable machine-readable rule id (`lock-order-cycle`, `fp-unarmed`, …).
+    /// Stable machine-readable rule id (`lock-order-cycle`, `pn-unannotated`, …).
     pub rule: &'static str,
     /// Repo-relative path.
     pub file: String,
-    /// 1-based line (0 when the finding is about a whole file, e.g.
-    /// README table drift with no code anchor).
+    /// 1-based line (0 when the finding is about a whole file).
     pub line: u32,
     /// Human-readable explanation, including the witness where the rule
     /// has one (lock cycles print their path).
@@ -80,8 +79,8 @@ mod tests {
 
     #[test]
     fn display_format() {
-        let f = Finding::new("fp-unarmed", "crates/x/src/lib.rs", 12, "site `a.b` never armed");
-        assert_eq!(f.to_string(), "crates/x/src/lib.rs:12: fp-unarmed: site `a.b` never armed");
+        let f = Finding::new("pn-unannotated", "crates/x/src/lib.rs", 12, "bare unwrap");
+        assert_eq!(f.to_string(), "crates/x/src/lib.rs:12: pn-unannotated: bare unwrap");
     }
 
     #[test]

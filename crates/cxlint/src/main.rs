@@ -9,11 +9,10 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: cxlint check [--json] [--root <dir>]\n\
          \n\
-         Runs the workspace's own static analyses (lock ordering, failpoint\n\
-         and metric conformance, poison/panic audits) over every Rust\n\
-         source file. Findings print one per line as\n\
-         `file:line: rule-id: message`; --json emits a JSON array instead\n\
-         (exactly `[]` when clean). Exceptions live in cxlint.toml."
+         Runs the workspace's own static analyses (lock ordering and the\n\
+         poison/panic audits) over every Rust source file. Findings print\n\
+         one per line as `file:line: rule-id: message`; --json emits a\n\
+         JSON array instead (exactly `[]` when clean)."
     );
     ExitCode::from(2)
 }

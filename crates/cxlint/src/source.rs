@@ -1,6 +1,6 @@
 //! The workspace model: files, their lexed form, and the structural
 //! facts every rule shares (which code is test code, where functions
-//! begin and end, what string constants are in scope).
+//! begin and end, which crates depend on which).
 
 use crate::lexer::{lex, Lexed, Tok};
 use std::collections::{BTreeSet, HashMap};
@@ -8,8 +8,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// What part of a crate a file belongs to — rules scope themselves on
-/// this (e.g. the panic audit covers `Src` only; the failpoint arming
-/// check looks in `Tests`/`Benches` plus in-file test modules).
+/// this (e.g. the panic audit covers `Src` only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     /// `crates/*/src/**` or the root `src/`.
@@ -70,22 +69,12 @@ impl SourceFile {
     pub fn in_test_span(&self, idx: usize) -> bool {
         self.test_spans.iter().any(|r| r.contains(&idx))
     }
-
-    /// True when token `idx` is test-side code: a tests/benches file, or
-    /// inside an in-file `#[cfg(test)]` module.
-    pub fn is_test_code(&self, idx: usize) -> bool {
-        matches!(self.kind, FileKind::Tests | FileKind::Benches) || self.in_test_span(idx)
-    }
 }
 
 /// The whole workspace as the rules see it.
 pub struct Workspace {
     /// Every `.rs` file found (sorted by path for deterministic output).
     pub files: Vec<SourceFile>,
-    /// `README.md` contents (empty when absent).
-    pub readme: String,
-    /// `cxlint.toml` contents (empty when absent).
-    pub allow_toml: String,
     /// Direct workspace (path) dependencies per crate, from each crate's
     /// `Cargo.toml` — `crate → {dep, …}`. Empty for fixture workspaces,
     /// which analyses must treat as "no dependency information".
@@ -99,17 +88,11 @@ impl Workspace {
         let mut files: Vec<SourceFile> =
             files.iter().map(|(p, t)| SourceFile::new(*p, t)).collect();
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        Workspace {
-            files,
-            readme: String::new(),
-            allow_toml: String::new(),
-            crate_deps: HashMap::new(),
-        }
+        Workspace { files, crate_deps: HashMap::new() }
     }
 
     /// Walk a real workspace root: `src/`, `tests/`, `examples/`, and
-    /// every `crates/*/{src,tests,benches}` tree, plus `README.md` and
-    /// `cxlint.toml`.
+    /// every `crates/*/{src,tests,benches}` tree.
     pub fn load(root: &Path) -> std::io::Result<Workspace> {
         let mut paths: Vec<PathBuf> = Vec::new();
         for top in ["src", "tests", "examples"] {
@@ -130,8 +113,6 @@ impl Workspace {
             files.push(SourceFile::new(rel, &text));
         }
         files.sort_by(|a, b| a.path.cmp(&b.path));
-        let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-        let allow_toml = std::fs::read_to_string(root.join("cxlint.toml")).unwrap_or_default();
 
         let mut crate_deps: HashMap<String, BTreeSet<String>> = HashMap::new();
         if let Ok(text) = std::fs::read_to_string(root.join("Cargo.toml")) {
@@ -145,37 +126,7 @@ impl Workspace {
                 }
             }
         }
-        Ok(Workspace { files, readme, allow_toml, crate_deps })
-    }
-
-    /// Workspace-wide map of `&str` constants: `NAME -> literal value`.
-    /// Collisions (same const name, different values, different crates)
-    /// keep the first and are rare enough not to matter for site names.
-    pub fn str_consts(&self) -> HashMap<String, String> {
-        let mut map = HashMap::new();
-        for f in &self.files {
-            let t = &f.lexed.tokens;
-            for i in 0..t.len() {
-                // const NAME : & str = "value"  (also `pub const`, `& 'static str`)
-                if !matches!(&t[i].tok, Tok::Ident(s) if s == "const") {
-                    continue;
-                }
-                let Some(Tok::Ident(name)) = t.get(i + 1).map(|x| &x.tok) else { continue };
-                // Scan a short window for `= "literal"` ending the item.
-                for j in i + 2..(i + 10).min(t.len()) {
-                    if let Tok::Punct('=') = t[j].tok {
-                        if let Some(Tok::Str(v)) = t.get(j + 1).map(|x| &x.tok) {
-                            map.entry(name.clone()).or_insert_with(|| v.clone());
-                        }
-                        break;
-                    }
-                    if matches!(t[j].tok, Tok::Punct(';') | Tok::Punct('{')) {
-                        break;
-                    }
-                }
-            }
-        }
-        map
+        Ok(Workspace { files, crate_deps })
     }
 }
 
@@ -536,17 +487,5 @@ mod tests {
         assert_eq!(fns[0].params, ["a", "b"]);
         assert_eq!(fns[1].params, ["l"]);
         assert_eq!(fns[2].params, ["x"]);
-    }
-
-    #[test]
-    fn str_consts_resolve() {
-        let ws = Workspace::from_files(&[(
-            "crates/x/src/lib.rs",
-            "pub const SITE: &str = \"a.b\";\nconst OTHER: &'static str = \"c.d\";\nconst N: usize = 3;",
-        )]);
-        let consts = ws.str_consts();
-        assert_eq!(consts.get("SITE").map(String::as_str), Some("a.b"));
-        assert_eq!(consts.get("OTHER").map(String::as_str), Some("c.d"));
-        assert!(!consts.contains_key("N"));
     }
 }

@@ -2,8 +2,9 @@
 //! it, and fast enough to sit in CI's critical path.
 //!
 //! This is the test that makes the tool a gate rather than an optional
-//! extra — a new lock edge, an undocumented failpoint, or a stale
-//! allowlist entry fails `cargo test` before it ever reaches CI.
+//! extra — a lock-order cycle, an unjustified poison recovery, or an
+//! unannotated panic on a serving path fails `cargo test` before it ever
+//! reaches CI.
 
 use std::path::Path;
 use std::time::Instant;

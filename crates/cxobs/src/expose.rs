@@ -1,5 +1,6 @@
 //! Text exposition: Prometheus-style `name{label="v"} value` lines.
 
+use crate::names::{Name, Scalar};
 use std::fmt::{Display, Write};
 
 /// A text exposition under construction: a line buffer plus a **label
@@ -43,20 +44,26 @@ impl Exposition {
     }
 
     /// Write one `name{stack labels} value` line.
-    pub fn write(&mut self, name: &str, value: impl Display) {
+    pub fn write<K: Scalar>(&mut self, name: Name<K>, value: impl Display) {
         self.write_with(name, &[], value);
     }
 
     /// Write one line carrying the stacked labels plus `extra` ones
     /// (stack first, so per-metric labels like `quantile` read last).
-    pub fn write_with(&mut self, name: &str, extra: &[(&str, &str)], value: impl Display) {
-        self.write_with_exemplar(name, extra, value, None);
+    pub fn write_with<K: Scalar>(
+        &mut self,
+        name: Name<K>,
+        extra: &[(&str, &str)],
+        value: impl Display,
+    ) {
+        self.line(name.as_str(), extra, value, None);
     }
 
-    /// [`Exposition::write_with`] plus an OpenMetrics-style exemplar
-    /// suffix: ` # {trace_id="<id>"}` — how a histogram bucket links to
-    /// the concrete trace that last landed in it.
-    pub fn write_with_exemplar(
+    /// The raw line writer behind every series, histogram sub-lines
+    /// (`_bucket`/`_sum`/`_count`) included. An `exemplar` adds the
+    /// OpenMetrics-style suffix ` # {trace_id="<id>"}` — how a histogram
+    /// bucket links to the concrete trace that last landed in it.
+    pub(crate) fn line(
         &mut self,
         name: &str,
         extra: &[(&str, &str)],
@@ -120,30 +127,31 @@ pub trait Observable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{DOCS, EDITS_TOTAL, REPL_LAG};
 
     #[test]
     fn plain_and_labeled_lines() {
         let mut e = Exposition::new();
-        e.write("cx_docs", 3);
+        e.write(DOCS, 3);
         e.push_label("shard", 1);
-        e.write("cx_docs", 2);
-        e.write_with("cx_edit_ns", &[("quantile", "0.5")], 4095);
+        e.write(DOCS, 2);
+        e.write_with(REPL_LAG, &[("quantile", "0.5")], 4095);
         e.pop_label();
-        e.write("cx_total", 5);
+        e.write(EDITS_TOTAL, 5);
         assert_eq!(
             e.finish(),
             "cx_docs 3\n\
              cx_docs{shard=\"1\"} 2\n\
-             cx_edit_ns{shard=\"1\",quantile=\"0.5\"} 4095\n\
-             cx_total 5\n"
+             cx_repl_lag{shard=\"1\",quantile=\"0.5\"} 4095\n\
+             cx_edits_total 5\n"
         );
     }
 
     #[test]
     fn label_values_are_escaped() {
         let mut e = Exposition::new();
-        e.write_with("cx_event", &[("detail", "say \"hi\"\nback\\slash")], 1);
-        assert_eq!(e.finish(), "cx_event{detail=\"say \\\"hi\\\"\\nback\\\\slash\"} 1\n");
+        e.write_with(EDITS_TOTAL, &[("detail", "say \"hi\"\nback\\slash")], 1);
+        assert_eq!(e.finish(), "cx_edits_total{detail=\"say \\\"hi\\\"\\nback\\\\slash\"} 1\n");
     }
 
     #[test]
@@ -151,9 +159,9 @@ mod tests {
         struct Two;
         impl Observable for Two {
             fn expose_into(&self, out: &mut Exposition) {
-                out.write("two", 2);
+                out.write(DOCS, 2);
             }
         }
-        assert_eq!(Two.exposition(), "two 2\n");
+        assert_eq!(Two.exposition(), "cx_docs 2\n");
     }
 }

@@ -16,10 +16,12 @@
 //!   cheap enough for WAL appends and gate decisions.
 //!
 //! Latency is captured with **span timers**: [`Histogram::time`] wraps a
-//! closure, [`Histogram::span`] returns a guard that records on drop
-//! (early returns included), and [`Registry::time`] is the
-//! string-addressed convenience (`obs.time("wal.append", || …)`) for
-//! paths that don't hold a handle.
+//! closure, and [`Histogram::span`] returns a guard that records on drop
+//! (early returns included).
+//!
+//! Every metric name is declared once in [`names`] as a constant typed by
+//! its kind, so the registry hands out a counter only for a counter name
+//! and the page never carries a name nobody declared.
 //!
 //! Rare, high-signal moments (follower state transitions, terminal
 //! errors, checkpoint generations, migrations, gate rejections) go into a
@@ -36,11 +38,11 @@
 //! `perf_smoke` overhead guard compares against.
 //!
 //! ```
-//! use cxobs::Registry;
+//! use cxobs::{names, Registry};
 //!
 //! let obs = Registry::new();
-//! let requests = obs.counter("cx_requests_total");
-//! let latency = obs.histogram("cx_request_ns");
+//! let requests = obs.counter(names::SERVER_REQUESTS_TOTAL);
+//! let latency = obs.histogram(names::SERVER_REQUEST_NS);
 //! for _ in 0..100 {
 //!     requests.bump();
 //!     latency.time(|| { /* serve */ });
@@ -49,13 +51,14 @@
 //! assert_eq!(requests.get(), 100);
 //! assert_eq!(latency.snapshot().count, 100);
 //! let text = obs.render();
-//! assert!(text.contains("cx_requests_total 100"));
-//! assert!(text.contains("cx_request_ns{quantile=\"0.99\"}"));
+//! assert!(text.contains("cx_server_requests_total 100"));
+//! assert!(text.contains("cx_server_request_ns{quantile=\"0.99\"}"));
 //! ```
 
 mod events;
 mod expose;
 mod metrics;
+pub mod names;
 mod registry;
 
 pub use events::{Event, EventRing};

@@ -3,6 +3,7 @@
 use crate::events::EventRing;
 use crate::expose::Exposition;
 use crate::metrics::{Counter, Gauge, Histogram};
+use crate::names::Name;
 use std::collections::BTreeMap;
 use std::sync::{Arc, PoisonError, RwLock};
 
@@ -12,23 +13,10 @@ const EVENT_CAP: usize = 256;
 /// `(name, static labels)` — the registry key. Two registrations with
 /// the same name but different labels are distinct series (the per-shard
 /// gauge pattern).
-type Key = (String, Vec<(String, String)>);
+type Key = (&'static str, Vec<(String, String)>);
 
-enum Metric {
-    Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
-    Histogram(Arc<Histogram>),
-}
-
-impl Metric {
-    fn kind(&self) -> &'static str {
-        match self {
-            Metric::Counter(_) => "counter",
-            Metric::Gauge(_) => "gauge",
-            Metric::Histogram(_) => "histogram",
-        }
-    }
-}
+/// Every registered series of one kind.
+type Family<T> = RwLock<BTreeMap<Key, Arc<T>>>;
 
 /// A registry of named metrics plus one [`EventRing`]. One registry
 /// backs one store stack: the layers (`Store`, `DurableStore`,
@@ -38,12 +26,13 @@ impl Metric {
 /// output.
 ///
 /// Registration is idempotent — asking for an existing `(name, labels)`
-/// pair returns the same handle — and kind-checked: re-registering a
-/// name as a different metric kind panics (it is a programming error,
-/// not a runtime condition).
+/// pair returns the same handle. Names are [`crate::names`] constants
+/// typed by kind, so one name can only ever be one kind of metric.
 pub struct Registry {
     on: bool,
-    metrics: RwLock<BTreeMap<Key, Metric>>,
+    counters: Family<Counter>,
+    gauges: Family<Gauge>,
+    histograms: Family<Histogram>,
     events: EventRing,
 }
 
@@ -56,14 +45,24 @@ impl Default for Registry {
 impl Registry {
     /// A live registry.
     pub fn new() -> Registry {
-        Registry { on: true, metrics: RwLock::default(), events: EventRing::new(EVENT_CAP) }
+        Registry::with(true, EVENT_CAP)
     }
 
     /// A no-op registry: handles exist and render (as zeroes), but
     /// recording is a branch and span timers skip the clock entirely —
     /// the baseline the instrumentation-overhead guard compares against.
     pub fn disabled() -> Registry {
-        Registry { on: false, metrics: RwLock::default(), events: EventRing::new(0) }
+        Registry::with(false, 0)
+    }
+
+    fn with(on: bool, event_cap: usize) -> Registry {
+        Registry {
+            on,
+            counters: RwLock::default(),
+            gauges: RwLock::default(),
+            histograms: RwLock::default(),
+            events: EventRing::new(event_cap),
+        }
     }
 
     /// Whether metrics recorded through this registry are kept.
@@ -72,68 +71,33 @@ impl Registry {
     }
 
     /// The named counter (registered on first use).
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
+    pub fn counter(&self, name: Name<Counter>) -> Arc<Counter> {
         self.counter_with(name, &[])
     }
 
     /// A counter carrying static labels, e.g. `("shard", "2")`.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        self.register(
-            name,
-            labels,
-            || Metric::Counter(Arc::new(Counter::new(self.on))),
-            |m| match m {
-                Metric::Counter(c) => Some(Arc::clone(c)),
-                _ => None,
-            },
-        )
+    pub fn counter_with(&self, name: Name<Counter>, labels: &[(&str, &str)]) -> Arc<Counter> {
+        register(&self.counters, name, labels, || Counter::new(self.on))
     }
 
     /// The named gauge (registered on first use).
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub fn gauge(&self, name: Name<Gauge>) -> Arc<Gauge> {
         self.gauge_with(name, &[])
     }
 
     /// A gauge carrying static labels.
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        self.register(
-            name,
-            labels,
-            || Metric::Gauge(Arc::new(Gauge::new(self.on))),
-            |m| match m {
-                Metric::Gauge(g) => Some(Arc::clone(g)),
-                _ => None,
-            },
-        )
+    pub fn gauge_with(&self, name: Name<Gauge>, labels: &[(&str, &str)]) -> Arc<Gauge> {
+        register(&self.gauges, name, labels, || Gauge::new(self.on))
     }
 
     /// The named histogram (registered on first use).
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
+    pub fn histogram(&self, name: Name<Histogram>) -> Arc<Histogram> {
         self.histogram_with(name, &[])
     }
 
     /// A histogram carrying static labels.
-    pub fn histogram_with(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        self.register(
-            name,
-            labels,
-            || Metric::Histogram(Arc::new(Histogram::new(self.on))),
-            |m| match m {
-                Metric::Histogram(h) => Some(Arc::clone(h)),
-                _ => None,
-            },
-        )
-    }
-
-    /// Time a closure into the named histogram — the string-addressed
-    /// span timer (`obs.time("wal.append", || …)`). Hot paths should
-    /// hold the [`Registry::histogram`] handle instead and call
-    /// [`Histogram::time`] directly; this pays one map lookup.
-    pub fn time<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
-        if !self.on {
-            return f();
-        }
-        self.histogram(name).time(f)
+    pub fn histogram_with(&self, name: Name<Histogram>, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        register(&self.histograms, name, labels, || Histogram::new(self.on))
     }
 
     /// Record an event into the ring.
@@ -144,33 +108,6 @@ impl Registry {
     /// The recent-events ring.
     pub fn events(&self) -> &EventRing {
         &self.events
-    }
-
-    // Poison recovery (both `metrics` acquisitions below): the map's only
-    // writer inserts one fully-constructed metric per critical section,
-    // so a panicked holder leaves a smaller but valid registry.
-    fn register<T>(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        make: impl FnOnce() -> Metric,
-        get: impl Fn(&Metric) -> Option<T>,
-    ) -> T {
-        let key = || {
-            (
-                name.to_string(),
-                labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
-            )
-        };
-        let lookup = key();
-        if let Some(m) = self.metrics.read().unwrap_or_else(PoisonError::into_inner).get(&lookup) {
-            return get(m).unwrap_or_else(|| {
-                panic!("metric {name:?} is already registered as a {}", m.kind())
-            });
-        }
-        let mut map = self.metrics.write().unwrap_or_else(PoisonError::into_inner);
-        let m = map.entry(lookup).or_insert_with(make);
-        get(m).unwrap_or_else(|| panic!("metric {name:?} is already registered as a {}", m.kind()))
     }
 
     /// Append every registered metric as exposition lines (sorted by
@@ -184,17 +121,32 @@ impl Registry {
     /// tagged observation carry an exemplar suffix
     /// `# {trace_id="<016x>"}`.
     pub fn expose_into(&self, out: &mut Exposition) {
-        // Poison recovery: registration (the only writer) inserts whole
-        // metrics, so a recovered read sees a valid registry — and hiding
-        // telemetry after a panic would hide the incident being diagnosed.
-        let map = self.metrics.read().unwrap_or_else(PoisonError::into_inner);
-        for ((name, labels), metric) in map.iter() {
+        enum Series<'a> {
+            Scalar(i128),
+            Histogram(&'a Histogram),
+        }
+        // Poison recovery (all three families): registration (the only
+        // writer) inserts whole metrics, so a recovered read sees a valid
+        // registry — and hiding telemetry after a panic would hide the
+        // incident being diagnosed.
+        let counters = self.counters.read().unwrap_or_else(PoisonError::into_inner);
+        let gauges = self.gauges.read().unwrap_or_else(PoisonError::into_inner);
+        let histograms = self.histograms.read().unwrap_or_else(PoisonError::into_inner);
+        // A name has one kind, so the three families never share a key
+        // and one sort interleaves them by name.
+        let mut all: Vec<(&Key, Series)> = counters
+            .iter()
+            .map(|(k, c)| (k, Series::Scalar(c.get().into())))
+            .chain(gauges.iter().map(|(k, g)| (k, Series::Scalar(g.get().into()))))
+            .chain(histograms.iter().map(|(k, h)| (k, Series::Histogram(h))))
+            .collect();
+        all.sort_by(|a, b| a.0.cmp(b.0));
+        for ((name, labels), series) in all {
             let labels: Vec<(&str, &str)> =
                 labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-            match metric {
-                Metric::Counter(c) => out.write_with(name, &labels, c.get()),
-                Metric::Gauge(g) => out.write_with(name, &labels, g.get()),
-                Metric::Histogram(h) => {
+            match series {
+                Series::Scalar(v) => out.line(name, &labels, v, None),
+                Series::Histogram(h) => {
                     let s = h.snapshot();
                     let bucket = format!("{name}_bucket");
                     let mut cum = 0u64;
@@ -210,17 +162,17 @@ impl Registry {
                         let mut with_le = labels.clone();
                         with_le.push(("le", le.as_str()));
                         let ex = (s.exemplars[i] != 0).then(|| format!("{:016x}", s.exemplars[i]));
-                        out.write_with_exemplar(&bucket, &with_le, cum, ex.as_deref());
+                        out.line(&bucket, &with_le, cum, ex.as_deref());
                     }
                     let mut with_inf = labels.clone();
                     with_inf.push(("le", "+Inf"));
-                    out.write_with(&bucket, &with_inf, s.count);
-                    out.write_with(&format!("{name}_sum"), &labels, s.sum_ns);
-                    out.write_with(&format!("{name}_count"), &labels, s.count);
+                    out.line(&bucket, &with_inf, s.count, None);
+                    out.line(&format!("{name}_sum"), &labels, s.sum_ns, None);
+                    out.line(&format!("{name}_count"), &labels, s.count, None);
                     for (q, v) in [("0.5", s.p50()), ("0.9", s.p90()), ("0.99", s.p99())] {
                         let mut with_q = labels.clone();
                         with_q.push(("quantile", q));
-                        out.write_with(name, &with_q, v);
+                        out.line(name, &with_q, v, None);
                     }
                 }
             }
@@ -235,53 +187,102 @@ impl Registry {
     }
 }
 
+/// The handle registered under `(name, labels)` in `family`, created by
+/// `make` on first use.
+// Poison recovery (both acquisitions): the family's only writer inserts
+// one fully-constructed metric per critical section, so a panicked
+// holder leaves a smaller but valid registry.
+fn register<T, K>(
+    family: &Family<T>,
+    name: Name<K>,
+    labels: &[(&str, &str)],
+    make: impl FnOnce() -> T,
+) -> Arc<T> {
+    let key: Key =
+        (name.as_str(), labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect());
+    if let Some(m) = family.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
+        return Arc::clone(m);
+    }
+    let mut map = family.write().unwrap_or_else(PoisonError::into_inner);
+    Arc::clone(map.entry(key).or_insert_with(|| Arc::new(make())))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{
+        CLUSTER_SHARDS, DOCS, EDITS_TOTAL, EDIT_NS, GATE_WAITERS, QUERY_NS, SHARD_HEALTH,
+        TRACE_OPEN, WAL_BYTES_TOTAL,
+    };
 
     #[test]
     fn registration_is_idempotent_and_shared() {
         let r = Registry::new();
-        let a = r.counter("cx_things_total");
-        let b = r.counter("cx_things_total");
+        let a = r.counter(EDITS_TOTAL);
+        let b = r.counter(EDITS_TOTAL);
         a.bump();
         b.bump();
         assert_eq!(a.get(), 2, "both handles name the same counter");
         // Distinct labels are distinct series.
-        let s0 = r.gauge_with("cx_depth", &[("shard", "0")]);
-        let s1 = r.gauge_with("cx_depth", &[("shard", "1")]);
+        let s0 = r.gauge_with(SHARD_HEALTH, &[("shard", "0")]);
+        let s1 = r.gauge_with(SHARD_HEALTH, &[("shard", "1")]);
         s0.set(4);
         assert_eq!(s1.get(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "already registered")]
-    fn kind_mismatch_panics() {
-        let r = Registry::new();
-        r.counter("cx_x");
-        r.gauge("cx_x");
-    }
-
-    #[test]
     fn render_is_sorted_and_complete() {
         let r = Registry::new();
-        r.counter("cx_b_total").add(2);
-        r.gauge("cx_a").set(-3);
-        r.histogram("cx_lat_ns").record_ns(1000);
+        r.counter(EDITS_TOTAL).add(2);
+        r.gauge(DOCS).set(-3);
+        r.histogram(EDIT_NS).record_ns(1000);
         let text = r.render();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,
             vec![
-                "cx_a -3",
-                "cx_b_total 2",
-                "cx_lat_ns_bucket{le=\"1023\"} 1",
-                "cx_lat_ns_bucket{le=\"+Inf\"} 1",
-                "cx_lat_ns_sum 1000",
-                "cx_lat_ns_count 1",
-                "cx_lat_ns{quantile=\"0.5\"} 1023",
-                "cx_lat_ns{quantile=\"0.9\"} 1023",
-                "cx_lat_ns{quantile=\"0.99\"} 1023",
+                "cx_docs -3",
+                "cx_edit_ns_bucket{le=\"1023\"} 1",
+                "cx_edit_ns_bucket{le=\"+Inf\"} 1",
+                "cx_edit_ns_sum 1000",
+                "cx_edit_ns_count 1",
+                "cx_edit_ns{quantile=\"0.5\"} 1023",
+                "cx_edit_ns{quantile=\"0.9\"} 1023",
+                "cx_edit_ns{quantile=\"0.99\"} 1023",
+                "cx_edits_total 2",
+            ]
+        );
+    }
+
+    #[test]
+    fn page_is_sorted_by_name_string_whatever_the_registration_order() {
+        let r = Registry::new();
+        r.gauge(TRACE_OPEN);
+        r.counter(WAL_BYTES_TOTAL);
+        r.gauge_with(SHARD_HEALTH, &[("shard", "1")]);
+        r.histogram(QUERY_NS);
+        r.gauge(GATE_WAITERS);
+        r.gauge_with(SHARD_HEALTH, &[("shard", "0")]);
+        r.counter(EDITS_TOTAL);
+        r.gauge(CLUSTER_SHARDS);
+        let text = r.render();
+        let series: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.contains("_bucket") && !l.contains("quantile"))
+            .map(|l| l.rsplit_once(' ').unwrap().0)
+            .collect();
+        assert_eq!(
+            series,
+            [
+                "cx_cluster_shards",
+                "cx_edits_total",
+                "cx_gate_waiters",
+                "cx_query_ns_sum",
+                "cx_query_ns_count",
+                "cx_shard_health{shard=\"0\"}",
+                "cx_shard_health{shard=\"1\"}",
+                "cx_trace_open",
+                "cx_wal_bytes_total",
             ]
         );
     }
@@ -289,27 +290,23 @@ mod tests {
     #[test]
     fn bucket_lines_are_cumulative_and_exemplars_render() {
         let r = Registry::new();
-        let h = r.histogram("cx_lat_ns");
+        let h = r.histogram(EDIT_NS);
         h.record_ns(1); // bucket 0, le="1"
         h.record_ns_tagged(1000, 0xabcd); // bucket 9, le="1023"
         let text = r.render();
-        assert!(text.contains("cx_lat_ns_bucket{le=\"1\"} 1\n"), "{text}");
+        assert!(text.contains("cx_edit_ns_bucket{le=\"1\"} 1\n"), "{text}");
         assert!(
-            text.contains("cx_lat_ns_bucket{le=\"1023\"} 2 # {trace_id=\"000000000000abcd\"}\n"),
+            text.contains("cx_edit_ns_bucket{le=\"1023\"} 2 # {trace_id=\"000000000000abcd\"}\n"),
             "{text}"
         );
-        assert!(text.contains("cx_lat_ns_bucket{le=\"+Inf\"} 2\n"), "{text}");
+        assert!(text.contains("cx_edit_ns_bucket{le=\"+Inf\"} 2\n"), "{text}");
     }
 
     #[test]
-    fn string_addressed_timer_registers_and_records() {
-        let r = Registry::new();
-        assert_eq!(r.time("cx_step_ns", || 7), 7);
-        assert_eq!(r.histogram("cx_step_ns").snapshot().count, 1);
-        // Disabled registries run the closure bare and keep nothing.
+    fn disabled_registries_keep_nothing() {
         let off = Registry::disabled();
-        assert_eq!(off.time("cx_step_ns", || 7), 7);
-        assert_eq!(off.histogram("cx_step_ns").snapshot().count, 0);
+        off.histogram(EDIT_NS).record_ns(7);
+        assert_eq!(off.histogram(EDIT_NS).snapshot().count, 0);
         off.event("x", "dropped");
         assert!(off.events().is_empty());
     }

@@ -4,6 +4,7 @@
 //! `le` ending in a mandatory `+Inf`, `_sum` and `_count` present
 //! exactly once per series, and `+Inf` equal to `_count`.
 
+use cxobs::names::{EDIT_NS, GATE_NS, SERVER_REQUEST_NS};
 use cxobs::Registry;
 
 /// Split one exposition line into (metric name, `le` label if any,
@@ -29,15 +30,15 @@ fn parse_line(line: &str) -> (String, Option<String>, String) {
 #[test]
 fn histogram_exposition_is_prometheus_conformant() {
     let r = Registry::new();
-    let h = r.histogram("cx_lat_ns");
+    let h = r.histogram(EDIT_NS);
     h.record_ns(1);
     h.record_ns(500);
     h.record_ns(500);
     h.record_ns(1_000_000);
-    r.histogram("cx_empty_ns"); // registered, never recorded
+    r.histogram(GATE_NS); // registered, never recorded
     let text = r.render();
 
-    for family in ["cx_lat_ns", "cx_empty_ns"] {
+    for family in [EDIT_NS.as_str(), GATE_NS.as_str()] {
         let bucket_name = format!("{family}_bucket");
         let mut bucket_lines: Vec<(Option<String>, u64)> = Vec::new();
         let mut sum = None;
@@ -86,13 +87,13 @@ fn histogram_exposition_is_prometheus_conformant() {
         assert!(finite.iter().all(|&(_, v)| v <= count), "{family}: bounded by count");
 
         match family {
-            "cx_lat_ns" => {
+            "cx_edit_ns" => {
                 assert_eq!(count, 4);
                 assert_eq!(sum, 1 + 500 + 500 + 1_000_000);
                 // 1 → le=1; 500,500 → le=511; 1_000_000 → le=1048575.
                 assert_eq!(finite, vec![(1, 1), (511, 3), (1_048_575, 4)]);
             }
-            "cx_empty_ns" => {
+            "cx_gate_ns" => {
                 assert_eq!((count, sum), (0, 0));
                 assert!(finite.is_empty(), "no observations, only +Inf");
             }
@@ -104,10 +105,10 @@ fn histogram_exposition_is_prometheus_conformant() {
 #[test]
 fn labeled_histograms_keep_their_labels_on_every_line() {
     let r = Registry::new();
-    r.histogram_with("cx_req_ns", &[("verb", "edit")]).record_ns(100);
+    r.histogram_with(SERVER_REQUEST_NS, &[("verb", "edit")]).record_ns(100);
     let text = r.render();
-    assert!(text.contains("cx_req_ns_bucket{verb=\"edit\",le=\"127\"} 1"), "{text}");
-    assert!(text.contains("cx_req_ns_bucket{verb=\"edit\",le=\"+Inf\"} 1"), "{text}");
-    assert!(text.contains("cx_req_ns_sum{verb=\"edit\"} 100"), "{text}");
-    assert!(text.contains("cx_req_ns_count{verb=\"edit\"} 1"), "{text}");
+    assert!(text.contains("cx_server_request_ns_bucket{verb=\"edit\",le=\"127\"} 1"), "{text}");
+    assert!(text.contains("cx_server_request_ns_bucket{verb=\"edit\",le=\"+Inf\"} 1"), "{text}");
+    assert!(text.contains("cx_server_request_ns_sum{verb=\"edit\"} 100"), "{text}");
+    assert!(text.contains("cx_server_request_ns_count{verb=\"edit\"} 1"), "{text}");
 }

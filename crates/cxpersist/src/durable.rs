@@ -26,7 +26,8 @@ use crate::snapshot::{
     list_snapshots, load_snapshot, prune_snapshots, sync_dir, validated_manifest, write_snapshot,
     StoreSnapshot,
 };
-use cxobs::{Exposition, Gauge, Histogram, Observable, Registry};
+use cxfault::Site;
+use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
@@ -190,11 +191,11 @@ struct PersistMetrics {
 impl PersistMetrics {
     fn new(r: &Registry) -> PersistMetrics {
         PersistMetrics {
-            wal_append_ns: r.histogram("cx_wal_append_ns"),
-            wal_fsync_ns: r.histogram("cx_wal_fsync_ns"),
-            checkpoint_ns: r.histogram("cx_checkpoint_ns"),
-            recovery_replay_ns: r.histogram("cx_recovery_replay_ns"),
-            degraded: r.gauge("cx_store_degraded"),
+            wal_append_ns: r.histogram(names::WAL_APPEND_NS),
+            wal_fsync_ns: r.histogram(names::WAL_FSYNC_NS),
+            checkpoint_ns: r.histogram(names::CHECKPOINT_NS),
+            recovery_replay_ns: r.histogram(names::RECOVERY_REPLAY_NS),
+            degraded: r.gauge(names::STORE_DEGRADED),
         }
     }
 }
@@ -599,7 +600,7 @@ impl DurableStore {
         };
         // Failpoint: a bootstrap capture that fails after the sync — the
         // fetch errors (the follower retries), nothing degrades.
-        cxfault::io_check("snapshot.capture")?;
+        cxfault::io_check(Site::SnapshotCapture)?;
         StoreSnapshot::capture(&self.store, lsn)
     }
 
@@ -868,14 +869,14 @@ impl DurableStore {
         // file back to the last good record — the log stays a valid
         // prefix, the operation is refused before it mutates memory — and
         // degrade the store.
-        if let Some(fault) = cxfault::fire("wal.append") {
+        if let Some(fault) = cxfault::fire(Site::WalAppend) {
             if let cxfault::InjectedFault::Torn(frac) = fault {
                 let keep = cxfault::torn_len(line.len(), frac);
                 let _ = w.file.write_all(&line.as_bytes()[..keep]);
             }
             let _ = w.file.set_len(pre_len);
             let _ = w.file.seek(SeekFrom::Start(pre_len));
-            let e = cxfault::io_error("wal.append");
+            let e = cxfault::io_error(Site::WalAppend);
             self.enter_degraded(&format!("WAL append failed: {e}"));
             trace.err(format!("injected: {e}"));
             return Err(e.into());
@@ -925,7 +926,7 @@ impl DurableStore {
             // sitting in the page cache with no way to make them durable,
             // so the store degrades (the caller additionally rolls back
             // its own record when this failure aborts an append).
-            let r = cxfault::io_check("wal.fsync").and_then(|()| {
+            let r = cxfault::io_check(Site::WalFsync).and_then(|()| {
                 self.metrics
                     .wal_fsync_ns
                     .time_tagged(cxtrace::current_trace_id(), || w.file.sync_data())
@@ -1003,8 +1004,8 @@ impl DurableStore {
             return Ok(StoreHealth::Healthy);
         }
         let mut w = lock(&self.wal);
-        cxfault::io_check("wal.append")?;
-        cxfault::io_check("wal.fsync")?;
+        cxfault::io_check(Site::WalAppend)?;
+        cxfault::io_check(Site::WalFsync)?;
         self.metrics.wal_fsync_ns.time(|| w.file.sync_data())?;
         w.dirty = 0;
         w.last_sync = Instant::now();
@@ -1178,8 +1179,9 @@ impl DurableStore {
 /// store; the cluster exposition does.
 pub fn expose_faults(out: &mut Exposition) {
     for s in cxfault::site_stats() {
-        out.write_with("cx_fault_hits_total", &[("site", &s.site)], s.hits);
-        out.write_with("cx_fault_fires_total", &[("site", &s.site)], s.fires);
+        let site = s.site.to_string();
+        out.write_with(names::FAULT_HITS_TOTAL, &[("site", &site)], s.hits);
+        out.write_with(names::FAULT_FIRES_TOTAL, &[("site", &site)], s.fires);
     }
 }
 

@@ -368,7 +368,7 @@ pub(crate) fn write_snapshot(
     // is left behind (ignored by recovery, replaced by the next attempt)
     // and the previous generation stays authoritative — exactly the
     // atomicity the rename is for.
-    cxfault::io_check("checkpoint.rename")?;
+    cxfault::io_check(cxfault::Site::CheckpointRename)?;
     fs::rename(&tmp_path, &final_path)?;
     sync_dir(dir)?;
     out.docs = manifest.docs.len();

@@ -9,7 +9,7 @@
 mod common;
 
 use common::TempDir;
-use cxfault::{Fault, Trigger};
+use cxfault::{Fault, Site, Trigger};
 use cxobs::Observable;
 use cxpersist::{scan, DurableStore, PersistError, StoreHealth};
 use cxstore::EditOp;
@@ -33,7 +33,7 @@ fn enospc_mid_append_degrades_but_never_tears_the_wal() {
     let wal_len = fs::metadata(dir.path().join("wal.log")).unwrap().len();
 
     // The disk fills: the next append fails like ENOSPC.
-    cxfault::configure("wal.append", Trigger::Always, Fault::Io);
+    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
     let err = store.edit(id, EditOp::InsertText { offset: 0, text: "LOST ".into() }).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Degraded);
@@ -94,7 +94,7 @@ fn torn_append_rolls_back_to_the_record_boundary() {
     // The write itself tears partway through the record (power loss
     // mid-write, short write on a full disk) — the append path persists
     // the torn prefix, then rolls the file back to the boundary.
-    cxfault::configure("wal.append", Trigger::Always, Fault::TornWrite(0.6));
+    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::TornWrite(0.6));
     let err = store.edit(id, EditOp::InsertText { offset: 0, text: "TORN ".into() }).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Degraded);
@@ -125,14 +125,14 @@ fn heal_fails_while_the_disk_is_still_sick_then_succeeds() {
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
 
-    cxfault::configure("wal.append", Trigger::Always, Fault::Io);
+    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
     assert!(store.edit(id, EditOp::InsertText { offset: 0, text: "x".into() }).is_err());
     assert_eq!(store.health(), StoreHealth::Degraded);
 
     // The append path recovered but fsync still fails: heal's re-probe
     // must refuse to clear the flag.
-    cxfault::disarm("wal.append");
-    cxfault::configure("wal.fsync", Trigger::Always, Fault::Io);
+    cxfault::disarm(Site::WalAppend);
+    cxfault::configure(Site::WalFsync, Trigger::Always, Fault::Io);
     assert!(store.heal().is_err());
     assert_eq!(store.health(), StoreHealth::Degraded, "a failed probe keeps the store read-only");
 
@@ -161,14 +161,14 @@ fn failed_snapshot_capture_errors_without_degrading() {
     // A bootstrap capture that fails after the log sync: the caller (a
     // follower fetch) sees the error and retries — the primary must not
     // flip read-only over a replication-path hiccup.
-    cxfault::configure("snapshot.capture", Trigger::Always, Fault::Io);
+    cxfault::configure(Site::SnapshotCapture, Trigger::Always, Fault::Io);
     let err = store.capture_snapshot().unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Healthy, "capture failure never degrades");
     store.edit(id, EditOp::InsertText { offset: 0, text: "still writable ".into() }).unwrap();
 
     // Fault gone: the retried capture ships the post-edit state.
-    cxfault::disarm("snapshot.capture");
+    cxfault::disarm(Site::SnapshotCapture);
     let snap = store.capture_snapshot().unwrap();
     assert_eq!(snap.lsn, store.last_lsn());
     assert_ne!(export(&store, "d"), before);
@@ -187,7 +187,7 @@ fn failed_checkpoint_rename_keeps_the_previous_generation_authoritative() {
     // ENOSPC/crash at the publish rename: the whole checkpoint is one
     // atomic rename away from existing, so a failure there must leave
     // only a `.tmp` leftover — never a half-visible generation.
-    cxfault::configure("checkpoint.rename", Trigger::Always, Fault::Io);
+    cxfault::configure(Site::CheckpointRename, Trigger::Always, Fault::Io);
     let err = store.checkpoint().unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Healthy, "a failed publish never degrades");

@@ -7,11 +7,10 @@
 
 use crate::error::{ReplError, Result};
 use crate::transport::{FetchResponse, LogTransport};
+use cxfault::{Failpoint, Site};
 
-/// Default failpoint site consulted by [`FaultTransport::new`].
-pub const FAULT_SITE: &str = "repl.fetch";
-
-/// A [`LogTransport`] that injects faults from the `cxfault` registry.
+/// A [`LogTransport`] that injects faults from the `cxfault` registry at
+/// [`Site::ReplFetch`].
 ///
 /// * [`cxfault::Fault::Io`] — the fetch fails outright (a dead peer, a
 ///   torn connection); the follower's backoff loop absorbs it.
@@ -26,19 +25,20 @@ pub const FAULT_SITE: &str = "repl.fetch";
 ///   (a congested link), then proceeds.
 pub struct FaultTransport<T: LogTransport> {
     inner: T,
-    site: String,
+    at: Failpoint,
 }
 
 impl<T: LogTransport> FaultTransport<T> {
-    /// Wrap `inner`, consulting the shared [`FAULT_SITE`] site.
+    /// Wrap `inner`, consulting the shared [`Site::ReplFetch`] failpoint.
     pub fn new(inner: T) -> FaultTransport<T> {
-        FaultTransport::with_site(inner, FAULT_SITE)
+        FaultTransport { inner, at: Site::ReplFetch.into() }
     }
 
-    /// Wrap `inner` with a private site name — lets a multi-link test
-    /// (one follower per shard) fault each link independently.
-    pub fn with_site(inner: T, site: impl Into<String>) -> FaultTransport<T> {
-        FaultTransport { inner, site: site.into() }
+    /// Wrap `inner` as link `link` (`repl.fetch.<link>`) — lets a
+    /// multi-link test (one follower per shard) fault each link
+    /// independently.
+    pub fn for_link(inner: T, link: usize) -> FaultTransport<T> {
+        FaultTransport { inner, at: Site::ReplFetch.link(link) }
     }
 
     /// Unwrap the inner transport.
@@ -49,8 +49,8 @@ impl<T: LogTransport> FaultTransport<T> {
 
 impl<T: LogTransport> LogTransport for FaultTransport<T> {
     fn fetch(&mut self, after: u64, max_bytes: usize) -> Result<FetchResponse> {
-        match cxfault::fire(&self.site) {
-            Some(cxfault::InjectedFault::Io) => Err(ReplError::Io(cxfault::io_error(&self.site))),
+        match cxfault::fire(self.at) {
+            Some(cxfault::InjectedFault::Io) => Err(ReplError::Io(cxfault::io_error(self.at))),
             Some(cxfault::InjectedFault::Torn(frac)) => {
                 match self.inner.fetch(after, max_bytes)? {
                     FetchResponse::Records { head, mut bytes } => {

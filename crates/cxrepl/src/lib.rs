@@ -58,7 +58,7 @@ mod tcp;
 mod transport;
 
 pub use error::{ReplError, Result};
-pub use fault::{FaultTransport, FAULT_SITE};
+pub use fault::FaultTransport;
 pub use follower::{Follower, FollowerError, FollowerHandle, RetryPolicy, SyncProgress};
 pub use primary::Primary;
 pub use replica::{BatchApply, ReplicaStore};

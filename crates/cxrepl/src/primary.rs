@@ -2,7 +2,7 @@
 
 use crate::error::{ReplError, Result};
 use crate::transport::FetchResponse;
-use cxobs::{Exposition, Histogram, Observable};
+use cxobs::{names, Exposition, Histogram, Observable};
 use cxpersist::{DurableStore, TailShipment};
 use cxstore::StoreStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +29,7 @@ pub struct Primary {
 impl Primary {
     /// Serve `durable`'s log.
     pub fn new(durable: Arc<DurableStore>) -> Primary {
-        let ship_ns = durable.registry().histogram("cx_repl_ship_ns");
+        let ship_ns = durable.registry().histogram(names::REPL_SHIP_NS);
         Primary {
             durable,
             records_shipped: AtomicU64::new(0),

@@ -1,7 +1,7 @@
 //! The applying side: a live read-only store that follows a shipped log.
 
 use crate::error::{ReplError, Result};
-use cxobs::{Exposition, Histogram, Observable};
+use cxobs::{names, Exposition, Histogram, Observable};
 use cxpersist::{apply_logged, scan_batch, Applied, DurableStore, Options, StoreSnapshot};
 use cxstore::{Store, StoreStats};
 use std::collections::HashSet;
@@ -82,7 +82,7 @@ impl ReplicaStore {
     /// otherwise).
     pub fn new() -> ReplicaStore {
         let store = Store::new();
-        let apply_ns = store.registry().histogram("cx_repl_apply_ns");
+        let apply_ns = store.registry().histogram(names::REPL_APPLY_NS);
         ReplicaStore {
             store,
             apply: Mutex::default(),

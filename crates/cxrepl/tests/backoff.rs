@@ -7,11 +7,10 @@
 mod common;
 
 use common::TempDir;
-use cxfault::{Fault, Trigger};
+use cxfault::{Fault, Site, Trigger};
 use cxpersist::{DurableStore, FsyncPolicy, Options};
 use cxrepl::{
-    FaultTransport, Follower, FollowerError, InProcessTransport, Primary, ReplicaStore,
-    RetryPolicy, FAULT_SITE,
+    FaultTransport, Follower, FollowerError, InProcessTransport, Primary, ReplicaStore, RetryPolicy,
 };
 use cxstore::{EditOp, Store};
 use std::collections::BTreeMap;
@@ -86,7 +85,7 @@ fn transient_outage_backs_off_recovers_and_converges() {
 
     // Every other fetch on this link fails — a flapping primary, not a
     // dead one.
-    cxfault::configure(FAULT_SITE, Trigger::EveryN(2), Fault::Io);
+    cxfault::configure(Site::ReplFetch, Trigger::EveryN(2), Fault::Io);
     let handle = Follower::new(Arc::clone(&replica), transport).spawn(Duration::from_millis(2));
 
     // Keep writing through the flapping; the follower must make progress
@@ -137,7 +136,7 @@ fn exhausted_retry_budget_parks_typed_with_replica_still_readable() {
 
     // The link goes fully dark; a 3-failure budget must park the loop
     // instead of retrying forever.
-    cxfault::configure(FAULT_SITE, Trigger::Always, Fault::Io);
+    cxfault::configure(Site::ReplFetch, Trigger::Always, Fault::Io);
     let policy = RetryPolicy::new(Duration::from_millis(1)).with_retry_budget(3);
     let handle = follower.spawn_with(policy);
     let deadline = Instant::now() + Duration::from_secs(5);

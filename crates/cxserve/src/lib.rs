@@ -48,4 +48,4 @@ pub mod server;
 pub use client::{Client, ClientOptions, RouterClient};
 pub use error::{Result, ServeError, WireError, WireErrorKind};
 pub use proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb, VERSION};
-pub use server::{ClusterServer, ServerOptions, SERVE_REQUEST_SITE};
+pub use server::{ClusterServer, ServerOptions};

@@ -9,7 +9,7 @@
 //! makes client-side pipelining work).
 //!
 //! Failure containment, per request:
-//! * the [`SERVE_REQUEST_SITE`] failpoint fires first — chaos tests
+//! * the [`Site::ServeRequest`] failpoint fires first — chaos tests
 //!   inject errors, delays, and panics here without touching the store;
 //! * a handler panic is caught and answered as a typed `server` error —
 //!   the connection (and the server) outlive it;
@@ -26,10 +26,11 @@
 //! registry as `cx_server_*` metrics and `serve.*` events, so the
 //! `METRICS` verb serves one page for the whole stack, store to socket.
 
-use crate::error::WireError;
-use crate::proto::{Request, Response, TraceQuery};
+use crate::error::{WireError, WireErrorKind};
+use crate::proto::{Request, Response, TraceQuery, Verb};
 use cxcluster::{Cluster, ClusterError, ShardId};
-use cxobs::{Counter, Exposition, Gauge, Histogram, Observable, Registry};
+use cxfault::Site;
+use cxobs::{names, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::PersistError;
 use cxstore::DocId;
 use std::io::{ErrorKind, Read};
@@ -37,16 +38,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Failpoint crossed at the top of every request, before decoding — arm
-/// it to make the server error ([`cxfault::Fault::Io`]), stall
-/// ([`cxfault::Fault::Delay`], which the deadline then converts into a
-/// typed `deadline` frame), or panic ([`cxfault::Fault::Panic`], which
-/// the handler catches and answers as a `server` error) on a schedule.
-pub const SERVE_REQUEST_SITE: &str = "serve.request";
 
 /// Tuning for a [`ClusterServer`].
 #[derive(Debug, Clone)]
@@ -91,30 +85,69 @@ struct Service {
     panics: Arc<Counter>,
     busy: Arc<Counter>,
     connections: Arc<Gauge>,
+    /// `cx_server_request_ns{server=…,verb=…}`, one slot per
+    /// [`Served::slot`], each registered on first use — so the page shows
+    /// only the verbs actually served, and a request after the first of
+    /// its verb touches no lock and allocates nothing.
+    request_ns: [OnceLock<Arc<Histogram>>; Served::SLOTS],
+    /// `cx_server_errors_total{kind=…,server=…}`, one slot per
+    /// [`WireErrorKind`], registered on first use like `request_ns`.
+    errors: [OnceLock<Arc<Counter>>; WireErrorKind::ALL.len()],
     obs: Arc<Registry>,
 }
 
-impl Service {
-    /// Per-verb request latency: `cx_server_request_ns{server=…,verb=…}`.
-    /// The registry interns by full label set, so repeated lookups for
-    /// the same verb return the same histogram — one per verb actually
-    /// served, not one per possible verb.
-    fn request_ns(&self, verb: &'static str) -> Arc<Histogram> {
-        self.obs.histogram_with(
-            "cx_server_request_ns",
-            &[("server", &self.scope_label), ("verb", verb)],
-        )
+/// The `verb` label of a served request: its decoded verb, or one of the
+/// two outcomes that never decoded one.
+#[derive(Debug, Clone, Copy)]
+enum Served {
+    Verb(Verb),
+    /// Refused before decoding: an injected fault or an unparsable frame.
+    Unknown,
+    /// The handler panicked.
+    Panic,
+}
+
+impl Served {
+    /// One slot per verb, then `unknown`, then `panic`.
+    const SLOTS: usize = Verb::ALL.len() + 2;
+
+    fn slot(self) -> usize {
+        match self {
+            Served::Verb(v) => v as usize,
+            Served::Unknown => Verb::ALL.len(),
+            Served::Panic => Verb::ALL.len() + 1,
+        }
     }
 
-    /// Per-kind error counter: `cx_server_errors_total{kind=…,server=…}`
-    /// — the kind tags come from [`WireError::kind`], so the label set is
-    /// closed and stable.
-    fn count_error(&self, kind: &'static str) {
-        self.obs
-            .counter_with(
-                "cx_server_errors_total",
-                &[("kind", kind), ("server", &self.scope_label)],
+    fn name(self) -> &'static str {
+        match self {
+            Served::Verb(v) => v.name(),
+            Served::Unknown => "unknown",
+            Served::Panic => "panic",
+        }
+    }
+}
+
+impl Service {
+    /// The request-latency histogram for `served`.
+    fn request_ns(&self, served: Served) -> &Histogram {
+        self.request_ns[served.slot()].get_or_init(|| {
+            self.obs.histogram_with(
+                names::SERVER_REQUEST_NS,
+                &[("server", &self.scope_label), ("verb", served.name())],
             )
+        })
+    }
+
+    /// Count one error reply of `kind`.
+    fn count_error(&self, kind: WireErrorKind) {
+        self.errors[kind as usize]
+            .get_or_init(|| {
+                self.obs.counter_with(
+                    names::SERVER_ERRORS_TOTAL,
+                    &[("kind", kind.name()), ("server", &self.scope_label)],
+                )
+            })
             .bump();
     }
 }
@@ -159,10 +192,12 @@ impl ClusterServer {
         let labels: &[(&str, &str)] = &[("server", &scope_label)];
         let svc = Arc::new(Service {
             deadline: options.deadline,
-            requests: obs.counter_with("cx_server_requests_total", labels),
-            panics: obs.counter_with("cx_server_panics_total", labels),
-            busy: obs.counter_with("cx_server_busy_total", labels),
-            connections: obs.gauge_with("cx_server_connections", labels),
+            requests: obs.counter_with(names::SERVER_REQUESTS_TOTAL, labels),
+            panics: obs.counter_with(names::SERVER_PANICS_TOTAL, labels),
+            busy: obs.counter_with(names::SERVER_BUSY_TOTAL, labels),
+            connections: obs.gauge_with(names::SERVER_CONNECTIONS, labels),
+            request_ns: [const { OnceLock::new() }; Served::SLOTS],
+            errors: [const { OnceLock::new() }; WireErrorKind::ALL.len()],
             obs: Arc::clone(&obs),
             cluster,
             scope,
@@ -308,7 +343,7 @@ fn serve_connection(
                 // Hostile declared length: refused before any allocation.
                 // Answer typed, then drop the connection — the stream
                 // position can no longer be trusted.
-                svc.count_error("bad_request");
+                svc.count_error(WireErrorKind::BadRequest);
                 let resp = Response::Err(WireError::BadRequest(e.to_string()));
                 let _ = cxwire::write_frame(&mut stream, &resp.encode());
                 return Ok(());
@@ -338,7 +373,7 @@ fn respond(svc: &Service, payload: &[u8]) -> Response {
         None => cxtrace::span_or_root("serve.request"),
     };
     let started = Instant::now();
-    let (verb, resp) = match catch_unwind(AssertUnwindSafe(|| handle(svc, payload, started))) {
+    let (served, resp) = match catch_unwind(AssertUnwindSafe(|| handle(svc, payload, started))) {
         Ok(out) => out,
         Err(_) => {
             // The panic payload already went to stderr via the panic
@@ -346,35 +381,35 @@ fn respond(svc: &Service, payload: &[u8]) -> Response {
             // connection, and the server all survive it.
             svc.panics.bump();
             svc.obs.event("serve.panic", "request handler panicked; answered as server error");
-            ("panic", Response::Err(WireError::Server("request handler panicked".into())))
+            (Served::Panic, Response::Err(WireError::Server("request handler panicked".into())))
         }
     };
-    trace.attr("verb", verb);
+    trace.attr("verb", served.name());
     if let Response::Err(e) = &resp {
         trace.err(e.to_string());
-        svc.count_error(e.kind().name());
+        svc.count_error(e.kind());
     }
     // The histogram exemplar remembers which trace last landed in each
     // latency bucket — the bridge from "the p99 moved" to "this trace".
-    svc.request_ns(verb)
+    svc.request_ns(served)
         .record_ns_tagged(started.elapsed().as_nanos() as u64, cxtrace::current_trace_id());
     resp
 }
 
-fn handle(svc: &Service, payload: &[u8], started: Instant) -> (&'static str, Response) {
+fn handle(svc: &Service, payload: &[u8], started: Instant) -> (Served, Response) {
     // The chaos seam: `Io` becomes a typed `injected` frame, `Delay`
     // stalls right here (and may then trip the deadline below), `Panic`
     // unwinds into `respond`'s catch. It fires before decoding, so the
     // verb is contractually unknown on this path.
-    if cxfault::fire(SERVE_REQUEST_SITE).is_some() {
-        let e = WireError::Injected(cxfault::io_error(SERVE_REQUEST_SITE).to_string());
-        return ("unknown", Response::Err(e));
+    if cxfault::fire(Site::ServeRequest).is_some() {
+        let e = WireError::Injected(cxfault::io_error(Site::ServeRequest).to_string());
+        return (Served::Unknown, Response::Err(e));
     }
     let req = match Request::decode(payload) {
         Ok(r) => r,
-        Err(e) => return ("unknown", Response::Err(e)),
+        Err(e) => return (Served::Unknown, Response::Err(e)),
     };
-    let verb = req.verb().name();
+    let verb = Served::Verb(req.verb());
     let resp = dispatch(svc, req, started);
     if started.elapsed() > svc.deadline && !matches!(resp, Response::Err(_)) {
         let ms = svc.deadline.as_millis() as u64;
@@ -535,5 +570,21 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
     match r {
         Ok(resp) => resp,
         Err(e) => Response::Err(e),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn metric_slots_follow_declaration_order() {
+        for (i, &v) in Verb::ALL.iter().enumerate() {
+            assert_eq!(Served::Verb(v).slot(), i, "{v}");
+        }
+        assert_eq!(Served::Panic.slot() + 1, Served::SLOTS);
+        for (i, &k) in WireErrorKind::ALL.iter().enumerate() {
+            assert_eq!(k as usize, i, "{k}");
+        }
     }
 }

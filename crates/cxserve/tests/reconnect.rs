@@ -7,8 +7,8 @@ mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::Cluster;
-use cxfault::{Fault, Trigger};
-use cxserve::{Client, ClientOptions, ClusterServer, ServerOptions, SERVE_REQUEST_SITE};
+use cxfault::{Fault, Site, Trigger};
+use cxserve::{Client, ClientOptions, ClusterServer, ServerOptions};
 use cxstore::EditOp;
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ fn a_batch_killed_mid_pipeline_recovers_without_duplicating_edits() {
         .map(|k| (docs[k % docs.len()], EditOp::InsertText { offset: 0, text: format!("[{k}]") }))
         .collect();
     cxfault::configure(
-        SERVE_REQUEST_SITE,
+        Site::ServeRequest,
         Trigger::EveryN(1),
         Fault::Delay(Duration::from_millis(4)),
     );

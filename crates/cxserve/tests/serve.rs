@@ -6,10 +6,10 @@ mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Trigger};
+use cxfault::{Fault, Site, Trigger};
 use cxserve::{
     Client, ClientOptions, ClusterServer, Request, Response, RouterClient, ServeError,
-    ServerOptions, TraceQuery, Verb, WireError, SERVE_REQUEST_SITE,
+    ServerOptions, TraceQuery, Verb, WireError,
 };
 use cxstore::EditOp;
 use std::sync::Arc;
@@ -201,18 +201,18 @@ fn injected_faults_deadlines_and_panics_are_contained() {
     let raw =
         Client::connect(server.addr(), ClientOptions { retries: 0, ..ClientOptions::default() })
             .unwrap();
-    cxfault::configure(SERVE_REQUEST_SITE, Trigger::Nth(1), Fault::Io);
+    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     let hit = raw.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Injected(_)))), "{hit:?}");
     assert!(!c.query(id, "//w").unwrap().is_empty());
 
     // The default client retries straight through a one-shot injection:
     // injected fires pre-decode, so the retry is safe even for writes.
-    cxfault::configure(SERVE_REQUEST_SITE, Trigger::Nth(1), Fault::Io);
+    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     assert!(!c.query(id, "//w").unwrap().is_empty(), "retry absorbed the injected fault");
 
     // A handler panic is caught: typed server error, connection lives.
-    cxfault::configure(SERVE_REQUEST_SITE, Trigger::Nth(1), Fault::Panic);
+    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Panic);
     let hit = c.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Server(_)))), "{hit:?}");
     assert!(!c.query(id, "//w").unwrap().is_empty());
@@ -220,7 +220,7 @@ fn injected_faults_deadlines_and_panics_are_contained() {
     // A stall past the deadline comes back as a typed deadline error
     // (driven on the raw client so the retry machinery stays out of it).
     cxfault::configure(
-        SERVE_REQUEST_SITE,
+        Site::ServeRequest,
         Trigger::Nth(1),
         Fault::Delay(Duration::from_millis(600)),
     );
@@ -231,7 +231,7 @@ fn injected_faults_deadlines_and_panics_are_contained() {
     // probe instead of double-applying.
     let e0 = c.epoch(id).unwrap();
     cxfault::configure(
-        SERVE_REQUEST_SITE,
+        Site::ServeRequest,
         Trigger::Nth(1),
         Fault::Delay(Duration::from_millis(600)),
     );

@@ -8,10 +8,8 @@ mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Trigger};
-use cxserve::{
-    Client, ClientOptions, ClusterServer, ServeError, ServerOptions, WireError, SERVE_REQUEST_SITE,
-};
+use cxfault::{Fault, Site, Trigger};
+use cxserve::{Client, ClientOptions, ClusterServer, ServeError, ServerOptions, WireError};
 use cxstore::{DocId, EditOp, Store};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -134,7 +132,7 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
     let addr = server.addr();
 
     // Request faults fire for the whole run.
-    cxfault::configure_seeded(SERVE_REQUEST_SITE, Trigger::Probability(fault_p), Fault::Io, 23);
+    cxfault::configure_seeded(Site::ServeRequest, Trigger::Probability(fault_p), Fault::Io, 23);
 
     let applied_total = Arc::new(AtomicUsize::new(0));
     let injected_hits = Arc::new(AtomicUsize::new(0));
@@ -215,7 +213,7 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
         done.store(true, Ordering::Relaxed);
     });
 
-    let fault_fires = cxfault::fires(SERVE_REQUEST_SITE);
+    let fault_fires = cxfault::fires(Site::ServeRequest);
     cxfault::clear();
     assert_eq!(applied_total.load(Ordering::Relaxed), target_total);
     assert!(fault_fires > 0, "the request-fault schedule actually fired");

@@ -11,10 +11,9 @@ mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Trigger};
+use cxfault::{Fault, Site, Trigger};
 use cxserve::{
     Client, ClientOptions, ClusterServer, RouterClient, ServeError, ServerOptions, WireError,
-    SERVE_REQUEST_SITE,
 };
 use cxstore::EditOp;
 use cxtrace::{FinishedTrace, TraceConfig};
@@ -180,7 +179,7 @@ fn a_delayed_request_survives_normal_churn() {
     // Exactly one request stalls server-side, long enough to classify
     // slow but far under the server deadline.
     cxfault::configure(
-        SERVE_REQUEST_SITE,
+        Site::ServeRequest,
         Trigger::Nth(1),
         Fault::Delay(Duration::from_millis(80)),
     );
@@ -218,7 +217,7 @@ fn injected_faults_produce_complete_error_annotated_traces() {
     let id = c.insert(&manuscript(20, 5)).unwrap();
 
     let _trace = cxtrace::Scenario::setup();
-    cxfault::configure(SERVE_REQUEST_SITE, Trigger::Nth(1), Fault::Io);
+    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     match c.query(id, "//w") {
         Err(ServeError::Remote(WireError::Injected(_))) => {}
         other => panic!("expected the injected refusal, got {other:?}"),

@@ -1,7 +1,7 @@
 //! Store-level observability: lock-free counters plus an aggregated
 //! snapshot building on `goddag::GoddagStats`.
 
-use cxobs::{Exposition, Histogram, Registry};
+use cxobs::{names, Exposition, Histogram, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -48,10 +48,10 @@ pub(crate) struct StoreMetrics {
 impl StoreMetrics {
     pub(crate) fn new(r: &Registry) -> StoreMetrics {
         StoreMetrics {
-            edit_ns: r.histogram("cx_edit_ns"),
-            gate_ns: r.histogram("cx_gate_ns"),
-            query_ns: r.histogram("cx_query_ns"),
-            query_all_ns: r.histogram("cx_query_all_ns"),
+            edit_ns: r.histogram(names::EDIT_NS),
+            gate_ns: r.histogram(names::GATE_NS),
+            query_ns: r.histogram(names::QUERY_NS),
+            query_all_ns: r.histogram(names::QUERY_ALL_NS),
         }
     }
 }
@@ -173,37 +173,37 @@ impl StoreStats {
     /// snapshot-shaped half of a store's [`cxobs::Observable`] output
     /// (its registry's histograms and gauges are the other half).
     pub fn expose_into(&self, out: &mut Exposition) {
-        out.write("cx_docs", self.docs);
-        out.write("cx_elements", self.elements);
-        out.write("cx_leaves", self.leaves);
-        out.write("cx_content_bytes", self.content_bytes);
-        out.write("cx_estimated_bytes", self.estimated_bytes);
-        out.write("cx_epochs_total", self.epochs);
-        out.write("cx_warm_indexes", self.warm_indexes);
-        out.write("cx_compiled_queries", self.compiled_queries);
-        out.write("cx_queries_total", self.queries);
-        out.write("cx_batch_queries_total", self.batch_queries);
-        out.write("cx_index_hits_total", self.index_hits);
-        out.write("cx_index_builds_total", self.index_builds);
-        out.write("cx_query_cache_hits_total", self.query_cache_hits);
-        out.write("cx_query_cache_misses_total", self.query_cache_misses);
-        out.write("cx_edits_total", self.edits);
-        out.write("cx_edits_rejected_total", self.edits_rejected);
-        out.write("cx_wal_appends_total", self.wal_appends);
-        out.write("cx_wal_bytes_total", self.wal_bytes);
-        out.write("cx_wal_fsyncs_total", self.wal_fsyncs);
-        out.write("cx_checkpoints_total", self.checkpoints);
-        out.write("cx_replayed_ops_total", self.replayed_ops);
-        out.write("cx_recovered_docs_total", self.recovered_docs);
-        out.write("cx_repl_records_shipped_total", self.repl_records_shipped);
-        out.write("cx_repl_records_applied_total", self.repl_records_applied);
-        out.write("cx_repl_lag", self.repl_lag);
-        out.write("cx_cluster_shards", self.cluster_shards);
-        out.write("cx_docs_moved_total", self.docs_moved);
-        out.write("cx_tail_cache_hits_total", self.tail_cache_hits);
-        out.write("cx_tail_cache_misses_total", self.tail_cache_misses);
-        out.write("cx_writes_in_flight", self.writes_in_flight);
-        out.write("cx_writers_waiting", self.writers_waiting);
+        out.write(names::DOCS, self.docs);
+        out.write(names::ELEMENTS, self.elements);
+        out.write(names::LEAVES, self.leaves);
+        out.write(names::CONTENT_BYTES, self.content_bytes);
+        out.write(names::ESTIMATED_BYTES, self.estimated_bytes);
+        out.write(names::EPOCHS_TOTAL, self.epochs);
+        out.write(names::WARM_INDEXES, self.warm_indexes);
+        out.write(names::COMPILED_QUERIES, self.compiled_queries);
+        out.write(names::QUERIES_TOTAL, self.queries);
+        out.write(names::BATCH_QUERIES_TOTAL, self.batch_queries);
+        out.write(names::INDEX_HITS_TOTAL, self.index_hits);
+        out.write(names::INDEX_BUILDS_TOTAL, self.index_builds);
+        out.write(names::QUERY_CACHE_HITS_TOTAL, self.query_cache_hits);
+        out.write(names::QUERY_CACHE_MISSES_TOTAL, self.query_cache_misses);
+        out.write(names::EDITS_TOTAL, self.edits);
+        out.write(names::EDITS_REJECTED_TOTAL, self.edits_rejected);
+        out.write(names::WAL_APPENDS_TOTAL, self.wal_appends);
+        out.write(names::WAL_BYTES_TOTAL, self.wal_bytes);
+        out.write(names::WAL_FSYNCS_TOTAL, self.wal_fsyncs);
+        out.write(names::CHECKPOINTS_TOTAL, self.checkpoints);
+        out.write(names::REPLAYED_OPS_TOTAL, self.replayed_ops);
+        out.write(names::RECOVERED_DOCS_TOTAL, self.recovered_docs);
+        out.write(names::REPL_RECORDS_SHIPPED_TOTAL, self.repl_records_shipped);
+        out.write(names::REPL_RECORDS_APPLIED_TOTAL, self.repl_records_applied);
+        out.write(names::REPL_LAG, self.repl_lag);
+        out.write(names::CLUSTER_SHARDS, self.cluster_shards);
+        out.write(names::DOCS_MOVED_TOTAL, self.docs_moved);
+        out.write(names::TAIL_CACHE_HITS_TOTAL, self.tail_cache_hits);
+        out.write(names::TAIL_CACHE_MISSES_TOTAL, self.tail_cache_misses);
+        out.write(names::WRITES_IN_FLIGHT, self.writes_in_flight);
+        out.write(names::WRITERS_WAITING, self.writers_waiting);
     }
 
     /// Fraction of index lookups served from cache (0 when none yet).

@@ -1384,9 +1384,11 @@ mod tests {
         for line in ["cx_docs 1", "cx_edits_total 1", "cx_edits_rejected_total 1"] {
             assert!(text.contains(&format!("{line}\n")), "missing {line:?} in:\n{text}");
         }
-        for hist in ["cx_edit_ns", "cx_gate_ns", "cx_query_ns", "cx_query_all_ns"] {
-            assert!(text.contains(&format!("{hist}_count ")), "missing {hist} in:\n{text}");
-            assert!(store.registry().histogram(hist).count() > 0, "{hist} never recorded");
+        use cxobs::names::{EDIT_NS, GATE_NS, QUERY_ALL_NS, QUERY_NS};
+        for hist in [EDIT_NS, GATE_NS, QUERY_NS, QUERY_ALL_NS] {
+            let name = hist.as_str();
+            assert!(text.contains(&format!("{name}_count ")), "missing {name} in:\n{text}");
+            assert!(store.registry().histogram(hist).count() > 0, "{name} never recorded");
         }
         // The gate rejection left a post-mortem event behind.
         let events = store.registry().events().recent();
@@ -1395,7 +1397,7 @@ mod tests {
         let off = Store::with_registry(Arc::new(cxobs::Registry::disabled()));
         let id = off.insert(corpus::figure1::goddag());
         off.query(id, "//w").unwrap();
-        assert_eq!(off.registry().histogram("cx_query_ns").count(), 0);
+        assert_eq!(off.registry().histogram(QUERY_NS).count(), 0);
         assert!(off.exposition().contains("cx_query_ns_count 0\n"));
     }
 

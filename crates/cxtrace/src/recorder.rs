@@ -3,7 +3,7 @@
 //! churn can never evict them.
 
 use crate::span::SpanRecord;
-use cxobs::Exposition;
+use cxobs::{names, Exposition};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -345,14 +345,14 @@ pub fn clear() {
 /// Append the recorder's `cx_trace_*` lines to an exposition page.
 pub fn expose_into(out: &mut Exposition) {
     let s = stats();
-    out.write("cx_trace_started_total", s.started);
-    out.write("cx_trace_finished_total", s.finished);
-    out.write("cx_trace_slow_total", s.slow);
-    out.write("cx_trace_error_total", s.error);
-    out.write("cx_trace_spans_total", s.spans);
-    out.write("cx_trace_dropped_spans_total", s.dropped_spans);
-    out.write("cx_trace_dropped_traces_total", s.dropped_traces);
-    out.write("cx_trace_open", s.open);
+    out.write(names::TRACE_STARTED_TOTAL, s.started);
+    out.write(names::TRACE_FINISHED_TOTAL, s.finished);
+    out.write(names::TRACE_SLOW_TOTAL, s.slow);
+    out.write(names::TRACE_ERROR_TOTAL, s.error);
+    out.write(names::TRACE_SPANS_TOTAL, s.spans);
+    out.write(names::TRACE_DROPPED_SPANS_TOTAL, s.dropped_spans);
+    out.write(names::TRACE_DROPPED_TRACES_TOTAL, s.dropped_traces);
+    out.write(names::TRACE_OPEN, s.open);
 }
 
 /// Render a duration with a unit a human scans fast.

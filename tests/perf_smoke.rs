@@ -154,7 +154,7 @@ fn disarmed_failpoints_stay_within_nanoseconds() {
     let run = || -> Duration {
         let t = Instant::now();
         for _ in 0..CALLS {
-            assert!(cxfault::fire(std::hint::black_box("wal.append")).is_none());
+            assert!(cxfault::fire(std::hint::black_box(cxfault::Site::WalAppend)).is_none());
         }
         t.elapsed()
     };
