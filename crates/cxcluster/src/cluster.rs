@@ -4,7 +4,7 @@ use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
 use cxfault::Site;
 use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
-use cxpersist::{CheckpointInfo, DocBlob, DurableStore, Options, StoreHealth};
+use cxpersist::{CheckpointInfo, Claim, DocBlob, DurableStore, LoggedDoc, Options, StoreHealth};
 use cxrepl::Primary;
 use cxstore::{DocId, EditOp, EditOutcome, StoreError, StoreStats};
 use goddag::Goddag;
@@ -85,16 +85,20 @@ impl PartialResults {
 ///   on rebalancing: they route, and if the document moved underneath them
 ///   they re-route — mid-migration the document is reachable on exactly
 ///   one side of the swap at all times.
-/// * **Writes** hold a shared **migration gate**; [`Cluster::move_doc`]
-///   holds it exclusively while it captures the document ([`DocBlob`] +
-///   epoch, under the doc lock), lands it durably on the target
-///   ([`DurableStore::receive_doc`] — the commit point), swaps the routing
+/// * **Writes** hold a shared **migration gate**. A document enters
+///   through [`Cluster::admit`] (which [`Cluster::insert`] and
+///   [`Cluster::insert_named`] call) and every edit through one routed
+///   body. [`Cluster::move_doc`] holds the gate exclusively while it
+///   captures the document ([`DocBlob`] + epoch, under the doc lock),
+///   lands it durably on the target under its own id
+///   ([`DurableStore::admit`] — the commit point), swaps the routing
 ///   entry and tombstones the source. A crash at any step leaves the
 ///   document recoverable on at least one shard with identical bytes;
 ///   [`Cluster::assemble`] resolves a both-sides residue deterministically.
 /// * **Fan-out** ([`Cluster::query_all`], [`Cluster::doc_ids`], stats) runs
 ///   one scoped thread per shard and merges by id — deterministic because
-///   ownership is exclusive and ids are unique.
+///   each shard contributes only the documents the route says it owns
+///   ([`Cluster::query_shard`]) and ids are unique.
 pub struct Cluster {
     shards: Vec<Arc<DurableStore>>,
     /// Lazily-built `cxrepl` shipping endpoints, one per shard, so each
@@ -410,151 +414,120 @@ impl Cluster {
     // Registry
     // ------------------------------------------------------------------
 
-    /// Add a document, placing it round-robin across the shards. The
-    /// minted id is congruent to the owning shard's index, so routing it
-    /// needs no table entry.
+    /// Add a document, placing it round-robin across the healthy shards;
+    /// see [`Cluster::admit`].
     pub fn insert(&self, g: Goddag) -> Result<DocId> {
-        let _shared = self.shared_gate();
-        let (shard, n, residue) = self.place()?;
-        let _inflight = self.shard_inflight[residue as usize].track();
-        shard.insert_aligned(None, g, n, residue).map_err(ClusterError::from)
+        self.admit(None, None, LoggedDoc::capture(g))
     }
 
-    /// Add a document under a name (replacing any previous cluster-wide
-    /// binding of that name; if the old binding lived on another shard it
-    /// is unbound there first, so a crash mid-rebind leaves the name
-    /// unbound, never split between shards).
+    /// Add a document under a name, placed round-robin; see
+    /// [`Cluster::admit`].
     pub fn insert_named(&self, name: impl Into<String>, g: Goddag) -> Result<DocId> {
-        let _shared = self.shared_gate();
-        let name = name.into();
-        let mut names = self.names_write();
-        let (shard, n, residue) = self.place()?;
-        let _inflight = self.shard_inflight[residue as usize].track();
-        let target = ShardId(residue as usize);
-        let retired = self.retire_foreign_binding(&names, &name, target)?;
-        match shard.insert_aligned(Some(name.clone()), g, n, residue) {
-            Ok(id) => {
-                names.insert(name, id);
-                Ok(id)
-            }
-            Err(e) => {
-                // The old binding is durably gone but the new one never
-                // landed: the directory must reflect that (an entry kept
-                // here would resolve until the next restart, then vanish).
-                if retired {
-                    names.remove(&name);
-                }
-                Err(e.into())
-            }
-        }
+        self.admit(None, Some(name.into()), LoggedDoc::capture(g))
     }
 
-    /// Add a document **on a specific shard** (optionally named),
-    /// bypassing round-robin placement — the insert path of a
-    /// shard-scoped server, where the client already decided which host
-    /// the document belongs to. The minted id keeps `shard`'s residue,
-    /// so the new document routes with no table entry.
-    pub fn insert_on(&self, shard: ShardId, name: Option<String>, g: Goddag) -> Result<DocId> {
+    /// Add a document — the one way in. `shard: None` places it
+    /// round-robin over the shards that can take a write (marked down or
+    /// degraded ones are skipped); `Some(s)` puts it on `s`, the insert
+    /// path of a shard-scoped server whose client already chose the host.
+    /// The minted id is congruent to the owning shard's index, so routing
+    /// it needs no table entry. A `name` replaces any previous cluster-wide
+    /// binding of it; a binding on another shard is unbound there first,
+    /// so a crash mid-rebind leaves the name unbound, never split between
+    /// shards.
+    pub fn admit(
+        &self,
+        shard: Option<ShardId>,
+        name: Option<String>,
+        doc: LoggedDoc,
+    ) -> Result<DocId> {
         let _shared = self.shared_gate();
-        self.shard(shard)?;
-        self.ensure_shard_up(shard.0)?;
-        let n = self.shards.len() as u64;
-        let residue = shard.0 as u64;
-        let _inflight = self.shard_inflight[shard.0].track();
+        let s = match shard {
+            Some(s) => {
+                self.shard(s)?;
+                self.ensure_shard_up(s.0)?;
+                s
+            }
+            None => self.place()?,
+        };
+        let _inflight = self.shard_inflight[s.0].track();
+        let claim = Claim::Residue { modulus: self.shards.len() as u64, residue: s.0 as u64 };
+        let store = &self.shards[s.0];
         match name {
-            None => {
-                self.shards[shard.0].insert_aligned(None, g, n, residue).map_err(ClusterError::from)
-            }
-            Some(name) => {
-                let mut names = self.names_write();
-                let retired = self.retire_foreign_binding(&names, &name, shard)?;
-                match self.shards[shard.0].insert_aligned(Some(name.clone()), g, n, residue) {
-                    Ok(id) => {
-                        names.insert(name, id);
-                        Ok(id)
-                    }
-                    Err(e) => {
-                        // Mirror `insert_named`: a durably retired old
-                        // binding must not linger in the directory.
-                        if retired {
-                            names.remove(&name);
-                        }
-                        Err(e.into())
-                    }
-                }
-            }
+            None => Ok(store.admit(claim, doc, &[])?),
+            Some(name) => self.bind_directory(name, s, |name| store.admit(claim, doc, &[name])),
         }
     }
 
-    /// Pick the next insert's shard: `(store, modulus, residue)`.
+    /// Pick the next insert's shard.
     ///
     /// Round-robin over the **healthy** shards: a shard that is marked
     /// down or whose store degraded is skipped — the minted id keeps its
     /// chosen shard's residue, so a document placed "out of turn" still
     /// routes with no table entry. Errors only when no shard can take a
     /// write at all.
-    fn place(&self) -> Result<(&Arc<DurableStore>, u64, u64)> {
-        let n = self.shards.len() as u64;
-        for _ in 0..self.shards.len() {
-            let s = self.next_insert.fetch_add(1, Ordering::Relaxed) % n;
-            let i = s as usize;
-            if self.down[i].load(Ordering::Acquire)
-                || self.shards[i].health() == StoreHealth::Degraded
+    fn place(&self) -> Result<ShardId> {
+        let n = self.shards.len();
+        for _ in 0..n {
+            let s = (self.next_insert.fetch_add(1, Ordering::Relaxed) % n as u64) as usize;
+            if self.down[s].load(Ordering::Acquire)
+                || self.shards[s].health() == StoreHealth::Degraded
             {
                 continue;
             }
-            return Ok((&self.shards[i], n, s));
+            return Ok(ShardId(s));
         }
         Err(ClusterError::Config("no healthy shard can accept new documents".into()))
     }
 
-    /// Unbind `name` on whatever shard currently holds it, unless that is
-    /// `target` (where the caller is about to rebind anyway). Returns
-    /// whether a binding was durably retired — if the caller's follow-up
-    /// bind then fails, it must drop the directory entry too (the durable
-    /// state has the name unbound). Caller holds the directory write lock.
-    fn retire_foreign_binding(
+    /// Bind `name` on `target` through `bind` (which returns the bound
+    /// document) and record it in the directory. A binding another shard
+    /// holds is durably unbound there first, so a crash mid-rebind leaves
+    /// the name unbound, never split between shards; if `bind` then fails,
+    /// the retired entry leaves the directory too — the durable state has
+    /// the name unbound, and an entry kept here would resolve until the
+    /// next restart, then vanish.
+    fn bind_directory(
         &self,
-        names: &HashMap<String, DocId>,
-        name: &str,
+        name: String,
         target: ShardId,
-    ) -> Result<bool> {
-        if let Some(&old) = names.get(name) {
-            let old_shard = self.router.shard_of(old);
-            if old_shard != target {
-                self.shards[old_shard.0].unbind_name(name)?;
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
-    /// Bind (or rebind) a name to a live document, durably on its owning
-    /// shard.
-    pub fn bind_name(&self, name: impl Into<String>, id: DocId) -> Result<()> {
-        let _shared = self.shared_gate();
-        let name = name.into();
+        bind: impl FnOnce(String) -> cxpersist::Result<DocId>,
+    ) -> Result<DocId> {
         let mut names = self.names_write();
-        let target = self.router.shard_of(id);
-        self.ensure_shard_up(target.0)?;
-        if !self.shards[target.0].store().contains(id) {
-            return Err(ClusterError::Store(StoreError::NoSuchDoc(id)));
-        }
-        let retired = self.retire_foreign_binding(&names, &name, target)?;
-        match self.shards[target.0].bind_name(name.clone(), id) {
-            Ok(()) => {
+        let holder = names.get(&name).map(|&old| self.router.shard_of(old));
+        let retired = match holder {
+            Some(old) if old != target => {
+                self.shards[old.0].unbind_name(&name)?;
+                true
+            }
+            _ => false,
+        };
+        match bind(name.clone()) {
+            Ok(id) => {
                 names.insert(name, id);
-                Ok(())
+                Ok(id)
             }
             Err(e) => {
-                // As in `insert_named`: a durably retired old binding must
-                // not linger in the directory when the new bind failed.
                 if retired {
                     names.remove(&name);
                 }
                 Err(e.into())
             }
         }
+    }
+
+    /// Bind (or rebind) a name to a live document, durably on its owning
+    /// shard.
+    pub fn bind_name(&self, name: impl Into<String>, id: DocId) -> Result<()> {
+        let _shared = self.shared_gate();
+        let target = self.router.shard_of(id);
+        self.ensure_shard_up(target.0)?;
+        let store = &self.shards[target.0];
+        if !store.store().contains(id) {
+            return Err(ClusterError::Store(StoreError::NoSuchDoc(id)));
+        }
+        self.bind_directory(name.into(), target, |name| store.bind_name(name, id).map(|()| id))?;
+        Ok(())
     }
 
     /// Drop a name binding (the document stays). Returns what it was bound
@@ -604,15 +577,8 @@ impl Cluster {
 
     /// Resolve a name and drop that document.
     pub fn remove_named(&self, name: &str) -> Result<DocId> {
-        let _shared = self.shared_gate();
-        let mut names = self.names_write();
-        let id = *names.get(name).ok_or_else(|| StoreError::NoSuchName(name.into()))?;
-        let s = self.router.shard_of(id).0;
-        self.ensure_shard_up(s)?;
-        let _inflight = self.shard_inflight[s].track();
-        self.shards[s].remove(id)?;
-        names.retain(|_, v| *v != id);
-        self.router.forget(id);
+        let id = self.id_by_name(name)?;
+        self.remove(id)?;
         Ok(id)
     }
 
@@ -632,8 +598,7 @@ impl Cluster {
 
     /// Total live documents.
     pub fn len(&self) -> usize {
-        let _shared = read_gate(&self.gate);
-        self.shards.iter().map(|s| s.store().len()).sum()
+        self.doc_ids().len()
     }
 
     /// True when no shard holds a document.
@@ -645,9 +610,33 @@ impl Cluster {
     /// id; round-robin placement interleaves the shards).
     pub fn doc_ids(&self) -> Vec<DocId> {
         let _shared = read_gate(&self.gate);
-        let mut out: Vec<DocId> = self.shards.iter().flat_map(|s| s.store().doc_ids()).collect();
+        let mut out = Vec::new();
+        for (s, shard) in self.shards.iter().enumerate() {
+            out.extend(shard.store().doc_ids().into_iter().filter(|&id| self.owns(ShardId(s), id)));
+        }
         out.sort_unstable();
         out
+    }
+
+    /// Whether `shard`'s copy of `id` is the one that counts: the route
+    /// names `shard`. A migration that fails part-way can leave a second
+    /// copy in a shard's memory (equal to its WAL) until the next
+    /// [`Cluster::assemble`] drops it; every listing and fan-out keeps
+    /// only the routed copy, as the routed reads do, so no document is
+    /// reported twice.
+    fn owns(&self, shard: ShardId, id: DocId) -> bool {
+        self.router.shard_of(id) == shard
+    }
+
+    /// One shard's part of a fan-out: its hits for `expr` on the
+    /// documents the route says it owns — what a shard-scoped server
+    /// answers, and what [`Cluster::query_all`] merges. A copy the route
+    /// does not name (left by a migration that failed part-way, until
+    /// the next [`Cluster::assemble`]) is never reported.
+    pub fn query_shard(&self, shard: ShardId, expr: &str) -> cxstore::Result<BatchHits> {
+        let mut hits = self.shards[shard.0].store().query_all(expr)?;
+        hits.retain(|&(id, _)| self.owns(shard, id));
+        Ok(hits)
     }
 
     // ------------------------------------------------------------------
@@ -718,18 +707,15 @@ impl Cluster {
         let _shared = read_gate(&self.gate);
         let _fanout = self.fanout_threads.track_n(self.shards.len() as i64);
         let results: Vec<cxstore::Result<BatchHits>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .enumerate()
-                .map(|(i, s)| {
+            let handles: Vec<_> = (0..self.shards.len())
+                .map(|i| {
                     // Child contexts are minted on the spawning thread so
                     // the per-shard spans hang off this query's span.
                     let ctx = parent.map(|p| p.child());
                     scope.spawn(move || {
                         let g = cxtrace::adopt("cluster.shard_query", ctx);
                         g.attr("shard", i);
-                        s.store().query_all(expr)
+                        self.query_shard(ShardId(i), expr)
                     })
                 })
                 .collect();
@@ -818,7 +804,7 @@ impl Cluster {
             match rx.recv_timeout(left) {
                 Ok((i, Ok(batch))) => {
                     answered[i] = true;
-                    hits.extend(batch);
+                    hits.extend(batch.into_iter().filter(|&(id, _)| self.owns(ShardId(i), id)));
                     outstanding -= 1;
                 }
                 Ok((i, Err(e))) => {
@@ -849,22 +835,7 @@ impl Cluster {
     /// Apply one gated [`EditOp`] on the owning shard — logged to that
     /// shard's WAL, prevalidated exactly as on a single primary.
     pub fn edit(&self, id: DocId, op: EditOp) -> Result<EditOutcome> {
-        let trace = cxtrace::span("cluster.edit");
-        trace.attr("doc", id.raw());
-        let _shared = self.shared_gate();
-        // Under the shared gate the route cannot change mid-edit.
-        let s = self.router.shard_of(id).0;
-        trace.attr("shard", s);
-        if let Err(e) = self.ensure_shard_up(s) {
-            trace.err(e.to_string());
-            return Err(e);
-        }
-        let _inflight = self.shard_inflight[s].track();
-        let r = self.shards[s].edit(id, op).map_err(ClusterError::from);
-        if let Err(e) = &r {
-            trace.err(e.to_string());
-        }
-        r
+        self.routed_edit(id, None, op)
     }
 
     /// [`Cluster::edit`] with a compare-and-set guard: applies only if
@@ -875,18 +846,26 @@ impl Cluster {
     /// leans on this to make remote edit retries exactly-once: a
     /// replayed edit that already landed reads back stale.
     pub fn edit_guarded(&self, id: DocId, expected: u64, op: EditOp) -> Result<EditOutcome> {
+        self.routed_edit(id, Some(expected), op)
+    }
+
+    fn routed_edit(&self, id: DocId, guard: Option<u64>, op: EditOp) -> Result<EditOutcome> {
         let trace = cxtrace::span("cluster.edit");
         trace.attr("doc", id.raw());
-        trace.attr("guard", expected);
+        if let Some(expected) = guard {
+            trace.attr("guard", expected);
+        }
         let _shared = self.shared_gate();
+        // Under the shared gate the route cannot change mid-edit.
         let s = self.router.shard_of(id).0;
         trace.attr("shard", s);
-        if let Err(e) = self.ensure_shard_up(s) {
-            trace.err(e.to_string());
-            return Err(e);
-        }
-        let _inflight = self.shard_inflight[s].track();
-        let r = self.shards[s].edit_guarded(id, expected, op).map_err(ClusterError::from);
+        let r = self.ensure_shard_up(s).and_then(|()| {
+            let _inflight = self.shard_inflight[s].track();
+            Ok(match guard {
+                None => self.shards[s].edit(id, op)?,
+                Some(expected) => self.shards[s].edit_guarded(id, expected, op)?,
+            })
+        });
         if let Err(e) = &r {
             trace.err(e.to_string());
         }
@@ -905,9 +884,10 @@ impl Cluster {
     /// 1. **capture** — the document's [`DocBlob`] under its read lock
     ///    (writers are drained, so this is the authoritative state) plus
     ///    its name bindings;
-    /// 2. **apply** — [`DurableStore::receive_doc`] on the target: the
-    ///    blob is logged to the target's WAL before anything else changes.
-    ///    This is the migration's commit point;
+    /// 2. **apply** — [`DurableStore::admit`] on the target under the
+    ///    document's own id: the blob is logged verbatim to the target's
+    ///    WAL (with the names) before anything else changes. This is the
+    ///    migration's commit point;
     /// 3. **swap** — the routing entry flips; readers now resolve to the
     ///    target (the source copy still exists but is unreachable);
     /// 4. **tombstone** — the source logs a `DocRemove` and drops its
@@ -915,7 +895,10 @@ impl Cluster {
     ///
     /// A crash after 2 leaves byte-identical copies on both shards;
     /// [`Cluster::assemble`] keeps exactly one (and heals names). A crash
-    /// before 2 leaves the document untouched on the source.
+    /// before 2 leaves the document untouched on the source. A live move
+    /// that fails part-way (a WAL append refused after 2 began) leaves the
+    /// same residue in memory; until the next assembly only the routed
+    /// copy is listed (see [`Cluster::query_shard`]).
     pub fn move_doc(&self, id: DocId, to: ShardId) -> Result<ShardId> {
         if to.0 >= self.shards.len() {
             return Err(ClusterError::NoSuchShard(to.0));
@@ -938,7 +921,7 @@ impl Cluster {
         let source = &self.shards[from.0];
         let blob = source.store().with_doc(id, DocBlob::capture).map_err(ClusterError::Store)?;
         let names = doc_names(source, id);
-        self.shards[to.0].receive_doc(id, &blob, &names)?;
+        self.shards[to.0].admit(Claim::Exact(id), LoggedDoc::restore(blob)?, &names)?;
         self.router.route(id, to);
         source.remove(id)?;
         self.docs_moved.fetch_add(1, Ordering::Relaxed);

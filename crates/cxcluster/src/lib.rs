@@ -14,18 +14,23 @@
 //!   unmoved document with no table at all; moved documents carry an
 //!   explicit override. The table is *derived* from where documents live —
 //!   there is no separate routing artifact to keep crash-consistent.
-//! * **[`Cluster`]** — the store-shaped façade: routed gated edits, a
-//!   cluster-level name directory (`id_by_name` / `remove_named` find a
-//!   document wherever it lives), fan-out `query_all` with a
-//!   deterministic id-sorted merge, aggregated stats.
+//! * **[`Cluster`]** — the store-shaped façade: one insert entry
+//!   ([`Cluster::admit`]: round-robin or a chosen shard, optionally named,
+//!   taking a [`cxpersist::LoggedDoc`] so a received blob is logged
+//!   without being captured again), routed gated edits, a cluster-level
+//!   name directory (`id_by_name` / `remove_named` find a document
+//!   wherever it lives), fan-out `query_all` with a deterministic
+//!   id-sorted merge, aggregated stats.
 //! * **Rebalancing** — [`Cluster::move_doc`] migrates a document between
 //!   primaries with the existing [`cxpersist::DocBlob`] + epoch machinery:
-//!   capture on the source, durable hand-off to the target
-//!   ([`cxpersist::DurableStore::receive_doc`] — the commit point), route
-//!   swap, tombstone. Readers stay live throughout and see the document on
+//!   capture on the source, durable hand-off to the target under the
+//!   document's own id ([`cxpersist::DurableStore::admit`] with
+//!   [`cxpersist::Claim::Exact`] — the commit point), route swap,
+//!   tombstone. Readers stay live throughout and see the document on
 //!   exactly one side; a crash at any step recovers to exactly one owner
-//!   with byte-identical stand-off. [`Cluster::drain_shard`]
-//!   decommissions a primary.
+//!   with byte-identical stand-off, and a live move that fails part-way
+//!   still lists the document once ([`Cluster::query_shard`]).
+//!   [`Cluster::drain_shard`] decommissions a primary.
 //! * **Per-shard replication** — [`Cluster::primary`] exposes each shard
 //!   as a [`cxrepl::Primary`], so every primary can front its own replica
 //!   set (reads scale per shard, writes scale across shards).

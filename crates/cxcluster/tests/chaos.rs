@@ -343,6 +343,50 @@ fn chaos(edits: usize) {
     assert_eq!(cluster_exports(&reopened), cl, "reopen reproduces the exact bytes");
 }
 
+/// A migration that fails part-way — at the target's `DocInsert`
+/// (append 1), its second name bind (append 2) or the source's tombstone
+/// after the route swap (append 3) — leaves a copy the route does not name
+/// in some shard's memory until the next assembly. Listing, counting and
+/// fan-out still see the document once, its name and reads resolve to
+/// the routed copy, and a reopen keeps exactly one copy with both names.
+#[test]
+fn a_migration_that_fails_part_way_lists_the_document_once() {
+    for k in 1..=3 {
+        let _fp = cxfault::Scenario::setup();
+        let dir = TempDir::new(&format!("move-fails-{k}"));
+        let options = Options { fsync: FsyncPolicy::EveryOp };
+        let c = Cluster::open(dir.shard_dirs(2), options.clone()).unwrap();
+        let id = c.insert_named("ms", corpus::figure1::goddag()).unwrap();
+        c.bind_name("ms-alias", id).unwrap();
+        let export = c.with_doc(id, sacx::export_standoff).unwrap();
+        let other = ShardId(1 - c.shard_of(id).0);
+
+        cxfault::configure(Site::WalAppend, Trigger::Nth(k), Fault::Io);
+        assert!(c.move_doc(id, other).is_err(), "append {k} of the move was refused");
+        cxfault::clear();
+        let copies = c.shards().iter().filter(|s| s.store().contains(id)).count();
+        assert_eq!(copies, if k == 1 { 1 } else { 2 }, "append {k}: the residue is real");
+
+        assert_eq!(c.doc_ids(), vec![id], "append {k}: listed once");
+        assert_eq!(c.len(), 1, "append {k}: counted once");
+        assert_eq!(c.query_all("//*").unwrap().len(), 1, "append {k}: fanned out once");
+        let part = c.query_all_partial("//*", Duration::from_secs(5));
+        assert!(part.is_complete(), "{:?}", part.errors);
+        assert_eq!(part.hits.len(), 1, "append {k}: partial fan-out once");
+        assert_eq!(c.id_by_name("ms").unwrap(), id);
+        assert_eq!(c.with_doc(id, sacx::export_standoff).unwrap(), export);
+
+        drop(c);
+        let c = Cluster::open(dir.shard_dirs(2), options).unwrap();
+        let copies = c.shards().iter().filter(|s| s.store().contains(id)).count();
+        assert_eq!(copies, 1, "append {k}: reopen keeps exactly one copy");
+        assert_eq!(c.doc_ids(), vec![id]);
+        assert_eq!(c.id_by_name("ms").unwrap(), id);
+        assert_eq!(c.id_by_name("ms-alias").unwrap(), id);
+        assert_eq!(c.with_doc(id, sacx::export_standoff).unwrap(), export);
+    }
+}
+
 #[test]
 fn chaos_soak_converges_byte_identical_after_faults_lift() {
     chaos(220);

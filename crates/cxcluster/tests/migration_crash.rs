@@ -14,7 +14,7 @@ mod common;
 
 use common::TempDir;
 use cxcluster::{Cluster, ShardId};
-use cxpersist::{DocBlob, DurableStore, FsyncPolicy, Options};
+use cxpersist::{Claim, DocBlob, DurableStore, FsyncPolicy, LoggedDoc, Options};
 use cxstore::{DocId, EditOp};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -84,7 +84,7 @@ fn crash_after(dirs: &[PathBuf], id: DocId, src: usize, steps: usize) {
         // Step 2/3: the durable hand-off (commit point). `steps == 2`
         // kills between the DocInsert record and the BindName records.
         let bind = if steps == 2 { &[][..] } else { &names[..] };
-        target.receive_doc(id, &blob, bind).unwrap();
+        target.admit(Claim::Exact(id), LoggedDoc::restore(blob).unwrap(), bind).unwrap();
     }
     if steps >= 5 {
         // Step 4 (route swap) is in-memory only. Step 5: tombstone.

@@ -247,6 +247,30 @@ impl DocBlob {
     }
 }
 
+/// A document on its way into a durable store: the GODDAG the store
+/// applies in memory and the [`DocBlob`] its `DocInsert` record logs.
+/// Built only by [`LoggedDoc::capture`] or [`LoggedDoc::restore`], so the
+/// two always describe the same document — a blob that arrived over the
+/// wire or from a migration is restored once and logged verbatim, never
+/// captured again.
+pub struct LoggedDoc {
+    pub(crate) goddag: Goddag,
+    pub(crate) blob: DocBlob,
+}
+
+impl LoggedDoc {
+    /// A document built in this process: capture its blob.
+    pub fn capture(goddag: Goddag) -> LoggedDoc {
+        LoggedDoc { blob: DocBlob::capture(&goddag), goddag }
+    }
+
+    /// A received blob: restore its document (failing as
+    /// [`DocBlob::restore`] does) and keep the blob as the record to log.
+    pub fn restore(blob: DocBlob) -> Result<LoggedDoc, PersistError> {
+        Ok(LoggedDoc { goddag: blob.restore()?, blob })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

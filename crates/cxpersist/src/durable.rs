@@ -19,7 +19,7 @@
 //! documents and rotates the log.
 
 use crate::apply::{apply_logged, Applied};
-use crate::blob::DocBlob;
+use crate::blob::LoggedDoc;
 use crate::codec::{encode_record, scan_tail, skip_record, WalOp, WAL_HEADER};
 use crate::error::{PersistError, Result};
 use crate::snapshot::{
@@ -28,7 +28,7 @@ use crate::snapshot::{
 };
 use cxfault::Site;
 use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
-use cxstore::{DocId, EditOp, EditOutcome, Store, StoreStats};
+use cxstore::{DocId, EditOp, EditOutcome, Store, StoreError, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -117,6 +117,26 @@ pub struct CheckpointInfo {
     /// epoch was unchanged, so the checkpoint hard-linked (or copied) the
     /// existing file instead of re-serializing the document.
     pub reused_docs: usize,
+}
+
+/// Which handle [`DurableStore::admit`] gives a document.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Claim {
+    /// The store's next id.
+    Next,
+    /// The next id `≡ residue (mod modulus)` — the write-sharding insert:
+    /// shard `i` of `n` primaries mints only ids `≡ i (mod n)`, so a hash
+    /// router maps every unmoved document back to the shard that owns it
+    /// without any lookup table.
+    Residue {
+        /// Number of id classes (the cluster's shard count).
+        modulus: u64,
+        /// The class to mint from (the owning shard's index).
+        residue: u64,
+    },
+    /// Exactly this id — a migrated document keeps its handle. Refused
+    /// while the handle is live.
+    Exact(DocId),
 }
 
 /// A WAL position: the last assigned LSN plus the byte length of the
@@ -681,14 +701,7 @@ impl DurableStore {
     /// Apply one [`EditOp`], durably: the record is appended (and synced
     /// per policy) before the document changes.
     pub fn edit(&self, id: DocId, op: EditOp) -> Result<EditOutcome> {
-        self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
-        match self.store.edit_with_log(id, op, |op, epoch| {
-            self.append(WalOp::Edit { doc: id, epoch, op: op.clone() })
-        }) {
-            Ok(result) => result.map_err(PersistError::Store),
-            Err(log_err) => Err(log_err),
-        }
+        self.logged_edit(id, None, op)
     }
 
     /// [`DurableStore::edit`] with a compare-and-set guard: the op
@@ -699,109 +712,75 @@ impl DurableStore {
     /// a true CAS, not a racy check-then-edit: two guarded writers with
     /// the same expectation cannot both apply.
     pub fn edit_guarded(&self, id: DocId, expected: u64, op: EditOp) -> Result<EditOutcome> {
-        self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
-        // The closure's error type distinguishes "guard mismatch" (the
-        // document is untouched and nothing was logged) from a real
-        // append failure.
-        enum GuardFail {
-            Stale(u64),
-            Log(PersistError),
-        }
-        match self.store.edit_with_log(id, op, |op, epoch| {
-            if epoch != expected {
-                return Err(GuardFail::Stale(epoch));
-            }
-            self.append(WalOp::Edit { doc: id, epoch, op: op.clone() }).map_err(GuardFail::Log)
-        }) {
-            Ok(result) => result.map_err(PersistError::Store),
-            Err(GuardFail::Stale(current)) => Err(PersistError::StaleEdit { expected, current }),
-            Err(GuardFail::Log(e)) => Err(e),
-        }
+        self.logged_edit(id, Some(expected), op)
     }
 
-    /// Add a document; its full blob rides in the log so it survives a
-    /// crash before the next checkpoint.
+    fn logged_edit(&self, id: DocId, guard: Option<u64>, op: EditOp) -> Result<EditOutcome> {
+        self.ensure_writable()?;
+        let _shared = read_gate(&self.gate);
+        // A guard mismatch leaves the document untouched and logs nothing.
+        self.store
+            .edit_with_log(id, op, |op, epoch| match guard {
+                Some(expected) if expected != epoch => {
+                    Err(PersistError::StaleEdit { expected, current: epoch })
+                }
+                _ => self.append(WalOp::Edit { doc: id, epoch, op: op.clone() }),
+            })?
+            .map_err(PersistError::Store)
+    }
+
+    /// Add a document under the store's next id; see
+    /// [`DurableStore::admit`].
     pub fn insert(&self, g: Goddag) -> Result<DocId> {
-        self.insert_inner(None, g, None)
+        self.admit(Claim::Next, LoggedDoc::capture(g), &[])
     }
 
-    /// Add a document under a name.
+    /// Add a document under a name; see [`DurableStore::admit`].
     pub fn insert_named(&self, name: impl Into<String>, g: Goddag) -> Result<DocId> {
-        self.insert_inner(Some(name.into()), g, None)
+        self.admit(Claim::Next, LoggedDoc::capture(g), &[name.into()])
     }
 
-    /// Add a document whose id is drawn from the `residue (mod modulus)`
-    /// range — the write-sharding insert: shard `i` of `n` primaries mints
-    /// only ids `≡ i (mod n)`, so a hash router maps every unmoved
-    /// document back to the shard that owns it without any lookup table.
-    pub fn insert_aligned(
-        &self,
-        name: Option<String>,
-        g: Goddag,
-        modulus: u64,
-        residue: u64,
-    ) -> Result<DocId> {
-        self.insert_inner(name, g, Some((modulus, residue)))
-    }
-
-    fn insert_inner(
-        &self,
-        name: Option<String>,
-        g: Goddag,
-        align: Option<(u64, u64)>,
-    ) -> Result<DocId> {
+    /// Add a document, durably, under the handle `claim` picks and bound
+    /// to `names` — the one way a document enters this store. Its blob
+    /// rides in a `DocInsert` record (carrying the first name; further
+    /// names follow as `BindName` records) appended before the store
+    /// changes, so it survives a crash before the next checkpoint. A
+    /// received blob is logged verbatim: a migrated document
+    /// ([`Claim::Exact`], the receiving half of a cluster `move_doc`) is
+    /// restored id-for-id and epoch-for-epoch, so its future edits replay
+    /// identically.
+    pub fn admit(&self, claim: Claim, doc: LoggedDoc, names: &[String]) -> Result<DocId> {
         self.ensure_writable()?;
         let _shared = read_gate(&self.gate);
-        let blob = DocBlob::capture(&g);
-        // The WAL mutex serializes id allocation among durable inserts, so
-        // the logged id and the applied id cannot be interleaved apart.
+        // The id claim and every record after it run under the WAL mutex:
+        // the logged id and the applied id cannot be interleaved apart, and
+        // a racing insert cannot take an exact handle between the liveness
+        // check and the append (a logged DocInsert followed by a failed
+        // local apply would make this shard's replicas diverge).
         let mut w = lock(&self.wal);
-        let id = DocId::from_raw(match align {
-            None => self.store.next_doc_raw(),
-            Some((m, r)) => self.store.allocate_doc_raw_aligned(m, r),
-        });
-        self.append_locked(&mut w, WalOp::DocInsert { doc: id, name: name.clone(), blob })?;
-        self.store.insert_with_id(id, g)?;
-        if let Some(name) = name {
-            self.store.bind_name(name, id)?;
-        }
-        Ok(id)
-    }
-
-    /// Install a migrated document under its original handle — the
-    /// receiving half of a cluster `move_doc`. The blob (captured on the
-    /// source primary under the document's lock) is logged verbatim as a
-    /// `DocInsert` record, so the hand-off is durable before the source
-    /// tombstones its copy, and the restored document is id-for-id and
-    /// epoch-for-epoch the source's (future edits replay identically).
-    /// `names` are the source's bindings for the document, re-bound (and
-    /// logged) here. Refuses a live handle.
-    pub fn receive_doc(&self, id: DocId, blob: &DocBlob, names: &[String]) -> Result<()> {
-        self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
-        let g = blob.restore()?;
-        {
-            // The liveness check runs under the WAL mutex — the lock every
-            // durable id claim holds — so a racing insert cannot take the
-            // handle between the check and the append. Checking outside
-            // would let a durably-logged DocInsert record precede a failed
-            // local apply, and replicas of this shard would diverge on it.
-            let mut w = lock(&self.wal);
-            if self.store.contains(id) {
-                return Err(PersistError::Store(cxstore::StoreError::IdInUse(id)));
+        let id = match claim {
+            Claim::Next => DocId::from_raw(self.store.next_doc_raw()),
+            Claim::Residue { modulus, residue } => {
+                DocId::from_raw(self.store.allocate_doc_raw_aligned(modulus, residue))
             }
-            self.append_locked(
-                &mut w,
-                WalOp::DocInsert { doc: id, name: None, blob: blob.clone() },
-            )?;
-            self.store.insert_with_id(id, g)?;
-        }
-        for name in names {
-            self.append(WalOp::BindName { doc: id, name: name.clone() })?;
+            Claim::Exact(id) if self.store.contains(id) => {
+                return Err(PersistError::Store(StoreError::IdInUse(id)));
+            }
+            Claim::Exact(id) => id,
+        };
+        let mut names = names.iter();
+        let first = names.next();
+        let blob = doc.blob;
+        self.append_locked(&mut w, WalOp::DocInsert { doc: id, name: first.cloned(), blob })?;
+        self.store.insert_with_id(id, doc.goddag)?;
+        if let Some(name) = first {
             self.store.bind_name(name.clone(), id)?;
         }
-        Ok(())
+        for name in names {
+            self.append_locked(&mut w, WalOp::BindName { doc: id, name: name.clone() })?;
+            self.store.bind_name(name.clone(), id)?;
+        }
+        Ok(id)
     }
 
     /// Drop a document (and all of its name bindings), durably. Returns
@@ -814,16 +793,6 @@ impl DurableStore {
         }
         self.append(WalOp::DocRemove { doc: id })?;
         Ok(self.store.remove(id))
-    }
-
-    /// Resolve a name and drop that document, durably.
-    pub fn remove_named(&self, name: &str) -> Result<DocId> {
-        self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
-        let id = self.store.id_by_name(name)?;
-        self.append(WalOp::DocRemove { doc: id })?;
-        self.store.remove(id);
-        Ok(id)
     }
 
     /// Bind (or rebind) a name to a live document, durably.

@@ -11,7 +11,10 @@
 //!   line-oriented record with a per-record CRC-32 and a monotonic LSN, and
 //!   appended — under the document's write lock, after validation, *before*
 //!   the mutation — via `cxstore::Store::edit_with_log`. Fsync cadence is a
-//!   [`FsyncPolicy`]: every op, every N ops, or time-interval.
+//!   [`FsyncPolicy`]: every op, every N ops, or time-interval. A document
+//!   enters only through [`DurableStore::admit`], as a [`LoggedDoc`] whose
+//!   blob is logged verbatim — a received blob is restored once, never
+//!   captured again.
 //! * **Snapshots** — [`DurableStore::checkpoint`] writes each document as a
 //!   [`DocBlob`] (stand-off text + hierarchy DTDs + the id layout and edit
 //!   epoch that make replay deterministic) plus a CRC-guarded manifest,
@@ -62,14 +65,14 @@ mod error;
 mod snapshot;
 
 pub use apply::{apply_logged, Applied};
-pub use blob::DocBlob;
+pub use blob::{DocBlob, LoggedDoc};
 pub use codec::{
     crc32, decode_record, encode_record, scan, scan_batch, scan_tail, BatchScan, WalOp, WalRecord,
     WalScan, WAL_HEADER,
 };
 pub use durable::{
-    expose_faults, CheckpointInfo, DurableStore, FsyncPolicy, Options, RecoveryReport, StoreHealth,
-    TailShipment, WalPosition,
+    expose_faults, CheckpointInfo, Claim, DurableStore, FsyncPolicy, Options, RecoveryReport,
+    StoreHealth, TailShipment, WalPosition,
 };
 pub use error::{PersistError, Result};
 pub use snapshot::{Manifest, ManifestDoc, StoreSnapshot};

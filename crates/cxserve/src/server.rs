@@ -31,7 +31,7 @@ use crate::proto::{Request, Response, TraceQuery, Verb};
 use cxcluster::{Cluster, ClusterError, ShardId};
 use cxfault::Site;
 use cxobs::{names, Counter, Exposition, Gauge, Histogram, Observable, Registry};
-use cxpersist::PersistError;
+use cxpersist::{LoggedDoc, PersistError};
 use cxstore::DocId;
 use std::io::{ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -460,16 +460,11 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
         Ok(match req {
             Request::Ping => Response::Pong,
             Request::Insert { name, blob } => {
-                let g = blob.restore().map_err(|e| WireError::BadRequest(e.to_string()))?;
-                let id = match svc.scope {
-                    None => match name {
-                        None => c.insert(g),
-                        Some(n) => c.insert_named(n, g),
-                    },
-                    Some(s) => c.insert_on(s, name, g),
-                }
-                .map_err(wire_err)?;
-                Response::Id(id)
+                // Restored once, before any lock or WAL append; the shard
+                // then logs the received blob as it is.
+                let doc =
+                    LoggedDoc::restore(blob).map_err(|e| WireError::BadRequest(e.to_string()))?;
+                Response::Id(c.admit(svc.scope, name, doc).map_err(wire_err)?)
             }
             Request::Edit { doc, guard, op } => {
                 check_scope(svc, doc)?;
@@ -487,10 +482,7 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
             Request::QueryAll { expr } => match svc.scope {
                 // Scoped: just this shard's documents, on this thread.
                 Some(s) => Response::Hits(
-                    c.shards()[s.0]
-                        .store()
-                        .query_all(&expr)
-                        .map_err(|e| WireError::Store(e.to_string()))?,
+                    c.query_shard(s, &expr).map_err(|e| WireError::Store(e.to_string()))?,
                 ),
                 // Unscoped: all-or-nothing, but under the deadline — a
                 // wedged shard becomes a typed timeout, never a hang.
@@ -506,7 +498,7 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
                 Some(s) => {
                     // One shard: a partial of one. Store errors become a
                     // typed per-shard entry, mirroring the cluster path.
-                    match c.shards()[s.0].store().query_all(&expr) {
+                    match c.query_shard(s, &expr) {
                         Ok(hits) => Response::Partial { hits, errors: Vec::new() },
                         Err(e) => Response::Partial {
                             hits: Vec::new(),

@@ -5,6 +5,7 @@
 mod common;
 
 use common::{manuscript, open_cluster, TempDir};
+use cxpersist::DocBlob;
 use cxserve::{Client, ClientOptions, ClusterServer, Request, Response, ServerOptions, WireError};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -106,5 +107,35 @@ fn junk_flood_never_kills_the_server() {
     drop(c);
     // Shutdown joins the accept thread and every handler — if a junk
     // connection had wedged or killed one, this would hang or panic.
+    server.shutdown();
+}
+
+/// A blob that parses but cannot be restored — an element id equal to
+/// the root, one of the hostile-layout cases — is answered `bad_request`
+/// before anything reaches the WAL, and the same connection then imports
+/// a good document normally.
+#[test]
+fn a_blob_that_parses_but_cannot_be_restored_is_a_bad_request() {
+    let dir = TempDir::new("harden-blob");
+    let cluster = open_cluster(&dir, 1);
+    let server =
+        ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let good = DocBlob::capture(&manuscript(30, 77));
+    let mut hostile = good.clone();
+    hostile.elems[0] = hostile.root;
+    assert!(DocBlob::parse_text(&hostile.to_text()).is_ok(), "the hostile blob parses");
+    assert!(hostile.restore().is_err(), "but does not restore");
+
+    let lsn = cluster.shards()[0].last_lsn();
+    let mut s = raw_conn(&server);
+    cxwire::write_frame(&mut s, &Request::Insert { name: None, blob: hostile }.encode()).unwrap();
+    let resp = read_response(&mut s);
+    assert!(matches!(resp, Response::Err(WireError::BadRequest(_))), "{resp:?}");
+    assert_eq!(cluster.shards()[0].last_lsn(), lsn, "nothing was logged");
+
+    cxwire::write_frame(&mut s, &Request::Insert { name: None, blob: good }.encode()).unwrap();
+    let resp = read_response(&mut s);
+    assert!(matches!(resp, Response::Id(_)), "{resp:?}");
+    assert_eq!(cluster.shards()[0].last_lsn(), lsn + 1, "the good import was logged once");
     server.shutdown();
 }
