@@ -1,4 +1,4 @@
-//! `cxtrace` benchmarks: the cost of being traceable.
+//! `cxobs::trace` benchmarks: the cost of being traceable.
 //!
 //! Series:
 //! * `trace/span/{disabled|enabled_idle}` — the permanent hot-path tax:
@@ -11,11 +11,12 @@
 //! * `trace/span/root_flush` — a full root span per iteration: the
 //!   once-per-request flush into the flight recorder (the only mutex
 //!   in the crate).
-//! * `trace/context/mint` — minting a [`cxtrace::TraceContext`] (one
+//! * `trace/context/mint` — minting a [`trace::TraceContext`] (one
 //!   `fetch_add` + splitmix64).
 //! * `trace/render` — rendering one retained trace as an indented tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cxobs::trace;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -25,50 +26,52 @@ fn bench_trace(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.warm_up_time(Duration::from_millis(500));
 
+    // Exclusive tracing state: off for the first series.
+    let scenario = cxobs::Scenario::setup();
+
     // Tracing off: the disabled guard must stay branch-and-a-load cheap.
-    cxtrace::disable();
     group.bench_function("span/disabled", |b| {
-        b.iter(|| drop(black_box(cxtrace::span(black_box("bench.span")))))
+        b.iter(|| drop(black_box(trace::span(black_box("bench.span")))))
     });
 
-    // Exclusive tracing scenario for everything that records.
-    let scenario = cxtrace::Scenario::setup();
+    // Tracing on for everything that records.
+    trace::enable();
 
     // Enabled but idle: no active trace on this thread, so the call
     // still returns an inert guard after a thread-local probe.
     group.bench_function("span/enabled_idle", |b| {
-        b.iter(|| drop(black_box(cxtrace::span(black_box("bench.span")))))
+        b.iter(|| drop(black_box(trace::span(black_box("bench.span")))))
     });
 
     // A recording child span under a pinned root.
     {
-        let root = cxtrace::span_or_root("bench.root");
+        let root = trace::span_or_root("bench.root");
         group.bench_function("span/child", |b| {
-            b.iter(|| drop(black_box(cxtrace::span(black_box("bench.child")))))
+            b.iter(|| drop(black_box(trace::span(black_box("bench.child")))))
         });
         drop(root);
     }
 
     // A whole root per iteration: records + flushes to the recorder.
     group.bench_function("span/root_flush", |b| {
-        b.iter(|| drop(black_box(cxtrace::span_or_root(black_box("bench.root")))))
+        b.iter(|| drop(black_box(trace::span_or_root(black_box("bench.root")))))
     });
 
-    group.bench_function("context/mint", |b| b.iter(|| black_box(cxtrace::TraceContext::mint())));
+    group.bench_function("context/mint", |b| b.iter(|| black_box(trace::TraceContext::mint())));
 
     // Render one retained multi-span trace.
-    cxtrace::clear();
+    trace::clear();
     {
-        let root = cxtrace::span_or_root("serve.request");
+        let root = trace::span_or_root("serve.request");
         root.attr("verb", "edit");
         for i in 0..8u64 {
-            let child = cxtrace::span("store.edit");
+            let child = trace::span("store.edit");
             child.attr("doc", i);
         }
     }
-    let summary = cxtrace::recent().into_iter().next().expect("one retained trace");
-    let trace = cxtrace::find(summary.trace_id).expect("retained trace is findable");
-    group.bench_function("render", |b| b.iter(|| black_box(cxtrace::render_tree(&trace))));
+    let summary = trace::recent().into_iter().next().expect("one retained trace");
+    let trace = trace::find(summary.trace_id).expect("retained trace is findable");
+    group.bench_function("render", |b| b.iter(|| black_box(trace::render_tree(&trace))));
 
     drop(scenario);
     group.finish();

@@ -2,8 +2,8 @@
 
 use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
-use cxfault::Site;
-use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::fault::{self, Site};
+use cxobs::{names, trace, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{CheckpointInfo, Claim, DocBlob, DurableStore, LoggedDoc, Options, StoreHealth};
 use cxrepl::Primary;
 use cxstore::{DocId, EditOp, EditOutcome, StoreError, StoreStats};
@@ -140,7 +140,7 @@ type BatchHits = Vec<(DocId, Vec<goddag::NodeId>)>;
 
 // Poison-tolerant: the migration gate guards `()` (pure ordering, no
 // data to corrupt), so a panicked holder — e.g. an injected
-// `cxfault::Fault::Panic` inside a gated write — must not wedge every
+// `cxobs::fault::Fault::Panic` inside a gated write — must not wedge every
 // later writer and `move_doc` behind a poisoned lock.
 fn read_gate(gate: &RwLock<()>) -> std::sync::RwLockReadGuard<'_, ()> {
     gate.read().unwrap_or_else(PoisonError::into_inner)
@@ -654,7 +654,7 @@ impl Cluster {
 
     /// Evaluate a node-set expression against one document.
     pub fn query(&self, id: DocId, expr: &str) -> Result<Vec<goddag::NodeId>> {
-        let trace = cxtrace::span("cluster.query");
+        let trace = trace::span("cluster.query");
         trace.attr("doc", id.raw());
         self.routed_read(id, |shard| shard.store().query(id, expr))
     }
@@ -702,8 +702,8 @@ impl Cluster {
     /// mid-fan-out (a `move_doc` briefly delays batch queries; per-doc
     /// reads stay concurrent).
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _trace = cxtrace::span("cluster.query_all");
-        let parent = cxtrace::current();
+        let _trace = trace::span("cluster.query_all");
+        let parent = trace::current();
         let _shared = read_gate(&self.gate);
         let _fanout = self.fanout_threads.track_n(self.shards.len() as i64);
         let results: Vec<cxstore::Result<BatchHits>> = std::thread::scope(|scope| {
@@ -713,7 +713,7 @@ impl Cluster {
                     // the per-shard spans hang off this query's span.
                     let ctx = parent.map(|p| p.child());
                     scope.spawn(move || {
-                        let g = cxtrace::adopt("cluster.shard_query", ctx);
+                        let g = trace::adopt("cluster.shard_query", ctx);
                         g.attr("shard", i);
                         self.query_shard(ShardId(i), expr)
                     })
@@ -745,8 +745,8 @@ impl Cluster {
     /// abandoned at the deadline); a late worker finishes against its
     /// own `Arc` of the shard and its result is discarded.
     pub fn query_all_partial(&self, expr: &str, per_shard_timeout: Duration) -> PartialResults {
-        let trace = cxtrace::span("cluster.query_all_partial");
-        let parent = cxtrace::current();
+        let trace = trace::span("cluster.query_all_partial");
+        let parent = trace::current();
         let _shared = read_gate(&self.gate);
         let (tx, rx) = mpsc::channel::<(usize, Result<BatchHits>)>();
         let mut errors = Vec::new();
@@ -755,7 +755,7 @@ impl Cluster {
             if self.down[i].load(Ordering::Acquire) {
                 // A zero-length error span records the skipped shard in
                 // the trace — the fan-out is complete by construction.
-                let g = cxtrace::span("cluster.shard_query");
+                let g = trace::span("cluster.shard_query");
                 g.attr("shard", i);
                 g.err("shard down");
                 errors.push(ShardError { shard: i, error: ClusterError::ShardDown(i) });
@@ -772,15 +772,15 @@ impl Cluster {
             let ctx = parent.map(|p| p.child());
             std::thread::spawn(move || {
                 fanout.inc();
-                let g = cxtrace::adopt("cluster.shard_query", ctx);
+                let g = trace::adopt("cluster.shard_query", ctx);
                 g.attr("shard", i);
                 // The failpoint lets tests make *this* shard slow
                 // (`Delay` runs inside `fire`) or unreachable without
                 // touching its store.
-                let r = if cxfault::fire(Site::ClusterShardQuery).is_some() {
+                let r = if fault::fire(Site::ClusterShardQuery).is_some() {
                     Err(ClusterError::ShardUnavailable {
                         shard: i,
-                        detail: cxfault::io_error(Site::ClusterShardQuery).to_string(),
+                        detail: fault::io_error(Site::ClusterShardQuery).to_string(),
                     })
                 } else {
                     shard.store().query_all(&expr).map_err(ClusterError::Store)
@@ -850,7 +850,7 @@ impl Cluster {
     }
 
     fn routed_edit(&self, id: DocId, guard: Option<u64>, op: EditOp) -> Result<EditOutcome> {
-        let trace = cxtrace::span("cluster.edit");
+        let trace = trace::span("cluster.edit");
         trace.attr("doc", id.raw());
         if let Some(expected) = guard {
             trace.attr("guard", expected);
@@ -906,7 +906,7 @@ impl Cluster {
         // The span covers the gate drain too: that wait *is* migration
         // latency as writers experience it.
         let _span = self.move_doc_ns.span();
-        let trace = cxtrace::span("cluster.move_doc");
+        let trace = trace::span("cluster.move_doc");
         trace.attr("doc", id.raw());
         trace.attr("shard", to.0);
         let _exclusive = write_gate(&self.gate);
@@ -1047,8 +1047,7 @@ impl Observable for Cluster {
         }
         self.stats().expose_into(out);
         self.obs.expose_into(out);
-        cxpersist::expose_faults(out);
-        cxtrace::expose_into(out);
+        cxobs::expose_process(out);
     }
 }
 

@@ -12,7 +12,7 @@ mod common;
 
 use common::TempDir;
 use cxcluster::{Cluster, ClusterError, PartialResults, ShardHealth, ShardId};
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxobs::Observable;
 use cxpersist::{FsyncPolicy, Options, PersistError};
 use cxrepl::{FaultTransport, Follower, FollowerHandle, InProcessTransport, ReplicaStore};
@@ -172,7 +172,7 @@ fn spawn_followers(c: &Cluster) -> Vec<FollowerHandle> {
 /// The full scenario; `edits` is the phase-A floor (the acceptance bar
 /// is ≥200 mixed edits under fault load).
 fn chaos(edits: usize) {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("chaos");
     let cluster = Arc::new(
         Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::EveryN(8) }).unwrap(),
@@ -205,11 +205,11 @@ fn chaos(edits: usize) {
 
     // ── The seeded fault schedule: three fault kinds ─────────────────
     // Every 37th WAL append across the cluster fails like ENOSPC.
-    cxfault::configure(Site::WalAppend, Trigger::EveryN(37), Fault::Io);
+    fault::configure(Site::WalAppend, Trigger::EveryN(37), Fault::Io);
     // Shard 0's replication link drops ~10% of fetches …
-    cxfault::configure_seeded(Site::ReplFetch.link(0), Trigger::Probability(0.10), Fault::Io, 7);
+    fault::configure_seeded(Site::ReplFetch.link(0), Trigger::Probability(0.10), Fault::Io, 7);
     // … and shard 1's link tears ~8% of record batches mid-frame.
-    cxfault::configure_seeded(
+    fault::configure_seeded(
         Site::ReplFetch.link(1),
         Trigger::Probability(0.08),
         Fault::TornWrite(0.5),
@@ -220,7 +220,7 @@ fn chaos(edits: usize) {
     let mut k = 0usize;
     let wal_faults = drive(&cluster, &control, &docs, edits, &mut k);
     assert!(wal_faults >= 3, "the WAL fault schedule actually fired: {wal_faults}");
-    assert!(cxfault::fires(Site::WalAppend) >= wal_faults as u64);
+    assert!(fault::fires(Site::WalAppend) >= wal_faults as u64);
     // Each link is its own series on the metrics page.
     let page = cluster.exposition();
     for link in ["repl.fetch.0", "repl.fetch.1"] {
@@ -268,7 +268,7 @@ fn chaos(edits: usize) {
     assert_eq!(part.hits.len(), docs.len());
 
     // ── Phase B': a slow shard times out; the answer stays bounded ───
-    cxfault::configure(
+    fault::configure(
         Site::ClusterShardQuery,
         Trigger::Nth(1),
         Fault::Delay(Duration::from_millis(900)),
@@ -284,10 +284,10 @@ fn chaos(edits: usize) {
     assert_eq!(errors.len(), 1, "exactly the delayed worker missed the budget: {errors:?}");
     assert!(matches!(errors[0].error, ClusterError::Timeout { ms: 150, .. }), "{errors:?}");
     assert!(!hits.is_empty() && hits.len() < docs.len(), "partial hits: {}", hits.len());
-    cxfault::disarm(Site::ClusterShardQuery);
+    fault::disarm(Site::ClusterShardQuery);
 
     // ── Phase C: faults lift; everything converges byte-identically ──
-    cxfault::clear();
+    fault::clear();
     for s in 0..SHARDS {
         if cluster.shard_health(ShardId(s)).unwrap() != ShardHealth::Healthy {
             cluster.heal_shard(ShardId(s)).unwrap();
@@ -352,7 +352,7 @@ fn chaos(edits: usize) {
 #[test]
 fn a_migration_that_fails_part_way_lists_the_document_once() {
     for k in 1..=3 {
-        let _fp = cxfault::Scenario::setup();
+        let _fp = cxobs::Scenario::setup();
         let dir = TempDir::new(&format!("move-fails-{k}"));
         let options = Options { fsync: FsyncPolicy::EveryOp };
         let c = Cluster::open(dir.shard_dirs(2), options.clone()).unwrap();
@@ -361,9 +361,9 @@ fn a_migration_that_fails_part_way_lists_the_document_once() {
         let export = c.with_doc(id, sacx::export_standoff).unwrap();
         let other = ShardId(1 - c.shard_of(id).0);
 
-        cxfault::configure(Site::WalAppend, Trigger::Nth(k), Fault::Io);
+        fault::configure(Site::WalAppend, Trigger::Nth(k), Fault::Io);
         assert!(c.move_doc(id, other).is_err(), "append {k} of the move was refused");
-        cxfault::clear();
+        fault::clear();
         let copies = c.shards().iter().filter(|s| s.store().contains(id)).count();
         assert_eq!(copies, if k == 1 { 1 } else { 2 }, "append {k}: the residue is real");
 

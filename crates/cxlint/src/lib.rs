@@ -7,7 +7,7 @@
 //! normal development pressure. cxlint mechanizes them as a CI hard gate.
 //! It lints only what the compiler cannot see: wire-protocol keyword
 //! sets, failpoint sites and metric names are all declared types
-//! (`sacx::vocabulary!`, `cxfault::Site`, `cxobs::names`), so their drift
+//! (`sacx::vocabulary!`, `cxobs::fault::Site`, `cxobs::names`), so their drift
 //! is a compile error, and their README tables are pinned by the root
 //! test `tests/readme_tables.rs`.
 //!

@@ -1,61 +1,42 @@
-//! cxfault — a dependency-free, deterministic failpoint registry.
+//! A deterministic failpoint table.
 //!
 //! Production code names its fragile seams with a [`Site`]
-//! (`cxfault::fire(Site::WalAppend)` at the top of the WAL append path,
+//! (`fault::fire(Site::WalAppend)` at the top of the WAL append path,
 //! `io_check(Site::WalFsync)` before the real fsync); tests arm those
 //! sites with a [`Trigger`] policy and a [`Fault`] action, then drive
 //! ordinary workloads and watch the stack absorb the failures. Nothing
 //! here is probabilistic unless asked: [`Trigger::Nth`] and
 //! [`Trigger::EveryN`] count hits, and [`Trigger::Probability`] draws
-//! from a per-site splitmix64 stream seeded at configure time, so a fault
-//! schedule replays identically run after run.
+//! from a per-site [`splitmix64`] stream seeded at configure time, so a
+//! fault schedule replays identically run after run.
 //!
 //! The seams are one closed enum, so a site is never a string: a typo is
 //! a compile error, not a failpoint that silently never fires.
 //!
 //! ```compile_fail
-//! cxfault::fire("wal.append"); // a site is a `Site`, not a name
+//! cxobs::fault::fire("wal.append"); // a site is a `Site`, not a name
 //! ```
 //!
 //! # Cost when idle
 //!
 //! The fast path of [`fire`] is one relaxed atomic load of the armed-site
 //! count; with nothing configured that is a fraction of a nanosecond of
-//! straight-line code and no lock. Compiling with the `off` feature goes
-//! further and turns every entry point into a constant no-op the
-//! optimizer deletes entirely.
+//! straight-line code and no lock (`perf_smoke` pins it).
 //!
 //! # Test isolation
 //!
-//! The registry is global (sites are reached from arbitrary call depths;
+//! The table is global (sites are reached from arbitrary call depths;
 //! threading a handle through every layer would defeat the point), so
-//! concurrently running tests would trample each other's schedules.
-//! [`Scenario::setup`] takes a process-wide lock and clears the registry
-//! on both entry and drop — every test that arms failpoints starts with
-//! `let _fp = cxfault::Scenario::setup();` and runs serialized against
-//! other such tests, while fault-free tests proceed unaffected (their
-//! `fire` calls never leave the fast path).
+//! every test that arms a failpoint — or crosses a site while a sibling
+//! may arm it — holds [`crate::Scenario`], which serializes such tests
+//! and clears the table on entry and drop.
 
-// With `off` the registry internals are compiled out but their
-// definitions remain for the inert API stubs.
-#![cfg_attr(feature = "off", allow(dead_code, unused_imports))]
-
+use crate::splitmix64;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-/// The splitmix64 PRNG step — tiny, seedable, and good enough for fault
-/// schedules and jitter. Public because dependents (backoff jitter, test
-/// schedules) want the same deterministic stream without a rand crate.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Declares [`Site`] with its `ALL` table and `name()` in one list, so
 /// the three can never disagree.
@@ -203,14 +184,14 @@ pub struct SiteStats {
 /// Number of armed failpoints — the [`fire`] fast path checks only this.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-static REGISTRY: Mutex<BTreeMap<Failpoint, Armed>> = Mutex::new(BTreeMap::new());
+static TABLE: Mutex<BTreeMap<Failpoint, Armed>> = Mutex::new(BTreeMap::new());
 
-fn lock_registry() -> MutexGuard<'static, BTreeMap<Failpoint, Armed>> {
-    // Poison recovery: a panic while holding the registry lock (only
+fn lock_table() -> MutexGuard<'static, BTreeMap<Failpoint, Armed>> {
+    // Poison recovery: a panic while holding the table lock (only
     // possible through Fault::Panic, which fires after the guard is
     // dropped, or a caller panicking mid-configure) leaves plain counters
     // — safe to reuse.
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+    TABLE.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Arm `at` with a default seed. See [`configure_seeded`].
@@ -223,40 +204,29 @@ pub fn configure(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault) {
 /// stream (only `Trigger::Probability` draws from it); the rendered name
 /// is folded in so two failpoints armed with the same seed still see
 /// independent streams. Re-configuring resets the counters.
-#[cfg_attr(feature = "off", allow(unused_variables))]
 pub fn configure_seeded(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault, seed: u64) {
-    #[cfg(not(feature = "off"))]
-    {
-        let at = at.into();
-        let mut h = seed;
-        for b in at.to_string().bytes() {
-            h = splitmix64(&mut h) ^ u64::from(b);
-        }
-        let mut map = lock_registry();
-        map.insert(at, Armed { trigger, fault, rng: h, hits: 0, fires: 0 });
-        ARMED.store(map.len(), Ordering::Release);
+    let at = at.into();
+    let mut h = seed;
+    for b in at.to_string().bytes() {
+        h = splitmix64(&mut h) ^ u64::from(b);
     }
+    let mut map = lock_table();
+    map.insert(at, Armed { trigger, fault, rng: h, hits: 0, fires: 0 });
+    ARMED.store(map.len(), Ordering::Release);
 }
 
 /// Disarm one failpoint (its counters are discarded).
-#[cfg_attr(feature = "off", allow(unused_variables))]
 pub fn disarm(at: impl Into<Failpoint>) {
-    #[cfg(not(feature = "off"))]
-    {
-        let mut map = lock_registry();
-        map.remove(&at.into());
-        ARMED.store(map.len(), Ordering::Release);
-    }
+    let mut map = lock_table();
+    map.remove(&at.into());
+    ARMED.store(map.len(), Ordering::Release);
 }
 
 /// Disarm every site.
 pub fn clear() {
-    #[cfg(not(feature = "off"))]
-    {
-        let mut map = lock_registry();
-        map.clear();
-        ARMED.store(0, Ordering::Release);
-    }
+    let mut map = lock_table();
+    map.clear();
+    ARMED.store(0, Ordering::Release);
 }
 
 /// Evaluate the failpoint at `at`. Returns `None` (by far the common
@@ -264,7 +234,6 @@ pub fn clear() {
 /// its trigger fires, in which case `Delay` sleeps and `Panic` panics
 /// right here, while `Io` / `TornWrite` are returned for the call site to
 /// enact.
-#[cfg(not(feature = "off"))]
 #[inline]
 pub fn fire(at: impl Into<Failpoint>) -> Option<InjectedFault> {
     if ARMED.load(Ordering::Relaxed) == 0 {
@@ -273,18 +242,10 @@ pub fn fire(at: impl Into<Failpoint>) -> Option<InjectedFault> {
     fire_slow(at.into())
 }
 
-/// With the `off` feature: a constant the optimizer erases.
-#[cfg(feature = "off")]
-#[inline(always)]
-pub fn fire(_at: impl Into<Failpoint>) -> Option<InjectedFault> {
-    None
-}
-
-#[cfg(not(feature = "off"))]
 #[cold]
 fn fire_slow(at: Failpoint) -> Option<InjectedFault> {
     let fault = {
-        let mut map = lock_registry();
+        let mut map = lock_table();
         let s = map.get_mut(&at)?;
         s.hits += 1;
         let due = match s.trigger {
@@ -299,7 +260,7 @@ fn fire_slow(at: Failpoint) -> Option<InjectedFault> {
         s.fires += 1;
         s.fault
         // Lock released here: Delay must not stall other sites, and
-        // Panic must not poison the registry.
+        // Panic must not poison the table.
     };
     match fault {
         Fault::Io => Some(InjectedFault::Io),
@@ -308,7 +269,7 @@ fn fire_slow(at: Failpoint) -> Option<InjectedFault> {
             std::thread::sleep(d);
             None
         }
-        Fault::Panic => panic!("cxfault: injected panic at failpoint `{at}`"),
+        Fault::Panic => panic!("cxobs::fault: injected panic at failpoint `{at}`"),
     }
 }
 
@@ -340,78 +301,29 @@ pub fn torn_len(full: usize, frac: f64) -> usize {
 
 /// Lifetime hit count for `at` (0 if never armed).
 pub fn hits(at: impl Into<Failpoint>) -> u64 {
-    stat(at.into()).map(|(h, _)| h).unwrap_or(0)
+    lock_table().get(&at.into()).map_or(0, |s| s.hits)
 }
 
 /// Lifetime fire count for `at` (0 if never armed).
 pub fn fires(at: impl Into<Failpoint>) -> u64 {
-    stat(at.into()).map(|(_, f)| f).unwrap_or(0)
-}
-
-#[cfg_attr(feature = "off", allow(unused_variables))]
-fn stat(at: Failpoint) -> Option<(u64, u64)> {
-    #[cfg(feature = "off")]
-    return None;
-    #[cfg(not(feature = "off"))]
-    {
-        let map = lock_registry();
-        map.get(&at).map(|s| (s.hits, s.fires))
-    }
+    lock_table().get(&at.into()).map_or(0, |s| s.fires)
 }
 
 /// Hit/fire counts for every configured failpoint, sorted by rendered
 /// name — the feed for `cx_fault_*` metric exposition.
 pub fn site_stats() -> Vec<SiteStats> {
-    #[cfg(feature = "off")]
-    return Vec::new();
-    #[cfg(not(feature = "off"))]
-    {
-        let map = lock_registry();
-        let mut v: Vec<SiteStats> =
-            map.iter().map(|(&site, s)| SiteStats { site, hits: s.hits, fires: s.fires }).collect();
-        v.sort_by_cached_key(|s| s.site.to_string());
-        v
-    }
-}
-
-static SCENARIO: Mutex<()> = Mutex::new(());
-
-/// Serializes fault-injecting tests and guarantees a clean registry on
-/// both entry and exit. Hold it for the test's whole body:
-///
-/// ```
-/// use cxfault::{Fault, Site, Trigger};
-///
-/// let _fp = cxfault::Scenario::setup();
-/// cxfault::configure(Site::WalAppend, Trigger::Nth(3), Fault::Io);
-/// // … drive the workload …
-/// // drop clears every site even if the test panics first
-/// ```
-pub struct Scenario {
-    _guard: MutexGuard<'static, ()>,
-}
-
-impl Scenario {
-    /// Take the process-wide fault lock and clear the registry.
-    pub fn setup() -> Scenario {
-        // A previous test panicking mid-scenario poisons this mutex; the
-        // protected state is the (cleared-on-entry) registry, so the
-        // guard is safe to reuse.
-        let guard = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
-        clear();
-        Scenario { _guard: guard }
-    }
-}
-
-impl Drop for Scenario {
-    fn drop(&mut self) {
-        clear();
-    }
+    let mut v: Vec<SiteStats> = lock_table()
+        .iter()
+        .map(|(&site, s)| SiteStats { site, hits: s.hits, fires: s.fires })
+        .collect();
+    v.sort_by_cached_key(|s| s.site.to_string());
+    v
 }
 
 #[cfg(test)]
-mod site_names {
+mod tests {
     use super::*;
+    use crate::Scenario;
 
     #[test]
     fn sites_and_links_render_their_names() {
@@ -423,11 +335,6 @@ mod site_names {
         assert_eq!(Failpoint::from(Site::ReplFetch).to_string(), "repl.fetch");
         assert_eq!(Site::ReplFetch.link(1).to_string(), "repl.fetch.1");
     }
-}
-
-#[cfg(all(test, not(feature = "off")))]
-mod tests {
-    use super::*;
 
     #[test]
     fn unarmed_sites_are_silent() {
@@ -455,21 +362,18 @@ mod tests {
     }
 
     #[test]
-    fn probability_replays_identically_for_a_seed() {
+    fn probability_replays_a_pinned_schedule_for_a_seed() {
         let _fp = Scenario::setup();
-        let run = || -> Vec<bool> {
-            configure_seeded(Site::ReplFetch, Trigger::Probability(0.4), Fault::Io, 42);
-            (0..64).map(|_| fire(Site::ReplFetch).is_some()).collect()
+        let run = |seed| -> String {
+            configure_seeded(Site::ReplFetch, Trigger::Probability(0.4), Fault::Io, seed);
+            (0..64).map(|_| if fire(Site::ReplFetch).is_some() { '1' } else { '0' }).collect()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "same seed, same hit order → same schedule");
-        let fired = a.iter().filter(|&&f| f).count();
-        assert!((10..=40).contains(&fired), "p=0.4 over 64 hits fired {fired} times");
-        // A different seed gives a different schedule.
-        configure_seeded(Site::ReplFetch, Trigger::Probability(0.4), Fault::Io, 43);
-        let c: Vec<bool> = (0..64).map(|_| fire(Site::ReplFetch).is_some()).collect();
-        assert_ne!(a, c);
+        // Recorded before the failpoint table moved into this crate: the
+        // seed-folding and the PRNG step must never change a schedule.
+        let pinned = "0110001000010100001101010010100011100100110111001010000111000001";
+        assert_eq!(run(42), pinned);
+        assert_eq!(run(42), pinned, "same seed, same hit order → same schedule");
+        assert_ne!(run(43), pinned, "a different seed gives a different schedule");
     }
 
     #[test]

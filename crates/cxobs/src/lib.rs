@@ -1,10 +1,16 @@
-//! # cxobs — instrumentation for the whole stack
+//! # cxobs — diagnostics for the whole stack
 //!
-//! A dependency-free observability substrate: every layer of the store
-//! stack (in-memory store, durable store, replication, cluster) hangs its
-//! signals on one [`Registry`] per store and renders them through one
-//! [`Observable`] trait. Three metric kinds, all lock-free on the hot
-//! path:
+//! One dependency-free crate holds every diagnostic the stack emits:
+//! metrics per store, and two process-wide facilities — failpoints
+//! ([`fault`]) and request tracing ([`trace`]). Each keeps its own state
+//! and its own one-relaxed-load idle path; what they share is the
+//! [`splitmix64`] step their seeded streams draw from, one [`Scenario`]
+//! guard for tests, and [`expose_process`] for their page lines.
+//!
+//! Every layer of the store stack (in-memory store, durable store,
+//! replication, cluster) hangs its signals on one [`Registry`] per store
+//! and renders them through one [`Observable`] trait. Three metric
+//! kinds, all lock-free on the hot path:
 //!
 //! * [`Counter`] — monotone event counts (relaxed `fetch_add`);
 //! * [`Gauge`] — levels that go up and down (in-flight writers, queue
@@ -13,7 +19,8 @@
 //!   nanoseconds, with exact `count`/`sum` and approximate
 //!   p50/p90/p99 ([`HistogramSnapshot::quantile`]). Recording is two
 //!   relaxed `fetch_add`s plus a bucket index from `leading_zeros` —
-//!   cheap enough for WAL appends and gate decisions.
+//!   cheap enough for WAL appends and gate decisions. An observation
+//!   made inside a trace keeps that trace's id as its bucket's exemplar.
 //!
 //! Latency is captured with **span timers**: [`Histogram::time`] wraps a
 //! closure, and [`Histogram::span`] returns a guard that records on drop
@@ -34,8 +41,8 @@
 //! store-shaped type implements to contribute its lines.
 //!
 //! A [`Registry::disabled`] registry turns every record into a branch
-//! (span timers skip the clock reads entirely), which is what the
-//! `perf_smoke` overhead guard compares against.
+//! (span timers skip the clock and the trace lookup entirely), which is
+//! what the `perf_smoke` overhead guard compares against.
 //!
 //! ```
 //! use cxobs::{names, Registry};
@@ -57,11 +64,15 @@
 
 mod events;
 mod expose;
+pub mod fault;
 mod metrics;
 pub mod names;
+mod process;
 mod registry;
+pub mod trace;
 
 pub use events::{Event, EventRing};
 pub use expose::{Exposition, Observable};
 pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSnapshot, Span, BUCKETS};
+pub use process::{expose_process, splitmix64, Scenario};
 pub use registry::Registry;

@@ -121,9 +121,9 @@ pub struct Histogram {
     count: AtomicU64,
     sum: AtomicU64,
     buckets: [AtomicU64; BUCKETS],
-    /// Per-bucket **exemplar**: the tag (a `cxtrace` trace id; 0 =
-    /// none) of the last tagged observation that landed in the bucket —
-    /// what links a fat p99 bucket to one concrete retained trace.
+    /// Per-bucket **exemplar**: the trace id (0 = none) of the last
+    /// observation made inside a trace that landed in the bucket — what
+    /// links a fat p99 bucket to one concrete retained trace.
     exemplars: [AtomicU64; BUCKETS],
 }
 
@@ -150,14 +150,11 @@ impl Histogram {
         self.on
     }
 
-    /// Record one observation, in nanoseconds.
+    /// Record one observation, in nanoseconds. Inside an active trace
+    /// the observation becomes its bucket's exemplar (the trace id
+    /// overwrites the bucket's previous one); a disabled histogram reads
+    /// neither the clock nor the trace.
     pub fn record_ns(&self, ns: u64) {
-        self.record_ns_tagged(ns, 0);
-    }
-
-    /// Record one observation carrying an exemplar tag (a trace id;
-    /// 0 = untagged). A nonzero tag overwrites the bucket's exemplar.
-    pub fn record_ns_tagged(&self, ns: u64, tag: u64) {
         if !self.on {
             return;
         }
@@ -165,8 +162,9 @@ impl Histogram {
         self.sum.fetch_add(ns, Ordering::Relaxed);
         let b = bucket_of(ns);
         self.buckets[b].fetch_add(1, Ordering::Relaxed);
-        if tag != 0 {
-            self.exemplars[b].store(tag, Ordering::Relaxed);
+        let trace_id = crate::trace::current_trace_id();
+        if trace_id != 0 {
+            self.exemplars[b].store(trace_id, Ordering::Relaxed);
         }
     }
 
@@ -178,30 +176,19 @@ impl Histogram {
     /// Time a closure and record its latency — the span timer for
     /// straight-line paths. Disabled histograms run the closure bare.
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        self.time_tagged(0, f)
-    }
-
-    /// [`Histogram::time`] with an exemplar tag on the observation.
-    pub fn time_tagged<R>(&self, tag: u64, f: impl FnOnce() -> R) -> R {
         if !self.on {
             return f();
         }
         let start = Instant::now();
         let r = f();
-        self.record_ns_tagged(start.elapsed().as_nanos().min(u64::MAX as u128) as u64, tag);
+        self.record(start.elapsed());
         r
     }
 
     /// Start a span that records on drop — for paths with early returns
     /// or latency that spans a scope rather than a closure.
     pub fn span(&self) -> Span<'_> {
-        self.span_tagged(0)
-    }
-
-    /// [`Histogram::span`] with an exemplar tag on the recorded
-    /// observation.
-    pub fn span_tagged(&self, tag: u64) -> Span<'_> {
-        Span { hist: self, start: if self.on { Some(Instant::now()) } else { None }, tag }
+        Span { hist: self, start: if self.on { Some(Instant::now()) } else { None } }
     }
 
     /// Observations recorded so far.
@@ -226,16 +213,12 @@ impl Histogram {
 pub struct Span<'a> {
     hist: &'a Histogram,
     start: Option<Instant>,
-    tag: u64,
 }
 
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         if let Some(start) = self.start {
-            self.hist.record_ns_tagged(
-                start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-                self.tag,
-            );
+            self.hist.record(start.elapsed());
         }
     }
 }
@@ -251,8 +234,8 @@ pub struct HistogramSnapshot {
     pub sum_ns: u64,
     /// Per-bucket observation counts (bucket `i` = `[2^i, 2^(i+1))` ns).
     pub buckets: [u64; BUCKETS],
-    /// Per-bucket exemplar tags (last tagged observation's trace id,
-    /// 0 = none).
+    /// Per-bucket exemplars (the trace id of the last observation made
+    /// inside a trace, 0 = none).
     pub exemplars: [u64; BUCKETS],
 }
 
@@ -300,6 +283,7 @@ impl HistogramSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace;
     use std::sync::Arc;
 
     #[test]
@@ -355,22 +339,27 @@ mod tests {
     }
 
     #[test]
-    fn exemplars_remember_the_last_tagged_observation_per_bucket() {
+    fn exemplars_remember_the_last_traced_observation_per_bucket() {
+        let _s = crate::Scenario::traced();
         let h = Histogram::new(true);
         h.record_ns(1_000);
+        assert_eq!(h.snapshot().exemplars, [0; BUCKETS], "outside a trace: no exemplar");
+        let traced = |f: &dyn Fn()| {
+            let _root = trace::span_or_root("op");
+            f();
+            trace::current_trace_id()
+        };
+        let _first = traced(&|| h.record_ns(1_000));
+        let second = traced(&|| h.record_ns(1_000));
+        let slow = traced(&|| h.record_ns(1_000_000));
+        h.record_ns(1_000); // outside a trace: must not clobber the exemplar
         let s = h.snapshot();
-        assert_eq!(s.exemplars, [0; BUCKETS], "untagged observations leave no exemplar");
-        h.record_ns_tagged(1_000, 0xabc);
-        h.record_ns_tagged(1_000, 0xdef);
-        h.record_ns_tagged(1_000_000, 0x123);
-        h.record_ns(1_000); // tagless: must not clobber the exemplar
+        assert_eq!(s.exemplars[bucket_of(1_000)], second, "last traced observation wins");
+        assert_eq!(s.exemplars[bucket_of(1_000_000)], slow);
+        let timed = traced(&|| h.time(|| ()));
+        let spanned = traced(&|| drop(h.span()));
         let s = h.snapshot();
-        assert_eq!(s.exemplars[bucket_of(1_000)], 0xdef, "last tag wins");
-        assert_eq!(s.exemplars[bucket_of(1_000_000)], 0x123);
-        h.time_tagged(0x77, || ());
-        drop(h.span_tagged(0x88));
-        let s = h.snapshot();
-        assert!(s.exemplars.contains(&0x77) || s.exemplars.contains(&0x88));
+        assert!(s.exemplars.contains(&timed) || s.exemplars.contains(&spanned));
         assert_eq!(s.count, 7);
     }
 

@@ -206,7 +206,7 @@ declare! {
     SERVER_BUSY_TOTAL: Counter = "cx_server_busy_total",
     SERVER_CONNECTIONS: Gauge = "cx_server_connections",
 
-    // Tracing (`cxtrace`).
+    // Tracing (`cxobs::trace`).
     TRACE_STARTED_TOTAL: Counter = "cx_trace_started_total",
     TRACE_FINISHED_TOTAL: Counter = "cx_trace_finished_total",
     TRACE_SLOW_TOTAL: Counter = "cx_trace_slow_total",

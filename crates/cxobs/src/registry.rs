@@ -117,8 +117,8 @@ impl Registry {
     /// the mandatory `le="+Inf"` line, whose value equals the exact
     /// count), then `{name}_sum`, then `{name}_count` — followed by the
     /// legacy `quantile="0.5|0.9|0.99"` convenience series (all values
-    /// in nanoseconds for `_ns`-suffixed names). Buckets holding a
-    /// tagged observation carry an exemplar suffix
+    /// in nanoseconds for `_ns`-suffixed names). Buckets holding an
+    /// observation made inside a trace carry an exemplar suffix
     /// `# {trace_id="<016x>"}`.
     pub fn expose_into(&self, out: &mut Exposition) {
         enum Series<'a> {
@@ -289,16 +289,18 @@ mod tests {
 
     #[test]
     fn bucket_lines_are_cumulative_and_exemplars_render() {
+        let _s = crate::Scenario::traced();
         let r = Registry::new();
         let h = r.histogram(EDIT_NS);
-        h.record_ns(1); // bucket 0, le="1"
-        h.record_ns_tagged(1000, 0xabcd); // bucket 9, le="1023"
+        h.record_ns(1); // bucket 0, le="1", outside any trace
+        let root = crate::trace::span_or_root("edit");
+        h.record_ns(1000); // bucket 9, le="1023", inside the trace
+        let id = crate::trace::current_trace_id();
+        drop(root);
         let text = r.render();
         assert!(text.contains("cx_edit_ns_bucket{le=\"1\"} 1\n"), "{text}");
-        assert!(
-            text.contains("cx_edit_ns_bucket{le=\"1023\"} 2 # {trace_id=\"000000000000abcd\"}\n"),
-            "{text}"
-        );
+        let exemplar = format!("cx_edit_ns_bucket{{le=\"1023\"}} 2 # {{trace_id=\"{id:016x}\"}}\n");
+        assert!(text.contains(&exemplar), "{text}");
         assert!(text.contains("cx_edit_ns_bucket{le=\"+Inf\"} 2\n"), "{text}");
     }
 

@@ -2,8 +2,8 @@
 //! traces, with slow/error traces held in their own ring so normal
 //! churn can never evict them.
 
-use crate::span::SpanRecord;
-use cxobs::{names, Exposition};
+use super::span::SpanRecord;
+use crate::{names, Exposition};
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
@@ -343,7 +343,7 @@ pub fn clear() {
 }
 
 /// Append the recorder's `cx_trace_*` lines to an exposition page.
-pub fn expose_into(out: &mut Exposition) {
+pub(crate) fn expose_into(out: &mut Exposition) {
     let s = stats();
     out.write(names::TRACE_STARTED_TOTAL, s.started);
     out.write(names::TRACE_FINISHED_TOTAL, s.finished);
@@ -420,58 +420,24 @@ pub fn render_tree(t: &FinishedTrace) -> String {
     out
 }
 
-/// Serializes tests that observe the process-wide recorder, in the
-/// `cxfault::Scenario` tradition: `setup()` takes the lock, enables
-/// tracing with the given (or default) config on a cleared recorder;
-/// dropping it disables tracing and clears again.
-pub struct Scenario {
-    _guard: MutexGuard<'static, ()>,
-}
-
-static SCENARIO: Mutex<()> = Mutex::new(());
-
-impl Scenario {
-    /// Begin an exclusive tracing scenario with the default config.
-    pub fn setup() -> Scenario {
-        Scenario::setup_with(TraceConfig::default())
-    }
-
-    /// Begin an exclusive tracing scenario with an explicit config.
-    pub fn setup_with(cfg: TraceConfig) -> Scenario {
-        // Poison recovery: the scenario mutex carries no data — it only
-        // serialises exclusive test scenarios — and `clear()` below resets
-        // all recorder state a panicked predecessor may have left.
-        let guard = SCENARIO.lock().unwrap_or_else(|p| p.into_inner());
-        clear();
-        crate::enable_with(cfg);
-        Scenario { _guard: guard }
-    }
-}
-
-impl Drop for Scenario {
-    fn drop(&mut self) {
-        crate::disable();
-        clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{span, span_or_root};
+    use crate::trace::{current, current_trace_id, span, span_or_root, start};
+    use crate::Scenario;
     use std::time::Duration;
 
     fn burst(name: &'static str) -> u64 {
         let g = span_or_root(name);
         let _ = &g;
-        let id = crate::current_trace_id();
+        let id = current_trace_id();
         drop(g);
         id
     }
 
     #[test]
     fn normal_ring_is_bounded_and_newest_first() {
-        let _s = Scenario::setup_with(TraceConfig { retain: 3, ..TraceConfig::default() });
+        let _s = Scenario::traced_with(TraceConfig { retain: 3, ..TraceConfig::default() });
         let ids: Vec<u64> = (0..5).map(|_| burst("r")).collect();
         let got: Vec<u64> = recent().iter().map(|s| s.trace_id).collect();
         assert_eq!(got, vec![ids[4], ids[3], ids[2]]);
@@ -481,7 +447,7 @@ mod tests {
 
     #[test]
     fn slow_and_error_traces_survive_normal_churn() {
-        let _s = Scenario::setup_with(TraceConfig {
+        let _s = Scenario::traced_with(TraceConfig {
             retain: 2,
             retain_slow: 8,
             slow_threshold: Duration::from_millis(5),
@@ -489,14 +455,14 @@ mod tests {
         });
         let slow_id = {
             let g = span_or_root("slow.request");
-            let id = crate::current_trace_id();
+            let id = current_trace_id();
             std::thread::sleep(Duration::from_millis(6));
             drop(g);
             id
         };
         let err_id = {
             let g = span_or_root("err.request");
-            let id = crate::current_trace_id();
+            let id = current_trace_id();
             g.err("injected");
             drop(g);
             id
@@ -519,7 +485,7 @@ mod tests {
     #[test]
     fn span_cap_counts_drops() {
         let _s =
-            Scenario::setup_with(TraceConfig { max_spans_per_trace: 4, ..TraceConfig::default() });
+            Scenario::traced_with(TraceConfig { max_spans_per_trace: 4, ..TraceConfig::default() });
         {
             let _root = span_or_root("big");
             for _ in 0..10 {
@@ -534,16 +500,16 @@ mod tests {
 
     #[test]
     fn late_fanout_root_merges_into_finished_trace() {
-        let _s = Scenario::setup();
+        let _s = Scenario::traced();
         let (tid, ctx) = {
             let _root = span_or_root("main");
-            let ctx = crate::current().unwrap();
+            let ctx = current().unwrap();
             (ctx.trace_id, ctx.child())
         };
         // The main root has finalized; a detached worker reports late.
         assert_eq!(find(tid).unwrap().spans.len(), 1);
         {
-            let g = crate::start("late.worker", ctx);
+            let g = start("late.worker", ctx);
             g.attr("shard", 2u64);
         }
         let t = find(tid).expect("still one retained trace");
@@ -554,7 +520,7 @@ mod tests {
 
     #[test]
     fn render_tree_shows_hierarchy_and_self_time() {
-        let _s = Scenario::setup();
+        let _s = Scenario::traced();
         {
             let root = span_or_root("serve.request");
             root.attr("verb", "edit");
@@ -582,7 +548,7 @@ mod tests {
 
     #[test]
     fn exposition_lines_are_complete() {
-        let _s = Scenario::setup();
+        let _s = Scenario::traced();
         burst("x");
         let mut out = Exposition::new();
         expose_into(&mut out);

@@ -1,8 +1,8 @@
 //! The span machinery: a process-wide switch, a per-thread span stack,
 //! and RAII guards that record on drop.
 
-use crate::context::TraceContext;
-use crate::recorder::{self, TraceConfig};
+use super::context::TraceContext;
+use super::recorder::{self, TraceConfig};
 use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -329,14 +329,12 @@ pub fn current_trace_id() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{find, recent, slow};
+    use crate::Scenario;
 
     #[test]
     fn disabled_everything_is_inert() {
-        // Scenario-free: relies on the default-off switch, so it must
-        // not observe recorder state other tests could touch.
-        if enabled() {
-            return; // another test holds the scenario; nothing to check
-        }
+        let _s = Scenario::setup();
         let g = span("x");
         assert!(!g.is_recording());
         assert!(current().is_none());
@@ -346,7 +344,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_flush_once_per_root() {
-        let _s = crate::Scenario::setup();
+        let _s = Scenario::traced();
         {
             let root = span_or_root("root");
             assert!(root.is_recording());
@@ -358,14 +356,14 @@ mod tests {
                 child.err("boom");
                 assert_eq!(current_trace_id(), tid, "children share the trace");
             }
-            assert!(crate::slow().is_empty(), "nothing recorded before the root closes");
+            assert!(slow().is_empty(), "nothing recorded before the root closes");
         }
         // The error annotation classifies the whole trace into the
         // preferentially retained slow/error ring.
-        assert!(crate::recent().is_empty());
-        let traces = crate::slow();
+        assert!(recent().is_empty());
+        let traces = slow();
         assert_eq!(traces.len(), 1);
-        let t = crate::find(traces[0].trace_id).unwrap();
+        let t = find(traces[0].trace_id).unwrap();
         assert_eq!(t.spans.len(), 2);
         let child = t.spans.iter().find(|s| s.name == "child").unwrap();
         let root = t.spans.iter().find(|s| s.name == "root").unwrap();
@@ -378,7 +376,7 @@ mod tests {
 
     #[test]
     fn adopted_contexts_cross_threads() {
-        let _s = crate::Scenario::setup();
+        let _s = Scenario::traced();
         let tid;
         {
             let _root = span_or_root("fanout");
@@ -394,7 +392,7 @@ mod tests {
                 }
             });
         }
-        let t = crate::find(tid).expect("trace finalized after all roots closed");
+        let t = find(tid).expect("trace finalized after all roots closed");
         assert_eq!(t.spans.len(), 4);
         let root_span = t.spans.iter().find(|s| s.name == "fanout").unwrap();
         let workers: Vec<_> = t.spans.iter().filter(|s| s.name == "worker").collect();

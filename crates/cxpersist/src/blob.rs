@@ -32,6 +32,7 @@
 
 use crate::codec::crc32;
 use crate::error::PersistError;
+use cxobs::trace;
 use goddag::{Goddag, Layout, NodeId};
 use sacx::{escape_field, take_line, StandoffDoc, Tokens};
 use std::fmt::Write as _;
@@ -61,7 +62,7 @@ pub struct DocBlob {
 impl DocBlob {
     /// Capture a document.
     pub fn capture(g: &Goddag) -> DocBlob {
-        let _trace = cxtrace::span("blob.capture");
+        let _trace = trace::span("blob.capture");
         let (doc, elem_ids) = StandoffDoc::from_goddag_with_ids(g);
         let mut dtds = Vec::new();
         for h in g.hierarchy_ids() {
@@ -93,7 +94,7 @@ impl DocBlob {
     /// blob whose layout does not fit its stand-off is a
     /// [`PersistError::Codec`], never a panic.
     pub fn restore(&self) -> Result<Goddag, PersistError> {
-        let _trace = cxtrace::span("blob.restore");
+        let _trace = trace::span("blob.restore");
         let corrupt = |detail: String| PersistError::Codec { line: 0, detail };
         if self.root != 0 {
             return Err(corrupt(format!("root id mismatch: 0 vs {}", self.root)));

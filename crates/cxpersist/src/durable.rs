@@ -26,8 +26,8 @@ use crate::snapshot::{
     list_snapshots, load_snapshot, prune_snapshots, sync_dir, validated_manifest, write_snapshot,
     StoreSnapshot,
 };
-use cxfault::Site;
-use cxobs::{names, Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::fault::{self, Site};
+use cxobs::{names, trace, Exposition, Gauge, Histogram, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreError, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
@@ -36,7 +36,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// When the WAL file is fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,8 +47,6 @@ pub enum FsyncPolicy {
     /// checkpoints, and drop). A crash loses at most `n - 1` acknowledged
     /// edits.
     EveryN(u32),
-    /// At most one sync per interval, piggybacked on appends.
-    Interval(Duration),
     /// Never automatically — only explicit [`DurableStore::sync`],
     /// checkpoints, and drop. For bulk loads and tests.
     Never,
@@ -180,7 +178,6 @@ struct WalState {
     len: u64,
     /// Appends since the last sync.
     dirty: u32,
-    last_sync: Instant,
 }
 
 #[derive(Default)]
@@ -243,7 +240,7 @@ struct TailCache {
 
 /// Poison-tolerant: the WAL mutex guards plain state (file handle,
 /// LSN/byte counters, tail cache). A panic while it is held — an
-/// injected `cxfault::Fault::Panic` at a WAL failpoint, or an
+/// injected `cxobs::fault::Fault::Panic` at a WAL failpoint, or an
 /// out-of-memory mid-append — leaves counters that describe whatever
 /// actually reached the file; recovering the guard lets `Drop` still
 /// flush and `wal_tail` still ship, and reopen-time recovery re-derives
@@ -397,13 +394,7 @@ impl DurableStore {
             store,
             dir,
             gate: RwLock::new(()),
-            wal: Mutex::new(WalState {
-                file,
-                lsn,
-                len: valid_len,
-                dirty: 0,
-                last_sync: Instant::now(),
-            }),
+            wal: Mutex::new(WalState { file, lsn, len: valid_len, dirty: 0 }),
             policy: options.fsync,
             counters: PersistCounters::default(),
             metrics,
@@ -620,7 +611,7 @@ impl DurableStore {
         };
         // Failpoint: a bootstrap capture that fails after the sync — the
         // fetch errors (the follower retries), nothing degrades.
-        cxfault::io_check(Site::SnapshotCapture)?;
+        fault::io_check(Site::SnapshotCapture)?;
         StoreSnapshot::capture(&self.store, lsn)
     }
 
@@ -659,13 +650,7 @@ impl DurableStore {
             store,
             dir,
             gate: RwLock::new(()),
-            wal: Mutex::new(WalState {
-                file,
-                lsn,
-                len: WAL_HEADER.len() as u64,
-                dirty: 0,
-                last_sync: Instant::now(),
-            }),
+            wal: Mutex::new(WalState { file, lsn, len: WAL_HEADER.len() as u64, dirty: 0 }),
             policy: options.fsync,
             counters: PersistCounters::default(),
             metrics,
@@ -827,8 +812,8 @@ impl DurableStore {
     }
 
     fn append_locked(&self, w: &mut WalState, op: WalOp) -> Result<()> {
-        let _span = self.metrics.wal_append_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("wal.append");
+        let _span = self.metrics.wal_append_ns.span();
+        let trace = trace::span("wal.append");
         trace.attr("lsn", w.lsn + 1);
         let pre_len = w.len;
         let line = encode_record(w.lsn + 1, &op);
@@ -838,14 +823,14 @@ impl DurableStore {
         // file back to the last good record — the log stays a valid
         // prefix, the operation is refused before it mutates memory — and
         // degrade the store.
-        if let Some(fault) = cxfault::fire(Site::WalAppend) {
-            if let cxfault::InjectedFault::Torn(frac) = fault {
-                let keep = cxfault::torn_len(line.len(), frac);
+        if let Some(fault) = fault::fire(Site::WalAppend) {
+            if let fault::InjectedFault::Torn(frac) = fault {
+                let keep = fault::torn_len(line.len(), frac);
                 let _ = w.file.write_all(&line.as_bytes()[..keep]);
             }
             let _ = w.file.set_len(pre_len);
             let _ = w.file.seek(SeekFrom::Start(pre_len));
-            let e = cxfault::io_error(Site::WalAppend);
+            let e = fault::io_error(Site::WalAppend);
             self.enter_degraded(&format!("WAL append failed: {e}"));
             trace.err(format!("injected: {e}"));
             return Err(e.into());
@@ -867,7 +852,6 @@ impl DurableStore {
         let due = match self.policy {
             FsyncPolicy::EveryOp => true,
             FsyncPolicy::EveryN(n) => w.dirty >= n.max(1),
-            FsyncPolicy::Interval(d) => w.last_sync.elapsed() >= d,
             FsyncPolicy::Never => false,
         };
         if due {
@@ -890,16 +874,13 @@ impl DurableStore {
 
     fn sync_locked(&self, w: &mut WalState) -> Result<()> {
         if w.dirty > 0 {
-            let trace = cxtrace::span("wal.fsync");
+            let trace = trace::span("wal.fsync");
             // Failpoint + real fsync share one error path: records are
             // sitting in the page cache with no way to make them durable,
             // so the store degrades (the caller additionally rolls back
             // its own record when this failure aborts an append).
-            let r = cxfault::io_check(Site::WalFsync).and_then(|()| {
-                self.metrics
-                    .wal_fsync_ns
-                    .time_tagged(cxtrace::current_trace_id(), || w.file.sync_data())
-            });
+            let r = fault::io_check(Site::WalFsync)
+                .and_then(|()| self.metrics.wal_fsync_ns.time(|| w.file.sync_data()));
             if let Err(e) = r {
                 self.enter_degraded(&format!("WAL fsync failed: {e}"));
                 trace.err(e.to_string());
@@ -908,7 +889,6 @@ impl DurableStore {
             self.counters.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
             w.dirty = 0;
         }
-        w.last_sync = Instant::now();
         Ok(())
     }
 
@@ -973,11 +953,10 @@ impl DurableStore {
             return Ok(StoreHealth::Healthy);
         }
         let mut w = lock(&self.wal);
-        cxfault::io_check(Site::WalAppend)?;
-        cxfault::io_check(Site::WalFsync)?;
+        fault::io_check(Site::WalAppend)?;
+        fault::io_check(Site::WalFsync)?;
         self.metrics.wal_fsync_ns.time(|| w.file.sync_data())?;
         w.dirty = 0;
-        w.last_sync = Instant::now();
         self.degraded.store(false, Ordering::Release);
         *lock(&self.degraded_reason) = String::new();
         self.metrics.degraded.set(0);
@@ -1015,8 +994,8 @@ impl DurableStore {
         // path is broken that is exactly the kind of half-completed disk
         // surgery the degraded state exists to prevent.
         self.ensure_writable()?;
-        let _span = self.metrics.checkpoint_ns.span_tagged(cxtrace::current_trace_id());
-        let _trace = cxtrace::span("checkpoint");
+        let _span = self.metrics.checkpoint_ns.span();
+        let _trace = trace::span("checkpoint");
         let _exclusive = write_gate(&self.gate);
         let mut w = lock(&self.wal);
         // Everything up to w.lsn is in memory (mutators are drained); the
@@ -1138,19 +1117,6 @@ impl DurableStore {
     /// above — replication, clustering — hang their metrics here too).
     pub fn registry(&self) -> &Arc<Registry> {
         self.store.registry()
-    }
-}
-
-/// Append `cx_fault_hits_total` / `cx_fault_fires_total` series — one
-/// pair per configured failpoint site — to an exposition page. The
-/// failpoint registry is process-global (sites are reached from any
-/// layer), so callers emit this once per page rather than once per
-/// store; the cluster exposition does.
-pub fn expose_faults(out: &mut Exposition) {
-    for s in cxfault::site_stats() {
-        let site = s.site.to_string();
-        out.write_with(names::FAULT_HITS_TOTAL, &[("site", &site)], s.hits);
-        out.write_with(names::FAULT_FIRES_TOTAL, &[("site", &site)], s.fires);
     }
 }
 

@@ -21,6 +21,7 @@
 use crate::blob::DocBlob;
 use crate::codec::crc32;
 use crate::error::{PersistError, Result};
+use cxobs::fault::{self, Site};
 use cxstore::{DocId, Store};
 use sacx::{escape_field, Tokens};
 use std::fmt::Write as _;
@@ -368,7 +369,7 @@ pub(crate) fn write_snapshot(
     // is left behind (ignored by recovery, replaced by the next attempt)
     // and the previous generation stays authoritative — exactly the
     // atomicity the rename is for.
-    cxfault::io_check(cxfault::Site::CheckpointRename)?;
+    fault::io_check(Site::CheckpointRename)?;
     fs::rename(&tmp_path, &final_path)?;
     sync_dir(dir)?;
     out.docs = manifest.docs.len();

@@ -9,7 +9,7 @@
 mod common;
 
 use common::TempDir;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxobs::Observable;
 use cxpersist::{scan, DurableStore, PersistError, StoreHealth};
 use cxstore::EditOp;
@@ -22,7 +22,7 @@ fn export(store: &DurableStore, name: &str) -> String {
 
 #[test]
 fn enospc_mid_append_degrades_but_never_tears_the_wal() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("enospc");
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
@@ -33,7 +33,7 @@ fn enospc_mid_append_degrades_but_never_tears_the_wal() {
     let wal_len = fs::metadata(dir.path().join("wal.log")).unwrap().len();
 
     // The disk fills: the next append fails like ENOSPC.
-    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
+    fault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
     let err = store.edit(id, EditOp::InsertText { offset: 0, text: "LOST ".into() }).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Degraded);
@@ -74,7 +74,7 @@ fn enospc_mid_append_degrades_but_never_tears_the_wal() {
     // Reopen: replay reproduces exactly the acknowledged state; the
     // rejected edit is absent.
     drop(store);
-    cxfault::clear();
+    fault::clear();
     let reopened = DurableStore::open(dir.path()).unwrap();
     assert_eq!(reopened.recovery().torn_bytes_dropped, 0);
     assert_eq!(export(&reopened, "d"), before);
@@ -83,7 +83,7 @@ fn enospc_mid_append_degrades_but_never_tears_the_wal() {
 
 #[test]
 fn torn_append_rolls_back_to_the_record_boundary() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("torn-append");
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
@@ -94,7 +94,7 @@ fn torn_append_rolls_back_to_the_record_boundary() {
     // The write itself tears partway through the record (power loss
     // mid-write, short write on a full disk) — the append path persists
     // the torn prefix, then rolls the file back to the boundary.
-    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::TornWrite(0.6));
+    fault::configure(Site::WalAppend, Trigger::Always, Fault::TornWrite(0.6));
     let err = store.edit(id, EditOp::InsertText { offset: 0, text: "TORN ".into() }).unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Degraded);
@@ -107,7 +107,7 @@ fn torn_append_rolls_back_to_the_record_boundary() {
 
     // Disk recovers; heal re-probes and the store takes writes again,
     // numbering records as if the failure never happened.
-    cxfault::clear();
+    fault::clear();
     assert_eq!(store.heal().unwrap(), StoreHealth::Healthy);
     store.edit(id, EditOp::InsertText { offset: 0, text: "post ".into() }).unwrap();
     assert_ne!(export(&store, "d"), before);
@@ -120,24 +120,24 @@ fn torn_append_rolls_back_to_the_record_boundary() {
 
 #[test]
 fn heal_fails_while_the_disk_is_still_sick_then_succeeds() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("heal");
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
 
-    cxfault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
+    fault::configure(Site::WalAppend, Trigger::Always, Fault::Io);
     assert!(store.edit(id, EditOp::InsertText { offset: 0, text: "x".into() }).is_err());
     assert_eq!(store.health(), StoreHealth::Degraded);
 
     // The append path recovered but fsync still fails: heal's re-probe
     // must refuse to clear the flag.
-    cxfault::disarm(Site::WalAppend);
-    cxfault::configure(Site::WalFsync, Trigger::Always, Fault::Io);
+    fault::disarm(Site::WalAppend);
+    fault::configure(Site::WalFsync, Trigger::Always, Fault::Io);
     assert!(store.heal().is_err());
     assert_eq!(store.health(), StoreHealth::Degraded, "a failed probe keeps the store read-only");
 
     // Disk fully back: heal clears, writes flow, both events on the ring.
-    cxfault::clear();
+    fault::clear();
     assert_eq!(store.heal().unwrap(), StoreHealth::Healthy);
     assert_eq!(store.heal().unwrap(), StoreHealth::Healthy, "healing a healthy store is a no-op");
     store.edit(id, EditOp::InsertText { offset: 0, text: "back ".into() }).unwrap();
@@ -152,7 +152,7 @@ fn heal_fails_while_the_disk_is_still_sick_then_succeeds() {
 
 #[test]
 fn failed_snapshot_capture_errors_without_degrading() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("capture-fault");
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
@@ -161,14 +161,14 @@ fn failed_snapshot_capture_errors_without_degrading() {
     // A bootstrap capture that fails after the log sync: the caller (a
     // follower fetch) sees the error and retries — the primary must not
     // flip read-only over a replication-path hiccup.
-    cxfault::configure(Site::SnapshotCapture, Trigger::Always, Fault::Io);
+    fault::configure(Site::SnapshotCapture, Trigger::Always, Fault::Io);
     let err = store.capture_snapshot().unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Healthy, "capture failure never degrades");
     store.edit(id, EditOp::InsertText { offset: 0, text: "still writable ".into() }).unwrap();
 
     // Fault gone: the retried capture ships the post-edit state.
-    cxfault::disarm(Site::SnapshotCapture);
+    fault::disarm(Site::SnapshotCapture);
     let snap = store.capture_snapshot().unwrap();
     assert_eq!(snap.lsn, store.last_lsn());
     assert_ne!(export(&store, "d"), before);
@@ -176,7 +176,7 @@ fn failed_snapshot_capture_errors_without_degrading() {
 
 #[test]
 fn failed_checkpoint_rename_keeps_the_previous_generation_authoritative() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("ckpt-rename");
     let store = DurableStore::open(dir.path()).unwrap();
     let id = store.insert_named("d", corpus::figure1::goddag()).unwrap();
@@ -187,11 +187,11 @@ fn failed_checkpoint_rename_keeps_the_previous_generation_authoritative() {
     // ENOSPC/crash at the publish rename: the whole checkpoint is one
     // atomic rename away from existing, so a failure there must leave
     // only a `.tmp` leftover — never a half-visible generation.
-    cxfault::configure(Site::CheckpointRename, Trigger::Always, Fault::Io);
+    fault::configure(Site::CheckpointRename, Trigger::Always, Fault::Io);
     let err = store.checkpoint().unwrap_err();
     assert!(matches!(err, PersistError::Io(_)), "{err}");
     assert_eq!(store.health(), StoreHealth::Healthy, "a failed publish never degrades");
-    cxfault::clear();
+    fault::clear();
 
     // Recovery ignores the `.tmp` debris: a reopen replays the previous
     // generation plus the retained log to the exact acknowledged state.

@@ -1,27 +1,27 @@
 //! [`FaultTransport`]: a fault-injecting [`LogTransport`] decorator.
 //!
-//! Wraps any transport and consults a `cxfault` failpoint before every
+//! Wraps any transport and consults a `cxobs::fault` failpoint before every
 //! fetch, so chaos tests inject outages, slow links, and torn batches at
 //! the replication seam without touching primary or follower code. With
 //! no site armed the decorator costs one relaxed atomic load per fetch.
 
 use crate::error::{ReplError, Result};
 use crate::transport::{FetchResponse, LogTransport};
-use cxfault::{Failpoint, Site};
+use cxobs::fault::{self, Failpoint, Site};
 
-/// A [`LogTransport`] that injects faults from the `cxfault` registry at
+/// A [`LogTransport`] that injects faults from the `cxobs::fault` registry at
 /// [`Site::ReplFetch`].
 ///
-/// * [`cxfault::Fault::Io`] — the fetch fails outright (a dead peer, a
+/// * [`cxobs::fault::Fault::Io`] — the fetch fails outright (a dead peer, a
 ///   torn connection); the follower's backoff loop absorbs it.
-/// * [`cxfault::Fault::TornWrite`] — the fetch succeeds but a `Records`
+/// * [`cxobs::fault::Fault::TornWrite`] — the fetch succeeds but a `Records`
 ///   batch is truncated in flight to the configured fraction; the
 ///   replica applies the whole-record prefix and re-requests the rest
 ///   (caught-up and snapshot responses pass through untorn — snapshots
 ///   are all-or-nothing artifacts, and tearing one merely yields a
 ///   transient parse error, a less interesting failure than the
 ///   mid-stream tear this exercises).
-/// * [`cxfault::Fault::Delay`] — the fetch stalls inside the failpoint
+/// * [`cxobs::fault::Fault::Delay`] — the fetch stalls inside the failpoint
 ///   (a congested link), then proceeds.
 pub struct FaultTransport<T: LogTransport> {
     inner: T,
@@ -49,17 +49,15 @@ impl<T: LogTransport> FaultTransport<T> {
 
 impl<T: LogTransport> LogTransport for FaultTransport<T> {
     fn fetch(&mut self, after: u64, max_bytes: usize) -> Result<FetchResponse> {
-        match cxfault::fire(self.at) {
-            Some(cxfault::InjectedFault::Io) => Err(ReplError::Io(cxfault::io_error(self.at))),
-            Some(cxfault::InjectedFault::Torn(frac)) => {
-                match self.inner.fetch(after, max_bytes)? {
-                    FetchResponse::Records { head, mut bytes } => {
-                        bytes.truncate(cxfault::torn_len(bytes.len(), frac));
-                        Ok(FetchResponse::Records { head, bytes })
-                    }
-                    other => Ok(other),
+        match fault::fire(self.at) {
+            Some(fault::InjectedFault::Io) => Err(ReplError::Io(fault::io_error(self.at))),
+            Some(fault::InjectedFault::Torn(frac)) => match self.inner.fetch(after, max_bytes)? {
+                FetchResponse::Records { head, mut bytes } => {
+                    bytes.truncate(fault::torn_len(bytes.len(), frac));
+                    Ok(FetchResponse::Records { head, bytes })
                 }
-            }
+                other => Ok(other),
+            },
             None => self.inner.fetch(after, max_bytes),
         }
     }

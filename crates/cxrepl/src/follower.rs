@@ -155,7 +155,7 @@ impl RetryPolicy {
             .max(Duration::from_micros(1))
             .saturating_mul(1u32 << exp)
             .min(self.backoff_max);
-        let frac = cxfault::splitmix64(rng) as f64 / u64::MAX as f64;
+        let frac = cxobs::splitmix64(rng) as f64 / u64::MAX as f64;
         d.mul_f64(1.0 - self.jitter.clamp(0.0, 1.0) * frac)
     }
 }

@@ -7,7 +7,7 @@
 mod common;
 
 use common::TempDir;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxpersist::{DurableStore, FsyncPolicy, Options};
 use cxrepl::{
     FaultTransport, Follower, FollowerError, InProcessTransport, Primary, ReplicaStore, RetryPolicy,
@@ -77,7 +77,7 @@ fn delay_curve_doubles_caps_and_jitters_deterministically() {
 
 #[test]
 fn transient_outage_backs_off_recovers_and_converges() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("backoff-transient");
     let primary = serving_primary(&dir, 10);
     let replica = Arc::new(ReplicaStore::new());
@@ -85,7 +85,7 @@ fn transient_outage_backs_off_recovers_and_converges() {
 
     // Every other fetch on this link fails — a flapping primary, not a
     // dead one.
-    cxfault::configure(Site::ReplFetch, Trigger::EveryN(2), Fault::Io);
+    fault::configure(Site::ReplFetch, Trigger::EveryN(2), Fault::Io);
     let handle = Follower::new(Arc::clone(&replica), transport).spawn(Duration::from_millis(2));
 
     // Keep writing through the flapping; the follower must make progress
@@ -100,7 +100,7 @@ fn transient_outage_backs_off_recovers_and_converges() {
     // The link heals; the replica converges fully. Wait on the primary's
     // true head, not `lag()` — lag measures against the head the follower
     // last *observed*, which can be stale right after the final edit.
-    cxfault::clear();
+    fault::clear();
     let head = durable.last_lsn();
     let deadline = Instant::now() + Duration::from_secs(10);
     while replica.last_applied() < head && Instant::now() < deadline {
@@ -122,7 +122,7 @@ fn transient_outage_backs_off_recovers_and_converges() {
 
 #[test]
 fn exhausted_retry_budget_parks_typed_with_replica_still_readable() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("backoff-budget");
     let primary = serving_primary(&dir, 5);
     let replica = Arc::new(ReplicaStore::new());
@@ -136,7 +136,7 @@ fn exhausted_retry_budget_parks_typed_with_replica_still_readable() {
 
     // The link goes fully dark; a 3-failure budget must park the loop
     // instead of retrying forever.
-    cxfault::configure(Site::ReplFetch, Trigger::Always, Fault::Io);
+    fault::configure(Site::ReplFetch, Trigger::Always, Fault::Io);
     let policy = RetryPolicy::new(Duration::from_millis(1)).with_retry_budget(3);
     let handle = follower.spawn_with(policy);
     let deadline = Instant::now() + Duration::from_secs(5);

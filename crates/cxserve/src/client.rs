@@ -31,6 +31,7 @@
 
 use crate::error::{Result, ServeError, WireError};
 use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire};
+use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp, EditOutcome};
 use goddag::Goddag;
@@ -87,7 +88,7 @@ impl Conn {
         // If a trace is active on this thread, its context rides the
         // frame as the optional `tc` token — the server adopts it and
         // the whole request becomes one tree across both processes.
-        cxwire::write_frame(&mut self.stream, &req.encode_traced(cxtrace::current()))
+        cxwire::write_frame(&mut self.stream, &req.encode_traced(trace::current()))
     }
 
     fn recv(&mut self) -> Result<Response> {
@@ -145,7 +146,7 @@ impl Client {
     /// transport failure drops the connection — a pooled socket whose
     /// server restarted fails here once, and the retry dials fresh.
     fn call(&self, req: &Request) -> Result<Response> {
-        let trace = cxtrace::span_or_root("client.call");
+        let trace = trace::span_or_root("client.call");
         trace.attr("verb", req.verb().name());
         let mut conn = match self.take_conn() {
             Ok(c) => c,
@@ -240,7 +241,7 @@ impl Client {
     /// outcome has `node: None` (the created node id, if any, was lost
     /// with the connection).
     pub fn edit_guarded(&self, doc: DocId, expected: u64, op: EditOp) -> Result<EditOutcome> {
-        let trace = cxtrace::span_or_root("client.edit_guarded");
+        let trace = trace::span_or_root("client.edit_guarded");
         trace.attr("doc", doc.raw());
         trace.attr("guard", expected);
         let r = self.edit_guarded_inner(doc, expected, op);
@@ -255,7 +256,25 @@ impl Client {
         let mut resent = false;
         let mut attempt = 0;
         loop {
-            match self.call(&req) {
+            let reply = self.call(&req);
+            // A lost answer — a transport failure, or a deadline refusal,
+            // which has the same ambiguity (the work may have happened;
+            // only the answer was refused) — is resolved by a probe.
+            let lost = match &reply {
+                Ok(Response::Err(WireError::Deadline { .. })) => true,
+                Ok(_) => false,
+                Err(e) => e.is_transport(),
+            };
+            if lost && attempt < self.opts.retries {
+                attempt += 1;
+                match self.fate(doc, expected)? {
+                    Fate::NotApplied => resent = true,
+                    Fate::Applied(epoch) => return Ok(EditOutcome { node: None, epoch }),
+                    Fate::Conflict(current) => return Err(conflict(doc, expected, current)),
+                }
+                continue;
+            }
+            match reply {
                 Ok(Response::Edited { node, epoch }) => return Ok(EditOutcome { node, epoch }),
                 // Transient refusals guarantee the request did not
                 // execute — same guard, straight resend, no probe.
@@ -274,52 +293,25 @@ impl Client {
                 {
                     return Ok(EditOutcome { node: None, epoch: current })
                 }
-                // A deadline refusal has transport-grade ambiguity (the
-                // work may have happened; only the answer was refused),
-                // so it takes the same probe-based recovery below.
-                Ok(Response::Err(WireError::Deadline { .. })) if attempt < self.opts.retries => {
-                    attempt += 1;
-                    match self.epoch(doc)? {
-                        current if current == expected => resent = true,
-                        current if current == expected + 1 => {
-                            return Ok(EditOutcome { node: None, epoch: current })
-                        }
-                        current => {
-                            return Err(ServeError::Conflict {
-                                doc,
-                                detail: format!(
-                                    "guard {expected} but epoch moved to {current}; \
-                                     another writer intervened"
-                                ),
-                            })
-                        }
-                    }
-                }
                 Ok(Response::Err(e)) => return Err(e.into()),
                 Ok(other) => return Err(unexpected("edited", &other)),
-                Err(e) if e.is_transport() && attempt < self.opts.retries => {
-                    attempt += 1;
-                    match self.epoch(doc)? {
-                        current if current == expected => {
-                            resent = true; // never applied: same guard, resend
-                        }
-                        current if current == expected + 1 => {
-                            return Ok(EditOutcome { node: None, epoch: current })
-                        }
-                        current => {
-                            return Err(ServeError::Conflict {
-                                doc,
-                                detail: format!(
-                                    "guard {expected} but epoch moved to {current}; \
-                                     another writer intervened"
-                                ),
-                            })
-                        }
-                    }
-                }
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Probe `doc`'s epoch to learn what became of an edit guarded at
+    /// `guard` whose answer was lost. `epoch` blind-retries internally;
+    /// if even that cannot get through, its error is the caller's.
+    fn fate(&self, doc: DocId, guard: u64) -> Result<Fate> {
+        let current = self.epoch(doc)?;
+        Ok(if current == guard {
+            Fate::NotApplied
+        } else if current == guard + 1 {
+            Fate::Applied(current)
+        } else {
+            Fate::Conflict(current)
+        })
     }
 
     /// Pipelined guarded edits: up to [`ClientOptions::window`] edits in
@@ -335,7 +327,7 @@ impl Client {
         &self,
         edits: &[(DocId, EditOp)],
     ) -> Result<Vec<std::result::Result<EditOutcome, ServeError>>> {
-        let trace = cxtrace::span_or_root("client.edit_batch");
+        let trace = trace::span_or_root("client.edit_batch");
         trace.attr("edits", edits.len());
         let mut results: Vec<Option<std::result::Result<EditOutcome, ServeError>>> = Vec::new();
         results.resize_with(edits.len(), || None);
@@ -442,14 +434,7 @@ impl Client {
                             // No transport fault happened, so this is an
                             // external writer — resync and surface it.
                             expected.insert(p.doc, current);
-                            results[p.idx] = Some(Err(ServeError::Conflict {
-                                doc: p.doc,
-                                detail: format!(
-                                    "guard {} but epoch moved to {current}; \
-                                     another writer intervened",
-                                    p.guard
-                                ),
-                            }));
+                            results[p.idx] = Some(Err(conflict(p.doc, p.guard, current)));
                         }
                         Response::Err(e) => {
                             // Typed refusal (gate rejection, …): the op
@@ -512,23 +497,18 @@ impl Client {
                         ready.push_front(idx);
                     }
                 }
-                // `epoch` blind-retries internally; if even that cannot
-                // get through, the batch fails as a whole.
-                let current = client.epoch(p.doc)?;
-                if current == p.guard {
-                    ready.push_front(p.idx); // never applied: resend
-                } else if current == p.guard + 1 {
-                    expected.insert(p.doc, current);
-                    results[p.idx] = Some(Ok(EditOutcome { node: None, epoch: current }));
-                } else {
-                    expected.insert(p.doc, current);
-                    results[p.idx] = Some(Err(ServeError::Conflict {
-                        doc: p.doc,
-                        detail: format!(
-                            "guard {} but epoch moved to {current} across a reconnect",
-                            p.guard
-                        ),
-                    }));
+                // A probe that cannot get through fails the batch as a
+                // whole.
+                match client.fate(p.doc, p.guard)? {
+                    Fate::NotApplied => ready.push_front(p.idx), // resend
+                    Fate::Applied(epoch) => {
+                        expected.insert(p.doc, epoch);
+                        results[p.idx] = Some(Ok(EditOutcome { node: None, epoch }));
+                    }
+                    Fate::Conflict(current) => {
+                        expected.insert(p.doc, current);
+                        results[p.idx] = Some(Err(conflict(p.doc, p.guard, current)));
+                    }
                 }
             }
             *conn = client.take_conn()?;
@@ -665,7 +645,7 @@ impl Client {
     }
 
     /// One retained trace, rendered server-side as an indented span tree
-    /// with per-span self-times (see `cxtrace::render_tree`).
+    /// with per-span self-times (see `cxobs::trace::render_tree`).
     pub fn trace_tree(&self, trace_id: u64) -> Result<String> {
         match self.call_idem(&Request::Trace(TraceQuery::Get { trace_id }))? {
             Response::Text(text) => Ok(text),
@@ -677,6 +657,25 @@ impl Client {
 
 fn unexpected(wanted: &str, got: &Response) -> ServeError {
     ServeError::Protocol(format!("expected {wanted} response, got {got:?}"))
+}
+
+/// What an epoch probe says became of a guarded edit whose answer was
+/// lost ([`Client::fate`]).
+enum Fate {
+    /// The document still sits at the guard: the edit never applied, so
+    /// resending it under the same guard is safe.
+    NotApplied,
+    /// Exactly one epoch past the guard: the edit applied once.
+    Applied(u64),
+    /// Further along: another writer intervened.
+    Conflict(u64),
+}
+
+fn conflict(doc: DocId, guard: u64, current: u64) -> ServeError {
+    ServeError::Conflict {
+        doc,
+        detail: format!("guard {guard} but epoch moved to {current}; another writer intervened"),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -775,7 +774,7 @@ impl RouterClient {
     /// Run a per-document operation against the believed owner; on a
     /// `wrong_shard` refusal, learn the real owner and retry there once.
     fn on_owner<T>(&self, doc: DocId, f: impl Fn(&Client) -> Result<T>) -> Result<T> {
-        let trace = cxtrace::span_or_root("router.request");
+        let trace = trace::span_or_root("router.request");
         trace.attr("doc", doc.raw());
         let shard = self.shard_of(doc).min(self.shards - 1);
         trace.attr("shard", shard);
@@ -850,8 +849,8 @@ impl RouterClient {
     /// all-or-nothing, merged id-sorted (each shard-scoped server
     /// answers for its own documents only).
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<NodeId>)>> {
-        let trace = cxtrace::span_or_root("router.query_all");
-        let parent = cxtrace::current();
+        let trace = trace::span_or_root("router.query_all");
+        let parent = trace::current();
         let mut shards: Vec<Result<DocHits>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .clients
@@ -863,7 +862,7 @@ impl RouterClient {
                     // fan-out deterministically.
                     let ctx = parent.map(|p| p.child());
                     scope.spawn(move || {
-                        let g = cxtrace::adopt("router.shard_query", ctx);
+                        let g = trace::adopt("router.shard_query", ctx);
                         g.attr("shard", i);
                         let r = c.query_all(expr);
                         if let Err(e) = &r {
@@ -894,8 +893,8 @@ impl RouterClient {
         expr: &str,
         per_shard_timeout: Duration,
     ) -> Result<PartialHits> {
-        let trace = cxtrace::span_or_root("router.query_all_partial");
-        let parent = cxtrace::current();
+        let trace = trace::span_or_root("router.query_all_partial");
+        let parent = trace::current();
         let per_shard: Vec<Result<PartialHits>> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
                 .clients
@@ -904,7 +903,7 @@ impl RouterClient {
                 .map(|(i, c)| {
                     let ctx = parent.map(|p| p.child());
                     scope.spawn(move || {
-                        let g = cxtrace::adopt("router.shard_query", ctx);
+                        let g = trace::adopt("router.shard_query", ctx);
                         g.attr("shard", i);
                         let r = c.query_all_partial(expr, per_shard_timeout);
                         if let Err(e) = &r {

@@ -33,7 +33,7 @@
 //! the client probes the document's epoch to learn whether its edit
 //! landed — applied-exactly-once either way.
 //!
-//! The whole tier is traced end to end with [`cxtrace`]: request frames
+//! The whole tier is traced end to end with [`cxobs::trace`]: request frames
 //! carry an optional trace-context token, the server adopts it into its
 //! handler span, and the `trace` verb serves the flight recorder's
 //! retained traces — summaries or one rendered tree — over the wire.

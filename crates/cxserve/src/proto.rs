@@ -31,13 +31,14 @@
 //!
 //! **Trace propagation.** A request line may end with one
 //! `tc <trace_id>-<span_id>` token pair ([`Request::encode_traced`]):
-//! the client's current [`cxtrace::TraceContext`] riding the frame so
+//! the client's current [`cxobs::trace::TraceContext`] riding the frame so
 //! the server's handler span joins the caller's trace. Nothing else may
 //! follow a verb's arguments — leftover tokens are a `bad_request`, not
 //! silently ignored — and the wire bytes without tracing enabled carry no
 //! pair at all.
 
 use crate::error::{WireError, WireErrorKind};
+use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
@@ -159,7 +160,7 @@ pub enum TraceQuery {
 }
 
 /// One trace summary as it crosses the wire (the `&'static str` root
-/// name of [`cxtrace::TraceSummary`] becomes owned text here).
+/// name of [`cxobs::trace::TraceSummary`] becomes owned text here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummaryWire {
     /// The id to fetch the full tree with.
@@ -178,8 +179,8 @@ pub struct TraceSummaryWire {
     pub error: bool,
 }
 
-impl From<cxtrace::TraceSummary> for TraceSummaryWire {
-    fn from(s: cxtrace::TraceSummary) -> TraceSummaryWire {
+impl From<trace::TraceSummary> for TraceSummaryWire {
+    fn from(s: trace::TraceSummary) -> TraceSummaryWire {
         TraceSummaryWire {
             trace_id: s.trace_id,
             root: s.root.to_string(),
@@ -350,7 +351,7 @@ impl Request {
     /// frame as a trailing `tc <trace>-<span>` token pair (before the
     /// body separator, so body-carrying verbs work too). `None` encodes
     /// identically to [`Request::encode`].
-    pub fn encode_traced(&self, ctx: Option<cxtrace::TraceContext>) -> Vec<u8> {
+    pub fn encode_traced(&self, ctx: Option<trace::TraceContext>) -> Vec<u8> {
         let f = escape_field;
         let mut out = format!("{VERSION} {}", self.verb());
         // Writing into a `String` cannot fail.
@@ -425,11 +426,11 @@ impl Request {
     /// puts the pair: a `tc` anywhere earlier is some verb's argument.
     /// (Not decoding has a price: an *untraced* `setattr <node> tc <value>`
     /// whose value happens to be a well-formed context still reads as one.)
-    pub fn trace_context(payload: &[u8]) -> Option<cxtrace::TraceContext> {
+    pub fn trace_context(payload: &[u8]) -> Option<trace::TraceContext> {
         let text = std::str::from_utf8(payload).ok()?;
         let mut last = split_body(text).0.rsplitn(3, ' ');
         let (ctx, tc) = (last.next()?, last.next()?);
-        (tc == TRACE_TOKEN).then(|| cxtrace::TraceContext::parse_token(ctx)).flatten()
+        (tc == TRACE_TOKEN).then(|| trace::TraceContext::parse_token(ctx)).flatten()
     }
 
     /// Parse a frame payload. Every failure is a typed
@@ -486,7 +487,7 @@ impl Request {
         // After the verb's arguments: nothing, or the caller's trace context.
         if t.peek() == Some(TRACE_TOKEN) {
             t.next();
-            cxtrace::TraceContext::parse_token(t.token("trace context")?)
+            trace::TraceContext::parse_token(t.token("trace context")?)
                 .ok_or("malformed trace context")?;
         }
         t.finish()?;

@@ -29,8 +29,8 @@
 use crate::error::{WireError, WireErrorKind};
 use crate::proto::{Request, Response, TraceQuery, Verb};
 use cxcluster::{Cluster, ClusterError, ShardId};
-use cxfault::Site;
-use cxobs::{names, Counter, Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::fault::{self, Site};
+use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{LoggedDoc, PersistError};
 use cxstore::DocId;
 use std::io::{ErrorKind, Read};
@@ -369,8 +369,8 @@ fn respond(svc: &Service, payload: &[u8]) -> Response {
     // decode-free, so adoption happens even for frames the injected
     // fault will refuse before decoding.
     let trace = match Request::trace_context(payload) {
-        Some(ctx) => cxtrace::start("serve.request", ctx.child()),
-        None => cxtrace::span_or_root("serve.request"),
+        Some(ctx) => trace::start("serve.request", ctx.child()),
+        None => trace::span_or_root("serve.request"),
     };
     let started = Instant::now();
     let (served, resp) = match catch_unwind(AssertUnwindSafe(|| handle(svc, payload, started))) {
@@ -389,10 +389,9 @@ fn respond(svc: &Service, payload: &[u8]) -> Response {
         trace.err(e.to_string());
         svc.count_error(e.kind());
     }
-    // The histogram exemplar remembers which trace last landed in each
-    // latency bucket — the bridge from "the p99 moved" to "this trace".
-    svc.request_ns(served)
-        .record_ns_tagged(started.elapsed().as_nanos() as u64, cxtrace::current_trace_id());
+    // Recorded inside `serve.request`, so the bucket's exemplar names
+    // this trace — the bridge from "the p99 moved" to "this trace".
+    svc.request_ns(served).record(started.elapsed());
     resp
 }
 
@@ -401,8 +400,8 @@ fn handle(svc: &Service, payload: &[u8], started: Instant) -> (Served, Response)
     // stalls right here (and may then trip the deadline below), `Panic`
     // unwinds into `respond`'s catch. It fires before decoding, so the
     // verb is contractually unknown on this path.
-    if cxfault::fire(Site::ServeRequest).is_some() {
-        let e = WireError::Injected(cxfault::io_error(Site::ServeRequest).to_string());
+    if fault::fire(Site::ServeRequest).is_some() {
+        let e = WireError::Injected(fault::io_error(Site::ServeRequest).to_string());
         return (Served::Unknown, Response::Err(e));
     }
     let req = match Request::decode(payload) {
@@ -547,13 +546,13 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
             },
             Request::Trace(q) => match q {
                 TraceQuery::Recent { limit } => Response::Traces(
-                    cxtrace::recent().into_iter().take(limit).map(Into::into).collect(),
+                    trace::recent().into_iter().take(limit).map(Into::into).collect(),
                 ),
                 TraceQuery::Slow { limit } => Response::Traces(
-                    cxtrace::slow().into_iter().take(limit).map(Into::into).collect(),
+                    trace::slow().into_iter().take(limit).map(Into::into).collect(),
                 ),
-                TraceQuery::Get { trace_id } => match cxtrace::find(trace_id) {
-                    Some(t) => Response::Text(cxtrace::render_tree(&t)),
+                TraceQuery::Get { trace_id } => match trace::find(trace_id) {
+                    Some(t) => Response::Text(trace::render_tree(&t)),
                     None => return Err(WireError::Store(format!("no such trace {trace_id:016x}"))),
                 },
             },

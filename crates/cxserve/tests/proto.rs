@@ -70,7 +70,7 @@ fn a_traced_insert_element_keeps_its_attributes_and_its_trace() {
             end: 19,
         },
     };
-    let ctx = cxtrace::TraceContext::mint();
+    let ctx = cxobs::trace::TraceContext::mint();
     let bytes = req.encode_traced(Some(ctx));
     assert_eq!(Request::decode(&bytes).unwrap(), req);
     let seen = Request::trace_context(&bytes).expect("the pair is found");

@@ -2,12 +2,16 @@
 //! pooled connections gone stale, and — the part that matters — **no
 //! gated edit ever applies twice**, because every retryable edit rides a
 //! compare-and-set epoch guard.
+//!
+//! Every test holds `cxobs::Scenario`: the failpoint table is
+//! process-wide, so a request from an unguarded sibling could consume a
+//! one-shot fault another test armed on `serve.request`.
 
 mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::Cluster;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxserve::{Client, ClientOptions, ClusterServer, ServerOptions};
 use cxstore::EditOp;
 use std::net::SocketAddr;
@@ -20,6 +24,7 @@ fn bind(cluster: &Arc<Cluster>, addr: SocketAddr) -> ClusterServer {
 
 #[test]
 fn pooled_connections_survive_a_server_restart() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("restart");
     let cluster = open_cluster(&dir, 2);
     let server = bind(&cluster, "127.0.0.1:0".parse().unwrap());
@@ -48,7 +53,7 @@ fn pooled_connections_survive_a_server_restart() {
 
 #[test]
 fn a_batch_killed_mid_pipeline_recovers_without_duplicating_edits() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("midpipe");
     let cluster = open_cluster(&dir, 2);
     let server = bind(&cluster, "127.0.0.1:0".parse().unwrap());
@@ -66,7 +71,7 @@ fn a_batch_killed_mid_pipeline_recovers_without_duplicating_edits() {
     let edits: Vec<(cxstore::DocId, EditOp)> = (0..60)
         .map(|k| (docs[k % docs.len()], EditOp::InsertText { offset: 0, text: format!("[{k}]") }))
         .collect();
-    cxfault::configure(
+    fault::configure(
         Site::ServeRequest,
         Trigger::EveryN(1),
         Fault::Delay(Duration::from_millis(4)),

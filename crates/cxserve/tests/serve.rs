@@ -1,12 +1,16 @@
 //! End-to-end service-tier tests: every verb over a real socket, typed
 //! failure passthrough (stale, shard-down, timeout, injected, panic,
 //! deadline), and the shard-scoped server + router client pair.
+//!
+//! Every test holds `cxobs::Scenario`: the failpoint table is
+//! process-wide, so a request from an unguarded sibling could consume a
+//! one-shot fault another test armed on `serve.request`.
 
 mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxserve::{
     Client, ClientOptions, ClusterServer, Request, Response, RouterClient, ServeError,
     ServerOptions, TraceQuery, Verb, WireError,
@@ -21,6 +25,7 @@ fn client(server: &ClusterServer) -> Client {
 
 #[test]
 fn every_verb_over_a_real_socket() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("verbs");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -104,6 +109,7 @@ fn every_verb_over_a_real_socket() {
 /// without a sample — gets a reply that is not `bad_request`.
 #[test]
 fn every_verb_in_the_vocabulary_is_served() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("vocab");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -147,6 +153,7 @@ fn every_verb_in_the_vocabulary_is_served() {
 
 #[test]
 fn typed_cluster_failures_cross_the_wire() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("typed");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -188,7 +195,7 @@ fn typed_cluster_failures_cross_the_wire() {
 
 #[test]
 fn injected_faults_deadlines_and_panics_are_contained() {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("faults");
     let cluster = open_cluster(&dir, 1);
     let opts = ServerOptions { deadline: Duration::from_millis(300), ..ServerOptions::default() };
@@ -201,40 +208,32 @@ fn injected_faults_deadlines_and_panics_are_contained() {
     let raw =
         Client::connect(server.addr(), ClientOptions { retries: 0, ..ClientOptions::default() })
             .unwrap();
-    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     let hit = raw.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Injected(_)))), "{hit:?}");
     assert!(!c.query(id, "//w").unwrap().is_empty());
 
     // The default client retries straight through a one-shot injection:
     // injected fires pre-decode, so the retry is safe even for writes.
-    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     assert!(!c.query(id, "//w").unwrap().is_empty(), "retry absorbed the injected fault");
 
     // A handler panic is caught: typed server error, connection lives.
-    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Panic);
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Panic);
     let hit = c.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Server(_)))), "{hit:?}");
     assert!(!c.query(id, "//w").unwrap().is_empty());
 
     // A stall past the deadline comes back as a typed deadline error
     // (driven on the raw client so the retry machinery stays out of it).
-    cxfault::configure(
-        Site::ServeRequest,
-        Trigger::Nth(1),
-        Fault::Delay(Duration::from_millis(600)),
-    );
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Delay(Duration::from_millis(600)));
     let hit = raw.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Deadline { .. }))), "{hit:?}");
 
     // A guarded edit refused by the deadline recovers via the epoch
     // probe instead of double-applying.
     let e0 = c.epoch(id).unwrap();
-    cxfault::configure(
-        Site::ServeRequest,
-        Trigger::Nth(1),
-        Fault::Delay(Duration::from_millis(600)),
-    );
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Delay(Duration::from_millis(600)));
     let out = c.edit_guarded(id, e0, EditOp::InsertText { offset: 0, text: "d".into() }).unwrap();
     assert_eq!(out.epoch, e0 + 1);
     assert_eq!(c.epoch(id).unwrap(), e0 + 1, "the edit applied exactly once");
@@ -246,6 +245,7 @@ fn injected_faults_deadlines_and_panics_are_contained() {
 
 #[test]
 fn shard_scoped_servers_and_the_router_client() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("router");
     let cluster = open_cluster(&dir, 3);
     let servers: Vec<ClusterServer> = (0..3)

@@ -8,7 +8,7 @@ mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
 use cxserve::{Client, ClientOptions, ClusterServer, ServeError, ServerOptions, WireError};
 use cxstore::{DocId, EditOp, Store};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -106,7 +106,7 @@ fn writer(
 }
 
 fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
-    let _fp = cxfault::Scenario::setup();
+    let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("soak");
     let cluster = open_cluster(&dir, SHARDS);
     let control = Store::new();
@@ -132,7 +132,7 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
     let addr = server.addr();
 
     // Request faults fire for the whole run.
-    cxfault::configure_seeded(Site::ServeRequest, Trigger::Probability(fault_p), Fault::Io, 23);
+    fault::configure_seeded(Site::ServeRequest, Trigger::Probability(fault_p), Fault::Io, 23);
 
     let applied_total = Arc::new(AtomicUsize::new(0));
     let injected_hits = Arc::new(AtomicUsize::new(0));
@@ -213,8 +213,8 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
         done.store(true, Ordering::Relaxed);
     });
 
-    let fault_fires = cxfault::fires(Site::ServeRequest);
-    cxfault::clear();
+    let fault_fires = fault::fires(Site::ServeRequest);
+    fault::clear();
     assert_eq!(applied_total.load(Ordering::Relaxed), target_total);
     assert!(fault_fires > 0, "the request-fault schedule actually fired");
     let _ = injected_hits.load(Ordering::Relaxed); // streaks are possible, not required

@@ -3,20 +3,21 @@
 //! and shard outages, and the slow-request flight recorder's retention
 //! guarantee.
 //!
-//! Tracing and fault state are process-global, so every test takes
-//! `cxfault::Scenario` *then* `cxtrace::Scenario` (always that order)
-//! to serialize against the rest of the binary.
+//! Tracing and fault state are process-global, so every test holds the
+//! one `cxobs::Scenario` and turns tracing on only once its set-up is
+//! done, so the recorder holds exactly the requests under test; the
+//! guard's drop turns it off again.
 
 mod common;
 
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
-use cxfault::{Fault, Site, Trigger};
+use cxobs::fault::{self, Fault, Site, Trigger};
+use cxobs::trace::{self, FinishedTrace, SpanRecord, TraceConfig};
 use cxserve::{
     Client, ClientOptions, ClusterServer, RouterClient, ServeError, ServerOptions, WireError,
 };
 use cxstore::EditOp;
-use cxtrace::{FinishedTrace, TraceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,7 +47,7 @@ fn poll_for<T>(mut f: impl FnMut() -> Option<T>) -> Option<T> {
     None
 }
 
-fn span_of<'t>(t: &'t FinishedTrace, name: &str) -> &'t cxtrace::SpanRecord {
+fn span_of<'t>(t: &'t FinishedTrace, name: &str) -> &'t SpanRecord {
     t.spans
         .iter()
         .find(|s| s.name == name)
@@ -54,7 +55,7 @@ fn span_of<'t>(t: &'t FinishedTrace, name: &str) -> &'t cxtrace::SpanRecord {
 }
 
 /// Whether `s` is the span `ancestor` or lies below it.
-fn descends_from<'t>(t: &'t FinishedTrace, mut s: &'t cxtrace::SpanRecord, ancestor: u64) -> bool {
+fn descends_from<'t>(t: &'t FinishedTrace, mut s: &'t SpanRecord, ancestor: u64) -> bool {
     loop {
         if s.span_id == ancestor {
             return true;
@@ -72,7 +73,7 @@ fn descends_from<'t>(t: &'t FinishedTrace, mut s: &'t cxtrace::SpanRecord, ances
 /// and the tree is retrievable over the wire via the `trace` verb.
 #[test]
 fn a_guarded_edit_yields_one_tree_across_every_layer() {
-    let _faults = cxfault::Scenario::setup();
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("trace-tree");
     let cluster = open_cluster(&dir, 2);
     let opts = ServerOptions::default();
@@ -88,15 +89,15 @@ fn a_guarded_edit_yields_one_tree_across_every_layer() {
     let id = router.insert(&manuscript(30, 77)).unwrap();
     let epoch = router.epoch(id).unwrap();
 
-    let _trace = cxtrace::Scenario::setup();
+    trace::enable();
     router.edit_guarded(id, epoch, EditOp::InsertText { offset: 0, text: "x".into() }).unwrap();
 
-    let recent = cxtrace::recent();
+    let recent = trace::recent();
     let summary = recent
         .iter()
         .find(|t| t.root == "router.request")
         .expect("the guarded edit's trace is retained");
-    let t = cxtrace::find(summary.trace_id).unwrap();
+    let t = trace::find(summary.trace_id).unwrap();
     assert_no_orphans(&t);
 
     // The full causal chain, one parent at a time.
@@ -139,19 +140,19 @@ fn a_guarded_edit_yields_one_tree_across_every_layer() {
 /// arrived.
 #[test]
 fn an_import_restores_its_blob_once_and_never_captures_under_the_handler() {
-    let _faults = cxfault::Scenario::setup();
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("trace-import");
     let cluster = open_cluster(&dir, 1);
     let server =
         ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let c = Client::connect(server.addr(), ClientOptions::default()).unwrap();
 
-    let _trace = cxtrace::Scenario::setup();
+    trace::enable();
     c.insert(&manuscript(30, 77)).unwrap();
 
-    let t = cxtrace::recent()
+    let t = trace::recent()
         .iter()
-        .filter_map(|s| cxtrace::find(s.trace_id))
+        .filter_map(|s| trace::find(s.trace_id))
         .find(|t| t.spans.iter().any(|s| s.name == "blob.restore"))
         .expect("the import's trace is retained");
     assert_no_orphans(&t);
@@ -165,12 +166,12 @@ fn an_import_restores_its_blob_once_and_never_captures_under_the_handler() {
 }
 
 /// The flight recorder's retention guarantee over the wire: a request
-/// delayed past the slow threshold (via cxfault `Delay` at the server's
+/// delayed past the slow threshold (via a `Delay` failpoint at the server's
 /// request site) stays retrievable after 2×N ordinary requests churn
 /// the normal ring.
 #[test]
 fn a_delayed_request_survives_normal_churn() {
-    let _faults = cxfault::Scenario::setup();
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("trace-slow");
     let cluster = open_cluster(&dir, 1);
     let server =
@@ -178,7 +179,7 @@ fn a_delayed_request_survives_normal_churn() {
     let c = Client::connect(server.addr(), ClientOptions::default()).unwrap();
 
     let retain = 4;
-    let _trace = cxtrace::Scenario::setup_with(TraceConfig {
+    trace::enable_with(TraceConfig {
         retain,
         retain_slow: 4,
         slow_threshold: Duration::from_millis(40),
@@ -187,11 +188,7 @@ fn a_delayed_request_survives_normal_churn() {
 
     // Exactly one request stalls server-side, long enough to classify
     // slow but far under the server deadline.
-    cxfault::configure(
-        Site::ServeRequest,
-        Trigger::Nth(1),
-        Fault::Delay(Duration::from_millis(80)),
-    );
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Delay(Duration::from_millis(80)));
     c.ping().unwrap();
 
     for _ in 0..2 * retain {
@@ -215,7 +212,7 @@ fn a_delayed_request_survives_normal_churn() {
 /// annotation. No leaked or orphaned spans.
 #[test]
 fn injected_faults_produce_complete_error_annotated_traces() {
-    let _faults = cxfault::Scenario::setup();
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("trace-inject");
     let cluster = open_cluster(&dir, 1);
     let server =
@@ -225,20 +222,20 @@ fn injected_faults_produce_complete_error_annotated_traces() {
         Client::connect(server.addr(), ClientOptions { retries: 0, ..Default::default() }).unwrap();
     let id = c.insert(&manuscript(20, 5)).unwrap();
 
-    let _trace = cxtrace::Scenario::setup();
-    cxfault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
+    trace::enable();
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     match c.query(id, "//w") {
         Err(ServeError::Remote(WireError::Injected(_))) => {}
         other => panic!("expected the injected refusal, got {other:?}"),
     }
 
     // Error traces land in the protected ring, never the normal one.
-    let summaries = cxtrace::slow();
+    let summaries = trace::slow();
     let errored = summaries
         .iter()
         .find(|t| t.error && t.root == "client.call")
         .expect("the refused request's trace is retained as an error trace");
-    let t = cxtrace::find(errored.trace_id).unwrap();
+    let t = trace::find(errored.trace_id).unwrap();
     assert_no_orphans(&t);
 
     let serve = span_of(&t, "serve.request");
@@ -262,7 +259,7 @@ fn injected_faults_produce_complete_error_annotated_traces() {
 /// synthetic span for the downed one — with no orphans.
 #[test]
 fn shard_down_fanout_traces_completely() {
-    let _faults = cxfault::Scenario::setup();
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("trace-down");
     let cluster = open_cluster(&dir, 2);
     let server =
@@ -273,7 +270,7 @@ fn shard_down_fanout_traces_completely() {
     }
     cluster.mark_shard_down(ShardId(1)).unwrap();
 
-    let _trace = cxtrace::Scenario::setup();
+    trace::enable();
     let (hits, errors) = c.query_all_partial("//w", Duration::from_millis(500)).unwrap();
     assert!(!hits.is_empty(), "healthy shards answered");
     assert!(
@@ -285,9 +282,9 @@ fn shard_down_fanout_traces_completely() {
     // fan-out workers are detached, so the trace finalizes when the
     // last worker flushes — poll briefly for it.
     let errored =
-        poll_for(|| cxtrace::slow().into_iter().find(|t| t.error && t.root == "client.call"))
+        poll_for(|| trace::slow().into_iter().find(|t| t.error && t.root == "client.call"))
             .expect("the fan-out's trace is retained as an error trace");
-    let t = cxtrace::find(errored.trace_id).unwrap();
+    let t = trace::find(errored.trace_id).unwrap();
     assert_no_orphans(&t);
 
     let fanout = span_of(&t, "cluster.query_all_partial");

@@ -26,7 +26,7 @@ pub(crate) struct DocEntry {
 }
 
 /// Poison-tolerant lock helpers — the store's one policy for panicked
-/// guard holders (audited per site; `cxfault::Fault::Panic` fires inside
+/// guard holders (audited per site; `cxobs::fault::Fault::Panic` fires inside
 /// held guards on purpose to exercise exactly this cascade):
 ///
 /// * **`doc` (RwLock<Goddag>)** — a writer panicking mid-edit can only

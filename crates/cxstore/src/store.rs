@@ -5,7 +5,7 @@ use crate::edit::{EditOp, EditOutcome};
 use crate::entry::DocEntry;
 use crate::error::{Result, StoreError};
 use crate::stats::{Counters, StoreMetrics, StoreStats};
-use cxobs::{Exposition, Observable, Registry};
+use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
 use prevalid::InsertionContext;
@@ -451,8 +451,8 @@ impl Store {
     /// Evaluate a node-set expression against one document, using the
     /// cached overlap index (built now if stale or missing).
     pub fn query(&self, id: DocId, expr: &str) -> Result<Vec<goddag::NodeId>> {
-        let _span = self.metrics.query_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("store.query");
+        let _span = self.metrics.query_ns.span();
+        let trace = trace::span("store.query");
         trace.attr("doc", id.raw());
         let ast = self.compile(expr)?;
         let entry = self.entry(id)?;
@@ -479,8 +479,8 @@ impl Store {
     /// [`Store::query_all_serial`] by construction, which the conformance
     /// test pins down.
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _span = self.metrics.query_all_ns.span_tagged(cxtrace::current_trace_id());
-        let _trace = cxtrace::span("store.query_all");
+        let _span = self.metrics.query_all_ns.span();
+        let _trace = trace::span("store.query_all");
         let ast = self.compile(expr)?;
         let entries = self.entries();
         Counters::bump(&self.counters.batch_queries);
@@ -578,8 +578,8 @@ impl Store {
         op: EditOp,
         log: impl FnOnce(&EditOp, u64) -> std::result::Result<(), E>,
     ) -> std::result::Result<Result<EditOutcome>, E> {
-        let _span = self.metrics.edit_ns.span_tagged(cxtrace::current_trace_id());
-        let trace = cxtrace::span("store.edit");
+        let _span = self.metrics.edit_ns.span();
+        let trace = trace::span("store.edit");
         trace.attr("doc", id.raw());
         let entry = match self.entry(id) {
             Ok(e) => e,
@@ -590,11 +590,8 @@ impl Store {
         };
         let mut g = entry.write();
         let gate_result = {
-            let gate_trace = cxtrace::span("store.gate");
-            let r = self
-                .metrics
-                .gate_ns
-                .time_tagged(cxtrace::current_trace_id(), || self.gate(&entry, &g, &op));
+            let gate_trace = trace::span("store.gate");
+            let r = self.metrics.gate_ns.time(|| self.gate(&entry, &g, &op));
             if let Err(err) = &r {
                 gate_trace.err(err.to_string());
             }

@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // router, and the flight recorder holds one tree spanning every
     // layer: router -> client -> wire -> server handler -> cluster ->
     // shard store -> gate / WAL. The `trace` verb serves it back.
-    cxml::cxtrace::enable();
+    cxml::cxobs::trace::enable();
     let epoch = router.epoch(ms)?;
     router.edit_guarded(ms, epoch, EditOp::InsertText { offset: 0, text: "Iterum ".into() })?;
     let traced = router
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .expect("the traced edit is retained");
     println!("\none traced guarded edit, fetched over the wire:");
     print!("{}", router.shard_client(router.shard_of(ms)).trace_tree(traced.trace_id)?);
-    cxml::cxtrace::disable();
+    cxml::cxobs::trace::disable();
 
     // ── The metrics page saw everything ───────────────────────────────
     let page = client.metrics()?;

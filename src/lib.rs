@@ -15,12 +15,11 @@
 //! | [`expath`] | Extended XPath with the `overlapping`, `containing`, `contained`, `co-extensive` axes |
 //! | [`prevalid`] | potential-validity checking (prevalidation) |
 //! | [`xtagger`] | editing sessions: suggestions, prevalidation gate, undo/redo, filtering |
-//! | [`cxobs`] | dependency-free observability: lock-free counters/gauges/latency histograms, event rings, Prometheus-style text exposition |
+//! | [`cxobs`] | dependency-free diagnostics: lock-free counters/gauges/latency histograms, event rings, Prometheus-style text exposition; deterministic failpoints ([`cxobs::fault`]); end-to-end request tracing with a bounded flight recorder ([`cxobs::trace`]) |
 //! | [`cxstore`] | concurrent multi-document repository: cached overlap indexes, compiled-query cache, batch/parallel queries, gated edits |
 //! | [`cxpersist`] | durable stores: `EditOp` write-ahead log, stand-off snapshots, warm restart |
 //! | [`cxrepl`] | WAL log-shipping replication: read replicas, catch-up, follower promotion |
 //! | [`cxcluster`] | multi-primary write sharding: name routing, fan-out queries, live rebalancing |
-//! | [`cxtrace`] | end-to-end request tracing: trace-context propagation, hierarchical spans, bounded flight recorder for slow requests |
 //! | [`cxwire`] | length-prefixed TCP framing shared by the replication and service tiers |
 //! | [`cxserve`] | network service tier: versioned wire protocol, cluster server, pooling/pipelining client, shard-aware router |
 //! | [`corpus`] | synthetic manuscript workloads + the paper's Figure 1 reconstruction |
@@ -52,13 +51,11 @@
 
 pub use corpus;
 pub use cxcluster;
-pub use cxfault;
 pub use cxobs;
 pub use cxpersist;
 pub use cxrepl;
 pub use cxserve;
 pub use cxstore;
-pub use cxtrace;
 pub use cxwire;
 pub use expath;
 pub use goddag;

@@ -12,7 +12,7 @@
 //! took ~387 s in release; the budget here is 1 s — generous enough for
 //! slow runners, and still ~400× under the old cost.
 
-use cxobs::Registry;
+use cxobs::{fault, trace, Registry, Scenario};
 use cxstore::{EditOp, Store};
 use prevalid::{check_insertion, suggest_tags, PrevalidEngine};
 use std::sync::Arc;
@@ -51,12 +51,16 @@ fn check_insertion_200_words_stays_interactive() {
 /// [`Registry`] (span timers + relaxed counter bumps) must stay within
 /// 5% of a no-op [`Registry::disabled`] baseline, which skips the clock
 /// reads entirely. Rounds are interleaved and each mode keeps its best
-/// round, so a scheduler hiccup hits one round, not one mode.
+/// round, so a scheduler hiccup hits one round, not one mode. It holds
+/// the one [`Scenario`] because its sibling below turns process-wide
+/// tracing on while it measures.
 #[test]
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
 fn instrumented_gated_edits_stay_within_5_percent_of_noop_registry() {
     const EDITS: usize = 400;
     const ROUNDS: usize = 5;
+
+    let _scenario = Scenario::setup();
 
     let run = |registry: Arc<Registry>| -> Duration {
         let store = Store::with_registry(registry);
@@ -88,12 +92,12 @@ fn instrumented_gated_edits_stay_within_5_percent_of_noop_registry() {
     );
 }
 
-/// Guards the cxtrace instrumentation cost on the gated-edit path: with
+/// Guards the tracing instrumentation cost on the gated-edit path: with
 /// tracing *enabled but idle* (the switch on, no trace active on the
 /// thread — every span call is one relaxed load plus a thread-local
 /// probe returning an inert guard) the path must stay within 5% of the
 /// tracing-off baseline. Both runs use a disabled metrics registry so
-/// the bound isolates cxtrace's tax from cxobs's. Rounds interleave and
+/// the bound isolates the tracing tax from the metrics tax. Rounds interleave and
 /// each mode keeps its best, as above.
 #[test]
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
@@ -114,20 +118,19 @@ fn tracing_enabled_but_idle_gated_edits_stay_within_5_percent() {
         t.elapsed()
     };
 
-    // Exclusive tracing state for the measurement; restored on drop.
-    let _scenario = cxtrace::Scenario::setup();
-    cxtrace::disable();
+    // Exclusive tracing state for the measurement; tracing off again on
+    // drop.
+    let _scenario = Scenario::setup();
     run(); // Warm-up.
 
     let (mut off, mut idle) = (Duration::MAX, Duration::MAX);
     for _ in 0..ROUNDS {
-        cxtrace::disable();
+        trace::disable();
         off = off.min(run());
-        cxtrace::enable();
+        trace::enable();
         idle = idle.min(run());
     }
-    cxtrace::disable();
-    // Same absolute epsilon rationale as the cxobs guard above.
+    // Same absolute epsilon rationale as the metrics guard above.
     let budget = off.mul_f64(1.05) + Duration::from_millis(2);
     assert!(
         idle <= budget,
@@ -135,26 +138,25 @@ fn tracing_enabled_but_idle_gated_edits_stay_within_5_percent() {
     );
 }
 
-/// Guards the cxfault disarmed fast path: with no site armed anywhere in
-/// the process, [`cxfault::fire`] is one relaxed atomic load — the WAL
+/// Guards the disarmed failpoint fast path: with no site armed anywhere
+/// in the process, [`fault::fire`] is one relaxed atomic load — the WAL
 /// append, fsync, and replication fetch paths cross it on every
 /// operation, so it must stay in single-digit nanoseconds. The budget is
 /// 25 ns per call, ~10× the expected cost, so only a real regression
-/// (e.g. taking the registry lock while disarmed) trips it.
+/// (e.g. taking the table lock while disarmed) trips it.
 #[test]
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
 fn disarmed_failpoints_stay_within_nanoseconds() {
     const CALLS: u32 = 2_000_000;
     const ROUNDS: usize = 5;
 
-    // Exclusive registry use: guarantees nothing is armed and restores a
-    // clean registry on drop.
-    let _scenario = cxfault::Scenario::setup();
+    // Exclusive use of the failpoint table: guarantees nothing is armed.
+    let _scenario = Scenario::setup();
 
     let run = || -> Duration {
         let t = Instant::now();
         for _ in 0..CALLS {
-            assert!(cxfault::fire(std::hint::black_box(cxfault::Site::WalAppend)).is_none());
+            assert!(fault::fire(std::hint::black_box(fault::Site::WalAppend)).is_none());
         }
         t.elapsed()
     };

@@ -2,9 +2,9 @@
 //! document:
 //!
 //! * the failpoint table (header cell `site`) lists exactly
-//!   `cxfault::Site::ALL`, once each, and every row's "pinned by" cell
-//!   names a test file that exists, mentions that `Site::` variant and
-//!   arms a failpoint;
+//!   `cxobs::fault::Site::ALL`, once each, and every row's "pinned by"
+//!   cell names a test file that exists, mentions that `Site::` variant
+//!   and arms a failpoint (calls `fault::configure`);
 //! * the metric table (header `| kind | names |`) mentions exactly the
 //!   names of `cxobs::names::ALL`, once each.
 //!
@@ -12,7 +12,7 @@
 //! README text as an argument, so the tests below also prove each drift
 //! is caught on a doctored copy.
 
-use cxfault::Site;
+use cxobs::fault::Site;
 use std::collections::BTreeSet;
 use std::path::Path;
 
@@ -95,12 +95,11 @@ fn failpoint_table_problems(md: &str) -> Vec<String> {
         match std::fs::read_to_string(root().join(file)) {
             Err(_) => problems
                 .push(format!("`{}` is pinned by `{file}`, which does not exist", site.name())),
-            Ok(text) if !text.contains(&variant) || !text.contains("cxfault::configure") => {
-                problems.push(format!(
+            Ok(text) if !text.contains(&variant) || !text.contains("fault::configure") => problems
+                .push(format!(
                     "`{}` is pinned by `{file}`, which never arms `{variant}`",
                     site.name()
-                ))
-            }
+                )),
             Ok(_) => {}
         }
     }
