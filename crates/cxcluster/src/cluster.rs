@@ -12,7 +12,8 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, OnceLock, PoisonError, RwLock};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// One shard's health as the cluster sees it.
@@ -22,8 +23,8 @@ use std::time::{Duration, Instant};
 /// keeps fanning out to it). `Down` is an *explicit mark* set by
 /// [`Cluster::mark_shard_down`]: the operator (or an external health
 /// check) has declared the shard unreachable, and the cluster fails
-/// writes to it fast and skips it during fan-out instead of discovering
-/// the outage one timeout at a time.
+/// writes to it fast and leaves it out of every fan-out instead of
+/// discovering the outage one timeout at a time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
     /// Serving reads and writes.
@@ -32,7 +33,10 @@ pub enum ShardHealth {
     /// and fan-out queries still run, writes are refused by the store.
     Degraded,
     /// Marked unreachable: writes fail fast with
-    /// [`ClusterError::ShardDown`], fan-out skips it.
+    /// [`ClusterError::ShardDown`], and every fan-out — in-process, a
+    /// shard-scoped server's, a router's — reports it as a `ShardDown`
+    /// miss without reading it, so [`Cluster::query_all`] refuses.
+    /// Per-document reads that route there still try.
     Down,
 }
 
@@ -65,6 +69,16 @@ impl PartialResults {
     pub fn is_complete(&self) -> bool {
         self.errors.is_empty()
     }
+
+    /// The all-or-nothing view: the hits when every shard answered,
+    /// otherwise the first missing shard's error (errors are in shard
+    /// order).
+    pub fn into_result(self) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
+        match self.errors.into_iter().next() {
+            None => Ok(self.hits),
+            Some(e) => Err(e.error),
+        }
+    }
 }
 
 /// A write-sharded cluster of [`DurableStore`] primaries.
@@ -95,10 +109,13 @@ impl PartialResults {
 ///   entry and tombstones the source. A crash at any step leaves the
 ///   document recoverable on at least one shard with identical bytes;
 ///   [`Cluster::assemble`] resolves a both-sides residue deterministically.
-/// * **Fan-out** ([`Cluster::query_all`], [`Cluster::doc_ids`], stats) runs
-///   one scoped thread per shard and merges by id — deterministic because
-///   each shard contributes only the documents the route says it owns
-///   ([`Cluster::query_shard`]) and ids are unique.
+/// * **Fan-out** has one body, [`Cluster::query_all_partial`]: a detached
+///   worker per shard not marked down, each under the caller's budget,
+///   merged by id — deterministic because each shard contributes only the
+///   documents the route says it owns ([`Cluster::query_shard`]) and ids
+///   are unique. [`Cluster::query_all`] is that fan-out with no deadline
+///   and no miss allowed. Listings ([`Cluster::doc_ids`], stats) read the
+///   shards in turn.
 pub struct Cluster {
     shards: Vec<Arc<DurableStore>>,
     /// Lazily-built `cxrepl` shipping endpoints, one per shard, so each
@@ -354,8 +371,9 @@ impl Cluster {
 
     /// Mark a shard **down**: writes routed to it fail fast with
     /// [`ClusterError::ShardDown`] (nothing reaches its WAL), new
-    /// documents place elsewhere, and partial fan-out skips it with an
-    /// explicit error entry. Reads that route there still try — an
+    /// documents place elsewhere, and every fan-out skips it with an
+    /// explicit `ShardDown` entry (so [`Cluster::query_all`] refuses).
+    /// Per-document reads that route there still try — an
     /// operator marking a flaky shard down should not black-hole
     /// documents that are, in fact, still readable. Idempotent.
     pub fn mark_shard_down(&self, shard: ShardId) -> Result<()> {
@@ -628,17 +646,6 @@ impl Cluster {
         self.router.shard_of(id) == shard
     }
 
-    /// One shard's part of a fan-out: its hits for `expr` on the
-    /// documents the route says it owns — what a shard-scoped server
-    /// answers, and what [`Cluster::query_all`] merges. A copy the route
-    /// does not name (left by a migration that failed part-way, until
-    /// the next [`Cluster::assemble`]) is never reported.
-    pub fn query_shard(&self, shard: ShardId, expr: &str) -> cxstore::Result<BatchHits> {
-        let mut hits = self.shards[shard.0].store().query_all(expr)?;
-        hits.retain(|&(id, _)| self.owns(shard, id));
-        Ok(hits)
-    }
-
     // ------------------------------------------------------------------
     // Reads (never blocked by rebalancing)
     // ------------------------------------------------------------------
@@ -694,134 +701,122 @@ impl Cluster {
         }
     }
 
-    /// Evaluate a node-set expression against **every** document: one
-    /// scoped thread per shard (each running the shard's own parallel
-    /// [`cxstore::Store::query_all`]), merged and sorted by id —
-    /// deterministic because each document is owned by exactly one shard.
-    /// Holds the migration gate shared so the shard set cannot tear
-    /// mid-fan-out (a `move_doc` briefly delays batch queries; per-doc
-    /// reads stay concurrent).
+    /// Evaluate a node-set expression against **every** document,
+    /// all-or-nothing: [`Cluster::query_all_partial`] with no deadline,
+    /// refused with the first missing shard's error (in shard order). A
+    /// shard marked down is [`ClusterError::ShardDown`] here as on every
+    /// other fan-out path.
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _trace = trace::span("cluster.query_all");
-        let parent = trace::current();
-        let _shared = read_gate(&self.gate);
-        let _fanout = self.fanout_threads.track_n(self.shards.len() as i64);
-        let results: Vec<cxstore::Result<BatchHits>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.shards.len())
-                .map(|i| {
-                    // Child contexts are minted on the spawning thread so
-                    // the per-shard spans hang off this query's span.
-                    let ctx = parent.map(|p| p.child());
-                    scope.spawn(move || {
-                        let g = trace::adopt("cluster.shard_query", ctx);
-                        g.attr("shard", i);
-                        self.query_shard(ShardId(i), expr)
-                    })
-                })
-                .collect();
-            // invariant: shard query threads run store code that returns
-            // errors rather than panicking; a panic here is a bug worth
-            // propagating, not a condition to mask.
-            handles.into_iter().map(|h| h.join().expect("shard query panicked")).collect()
-        });
-        let mut out = Vec::new();
-        for r in results {
-            out.extend(r.map_err(ClusterError::Store)?);
-        }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        Ok(out)
+        self.query_all_partial(expr, Duration::MAX).into_result()
     }
 
-    /// [`Cluster::query_all`] for a cluster that may be partly sick:
-    /// fan out to every shard that is not marked down, give each shard
-    /// `per_shard_timeout` to answer, and return whatever arrived —
+    /// One shard's part of a fan-out — what a shard-scoped server answers,
+    /// and the step every fan-out worker takes: a shard marked down is
+    /// [`ClusterError::ShardDown`], an armed [`Site::ClusterShardQuery`]
+    /// is [`ClusterError::ShardUnavailable`], otherwise the shard's hits
+    /// for `expr` on the documents the route says it owns. A copy the
+    /// route does not name (left by a migration that failed part-way,
+    /// until the next [`Cluster::assemble`]) is never reported.
+    pub fn query_shard(&self, shard: ShardId, expr: &str) -> Result<BatchHits> {
+        self.ensure_shard_up(shard.0)?;
+        let mut hits = shard_hits(shard.0, &self.shards[shard.0], expr)?;
+        hits.retain(|&(id, _)| self.owns(shard, id));
+        Ok(hits)
+    }
+
+    /// The cluster's one fan-out: every shard that is not marked down
+    /// gets a worker running [`Cluster::query_shard`]'s step and has
+    /// `per_shard_timeout` to answer; the result is whatever arrived —
     /// merged id-sorted hits plus one explicit [`ShardError`] per shard
     /// that was down, errored, or ran out its budget. Never errors as a
     /// whole and never blocks (much) past the budget: a partial answer
     /// with a precise account of what is missing beats both a hang and
-    /// an all-or-nothing failure.
+    /// an all-or-nothing failure. A budget too long to be a deadline
+    /// (`Duration::MAX`) waits for every worker.
     ///
-    /// Workers are detached threads (a scoped thread could not be
-    /// abandoned at the deadline); a late worker finishes against its
-    /// own `Arc` of the shard and its result is discarded.
+    /// Holds the migration gate shared so the shard set cannot tear
+    /// mid-fan-out (a `move_doc` briefly delays batch queries; per-doc
+    /// reads stay concurrent). Workers are detached threads (a scoped
+    /// thread could not be abandoned at the deadline); a late worker
+    /// finishes against its own `Arc` of the shard and its result is
+    /// discarded.
     pub fn query_all_partial(&self, expr: &str, per_shard_timeout: Duration) -> PartialResults {
-        let trace = trace::span("cluster.query_all_partial");
+        let trace = trace::span("cluster.query_all");
         let parent = trace::current();
         let _shared = read_gate(&self.gate);
         let (tx, rx) = mpsc::channel::<(usize, Result<BatchHits>)>();
         let mut errors = Vec::new();
-        let mut pending = Vec::new();
+        // Which shards still owe an answer.
+        let mut owed = vec![false; self.shards.len()];
         for (i, shard) in self.shards.iter().enumerate() {
-            if self.down[i].load(Ordering::Acquire) {
-                // A zero-length error span records the skipped shard in
-                // the trace — the fan-out is complete by construction.
-                let g = trace::span("cluster.shard_query");
-                g.attr("shard", i);
-                g.err("shard down");
-                errors.push(ShardError { shard: i, error: ClusterError::ShardDown(i) });
-                continue;
-            }
-            pending.push(i);
-            let tx = tx.clone();
-            let shard = Arc::clone(shard);
-            let expr = expr.to_string();
-            let fanout = Arc::clone(&self.fanout_threads);
             // Minted here so worker spans parent correctly even though
             // the worker thread is detached (it may outlive this call;
             // a late flush merges into the finished trace).
             let ctx = parent.map(|p| p.child());
-            std::thread::spawn(move || {
-                fanout.inc();
+            if let Err(error) = self.ensure_shard_up(i) {
+                // A zero-length error span records the skipped shard in
+                // the trace — the fan-out is complete by construction.
                 let g = trace::adopt("cluster.shard_query", ctx);
                 g.attr("shard", i);
-                // The failpoint lets tests make *this* shard slow
-                // (`Delay` runs inside `fire`) or unreachable without
-                // touching its store.
-                let r = if fault::fire(Site::ClusterShardQuery).is_some() {
-                    Err(ClusterError::ShardUnavailable {
-                        shard: i,
-                        detail: fault::io_error(Site::ClusterShardQuery).to_string(),
-                    })
-                } else {
-                    shard.store().query_all(&expr).map_err(ClusterError::Store)
-                };
+                g.err(error.to_string());
+                errors.push(ShardError { shard: i, error });
+                continue;
+            }
+            owed[i] = true;
+            let (tx, shard, expr) = (tx.clone(), Arc::clone(shard), expr.to_string());
+            let fanout = Arc::clone(&self.fanout_threads);
+            std::thread::spawn(move || {
+                let live = fanout.track();
+                let g = trace::adopt("cluster.shard_query", ctx);
+                g.attr("shard", i);
+                let r = shard_hits(i, &shard, &expr);
                 if let Err(e) = &r {
                     g.err(e.to_string());
                 }
+                // Settled before the hand-off: a caller holding every
+                // answer also sees every worker's span and gauge done.
+                drop((g, live));
                 let _ = tx.send((i, r));
-                fanout.dec();
             });
         }
         drop(tx);
 
-        let ms = per_shard_timeout.as_millis() as u64;
-        let deadline = Instant::now() + per_shard_timeout;
+        let deadline = Instant::now().checked_add(per_shard_timeout);
         let mut hits: BatchHits = Vec::new();
-        let mut answered = vec![false; self.shards.len()];
-        let mut outstanding = pending.len();
-        while outstanding > 0 {
-            let left = deadline.saturating_duration_since(Instant::now());
-            match rx.recv_timeout(left) {
+        let mut timed_out = false;
+        for _ in 0..owed.iter().filter(|&&o| o).count() {
+            let next = match deadline {
+                Some(d) => rx.recv_timeout(d.saturating_duration_since(Instant::now())),
+                None => rx.recv().map_err(RecvTimeoutError::from),
+            };
+            match next {
                 Ok((i, Ok(batch))) => {
-                    answered[i] = true;
+                    owed[i] = false;
                     hits.extend(batch.into_iter().filter(|&(id, _)| self.owns(ShardId(i), id)));
-                    outstanding -= 1;
                 }
-                Ok((i, Err(e))) => {
-                    answered[i] = true;
-                    errors.push(ShardError { shard: i, error: e });
-                    outstanding -= 1;
+                Ok((i, Err(error))) => {
+                    owed[i] = false;
+                    errors.push(ShardError { shard: i, error });
                 }
-                Err(_) => break, // deadline passed (or every worker died)
+                Err(e) => {
+                    // The deadline passed, or every worker still owed an
+                    // answer died (a panic) without sending one.
+                    timed_out = e == RecvTimeoutError::Timeout;
+                    break;
+                }
             }
         }
-        for i in pending {
-            if !answered[i] {
+        let ms = u64::try_from(per_shard_timeout.as_millis()).unwrap_or(u64::MAX);
+        for i in (0..owed.len()).filter(|&i| owed[i]) {
+            let error = if timed_out {
                 self.obs
                     .event("shard.timeout", format!("shard {i} missed the {ms} ms fan-out budget"));
-                trace.err(format!("shard {i} timed out"));
-                errors.push(ShardError { shard: i, error: ClusterError::Timeout { shard: i, ms } });
-            }
+                ClusterError::Timeout { shard: i, ms }
+            } else {
+                ClusterError::ShardUnavailable { shard: i, detail: "fan-out worker died".into() }
+            };
+            trace.err(error.to_string());
+            errors.push(ShardError { shard: i, error });
         }
         hits.sort_unstable_by_key(|(id, _)| *id);
         errors.sort_by_key(|e| e.shard);
@@ -968,7 +963,7 @@ impl Cluster {
     }
 
     /// Fsync every shard's WAL (a cluster-wide durability barrier under
-    /// lazy fsync policies).
+    /// `FsyncPolicy::Never`).
     pub fn sync_all(&self) -> Result<()> {
         for s in &self.shards {
             s.sync()?;
@@ -1049,6 +1044,17 @@ impl Observable for Cluster {
         self.obs.expose_into(out);
         cxobs::expose_process(out);
     }
+}
+
+/// A fan-out worker's store step on shard `shard` (see
+/// [`Cluster::query_shard`]): the failpoint lets tests make this shard slow
+/// (`Delay` runs inside `fire`) or unreachable without touching its store.
+fn shard_hits(shard: usize, store: &DurableStore, expr: &str) -> Result<BatchHits> {
+    if fault::fire(Site::ClusterShardQuery).is_some() {
+        let detail = fault::io_error(Site::ClusterShardQuery).to_string();
+        return Err(ClusterError::ShardUnavailable { shard, detail });
+    }
+    Ok(store.store().query_all(expr)?)
 }
 
 /// The names a shard currently binds to `id`.

@@ -22,9 +22,10 @@ pub enum ClusterError {
     /// The cluster's shards are inconsistent with each other in a way
     /// assembly cannot heal, or the topology request makes no sense.
     Config(String),
-    /// The operation routed to a shard an operator (or the health check)
-    /// has marked **down**: the write was refused before touching the
-    /// shard, so nothing was logged and nothing needs undoing.
+    /// The operation routed to (or fanned out over) a shard an operator
+    /// (or the health check) has marked **down**: it was refused before
+    /// touching the shard, so nothing was logged or read and nothing
+    /// needs undoing.
     ShardDown(usize),
     /// A shard failed to answer a fan-out request for a reason that is
     /// not a per-document store error — an injected outage, a worker

@@ -175,7 +175,7 @@ fn chaos(edits: usize) {
     let _fp = cxobs::Scenario::setup();
     let dir = TempDir::new("chaos");
     let cluster = Arc::new(
-        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::EveryN(8) }).unwrap(),
+        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::Never }).unwrap(),
     );
     let control = Store::new();
 
@@ -254,6 +254,10 @@ fn chaos(edits: usize) {
     assert!(matches!(part.errors[0].error, ClusterError::ShardDown(1)), "{:?}", part.errors);
     assert_eq!(part.hits.len(), docs.len() - down_docs);
     assert!(!part.is_complete());
+    // The all-or-nothing fan-out is the same fan-out with no miss
+    // allowed: the down shard is not read, so the query is refused.
+    let all = cluster.query_all("//w");
+    assert!(matches!(all, Err(ClusterError::ShardDown(1))), "{all:?}");
 
     // Other shards keep taking writes while one is down.
     let healthy_doc = *docs.iter().find(|d| cluster.shard_of(**d) != sick).unwrap();
@@ -284,6 +288,19 @@ fn chaos(edits: usize) {
     assert_eq!(errors.len(), 1, "exactly the delayed worker missed the budget: {errors:?}");
     assert!(matches!(errors[0].error, ClusterError::Timeout { ms: 150, .. }), "{errors:?}");
     assert!(!hits.is_empty() && hits.len() < docs.len(), "partial hits: {}", hits.len());
+    fault::disarm(Site::ClusterShardQuery);
+    // A budget too long to be a deadline waits for every shard.
+    let part = cluster.query_all_partial("//w", Duration::MAX);
+    assert!(part.is_complete(), "{:?}", part.errors);
+    assert_eq!(part.hits.len(), docs.len());
+    // An unreachable shard refuses the all-or-nothing fan-out, typed …
+    fault::configure(Site::ClusterShardQuery, Trigger::Always, Fault::Io);
+    let all = cluster.query_all("//w");
+    assert!(matches!(all, Err(ClusterError::ShardUnavailable { shard: 0, .. })), "{all:?}");
+    // … and so does a worker that dies without answering.
+    fault::configure(Site::ClusterShardQuery, Trigger::Nth(1), Fault::Panic);
+    let all = cluster.query_all("//w");
+    assert!(matches!(all, Err(ClusterError::ShardUnavailable { .. })), "{all:?}");
     fault::disarm(Site::ClusterShardQuery);
 
     // ── Phase C: faults lift; everything converges byte-identically ──

@@ -37,7 +37,7 @@ fn metric(page: &str, series: &str) -> i64 {
 fn cluster_exposition_under_soak() {
     let dir = TempDir::new("obs");
     let c = Arc::new(
-        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::EveryN(8) }).unwrap(),
+        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::Never }).unwrap(),
     );
 
     let docs: Vec<_> = (0..DOCS).map(|k| c.insert(manuscript(k as u64)).unwrap()).collect();

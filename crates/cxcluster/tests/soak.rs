@@ -132,7 +132,7 @@ fn soak(edits: usize, replicated: bool) {
     const SHARDS: usize = 3;
     let dir = TempDir::new("soak");
     let cluster = Arc::new(
-        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::EveryN(16) }).unwrap(),
+        Cluster::open(dir.shard_dirs(SHARDS), Options { fsync: FsyncPolicy::Never }).unwrap(),
     );
     let control = Store::new();
 

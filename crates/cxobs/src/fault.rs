@@ -75,9 +75,10 @@ sites! {
     /// `repl.fetch` — every fetch through `cxrepl::FaultTransport`; narrow
     /// it to one link with [`Site::link`].
     ReplFetch = "repl.fetch",
-    /// `cluster.shard_query` — each per-shard fan-out worker of
-    /// `Cluster::query_all_partial`: `Delay` makes that shard slow, `Io`
-    /// unavailable, without touching its store.
+    /// `cluster.shard_query` — every shard's part of every fan-out: each
+    /// worker of `Cluster::query_all_partial` (and so `Cluster::query_all`)
+    /// and a shard-scoped server's `Cluster::query_shard`. `Delay` makes
+    /// that shard slow, `Io` unavailable, without touching its store.
     ClusterShardQuery = "cluster.shard_query",
     /// `serve.request` — the top of every server request, before
     /// decoding: `Io` is answered as a typed `injected` frame, `Delay`

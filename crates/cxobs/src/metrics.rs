@@ -61,16 +61,6 @@ impl Gauge {
         }
     }
 
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Decrement by one.
-    pub fn dec(&self) {
-        self.add(-1);
-    }
-
     /// Overwrite the level.
     pub fn set(&self, v: i64) {
         if self.on {
@@ -87,14 +77,8 @@ impl Gauge {
     /// the in-flight pattern: the level drops again on drop, early
     /// returns and unwinds included.
     pub fn track(&self) -> GaugeGuard<'_> {
-        self.track_n(1)
-    }
-
-    /// [`Gauge::track`] for `n` units at once (e.g. a fan-out spawning
-    /// `n` worker threads).
-    pub fn track_n(&self, n: i64) -> GaugeGuard<'_> {
-        self.add(n);
-        GaugeGuard { gauge: self, n }
+        self.add(1);
+        GaugeGuard { gauge: self }
     }
 }
 
@@ -102,12 +86,11 @@ impl Gauge {
 #[derive(Debug)]
 pub struct GaugeGuard<'a> {
     gauge: &'a Gauge,
-    n: i64,
 }
 
 impl Drop for GaugeGuard<'_> {
     fn drop(&mut self) {
-        self.gauge.add(-self.n);
+        self.gauge.add(-1);
     }
 }
 
@@ -369,7 +352,7 @@ mod tests {
         c.bump();
         assert_eq!(c.get(), 0);
         let g = Gauge::new(false);
-        g.inc();
+        g.add(1);
         assert_eq!(g.get(), 0);
         let h = Histogram::new(false);
         h.record_ns(7);
@@ -383,8 +366,8 @@ mod tests {
         let g = Arc::new(Gauge::new(true));
         {
             let _a = g.track();
-            let _b = g.track_n(3);
-            assert_eq!(g.get(), 4);
+            let _b = g.track();
+            assert_eq!(g.get(), 2);
         }
         assert_eq!(g.get(), 0);
         let g2 = Arc::clone(&g);

@@ -43,10 +43,6 @@ use std::time::Instant;
 pub enum FsyncPolicy {
     /// After every record — maximum durability, one `fdatasync` per edit.
     EveryOp,
-    /// After every `n` records (and on [`DurableStore::sync`],
-    /// checkpoints, and drop). A crash loses at most `n - 1` acknowledged
-    /// edits.
-    EveryN(u32),
     /// Never automatically — only explicit [`DurableStore::sync`],
     /// checkpoints, and drop. For bulk loads and tests.
     Never,
@@ -439,7 +435,7 @@ impl DurableStore {
     pub fn wal_tail(&self, after: u64, max_bytes: usize) -> Result<TailShipment> {
         // Under the WAL mutex: validate the position and make everything
         // about to be shipped durable. Shipping implies durability —
-        // under the lazy fsync policies a record can sit in the page
+        // under `FsyncPolicy::Never` a record can sit in the page
         // cache, and a follower must never *apply* a record the primary
         // could still lose in a crash (the follower would hold history no
         // recovered primary ever had, and the re-assigned LSN would make
@@ -849,12 +845,7 @@ impl DurableStore {
         w.dirty += 1;
         self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.counters.wal_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
-        let due = match self.policy {
-            FsyncPolicy::EveryOp => true,
-            FsyncPolicy::EveryN(n) => w.dirty >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if due {
+        if self.policy == FsyncPolicy::EveryOp {
             if let Err(e) = self.sync_locked(w) {
                 // The append error aborts the caller's operation before it
                 // is applied in memory, so the record must not survive
@@ -893,7 +884,7 @@ impl DurableStore {
     }
 
     /// Force an fsync of everything appended so far (a durability barrier
-    /// under the lazier policies).
+    /// under [`FsyncPolicy::Never`]).
     pub fn sync(&self) -> Result<()> {
         let mut w = lock(&self.wal);
         self.sync_locked(&mut w)
@@ -1131,7 +1122,7 @@ impl Observable for DurableStore {
 
 impl Drop for DurableStore {
     fn drop(&mut self) {
-        // Best-effort flush of anything a lazy policy left unsynced.
+        // Best-effort flush of anything `Never` left unsynced.
         let mut w = lock(&self.wal);
         let _ = self.sync_locked(&mut w);
     }

@@ -11,7 +11,7 @@
 //!   line-oriented record with a per-record CRC-32 and a monotonic LSN, and
 //!   appended — under the document's write lock, after validation, *before*
 //!   the mutation — via `cxstore::Store::edit_with_log`. Fsync cadence is a
-//!   [`FsyncPolicy`]: every op, every N ops, or never automatically. A document
+//!   [`FsyncPolicy`]: every op, or never automatically. A document
 //!   enters only through [`DurableStore::admit`], as a [`LoggedDoc`] whose
 //!   blob is logged verbatim — a received blob is restored once, never
 //!   captured again.

@@ -847,80 +847,30 @@ impl RouterClient {
 
     /// Fan-out query across every shard endpoint concurrently,
     /// all-or-nothing, merged id-sorted (each shard-scoped server
-    /// answers for its own documents only).
+    /// answers for its own documents only): the first shard's refusal —
+    /// a shard marked down is `shard_down` — refuses the whole query.
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<NodeId>)>> {
-        let trace = trace::span_or_root("router.query_all");
-        let parent = trace::current();
-        let mut shards: Vec<Result<DocHits>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    // Child contexts are minted here, on the calling
-                    // thread, so per-shard worker spans parent onto this
-                    // fan-out deterministically.
-                    let ctx = parent.map(|p| p.child());
-                    scope.spawn(move || {
-                        let g = trace::adopt("router.shard_query", ctx);
-                        g.attr("shard", i);
-                        let r = c.query_all(expr);
-                        if let Err(e) = &r {
-                            g.err(e.to_string());
-                        }
-                        r
-                    })
-                })
-                .collect();
-            // invariant: shard query threads return errors instead of
-            // panicking; a panic is a bug worth propagating.
-            handles.into_iter().map(|h| h.join().expect("query thread")).collect()
-        });
-        drop(trace);
         let mut hits = Vec::new();
-        for shard in shards.drain(..) {
+        for shard in self.fan_out(|c| c.query_all(expr)) {
             hits.extend(shard?);
         }
         hits.sort_by_key(|(id, _)| *id);
         Ok(hits)
     }
 
-    /// Fan-out query tolerating sick shards: per-shard transport
-    /// failures become typed `unavailable` entries instead of sinking
+    /// Fan-out query tolerating sick shards: each shard's typed misses
+    /// (`shard_down`, `timeout`, `unavailable`) are kept per entry, and a
+    /// transport failure becomes an `unavailable` entry instead of sinking
     /// the whole query.
     pub fn query_all_partial(
         &self,
         expr: &str,
         per_shard_timeout: Duration,
     ) -> Result<PartialHits> {
-        let trace = trace::span_or_root("router.query_all_partial");
-        let parent = trace::current();
-        let per_shard: Vec<Result<PartialHits>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let ctx = parent.map(|p| p.child());
-                    scope.spawn(move || {
-                        let g = trace::adopt("router.shard_query", ctx);
-                        g.attr("shard", i);
-                        let r = c.query_all_partial(expr, per_shard_timeout);
-                        if let Err(e) = &r {
-                            g.err(e.to_string());
-                        }
-                        r
-                    })
-                })
-                .collect();
-            // invariant: shard query threads return errors instead of
-            // panicking; a panic is a bug worth propagating.
-            handles.into_iter().map(|h| h.join().expect("query thread")).collect()
-        });
-        drop(trace);
         let mut hits = Vec::new();
         let mut errors = Vec::new();
-        for (shard, r) in per_shard.into_iter().enumerate() {
+        let answers = self.fan_out(|c| c.query_all_partial(expr, per_shard_timeout));
+        for (shard, r) in answers.into_iter().enumerate() {
             match r {
                 Ok((h, e)) => {
                     hits.extend(h);
@@ -934,6 +884,39 @@ impl RouterClient {
         }
         hits.sort_by_key(|(id, _)| *id);
         Ok((hits, errors))
+    }
+
+    /// The router's one fan-out: `call` against every shard endpoint, one
+    /// scoped thread each, answers in shard order.
+    fn fan_out<T: Send>(&self, call: impl Fn(&Client) -> Result<T> + Sync) -> Vec<Result<T>> {
+        let _trace = trace::span_or_root("router.query_all");
+        let parent = trace::current();
+        let call = &call;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .clients
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    // Child contexts are minted here, on the calling
+                    // thread, so per-shard worker spans parent onto this
+                    // fan-out deterministically.
+                    let ctx = parent.map(|p| p.child());
+                    scope.spawn(move || {
+                        let g = trace::adopt("router.shard_query", ctx);
+                        g.attr("shard", i);
+                        let r = call(c);
+                        if let Err(e) = &r {
+                            g.err(e.to_string());
+                        }
+                        r
+                    })
+                })
+                .collect();
+            // invariant: shard query threads return errors instead of
+            // panicking; a panic is a bug worth propagating.
+            handles.into_iter().map(|h| h.join().expect("query thread")).collect()
+        })
     }
 
     /// Metrics page from one shard endpoint.

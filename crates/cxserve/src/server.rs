@@ -478,46 +478,32 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
                 check_scope(svc, doc)?;
                 Response::Nodes(c.query(doc, &expr).map_err(wire_err)?)
             }
-            Request::QueryAll { expr } => match svc.scope {
-                // Scoped: just this shard's documents, on this thread.
-                Some(s) => Response::Hits(
-                    c.query_shard(s, &expr).map_err(|e| WireError::Store(e.to_string()))?,
-                ),
-                // Unscoped: all-or-nothing, but under the deadline — a
-                // wedged shard becomes a typed timeout, never a hang.
-                None => {
-                    let partial = c.query_all_partial(&expr, budget(started));
-                    match partial.errors.into_iter().next() {
-                        None => Response::Hits(partial.hits),
-                        Some(e) => return Err(wire_err(e.error)),
-                    }
+            Request::QueryAll { expr } => Response::Hits(
+                match svc.scope {
+                    // Scoped: just this shard's documents, on this thread.
+                    Some(s) => c.query_shard(s, &expr),
+                    // Unscoped: all-or-nothing, but under the deadline — a
+                    // wedged shard becomes a typed timeout, never a hang.
+                    None => c.query_all_partial(&expr, budget(started)).into_result(),
                 }
-            },
-            Request::QueryPartial { timeout_ms, expr } => match svc.scope {
-                Some(s) => {
-                    // One shard: a partial of one. Store errors become a
-                    // typed per-shard entry, mirroring the cluster path.
-                    match c.query_shard(s, &expr) {
-                        Ok(hits) => Response::Partial { hits, errors: Vec::new() },
-                        Err(e) => Response::Partial {
-                            hits: Vec::new(),
-                            errors: vec![(s.0, WireError::Store(e.to_string()))],
-                        },
+                .map_err(wire_err)?,
+            ),
+            Request::QueryPartial { timeout_ms, expr } => {
+                let (hits, errors) = match svc.scope {
+                    // One shard: a partial of one, its miss a typed entry.
+                    Some(s) => match c.query_shard(s, &expr) {
+                        Ok(hits) => (hits, Vec::new()),
+                        Err(e) => (Vec::new(), vec![(s.0, wire_err(e))]),
+                    },
+                    None => {
+                        let per_shard = Duration::from_millis(timeout_ms).min(budget(started));
+                        let partial = c.query_all_partial(&expr, per_shard);
+                        let errors = partial.errors.into_iter();
+                        (partial.hits, errors.map(|e| (e.shard, wire_err(e.error))).collect())
                     }
-                }
-                None => {
-                    let per_shard = Duration::from_millis(timeout_ms).min(budget(started));
-                    let partial = c.query_all_partial(&expr, per_shard);
-                    Response::Partial {
-                        hits: partial.hits,
-                        errors: partial
-                            .errors
-                            .into_iter()
-                            .map(|e| (e.shard, wire_err(e.error)))
-                            .collect(),
-                    }
-                }
-            },
+                };
+                Response::Partial { hits, errors }
+            }
             Request::Suggest { doc, hierarchy, start, end } => {
                 check_scope(svc, doc)?;
                 Response::Tags(c.suggest_tags(doc, &hierarchy, start, end).map_err(wire_err)?)

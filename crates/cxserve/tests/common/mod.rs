@@ -59,7 +59,7 @@ pub fn manuscript(words: usize, seed: u64) -> goddag::Goddag {
 #[allow(dead_code)]
 pub fn open_cluster(dir: &TempDir, shards: usize) -> Arc<Cluster> {
     Arc::new(
-        Cluster::open(dir.shard_dirs(shards), Options { fsync: FsyncPolicy::EveryN(8) })
+        Cluster::open(dir.shard_dirs(shards), Options { fsync: FsyncPolicy::Never })
             .expect("open cluster"),
     )
 }

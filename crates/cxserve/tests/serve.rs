@@ -303,6 +303,21 @@ fn shard_scoped_servers_and_the_router_client() {
     assert_eq!(phits.len(), docs.len());
     assert!(perrs.is_empty());
 
+    // A shard marked down means the same thing through the router as in
+    // process: the all-or-nothing fan-out is refused, the partial one
+    // answers for the other shards and names the missing one.
+    cluster.mark_shard_down(ShardId(1)).unwrap();
+    let all = router.query_all("//w");
+    assert!(matches!(all, Err(ServeError::Remote(WireError::ShardDown(1)))), "{all:?}");
+    let (phits, perrs) = router.query_all_partial("//w", Duration::from_secs(2)).unwrap();
+    let up: Vec<_> = hits.iter().filter(|(d, _)| cluster.shard_of(*d) != ShardId(1)).collect();
+    assert_eq!(phits.iter().collect::<Vec<_>>(), up, "exactly the other shards' hits");
+    assert!(matches!(perrs[..], [(1, WireError::ShardDown(1))]), "{perrs:?}");
+    cluster.heal_shard(ShardId(1)).unwrap();
+    assert_eq!(router.query_all("//w").unwrap(), hits);
+    let (phits, perrs) = router.query_all_partial("//w", Duration::from_secs(2)).unwrap();
+    assert_eq!((phits, perrs.is_empty()), (hits, true));
+
     // Asking the wrong shard directly earns a typed wrong_shard with
     // the real owner inside.
     let d0 = docs[0];

@@ -287,7 +287,7 @@ fn shard_down_fanout_traces_completely() {
     let t = trace::find(errored.trace_id).unwrap();
     assert_no_orphans(&t);
 
-    let fanout = span_of(&t, "cluster.query_all_partial");
+    let fanout = span_of(&t, "cluster.query_all");
     let shard_spans: Vec<_> = t.spans.iter().filter(|s| s.name == "cluster.shard_query").collect();
     assert_eq!(shard_spans.len(), 2, "one span per shard, down or not");
     for s in &shard_spans {

@@ -7,7 +7,7 @@
 //! ```
 
 use cxml::cxcluster::{Cluster, ShardId};
-use cxml::cxpersist::{FsyncPolicy, Options};
+use cxml::cxpersist::Options;
 use cxml::cxstore::EditOp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dirs: Vec<_> = (0..3).map(|i| base.join(format!("shard-{i}"))).collect();
 
     // ── Three primaries, one façade ───────────────────────────────────
-    let cluster = Cluster::open(dirs.clone(), Options { fsync: FsyncPolicy::EveryN(8) })?;
+    let cluster = Cluster::open(dirs.clone(), Options::default())?;
     for i in 0..6 {
         let mut ms = corpus::generate(&corpus::Params::sized(60 + 10 * i)).goddag;
         corpus::dtds::attach_standard(&mut ms);

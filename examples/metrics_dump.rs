@@ -9,14 +9,14 @@
 
 use cxml::cxcluster::{Cluster, ShardId};
 use cxml::cxobs::Observable;
-use cxml::cxpersist::{FsyncPolicy, Options};
+use cxml::cxpersist::Options;
 use cxml::cxstore::EditOp;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::temp_dir().join(format!("cxml-metrics-dump-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let dirs: Vec<_> = (0..3).map(|i| base.join(format!("shard-{i}"))).collect();
-    let cluster = Cluster::open(dirs, Options { fsync: FsyncPolicy::EveryN(8) })?;
+    let cluster = Cluster::open(dirs, Options::default())?;
 
     // ── Soak: inserts, gated edits (one rejected), fan-out queries, a
     // migration, a checkpoint ─────────────────────────────────────────

@@ -6,7 +6,7 @@
 //! cargo run --release --example replicated_store
 //! ```
 
-use cxml::cxpersist::{DurableStore, FsyncPolicy, Options};
+use cxml::cxpersist::{DurableStore, Options};
 use cxml::cxrepl::{
     Follower, InProcessTransport, Primary, ReplicaStore, TcpReplServer, TcpTransport,
 };
@@ -19,10 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let _ = std::fs::remove_dir_all(&base);
 
     // ── A primary with a DTD-gated corpus ─────────────────────────────
-    let durable = Arc::new(DurableStore::open_with(
-        base.join("primary"),
-        Options { fsync: FsyncPolicy::EveryN(8) },
-    )?);
+    let durable = Arc::new(DurableStore::open_with(base.join("primary"), Options::default())?);
     let mut ms = corpus::generate(&corpus::Params::sized(150)).goddag;
     corpus::dtds::attach_standard(&mut ms);
     let ms = durable.insert_named("boethius", ms)?;
@@ -88,8 +85,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     drop(primary);
     drop(durable);
     println!("primary killed; promoting follower-a at LSN {}", tail_a.last_applied());
-    let promoted =
-        Arc::new(tail_a.promote(base.join("promoted"), Options { fsync: FsyncPolicy::EveryN(8) })?);
+    let promoted = Arc::new(tail_a.promote(base.join("promoted"), Options::default())?);
     // The gate survives promotion: undeclared tags still bounce.
     let rejected = promoted.edit(
         ms,

@@ -8,7 +8,7 @@
 //! ```
 
 use cxml::cxcluster::Cluster;
-use cxml::cxpersist::{FsyncPolicy, Options};
+use cxml::cxpersist::Options;
 use cxml::cxserve::{Client, ClientOptions, ClusterServer, RouterClient, ServerOptions};
 use cxml::cxstore::EditOp;
 use std::sync::Arc;
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = std::env::temp_dir().join(format!("cxml-serve-demo-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let dirs: Vec<_> = (0..3).map(|i| base.join(format!("shard-{i}"))).collect();
-    let cluster = Arc::new(Cluster::open(dirs, Options { fsync: FsyncPolicy::EveryN(8) })?);
+    let cluster = Arc::new(Cluster::open(dirs, Options::default())?);
 
     // ── One server for the whole cluster ──────────────────────────────
     let server =
