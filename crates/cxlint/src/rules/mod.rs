@@ -1,5 +1,6 @@
-//! The rule engine: each rule is a function from [`Workspace`] to
-//! findings. Shared token-scanning helpers live here.
+//! The rule engine: each rule is a function from
+//! [`Workspace`](crate::source::Workspace) to findings. Shared
+//! token-scanning helpers live here.
 
 use crate::lexer::{Tok, Token};
 

@@ -175,8 +175,6 @@ declare! {
     CHECKPOINTS_TOTAL: Counter = "cx_checkpoints_total",
     REPLAYED_OPS_TOTAL: Counter = "cx_replayed_ops_total",
     RECOVERED_DOCS_TOTAL: Counter = "cx_recovered_docs_total",
-    TAIL_CACHE_HITS_TOTAL: Counter = "cx_tail_cache_hits_total",
-    TAIL_CACHE_MISSES_TOTAL: Counter = "cx_tail_cache_misses_total",
     FAULT_HITS_TOTAL: Counter = "cx_fault_hits_total",
     FAULT_FIRES_TOTAL: Counter = "cx_fault_fires_total",
 

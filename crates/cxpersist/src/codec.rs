@@ -243,9 +243,8 @@ fn decode_framed(input: &[u8]) -> Result<(WalRecord, usize), String> {
 
 /// Framing-only walk of one record: return its LSN and total byte length
 /// (payload block included) without CRC verification or payload parsing.
-/// For trusted files the writer itself produced — WAL rotation uses this
-/// to find a cut offset in O(line bytes) instead of fully decoding every
-/// retired document blob.
+/// [`scan_tail`] uses this to step over the snapshot-covered prefix in
+/// O(line bytes) instead of fully decoding every retired document blob.
 pub(crate) fn skip_record(input: &[u8]) -> Option<(u64, usize)> {
     let nl = input.iter().position(|&b| b == b'\n')?;
     let line = std::str::from_utf8(&input[..nl]).ok()?;
@@ -271,6 +270,11 @@ pub(crate) fn skip_record(input: &[u8]) -> Option<(u64, usize)> {
 pub struct WalScan {
     /// Records of the valid prefix, in file order.
     pub records: Vec<WalRecord>,
+    /// Byte offset of every record in the valid prefix, frame-skipped
+    /// ones included, in file order.
+    pub starts: Vec<usize>,
+    /// LSN of the last record in the valid prefix (0 when there is none).
+    pub last_lsn: u64,
     /// Byte length of the valid prefix (header plus intact records) — the
     /// offset a recovering writer truncates to before appending.
     pub valid_len: usize,
@@ -306,9 +310,11 @@ pub fn scan_tail(bytes: &[u8], skip_through: u64) -> Result<WalScan, PersistErro
     let mut pos = header.len();
     let mut line_no = 1usize;
     let mut last_lsn = 0u64;
+    let mut starts = Vec::new();
     while pos < bytes.len() {
         match skip_record(&bytes[pos..]) {
             Some((lsn, used)) if lsn > last_lsn && lsn <= skip_through => {
+                starts.push(pos);
                 last_lsn = lsn;
                 pos += used;
                 line_no += 1;
@@ -316,9 +322,11 @@ pub fn scan_tail(bytes: &[u8], skip_through: u64) -> Result<WalScan, PersistErro
             _ => break,
         }
     }
-    let (records, pos) = decode_prefix(bytes, pos, last_lsn, line_no + 1);
+    let (records, pos) = decode_prefix(bytes, pos, last_lsn, line_no + 1, &mut starts);
     Ok(WalScan {
+        last_lsn: records.last().map_or(last_lsn, |r| r.lsn),
         records,
+        starts,
         valid_len: pos,
         dropped_bytes: bytes.len() - pos,
         torn: pos < bytes.len(),
@@ -349,7 +357,7 @@ pub struct BatchScan {
 /// its last applied LSN. A batch cut at *any* byte boundary therefore
 /// yields a (possibly empty) valid prefix, never garbage.
 pub fn scan_batch(bytes: &[u8], after: u64) -> BatchScan {
-    let (records, valid_len) = decode_prefix(bytes, 0, after, 1);
+    let (records, valid_len) = decode_prefix(bytes, 0, after, 1, &mut Vec::new());
     BatchScan { records, valid_len, torn: valid_len < bytes.len() }
 }
 
@@ -357,17 +365,20 @@ pub fn scan_batch(bytes: &[u8], after: u64) -> BatchScan {
 /// their LSNs strictly increase past `last_lsn`: the first torn (no
 /// trailing newline), corrupt (CRC/parse failure) or non-monotonic record
 /// (replayed garbage that happens to checksum, or a rewind) ends the valid
-/// prefix. Returns the records and the offset the prefix ends at.
+/// prefix. Returns the records and the offset the prefix ends at, and
+/// pushes each record's offset onto `starts`.
 fn decode_prefix(
     bytes: &[u8],
     mut pos: usize,
     mut last_lsn: u64,
     first_line: usize,
+    starts: &mut Vec<usize>,
 ) -> (Vec<WalRecord>, usize) {
     let mut records = Vec::new();
     while pos < bytes.len() {
         match decode_record(&bytes[pos..], first_line + records.len()) {
             Ok((rec, used)) if rec.lsn > last_lsn => {
+                starts.push(pos);
                 last_lsn = rec.lsn;
                 records.push(rec);
                 pos += used;

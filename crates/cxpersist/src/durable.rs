@@ -20,7 +20,7 @@
 
 use crate::apply::{apply_logged, Applied};
 use crate::blob::LoggedDoc;
-use crate::codec::{encode_record, scan_tail, skip_record, WalOp, WAL_HEADER};
+use crate::codec::{encode_record, scan_tail, WalOp, WAL_HEADER};
 use crate::error::{PersistError, Result};
 use crate::snapshot::{
     list_snapshots, load_snapshot, prune_snapshots, sync_dir, validated_manifest, write_snapshot,
@@ -31,7 +31,7 @@ use cxobs::{names, trace, Exposition, Gauge, Histogram, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreError, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,6 +174,19 @@ struct WalState {
     len: u64,
     /// Appends since the last sync.
     dirty: u32,
+    /// Byte offset of every record still in `wal.log`, in LSN order — the
+    /// one index of where records are: [`DurableStore::wal_tail`] ships
+    /// and a log rotation cuts at these offsets, never by walking record
+    /// framing. The first retained LSN is `lsn + 1 - starts.len()`.
+    starts: Vec<u64>,
+}
+
+impl WalState {
+    /// LSN of the oldest record still in the log (`lsn + 1` when the
+    /// log holds none).
+    fn first_lsn(&self) -> u64 {
+        self.lsn + 1 - self.starts.len() as u64
+    }
 }
 
 #[derive(Default)]
@@ -182,8 +195,6 @@ struct PersistCounters {
     wal_bytes: AtomicU64,
     wal_fsyncs: AtomicU64,
     checkpoints: AtomicU64,
-    tail_cache_hits: AtomicU64,
-    tail_cache_misses: AtomicU64,
 }
 
 /// The durability layer's latency histograms, registered on the wrapped
@@ -213,29 +224,8 @@ impl PersistMetrics {
     }
 }
 
-/// Cap on remembered tail positions. Each tailing follower occupies one
-/// slot (its `after` advances fetch by fetch, replacing its old entry);
-/// 16 covers a realistic fan-out without unbounded growth.
-const TAIL_CACHE_CAP: usize = 16;
-
-/// The per-follower WAL offset cache: `lsn → byte offset of the first
-/// record past it`, learned from previous [`DurableStore::wal_tail`]
-/// slices. Steady-state tailing seeks straight to the position instead of
-/// frame-skipping the whole file — O(slice) per fetch, not O(file).
-/// Entries are valid for one rotation epoch (a checkpoint's log rotation
-/// rewrites the file and shifts every offset); the fast path additionally
-/// CRC-verifies the first record it lands on, so a stale entry can only
-/// ever cost a fallback scan, never ship wrong bytes.
-#[derive(Default)]
-struct TailCache {
-    /// Rotation epoch the offsets describe.
-    rotation: u64,
-    /// `(after, absolute byte offset where record `after + 1` starts)`.
-    entries: Vec<(u64, u64)>,
-}
-
 /// Poison-tolerant: the WAL mutex guards plain state (file handle,
-/// LSN/byte counters, tail cache). A panic while it is held — an
+/// LSN/byte counters, record offsets). A panic while it is held — an
 /// injected `cxobs::fault::Fault::Panic` at a WAL failpoint, or an
 /// out-of-memory mid-append — leaves counters that describe whatever
 /// actually reached the file; recovering the guard lets `Drop` still
@@ -256,10 +246,6 @@ pub struct DurableStore {
     counters: PersistCounters,
     metrics: PersistMetrics,
     recovery: RecoveryReport,
-    /// Bumped (under the WAL mutex) whenever the log file is rewritten —
-    /// the [`TailCache`] invalidation signal.
-    rotations: AtomicU64,
-    tail_cache: Mutex<TailCache>,
     /// Set on the first WAL append/fsync failure; checked (one relaxed
     /// load) at the top of every mutation. See [`StoreHealth`].
     degraded: AtomicBool,
@@ -318,6 +304,7 @@ impl DurableStore {
         let wal_path = dir.join("wal.log");
         let mut lsn = snap_lsn;
         let mut valid_len = WAL_HEADER.len() as u64;
+        let mut starts = Vec::new();
         let mut fresh = true;
         if wal_path.exists() {
             let bytes = fs::read(&wal_path)?;
@@ -335,6 +322,10 @@ impl DurableStore {
                 })?;
                 report.torn_bytes_dropped = scan.dropped_bytes;
                 valid_len = scan.valid_len as u64;
+                // The scan already found every record's start, the
+                // frame-skipped prefix's included: they seed the index.
+                starts = scan.starts.iter().map(|&s| s as u64).collect();
+                let scanned_through = scan.last_lsn;
                 let mut removed = std::collections::HashSet::new();
                 for rec in scan.records {
                     if rec.lsn <= snap_lsn {
@@ -348,6 +339,12 @@ impl DurableStore {
                             return Err(PersistError::Corrupt { path: wal_path, detail });
                         }
                     }
+                }
+                // The index describes the records ending at the head. A
+                // log that stops short of the snapshot (its tail was lost)
+                // retains no record a follower could be shipped.
+                if scanned_through != lsn {
+                    starts.clear();
                 }
             }
         }
@@ -390,13 +387,11 @@ impl DurableStore {
             store,
             dir,
             gate: RwLock::new(()),
-            wal: Mutex::new(WalState { file, lsn, len: valid_len, dirty: 0 }),
+            wal: Mutex::new(WalState { file, lsn, len: valid_len, dirty: 0, starts }),
             policy: options.fsync,
             counters: PersistCounters::default(),
             metrics,
             recovery: report,
-            rotations: AtomicU64::new(0),
-            tail_cache: Mutex::default(),
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
         })
@@ -427,23 +422,17 @@ impl DurableStore {
 
     /// Read the raw WAL tail past `after` for log shipping: up to
     /// `max_bytes` of record bytes (always at least one whole record),
-    /// LSN-contiguous from `after + 1`. Returns
+    /// LSN-contiguous from `after + 1`, never past the synced head. Returns
     /// [`TailShipment::SnapshotNeeded`] when a checkpoint already retired
     /// the requested records, and [`TailShipment::CaughtUp`] when `after`
     /// is the head. Errors when `after` lies beyond the head — a follower
     /// claiming records this primary never wrote (split history).
+    ///
+    /// The byte range comes from the writer's record index, so a fetch
+    /// costs O(slice) however long the log is, and reads exactly the
+    /// bytes it ships.
     pub fn wal_tail(&self, after: u64, max_bytes: usize) -> Result<TailShipment> {
-        // Under the WAL mutex: validate the position and make everything
-        // about to be shipped durable. Shipping implies durability —
-        // under `FsyncPolicy::Never` a record can sit in the page
-        // cache, and a follower must never *apply* a record the primary
-        // could still lose in a crash (the follower would hold history no
-        // recovered primary ever had, and the re-assigned LSN would make
-        // the streams diverge permanently). The fsync batches whatever is
-        // pending (a no-op under `EveryOp` or when clean). The rotation
-        // epoch is read under the same mutex (rotations bump it there), so
-        // `(head, rotation)` is a coherent pair.
-        let (head, rotation) = {
+        let (file, start, end, last) = {
             let mut w = lock(&self.wal);
             if after == w.lsn {
                 return Ok(TailShipment::CaughtUp);
@@ -457,139 +446,40 @@ impl DurableStore {
                     ),
                 });
             }
+            // Shipping implies durability: under `FsyncPolicy::Never` a
+            // record can sit in the page cache, and a follower must never
+            // *apply* a record the primary could still lose in a crash (the
+            // follower would hold history no recovered primary ever had,
+            // and the re-assigned LSN would make the streams diverge
+            // permanently). The fsync batches whatever is pending (a no-op
+            // under `EveryOp` or when clean).
             self.sync_locked(&mut w)?;
-            (w.lsn, self.rotations.load(Ordering::Relaxed))
+            let first = w.first_lsn();
+            if after + 1 < first {
+                return Ok(TailShipment::SnapshotNeeded);
+            }
+            // Record `k` ends where `k + 1` starts (the last one at
+            // `len`). Records `i..=j` ship: the first whatever its size,
+            // then each next one while the total stays within the cap.
+            let i = (after + 1 - first) as usize;
+            let start = w.starts[i];
+            let end_of = |k: usize| w.starts.get(k + 1).copied().unwrap_or(w.len);
+            let mut j = i;
+            while j + 1 < w.starts.len() && end_of(j + 1) - start <= max_bytes as u64 {
+                j += 1;
+            }
+            // Opened under the mutex: a rotation renames a new file into
+            // place under this same mutex, so the handle is the file these
+            // offsets describe. (Not a `try_clone` of the writer's handle —
+            // a dup would share, and move, the writer's cursor.)
+            (File::open(self.dir.join("wal.log"))?, start, end_of(j), first + j as u64)
         };
-        // All file reads run *outside* the mutex so shipping never stalls
-        // the edit path. Two races are possible and both are benign,
-        // because records defend themselves (framing + LSN): a checkpoint
-        // may swap in the rotated file (retired records are gone — if the
-        // follower needed them the contiguity check below reports
-        // `SnapshotNeeded`), and a concurrent append may leave a torn
-        // record at the end (the frame walk stops before it; shipping is
-        // capped at `head`, the LSN made durable above, regardless).
-        let wal_path = self.dir.join("wal.log");
-
-        // Fast path: a previous slice remembered where record `after + 1`
-        // starts in this rotation epoch, so steady-state tailing seeks and
-        // reads only the live tail — O(slice), not O(file). The landing is
-        // verified with a full CRC decode of the first record before
-        // anything ships: a stale or raced entry costs a fallback scan,
-        // never wrong bytes.
-        let cached = {
-            let c = lock(&self.tail_cache);
-            if c.rotation == rotation {
-                c.entries.iter().find(|&&(a, _)| a == after).map(|&(_, off)| off)
-            } else {
-                None
-            }
-        };
-        if let Some(offset) = cached {
-            let mut file = File::open(&wal_path)?;
-            if offset <= file.metadata()?.len() {
-                file.seek(SeekFrom::Start(offset))?;
-                // Bounded read: the slice cap plus one record's worth of
-                // slack, not offset..EOF — a follower far behind must pay
-                // O(batch) per fetch, not O(remaining tail). A record cut
-                // off by the window reads as a torn tail, which the frame
-                // walk stops at cleanly; if even the *first* record
-                // exceeds the window (one giant blob), its decode fails
-                // and the full scan below ships it regardless of size.
-                let window = (max_bytes as u64).saturating_add(1 << 20);
-                let mut bytes = Vec::new();
-                file.take(window).read_to_end(&mut bytes)?;
-                if matches!(crate::codec::decode_record(&bytes, 1), Ok((rec, _)) if rec.lsn == after + 1)
-                {
-                    self.counters.tail_cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(self.slice_tail(bytes, 0, offset, after, head, max_bytes, rotation));
-                }
-            }
-        }
-
-        // Slow path (a follower's first fetch; any cache anomaly): read
-        // the whole file and frame-skip the records the follower already
-        // holds.
-        self.counters.tail_cache_misses.fetch_add(1, Ordering::Relaxed);
-        let bytes = fs::read(&wal_path)?;
-        let mut pos = if bytes.starts_with(WAL_HEADER.as_bytes()) { WAL_HEADER.len() } else { 0 };
-        let mut first = None;
-        while pos < bytes.len() {
-            match skip_record(&bytes[pos..]) {
-                Some((lsn, used)) if lsn <= after => pos += used,
-                Some((lsn, _)) => {
-                    first = Some(lsn);
-                    break;
-                }
-                None => break,
-            }
-        }
-        // The tail must continue exactly at `after + 1`; anything else
-        // means a checkpoint retired the records in between.
-        if first != Some(after + 1) {
-            return Ok(TailShipment::SnapshotNeeded);
-        }
-        Ok(self.slice_tail(bytes, pos, 0, after, head, max_bytes, rotation))
-    }
-
-    /// Slice LSN-contiguous records out of `bytes`: the record with LSN
-    /// `after + 1` is known to start at `bytes[start]` (both callers
-    /// verified it), `base` is the absolute file offset of `bytes[0]`.
-    /// Ships at least one record, caps near `max_bytes`, stops at `head`
-    /// (records appended after the durability sync), and remembers the end
-    /// position so the next fetch at the shipped LSN seeks instead of
-    /// scanning.
-    #[allow(clippy::too_many_arguments)]
-    fn slice_tail(
-        &self,
-        mut bytes: Vec<u8>,
-        start: usize,
-        base: u64,
-        after: u64,
-        head: u64,
-        max_bytes: usize,
-        rotation: u64,
-    ) -> TailShipment {
-        let mut pos = start;
-        let mut last = after;
-        while pos < bytes.len() {
-            let Some((lsn, used)) = skip_record(&bytes[pos..]) else { break };
-            if lsn > head {
-                break; // appended after the sync — not durable yet
-            }
-            if pos + used - start > max_bytes && last > after {
-                break; // cap reached (but always ship at least one record)
-            }
-            last = lsn;
-            pos += used;
-        }
-        {
-            let mut c = lock(&self.tail_cache);
-            // Never poison a newer epoch's entries with offsets read from
-            // an older file (`c.rotation > rotation`: a rotation completed
-            // while this slice ran and someone already repopulated).
-            if c.rotation < rotation {
-                c.rotation = rotation;
-                c.entries.clear();
-            }
-            if c.rotation == rotation {
-                // Two positions were just learned: where this slice began
-                // (a retrying follower re-fetches the same `after`) and
-                // where it ended (a healthy follower fetches `last` next).
-                for (lsn, off) in [(after, base + start as u64), (last, base + pos as u64)] {
-                    if let Some(e) = c.entries.iter_mut().find(|e| e.0 == lsn) {
-                        e.1 = off;
-                    } else {
-                        if c.entries.len() >= TAIL_CACHE_CAP {
-                            c.entries.remove(0);
-                        }
-                        c.entries.push((lsn, off));
-                    }
-                }
-            }
-        }
-        bytes.drain(..start);
-        bytes.truncate(pos - start);
-        TailShipment::Records { first: after + 1, last, bytes }
+        // The read runs outside the mutex, so shipping never stalls the
+        // edit path. The range is immutable once written: appends only
+        // extend the file past `end`, and a rotation unlinks this inode
+        // rather than rewriting it.
+        let bytes = read_range(file, start, end)?;
+        Ok(TailShipment::Records { first: after + 1, last, bytes })
     }
 
     /// Capture a consistent [`StoreSnapshot`] of the whole store at the
@@ -646,7 +536,13 @@ impl DurableStore {
             store,
             dir,
             gate: RwLock::new(()),
-            wal: Mutex::new(WalState { file, lsn, len: WAL_HEADER.len() as u64, dirty: 0 }),
+            wal: Mutex::new(WalState {
+                file,
+                lsn,
+                len: WAL_HEADER.len() as u64,
+                dirty: 0,
+                starts: Vec::new(),
+            }),
             policy: options.fsync,
             counters: PersistCounters::default(),
             metrics,
@@ -655,8 +551,6 @@ impl DurableStore {
                 recovered_docs: write.docs,
                 ..RecoveryReport::default()
             },
-            rotations: AtomicU64::new(0),
-            tail_cache: Mutex::default(),
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
         })
@@ -843,6 +737,7 @@ impl DurableStore {
         w.lsn += 1;
         w.len += line.len() as u64;
         w.dirty += 1;
+        w.starts.push(pre_len);
         self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.counters.wal_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
         if self.policy == FsyncPolicy::EveryOp {
@@ -857,6 +752,7 @@ impl DurableStore {
                 w.len = pre_len;
                 w.lsn -= 1;
                 w.dirty = w.dirty.saturating_sub(1);
+                w.starts.pop();
                 return Err(e);
             }
         }
@@ -1033,27 +929,21 @@ impl DurableStore {
     /// `lsn <= keep_after` — covered by every retained snapshot), via a
     /// durable tmp-file + rename swap. No-op when nothing is retired.
     fn drop_wal_prefix(&self, w: &mut WalState, keep_after: u64) -> Result<()> {
+        let retired =
+            (keep_after + 1).saturating_sub(w.first_lsn()).min(w.starts.len() as u64) as usize;
+        if retired == 0 {
+            return Ok(());
+        }
+        // Records are LSN-ordered in the file, so the retired part is a
+        // byte prefix ending where the first kept record starts.
+        let cut = w.starts.get(retired).copied().unwrap_or(w.len);
         let dir = &self.dir;
         let wal_path = dir.join("wal.log");
-        let bytes = fs::read(&wal_path)?;
-        // Records are LSN-ordered in the file, so the retired part is a
-        // byte prefix; walk record framing (payload blocks skipped, not
-        // parsed — the file is our own, synced output) until the first
-        // record past `keep_after`.
-        let mut cut = WAL_HEADER.len();
-        while cut < bytes.len() {
-            match crate::codec::skip_record(&bytes[cut..]) {
-                Some((lsn, used)) if lsn <= keep_after => cut += used,
-                _ => break,
-            }
-        }
-        if cut == WAL_HEADER.len() {
-            return Ok(()); // nothing retired
-        }
+        let kept = read_range(File::open(&wal_path)?, cut, w.len)?;
         let tmp_path = dir.join("wal.log.tmp");
         let mut tmp = File::create(&tmp_path)?;
         tmp.write_all(WAL_HEADER.as_bytes())?;
-        tmp.write_all(&bytes[cut..])?;
+        tmp.write_all(&kept)?;
         tmp.sync_all()?;
         // `tmp` (cursor already at end) becomes the writer handle *before*
         // the rename: once the rename unlinks the old inode there must be
@@ -1063,12 +953,13 @@ impl DurableStore {
         // old handle stays in place.
         fs::rename(&tmp_path, &wal_path)?;
         w.file = tmp;
-        w.len = (WAL_HEADER.len() + (bytes.len() - cut)) as u64;
+        w.len = WAL_HEADER.len() as u64 + kept.len() as u64;
         w.dirty = 0;
-        // Every byte offset the tail cache learned describes the unlinked
-        // file; bump the epoch (still under the WAL mutex) so tailers
-        // re-scan once and re-learn positions in the rewritten log.
-        self.rotations.fetch_add(1, Ordering::Relaxed);
+        let shift = cut - WAL_HEADER.len() as u64;
+        w.starts.drain(..retired);
+        for s in &mut w.starts {
+            *s -= shift;
+        }
         self.store.registry().event("wal.rotate", format!("retired through lsn {keep_after}"));
         sync_dir(dir)?;
         Ok(())
@@ -1077,18 +968,6 @@ impl DurableStore {
     // ------------------------------------------------------------------
     // Observability
     // ------------------------------------------------------------------
-
-    /// Tail fetches served from the offset cache (seek instead of a whole
-    /// -file scan) since this store was opened.
-    pub fn tail_cache_hits(&self) -> u64 {
-        self.counters.tail_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Tail fetches that fell back to a whole-file scan (first fetch per
-    /// follower; any cache anomaly or rotation).
-    pub fn tail_cache_misses(&self) -> u64 {
-        self.counters.tail_cache_misses.load(Ordering::Relaxed)
-    }
 
     /// [`Store::stats`] plus the WAL / checkpoint / recovery counters.
     pub fn stats(&self) -> StoreStats {
@@ -1099,8 +978,6 @@ impl DurableStore {
         s.checkpoints = self.counters.checkpoints.load(Ordering::Relaxed);
         s.replayed_ops = self.recovery.replayed_ops;
         s.recovered_docs = self.recovery.recovered_docs as u64;
-        s.tail_cache_hits = self.counters.tail_cache_hits.load(Ordering::Relaxed);
-        s.tail_cache_misses = self.counters.tail_cache_misses.load(Ordering::Relaxed);
         s
     }
 
@@ -1112,8 +989,8 @@ impl DurableStore {
 }
 
 impl Observable for DurableStore {
-    /// The durable stats snapshot (WAL, checkpoint, recovery, and tail
-    /// -cache counters included) plus every registry metric.
+    /// The durable stats snapshot (WAL, checkpoint and recovery counters
+    /// included) plus every registry metric.
     fn expose_into(&self, out: &mut Exposition) {
         self.stats().expose_into(out);
         self.store.registry().expose_into(out);
@@ -1126,6 +1003,14 @@ impl Drop for DurableStore {
         let mut w = lock(&self.wal);
         let _ = self.sync_locked(&mut w);
     }
+}
+
+/// Bytes `start..end` of the log file behind `file`.
+fn read_range(mut file: File, start: u64, end: u64) -> io::Result<Vec<u8>> {
+    let mut bytes = vec![0; (end - start) as usize];
+    file.seek(SeekFrom::Start(start))?;
+    file.read_exact(&mut bytes)?;
+    Ok(bytes)
 }
 
 // Poison-tolerant: the checkpoint gate guards `()` — there is no data a

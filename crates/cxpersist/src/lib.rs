@@ -27,7 +27,9 @@
 //!   generation; unchanged blobs are hard-linked (or copied) from it, so
 //!   checkpoint cost scales with the dirty set.
 //! * **Log shipping surface** — [`DurableStore::wal_tail`] slices
-//!   LSN-contiguous record bytes for replication followers,
+//!   LSN-contiguous record bytes for replication followers (one read of
+//!   exactly the shipped byte range, located by the writer's index of
+//!   where each retained record starts),
 //!   [`DurableStore::capture_snapshot`] produces a shippable
 //!   [`StoreSnapshot`] bootstrap, [`scan_batch`] decodes a shipped batch
 //!   tolerating a torn tail, and [`DurableStore::adopt`] turns an applied

@@ -201,7 +201,8 @@ impl StoreSnapshot {
     }
 
     /// Parse the wire text form. Truncation (a missing `end` line, a short
-    /// blob) and blob corruption are errors — the receiver re-requests.
+    /// blob), blob corruption, an extra token on a directive line and any
+    /// byte after the `end` line are errors — the receiver re-requests.
     pub fn parse_text(input: &str) -> Result<StoreSnapshot> {
         let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
         let mut rest = input;
@@ -224,6 +225,7 @@ impl StoreSnapshot {
             let mut t = Tokens::new(&line);
             // A `doc` line is followed by its blob: `(raw id, byte length)`.
             let mut directive = || -> std::result::Result<Option<(u64, usize)>, String> {
+                let mut doc = None;
                 match t.token("directive")? {
                     "lsn" => {
                         snap.lsn = t.parse("lsn")?;
@@ -231,11 +233,12 @@ impl StoreSnapshot {
                     }
                     "next" => snap.next_doc = t.parse("next id")?,
                     "name" => snap.names.push((t.string("name")?, t.parse("doc id")?)),
-                    "doc" => return Ok(Some((t.parse("doc id")?, t.parse("blob length")?))),
+                    "doc" => doc = Some((t.parse("doc id")?, t.parse("blob length")?)),
                     "end" => complete = true,
                     other => return Err(format!("unknown snapshot directive {other:?}")),
                 }
-                Ok(None)
+                t.finish()?;
+                Ok(doc)
             };
             if let Some((raw, len)) = directive().map_err(|detail| bad(ln, detail))? {
                 if rest.len() < len || !rest.is_char_boundary(len) {
@@ -253,6 +256,9 @@ impl StoreSnapshot {
         }
         if !complete {
             return Err(bad(ln, "snapshot truncated (missing end marker)".into()));
+        }
+        if !rest.is_empty() {
+            return Err(bad(ln + 1, "trailing bytes after the end marker".into()));
         }
         Ok(snap)
     }
@@ -516,6 +522,33 @@ mod tests {
             }
             assert!(StoreSnapshot::parse_text(&text[..cut]).is_err(), "cut at {cut}");
         }
+    }
+
+    #[test]
+    fn store_snapshot_rejects_trailing_bytes_and_tokens() {
+        let store = Store::new();
+        store.insert_named("ms", corpus::figure1::goddag());
+        let text = StoreSnapshot::capture(&store, 3).unwrap().to_text();
+        StoreSnapshot::parse_text(&text).unwrap();
+        // Anything after the end line: a second artifact, a stray byte.
+        for tail in [text.as_str(), "x", "\n"] {
+            let padded = format!("{text}{tail}");
+            assert!(StoreSnapshot::parse_text(&padded).is_err(), "tail {tail:?} accepted");
+        }
+        // An extra token on any directive line.
+        for (from, to) in
+            [("lsn 3\n", "lsn 3 9\n"), ("next 1\n", "next 1 x\n"), ("end\n", "end now\n")]
+        {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from:?} not found");
+            assert!(StoreSnapshot::parse_text(&edited).is_err(), "{to:?} accepted");
+        }
+        let named = text.replacen("name ms 0\n", "name ms 0 0\n", 1);
+        assert_ne!(named, text);
+        assert!(StoreSnapshot::parse_text(&named).is_err());
+        let doc = text.replacen("\ndoc 0 ", "\ndoc 0 0 ", 1);
+        assert_ne!(doc, text);
+        assert!(StoreSnapshot::parse_text(&doc).is_err());
     }
 
     #[test]

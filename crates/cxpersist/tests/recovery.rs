@@ -290,3 +290,30 @@ fn lazy_fsync_policies_still_recover_after_orderly_drop() {
     let store = DurableStore::open(dir.path()).unwrap();
     assert_eq!(observe(&store), before);
 }
+
+#[test]
+fn unbind_name_is_durable_and_replayable() {
+    // The UnbindName record end-to-end: logged, recovered, and recovered
+    // again from a checkpoint.
+    let dir = TempDir::new("unbind");
+    let open =
+        || DurableStore::open_with(dir.path(), Options { fsync: FsyncPolicy::Never }).unwrap();
+    {
+        let store = open();
+        let a = store.insert_named("ms", corpus::figure1::goddag()).unwrap();
+        store.bind_name("alias", a).unwrap();
+        assert_eq!(store.unbind_name("ms").unwrap(), Some(a));
+        assert_eq!(store.unbind_name("ms").unwrap(), None, "second unbind logs nothing");
+        store.sync().unwrap();
+    }
+    let store = open();
+    let a = store.store().id_by_name("alias").unwrap();
+    assert!(store.store().id_by_name("ms").is_err(), "unbind survived the restart");
+    assert!(store.store().contains(a), "the document itself survived");
+    // And across a checkpointed restart too.
+    store.checkpoint().unwrap();
+    drop(store);
+    let store = open();
+    assert!(store.store().id_by_name("ms").is_err());
+    assert_eq!(store.store().name_bindings().len(), 1);
+}

@@ -78,25 +78,18 @@ impl TcpReplServer {
         let stop2 = Arc::clone(&stop);
         let accept_thread = std::thread::spawn(move || {
             let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-            while !stop2.load(Ordering::Relaxed) {
+            let accept = || listener.accept().map(|(stream, _peer)| stream);
+            cxwire::accept_until(&stop2, accept, |stream| {
                 // Reap finished handlers so reconnecting followers (every
                 // transport error drops and re-dials) don't accumulate
                 // dead handles over a long-lived primary.
                 handlers.retain(|h| !h.is_finished());
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let primary = Arc::clone(&primary);
-                        let stop = Arc::clone(&stop2);
-                        handlers.push(std::thread::spawn(move || {
-                            let _ = serve_connection(&primary, stream, &stop);
-                        }));
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
-                }
-            }
+                let primary = Arc::clone(&primary);
+                let stop = Arc::clone(&stop2);
+                handlers.push(std::thread::spawn(move || {
+                    let _ = serve_connection(&primary, stream, &stop);
+                }));
+            });
             for h in handlers {
                 let _ = h.join();
             }

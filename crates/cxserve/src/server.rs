@@ -261,29 +261,26 @@ fn accept_loop(
     tx: SyncSender<TcpStream>,
     stop: &AtomicBool,
 ) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // The listener is nonblocking for the stop poll; handlers
-                // want plain blocking reads under a read timeout.
-                let _ = stream.set_nonblocking(false);
-                if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
-                    // Pool and backlog both full: refuse loudly. The
-                    // write is best-effort — a peer that already hung up
-                    // changes nothing.
-                    svc.busy.bump();
-                    svc.obs.event("serve.busy", "connection refused: backlog full");
-                    let mut stream = stream;
-                    let _ =
-                        cxwire::write_frame(&mut stream, &Response::Err(WireError::Busy).encode());
-                }
+    let accept = || {
+        listener.accept().map(|(stream, _peer)| stream).inspect_err(|e| {
+            if e.kind() != ErrorKind::WouldBlock {
+                svc.obs.event("serve.accept_error", format!("accept failed: {e}"));
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => break,
+        })
+    };
+    cxwire::accept_until(stop, accept, |stream| {
+        // The listener is nonblocking for the stop poll; handlers want
+        // plain blocking reads under a read timeout.
+        let _ = stream.set_nonblocking(false);
+        if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
+            // Pool and backlog both full: refuse loudly. The write is
+            // best-effort — a peer that already hung up changes nothing.
+            svc.busy.bump();
+            svc.obs.event("serve.busy", "connection refused: backlog full");
+            let mut stream = stream;
+            let _ = cxwire::write_frame(&mut stream, &Response::Err(WireError::Busy).encode());
         }
-    }
+    });
     // `tx` drops here; drained workers see the channel close and exit.
 }
 

@@ -118,11 +118,6 @@ pub struct StoreStats {
     pub cluster_shards: usize,
     /// Documents migrated between primaries (clusters; 0 elsewhere).
     pub docs_moved: u64,
-    /// `wal_tail` calls served from the cached tail offset (durable
-    /// stores; 0 elsewhere).
-    pub tail_cache_hits: u64,
-    /// `wal_tail` calls that fell back to a full log scan.
-    pub tail_cache_misses: u64,
     /// Writes currently executing against a shard (clusters; 0
     /// elsewhere — a gauge, so it can read 0 between writes).
     pub writes_in_flight: i64,
@@ -163,8 +158,6 @@ impl StoreStats {
         self.repl_lag = self.repl_lag.max(other.repl_lag);
         self.cluster_shards += other.cluster_shards;
         self.docs_moved += other.docs_moved;
-        self.tail_cache_hits += other.tail_cache_hits;
-        self.tail_cache_misses += other.tail_cache_misses;
         self.writes_in_flight += other.writes_in_flight;
         self.writers_waiting += other.writers_waiting;
     }
@@ -200,8 +193,6 @@ impl StoreStats {
         out.write(names::REPL_LAG, self.repl_lag);
         out.write(names::CLUSTER_SHARDS, self.cluster_shards);
         out.write(names::DOCS_MOVED_TOTAL, self.docs_moved);
-        out.write(names::TAIL_CACHE_HITS_TOTAL, self.tail_cache_hits);
-        out.write(names::TAIL_CACHE_MISSES_TOTAL, self.tail_cache_misses);
         out.write(names::WRITES_IN_FLIGHT, self.writes_in_flight);
         out.write(names::WRITERS_WAITING, self.writers_waiting);
     }

@@ -22,10 +22,11 @@
 //! this crate and are pinned by wire tests) and uses the cap + exact-read
 //! primitives; `cxserve` uses the whole-frame helpers
 //! ([`write_frame`] / [`read_frame`]). One implementation, two wire
-//! formats.
+//! formats. Both listeners run the same [`accept_until`] loop.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on frame payloads, enforced on **both** ends of every
@@ -41,6 +42,30 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// connection is declared dead. Bounds server handlers (client died
 /// mid-request) and clients (server died mid-response) alike.
 pub const FRAME_STALL_LIMIT: Duration = Duration::from_secs(15);
+
+/// How long an accept loop sleeps after an accept error — `WouldBlock`
+/// on an idle nonblocking listener included — before it polls again.
+pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
+
+/// Accept connections until `stop` is set, handing each to `serve`.
+/// `accept` is one (nonblocking) accept call. Every error it returns
+/// backs off [`ACCEPT_BACKOFF`] and polls again, so no error ends the
+/// loop: besides `WouldBlock` on an idle listener, accept(2) reports
+/// `ECONNABORTED` when a peer resets before it is accepted and `EMFILE`
+/// under descriptor pressure, and both pass. Only `stop` ends it. A
+/// caller that wants to record errors does so inside `accept`.
+pub fn accept_until<S>(
+    stop: &AtomicBool,
+    mut accept: impl FnMut() -> std::io::Result<S>,
+    mut serve: impl FnMut(S),
+) {
+    while !stop.load(Ordering::Relaxed) {
+        match accept() {
+            Ok(conn) => serve(conn),
+            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
+        }
+    }
+}
 
 /// Refuse a declared frame length that exceeds [`MAX_FRAME`] — the check
 /// every reader runs between parsing a header and allocating the payload.
@@ -126,6 +151,43 @@ pub fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
 mod tests {
     use super::*;
     use std::net::TcpListener;
+
+    #[test]
+    fn accept_errors_never_end_the_loop() {
+        use std::collections::VecDeque;
+        use std::net::TcpStream;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut clients = [TcpStream::connect(addr).unwrap(), TcpStream::connect(addr).unwrap()];
+        // A real connection, a peer that reset before it was accepted, an
+        // unclassified failure, then the second real connection.
+        let mut script: VecDeque<Option<ErrorKind>> =
+            [None, Some(ErrorKind::ConnectionAborted), Some(ErrorKind::Other), None].into();
+        let stop = AtomicBool::new(false);
+        let mut served = 0;
+        accept_until(
+            &stop,
+            || match script.pop_front() {
+                Some(None) => listener.accept().map(|(stream, _)| stream),
+                Some(Some(kind)) => Err(kind.into()),
+                None => Err(ErrorKind::WouldBlock.into()),
+            },
+            |mut stream| {
+                served += 1;
+                stream.write_all(&[served]).unwrap();
+                if served == 2 {
+                    stop.store(true, Ordering::Relaxed);
+                }
+            },
+        );
+        assert!(script.is_empty());
+        for (i, client) in clients.iter_mut().enumerate() {
+            let mut byte = [0u8];
+            client.read_exact(&mut byte).unwrap();
+            assert_eq!(byte[0] as usize, i + 1, "connection {i} was served");
+        }
+    }
 
     #[test]
     fn oversized_declared_length_is_refused_before_allocation() {

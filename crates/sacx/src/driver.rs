@@ -4,7 +4,7 @@
 //!
 //! Every single-file representation implements [`Driver`]; the
 //! distributed-documents representation (many files) has its own entry
-//! points in [`crate::distributed`].
+//! points, [`crate::parse_distributed`] and [`crate::export_distributed`].
 
 use crate::error::Result;
 use crate::fragmentation::{export_fragmentation, import_fragmentation, FragmentationOptions};

@@ -90,15 +90,15 @@ fn stats_strategy() -> impl Strategy<Value = StoreStats> {
         (0u64..1_000_000, -100i64..100, -100i64..100),
     )
         .prop_map(
-            |((docs, shards, edits, queries), (appends, hits, misses, moved), (lag, wif, ww))| {
+            |((docs, shards, edits, queries), (appends, bytes, fsyncs, moved), (lag, wif, ww))| {
                 StoreStats {
                     docs,
                     cluster_shards: shards,
                     edits,
                     queries,
                     wal_appends: appends,
-                    tail_cache_hits: hits,
-                    tail_cache_misses: misses,
+                    wal_bytes: bytes,
+                    wal_fsyncs: fsyncs,
                     docs_moved: moved,
                     repl_lag: lag,
                     writes_in_flight: wif,
@@ -128,11 +128,8 @@ proptest! {
         prop_assert_eq!(agg.edits, shards.iter().map(|s| s.edits).sum::<u64>());
         prop_assert_eq!(agg.queries, shards.iter().map(|s| s.queries).sum::<u64>());
         prop_assert_eq!(agg.wal_appends, shards.iter().map(|s| s.wal_appends).sum::<u64>());
-        prop_assert_eq!(agg.tail_cache_hits, shards.iter().map(|s| s.tail_cache_hits).sum::<u64>());
-        prop_assert_eq!(
-            agg.tail_cache_misses,
-            shards.iter().map(|s| s.tail_cache_misses).sum::<u64>()
-        );
+        prop_assert_eq!(agg.wal_bytes, shards.iter().map(|s| s.wal_bytes).sum::<u64>());
+        prop_assert_eq!(agg.wal_fsyncs, shards.iter().map(|s| s.wal_fsyncs).sum::<u64>());
         prop_assert_eq!(agg.docs_moved, shards.iter().map(|s| s.docs_moved).sum::<u64>());
         prop_assert_eq!(
             agg.writes_in_flight,
