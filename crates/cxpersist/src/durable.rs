@@ -342,9 +342,11 @@ impl DurableStore {
                 }
                 // The index describes the records ending at the head. A
                 // log that stops short of the snapshot (its tail was lost)
-                // retains no record a follower could be shipped.
+                // holds only records the snapshot covers: drop them all, so
+                // the next append starts a gap-free log.
                 if scanned_through != lsn {
                     starts.clear();
+                    valid_len = WAL_HEADER.len() as u64;
                 }
             }
         }
@@ -376,8 +378,9 @@ impl DurableStore {
             sync_dir(&dir)?;
             valid_len = WAL_HEADER.len() as u64;
         } else {
+            let cut = file.metadata()?.len() > valid_len;
             file.set_len(valid_len)?;
-            if report.torn_bytes_dropped > 0 {
+            if cut {
                 file.sync_all()?;
             }
         }

@@ -262,6 +262,15 @@ fn a_log_cut_short_of_the_snapshot_ships_only_new_records() {
     let lsns: Vec<u64> = scan_batch(&shipped, 7).records.iter().map(|r| r.lsn).collect();
     assert_eq!(lsns, [8, 9]);
     assert!(matches!(store.wal_tail(5, usize::MAX).unwrap(), TailShipment::SnapshotNeeded));
+    // The covered records 1 and 2 were dropped with the lost tail, so a
+    // reopen finds a gap-free log of 8 and 9 alone.
+    drop(store);
+    let store = open(&dir);
+    assert_eq!(store.last_lsn(), 9);
+    assert_ships_cold_scan(&store);
+    for after in [5, 6] {
+        assert!(matches!(store.wal_tail(after, usize::MAX).unwrap(), TailShipment::SnapshotNeeded));
+    }
 }
 
 #[test]

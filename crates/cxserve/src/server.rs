@@ -261,12 +261,20 @@ fn accept_loop(
     tx: SyncSender<TcpStream>,
     stop: &AtomicBool,
 ) {
+    // One event per run of failures: steady fd pressure fails every
+    // backoff tick and would flush the event ring.
+    let mut failing = false;
     let accept = || {
-        listener.accept().map(|(stream, _peer)| stream).inspect_err(|e| {
-            if e.kind() != ErrorKind::WouldBlock {
+        let accepted = listener.accept().map(|(stream, _peer)| stream);
+        match &accepted {
+            Ok(_) => failing = false,
+            Err(e) if e.kind() != ErrorKind::WouldBlock && !failing => {
+                failing = true;
                 svc.obs.event("serve.accept_error", format!("accept failed: {e}"));
             }
-        })
+            Err(_) => {}
+        }
+        accepted
     };
     cxwire::accept_until(stop, accept, |stream| {
         // The listener is nonblocking for the stop poll; handlers want
