@@ -2,18 +2,21 @@
 //!
 //! Series:
 //! * `store/cold_vs_warm/{cold|warm}/{words}` — the same overlap query on
-//!   one document with the index cache dropped before every iteration
-//!   (cold: pays the `O(n log n)` rebuild) vs. left in place (warm: epoch
-//!   check + cached `Arc` clone). The gap is the per-request cost the
-//!   store removes for read-heavy traffic.
+//!   one document through a fresh `Evaluator::with_index` under the
+//!   document's read lock (cold: pays the `O(n log n)` index build) vs.
+//!   `Store::query` on the cached index (warm: epoch check + cached `Arc`
+//!   clone). The gap is the per-request cost the store removes for
+//!   read-heavy traffic.
 //! * `store/fanout/{serial|parallel}/{docs}` — one expression across a
-//!   collection, `query_all_serial` vs. the scoped-thread `query_all`.
+//!   collection, a `Store::query` loop over `doc_ids` vs. the
+//!   scoped-thread `query_all`.
 //! * `store/compile/{cached|parse}` — compiled-query cache vs. parsing the
 //!   expression each time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use cxml_bench::workload;
 use cxstore::Store;
+use expath::Evaluator;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -32,12 +35,12 @@ fn bench_store(c: &mut Criterion) {
 
         group.bench_function(BenchmarkId::new("cold_vs_warm/cold", words), |b| {
             b.iter(|| {
-                store.invalidate_indexes();
-                store.query(id, black_box(OVERLAP_QUERY)).unwrap()
+                let q = black_box(OVERLAP_QUERY);
+                store.with_doc(id, |g| Evaluator::with_index(g).select(q).unwrap()).unwrap()
             });
         });
         group.bench_function(BenchmarkId::new("cold_vs_warm/warm", words), |b| {
-            store.warm(id).unwrap();
+            store.warm_all();
             b.iter(|| store.query(id, black_box(OVERLAP_QUERY)).unwrap());
         });
     }
@@ -53,8 +56,13 @@ fn bench_store(c: &mut Criterion) {
             store.insert(w.ms.goddag);
         }
         store.warm_all();
+        let ids = store.doc_ids();
         group.bench_function(BenchmarkId::new("fanout/serial", docs), |b| {
-            b.iter(|| store.query_all_serial(black_box(OVERLAP_QUERY)).unwrap());
+            b.iter(|| {
+                ids.iter()
+                    .map(|&id| store.query(id, black_box(OVERLAP_QUERY)).unwrap())
+                    .collect::<Vec<_>>()
+            });
         });
         group.bench_function(BenchmarkId::new("fanout/parallel", docs), |b| {
             b.iter(|| store.query_all(black_box(OVERLAP_QUERY)).unwrap());

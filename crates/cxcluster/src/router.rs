@@ -27,8 +27,9 @@ impl std::fmt::Display for ShardId {
 pub struct Router {
     shards: usize,
     /// Poison-tolerant throughout: every mutation is one HashMap
-    /// insert/remove (no intermediate state a panicked holder could
-    /// expose), and the table is rebuilt from the shards on assembly.
+    /// insert/remove or a whole-table swap (no intermediate state a
+    /// panicked holder could expose), and the table is rebuilt from the
+    /// shards on assembly.
     overrides: RwLock<HashMap<u64, usize>>,
 }
 
@@ -74,6 +75,19 @@ impl Router {
         }
     }
 
+    /// Replace the whole assignment table — how a client-side router adopts
+    /// a routing view fetched from the cluster. Entries naming a
+    /// document's home shard are dropped, as [`Router::route`] does.
+    pub fn replace_overrides(&self, overrides: impl IntoIterator<Item = (u64, ShardId)>) {
+        let table = overrides
+            .into_iter()
+            .filter(|&(raw, s)| s != self.home_shard(DocId::from_raw(raw)))
+            .map(|(raw, s)| (raw, s.0))
+            .collect();
+        // Poison recovery: the table is swapped whole, never left half-built.
+        *self.overrides.write().unwrap_or_else(PoisonError::into_inner) = table;
+    }
+
     /// Forget a document's route (it was removed).
     pub fn forget(&self, id: DocId) {
         self.overrides.write().unwrap_or_else(PoisonError::into_inner).remove(&id.raw());
@@ -113,5 +127,10 @@ mod tests {
         r.route(id, ShardId(3));
         r.forget(id);
         assert_eq!(r.shard_of(id), ShardId(2));
+        // A replaced table keeps only the moves, dropping home entries.
+        r.route(DocId::from_raw(9), ShardId(0));
+        r.replace_overrides([(6, ShardId(0)), (7, ShardId(3)), (8, ShardId(1))]);
+        assert_eq!(r.overrides(), vec![(6, ShardId(0)), (8, ShardId(1))]);
+        assert_eq!(r.shard_of(DocId::from_raw(9)), ShardId(1));
     }
 }

@@ -563,11 +563,10 @@ impl DurableStore {
     /// [`Store::query_all`], [`Store::suggest_tags`], …).
     ///
     /// **Do not mutate through this reference** — `Store::insert`,
-    /// `Store::edit`, `Store::remove` and `Store::with_doc_mut` called
-    /// here bypass the log, and the bypassed changes are silently lost on
-    /// restart (worse: later logged edits may fail to replay against the
-    /// diverged state). All mutations go through the `DurableStore`
-    /// methods.
+    /// `Store::edit` and `Store::remove` called here bypass the log, and
+    /// the bypassed changes are silently lost on restart (worse: later
+    /// logged edits may fail to replay against the diverged state). All
+    /// mutations go through the `DurableStore` methods.
     pub fn store(&self) -> &Store {
         &self.store
     }

@@ -76,7 +76,8 @@ impl Manifest {
         out
     }
 
-    /// Parse and CRC-verify.
+    /// Parse and CRC-verify. An extra token on a directive line is an
+    /// error, even under a valid CRC.
     pub fn parse_text(input: &str) -> Result<Manifest> {
         let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
         let stripped = input.strip_suffix('\n').unwrap_or(input);
@@ -114,7 +115,7 @@ impl Manifest {
                     "name" => m.names.push((t.string("name")?, t.parse("doc id")?)),
                     other => return Err(format!("unknown manifest directive {other:?}")),
                 }
-                Ok(())
+                t.finish()
             };
             directive().map_err(|detail| bad(i + 1, detail))?;
         }
@@ -491,6 +492,31 @@ mod tests {
         bytes[15] ^= 0x01;
         assert!(Manifest::parse_text(&String::from_utf8(bytes).unwrap()).is_err());
         assert!(Manifest::parse_text("").is_err());
+    }
+
+    #[test]
+    fn manifest_rejects_extra_tokens_under_a_valid_crc() {
+        let m = Manifest {
+            lsn: 5,
+            next_doc: 1,
+            docs: vec![ManifestDoc { doc: 0, epoch: 2, file: "doc-0.blob".into() }],
+            names: vec![("ms".into(), 0)],
+        };
+        let text = m.to_text();
+        let body = &text[..text.rfind("crc ").unwrap()];
+        // Re-seal an edited body so only the extra token can fail it.
+        let sealed = |body: &str| format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        assert_eq!(Manifest::parse_text(&sealed(body)).unwrap(), m);
+        for (from, to) in [
+            ("lsn 5\n", "lsn 5 6\n"),
+            ("next 1\n", "next 1 junk\n"),
+            ("doc 0 2 doc-0.blob\n", "doc 0 2 doc-0.blob x\n"),
+            ("name ms 0\n", "name ms 0 0\n"),
+        ] {
+            let edited = body.replacen(from, to, 1);
+            assert_ne!(edited, body, "{from:?} not found");
+            assert!(Manifest::parse_text(&sealed(&edited)).is_err(), "{to:?} accepted");
+        }
     }
 
     #[test]

@@ -25,8 +25,6 @@ pub struct BatchApply {
 #[derive(Default)]
 struct ReplicaCounters {
     records_applied: AtomicU64,
-    records_rejected: AtomicU64,
-    batches: AtomicU64,
     torn_batches: AtomicU64,
     snapshots_installed: AtomicU64,
 }
@@ -135,7 +133,6 @@ impl ReplicaStore {
         let _span = self.apply_ns.span();
         let mut removed = lock(&self.apply);
         let scan = scan_batch(bytes, self.last_applied());
-        self.counters.batches.fetch_add(1, Ordering::Relaxed);
         if scan.torn {
             self.counters.torn_batches.fetch_add(1, Ordering::Relaxed);
         }
@@ -149,10 +146,7 @@ impl ReplicaStore {
             }
             match apply_logged(&self.store, rec.lsn, rec.op, &mut removed) {
                 Ok(Applied::Done) => {}
-                Ok(Applied::Rejected) => {
-                    out.rejected += 1;
-                    self.counters.records_rejected.fetch_add(1, Ordering::Relaxed);
-                }
+                Ok(Applied::Rejected) => out.rejected += 1,
                 Err(detail) => {
                     let err = ReplError::Diverged { detail };
                     self.store.registry().event("repl.error", err.to_string());

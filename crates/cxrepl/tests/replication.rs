@@ -243,7 +243,7 @@ fn locally_mutated_replica_detects_divergence() {
 
     // A local write behind the stream's back (the documented misuse of
     // the read surface) desynchronizes the epochs…
-    replica.store().with_doc_mut(id, |g| g.insert_text(0, "rogue ").unwrap()).unwrap();
+    replica.store().edit(id, EditOp::InsertText { offset: 0, text: "rogue ".into() }).unwrap();
     primary.durable().edit(id, EditOp::InsertText { offset: 0, text: "b ".into() }).unwrap();
     // …and the next applied record refuses rather than serving wrong data.
     match follower.sync_once() {
@@ -265,7 +265,7 @@ fn background_follower_surfaces_divergence_as_terminal() {
     while replica.last_applied() < primary.durable().last_lsn() {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    replica.store().with_doc_mut(id, |g| g.insert_text(0, "rogue ").unwrap()).unwrap();
+    replica.store().edit(id, EditOp::InsertText { offset: 0, text: "rogue ".into() }).unwrap();
     primary.durable().edit(id, EditOp::InsertText { offset: 0, text: "b ".into() }).unwrap();
     // The loop must park on the divergence (not spin retrying it) and
     // surface it through the handle.

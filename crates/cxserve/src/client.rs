@@ -31,6 +31,7 @@
 
 use crate::error::{Result, ServeError, WireError};
 use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire};
+use cxcluster::{Router, ShardId};
 use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp, EditOutcome};
@@ -39,7 +40,7 @@ use goddag::NodeId;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError, RwLock};
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Per-document hits from a fan-out query.
@@ -684,7 +685,7 @@ fn conflict(doc: DocId, guard: u64, current: u64) -> ServeError {
 
 /// A stateless shard-aware client over one [`Client`] per shard host.
 ///
-/// Routing is computed **client-side** from the same residue-class rule
+/// Routing is computed **client-side** by a [`Router`], the same rule
 /// the cluster uses (`raw % shards`, overridden by the relocation
 /// table), so per-document operations go straight to the owning shard's
 /// server — no proxy hop. The override table is fetched once at connect
@@ -693,55 +694,49 @@ fn conflict(doc: DocId, guard: u64, current: u64) -> ServeError {
 /// there immediately.
 pub struct RouterClient {
     clients: Vec<Client>,
-    shards: usize,
-    overrides: RwLock<HashMap<u64, usize>>,
+    router: Router,
     rr: AtomicUsize,
 }
 
 impl RouterClient {
     /// Connect to one server per shard, `addrs[i]` serving shard `i`,
     /// and fetch the initial routing view (from the first shard that
-    /// answers). Fails if the cluster's shard count disagrees with the
-    /// address list.
+    /// answers). Fails if `addrs` is empty or the cluster's shard count
+    /// disagrees with it.
     pub fn connect(addrs: &[SocketAddr], options: ClientOptions) -> Result<RouterClient> {
+        if addrs.is_empty() {
+            return Err(ServeError::Protocol("no shard endpoints".into()));
+        }
         let clients = addrs
             .iter()
             .map(|a| Client::connect(a, options.clone()))
             .collect::<std::io::Result<Vec<_>>>()?;
-        let router = RouterClient {
-            shards: clients.len(),
-            clients,
-            overrides: RwLock::new(HashMap::new()),
-            rr: AtomicUsize::new(0),
-        };
+        let router =
+            RouterClient { router: Router::new(clients.len()), clients, rr: AtomicUsize::new(0) };
         router.refresh_routes()?;
         Ok(router)
     }
 
     /// Number of shard endpoints.
     pub fn shard_count(&self) -> usize {
-        self.shards
+        self.clients.len()
     }
 
     /// Re-fetch the routing view from any shard that answers.
     pub fn refresh_routes(&self) -> Result<()> {
-        // Poison recovery (all three `overrides` acquisitions below): the
-        // map is only ever replaced whole or updated by single
-        // insert/remove, so a recovered guard sees a coherent routing
-        // view — at worst stale, which the protocol already retries on.
         let mut last = None;
         for c in &self.clients {
             match c.routes() {
                 Ok((shards, overrides)) => {
-                    if shards != self.shards {
+                    if shards != self.shard_count() {
                         return Err(ServeError::Protocol(format!(
                             "cluster has {shards} shards but the router was \
                              given {} endpoints",
-                            self.shards
+                            self.shard_count()
                         )));
                     }
-                    *self.overrides.write().unwrap_or_else(PoisonError::into_inner) =
-                        overrides.into_iter().collect();
+                    self.router
+                        .replace_overrides(overrides.into_iter().map(|(raw, s)| (raw, ShardId(s))));
                     return Ok(());
                 }
                 Err(e) => last = Some(e),
@@ -752,23 +747,7 @@ impl RouterClient {
 
     /// The shard this router believes owns `doc`.
     pub fn shard_of(&self, doc: DocId) -> usize {
-        let overrides = self.overrides.read().unwrap_or_else(PoisonError::into_inner);
-        match overrides.get(&doc.raw()) {
-            Some(&s) => s,
-            None => (doc.raw() % self.shards as u64) as usize,
-        }
-    }
-
-    fn learn(&self, doc: DocId, owner: usize) {
-        let home = (doc.raw() % self.shards as u64) as usize;
-        // Poison recovery: single insert/remove per holder (see
-        // `refresh_routes`) — a recovered guard sees a coherent view.
-        let mut overrides = self.overrides.write().unwrap_or_else(PoisonError::into_inner);
-        if owner == home {
-            overrides.remove(&doc.raw());
-        } else {
-            overrides.insert(doc.raw(), owner);
-        }
+        self.router.shard_of(doc).0
     }
 
     /// Run a per-document operation against the believed owner; on a
@@ -776,11 +755,14 @@ impl RouterClient {
     fn on_owner<T>(&self, doc: DocId, f: impl Fn(&Client) -> Result<T>) -> Result<T> {
         let trace = trace::span_or_root("router.request");
         trace.attr("doc", doc.raw());
-        let shard = self.shard_of(doc).min(self.shards - 1);
+        // A fetched routing view may name a shard past the endpoint list.
+        let shard = self.shard_of(doc).min(self.shard_count() - 1);
         trace.attr("shard", shard);
         match f(&self.clients[shard]) {
-            Err(ServeError::Remote(WireError::WrongShard { owner })) if owner < self.shards => {
-                self.learn(doc, owner);
+            Err(ServeError::Remote(WireError::WrongShard { owner }))
+                if owner < self.shard_count() =>
+            {
+                self.router.route(doc, ShardId(owner));
                 trace.attr("shard", owner);
                 f(&self.clients[owner])
             }
@@ -789,7 +771,7 @@ impl RouterClient {
     }
 
     fn next_rr(&self) -> usize {
-        self.rr.fetch_add(1, Ordering::Relaxed) % self.shards
+        self.rr.fetch_add(1, Ordering::Relaxed) % self.shard_count()
     }
 
     /// Insert round-robin across shards (each shard-scoped server mints

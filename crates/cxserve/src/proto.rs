@@ -561,7 +561,7 @@ fn encode_hits(out: &mut String, hits: &[(DocId, Vec<NodeId>)]) {
     }
 }
 
-/// The next `k` body lines, each parsed by `item`.
+/// The next `k` body lines, each parsed whole by `item`.
 fn body_lines<'a, T>(
     lines: &mut impl Iterator<Item = &'a str>,
     k: usize,
@@ -570,8 +570,9 @@ fn body_lines<'a, T>(
 ) -> Result<Vec<T>, String> {
     let mut out = Vec::with_capacity(k.min(1 << 12));
     for _ in 0..k {
-        let line = lines.next().ok_or_else(|| format!("expected {what} line"))?;
-        out.push(item(&mut Tokens::new(line))?);
+        let mut t = Tokens::new(lines.next().ok_or_else(|| format!("expected {what} line"))?);
+        out.push(item(&mut t)?);
+        t.finish()?;
     }
     Ok(out)
 }
@@ -658,7 +659,9 @@ impl Response {
     }
 
     /// Parse a frame payload. A malformed response is a protocol error
-    /// (the connection is torn down — framing can no longer be trusted).
+    /// (the connection is torn down — framing can no longer be trusted),
+    /// and so is a leftover token on the status line or a body line past
+    /// the ones the status line counts.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
         Response::decode_text(payload).map_err(WireError::BadRequest)
     }
@@ -668,58 +671,65 @@ impl Response {
         let text = std::str::from_utf8(payload).map_err(|_| "response is not utf-8")?;
         let (line, body) = split_body(text);
         let mut t = Tokens::new(line);
-        match Status::parse(t.token("status")?)? {
-            Status::Err => return Ok(Response::Err(WireError::decode_tokens(&mut t)?)),
-            Status::Ok => {}
-        }
         let flag = |t: &mut Tokens<'_>, what| t.parse::<u8>(what).map(|f| f != 0);
         let mut lines = body.unwrap_or("").lines();
-        Ok(match K::parse(t.token("response kind")?)? {
-            K::Pong => Response::Pong,
-            K::Id => Response::Id(doc_id(&mut t)?),
-            K::Edited => Response::Edited {
-                node: t.parse_opt("node id")?.map(NodeId),
-                epoch: t.parse("epoch")?,
-            },
-            K::Nodes => Response::Nodes(decode_nodes(&mut t)?),
-            K::Hits => {
-                let k = t.parse("hit count")?;
-                Response::Hits(body_lines(&mut lines, k, "hit", decode_hit)?)
-            }
-            K::Partial => {
-                let (hk, ek) = (t.parse("hit count")?, t.parse("error count")?);
-                Response::Partial {
-                    hits: body_lines(&mut lines, hk, "hit", decode_hit)?,
-                    errors: body_lines(&mut lines, ek, "error", |t| {
-                        Ok((t.parse("shard")?, WireError::decode_tokens(t)?))
-                    })?,
+        let resp = match Status::parse(t.token("status")?)? {
+            Status::Err => Response::Err(WireError::decode_tokens(&mut t)?),
+            Status::Ok => match K::parse(t.token("response kind")?)? {
+                K::Pong => Response::Pong,
+                K::Id => Response::Id(doc_id(&mut t)?),
+                K::Edited => Response::Edited {
+                    node: t.parse_opt("node id")?.map(NodeId),
+                    epoch: t.parse("epoch")?,
+                },
+                K::Nodes => Response::Nodes(decode_nodes(&mut t)?),
+                K::Hits => {
+                    let k = t.parse("hit count")?;
+                    Response::Hits(body_lines(&mut lines, k, "hit", decode_hit)?)
                 }
+                K::Partial => {
+                    let (hk, ek) = (t.parse("hit count")?, t.parse("error count")?);
+                    Response::Partial {
+                        hits: body_lines(&mut lines, hk, "hit", decode_hit)?,
+                        errors: body_lines(&mut lines, ek, "error", |t| {
+                            Ok((t.parse("shard")?, WireError::decode_tokens(t)?))
+                        })?,
+                    }
+                }
+                K::Tags => Response::Tags(counted(&mut t, |t| t.string("tag"))?),
+                K::Text => Response::Text(body.unwrap_or("").to_string()),
+                K::Epoch => Response::Epoch(t.parse("epoch")?),
+                K::Removed => Response::Removed(flag(&mut t, "flag")?),
+                K::Routes => {
+                    let (shards, k) = (t.parse("shard count")?, t.parse("override count")?);
+                    let overrides = body_lines(&mut lines, k, "route", |t| {
+                        Ok((t.parse("raw id")?, t.parse("shard")?))
+                    })?;
+                    Response::Routes { shards, overrides }
+                }
+                K::Traces => {
+                    let k = t.parse("count")?;
+                    Response::Traces(body_lines(&mut lines, k, "trace", |t| {
+                        Ok(TraceSummaryWire {
+                            trace_id: t.hex("trace id")?,
+                            root: t.string("root")?,
+                            start_ns: t.parse("start")?,
+                            duration_ns: t.parse("duration")?,
+                            spans: t.parse("spans")?,
+                            slow: flag(t, "slow flag")?,
+                            error: flag(t, "error flag")?,
+                        })
+                    })?)
+                }
+            },
+        };
+        t.finish()?;
+        // Only `text` takes its body raw; every other body is counted.
+        match lines.next() {
+            Some(extra) if !matches!(resp, Response::Text(_)) => {
+                Err(format!("unexpected body line {extra:?}"))
             }
-            K::Tags => Response::Tags(counted(&mut t, |t| t.string("tag"))?),
-            K::Text => Response::Text(body.unwrap_or("").to_string()),
-            K::Epoch => Response::Epoch(t.parse("epoch")?),
-            K::Removed => Response::Removed(flag(&mut t, "flag")?),
-            K::Routes => {
-                let (shards, k) = (t.parse("shard count")?, t.parse("override count")?);
-                let overrides = body_lines(&mut lines, k, "route", |t| {
-                    Ok((t.parse("raw id")?, t.parse("shard")?))
-                })?;
-                Response::Routes { shards, overrides }
-            }
-            K::Traces => {
-                let k = t.parse("count")?;
-                Response::Traces(body_lines(&mut lines, k, "trace", |t| {
-                    Ok(TraceSummaryWire {
-                        trace_id: t.hex("trace id")?,
-                        root: t.string("root")?,
-                        start_ns: t.parse("start")?,
-                        duration_ns: t.parse("duration")?,
-                        spans: t.parse("spans")?,
-                        slow: flag(t, "slow flag")?,
-                        error: flag(t, "error flag")?,
-                    })
-                })?)
-            }
-        })
+            _ => Ok(resp),
+        }
     }
 }

@@ -207,6 +207,28 @@ fn hostile_response_payloads_decode_to_typed_errors_never_panics() {
 }
 
 #[test]
+fn trailing_response_tokens_and_body_lines_are_refused() {
+    let cases: &[&[u8]] = &[
+        b"ok pong x",
+        b"ok epoch 5 6",
+        b"ok removed 1 1",
+        b"err busy now",
+        b"ok hits 1\n5 0\n6 0\n",     // a hit past the count
+        b"ok hits 1\n5 1 2 9\n",      // a node past the hit's own count
+        b"ok routes 2 1\n7 1\n8 0\n", // a route past the count
+        b"ok partial 0 0\n1 busy\n",  // an error past the count
+        b"ok traces 0\nx\n",
+        b"ok pong\nstray body",
+    ];
+    for payload in cases {
+        match Response::decode(payload) {
+            Err(WireError::BadRequest(_)) => {}
+            other => panic!("{:?} decoded to {other:?}", String::from_utf8_lossy(payload)),
+        }
+    }
+}
+
+#[test]
 fn version_sentinel_is_checked_first() {
     let mut good = Request::Ping.encode();
     assert!(good.starts_with(cxserve::VERSION.as_bytes()));

@@ -262,6 +262,9 @@ fn shard_scoped_servers_and_the_router_client() {
     let addrs: Vec<_> = servers.iter().map(|s| s.addr()).collect();
     let router = RouterClient::connect(&addrs, ClientOptions::default()).unwrap();
     assert_eq!(router.shard_count(), 3);
+    // No endpoints is a typed refusal, not a panic.
+    let none = RouterClient::connect(&[], ClientOptions::default());
+    assert!(matches!(none, Err(ServeError::Protocol(_))));
 
     // Inserts round-robin across shard endpoints; each shard-scoped
     // server mints ids in its own residue class.

@@ -16,12 +16,12 @@ pub(crate) struct DocEntry {
     /// The document itself. Many readers or one writer.
     pub(crate) doc: RwLock<Goddag>,
     /// `(epoch, index)` — the overlap index built at that edit epoch, or
-    /// `None` before the first query / after `invalidate`.
+    /// `None` before the first query.
     index: Mutex<Option<(u64, Arc<OverlapIndex>)>>,
     /// Prevalidation engines by hierarchy index. An engine compiles the
     /// hierarchy DTD's Glushkov automata, which is worth amortizing across
-    /// edits. Cleared whenever the DTD might have changed
-    /// (`Store::with_doc_mut`).
+    /// edits. Never invalidated: no [`crate::EditOp`] changes a DTD, so a
+    /// hierarchy's DTD is fixed from insert on.
     engines: Mutex<HashMap<u16, Arc<PrevalidEngine>>>,
 }
 
@@ -89,12 +89,6 @@ impl DocEntry {
         idx
     }
 
-    /// Drop the cached index (bench cold paths; also frees memory for
-    /// documents that stopped receiving queries).
-    pub(crate) fn invalidate_index(&self) {
-        *mutex_lock(&self.index) = None;
-    }
-
     /// True when a cached index exists for the current epoch.
     pub(crate) fn index_is_warm(&self, g: &Goddag) -> bool {
         mutex_lock(&self.index).as_ref().is_some_and(|(built_at, _)| *built_at == g.edit_epoch())
@@ -112,11 +106,5 @@ impl DocEntry {
         Some(Arc::clone(
             engines.entry(h.idx() as u16).or_insert_with(|| Arc::new(PrevalidEngine::new(dtd))),
         ))
-    }
-
-    /// Forget cached engines (after arbitrary mutation that may have
-    /// swapped DTDs).
-    pub(crate) fn invalidate_engines(&self) {
-        mutex_lock(&self.engines).clear();
     }
 }

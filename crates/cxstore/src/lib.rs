@@ -16,12 +16,15 @@
 //!   the AST is shared (`Arc`) across all evaluations and threads.
 //! * **A batch query service** — [`Store::query_all`] fans one expression
 //!   out across all documents on scoped threads and returns per-document
-//!   node sets; [`Store::query_all_serial`] is the single-threaded
-//!   reference (bench `store.rs` measures both).
-//! * **Gated edits** — [`Store::edit`] applies [`EditOp`]s under the
-//!   document's write lock; markup insertions into a hierarchy with a DTD
-//!   are checked through `prevalid` first, so a store full of valid
-//!   documents stays potentially valid.
+//!   node sets, keyed and ordered by handle.
+//! * **One document table** — a single id-ordered map under one lock, so
+//!   [`Store::doc_ids`] and the batch path see an atomic snapshot in
+//!   insertion order; document locks are only taken after it is released.
+//! * **Gated edits** — [`EditOp`] is the only way a stored document
+//!   changes. [`Store::edit`] applies one under the document's write lock;
+//!   markup insertions into a hierarchy with a DTD are checked through
+//!   `prevalid` first, so a store full of valid documents stays
+//!   potentially valid.
 //! * **Observability** — [`Store::stats`] aggregates `goddag::GoddagStats`
 //!   over the collection plus store-level counters (cache hits/misses,
 //!   edits, epochs); every store also owns a [`cxobs::Registry`] recording

@@ -9,7 +9,7 @@ use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
 use prevalid::InsertionContext;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -40,7 +40,7 @@ impl fmt::Display for DocId {
     }
 }
 
-/// Default cap on distinct compiled expressions kept alive; above it the
+/// Cap on distinct compiled expressions kept alive; above it the
 /// least-recently-used entry is evicted (the cache is an amortizer, not a
 /// registry).
 const QUERY_CACHE_CAP: usize = 1024;
@@ -52,107 +52,20 @@ struct CachedQuery {
     last_used: AtomicU64,
 }
 
-/// Number of doc-table shards. Ids are sequential, so `id % N` spreads
-/// consecutive inserts round-robin; a fixed power of two keeps the modulo a
-/// mask and the table layout independent of runtime configuration.
-const DOC_SHARDS: usize = 16;
-
-/// The sharded document registry: N independently locked maps hashed by
-/// raw [`DocId`], so concurrent inserts/removals on different documents
-/// stop serializing on one table-wide lock. Entry lookups touch exactly
-/// one shard; whole-table reads (ids, stats) visit all shards and sort by
-/// id, which — ids being allocation-ordered — reproduces insertion order
-/// deterministically.
-struct DocTable {
-    shards: Vec<RwLock<HashMap<u64, Arc<DocEntry>>>>,
-}
-
-impl DocTable {
-    fn new() -> DocTable {
-        DocTable { shards: (0..DOC_SHARDS).map(|_| RwLock::default()).collect() }
-    }
-
-    fn shard(&self, raw: u64) -> &RwLock<HashMap<u64, Arc<DocEntry>>> {
-        &self.shards[(raw as usize) % DOC_SHARDS]
-    }
-
-    /// Insert; fails (returns the entry back) when the id is taken.
-    fn insert(&self, raw: u64, e: Arc<DocEntry>) -> bool {
-        use std::collections::hash_map::Entry;
-        match crate::entry::write_lock(self.shard(raw)).entry(raw) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(e);
-                true
-            }
-        }
-    }
-
-    fn remove(&self, raw: u64) -> bool {
-        crate::entry::write_lock(self.shard(raw)).remove(&raw).is_some()
-    }
-
-    fn get(&self, raw: u64) -> Option<Arc<DocEntry>> {
-        crate::entry::read_lock(self.shard(raw)).get(&raw).cloned()
-    }
-
-    fn contains(&self, raw: u64) -> bool {
-        crate::entry::read_lock(self.shard(raw)).contains_key(&raw)
-    }
-
-    fn len(&self) -> usize {
-        // Guards held together so the count is a consistent snapshot, like
-        // every other whole-table read.
-        self.lock_all().iter().map(|g| g.len()).sum()
-    }
-
-    /// All shard read guards, acquired in index order. Holding every
-    /// guard makes a whole-table read an atomic snapshot — the same
-    /// point-in-time semantics the pre-sharding single lock gave
-    /// `doc_ids()`/`entries()` (and through them `query_all`). The fixed
-    /// acquisition order cannot deadlock: single-entry operations only
-    /// ever hold one shard lock.
-    fn lock_all(&self) -> Vec<std::sync::RwLockReadGuard<'_, HashMap<u64, Arc<DocEntry>>>> {
-        self.shards.iter().map(crate::entry::read_lock).collect()
-    }
-
-    /// All live `(id, entry)` pairs sorted by id (= insertion order), as
-    /// one consistent snapshot.
-    fn sorted_entries(&self) -> Vec<(DocId, Arc<DocEntry>)> {
-        let guards = self.lock_all();
-        let mut out: Vec<(DocId, Arc<DocEntry>)> =
-            Vec::with_capacity(guards.iter().map(|g| g.len()).sum());
-        for g in &guards {
-            out.extend(g.iter().map(|(&raw, e)| (DocId(raw), Arc::clone(e))));
-        }
-        out.sort_unstable_by_key(|(id, _)| *id);
-        out
-    }
-
-    /// All live ids sorted (= insertion order), as one consistent
-    /// snapshot.
-    fn sorted_ids(&self) -> Vec<DocId> {
-        let guards = self.lock_all();
-        let mut out: Vec<DocId> = Vec::with_capacity(guards.iter().map(|g| g.len()).sum());
-        for g in &guards {
-            out.extend(g.keys().map(|&raw| DocId(raw)));
-        }
-        out.sort_unstable();
-        out
-    }
-}
-
 /// A thread-safe repository of GODDAG documents with epoch-validated
 /// overlap-index caches, an LRU compiled-query cache, and a batch query
 /// service. See the crate docs for the full tour.
 pub struct Store {
-    docs: DocTable,
+    /// Live documents by raw id. Ids are allocation-ordered, so a key walk
+    /// is insertion order, and one lock makes it an atomic snapshot.
+    /// Callers clone an entry's `Arc` and release this lock before taking
+    /// any document lock.
+    docs: RwLock<BTreeMap<u64, Arc<DocEntry>>>,
     names: RwLock<HashMap<String, DocId>>,
     next_id: AtomicU64,
     queries: RwLock<HashMap<String, CachedQuery>>,
     /// Monotonic recency clock for the query cache.
     query_tick: AtomicU64,
-    query_cache_cap: usize,
     counters: Counters,
     obs: Arc<Registry>,
     metrics: StoreMetrics,
@@ -160,7 +73,7 @@ pub struct Store {
 
 impl Default for Store {
     fn default() -> Store {
-        Store::with_query_cache_capacity(QUERY_CACHE_CAP)
+        Store::with_registry(Arc::new(Registry::new()))
     }
 }
 
@@ -170,31 +83,18 @@ impl Store {
         Store::default()
     }
 
-    /// An empty store whose compiled-query cache holds at most `cap`
-    /// expressions (minimum 1), evicting least-recently-used beyond that.
-    pub fn with_query_cache_capacity(cap: usize) -> Store {
-        Store::with_config(cap, Arc::new(Registry::new()))
-    }
-
     /// An empty store recording its metrics into `obs` — how a stack
     /// (durable store, primary, cluster shard) shares one registry so a
     /// single exposition covers every layer. Pass
     /// [`Registry::disabled`] to run uninstrumented.
     pub fn with_registry(obs: Arc<Registry>) -> Store {
-        Store::with_config(QUERY_CACHE_CAP, obs)
-    }
-
-    /// The fully explicit constructor: query-cache capacity plus metric
-    /// registry.
-    pub fn with_config(cap: usize, obs: Arc<Registry>) -> Store {
         let metrics = StoreMetrics::new(&obs);
         Store {
-            docs: DocTable::new(),
+            docs: RwLock::default(),
             names: RwLock::default(),
             next_id: AtomicU64::new(0),
             queries: RwLock::default(),
             query_tick: AtomicU64::new(0),
-            query_cache_cap: cap.max(1),
             counters: Counters::default(),
             obs,
             metrics,
@@ -221,7 +121,7 @@ impl Store {
             // A racing `insert_with_id` may claim this id between our
             // allocation and the map insert; allocate again rather than
             // silently aliasing its document.
-            if self.docs.insert(id.0, Arc::clone(&entry)) {
+            if self.claim(id, &entry) {
                 return id;
             }
         }
@@ -242,7 +142,7 @@ impl Store {
     /// later [`Store::insert`] calls never collide.
     pub fn insert_with_id(&self, id: DocId, g: Goddag) -> Result<DocId> {
         self.next_id.fetch_max(id.0 + 1, Ordering::Relaxed);
-        if self.docs.insert(id.0, Arc::new(DocEntry::new(g))) {
+        if self.claim(id, &Arc::new(DocEntry::new(g))) {
             Ok(id)
         } else {
             Err(StoreError::IdInUse(id))
@@ -287,11 +187,6 @@ impl Store {
         }
     }
 
-    /// Add many documents.
-    pub fn insert_all(&self, docs: impl IntoIterator<Item = Goddag>) -> Vec<DocId> {
-        docs.into_iter().map(|g| self.insert(g)).collect()
-    }
-
     /// Resolve a name to a handle.
     pub fn id_by_name(&self, name: &str) -> Result<DocId> {
         self.names_read().get(name).copied().ok_or_else(|| StoreError::NoSuchName(name.into()))
@@ -334,7 +229,7 @@ impl Store {
     /// handle was live. Every name bound to the document is unbound with it
     /// (no stale `name → id` entries survive).
     pub fn remove(&self, id: DocId) -> bool {
-        let removed = self.docs.remove(id.0);
+        let removed = self.docs_write().remove(&id.0).is_some();
         if removed {
             self.names_write().retain(|_, v| *v != id);
         }
@@ -351,7 +246,7 @@ impl Store {
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        self.docs.len()
+        self.docs_read().len()
     }
 
     /// True when no documents are stored.
@@ -361,19 +256,12 @@ impl Store {
 
     /// Whether the handle is live.
     pub fn contains(&self, id: DocId) -> bool {
-        self.docs.contains(id.0)
+        self.docs_read().contains_key(&id.0)
     }
 
     /// All live handles, in insertion order.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        self.docs.sorted_ids()
-    }
-
-    /// Clone out a consistent snapshot of a document.
-    pub fn snapshot(&self, id: DocId) -> Result<Goddag> {
-        let entry = self.entry(id)?;
-        let g = entry.read();
-        Ok(g.clone())
+        self.docs_read().keys().map(|&raw| DocId(raw)).collect()
     }
 
     /// A document's current edit epoch.
@@ -388,28 +276,6 @@ impl Store {
         let entry = self.entry(id)?;
         let g = entry.read();
         Ok(f(&g))
-    }
-
-    /// Run a closure against a document under its write lock — the escape
-    /// hatch for mutations [`EditOp`] does not model. The edit epoch moves
-    /// with whatever the closure does, so index caches stay correct; cached
-    /// prevalidation engines are conservatively dropped (the closure may
-    /// have swapped a DTD).
-    pub fn with_doc_mut<R>(&self, id: DocId, f: impl FnOnce(&mut Goddag) -> R) -> Result<R> {
-        let entry = self.entry(id)?;
-        let mut g = entry.write();
-        // The closure may swap a DTD (or panic mid-swap); clear cached
-        // engines *before the write lock is released* — declared after `g`
-        // so it drops first, even on unwind — so no racing edit can
-        // validate against a stale engine.
-        struct InvalidateEngines<'a>(&'a DocEntry);
-        impl Drop for InvalidateEngines<'_> {
-            fn drop(&mut self) {
-                self.0.invalidate_engines();
-            }
-        }
-        let _guard = InvalidateEngines(&entry);
-        Ok(f(&mut g))
     }
 
     // ------------------------------------------------------------------
@@ -429,7 +295,7 @@ impl Store {
         Counters::bump(&self.counters.query_cache_misses);
         let ast = Arc::new(parse(expr)?);
         let mut cache = self.queries_write();
-        if cache.len() >= self.query_cache_cap && !cache.contains_key(expr) {
+        if cache.len() >= QUERY_CACHE_CAP && !cache.contains_key(expr) {
             // Evict the least-recently-used entry (linear scan: eviction is
             // rare next to hits and already behind a parse).
             if let Some(k) = cache
@@ -460,24 +326,10 @@ impl Store {
         self.query_entry(&entry, &ast)
     }
 
-    /// Evaluate an expression of any result type against one document.
-    pub fn query_value(&self, id: DocId, expr: &str) -> Result<OwnedValue> {
-        let _span = self.metrics.query_ns.span();
-        let ast = self.compile(expr)?;
-        let entry = self.entry(id)?;
-        Counters::bump(&self.counters.queries);
-        let g = entry.read();
-        let idx = entry.index_for(&g, &self.counters);
-        let ev = Evaluator::with_shared_index(&g, idx);
-        let v = ev.evaluate(&ast, g.root())?;
-        Ok(OwnedValue::from_value(v, &g))
-    }
-
     /// Evaluate a node-set expression against **every** document in
     /// parallel (scoped threads, one chunk of documents per worker).
-    /// Results are keyed by handle and sorted by it; they are identical to
-    /// [`Store::query_all_serial`] by construction, which the conformance
-    /// test pins down.
+    /// Results are keyed by handle and sorted by it, and equal to querying
+    /// each document on its own.
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
         let _span = self.metrics.query_all_ns.span();
         let _trace = trace::span("store.query_all");
@@ -506,39 +358,11 @@ impl Store {
         })
     }
 
-    /// The single-threaded batch path: same contract as
-    /// [`Store::query_all`], used as its reference and as the serial
-    /// baseline in benches.
-    pub fn query_all_serial(&self, expr: &str) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
-        let _span = self.metrics.query_all_ns.span();
-        let ast = self.compile(expr)?;
-        let entries = self.entries();
-        Counters::bump(&self.counters.batch_queries);
-        self.query_entries(&entries, &ast)
-    }
-
-    /// Prebuild the overlap index of one document (warm the cache ahead of
-    /// traffic).
-    pub fn warm(&self, id: DocId) -> Result<()> {
-        let entry = self.entry(id)?;
-        let g = entry.read();
-        entry.index_for(&g, &self.counters);
-        Ok(())
-    }
-
     /// Prebuild every document's overlap index.
     pub fn warm_all(&self) {
         for (_, entry) in self.entries() {
             let g = entry.read();
             entry.index_for(&g, &self.counters);
-        }
-    }
-
-    /// Drop all cached overlap indexes (cold-start benches; memory
-    /// pressure).
-    pub fn invalidate_indexes(&self) {
-        for (_, entry) in self.entries() {
-            entry.invalidate_index();
         }
     }
 
@@ -784,11 +608,22 @@ impl Store {
     // ------------------------------------------------------------------
 
     fn entry(&self, id: DocId) -> Result<Arc<DocEntry>> {
-        self.docs.get(id.0).ok_or(StoreError::NoSuchDoc(id))
+        self.docs_read().get(&id.0).cloned().ok_or(StoreError::NoSuchDoc(id))
     }
 
+    /// Every live `(id, entry)` pair in id order, as one snapshot.
     fn entries(&self) -> Vec<(DocId, Arc<DocEntry>)> {
-        self.docs.sorted_entries()
+        self.docs_read().iter().map(|(&raw, e)| (DocId(raw), Arc::clone(e))).collect()
+    }
+
+    /// Insert `entry` under `id` unless the id is live.
+    fn claim(&self, id: DocId, entry: &Arc<DocEntry>) -> bool {
+        let mut docs = self.docs_write();
+        if docs.contains_key(&id.0) {
+            return false;
+        }
+        docs.insert(id.0, Arc::clone(entry));
+        true
     }
 
     fn query_entry(&self, entry: &DocEntry, ast: &Expr) -> Result<Vec<goddag::NodeId>> {
@@ -807,6 +642,14 @@ impl Store {
         ast: &Expr,
     ) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
         entries.iter().map(|(id, e)| self.query_entry(e, ast).map(|ns| (*id, ns))).collect()
+    }
+
+    fn docs_read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<u64, Arc<DocEntry>>> {
+        crate::entry::read_lock(&self.docs)
+    }
+
+    fn docs_write(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<u64, Arc<DocEntry>>> {
+        crate::entry::write_lock(&self.docs)
     }
 
     fn names_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, DocId>> {
@@ -833,37 +676,6 @@ impl Observable for Store {
     fn expose_into(&self, out: &mut Exposition) {
         self.stats().expose_into(out);
         self.obs.expose_into(out);
-    }
-}
-
-/// A query result detached from any document lock: node-sets stay as ids,
-/// everything else is materialized.
-#[derive(Debug, Clone, PartialEq)]
-pub enum OwnedValue {
-    /// A node-set (ids remain valid across edits — ids are never reused —
-    /// though removed nodes go dead).
-    Nodes(Vec<goddag::NodeId>),
-    /// Attribute values, materialized as strings.
-    Attrs(Vec<String>),
-    /// A number.
-    Number(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
-}
-
-impl OwnedValue {
-    fn from_value(v: Value, g: &Goddag) -> OwnedValue {
-        match v {
-            Value::Nodes(ns) => OwnedValue::Nodes(ns),
-            Value::Attrs(attrs) => OwnedValue::Attrs(
-                attrs.iter().map(|a| g.attrs(a.element)[a.index].value.clone()).collect(),
-            ),
-            Value::Number(n) => OwnedValue::Number(n),
-            Value::Str(s) => OwnedValue::Str(s),
-            Value::Bool(b) => OwnedValue::Bool(b),
-        }
     }
 }
 
@@ -919,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn edits_bump_epoch_and_invalidate_index() {
+    fn edits_bump_epoch_and_stale_the_index() {
         let (store, id) = figure1_store();
         let before = store.epoch(id).unwrap();
         store.query(id, "//ling:w").unwrap();
@@ -1008,74 +820,75 @@ mod tests {
     }
 
     #[test]
-    fn query_value_materializes_non_nodesets() {
+    fn non_node_set_query_is_an_error() {
         let (store, id) = figure1_store();
-        match store.query_value(id, "count(//ling:w)").unwrap() {
-            OwnedValue::Number(n) => assert!(n > 0.0),
-            other => panic!("unexpected {other:?}"),
-        }
         assert!(matches!(store.query(id, "count(//ling:w)"), Err(StoreError::NotANodeSet(_))));
     }
 
     #[test]
     fn query_all_covers_every_document() {
         let store = Store::new();
-        let ids = store.insert_all((0..5).map(|_| corpus::figure1::goddag()));
+        let ids: Vec<DocId> = (0..5).map(|_| store.insert(corpus::figure1::goddag())).collect();
         let results = store.query_all("//ling:w").unwrap();
-        assert_eq!(results.len(), 5);
         assert_eq!(results.iter().map(|(id, _)| *id).collect::<Vec<_>>(), ids);
-        let serial = store.query_all_serial("//ling:w").unwrap();
-        assert_eq!(results, serial);
+        for (id, nodes) in &results {
+            assert_eq!(*nodes, store.query(*id, "//ling:w").unwrap());
+        }
     }
 
     #[test]
-    fn warm_and_invalidate() {
+    fn warm_all_builds_each_index_once() {
         let (store, id) = figure1_store();
-        store.warm(id).unwrap();
-        assert_eq!(store.stats().warm_indexes, 1);
-        store.invalidate_indexes();
-        assert_eq!(store.stats().warm_indexes, 0);
         store.warm_all();
         assert_eq!(store.stats().warm_indexes, 1);
         // warm + query = one build, one hit.
-        store.invalidate_indexes();
-        let s0 = store.stats();
-        store.warm(id).unwrap();
         store.query(id, "//ling:w").unwrap();
-        let s1 = store.stats();
-        assert_eq!(s1.index_builds - s0.index_builds, 1);
-        assert!(s1.index_hits > s0.index_hits);
+        let s = store.stats();
+        assert_eq!((s.index_builds, s.index_hits), (1, 1));
+        // An edit leaves the index cold until the next warm.
+        store.edit(id, EditOp::InsertText { offset: 0, text: "X".into() }).unwrap();
+        assert_eq!(store.stats().warm_indexes, 0);
+        store.warm_all();
+        assert_eq!(store.stats().warm_indexes, 1);
+    }
+
+    /// `QUERY_CACHE_CAP + extra` distinct expressions `//e0`, `//e1`, ….
+    fn distinct_exprs(extra: usize) -> Vec<String> {
+        (0..QUERY_CACHE_CAP + extra).map(|i| format!("//e{i}")).collect()
     }
 
     #[test]
     fn query_cache_evicts_least_recently_used() {
-        let store = Store::with_query_cache_capacity(3);
-        store.insert(corpus::figure1::goddag());
-        store.compile("//a").unwrap();
-        store.compile("//b").unwrap();
-        store.compile("//c").unwrap();
-        // Touch a and c so b becomes the LRU entry...
-        store.compile("//a").unwrap();
-        store.compile("//c").unwrap();
-        // ...then overflow the cache: b must be the one evicted.
-        store.compile("//d").unwrap();
-        assert_eq!(store.stats().compiled_queries, 3);
+        let store = Store::new();
+        let exprs = distinct_exprs(1);
+        let (full, overflow) = exprs.split_at(QUERY_CACHE_CAP);
+        for e in full {
+            store.compile(e).unwrap();
+        }
+        // Touch every entry but `//e1` so it becomes the LRU entry...
+        for e in full.iter().filter(|e| *e != "//e1") {
+            store.compile(e).unwrap();
+        }
+        // ...then overflow the cache: `//e1` must be the one evicted.
+        store.compile(&overflow[0]).unwrap();
+        assert_eq!(store.stats().compiled_queries, QUERY_CACHE_CAP);
         let misses = store.stats().query_cache_misses;
-        store.compile("//a").unwrap();
-        store.compile("//c").unwrap();
-        store.compile("//d").unwrap();
-        assert_eq!(store.stats().query_cache_misses, misses, "a, c, d must still be cached");
-        store.compile("//b").unwrap();
-        assert_eq!(store.stats().query_cache_misses, misses + 1, "b must have been evicted");
+        for e in exprs.iter().filter(|e| *e != "//e1") {
+            store.compile(e).unwrap();
+        }
+        assert_eq!(store.stats().query_cache_misses, misses, "all but //e1 must still be cached");
+        store.compile("//e1").unwrap();
+        assert_eq!(store.stats().query_cache_misses, misses + 1, "//e1 must have been evicted");
     }
 
     #[test]
     fn query_cache_capacity_is_enforced() {
-        let store = Store::with_query_cache_capacity(2);
-        for expr in ["//a", "//b", "//c", "//d", "//a", "//c"] {
-            store.compile(expr).unwrap();
+        let store = Store::new();
+        let exprs = distinct_exprs(3);
+        for e in exprs.iter().chain(&exprs[..5]) {
+            store.compile(e).unwrap();
         }
-        assert_eq!(store.stats().compiled_queries, 2);
+        assert_eq!(store.stats().compiled_queries, QUERY_CACHE_CAP);
     }
 
     #[test]
@@ -1182,7 +995,7 @@ mod tests {
         assert_eq!(store.next_doc_raw(), 19);
         store.reserve_doc_ids(100);
         assert_eq!(store.next_doc_raw(), 100);
-        // Insertion order stays id order across shards.
+        // Insertion order stays id order.
         assert_eq!(store.doc_ids(), vec![id, revived, DocId::from_raw(18)]);
     }
 
@@ -1256,25 +1069,47 @@ mod tests {
     }
 
     #[test]
-    fn doc_ids_deterministic_across_shards() {
+    fn whole_table_reads_stay_ordered_under_insert_and_remove_races() {
+        use std::sync::atomic::AtomicBool;
+        const INSERTS: usize = 200;
         let store = Store::new();
-        let ids = store.insert_all((0..40).map(|_| corpus::figure1::goddag()));
-        assert_eq!(store.doc_ids(), ids);
-        assert_eq!(store.len(), 40);
-        // Remove a scattering and re-check order.
-        for i in [0usize, 7, 13, 31] {
-            assert!(store.remove(ids[i]));
-        }
-        let expect: Vec<DocId> = ids
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| ![0usize, 7, 13, 31].contains(i))
-            .map(|(_, id)| *id)
-            .collect();
-        assert_eq!(store.doc_ids(), expect);
+        let done = AtomicBool::new(false);
+        let increasing = |ids: &[DocId]| ids.windows(2).all(|w| w[0] < w[1]);
+        let removed = std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..INSERTS {
+                    store.insert(corpus::figure1::goddag());
+                }
+                done.store(true, Ordering::Release);
+            });
+            let remover = s.spawn(|| {
+                let mut removed = 0;
+                while !done.load(Ordering::Acquire) {
+                    // Every other live document, oldest first.
+                    for id in store.doc_ids().into_iter().step_by(2) {
+                        removed += usize::from(store.remove(id));
+                    }
+                }
+                removed
+            });
+            s.spawn(|| {
+                let mut samples = 0;
+                while samples == 0 || !done.load(Ordering::Acquire) {
+                    assert!(increasing(&store.doc_ids()));
+                    let hits = store.query_all("//ling:w").unwrap();
+                    assert!(increasing(&hits.iter().map(|(id, _)| *id).collect::<Vec<_>>()));
+                    samples += 1;
+                }
+            });
+            remover.join().unwrap()
+        });
+        let ids = store.doc_ids();
+        assert_eq!(store.len(), ids.len());
+        assert_eq!(ids.len(), INSERTS - removed);
+        assert!(increasing(&ids));
         assert_eq!(
             store.entries().iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            expect,
+            ids,
             "entries() must match doc_ids() ordering"
         );
     }
@@ -1396,18 +1231,5 @@ mod tests {
         off.query(id, "//w").unwrap();
         assert_eq!(off.registry().histogram(QUERY_NS).count(), 0);
         assert!(off.exposition().contains("cx_query_ns_count 0\n"));
-    }
-
-    #[test]
-    fn with_doc_mut_moves_epoch() {
-        let (store, id) = figure1_store();
-        let before = store.epoch(id).unwrap();
-        store
-            .with_doc_mut(id, |g| {
-                g.insert_text(0, "X").unwrap();
-            })
-            .unwrap();
-        assert!(store.epoch(id).unwrap() > before);
-        assert!(store.with_doc(id, |g| g.content().starts_with('X')).unwrap());
     }
 }
