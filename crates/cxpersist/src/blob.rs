@@ -231,7 +231,7 @@ impl DocBlob {
                     }
                     other => return Err(format!("unknown blob directive {other:?}")),
                 }
-                Ok(())
+                t.finish()
             };
             directive().map_err(|detail| bad(ln, detail))?;
         }
@@ -308,6 +308,39 @@ mod tests {
         assert!(DocBlob::parse_text(&flipped).is_err());
         assert!(DocBlob::parse_text("").is_err());
         assert!(DocBlob::parse_text("#cxblob v1\n").is_err());
+    }
+
+    #[test]
+    fn extra_tokens_on_a_directive_line_are_refused_under_a_valid_crc() {
+        let text = DocBlob::capture(&sample()).to_text();
+        // Append `extra` to the first line starting with `prefix`, then
+        // re-sign: the CRC is the sender's own, so it vouches for nothing.
+        let tampered = |prefix: &str, extra: &str| {
+            let body = &text[..text.rfind("crc ").unwrap()];
+            let mut hit = false;
+            let mut out = String::new();
+            for line in body.split_inclusive('\n') {
+                if !hit && line.starts_with(prefix) {
+                    hit = true;
+                    out.push_str(line.trim_end_matches('\n'));
+                    out.push_str(extra);
+                    out.push('\n');
+                } else {
+                    out.push_str(line);
+                }
+            }
+            assert!(hit, "the sample has a {prefix:?} line");
+            let crc = crc32(out.as_bytes());
+            format!("{out}crc {crc:08x}\n")
+        };
+        assert_eq!(DocBlob::parse_text(&tampered("arena ", "")).unwrap().to_text(), text);
+        for (prefix, extra) in [("arena ", " 7"), ("dtd ", " junk"), ("standoff ", " junk")] {
+            let bad = tampered(prefix, extra);
+            assert!(
+                matches!(DocBlob::parse_text(&bad), Err(PersistError::Codec { .. })),
+                "{prefix:?} line with {extra:?} accepted"
+            );
+        }
     }
 
     #[test]

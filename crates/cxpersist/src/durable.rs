@@ -366,16 +366,8 @@ impl DurableStore {
         }
 
         // 3. Re-open the log for appending, with the torn tail cut off.
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(&wal_path)?;
+        let mut file = open_wal(&dir, fresh)?;
         if fresh {
-            file.write_all(WAL_HEADER.as_bytes())?;
-            file.sync_all()?;
-            sync_dir(&dir)?;
             valid_len = WAL_HEADER.len() as u64;
         } else {
             let cut = file.metadata()?.len() > valid_len;
@@ -386,18 +378,32 @@ impl DurableStore {
         }
         file.seek(SeekFrom::Start(valid_len))?;
 
-        Ok(DurableStore {
+        let wal = WalState { file, lsn, len: valid_len, dirty: 0, starts };
+        Ok(DurableStore::assemble(store, dir, wal, options, metrics, report))
+    }
+
+    /// The one place a [`DurableStore`] is put together, healthy, from
+    /// its parts.
+    fn assemble(
+        store: Store,
+        dir: PathBuf,
+        wal: WalState,
+        options: Options,
+        metrics: PersistMetrics,
+        recovery: RecoveryReport,
+    ) -> DurableStore {
+        DurableStore {
             store,
             dir,
             gate: RwLock::new(()),
-            wal: Mutex::new(WalState { file, lsn, len: valid_len, dirty: 0, starts }),
+            wal: Mutex::new(wal),
             policy: options.fsync,
             counters: PersistCounters::default(),
             metrics,
-            recovery: report,
+            recovery,
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
-        })
+        }
     }
 
     /// What recovery found when this store was opened.
@@ -525,38 +531,16 @@ impl DurableStore {
             });
         }
         let write = write_snapshot(&dir, &store, lsn, None)?;
-        let mut file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .read(true)
-            .write(true)
-            .open(dir.join("wal.log"))?;
-        file.write_all(WAL_HEADER.as_bytes())?;
-        file.sync_all()?;
-        sync_dir(&dir)?;
+        let file = open_wal(&dir, true)?;
+        let wal =
+            WalState { file, lsn, len: WAL_HEADER.len() as u64, dirty: 0, starts: Vec::new() };
         let metrics = PersistMetrics::new(store.registry());
-        Ok(DurableStore {
-            store,
-            dir,
-            gate: RwLock::new(()),
-            wal: Mutex::new(WalState {
-                file,
-                lsn,
-                len: WAL_HEADER.len() as u64,
-                dirty: 0,
-                starts: Vec::new(),
-            }),
-            policy: options.fsync,
-            counters: PersistCounters::default(),
-            metrics,
-            recovery: RecoveryReport {
-                snapshot_lsn: Some(lsn),
-                recovered_docs: write.docs,
-                ..RecoveryReport::default()
-            },
-            degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(String::new()),
-        })
+        let recovery = RecoveryReport {
+            snapshot_lsn: Some(lsn),
+            recovered_docs: write.docs,
+            ..RecoveryReport::default()
+        };
+        Ok(DurableStore::assemble(store, dir, wal, options, metrics, recovery))
     }
 
     /// The wrapped in-memory store, for the read paths ([`Store::query`],
@@ -1005,6 +989,23 @@ impl Drop for DurableStore {
         let mut w = lock(&self.wal);
         let _ = self.sync_locked(&mut w);
     }
+}
+
+/// Open `dir`'s `wal.log` for appending. A `fresh` log gets its header,
+/// synced together with the directory entry that names it.
+fn open_wal(dir: &Path, fresh: bool) -> io::Result<File> {
+    let mut file = OpenOptions::new()
+        .create(true)
+        .truncate(false)
+        .read(true)
+        .write(true)
+        .open(dir.join("wal.log"))?;
+    if fresh {
+        file.write_all(WAL_HEADER.as_bytes())?;
+        file.sync_all()?;
+        sync_dir(dir)?;
+    }
+    Ok(file)
 }
 
 /// Bytes `start..end` of the log file behind `file`.

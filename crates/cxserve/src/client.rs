@@ -13,31 +13,55 @@
 //! * **unguarded writes** (`insert`, `edit`, `remove`) are *never*
 //!   retried — the caller gets the transport error and decides;
 //! * **guarded edits** ([`Client::edit_guarded`],
-//!   [`Client::edit_batch`]) are retried *safely*: every edit carries a
-//!   compare-and-set epoch guard, so after a reconnect the client probes
-//!   the document's epoch — `guard` means "never applied, resend",
-//!   `guard + 1` means "applied exactly once, don't resend", anything
-//!   else means another writer intervened and the client surfaces
-//!   [`ServeError::Conflict`] instead of guessing.
+//!   [`Client::edit_batch`]) carry a compare-and-set epoch guard and are
+//!   retried *safely* by the one protocol below.
+//!
+//! A `busy` or `injected` refusal fires before the request executes, so
+//! reads and guarded edits alike resend it after the same backoff. Every
+//! request gets [`ClientOptions::retries`] resends or probes.
+//!
+//! ## The exactly-once protocol
+//!
+//! Every guarded edit goes through one pipeline; [`Client::edit_guarded`]
+//! is a run of one edit under the caller's guard, and
+//! [`Client::edit_batch`] first probes the epoch of each distinct
+//! document it touches. A reply means the same thing in both:
+//!
+//! | reply | result |
+//! |---|---|
+//! | `edited` | done |
+//! | `stale {guard + 1}` to a resend after a probe | applied: the first send landed after the probe (`node: None`) |
+//! | any other `stale {current}` | that edit's `Err(Remote(Stale { current }))` |
+//! | `busy` / `injected` | resend after backoff |
+//! | `deadline`, or a dead connection | probe the epoch: `guard` → resend; `guard + 1` → applied exactly once (`node: None`); further → [`ServeError::Conflict`] |
+//! | any other typed refusal | that edit's `Err`, guard unchanged |
+//! | a refused probe | that document's edits fail with the refusal |
+//!
+//! A result that reveals the document's epoch (applied, stale, conflict)
+//! becomes the guard of that document's next edit in the run.
+//! A `deadline` is resolved like a lost answer because it is one: the
+//! server ran the edit and only its answer was refused. A dead
+//! connection that carried an edit with no budget left fails the whole
+//! run with the transport error — the only outer `Err`, besides a
+//! protocol violation.
 //!
 //! ## Pipelining
 //!
-//! Servers answer each connection's requests strictly in order, so
-//! [`Client::edit_batch`] keeps a window of guarded edits in flight on
-//! one connection and matches responses positionally. Edits to the
-//! *same* document are serialized (at most one in flight) so each
-//! guard is exact and recovery after a dead connection stays
-//! unambiguous; edits to distinct documents overlap freely.
+//! Servers answer each connection's requests strictly in order, so a run
+//! keeps a window of edits in flight on one connection and matches
+//! responses positionally. Edits to the *same* document are serialized
+//! (at most one in flight) so each guard is exact and a probe is
+//! unambiguous; edits to distinct documents overlap freely. Each
+//! connection a run uses is one `client.call` trace span.
 
 use crate::error::{Result, ServeError, WireError};
-use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire};
+use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb};
 use cxcluster::{Router, ShardId};
 use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp, EditOutcome};
-use goddag::Goddag;
-use goddag::NodeId;
-use std::collections::{HashMap, HashSet, VecDeque};
+use goddag::{Goddag, NodeId};
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -49,25 +73,40 @@ pub type DocHits = Vec<(DocId, Vec<NodeId>)>;
 /// Hits plus per-shard typed errors from a partial fan-out query.
 pub type PartialHits = (DocHits, Vec<(usize, WireError)>);
 
+/// One guarded edit's outcome.
+type EditResult = std::result::Result<EditOutcome, ServeError>;
+
+/// Idle connections a [`Client`] keeps pooled (excess are dropped).
+const POOL: usize = 2;
+/// Guarded edits a run keeps in flight on one connection.
+const WINDOW: usize = 32;
+/// Dial timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Tuning for a [`Client`].
 #[derive(Debug, Clone)]
 pub struct ClientOptions {
-    /// Idle connections kept pooled (excess are dropped on return).
-    pub pool: usize,
-    /// Blind retry attempts for idempotent requests after a transport
-    /// failure (each on a fresh connection).
+    /// Resends or epoch probes each request may spend on transport
+    /// failures and transient refusals.
     pub retries: u32,
-    /// Max guarded edits in flight per connection in
-    /// [`Client::edit_batch`].
-    pub window: usize,
-    /// Dial timeout.
-    pub connect_timeout: Duration,
 }
 
 impl Default for ClientOptions {
     fn default() -> ClientOptions {
-        ClientOptions { pool: 2, retries: 2, window: 32, connect_timeout: Duration::from_secs(2) }
+        ClientOptions { retries: 2 }
     }
+}
+
+/// Whether a refusal guarantees the request did not execute: a full
+/// backlog or an injected request fault, both fired before the handler
+/// runs, so even a write may be resent.
+fn not_executed(e: &WireError) -> bool {
+    matches!(e, WireError::Busy | WireError::Injected(_))
+}
+
+/// The pause before retry number `attempt` (counted from 1).
+fn backoff(attempt: u32) {
+    std::thread::sleep(Duration::from_millis(20 << attempt.min(5)));
 }
 
 /// One live connection. Dropping it closes the socket.
@@ -76,8 +115,8 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(addr: SocketAddr, opts: &ClientOptions) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect_timeout(&addr, opts.connect_timeout)?;
+    fn dial(addr: SocketAddr) -> std::io::Result<Conn> {
+        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
         // cxwire's reads ride out this timeout while a frame makes
         // progress; total silence fails after FRAME_STALL_LIMIT.
@@ -132,13 +171,13 @@ impl Client {
         let pooled = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
         match pooled {
             Some(c) => Ok(c),
-            None => Conn::dial(self.addr, &self.opts),
+            None => Conn::dial(self.addr),
         }
     }
 
     fn put_back(&self, conn: Conn) {
         let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
-        if idle.len() < self.opts.pool {
+        if idle.len() < POOL {
             idle.push(conn);
         }
     }
@@ -172,27 +211,21 @@ impl Client {
     }
 
     /// Blind-retry wrapper for idempotent requests: transport failures
-    /// and transient refusals get fresh-connection retries.
+    /// and refusals that guarantee non-execution are retried.
     fn call_idem(&self, req: &Request) -> Result<Response> {
         let mut attempt = 0;
         loop {
-            match self.call(req) {
-                Err(e) if attempt < self.opts.retries && e.is_transport() => {
-                    attempt += 1;
-                    std::thread::sleep(Duration::from_millis(20 << attempt.min(5)));
-                }
-                // Transient refusals ride *successful* frames: a full
-                // backlog or an injected request fault, both of which
-                // guarantee the request was not executed.
-                Ok(Response::Err(ref e))
-                    if attempt < self.opts.retries
-                        && matches!(e, WireError::Busy | WireError::Injected(_)) =>
-                {
-                    attempt += 1;
-                    std::thread::sleep(Duration::from_millis(20 << attempt.min(5)));
-                }
-                other => return other,
+            let reply = self.call(req);
+            let retry = match &reply {
+                Ok(Response::Err(e)) => not_executed(e),
+                Ok(_) => false,
+                Err(e) => e.is_transport(),
+            };
+            if !retry || attempt == self.opts.retries {
+                return reply;
             }
+            attempt += 1;
+            backoff(attempt);
         }
     }
 
@@ -236,284 +269,130 @@ impl Client {
     }
 
     /// One compare-and-set edit with exactly-once retry semantics: the
-    /// op applies only while the document sits at epoch `expected`, and
-    /// after a transport failure the client probes the epoch to learn
-    /// whether its edit landed before resending. A recovered-as-applied
-    /// outcome has `node: None` (the created node id, if any, was lost
-    /// with the connection).
+    /// op applies only while the document sits at epoch `expected`. It
+    /// runs the module's one guarded-edit protocol; an outcome recovered
+    /// as applied has `node: None` (the created node id, if any, was lost
+    /// with the answer).
     pub fn edit_guarded(&self, doc: DocId, expected: u64, op: EditOp) -> Result<EditOutcome> {
         let trace = trace::span_or_root("client.edit_guarded");
         trace.attr("doc", doc.raw());
         trace.attr("guard", expected);
-        let r = self.edit_guarded_inner(doc, expected, op);
+        let edits = [(doc, op)];
+        let mut run = Run::new(&edits, self.opts.retries);
+        run.guards.insert(doc, expected);
+        // invariant: a run answers once per edit, and this run has one.
+        let r = self.run_guarded(run).and_then(|mut r| r.pop().expect("one edit, one result"));
         if let Err(e) = &r {
             trace.err(e.to_string());
         }
         r
     }
 
-    fn edit_guarded_inner(&self, doc: DocId, expected: u64, op: EditOp) -> Result<EditOutcome> {
-        let req = Request::Edit { doc, guard: Some(expected), op };
-        let mut resent = false;
-        let mut attempt = 0;
-        loop {
-            let reply = self.call(&req);
-            // A lost answer — a transport failure, or a deadline refusal,
-            // which has the same ambiguity (the work may have happened;
-            // only the answer was refused) — is resolved by a probe.
-            let lost = match &reply {
-                Ok(Response::Err(WireError::Deadline { .. })) => true,
-                Ok(_) => false,
-                Err(e) => e.is_transport(),
-            };
-            if lost && attempt < self.opts.retries {
-                attempt += 1;
-                match self.fate(doc, expected)? {
-                    Fate::NotApplied => resent = true,
-                    Fate::Applied(epoch) => return Ok(EditOutcome { node: None, epoch }),
-                    Fate::Conflict(current) => return Err(conflict(doc, expected, current)),
-                }
-                continue;
-            }
-            match reply {
-                Ok(Response::Edited { node, epoch }) => return Ok(EditOutcome { node, epoch }),
-                // Transient refusals guarantee the request did not
-                // execute — same guard, straight resend, no probe.
-                Ok(Response::Err(ref e2))
-                    if attempt < self.opts.retries
-                        && matches!(e2, WireError::Busy | WireError::Injected(_)) =>
-                {
-                    attempt += 1;
-                    std::thread::sleep(Duration::from_millis(10 << attempt.min(5)));
-                }
-                // A stale refusal on a *resend* is the CAS guard doing
-                // its job: the original request applied after all (it
-                // was still in flight when we probed).
-                Ok(Response::Err(WireError::Stale { current }))
-                    if resent && current == expected + 1 =>
-                {
-                    return Ok(EditOutcome { node: None, epoch: current })
-                }
-                Ok(Response::Err(e)) => return Err(e.into()),
-                Ok(other) => return Err(unexpected("edited", &other)),
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Probe `doc`'s epoch to learn what became of an edit guarded at
-    /// `guard` whose answer was lost. `epoch` blind-retries internally;
-    /// if even that cannot get through, its error is the caller's.
-    fn fate(&self, doc: DocId, guard: u64) -> Result<Fate> {
-        let current = self.epoch(doc)?;
-        Ok(if current == guard {
-            Fate::NotApplied
-        } else if current == guard + 1 {
-            Fate::Applied(current)
-        } else {
-            Fate::Conflict(current)
-        })
-    }
-
-    /// Pipelined guarded edits: up to [`ClientOptions::window`] edits in
-    /// flight on one connection, per-document serialization, and the
-    /// same probe-based recovery as [`Client::edit_guarded`] when the
-    /// connection dies mid-stream (reconnect, resolve every in-flight
-    /// edit's fate, resume).
+    /// Pipelined guarded edits under the module's one protocol, each
+    /// guarded by its document's epoch as probed up front and as moved by
+    /// the batch's own earlier edits.
     ///
     /// Per-op results land positionally; a typed refusal of one edit
-    /// (gate rejection, conflict) does not abort the rest. The outer
-    /// `Err` is reserved for unrecoverable transport failure.
-    pub fn edit_batch(
-        &self,
-        edits: &[(DocId, EditOp)],
-    ) -> Result<Vec<std::result::Result<EditOutcome, ServeError>>> {
+    /// (gate rejection, conflict, a removed document) does not abort the
+    /// rest. The outer `Err` is reserved for unrecoverable transport
+    /// failure.
+    pub fn edit_batch(&self, edits: &[(DocId, EditOp)]) -> Result<Vec<EditResult>> {
         let trace = trace::span_or_root("client.edit_batch");
         trace.attr("edits", edits.len());
-        let mut results: Vec<Option<std::result::Result<EditOutcome, ServeError>>> = Vec::new();
-        results.resize_with(edits.len(), || None);
-
-        // Current known epoch per document — the guard source. One probe
-        // per distinct document up front.
-        let mut expected: HashMap<DocId, u64> = HashMap::new();
-        for (doc, _) in edits {
-            if let std::collections::hash_map::Entry::Vacant(v) = expected.entry(*doc) {
-                v.insert(self.epoch(*doc)?);
+        let mut run = Run::new(edits, self.opts.retries);
+        for doc in run.ready.clone() {
+            match self.probe(doc)? {
+                Ok(epoch) => {
+                    run.guards.insert(doc, epoch);
+                }
+                Err(w) => run.fail_doc(doc, &w),
             }
         }
+        self.run_guarded(run)
+    }
 
-        struct Pending {
-            idx: usize,
-            doc: DocId,
-            guard: u64,
+    /// The one guarded-edit protocol (module docs): pump the run over a
+    /// connection, and when answers are lost — a `deadline`, or the
+    /// connection dying — learn each lost edit's fate from its
+    /// document's epoch before going on.
+    fn run_guarded(&self, mut run: Run<'_>) -> Result<Vec<EditResult>> {
+        loop {
+            for idx in std::mem::take(&mut run.lost) {
+                self.fate(&mut run, idx)?;
+            }
+            let Some(first) = run.next_request() else { break };
+            let trace = trace::span_or_root("client.call");
+            trace.attr("verb", Verb::Edit.name());
+            if let Err(e) = self.pump(&mut run, first, &trace) {
+                trace.err(e.to_string());
+                if !e.is_transport() {
+                    return Err(e);
+                }
+                while let Some(idx) = run.inflight.pop_front() {
+                    if !run.spend(idx) {
+                        return Err(e);
+                    }
+                    run.lost.push(idx);
+                }
+            }
         }
+        // invariant: the loop ends with nothing queued, in flight or lost,
+        // and every edit leaves those only by settling its slot.
+        Ok(run.slots.into_iter().map(|s| s.result.expect("every edit settled")).collect())
+    }
 
-        // `ready` holds indices eligible to send; `waiting` parks edits
-        // whose document already has one in flight.
-        let mut ready: VecDeque<usize> = (0..edits.len()).collect();
-        let mut waiting: HashMap<DocId, VecDeque<usize>> = HashMap::new();
-        let mut inflight: VecDeque<Pending> = VecDeque::new();
-        let mut busy_docs: HashSet<DocId> = HashSet::new();
+    /// Drive `run` over one connection, `first` aboard, until nothing is
+    /// left to send or await. On `Err` the connection is gone — a dial
+    /// failure included — and `run.inflight` holds the edits it carried.
+    fn pump(&self, run: &mut Run<'_>, first: Request, trace: &trace::SpanGuard) -> Result<()> {
         let mut conn = self.take_conn()?;
-        let mut reconnects = 0u32;
-
-        // On completion of an edit for `doc`, promote its next waiter.
-        fn finish_doc(
-            doc: DocId,
-            busy: &mut HashSet<DocId>,
-            waiting: &mut HashMap<DocId, VecDeque<usize>>,
-            ready: &mut VecDeque<usize>,
-        ) {
-            busy.remove(&doc);
-            if let Some(q) = waiting.get_mut(&doc) {
-                if let Some(idx) = q.pop_front() {
-                    ready.push_front(idx);
-                }
-                if q.is_empty() {
-                    waiting.remove(&doc);
-                }
+        conn.send(&first)?;
+        loop {
+            while run.inflight.len() < WINDOW {
+                let Some(req) = run.next_request() else { break };
+                conn.send(&req)?;
             }
+            let Some(&idx) = run.inflight.front() else { break };
+            let reply = conn.recv()?;
+            run.inflight.pop_front();
+            if let Response::Err(e) = &reply {
+                trace.err(e.to_string());
+            }
+            run.answer(idx, reply)?;
         }
-
-        'pump: loop {
-            // Fill the window with eligible edits.
-            while inflight.len() < self.opts.window.max(1) {
-                let Some(idx) = ready.pop_front() else { break };
-                let (doc, ref op) = edits[idx];
-                if busy_docs.contains(&doc) {
-                    waiting.entry(doc).or_default().push_back(idx);
-                    continue;
-                }
-                let guard = expected[&doc];
-                let req = Request::Edit { doc, guard: Some(guard), op: op.clone() };
-                if let Err(e) = conn.send(&req) {
-                    // Send failed: nothing new went out; fall through to
-                    // recovery with this edit back in the ready queue.
-                    ready.push_front(idx);
-                    recover(
-                        self,
-                        &mut conn,
-                        &mut inflight,
-                        &mut expected,
-                        &mut results,
-                        &mut busy_docs,
-                        &mut waiting,
-                        &mut ready,
-                        &mut reconnects,
-                        e.into(),
-                    )?;
-                    continue 'pump;
-                }
-                busy_docs.insert(doc);
-                inflight.push_back(Pending { idx, doc, guard });
-            }
-            if inflight.is_empty() {
-                if ready.is_empty() && waiting.is_empty() {
-                    break;
-                }
-                // Nothing in flight but work remains (can only be
-                // stranded waiters): requeue and refill.
-                for (_, q) in waiting.drain() {
-                    ready.extend(q);
-                }
-                continue;
-            }
-
-            // Responses arrive strictly in request order.
-            match conn.recv() {
-                Ok(resp) => {
-                    // invariant: the server answers strictly in request
-                    // order, so a response implies a non-empty queue.
-                    let p = inflight.pop_front().expect("response with nothing in flight");
-                    finish_doc(p.doc, &mut busy_docs, &mut waiting, &mut ready);
-                    match resp {
-                        Response::Edited { node, epoch } => {
-                            expected.insert(p.doc, epoch);
-                            results[p.idx] = Some(Ok(EditOutcome { node, epoch }));
-                        }
-                        Response::Err(WireError::Stale { current }) => {
-                            // No transport fault happened, so this is an
-                            // external writer — resync and surface it.
-                            expected.insert(p.doc, current);
-                            results[p.idx] = Some(Err(conflict(p.doc, p.guard, current)));
-                        }
-                        Response::Err(e) => {
-                            // Typed refusal (gate rejection, …): the op
-                            // did not apply, the guard is still right.
-                            results[p.idx] = Some(Err(e.into()));
-                        }
-                        other => {
-                            return Err(unexpected("edited", &other));
-                        }
-                    }
-                }
-                Err(ServeError::Io(e)) => {
-                    recover(
-                        self,
-                        &mut conn,
-                        &mut inflight,
-                        &mut expected,
-                        &mut results,
-                        &mut busy_docs,
-                        &mut waiting,
-                        &mut ready,
-                        &mut reconnects,
-                        e.into(),
-                    )?;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-
         self.put_back(conn);
-        // invariant: the loop above exits only when `remaining == 0`, and
-        // every decrement writes that edit's slot first.
-        return Ok(results.into_iter().map(|r| r.expect("every edit resolved")).collect());
+        Ok(())
+    }
 
-        /// The connection died with `inflight` edits unresolved. Probe
-        /// each one's fate in order, then hand back a fresh connection.
-        #[allow(clippy::too_many_arguments)]
-        fn recover(
-            client: &Client,
-            conn: &mut Conn,
-            inflight: &mut VecDeque<Pending>,
-            expected: &mut HashMap<DocId, u64>,
-            results: &mut [Option<std::result::Result<EditOutcome, ServeError>>],
-            busy_docs: &mut HashSet<DocId>,
-            waiting: &mut HashMap<DocId, VecDeque<usize>>,
-            ready: &mut VecDeque<usize>,
-            reconnects: &mut u32,
-            cause: ServeError,
-        ) -> Result<()> {
-            if *reconnects >= client.opts.retries.max(1) * 4 {
-                return Err(cause);
+    /// Probe the epoch of lost edit `idx`'s document to learn whether it
+    /// applied: still at the guard → resend; one past → applied exactly
+    /// once; further → another writer intervened.
+    fn fate(&self, run: &mut Run<'_>, idx: usize) -> Result<()> {
+        let doc = run.edits[idx].0;
+        let guard = run.guards[&doc];
+        match self.probe(doc)? {
+            Ok(now) if now == guard => {
+                run.slots[idx].probed = true;
+                run.requeue(idx);
             }
-            *reconnects += 1;
-            // Resolve newest-first so resends re-enter `ready` in
-            // original order via push_front.
-            while let Some(p) = inflight.pop_back() {
-                busy_docs.remove(&p.doc);
-                if let Some(q) = waiting.remove(&p.doc) {
-                    for idx in q.into_iter().rev() {
-                        ready.push_front(idx);
-                    }
-                }
-                // A probe that cannot get through fails the batch as a
-                // whole.
-                match client.fate(p.doc, p.guard)? {
-                    Fate::NotApplied => ready.push_front(p.idx), // resend
-                    Fate::Applied(epoch) => {
-                        expected.insert(p.doc, epoch);
-                        results[p.idx] = Some(Ok(EditOutcome { node: None, epoch }));
-                    }
-                    Fate::Conflict(current) => {
-                        expected.insert(p.doc, current);
-                        results[p.idx] = Some(Err(conflict(p.doc, p.guard, current)));
-                    }
-                }
+            Ok(now) if now == guard + 1 => {
+                run.settle(idx, Ok(EditOutcome { node: None, epoch: now }), Some(now))
             }
-            *conn = client.take_conn()?;
-            Ok(())
+            Ok(now) => run.settle(idx, Err(conflict(doc, guard, now)), Some(now)),
+            Err(w) => {
+                run.requeue(idx);
+                run.fail_doc(doc, &w);
+            }
+        }
+        Ok(())
+    }
+
+    /// `doc`'s epoch, or the typed refusal that fails the document's
+    /// edits; a probe that cannot get through fails the whole run.
+    fn probe(&self, doc: DocId) -> Result<std::result::Result<u64, WireError>> {
+        match self.epoch(doc) {
+            Err(ServeError::Remote(w)) => Ok(Err(w)),
+            r => r.map(Ok),
         }
     }
 
@@ -660,22 +539,136 @@ fn unexpected(wanted: &str, got: &Response) -> ServeError {
     ServeError::Protocol(format!("expected {wanted} response, got {got:?}"))
 }
 
-/// What an epoch probe says became of a guarded edit whose answer was
-/// lost ([`Client::fate`]).
-enum Fate {
-    /// The document still sits at the guard: the edit never applied, so
-    /// resending it under the same guard is safe.
-    NotApplied,
-    /// Exactly one epoch past the guard: the edit applied once.
-    Applied(u64),
-    /// Further along: another writer intervened.
-    Conflict(u64),
-}
-
 fn conflict(doc: DocId, guard: u64, current: u64) -> ServeError {
     ServeError::Conflict {
         doc,
         detail: format!("guard {guard} but epoch moved to {current}; another writer intervened"),
+    }
+}
+
+/// One edit of a guarded run.
+#[derive(Default)]
+struct Slot {
+    /// Resends and probes spent, out of the run's budget.
+    tries: u32,
+    /// A probe found it unapplied, so its first send may still land.
+    probed: bool,
+    result: Option<EditResult>,
+}
+
+/// The state of one guarded run ([`Client::run_guarded`]). Each edit is
+/// in exactly one place until it settles: its document's queue, the
+/// connection's in-flight list, or the lost list awaiting a probe. A
+/// document with queued edits and none elsewhere is in `ready`.
+#[derive(Default)]
+struct Run<'a> {
+    edits: &'a [(DocId, EditOp)],
+    budget: u32,
+    /// The guard each document's next edit carries.
+    guards: HashMap<DocId, u64>,
+    /// Each document's unsent edits, in order.
+    queued: HashMap<DocId, VecDeque<usize>>,
+    ready: VecDeque<DocId>,
+    /// Sent on the current connection, in send order.
+    inflight: VecDeque<usize>,
+    /// Answers lost to a `deadline` or a dead connection.
+    lost: Vec<usize>,
+    slots: Vec<Slot>,
+}
+
+impl<'a> Run<'a> {
+    fn new(edits: &'a [(DocId, EditOp)], budget: u32) -> Run<'a> {
+        let mut queued: HashMap<DocId, VecDeque<usize>> = HashMap::new();
+        let mut ready = VecDeque::new();
+        for (idx, (doc, _)) in edits.iter().enumerate() {
+            let q = queued.entry(*doc).or_default();
+            if q.is_empty() {
+                ready.push_back(*doc);
+            }
+            q.push_back(idx);
+        }
+        let slots = edits.iter().map(|_| Slot::default()).collect();
+        Run { edits, budget, queued, ready, slots, ..Run::default() }
+    }
+
+    /// Put the next ready document's next edit in flight and build its
+    /// request.
+    fn next_request(&mut self) -> Option<Request> {
+        while let Some(doc) = self.ready.pop_front() {
+            // A document whose edits all failed with a refused probe has
+            // no queue left.
+            let Some(idx) = self.queued.get_mut(&doc).and_then(VecDeque::pop_front) else {
+                continue;
+            };
+            self.inflight.push_back(idx);
+            let op = self.edits[idx].1.clone();
+            return Some(Request::Edit { doc, guard: Some(self.guards[&doc]), op });
+        }
+        None
+    }
+
+    /// Spend one of edit `idx`'s retries; false once it has none left.
+    fn spend(&mut self, idx: usize) -> bool {
+        let slot = &mut self.slots[idx];
+        if slot.tries == self.budget {
+            return false;
+        }
+        slot.tries += 1;
+        true
+    }
+
+    /// Queue edit `idx` to be sent again, ahead of its document's others.
+    fn requeue(&mut self, idx: usize) {
+        let doc = self.edits[idx].0;
+        self.queued.entry(doc).or_default().push_front(idx);
+        self.ready.push_front(doc);
+    }
+
+    /// Fail each of `doc`'s queued edits with the refusal `w`.
+    fn fail_doc(&mut self, doc: DocId, w: &WireError) {
+        for idx in self.queued.remove(&doc).unwrap_or_default() {
+            self.slots[idx].result = Some(Err(w.clone().into()));
+        }
+    }
+
+    /// Record edit `idx`'s result, move its document's guard to `epoch`
+    /// when the result reveals one, and ready the document's next edit.
+    fn settle(&mut self, idx: usize, result: EditResult, epoch: Option<u64>) {
+        let doc = self.edits[idx].0;
+        if let Some(epoch) = epoch {
+            self.guards.insert(doc, epoch);
+        }
+        self.slots[idx].result = Some(result);
+        if self.queued.get(&doc).is_some_and(|q| !q.is_empty()) {
+            self.ready.push_back(doc);
+        }
+    }
+
+    /// Act on the server's reply to in-flight edit `idx`.
+    fn answer(&mut self, idx: usize, reply: Response) -> Result<()> {
+        let guard = self.guards[&self.edits[idx].0];
+        match reply {
+            Response::Edited { node, epoch } => {
+                self.settle(idx, Ok(EditOutcome { node, epoch }), Some(epoch))
+            }
+            // The guard doing its job: the send the probe missed landed.
+            Response::Err(WireError::Stale { current })
+                if self.slots[idx].probed && current == guard + 1 =>
+            {
+                self.settle(idx, Ok(EditOutcome { node: None, epoch: current }), Some(current))
+            }
+            Response::Err(e) if not_executed(&e) && self.spend(idx) => {
+                backoff(self.slots[idx].tries);
+                self.requeue(idx);
+            }
+            Response::Err(WireError::Deadline { .. }) if self.spend(idx) => self.lost.push(idx),
+            Response::Err(e @ WireError::Stale { current }) => {
+                self.settle(idx, Err(e.into()), Some(current))
+            }
+            Response::Err(e) => self.settle(idx, Err(e.into()), None),
+            other => return Err(unexpected("edited", &other)),
+        }
+        Ok(())
     }
 }
 

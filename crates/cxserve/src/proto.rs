@@ -51,7 +51,7 @@ pub const VERSION: &str = "cxq1";
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Liveness probe (the pool uses it to vet a revived connection).
+    /// Liveness probe.
     Ping,
     /// Add a document (the blob rides as the body), optionally named.
     Insert {

@@ -205,9 +205,7 @@ fn injected_faults_deadlines_and_panics_are_contained() {
 
     // An injected request error arrives typed (observed on a zero-retry
     // client — the default client absorbs transient refusals itself).
-    let raw =
-        Client::connect(server.addr(), ClientOptions { retries: 0, ..ClientOptions::default() })
-            .unwrap();
+    let raw = Client::connect(server.addr(), ClientOptions { retries: 0 }).unwrap();
     fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Io);
     let hit = raw.query(id, "//w");
     assert!(matches!(hit, Err(ServeError::Remote(WireError::Injected(_)))), "{hit:?}");
@@ -237,6 +235,28 @@ fn injected_faults_deadlines_and_panics_are_contained() {
     let out = c.edit_guarded(id, e0, EditOp::InsertText { offset: 0, text: "d".into() }).unwrap();
     assert_eq!(out.epoch, e0 + 1);
     assert_eq!(c.epoch(id).unwrap(), e0 + 1, "the edit applied exactly once");
+
+    // A batch runs the same protocol. Its own epoch probe is request 1,
+    // so `Nth(2)` hits the batch's first edit.
+    let ins = |text: &str| EditOp::InsertText { offset: 0, text: text.into() };
+    let e0 = c.epoch(id).unwrap();
+    fault::configure(Site::ServeRequest, Trigger::Nth(2), Fault::Delay(Duration::from_millis(600)));
+    let out = c.edit_batch(&[(id, ins("b1")), (id, ins("b2"))]).unwrap();
+    assert!(out.iter().all(Result::is_ok), "a deadline-refused edit that applied is Ok: {out:?}");
+    assert_eq!(c.epoch(id).unwrap(), e0 + 2, "each batch edit applied exactly once");
+
+    let e0 = c.epoch(id).unwrap();
+    fault::configure(Site::ServeRequest, Trigger::Nth(2), Fault::Io);
+    let out = c.edit_batch(&[(id, ins("i1")), (id, ins("i2"))]).unwrap();
+    assert!(out.iter().all(Result::is_ok), "a one-shot injection is resent: {out:?}");
+    assert_eq!(c.epoch(id).unwrap(), e0 + 2);
+
+    // A removed document fails its own edit, not the batch.
+    let gone = c.insert(&manuscript(20, 32)).unwrap();
+    assert!(c.remove(gone).unwrap());
+    let out = c.edit_batch(&[(id, ins("r1")), (gone, ins("r2")), (id, ins("r3"))]).unwrap();
+    assert!(matches!(out[1], Err(ServeError::Remote(WireError::Store(_)))), "{out:?}");
+    assert!(out[0].is_ok() && out[2].is_ok(), "{out:?}");
 
     drop(c);
     drop(raw);

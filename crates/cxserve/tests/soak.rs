@@ -155,9 +155,7 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
             let injected_hits = Arc::clone(&injected_hits);
             let down_hits = Arc::clone(&down_hits);
             scope.spawn(move || {
-                let client =
-                    Client::connect(addr, ClientOptions { retries: 6, ..ClientOptions::default() })
-                        .unwrap();
+                let client = Client::connect(addr, ClientOptions { retries: 6 }).unwrap();
                 writer(
                     &client,
                     control,
@@ -176,9 +174,7 @@ fn run_soak(writers: usize, edits_per_writer: usize, fault_p: f64) {
         for _ in 0..2 {
             let done = Arc::clone(&done);
             scope.spawn(move || {
-                let client =
-                    Client::connect(addr, ClientOptions { retries: 6, ..ClientOptions::default() })
-                        .unwrap();
+                let client = Client::connect(addr, ClientOptions { retries: 6 }).unwrap();
                 let mut saw_hits = false;
                 while !done.load(Ordering::Relaxed) {
                     if let Ok(hits) = client.query_all("//w") {

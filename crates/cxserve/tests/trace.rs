@@ -218,8 +218,7 @@ fn injected_faults_produce_complete_error_annotated_traces() {
     let server =
         ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
     // No retries: the injected refusal must surface, not be papered over.
-    let c =
-        Client::connect(server.addr(), ClientOptions { retries: 0, ..Default::default() }).unwrap();
+    let c = Client::connect(server.addr(), ClientOptions { retries: 0 }).unwrap();
     let id = c.insert(&manuscript(20, 5)).unwrap();
 
     trace::enable();

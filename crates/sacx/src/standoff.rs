@@ -221,7 +221,6 @@ impl StandoffDoc {
                     "root" => {
                         root = Some(t.string("root name")?);
                         root_attrs.extend(t.attrs()?);
-                        t.finish()?;
                     }
                     "hierarchy" => hierarchies.push(t.string("hierarchy name")?),
                     "content" => {
@@ -242,19 +241,16 @@ impl StandoffDoc {
                             rest = r;
                         }
                     }
-                    "annot" => {
-                        annotations.push(Annotation {
-                            hierarchy: t.parse("hierarchy index")?,
-                            tag: t.string("tag")?,
-                            start: t.parse("start offset")?,
-                            end: t.parse("end offset")?,
-                            attrs: t.attrs()?,
-                        });
-                        t.finish()?;
-                    }
+                    "annot" => annotations.push(Annotation {
+                        hierarchy: t.parse("hierarchy index")?,
+                        tag: t.string("tag")?,
+                        start: t.parse("start offset")?,
+                        end: t.parse("end offset")?,
+                        attrs: t.attrs()?,
+                    }),
                     other => return Err(format!("unknown directive {other:?}")),
                 }
-                Ok(())
+                t.finish()
             };
             directive().map_err(|detail| SacxError::Standoff { line: ln, detail })?;
         }
@@ -370,6 +366,21 @@ mod tests {
     fn unknown_directive_rejected() {
         let bad = "#cxml-standoff v1\nroot r\nwat 1\ncontent 0\n\n";
         assert!(matches!(StandoffDoc::parse_text(bad), Err(SacxError::Standoff { .. })));
+    }
+
+    #[test]
+    fn extra_tokens_on_a_directive_line_rejected() {
+        let good = "#cxml-standoff v1\nroot r\nhierarchy ling\ncontent 2\nxy\nannot 0 w 0 1\n";
+        assert!(StandoffDoc::parse_text(good).is_ok());
+        for (line, junk) in
+            [("hierarchy ling\n", "hierarchy ling junk\n"), ("content 2\n", "content 2 junk\n")]
+        {
+            let bad = good.replace(line, junk);
+            assert!(
+                matches!(StandoffDoc::parse_text(&bad), Err(SacxError::Standoff { .. })),
+                "{junk:?} accepted"
+            );
+        }
     }
 
     #[test]
