@@ -3,7 +3,7 @@
 use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
 use cxobs::fault::{self, Site};
-use cxobs::{names, trace, Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{CheckpointInfo, Claim, DocBlob, DurableStore, LoggedDoc, Options, StoreHealth};
 use cxrepl::Primary;
 use cxstore::{DocId, EditOp, EditOutcome, StoreError, StoreStats};
@@ -129,14 +129,13 @@ pub struct Cluster {
     gate: RwLock<()>,
     /// Round-robin cursor for placing new documents.
     next_insert: AtomicU64,
-    docs_moved: AtomicU64,
     /// Explicit per-shard down marks (see [`ShardHealth::Down`]). A set
     /// flag makes writes to that shard fail fast and fan-out skip it;
     /// reads that route there still try (the store may well answer).
     down: Vec<AtomicBool>,
     /// Cluster-level metrics (the shards each have their own registry;
-    /// this one holds what only the cluster can see: queueing and
-    /// migration).
+    /// this one holds what only the cluster can see: shard count,
+    /// queueing and migration).
     obs: Arc<Registry>,
     /// Writes currently executing against shard `i` —
     /// `cx_shard_writes_in_flight{shard="i"}`.
@@ -147,6 +146,8 @@ pub struct Cluster {
     fanout_threads: Arc<Gauge>,
     /// One whole `move_doc` (capture → receive → swap → tombstone).
     move_doc_ns: Arc<Histogram>,
+    /// Documents moved between shards since assembly.
+    docs_moved: Arc<Counter>,
     /// `cx_shard_health{shard="i"}`: 0 healthy, 1 degraded, 2 down —
     /// refreshed on every health transition and on exposition.
     health_gauges: Vec<Arc<Gauge>>,
@@ -263,6 +264,8 @@ impl Cluster {
         let gate_waiters = obs.gauge(names::GATE_WAITERS);
         let fanout_threads = obs.gauge(names::FANOUT_THREADS);
         let move_doc_ns = obs.histogram(names::MOVE_DOC_NS);
+        let docs_moved = obs.counter(names::DOCS_MOVED_TOTAL);
+        obs.gauge(names::CLUSTER_SHARDS).set(shards.len() as i64);
         let down = (0..shards.len()).map(|_| AtomicBool::new(false)).collect();
         let health_gauges = (0..shards.len())
             .map(|i| obs.gauge_with(names::SHARD_HEALTH, &[("shard", &i.to_string())]))
@@ -274,13 +277,13 @@ impl Cluster {
             names: RwLock::new(names),
             gate: RwLock::new(()),
             next_insert: AtomicU64::new(0),
-            docs_moved: AtomicU64::new(0),
             down,
             obs,
             shard_inflight,
             gate_waiters,
             fanout_threads,
             move_doc_ns,
+            docs_moved,
             health_gauges,
         })
     }
@@ -919,7 +922,7 @@ impl Cluster {
         self.shards[to.0].admit(Claim::Exact(id), LoggedDoc::restore(blob)?, &names)?;
         self.router.route(id, to);
         source.remove(id)?;
-        self.docs_moved.fetch_add(1, Ordering::Relaxed);
+        self.docs_moved.bump();
         self.obs.event("migrate", format!("{id}: shard {} -> shard {}", from.0, to.0));
         Ok(from)
     }
@@ -949,7 +952,7 @@ impl Cluster {
 
     /// Documents moved between shards since this cluster was assembled.
     pub fn docs_moved(&self) -> u64 {
-        self.docs_moved.load(Ordering::Relaxed)
+        self.docs_moved.get()
     }
 
     // ------------------------------------------------------------------
@@ -975,24 +978,21 @@ impl Cluster {
     // Observability
     // ------------------------------------------------------------------
 
-    /// Aggregated [`StoreStats`] across all shards, plus the cluster
-    /// counters (`cluster_shards`, `docs_moved`).
+    /// Aggregated [`StoreStats`] across all shards, plus what the
+    /// cluster's own registry holds (`cluster_shards`, `docs_moved`,
+    /// `writes_in_flight`, `writers_waiting`).
     pub fn stats(&self) -> StoreStats {
-        let mut out = StoreStats::default();
+        let mut out = StoreStats::from_registry(&self.obs);
         for s in &self.shards {
             out.absorb(&s.stats());
         }
-        out.cluster_shards = self.shards.len();
-        out.docs_moved = self.docs_moved.load(Ordering::Relaxed);
-        out.writes_in_flight = self.shard_inflight.iter().map(|g| g.get()).sum();
-        out.writers_waiting = self.gate_waiters.get();
         out
     }
 
-    /// The cluster-level metrics registry (`cx_gate_waiters`,
-    /// `cx_fanout_threads`, per-shard in-flight gauges, `cx_move_doc_ns`,
-    /// migration events). Each shard's own registry hangs off its
-    /// [`DurableStore::registry`].
+    /// The cluster-level metrics registry (`cx_cluster_shards`,
+    /// `cx_docs_moved_total`, `cx_gate_waiters`, `cx_fanout_threads`,
+    /// per-shard in-flight gauges, `cx_move_doc_ns`, migration events).
+    /// Each shard's own registry hangs off its [`DurableStore::registry`].
     pub fn registry(&self) -> &Arc<Registry> {
         &self.obs
     }
@@ -1025,9 +1025,10 @@ impl Cluster {
 impl Observable for Cluster {
     /// The whole cluster as one page: every shard's full stack (store,
     /// durability, replication) wrapped in a `shard="i"` label, followed
-    /// by the aggregated cluster stats, the cluster-level metrics (gate
-    /// queueing, fan-out, migration latency, per-shard health), and the
-    /// process-wide failpoint counters (`cx_fault_*`).
+    /// by the collection totals summed over shards, the cluster-level
+    /// metrics (shard count, migrations, gate queueing, fan-out, per-shard
+    /// health), and the process-wide failpoint counters (`cx_fault_*`).
+    /// Event counters appear once, under their shard's label.
     fn expose_into(&self, out: &mut Exposition) {
         for (i, shard) in self.shards.iter().enumerate() {
             out.push_label("shard", i);

@@ -2,7 +2,7 @@
 //! concurrent soak traffic renders one exposition page with per-shard
 //! labeled counters, gauges and latency histograms (sane percentiles),
 //! plus cluster-level queueing/migration series and a drainable event
-//! trail.
+//! trail — each series on exactly one line.
 
 mod common;
 
@@ -10,7 +10,9 @@ use common::TempDir;
 use cxcluster::{Cluster, ShardId};
 use cxobs::Observable;
 use cxpersist::{FsyncPolicy, Options};
+use cxrepl::{Follower, InProcessTransport, ReplicaStore};
 use cxstore::EditOp;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const SHARDS: usize = 3;
@@ -70,9 +72,36 @@ fn cluster_exposition_under_soak() {
             c3.move_doc(moved, ShardId(0)).unwrap();
         });
     });
+    // A follower catches up from shard 0 (before the checkpoint, so it
+    // ships records rather than a snapshot).
+    let replica = Arc::new(ReplicaStore::new());
+    let shipped = Follower::new(replica, InProcessTransport::new(c.primary(ShardId(0)).unwrap()))
+        .catch_up()
+        .unwrap();
+    assert!(shipped > 0, "shard 0 logged the soak's writes");
     c.checkpoint_all().unwrap();
 
     let page = c.exposition();
+
+    // One line per series: no `name{labels}` is written twice, and no
+    // shard carries a series of a layer it lacks.
+    let mut seen = HashSet::new();
+    for line in page.lines() {
+        let line = line.split(" # ").next().unwrap_or(line); // drop any exemplar
+        let series = line.rsplit_once(' ').map_or(line, |(series, _)| series);
+        assert!(seen.insert(series), "{series} appears twice on the page:\n{page}");
+    }
+    for (s, shard) in c.shards().iter().enumerate() {
+        for name in ["cx_writers_waiting", "cx_cluster_shards", "cx_docs_moved_total"] {
+            assert!(!shard.exposition().contains(name), "shard {s} page carries {name}");
+            assert!(!page.contains(&format!("{name}{{shard=")), "{name} under a shard label");
+        }
+    }
+
+    // Records shipped from a shard's primary reach the cluster's stats
+    // and that shard's lines.
+    assert_eq!(c.stats().repl_records_shipped, shipped);
+    assert!(metric(&page, "cx_repl_records_shipped_total{shard=\"0\"}") > 0);
 
     // Per-shard series: every shard carries documents, edit counters and
     // populated latency histograms under its own label.

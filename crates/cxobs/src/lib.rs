@@ -8,8 +8,11 @@
 //! guard for tests, and [`expose_process`] for their page lines.
 //!
 //! Every layer of the store stack (in-memory store, durable store,
-//! replication, cluster) hangs its signals on one [`Registry`] per store
-//! and renders them through one [`Observable`] trait. Three metric
+//! replication) hangs its signals — event counters included — on one
+//! [`Registry`] per store, and a cluster keeps one more for what only it
+//! sees; all of it renders through one [`Observable`] trait, each series
+//! once. Summaries read a registry back without registering anything
+//! ([`Registry::counter_total`], [`Registry::gauge_total`]). Three metric
 //! kinds, all lock-free on the hot path:
 //!
 //! * [`Counter`] — monotone event counts (relaxed `fetch_add`);
@@ -40,9 +43,10 @@
 //! output in `shard="i"`, and [`Observable`] is the one-method trait every
 //! store-shaped type implements to contribute its lines.
 //!
-//! A [`Registry::disabled`] registry turns every record into a branch
-//! (span timers skip the clock and the trace lookup entirely), which is
-//! what the `perf_smoke` overhead guard compares against.
+//! A [`Registry::disabled`] registry turns every record — counter bumps
+//! included — into a branch (span timers skip the clock and the trace
+//! lookup entirely), which is what the `perf_smoke` overhead guard
+//! compares against.
 //!
 //! ```
 //! use cxobs::{names, Registry};

@@ -138,7 +138,8 @@ macro_rules! declare {
 }
 
 declare! {
-    // The store (`cxstore`): latency histograms, then the stats snapshot.
+    // The store (`cxstore`): latency histograms, the collection totals
+    // `StoreStats` walks, then event counters.
     EDIT_NS: Histogram = "cx_edit_ns",
     GATE_NS: Histogram = "cx_gate_ns",
     QUERY_NS: Histogram = "cx_query_ns",
@@ -159,8 +160,6 @@ declare! {
     QUERY_CACHE_MISSES_TOTAL: Counter = "cx_query_cache_misses_total",
     EDITS_TOTAL: Counter = "cx_edits_total",
     EDITS_REJECTED_TOTAL: Counter = "cx_edits_rejected_total",
-    WRITES_IN_FLIGHT: Gauge = "cx_writes_in_flight",
-    WRITERS_WAITING: Gauge = "cx_writers_waiting",
 
     // Durability (`cxpersist`).
     WAL_APPEND_NS: Histogram = "cx_wal_append_ns",
@@ -183,7 +182,11 @@ declare! {
     REPL_APPLY_NS: Histogram = "cx_repl_apply_ns",
     REPL_RECORDS_SHIPPED_TOTAL: Counter = "cx_repl_records_shipped_total",
     REPL_RECORDS_APPLIED_TOTAL: Counter = "cx_repl_records_applied_total",
-    /// Replication lag in records (max-folded across shards).
+    REPL_BATCHES_SHIPPED_TOTAL: Counter = "cx_repl_batches_shipped_total",
+    REPL_SNAPSHOTS_SHIPPED_TOTAL: Counter = "cx_repl_snapshots_shipped_total",
+    REPL_TORN_BATCHES_TOTAL: Counter = "cx_repl_torn_batches_total",
+    REPL_SNAPSHOTS_INSTALLED_TOTAL: Counter = "cx_repl_snapshots_installed_total",
+    /// Replication lag in records (replicas; max-folded across shards).
     REPL_LAG: Gauge = "cx_repl_lag",
 
     // The cluster (`cxcluster`).

@@ -20,10 +20,11 @@ type Family<T> = RwLock<BTreeMap<Key, Arc<T>>>;
 
 /// A registry of named metrics plus one [`EventRing`]. One registry
 /// backs one store stack: the layers (`Store`, `DurableStore`,
-/// replication, cluster) register their handles here once and bump them
+/// replication) register their handles here once and bump them
 /// lock-free; [`Registry::expose_into`] renders everything as
 /// `name{label="v"} value` lines, sorted by name for deterministic
-/// output.
+/// output, and [`Registry::counter_total`] reads a counter back for a
+/// summary.
 ///
 /// Registration is idempotent — asking for an existing `(name, labels)`
 /// pair returns the same handle. Names are [`crate::names`] constants
@@ -98,6 +99,19 @@ impl Registry {
     /// A histogram carrying static labels.
     pub fn histogram_with(&self, name: Name<Histogram>, labels: &[(&str, &str)]) -> Arc<Histogram> {
         register(&self.histograms, name, labels, || Histogram::new(self.on))
+    }
+
+    /// The sum of every counter registered under `name`, over all its
+    /// label sets (0 when there is none). A read, not a registration, so
+    /// filling a summary adds no zero-valued series to the page.
+    pub fn counter_total(&self, name: Name<Counter>) -> u64 {
+        total(&self.counters, name, Counter::get)
+    }
+
+    /// [`Registry::counter_total`] for a gauge: its level summed over all
+    /// its label sets.
+    pub fn gauge_total(&self, name: Name<Gauge>) -> i64 {
+        total(&self.gauges, name, Gauge::get)
     }
 
     /// Record an event into the ring.
@@ -207,6 +221,14 @@ fn register<T, K>(
     Arc::clone(map.entry(key).or_insert_with(|| Arc::new(make())))
 }
 
+/// `get` summed over every series of `family` named `name`: keys sort by
+/// name first, so they are one contiguous run.
+fn total<T, K, V: std::iter::Sum>(family: &Family<T>, name: Name<K>, get: fn(&T) -> V) -> V {
+    let map = family.read().unwrap_or_else(PoisonError::into_inner);
+    let name = name.as_str();
+    map.range((name, Vec::new())..).take_while(|((n, _), _)| *n == name).map(|(_, m)| get(m)).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +324,21 @@ mod tests {
         let exemplar = format!("cx_edit_ns_bucket{{le=\"1023\"}} 2 # {{trace_id=\"{id:016x}\"}}\n");
         assert!(text.contains(&exemplar), "{text}");
         assert!(text.contains("cx_edit_ns_bucket{le=\"+Inf\"} 2\n"), "{text}");
+    }
+
+    #[test]
+    fn totals_sum_label_sets_without_registering() {
+        let r = Registry::new();
+        assert_eq!(r.counter_total(EDITS_TOTAL), 0);
+        assert_eq!(r.gauge_total(SHARD_HEALTH), 0);
+        assert_eq!(r.render(), "", "reading a total registers nothing");
+        r.counter(EDITS_TOTAL).add(2);
+        r.counter(WAL_BYTES_TOTAL).add(5);
+        r.gauge_with(SHARD_HEALTH, &[("shard", "0")]).set(1);
+        r.gauge_with(SHARD_HEALTH, &[("shard", "1")]).set(2);
+        r.gauge(GATE_WAITERS).set(7);
+        assert_eq!(r.counter_total(EDITS_TOTAL), 2);
+        assert_eq!(r.gauge_total(SHARD_HEALTH), 3);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! error annotations.
 //!
 //! * **Off by default, one relaxed load when off.** Tracing is a
-//!   process-wide switch ([`enable`]/[`disable`]); every [`span`] call
+//!   process-wide switch ([`enable`]/[`disable`]); every [`span()`] call
 //!   on a disabled process is a single relaxed atomic load returning an
 //!   inert guard — cheap enough to leave in the hot paths of `cxstore`
 //!   and `cxpersist` permanently (the `perf_smoke` guard pins it).

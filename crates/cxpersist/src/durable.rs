@@ -27,13 +27,13 @@ use crate::snapshot::{
     StoreSnapshot,
 };
 use cxobs::fault::{self, Site};
-use cxobs::{names, trace, Exposition, Gauge, Histogram, Observable, Registry};
+use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreError, StoreStats};
 use goddag::Goddag;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
@@ -189,16 +189,8 @@ impl WalState {
     }
 }
 
-#[derive(Default)]
-struct PersistCounters {
-    wal_appends: AtomicU64,
-    wal_bytes: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    checkpoints: AtomicU64,
-}
-
-/// The durability layer's latency histograms, registered on the wrapped
-/// store's [`Registry`] so one exposition covers both layers.
+/// The durability layer's metrics, registered on the wrapped store's
+/// [`Registry`] so one exposition covers both layers.
 struct PersistMetrics {
     /// One WAL append (encode + write + any policy-due fsync).
     wal_append_ns: Arc<Histogram>,
@@ -206,10 +198,16 @@ struct PersistMetrics {
     wal_fsync_ns: Arc<Histogram>,
     /// A whole checkpoint (snapshot + rotation + pruning).
     checkpoint_ns: Arc<Histogram>,
-    /// The WAL replay phase of [`DurableStore::open`].
-    recovery_replay_ns: Arc<Histogram>,
     /// 1 while the store is in the read-only Degraded state, else 0.
     degraded: Arc<Gauge>,
+    /// Records appended.
+    wal_appends: Arc<Counter>,
+    /// Bytes appended.
+    wal_bytes: Arc<Counter>,
+    /// `fdatasync` calls that succeeded.
+    wal_fsyncs: Arc<Counter>,
+    /// Checkpoints taken.
+    checkpoints: Arc<Counter>,
 }
 
 impl PersistMetrics {
@@ -218,8 +216,11 @@ impl PersistMetrics {
             wal_append_ns: r.histogram(names::WAL_APPEND_NS),
             wal_fsync_ns: r.histogram(names::WAL_FSYNC_NS),
             checkpoint_ns: r.histogram(names::CHECKPOINT_NS),
-            recovery_replay_ns: r.histogram(names::RECOVERY_REPLAY_NS),
             degraded: r.gauge(names::STORE_DEGRADED),
+            wal_appends: r.counter(names::WAL_APPENDS_TOTAL),
+            wal_bytes: r.counter(names::WAL_BYTES_TOTAL),
+            wal_fsyncs: r.counter(names::WAL_FSYNCS_TOTAL),
+            checkpoints: r.counter(names::CHECKPOINTS_TOTAL),
         }
     }
 }
@@ -243,7 +244,6 @@ pub struct DurableStore {
     gate: RwLock<()>,
     wal: Mutex<WalState>,
     policy: FsyncPolicy,
-    counters: PersistCounters,
     metrics: PersistMetrics,
     recovery: RecoveryReport,
     /// Set on the first WAL append/fsync failure; checked (one relaxed
@@ -297,9 +297,9 @@ impl DurableStore {
             }
         }
         let store = store.unwrap_or_default();
-        let metrics = PersistMetrics::new(store.registry());
 
         // 2. Scan the log and replay the tail past the snapshot.
+        let replay_ns = store.registry().histogram(names::RECOVERY_REPLAY_NS);
         let replay_start = Instant::now();
         let wal_path = dir.join("wal.log");
         let mut lsn = snap_lsn;
@@ -352,7 +352,7 @@ impl DurableStore {
         }
 
         if !fresh {
-            metrics.recovery_replay_ns.record(replay_start.elapsed());
+            replay_ns.record(replay_start.elapsed());
             store.registry().event(
                 "recovery",
                 format!(
@@ -379,27 +379,28 @@ impl DurableStore {
         file.seek(SeekFrom::Start(valid_len))?;
 
         let wal = WalState { file, lsn, len: valid_len, dirty: 0, starts };
-        Ok(DurableStore::assemble(store, dir, wal, options, metrics, report))
+        Ok(DurableStore::assemble(store, dir, wal, options, report))
     }
 
     /// The one place a [`DurableStore`] is put together, healthy, from
-    /// its parts.
+    /// its parts — and where what recovery found is counted, once.
     fn assemble(
         store: Store,
         dir: PathBuf,
         wal: WalState,
         options: Options,
-        metrics: PersistMetrics,
         recovery: RecoveryReport,
     ) -> DurableStore {
+        let r = store.registry();
+        r.counter(names::REPLAYED_OPS_TOTAL).add(recovery.replayed_ops);
+        r.counter(names::RECOVERED_DOCS_TOTAL).add(recovery.recovered_docs as u64);
         DurableStore {
+            metrics: PersistMetrics::new(r),
             store,
             dir,
             gate: RwLock::new(()),
             wal: Mutex::new(wal),
             policy: options.fsync,
-            counters: PersistCounters::default(),
-            metrics,
             recovery,
             degraded: AtomicBool::new(false),
             degraded_reason: Mutex::new(String::new()),
@@ -534,13 +535,12 @@ impl DurableStore {
         let file = open_wal(&dir, true)?;
         let wal =
             WalState { file, lsn, len: WAL_HEADER.len() as u64, dirty: 0, starts: Vec::new() };
-        let metrics = PersistMetrics::new(store.registry());
         let recovery = RecoveryReport {
             snapshot_lsn: Some(lsn),
             recovered_docs: write.docs,
             ..RecoveryReport::default()
         };
-        Ok(DurableStore::assemble(store, dir, wal, options, metrics, recovery))
+        Ok(DurableStore::assemble(store, dir, wal, options, recovery))
     }
 
     /// The wrapped in-memory store, for the read paths ([`Store::query`],
@@ -724,8 +724,8 @@ impl DurableStore {
         w.len += line.len() as u64;
         w.dirty += 1;
         w.starts.push(pre_len);
-        self.counters.wal_appends.fetch_add(1, Ordering::Relaxed);
-        self.counters.wal_bytes.fetch_add(line.len() as u64, Ordering::Relaxed);
+        self.metrics.wal_appends.bump();
+        self.metrics.wal_bytes.add(line.len() as u64);
         if self.policy == FsyncPolicy::EveryOp {
             if let Err(e) = self.sync_locked(w) {
                 // The append error aborts the caller's operation before it
@@ -759,7 +759,7 @@ impl DurableStore {
                 trace.err(e.to_string());
                 return Err(e.into());
             }
-            self.counters.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            self.metrics.wal_fsyncs.bump();
             w.dirty = 0;
         }
         Ok(())
@@ -894,7 +894,7 @@ impl DurableStore {
         let floor = prev.as_ref().map_or(0, |&(l, _, _)| l);
         self.drop_wal_prefix(&mut w, floor)?;
         prune_snapshots(&self.dir, floor);
-        self.counters.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.metrics.checkpoints.bump();
         self.store.registry().event(
             "checkpoint",
             format!(
@@ -955,16 +955,10 @@ impl DurableStore {
     // Observability
     // ------------------------------------------------------------------
 
-    /// [`Store::stats`] plus the WAL / checkpoint / recovery counters.
+    /// [`Store::stats`]: the WAL, checkpoint and recovery counters live
+    /// on the wrapped store's registry, so it already holds them.
     pub fn stats(&self) -> StoreStats {
-        let mut s = self.store.stats();
-        s.wal_appends = self.counters.wal_appends.load(Ordering::Relaxed);
-        s.wal_bytes = self.counters.wal_bytes.load(Ordering::Relaxed);
-        s.wal_fsyncs = self.counters.wal_fsyncs.load(Ordering::Relaxed);
-        s.checkpoints = self.counters.checkpoints.load(Ordering::Relaxed);
-        s.replayed_ops = self.recovery.replayed_ops;
-        s.recovered_docs = self.recovery.recovered_docs as u64;
-        s
+        self.store.stats()
     }
 
     /// The metric registry shared with the wrapped store (the layers
@@ -975,11 +969,9 @@ impl DurableStore {
 }
 
 impl Observable for DurableStore {
-    /// The durable stats snapshot (WAL, checkpoint and recovery counters
-    /// included) plus every registry metric.
+    /// The wrapped store's page, which carries this layer's series.
     fn expose_into(&self, out: &mut Exposition) {
-        self.stats().expose_into(out);
-        self.store.registry().expose_into(out);
+        self.store.expose_into(out);
     }
 }
 

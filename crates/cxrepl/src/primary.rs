@@ -2,10 +2,9 @@
 
 use crate::error::{ReplError, Result};
 use crate::transport::FetchResponse;
-use cxobs::{names, Exposition, Histogram, Observable};
+use cxobs::{names, Counter, Exposition, Histogram, Observable};
 use cxpersist::{DurableStore, TailShipment};
 use cxstore::StoreStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A replication primary: wraps a [`DurableStore`] and answers follower
@@ -18,24 +17,25 @@ use std::sync::Arc;
 /// snapshot capture drains mutators exactly like a checkpoint.
 pub struct Primary {
     durable: Arc<DurableStore>,
-    records_shipped: AtomicU64,
-    batches_shipped: AtomicU64,
-    snapshots_shipped: AtomicU64,
-    /// One `handle_fetch` round trip (registered on the durable store's
-    /// registry, so the whole shard exposes as one page).
+    // The shipping metrics, registered on the durable store's registry so
+    // the whole shard exposes as one page.
+    /// One `handle_fetch` round trip.
     ship_ns: Arc<Histogram>,
+    records_shipped: Arc<Counter>,
+    batches_shipped: Arc<Counter>,
+    snapshots_shipped: Arc<Counter>,
 }
 
 impl Primary {
     /// Serve `durable`'s log.
     pub fn new(durable: Arc<DurableStore>) -> Primary {
-        let ship_ns = durable.registry().histogram(names::REPL_SHIP_NS);
+        let r = durable.registry();
         Primary {
+            ship_ns: r.histogram(names::REPL_SHIP_NS),
+            records_shipped: r.counter(names::REPL_RECORDS_SHIPPED_TOTAL),
+            batches_shipped: r.counter(names::REPL_BATCHES_SHIPPED_TOTAL),
+            snapshots_shipped: r.counter(names::REPL_SNAPSHOTS_SHIPPED_TOTAL),
             durable,
-            records_shipped: AtomicU64::new(0),
-            batches_shipped: AtomicU64::new(0),
-            snapshots_shipped: AtomicU64::new(0),
-            ship_ns,
         }
     }
 
@@ -67,13 +67,13 @@ impl Primary {
         match self.durable.wal_tail(after, max_bytes)? {
             TailShipment::CaughtUp => Ok(FetchResponse::CaughtUp { head: after }),
             TailShipment::Records { first, last, bytes } => {
-                self.records_shipped.fetch_add(last - first + 1, Ordering::Relaxed);
-                self.batches_shipped.fetch_add(1, Ordering::Relaxed);
+                self.records_shipped.add(last - first + 1);
+                self.batches_shipped.bump();
                 Ok(FetchResponse::Records { head: self.durable.wal_position().lsn, bytes })
             }
             TailShipment::SnapshotNeeded => {
                 let snap = self.durable.capture_snapshot()?;
-                self.snapshots_shipped.fetch_add(1, Ordering::Relaxed);
+                self.snapshots_shipped.bump();
                 self.durable.registry().event(
                     "snapshot.ship",
                     format!("bootstrap at lsn {} (after {after})", snap.lsn),
@@ -85,27 +85,24 @@ impl Primary {
 
     /// Snapshot bootstraps served so far.
     pub fn snapshots_shipped(&self) -> u64 {
-        self.snapshots_shipped.load(Ordering::Relaxed)
+        self.snapshots_shipped.get()
     }
 
     /// Record batches served so far.
     pub fn batches_shipped(&self) -> u64 {
-        self.batches_shipped.load(Ordering::Relaxed)
+        self.batches_shipped.get()
     }
 
-    /// [`DurableStore::stats`] plus the shipping counters.
+    /// [`DurableStore::stats`], shipping counters included (they live on
+    /// the shard's registry).
     pub fn stats(&self) -> StoreStats {
-        let mut s = self.durable.stats();
-        s.repl_records_shipped = self.records_shipped.load(Ordering::Relaxed);
-        s
+        self.durable.stats()
     }
 }
 
 impl Observable for Primary {
-    /// The shard's whole stack — store, durability, and shipping — as one
-    /// exposition page.
+    /// The shard's page: store, durability and shipping share one registry.
     fn expose_into(&self, out: &mut Exposition) {
-        self.stats().expose_into(out);
-        self.durable.registry().expose_into(out);
+        self.durable.expose_into(out);
     }
 }

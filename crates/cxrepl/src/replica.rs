@@ -1,7 +1,7 @@
 //! The applying side: a live read-only store that follows a shipped log.
 
 use crate::error::{ReplError, Result};
-use cxobs::{names, Exposition, Histogram, Observable};
+use cxobs::{names, Counter, Exposition, Histogram, Observable};
 use cxpersist::{apply_logged, scan_batch, Applied, DurableStore, Options, StoreSnapshot};
 use cxstore::{Store, StoreStats};
 use std::collections::HashSet;
@@ -20,13 +20,6 @@ pub struct BatchApply {
     /// Whether a torn/corrupt tail was dropped — the caller re-requests
     /// from [`ReplicaStore::last_applied`].
     pub torn: bool,
-}
-
-#[derive(Default)]
-struct ReplicaCounters {
-    records_applied: AtomicU64,
-    torn_batches: AtomicU64,
-    snapshots_installed: AtomicU64,
 }
 
 /// Poison-tolerant: the apply mutex serializes batch application; each
@@ -63,9 +56,12 @@ pub struct ReplicaStore {
     apply: Mutex<HashSet<u64>>,
     last_applied: AtomicU64,
     last_head: AtomicU64,
-    counters: ReplicaCounters,
-    /// One `apply_batch` round (on the replica store's registry).
+    // The apply metrics, on the replica store's registry.
+    /// One `apply_batch` round.
     apply_ns: Arc<Histogram>,
+    records_applied: Arc<Counter>,
+    torn_batches: Arc<Counter>,
+    snapshots_installed: Arc<Counter>,
 }
 
 impl Default for ReplicaStore {
@@ -80,14 +76,16 @@ impl ReplicaStore {
     /// otherwise).
     pub fn new() -> ReplicaStore {
         let store = Store::new();
-        let apply_ns = store.registry().histogram(names::REPL_APPLY_NS);
+        let r = store.registry();
         ReplicaStore {
+            apply_ns: r.histogram(names::REPL_APPLY_NS),
+            records_applied: r.counter(names::REPL_RECORDS_APPLIED_TOTAL),
+            torn_batches: r.counter(names::REPL_TORN_BATCHES_TOTAL),
+            snapshots_installed: r.counter(names::REPL_SNAPSHOTS_INSTALLED_TOTAL),
             store,
             apply: Mutex::default(),
             last_applied: AtomicU64::new(0),
             last_head: AtomicU64::new(0),
-            counters: ReplicaCounters::default(),
-            apply_ns,
         }
     }
 
@@ -134,7 +132,7 @@ impl ReplicaStore {
         let mut removed = lock(&self.apply);
         let scan = scan_batch(bytes, self.last_applied());
         if scan.torn {
-            self.counters.torn_batches.fetch_add(1, Ordering::Relaxed);
+            self.torn_batches.bump();
         }
         let mut out = BatchApply { applied: 0, rejected: 0, torn: scan.torn };
         for rec in scan.records {
@@ -159,7 +157,7 @@ impl ReplicaStore {
             // raised the head past the whole batch.
             self.last_head.fetch_max(rec.lsn, Ordering::Release);
             self.last_applied.store(rec.lsn, Ordering::Release);
-            self.counters.records_applied.fetch_add(1, Ordering::Relaxed);
+            self.records_applied.bump();
             out.applied += 1;
         }
         Ok(out)
@@ -178,7 +176,7 @@ impl ReplicaStore {
         removed.clear();
         self.last_applied.store(snap.lsn, Ordering::Release);
         self.observe_head(snap.lsn);
-        self.counters.snapshots_installed.fetch_add(1, Ordering::Relaxed);
+        self.snapshots_installed.bump();
         self.store.registry().event("snapshot.install", format!("bootstrap at lsn {}", snap.lsn));
         Ok(())
     }
@@ -207,30 +205,27 @@ impl ReplicaStore {
         DurableStore::adopt(dir, replica.store, lsn, options).map_err(ReplError::Persist)
     }
 
-    /// [`Store::stats`] plus the replication counters: applied records and
-    /// the current lag.
+    /// [`Store::stats`] (applied records included: they count on the
+    /// store's registry) plus the current lag.
     pub fn stats(&self) -> StoreStats {
-        let mut s = self.store.stats();
-        s.repl_records_applied = self.counters.records_applied.load(Ordering::Relaxed);
-        s.repl_lag = self.lag();
-        s
+        StoreStats { repl_lag: self.lag(), ..self.store.stats() }
     }
 
     /// Snapshot bootstraps installed.
     pub fn snapshots_installed(&self) -> u64 {
-        self.counters.snapshots_installed.load(Ordering::Relaxed)
+        self.snapshots_installed.get()
     }
 
     /// Torn batches observed (each one re-requested).
     pub fn torn_batches(&self) -> u64 {
-        self.counters.torn_batches.load(Ordering::Relaxed)
+        self.torn_batches.get()
     }
 }
 
 impl Observable for ReplicaStore {
-    /// The replica's stats (lag included) plus its registry metrics.
+    /// The store's page plus `cx_repl_lag`, computed at read time.
     fn expose_into(&self, out: &mut Exposition) {
-        self.stats().expose_into(out);
-        self.store.registry().expose_into(out);
+        self.store.expose_into(out);
+        out.write(names::REPL_LAG, self.lag());
     }
 }

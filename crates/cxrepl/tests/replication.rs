@@ -190,6 +190,8 @@ fn promotion_yields_a_writable_durable_store() {
         replica.promote(promoted_dir.path(), Options { fsync: FsyncPolicy::EveryOp }).unwrap();
     assert_eq!(promoted.last_lsn(), lsn, "history continues at the applied LSN");
     assert_eq!(exports(promoted.store()), pre_promotion);
+    // The promoted store keeps the replica's registry, applied count included.
+    assert_eq!(promoted.stats().repl_records_applied, lsn);
 
     // New edits are gated (DTD still armed) and logged.
     let err = promoted

@@ -1,12 +1,11 @@
 //! Per-document state: the GODDAG under its lock, and the epoch-validated
 //! caches that ride along with it.
 
-use crate::stats::Counters;
+use crate::stats::StoreMetrics;
 use expath::OverlapIndex;
 use goddag::Goddag;
 use prevalid::PrevalidEngine;
 use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One document slot. The `doc` lock orders all access; the caches are
@@ -29,7 +28,7 @@ pub(crate) struct DocEntry {
 /// guard holders (audited per site; `cxobs::fault::Fault::Panic` fires inside
 /// held guards on purpose to exercise exactly this cascade):
 ///
-/// * **`doc` (RwLock<Goddag>)** — a writer panicking mid-edit can only
+/// * **`doc` (`RwLock<Goddag>`)** — a writer panicking mid-edit can only
 ///   do so *before* the op applies (prevalidation, offset resolution)
 ///   or *after* it applied whole: the `Goddag` mutators either return
 ///   `Err` or complete, so a recovered guard always sees a document at
@@ -74,17 +73,17 @@ impl DocEntry {
     /// The overlap index for the document as seen by `g` (a held read or
     /// write guard, which is what makes the epoch comparison race-free):
     /// cached when the epoch still matches, rebuilt and re-cached otherwise.
-    pub(crate) fn index_for(&self, g: &Goddag, counters: &Counters) -> Arc<OverlapIndex> {
+    pub(crate) fn index_for(&self, g: &Goddag, metrics: &StoreMetrics) -> Arc<OverlapIndex> {
         let epoch = g.edit_epoch();
         let mut slot = mutex_lock(&self.index);
         if let Some((built_at, idx)) = slot.as_ref() {
             if *built_at == epoch {
-                counters.index_hits.fetch_add(1, Ordering::Relaxed);
+                metrics.index_hits.bump();
                 return Arc::clone(idx);
             }
         }
         let idx = Arc::new(OverlapIndex::build(g));
-        counters.index_builds.fetch_add(1, Ordering::Relaxed);
+        metrics.index_builds.bump();
         *slot = Some((epoch, Arc::clone(&idx)));
         idx
     }

@@ -25,12 +25,14 @@
 //!   markup insertions into a hierarchy with a DTD are checked through
 //!   `prevalid` first, so a store full of valid documents stays
 //!   potentially valid.
-//! * **Observability** — [`Store::stats`] aggregates `goddag::GoddagStats`
-//!   over the collection plus store-level counters (cache hits/misses,
-//!   edits, epochs); every store also owns a [`cxobs::Registry`] recording
-//!   latency histograms for the query, batch, and gated-edit paths, and
+//! * **Observability** — every store owns a [`cxobs::Registry`] holding
+//!   its event counters (cache hits/misses, edits) and latency histograms
+//!   for the query, batch, and gated-edit paths; the layers stacked on
+//!   top count on the same registry. [`Store::stats`] aggregates
+//!   `goddag::GoddagStats` over the collection and reads every counter
+//!   back from the registry ([`StoreStats::from_registry`]); the store
 //!   implements [`cxobs::Observable`] so the whole stack renders as one
-//!   Prometheus-style text exposition.
+//!   Prometheus-style text exposition, each series once.
 //!
 //! ```
 //! use cxstore::Store;

@@ -1,39 +1,11 @@
-//! Store-level observability: lock-free counters plus an aggregated
-//! snapshot building on `goddag::GoddagStats`.
+//! Store-level observability: the store's metric handles on its
+//! registry, and the [`StoreStats`] summary read back from it.
 
-use cxobs::{names, Exposition, Histogram, Registry};
-use std::sync::atomic::{AtomicU64, Ordering};
+use cxobs::{names, Counter, Exposition, Histogram, Registry};
 use std::sync::Arc;
 
-/// Monotone event counters, updated with relaxed atomics on every hot path.
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    /// Single-document queries served.
-    pub queries: AtomicU64,
-    /// Batch (`query_all*`) requests served.
-    pub batch_queries: AtomicU64,
-    /// Queries answered from a cached overlap index.
-    pub index_hits: AtomicU64,
-    /// Overlap index (re)builds.
-    pub index_builds: AtomicU64,
-    /// Expressions found pre-compiled in the query cache.
-    pub query_cache_hits: AtomicU64,
-    /// Expressions that had to be parsed.
-    pub query_cache_misses: AtomicU64,
-    /// Edits applied.
-    pub edits: AtomicU64,
-    /// Edits refused by the prevalidation gate or the document.
-    pub edits_rejected: AtomicU64,
-}
-
-impl Counters {
-    pub(crate) fn bump(c: &AtomicU64) {
-        c.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The store's latency histograms, registered once on the store's
-/// [`Registry`] and bumped lock-free on the hot paths.
+/// The store's metrics, registered once on the store's [`Registry`] and
+/// bumped lock-free on the hot paths.
 pub(crate) struct StoreMetrics {
     /// Whole gated-edit latency ([`crate::Store::edit_with_log`]).
     pub edit_ns: Arc<Histogram>,
@@ -43,6 +15,22 @@ pub(crate) struct StoreMetrics {
     pub query_ns: Arc<Histogram>,
     /// Batch (`query_all*`) fan-out latency.
     pub query_all_ns: Arc<Histogram>,
+    /// Single-document queries served.
+    pub queries: Arc<Counter>,
+    /// Batch (`query_all*`) requests served.
+    pub batch_queries: Arc<Counter>,
+    /// Queries answered from a cached overlap index.
+    pub index_hits: Arc<Counter>,
+    /// Overlap index (re)builds.
+    pub index_builds: Arc<Counter>,
+    /// Expressions found pre-compiled in the query cache.
+    pub query_cache_hits: Arc<Counter>,
+    /// Expressions that had to be parsed.
+    pub query_cache_misses: Arc<Counter>,
+    /// Edits applied.
+    pub edits: Arc<Counter>,
+    /// Edits refused by the prevalidation gate or the document.
+    pub edits_rejected: Arc<Counter>,
 }
 
 impl StoreMetrics {
@@ -52,12 +40,21 @@ impl StoreMetrics {
             gate_ns: r.histogram(names::GATE_NS),
             query_ns: r.histogram(names::QUERY_NS),
             query_all_ns: r.histogram(names::QUERY_ALL_NS),
+            queries: r.counter(names::QUERIES_TOTAL),
+            batch_queries: r.counter(names::BATCH_QUERIES_TOTAL),
+            index_hits: r.counter(names::INDEX_HITS_TOTAL),
+            index_builds: r.counter(names::INDEX_BUILDS_TOTAL),
+            query_cache_hits: r.counter(names::QUERY_CACHE_HITS_TOTAL),
+            query_cache_misses: r.counter(names::QUERY_CACHE_MISSES_TOTAL),
+            edits: r.counter(names::EDITS_TOTAL),
+            edits_rejected: r.counter(names::EDITS_REJECTED_TOTAL),
         }
     }
 }
 
 /// A point-in-time summary of the store: collection totals (aggregated
-/// [`goddag::GoddagStats`]) plus the event counters.
+/// [`goddag::GoddagStats`]) plus the event counters every layer keeps on
+/// the store's [`Registry`], read by [`StoreStats::from_registry`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Live documents.
@@ -162,9 +159,10 @@ impl StoreStats {
         self.writers_waiting += other.writers_waiting;
     }
 
-    /// Append every stat as one `cx_*` exposition line — the
-    /// snapshot-shaped half of a store's [`cxobs::Observable`] output
-    /// (its registry's histograms and gauges are the other half).
+    /// Append the collection totals a store walks its documents for
+    /// (`cx_docs` … `cx_compiled_queries`) as `cx_*` exposition lines —
+    /// the half of a store's [`cxobs::Observable`] output no registry
+    /// holds. The counters are the registry's own lines.
     pub fn expose_into(&self, out: &mut Exposition) {
         out.write(names::DOCS, self.docs);
         out.write(names::ELEMENTS, self.elements);
@@ -174,27 +172,36 @@ impl StoreStats {
         out.write(names::EPOCHS_TOTAL, self.epochs);
         out.write(names::WARM_INDEXES, self.warm_indexes);
         out.write(names::COMPILED_QUERIES, self.compiled_queries);
-        out.write(names::QUERIES_TOTAL, self.queries);
-        out.write(names::BATCH_QUERIES_TOTAL, self.batch_queries);
-        out.write(names::INDEX_HITS_TOTAL, self.index_hits);
-        out.write(names::INDEX_BUILDS_TOTAL, self.index_builds);
-        out.write(names::QUERY_CACHE_HITS_TOTAL, self.query_cache_hits);
-        out.write(names::QUERY_CACHE_MISSES_TOTAL, self.query_cache_misses);
-        out.write(names::EDITS_TOTAL, self.edits);
-        out.write(names::EDITS_REJECTED_TOTAL, self.edits_rejected);
-        out.write(names::WAL_APPENDS_TOTAL, self.wal_appends);
-        out.write(names::WAL_BYTES_TOTAL, self.wal_bytes);
-        out.write(names::WAL_FSYNCS_TOTAL, self.wal_fsyncs);
-        out.write(names::CHECKPOINTS_TOTAL, self.checkpoints);
-        out.write(names::REPLAYED_OPS_TOTAL, self.replayed_ops);
-        out.write(names::RECOVERED_DOCS_TOTAL, self.recovered_docs);
-        out.write(names::REPL_RECORDS_SHIPPED_TOTAL, self.repl_records_shipped);
-        out.write(names::REPL_RECORDS_APPLIED_TOTAL, self.repl_records_applied);
-        out.write(names::REPL_LAG, self.repl_lag);
-        out.write(names::CLUSTER_SHARDS, self.cluster_shards);
-        out.write(names::DOCS_MOVED_TOTAL, self.docs_moved);
-        out.write(names::WRITES_IN_FLIGHT, self.writes_in_flight);
-        out.write(names::WRITERS_WAITING, self.writers_waiting);
+    }
+
+    /// The event-counter fields (and the cluster's gauges) as `r` holds
+    /// them, each summed over its label sets; the collection totals are
+    /// left 0. The one place a registry is read into a summary.
+    pub fn from_registry(r: &Registry) -> StoreStats {
+        let n = |name| r.counter_total(name);
+        StoreStats {
+            queries: n(names::QUERIES_TOTAL),
+            batch_queries: n(names::BATCH_QUERIES_TOTAL),
+            index_hits: n(names::INDEX_HITS_TOTAL),
+            index_builds: n(names::INDEX_BUILDS_TOTAL),
+            query_cache_hits: n(names::QUERY_CACHE_HITS_TOTAL),
+            query_cache_misses: n(names::QUERY_CACHE_MISSES_TOTAL),
+            edits: n(names::EDITS_TOTAL),
+            edits_rejected: n(names::EDITS_REJECTED_TOTAL),
+            wal_appends: n(names::WAL_APPENDS_TOTAL),
+            wal_bytes: n(names::WAL_BYTES_TOTAL),
+            wal_fsyncs: n(names::WAL_FSYNCS_TOTAL),
+            checkpoints: n(names::CHECKPOINTS_TOTAL),
+            replayed_ops: n(names::REPLAYED_OPS_TOTAL),
+            recovered_docs: n(names::RECOVERED_DOCS_TOTAL),
+            repl_records_shipped: n(names::REPL_RECORDS_SHIPPED_TOTAL),
+            repl_records_applied: n(names::REPL_RECORDS_APPLIED_TOTAL),
+            cluster_shards: r.gauge_total(names::CLUSTER_SHARDS) as usize,
+            docs_moved: n(names::DOCS_MOVED_TOTAL),
+            writes_in_flight: r.gauge_total(names::SHARD_WRITES_IN_FLIGHT),
+            writers_waiting: r.gauge_total(names::GATE_WAITERS),
+            ..StoreStats::default()
+        }
     }
 
     /// Fraction of index lookups served from cache (0 when none yet).
@@ -205,18 +212,5 @@ impl StoreStats {
         } else {
             self.index_hits as f64 / total as f64
         }
-    }
-}
-
-impl Counters {
-    pub(crate) fn snapshot_into(&self, s: &mut StoreStats) {
-        s.queries = self.queries.load(Ordering::Relaxed);
-        s.batch_queries = self.batch_queries.load(Ordering::Relaxed);
-        s.index_hits = self.index_hits.load(Ordering::Relaxed);
-        s.index_builds = self.index_builds.load(Ordering::Relaxed);
-        s.query_cache_hits = self.query_cache_hits.load(Ordering::Relaxed);
-        s.query_cache_misses = self.query_cache_misses.load(Ordering::Relaxed);
-        s.edits = self.edits.load(Ordering::Relaxed);
-        s.edits_rejected = self.edits_rejected.load(Ordering::Relaxed);
     }
 }

@@ -4,7 +4,7 @@
 use crate::edit::{EditOp, EditOutcome};
 use crate::entry::DocEntry;
 use crate::error::{Result, StoreError};
-use crate::stats::{Counters, StoreMetrics, StoreStats};
+use crate::stats::{StoreMetrics, StoreStats};
 use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
@@ -66,7 +66,6 @@ pub struct Store {
     queries: RwLock<HashMap<String, CachedQuery>>,
     /// Monotonic recency clock for the query cache.
     query_tick: AtomicU64,
-    counters: Counters,
     obs: Arc<Registry>,
     metrics: StoreMetrics,
 }
@@ -95,7 +94,6 @@ impl Store {
             next_id: AtomicU64::new(0),
             queries: RwLock::default(),
             query_tick: AtomicU64::new(0),
-            counters: Counters::default(),
             obs,
             metrics,
         }
@@ -289,10 +287,10 @@ impl Store {
         let tick = self.query_tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(cached) = self.queries_read().get(expr) {
             cached.last_used.store(tick, Ordering::Relaxed);
-            Counters::bump(&self.counters.query_cache_hits);
+            self.metrics.query_cache_hits.bump();
             return Ok(Arc::clone(&cached.ast));
         }
-        Counters::bump(&self.counters.query_cache_misses);
+        self.metrics.query_cache_misses.bump();
         let ast = Arc::new(parse(expr)?);
         let mut cache = self.queries_write();
         if cache.len() >= QUERY_CACHE_CAP && !cache.contains_key(expr) {
@@ -322,7 +320,7 @@ impl Store {
         trace.attr("doc", id.raw());
         let ast = self.compile(expr)?;
         let entry = self.entry(id)?;
-        Counters::bump(&self.counters.queries);
+        self.metrics.queries.bump();
         self.query_entry(&entry, &ast)
     }
 
@@ -335,7 +333,7 @@ impl Store {
         let _trace = trace::span("store.query_all");
         let ast = self.compile(expr)?;
         let entries = self.entries();
-        Counters::bump(&self.counters.batch_queries);
+        self.metrics.batch_queries.bump();
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let workers = workers.min(entries.len()).max(1);
         if workers == 1 {
@@ -362,7 +360,7 @@ impl Store {
     pub fn warm_all(&self) {
         for (_, entry) in self.entries() {
             let g = entry.read();
-            entry.index_for(&g, &self.counters);
+            entry.index_for(&g, &self.metrics);
         }
     }
 
@@ -424,7 +422,7 @@ impl Store {
         let resolved = match gate_result {
             Ok(resolved) => resolved,
             Err(err) => {
-                Counters::bump(&self.counters.edits_rejected);
+                self.metrics.edits_rejected.bump();
                 self.obs.event("gate.reject", format!("{id}: {err}"));
                 trace.err("gate rejected");
                 return Ok(Err(err));
@@ -432,10 +430,7 @@ impl Store {
         };
         log(&op, g.edit_epoch())?;
         let result = self.apply(&mut g, op, resolved);
-        match &result {
-            Ok(_) => Counters::bump(&self.counters.edits),
-            Err(_) => Counters::bump(&self.counters.edits_rejected),
-        }
+        self.count_outcome(&result);
         Ok(result)
     }
 
@@ -454,10 +449,7 @@ impl Store {
         let mut g = entry.write();
         let resolved = Self::resolve_insert(&g, &op)?;
         let result = self.apply(&mut g, op, resolved);
-        match &result {
-            Ok(_) => Counters::bump(&self.counters.edits),
-            Err(_) => Counters::bump(&self.counters.edits_rejected),
-        }
+        self.count_outcome(&result);
         result
     }
 
@@ -582,9 +574,11 @@ impl Store {
     // Observability
     // ------------------------------------------------------------------
 
-    /// Aggregate statistics: collection totals plus event counters.
+    /// Aggregate statistics: collection totals walked from the documents,
+    /// plus every event counter on this store's registry (so a durable
+    /// store's WAL counters and a primary's shipping counters too).
     pub fn stats(&self) -> StoreStats {
-        let mut s = StoreStats::default();
+        let mut s = StoreStats::from_registry(&self.obs);
         for (_, entry) in self.entries() {
             let g = entry.read();
             let gs = g.stats();
@@ -599,7 +593,6 @@ impl Store {
             }
         }
         s.compiled_queries = self.queries_read().len();
-        self.counters.snapshot_into(&mut s);
         s
     }
 
@@ -626,9 +619,17 @@ impl Store {
         true
     }
 
+    /// Count an applied edit, or one the document refused after the gate.
+    fn count_outcome(&self, result: &Result<EditOutcome>) {
+        match result {
+            Ok(_) => self.metrics.edits.bump(),
+            Err(_) => self.metrics.edits_rejected.bump(),
+        }
+    }
+
     fn query_entry(&self, entry: &DocEntry, ast: &Expr) -> Result<Vec<goddag::NodeId>> {
         let g = entry.read();
-        let idx = entry.index_for(&g, &self.counters);
+        let idx = entry.index_for(&g, &self.metrics);
         let ev = Evaluator::with_shared_index(&g, idx);
         match ev.evaluate(ast, g.root())? {
             Value::Nodes(ns) => Ok(ns),
@@ -670,9 +671,9 @@ impl Store {
 }
 
 impl Observable for Store {
-    /// The stats snapshot as `cx_*` lines, then every metric the stack
-    /// registered on this store's registry (latency histograms, layer
-    /// gauges).
+    /// The collection totals as `cx_*` lines, then every metric the stack
+    /// registered on this store's registry (counters, latency histograms,
+    /// layer gauges).
     fn expose_into(&self, out: &mut Exposition) {
         self.stats().expose_into(out);
         self.obs.expose_into(out);

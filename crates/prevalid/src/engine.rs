@@ -445,7 +445,7 @@ impl PrevalidEngine {
         }
     }
 
-    /// Transitive "x wraps the single-item sequence [y]" relation, replacing
+    /// Transitive "x wraps the single-item sequence `[y]`" relation, replacing
     /// the per-span same-span chain fixpoint of the set-based engine.
     fn compute_wrap_closure(&mut self) {
         let n = self.symbols.len();

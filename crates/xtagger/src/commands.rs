@@ -17,6 +17,9 @@
 //! undo
 //! redo
 //! ```
+//!
+//! Only `insert` takes a variable number of tokens (its `name=value`
+//! attributes); any other command followed by a further token is refused.
 
 use crate::error::{Result, XTaggerError};
 use crate::session::Session;
@@ -162,6 +165,9 @@ impl Command {
                 return Err(XTaggerError::Query(format!("unknown command {other:?}")));
             }
         };
+        if let Some(extra) = parts.maybe_word() {
+            return Err(XTaggerError::Query(format!("unexpected trailing token {extra:?}")));
+        }
         Ok(Some(cmd))
     }
 }
@@ -297,6 +303,18 @@ mod tests {
         assert!(Command::parse("insert ling w zero 3").is_err());
         assert!(Command::parse("attr #5 incomplete").is_err());
         assert!(Command::parse("text-insert 7 \"open").is_err());
+        // Trailing tokens are refused, not dropped.
+        for line in [
+            "remove #12 #13",
+            "text-insert 7 swa tail",
+            "text-insert 7 \"swa\" tail",
+            "attr #12 type=verb n=2",
+            "text-delete 0 4 9",
+            "undo 3",
+            "redo now",
+        ] {
+            assert!(Command::parse(line).is_err(), "{line:?} parsed");
+        }
     }
 
     #[test]

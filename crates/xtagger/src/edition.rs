@@ -20,7 +20,7 @@
 use crate::error::{Result, XTaggerError};
 use crate::session::Session;
 use goddag::Goddag;
-use sacx::{SacxError, StandoffDoc};
+use sacx::{escape_field, take_line, SacxError, StandoffDoc, Tokens};
 use std::fmt::Write as _;
 
 const MAGIC: &str = "#cxml-edition v1";
@@ -34,7 +34,7 @@ pub fn save_edition(g: &Goddag) -> String {
         let hier = g.hierarchy(h).expect("iterating live ids");
         if let Some(dtd) = &hier.dtd {
             let text = dtd.to_text();
-            let _ = writeln!(out, "dtd {} {}", hier.name, text.len());
+            let _ = writeln!(out, "dtd {} {}", escape_field(&hier.name), text.len());
             out.push_str(&text);
             if !text.ends_with('\n') {
                 out.push('\n');
@@ -61,30 +61,27 @@ pub fn load_edition(input: &str) -> Result<Goddag> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("dtd") => {
-                let name = parts.next().ok_or_else(|| bad("dtd needs a hierarchy name"))?;
-                let len: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("dtd needs a byte length"))?;
-                let block = take_block(&mut rest, len)?;
+        let mut t = Tokens::new(line);
+        let directive = t.token("a directive").map_err(bad)?;
+        let ctx = |e: String| bad(format!("{directive}: {e}"));
+        let name = match directive {
+            "dtd" => Some(t.string("a hierarchy name").map_err(ctx)?),
+            "standoff" => None,
+            other => return Err(bad(format!("unknown directive {other:?}"))),
+        };
+        let len: usize = t.parse("a byte length").map_err(ctx)?;
+        t.finish().map_err(ctx)?;
+        let block = take_block(&mut rest, len)?;
+        match name {
+            Some(name) => {
                 let dtd = xmlcore::dtd::parse_dtd(&block)
                     .map_err(|e| bad(format!("DTD for {name:?}: {e}")))?;
-                dtds.push((name.to_string(), dtd));
+                dtds.push((name, dtd));
             }
-            Some("standoff") => {
-                let len: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| bad("standoff needs a byte length"))?;
-                let block = take_block(&mut rest, len)?;
+            None => {
                 let doc = StandoffDoc::parse_text(&block).map_err(XTaggerError::Sacx)?;
                 goddag = Some(doc.to_goddag().map_err(XTaggerError::Sacx)?);
             }
-            Some(other) => return Err(bad(format!("unknown directive {other:?}"))),
-            None => {}
         }
     }
     let mut g = goddag.ok_or_else(|| bad("bundle has no standoff section"))?;
@@ -104,24 +101,6 @@ pub fn open_edition(input: &str) -> Result<Session> {
 
 fn bad(detail: impl Into<String>) -> XTaggerError {
     XTaggerError::Sacx(SacxError::Standoff { line: 0, detail: detail.into() })
-}
-
-fn take_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    if rest.is_empty() {
-        return None;
-    }
-    match rest.find('\n') {
-        Some(i) => {
-            let l = &rest[..i];
-            *rest = &rest[i + 1..];
-            Some(l)
-        }
-        None => {
-            let l = *rest;
-            *rest = "";
-            Some(l)
-        }
-    }
 }
 
 fn take_block(rest: &mut &str, len: usize) -> Result<String> {
@@ -196,6 +175,31 @@ mod tests {
         assert!(load_edition("#cxml-edition v1\n").is_err()); // no standoff
         assert!(load_edition("#cxml-edition v1\nwat 3\nxxx").is_err());
         assert!(load_edition("#cxml-edition v1\ndtd ghost 10\n<!ELEMENT ").is_err());
+    }
+
+    #[test]
+    fn hierarchy_names_with_spaces_roundtrip() {
+        let mut g = corpus::figure1::goddag();
+        let h = g.add_hierarchy("my hier");
+        g.set_dtd(h, corpus::dtds::edit()).unwrap();
+        let bundle = save_edition(&g);
+        assert!(bundle.contains("\ndtd my%20hier "), "{bundle}");
+        let g2 = load_edition(&bundle).unwrap();
+        let h2 = g2.hierarchy_by_name("my hier").expect("name survives the round trip");
+        assert!(g2.hierarchy(h2).unwrap().dtd.is_some());
+        assert_eq!(save_edition(&g2), bundle);
+    }
+
+    #[test]
+    fn trailing_tokens_on_a_directive_rejected() {
+        let bundle = save_edition(&corpus::figure1::goddag());
+        let doctored = bundle.replacen("\nstandoff ", "\nstandoff 1 ", 1);
+        let err = load_edition(&doctored).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
+        let dtd = corpus::dtds::phys().to_text();
+        let bundle = format!("#cxml-edition v1\ndtd phys {} extra\n{dtd}", dtd.len());
+        let err = load_edition(&bundle).unwrap_err();
+        assert!(err.to_string().contains("trailing"), "{err}");
     }
 
     #[test]

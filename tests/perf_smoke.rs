@@ -50,7 +50,7 @@ fn check_insertion_200_words_stays_interactive() {
 /// Guards the cxobs instrumentation cost on the gated-edit path: a live
 /// [`Registry`] (span timers + relaxed counter bumps) must stay within
 /// 5% of a no-op [`Registry::disabled`] baseline, which skips the clock
-/// reads entirely. Rounds are interleaved and each mode keeps its best
+/// reads and the counter bumps entirely. Rounds are interleaved and each mode keeps its best
 /// round, so a scheduler hiccup hits one round, not one mode. It holds
 /// the one [`Scenario`] because its sibling below turns process-wide
 /// tracing on while it measures.
