@@ -1,9 +1,10 @@
 //! `pn-unannotated`: no bare `unwrap()` / `expect()` / `panic!` on
 //! serving-stack production paths.
 //!
-//! A panic in the store, WAL, cluster, or server tier is an outage (the
-//! server contains handler panics, but that containment is a last line,
-//! not a license). Sites that really are unreachable must say so: an
+//! A panic in the store, WAL, cluster, or server tier — or in the `sacx`
+//! code they call on every request: the edit apply body and the stand-off
+//! decoder behind document blobs — is an outage (the server contains
+//! handler panics, but that containment is a last line, not a license). Sites that really are unreachable must say so: an
 //! `// invariant: …` comment on the same line or immediately above
 //! states the argument and is machine-checked here. Everything else is
 //! a finding.
@@ -13,10 +14,13 @@ use crate::lexer::Tok;
 use crate::source::{FileKind, Workspace};
 
 /// The serving stack: crates where a production panic is an outage.
-/// Parser/engine crates (`xmlcore`, `goddag`, `prevalid`, …) are not
-/// scoped in — they run behind the store's prevalidation gate and their
-/// error contracts predate this rule.
-const SCOPE: &[&str] = &["cxstore", "cxpersist", "cxcluster", "cxrepl", "cxserve", "cxwire"];
+/// `sacx` is in because the serving path's edit apply (`sacx::EditOp`)
+/// and its blob decoder (`sacx::StandoffDoc`) live there. The other
+/// parser/engine crates (`xmlcore`, `goddag`, `prevalid`, …) are not
+/// scoped in — they run behind `sacx`'s name checks and the store's
+/// prevalidation gate, and their error contracts predate this rule.
+const SCOPE: &[&str] =
+    &["sacx", "cxstore", "cxpersist", "cxcluster", "cxrepl", "cxserve", "cxwire"];
 
 /// Lines of slack above the site for its `invariant:` comment.
 const WINDOW: u32 = 3;

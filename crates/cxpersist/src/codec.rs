@@ -16,7 +16,9 @@
 //! space). Fields are read with the workspace's one token cursor
 //! ([`sacx::Tokens`]: strings percent-escaped, the empty string a lone `%`)
 //! and an `edit` record's tail is [`EditOp::write_tokens`] verbatim — the
-//! same spelling a `cxq1` edit request carries. `ins` records
+//! paper core's one edit spelling (`sacx::EditOp`, re-exported by
+//! `cxstore`), which a `cxq1` edit request and an xTagger script line
+//! carry too. `ins` records
 //! carry the document blob as a *length-prefixed raw payload block* after
 //! the line (escaping it would ~triple its size; the blob's own CRC footer
 //! guards its integrity). Torn or bit-flipped trailing records are

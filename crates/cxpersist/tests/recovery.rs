@@ -6,9 +6,11 @@
 mod common;
 
 use common::TempDir;
-use cxpersist::{DurableStore, FsyncPolicy, Options, PersistError};
+use cxpersist::{encode_record, DurableStore, FsyncPolicy, Options, PersistError, WalOp};
 use cxstore::{DocId, EditOp, StoreError};
 use std::collections::BTreeMap;
+use std::fs::OpenOptions;
+use std::io::Write as _;
 
 /// A corpus manuscript with the standard DTDs attached (so inserts are
 /// prevalidation-gated).
@@ -316,4 +318,58 @@ fn unbind_name_is_durable_and_replayable() {
     let store = open();
     assert!(store.store().id_by_name("ms").is_err());
     assert_eq!(store.store().name_bindings().len(), 1);
+}
+
+/// `dmg` over `0..3` of Figure 1 with one attribute: an insert that
+/// applies whenever its attribute name is an XML name.
+fn dmg_with_attr(name: &str) -> EditOp {
+    EditOp::InsertElement {
+        hierarchy: "dmg".into(),
+        tag: "dmg".into(),
+        attrs: vec![(name.into(), "v".into())],
+        start: 0,
+        end: 3,
+    }
+}
+
+#[test]
+fn a_bad_attribute_name_is_refused_before_the_log() {
+    let dir = TempDir::new("bad-attr");
+    let before = {
+        let store = DurableStore::open(dir.path()).unwrap();
+        let fig = store.insert(corpus::figure1::goddag()).unwrap();
+        let lsn = store.last_lsn();
+        let err = store.edit(fig, dmg_with_attr("1x")).unwrap_err();
+        assert!(matches!(err, PersistError::Store(StoreError::EditRejected(_))), "{err}");
+        assert_eq!(store.last_lsn(), lsn, "a refused edit is never logged");
+        assert_eq!(store.stats().edits_rejected, 1);
+        observe(&store)
+    };
+    let store = DurableStore::open(dir.path()).unwrap();
+    assert_eq!(observe(&store), before);
+    // The same insert with a good name applies: only the name was wrong.
+    let fig = store.store().doc_ids()[0];
+    assert!(store.edit(fig, dmg_with_attr("agent")).unwrap().node.is_some());
+}
+
+#[test]
+fn a_logged_edit_with_a_bad_name_replays_as_rejected() {
+    let dir = TempDir::new("poisoned");
+    let (fig, lsn, epoch, before) = {
+        let store = DurableStore::open(dir.path()).unwrap();
+        let fig = store.insert(corpus::figure1::goddag()).unwrap();
+        store.edit(fig, dmg_with_attr("agent")).unwrap();
+        (fig, store.last_lsn(), store.store().epoch(fig).unwrap(), observe(&store))
+    };
+    // The record a store without the name check logged before it panicked
+    // applying it.
+    let poisoned = WalOp::Edit { doc: fig, epoch, op: dmg_with_attr("1x") };
+    let mut wal = OpenOptions::new().append(true).open(dir.path().join("wal.log")).unwrap();
+    wal.write_all(encode_record(lsn + 1, &poisoned).as_bytes()).unwrap();
+    drop(wal);
+
+    let store = DurableStore::open(dir.path()).unwrap();
+    assert_eq!(store.recovery().replayed_rejected, 1);
+    assert_eq!(store.last_lsn(), lsn + 1, "the record is consumed, not dropped as torn");
+    assert_eq!(observe(&store), before, "the document is unchanged");
 }

@@ -21,8 +21,9 @@
 //! sub-queries — is declared once with [`sacx::vocabulary!`] and matched
 //! as an enum, so a variant without an encoder or decoder arm does not
 //! compile. An `edit` request carries its operation as
-//! [`EditOp::write_tokens`] writes it: the spelling of the WAL record the
-//! edit becomes.
+//! [`EditOp::write_tokens`] writes it (`sacx::EditOp`, re-exported by
+//! `cxstore`): the spelling of the WAL record the edit becomes, and of a
+//! line of an xTagger script.
 //!
 //! Error frames are **typed** — `shard_down`, `timeout`, `stale`,
 //! `wrong_shard`, … — so a client can react structurally (refresh its

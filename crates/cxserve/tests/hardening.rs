@@ -139,3 +139,37 @@ fn a_blob_that_parses_but_cannot_be_restored_is_a_bad_request() {
     assert_eq!(cluster.shards()[0].last_lsn(), lsn + 1, "the good import was logged once");
     server.shutdown();
 }
+
+/// A blob whose stand-off text carries an attribute name that is not an
+/// XML name is answered `bad_request` by the decoder, not by a caught
+/// panic: nothing is logged and the server counts no panic.
+#[test]
+fn a_blob_with_a_bad_attribute_name_is_a_bad_request() {
+    let dir = TempDir::new("harden-attr");
+    let cluster = open_cluster(&dir, 1);
+    let server =
+        ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut g = manuscript(30, 77);
+    let w = g.find_elements("w")[0];
+    g.set_attr(w, "zz", "1").unwrap();
+    let mut hostile = DocBlob::capture(&g);
+    assert_eq!(hostile.standoff.matches(" zz=1").count(), 1);
+    hostile.standoff = hostile.standoff.replace(" zz=1", " 1x=1");
+    assert!(DocBlob::parse_text(&hostile.to_text()).is_ok(), "the hostile blob parses");
+
+    let lsn = cluster.shards()[0].last_lsn();
+    let mut s = raw_conn(&server);
+    cxwire::write_frame(&mut s, &Request::Insert { name: None, blob: hostile }.encode()).unwrap();
+    let resp = read_response(&mut s);
+    assert!(matches!(resp, Response::Err(WireError::BadRequest(_))), "{resp:?}");
+    assert_eq!(cluster.shards()[0].last_lsn(), lsn, "nothing was logged");
+
+    let page = Client::connect(server.addr(), ClientOptions::default()).unwrap().metrics().unwrap();
+    let panics: u64 = page
+        .lines()
+        .filter(|l| l.starts_with("cx_server_panics_total"))
+        .filter_map(|l| l.split_whitespace().last()?.parse::<u64>().ok())
+        .sum();
+    assert_eq!(panics, 0, "{page}");
+    server.shutdown();
+}

@@ -17,7 +17,8 @@ pub enum StoreError {
     NoSuchName(String),
     /// An edit referenced a hierarchy the document does not have.
     UnknownHierarchy(String),
-    /// The prevalidation gate rejected an edit.
+    /// The prevalidation gate rejected an edit, or it carries a name that
+    /// is not an XML name.
     EditRejected(String),
     /// A document-level operation failed.
     Goddag(goddag::GoddagError),
@@ -57,6 +58,16 @@ impl std::error::Error for StoreError {
 impl From<goddag::GoddagError> for StoreError {
     fn from(e: goddag::GoddagError) -> StoreError {
         StoreError::Goddag(e)
+    }
+}
+
+impl From<sacx::EditError> for StoreError {
+    fn from(e: sacx::EditError) -> StoreError {
+        match e {
+            sacx::EditError::UnknownHierarchy(h) => StoreError::UnknownHierarchy(h),
+            sacx::EditError::BadName(why) => StoreError::EditRejected(why),
+            sacx::EditError::Goddag(e) => StoreError::Goddag(e),
+        }
     }
 }
 

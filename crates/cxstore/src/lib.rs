@@ -20,11 +20,12 @@
 //! * **One document table** — a single id-ordered map under one lock, so
 //!   [`Store::doc_ids`] and the batch path see an atomic snapshot in
 //!   insertion order; document locks are only taken after it is released.
-//! * **Gated edits** — [`EditOp`] is the only way a stored document
-//!   changes. [`Store::edit`] applies one under the document's write lock;
-//!   markup insertions into a hierarchy with a DTD are checked through
-//!   `prevalid` first, so a store full of valid documents stays
-//!   potentially valid.
+//! * **Gated edits** — [`EditOp`] (re-exported from `sacx`, where its one
+//!   resolve + apply body lives) is the only way a stored document changes.
+//!   [`Store::edit`] applies one under the document's write lock; names are
+//!   checked, and markup insertions into a hierarchy with a DTD go through
+//!   `prevalid`, before the durability hook sees the op, so a store full of
+//!   valid documents stays potentially valid.
 //! * **Observability** — every store owns a [`cxobs::Registry`] holding
 //!   its event counters (cache hits/misses, edits) and latency histograms
 //!   for the query, batch, and gated-edit paths; the layers stacked on
@@ -51,13 +52,12 @@
 //! assert_eq!(stats.query_cache_hits, 1);
 //! ```
 
-mod edit;
 mod entry;
 mod error;
 mod stats;
 mod store;
 
-pub use edit::{EditOp, EditOutcome};
 pub use error::{Result, StoreError};
+pub use sacx::{EditOp, EditOutcome};
 pub use stats::StoreStats;
 pub use store::{DocId, Store};

@@ -1,7 +1,6 @@
 //! The repository: document registry, compiled-query cache, single and
 //! batch query paths, gated edits.
 
-use crate::edit::{EditOp, EditOutcome};
 use crate::entry::DocEntry;
 use crate::error::{Result, StoreError};
 use crate::stats::{StoreMetrics, StoreStats};
@@ -9,11 +8,11 @@ use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
 use prevalid::InsertionContext;
+use sacx::{EditError, EditOp, EditOutcome, Resolved};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
-use xmlcore::{Attribute, QName};
 
 /// Stable handle to a document in a [`Store`]. Never reused, ordered by
 /// insertion.
@@ -381,7 +380,7 @@ impl Store {
     }
 
     /// [`Store::edit`] with a durability hook: after the edit passes
-    /// validation (document lookup, prevalidation gate, tag syntax) but
+    /// validation (document lookup, names, prevalidation gate) but
     /// *before* any mutation, `log` is called — still under the document's
     /// write lock — with the operation and the document's current edit
     /// epoch. This is where a write-ahead log appends the record: a crash
@@ -391,9 +390,9 @@ impl Store {
     /// outcome.
     ///
     /// Determinism contract relied on by replay: given the same document
-    /// state and the same op, the mutation result (including any structural
+    /// state and the same op, [`Resolved::apply`] (including any structural
     /// rejection *after* logging, e.g. crossing markup) is identical — so a
-    /// logged record can be re-run through this same path on recovery.
+    /// logged record can be re-run through [`Store::apply_replicated`].
     pub fn edit_with_log<E>(
         &self,
         id: DocId,
@@ -413,7 +412,7 @@ impl Store {
         let mut g = entry.write();
         let gate_result = {
             let gate_trace = trace::span("store.gate");
-            let r = self.metrics.gate_ns.time(|| self.gate(&entry, &g, &op));
+            let r = self.metrics.gate_ns.time(|| self.gate(&entry, &g, op));
             if let Err(err) = &r {
                 gate_trace.err(err.to_string());
             }
@@ -428,120 +427,51 @@ impl Store {
                 return Ok(Err(err));
             }
         };
-        log(&op, g.edit_epoch())?;
-        let result = self.apply(&mut g, op, resolved);
-        self.count_outcome(&result);
-        Ok(result)
+        log(resolved.op(), g.edit_epoch())?;
+        Ok(self.count_outcome(resolved.apply(&mut g)))
     }
 
     /// Apply one [`EditOp`] *without* the prevalidation gate — the apply
-    /// path of replication followers, which replay operations a primary
-    /// already validated (gate-rejected edits never reach a primary's log,
-    /// so re-running the gate here would re-pay prevalidation for nothing).
-    /// Hierarchy resolution and tag syntax are still checked, and
-    /// structural failures (e.g. crossing markup inside one hierarchy)
-    /// surface exactly as they do on the primary — the determinism the
-    /// recovery path already relies on. The caller is responsible for
-    /// ordering (applying records in LSN order) and for epoch
-    /// verification; this method only executes the mutation.
+    /// path of recovery and replication followers, which replay operations
+    /// a primary already validated (gate-rejected edits never reach a
+    /// primary's log, so re-running the gate here would re-pay
+    /// prevalidation for nothing). The op runs through the same
+    /// [`EditOp::apply`] body as [`Store::edit`], so names are still
+    /// checked and every failure surfaces exactly as it does on the
+    /// primary. The caller is responsible for ordering (applying records
+    /// in LSN order) and for epoch verification.
     pub fn apply_replicated(&self, id: DocId, op: EditOp) -> Result<EditOutcome> {
         let entry = self.entry(id)?;
         let mut g = entry.write();
-        let resolved = Self::resolve_insert(&g, &op)?;
-        let result = self.apply(&mut g, op, resolved);
-        self.count_outcome(&result);
-        result
+        self.count_outcome(op.apply(&mut g))
     }
 
-    /// Resolve an `InsertElement`'s hierarchy and tag syntax — shared by
-    /// the gated edit path and the replication apply path so structural
-    /// verdicts stay deterministic between primary, recovery, and
-    /// replicas. `None` for every other op.
-    fn resolve_insert(g: &Goddag, op: &EditOp) -> Result<Option<(goddag::HierarchyId, QName)>> {
-        let EditOp::InsertElement { hierarchy, tag, .. } = op else {
-            return Ok(None);
-        };
-        let h = g
-            .hierarchy_by_name(hierarchy)
-            .ok_or_else(|| StoreError::UnknownHierarchy(hierarchy.clone()))?;
-        let name = QName::parse(tag)
-            .map_err(|_| StoreError::EditRejected(format!("invalid tag {tag:?}")))?;
-        Ok(Some((h, name)))
-    }
-
-    /// The pure pre-mutation checks for an op: hierarchy existence, tag
-    /// syntax, and the prevalidation gate for `InsertElement` into a
-    /// hierarchy that carries a DTD. Runs before the WAL append so rejected
-    /// edits never pollute the log. Returns the resolved hierarchy and tag
-    /// for `InsertElement` so [`Store::apply`] does not repeat the lookups.
-    fn gate(
-        &self,
-        entry: &DocEntry,
-        g: &Goddag,
-        op: &EditOp,
-    ) -> Result<Option<(goddag::HierarchyId, QName)>> {
-        let Some((h, name)) = Self::resolve_insert(g, op)? else {
-            return Ok(None);
-        };
-        let EditOp::InsertElement { tag, start, end, .. } = op else {
-            unreachable!("resolve_insert only resolves InsertElement")
-        };
-        if let Some(engine) = entry.engine_for(g, h) {
-            // One reusable check context per gated edit: the host partition
-            // and wrap tables are built once and the tag is tested against
-            // them (the same context that powers [`Store::suggest_tags`]).
-            let verdict = match InsertionContext::new(&engine, g, h, *start, *end) {
-                Ok(ctx) => ctx.check(tag),
-                Err(v) => v,
-            };
-            if !verdict.ok {
-                return Err(StoreError::EditRejected(
-                    verdict.reason.unwrap_or_else(|| "prevalidation failed".into()),
-                ));
+    /// The pre-mutation checks for an op: [`EditOp::resolve`], then the
+    /// prevalidation gate for `InsertElement` into a hierarchy that carries
+    /// a DTD. Runs before the WAL append so rejected edits never pollute
+    /// the log.
+    fn gate(&self, entry: &DocEntry, g: &Goddag, op: EditOp) -> Result<Resolved> {
+        let resolved = op.resolve(g)?;
+        if let (Some(h), EditOp::InsertElement { tag, start, end, .. }) =
+            (resolved.hierarchy(), resolved.op())
+        {
+            if let Some(engine) = entry.engine_for(g, h) {
+                // One reusable check context per gated edit: the host
+                // partition and wrap tables are built once and the tag is
+                // tested against them (the same context that powers
+                // [`Store::suggest_tags`]).
+                let verdict = match InsertionContext::new(&engine, g, h, *start, *end) {
+                    Ok(ctx) => ctx.check(tag),
+                    Err(v) => v,
+                };
+                if !verdict.ok {
+                    return Err(StoreError::EditRejected(
+                        verdict.reason.unwrap_or_else(|| "prevalidation failed".into()),
+                    ));
+                }
             }
         }
-        Ok(Some((h, name)))
-    }
-
-    fn apply(
-        &self,
-        g: &mut Goddag,
-        op: EditOp,
-        resolved: Option<(goddag::HierarchyId, QName)>,
-    ) -> Result<EditOutcome> {
-        let node = match op {
-            EditOp::InsertElement { attrs, start, end, .. } => {
-                // invariant: `gate` ran first and always resolves
-                // InsertElement (or fails the edit before apply).
-                let (h, name) = resolved.expect("gate resolves InsertElement");
-                let attrs = attrs
-                    .into_iter()
-                    .map(|(n, v)| Attribute::new(n.as_str(), v))
-                    .collect::<Vec<_>>();
-                Some(g.insert_element(h, name, attrs, start, end)?)
-            }
-            EditOp::RemoveElement(n) => {
-                g.remove_element(n)?;
-                None
-            }
-            EditOp::InsertText { offset, text } => {
-                g.insert_text(offset, &text)?;
-                None
-            }
-            EditOp::DeleteText { start, end } => {
-                g.delete_text(start, end)?;
-                None
-            }
-            EditOp::SetAttr { node, name, value } => {
-                g.set_attr(node, &name, &value)?;
-                None
-            }
-            EditOp::RemoveAttr { node, name } => {
-                g.remove_attr(node, &name)?;
-                None
-            }
-        };
-        Ok(EditOutcome { node, epoch: g.edit_epoch() })
+        Ok(resolved)
     }
 
     /// Every tag the hierarchy's DTD allows over `start..end` — the editor
@@ -620,11 +550,15 @@ impl Store {
     }
 
     /// Count an applied edit, or one the document refused after the gate.
-    fn count_outcome(&self, result: &Result<EditOutcome>) {
+    fn count_outcome(
+        &self,
+        result: std::result::Result<EditOutcome, EditError>,
+    ) -> Result<EditOutcome> {
         match result {
             Ok(_) => self.metrics.edits.bump(),
             Err(_) => self.metrics.edits_rejected.bump(),
         }
+        Ok(result?)
     }
 
     fn query_entry(&self, entry: &DocEntry, ast: &Expr) -> Result<Vec<goddag::NodeId>> {
@@ -683,7 +617,6 @@ impl Observable for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::edit::EditOp;
 
     fn assert_send_sync<T: Send + Sync>() {}
 

@@ -54,6 +54,7 @@ pub fn export_fragmentation(g: &Goddag, opts: &FragmentationOptions) -> Result<S
     let fragmented = sweep(&elems, &events, g, None)?;
     // Pass 2: emit.
     let mut writer = Writer::new();
+    // invariant: the root always has a name.
     writer.start_with(g.name(g.root()).expect("root is named"), g.attrs(g.root()));
     let mut emit = Emit { writer, join_seq: 0, join_ids: BTreeMap::new(), fragmented };
     sweep(&elems, &events, g, Some(&mut emit))?;
@@ -68,10 +69,12 @@ fn wrap_xml(e: xmlcore::XmlError) -> SacxError {
 fn collect_logical(g: &Goddag, opts: &FragmentationOptions) -> Vec<Logical> {
     let mut elems: Vec<(NodeOrd, Logical)> = Vec::new();
     for h in g.hierarchy_ids() {
+        // invariant: `h` comes from `hierarchy_ids`, so it is live.
         let hname = &g.hierarchy(h).expect("live id").name;
         for e in g.elements_in(h) {
             let (start, end) = g.char_range(e);
             let name = exported_name(
+                // invariant: every element has a name.
                 g.name(e).expect("elements are named"),
                 hname,
                 &opts.default_hierarchy,
@@ -142,11 +145,7 @@ impl Emit {
         let l = &elems[i];
         let mut attrs = l.attrs.clone();
         if self.fragmented.contains(&i) {
-            let id = self.join_ids.entry(i).or_insert_with(|| {
-                self.join_seq += 1;
-                format!("j{}", self.join_seq)
-            });
-            attrs.push(Attribute::new(CX_JOIN, id.clone()));
+            attrs.push(Attribute::new(CX_JOIN, self.join_id(i)));
         }
         self.writer.start_with(&l.name, &attrs);
     }
@@ -155,8 +154,19 @@ impl Emit {
     /// (they live on the first fragment).
     fn reopen(&mut self, elems: &[Logical], i: usize) {
         let l = &elems[i];
-        let id = self.join_ids.get(&i).expect("fragmented element has a join id").clone();
+        let id = self.join_id(i);
         self.writer.start_with(&l.name, &[Attribute::new(CX_JOIN, id)]);
+    }
+
+    /// Element `i`'s join id, minted the first time one of its fragments
+    /// opens.
+    fn join_id(&mut self, i: usize) -> String {
+        let seq = &mut self.join_seq;
+        let id = self.join_ids.entry(i).or_insert_with(|| {
+            *seq += 1;
+            format!("j{seq}")
+        });
+        id.clone()
     }
 }
 

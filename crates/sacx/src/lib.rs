@@ -14,6 +14,8 @@
 //! * [`StandoffDriver`] — base text + annotation records.
 //! * [`merge_events`] / [`SacxHandler`] — the merged SAX-style event stream
 //!   for streaming consumers.
+//! * [`EditOp`] — the one edit vocabulary every editing layer speaks, with
+//!   its text spelling and its one resolve + apply body.
 //!
 //! ```
 //! let g = sacx::parse_distributed(&[
@@ -24,6 +26,7 @@
 //! ```
 
 mod distributed;
+mod edit;
 mod error;
 mod event;
 mod extract;
@@ -37,6 +40,7 @@ pub mod driver;
 
 pub use distributed::{export_distributed, parse_distributed};
 pub use driver::{builtin_drivers, Driver, FragmentationDriver, MilestoneDriver, StandoffDriver};
+pub use edit::{EditError, EditOp, EditOutcome, OpKind, Resolved};
 pub use error::{Result, SacxError};
 pub use event::{drive, merge_events, SacxEvent, SacxHandler};
 pub use extract::{extract, ExtractedDoc, ExtractedRange};

@@ -97,6 +97,7 @@ impl StandoffDoc {
                     (span.start, -(span.end as i64), h.0, depth),
                     Annotation {
                         hierarchy: h.0,
+                        // invariant: every element has a name.
                         tag: g.name(e).expect("named").local.clone(),
                         start,
                         end,
@@ -115,6 +116,7 @@ impl StandoffDoc {
         annotations.sort_by_key(|(_, key, _)| *key);
         let ids = annotations.iter().map(|(e, _, _)| *e).collect();
         let doc = StandoffDoc {
+            // invariant: the root always has a name.
             root: g.name(g.root()).expect("root is named").to_string(),
             root_attrs: g
                 .attrs(g.root())
@@ -123,6 +125,7 @@ impl StandoffDoc {
                 .collect(),
             hierarchies: g
                 .hierarchy_ids()
+                // invariant: `h` comes from `hierarchy_ids`, so it is live.
                 .map(|h| g.hierarchy(h).expect("live id").name.clone())
                 .collect(),
             content: g.content(),
@@ -142,12 +145,20 @@ impl StandoffDoc {
     /// [`GoddagBuilder::layout`] before `finish`.
     pub fn into_builder(self) -> Result<GoddagBuilder> {
         let bad = |detail: String| SacxError::Standoff { line: 0, detail };
-        let attrs = |pairs: Vec<(String, String)>| -> Vec<Attribute> {
-            pairs.into_iter().map(|(n, v)| Attribute::new(n.as_str(), v)).collect()
+        let attrs = |pairs: Vec<(String, String)>| -> Result<Vec<Attribute>> {
+            // Sized exactly (collecting `Result`s would not be): the list
+            // lives on in the document.
+            let mut out = Vec::with_capacity(pairs.len());
+            for (n, value) in pairs {
+                let name =
+                    QName::parse(&n).map_err(|e| bad(format!("bad attribute name {n:?}: {e}")))?;
+                out.push(Attribute { name, value });
+            }
+            Ok(out)
         };
         let root = QName::parse(&self.root).map_err(|e| bad(format!("bad root name: {e}")))?;
         let mut b = GoddagBuilder::new(root);
-        b.root_attrs(attrs(self.root_attrs));
+        b.root_attrs(attrs(self.root_attrs)?);
         b.content(self.content);
         let hids: Vec<HierarchyId> = self.hierarchies.into_iter().map(|n| b.hierarchy(n)).collect();
         for a in self.annotations {
@@ -159,7 +170,7 @@ impl StandoffDoc {
             b.range_spec(RangeSpec {
                 hierarchy: h,
                 name,
-                attrs: attrs(a.attrs),
+                attrs: attrs(a.attrs)?,
                 start: a.start,
                 end: a.end,
             });
@@ -360,6 +371,18 @@ mod tests {
         let bad = "#cxml-standoff v1\nroot r\nhierarchy a\ncontent 2\nxy\nannot 5 w 0 1\n";
         let doc = StandoffDoc::parse_text(bad).unwrap();
         assert!(matches!(doc.to_goddag(), Err(SacxError::Standoff { .. })));
+    }
+
+    #[test]
+    fn bad_tag_and_attribute_names_rejected() {
+        let good =
+            "#cxml-standoff v1\nroot r id=1\nhierarchy a\ncontent 3\nxyz\nannot 0 w 0 3 n=1\n";
+        assert!(import_standoff(good).is_ok());
+        for (from, to) in [("annot 0 w", "annot 0 1w"), (" n=1", " 1x=1"), ("id=1", "1d=1")] {
+            let bad = good.replace(from, to);
+            let err = import_standoff(&bad).unwrap_err();
+            assert!(matches!(err, SacxError::Standoff { .. }), "{to:?}: {err}");
+        }
     }
 
     #[test]

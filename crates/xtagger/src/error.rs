@@ -53,6 +53,16 @@ impl From<sacx::SacxError> for XTaggerError {
     }
 }
 
+impl From<sacx::EditError> for XTaggerError {
+    fn from(e: sacx::EditError) -> XTaggerError {
+        match e {
+            sacx::EditError::UnknownHierarchy(_) => XTaggerError::Query(e.to_string()),
+            sacx::EditError::BadName(why) => XTaggerError::Goddag(goddag::GoddagError::Edit(why)),
+            sacx::EditError::Goddag(e) => XTaggerError::Goddag(e),
+        }
+    }
+}
+
 /// Result alias for xTagger operations.
 pub type Result<T> = std::result::Result<T, XTaggerError>;
 

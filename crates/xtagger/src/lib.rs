@@ -4,7 +4,9 @@
 //! Dekhtyar, JCDL 2005): an interactive [`Session`] over a GODDAG with
 //! selection-based markup insertion, a prevalidation gate powered by the
 //! `prevalid` engine, tag suggestions, undo/redo, Extended XPath queries,
-//! and hierarchy filtering for partial views/exports.
+//! and hierarchy filtering for partial views/exports. Every edit is a
+//! [`sacx::EditOp`], so a recorded session replays as a [`run_script`] of
+//! the same lines a WAL record or a `cxq1` frame spells.
 //!
 //! ```
 //! use xtagger::Session;

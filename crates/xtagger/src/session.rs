@@ -13,9 +13,10 @@
 //! * Extended XPath querying of the working document.
 
 use crate::error::{Result, XTaggerError};
-use goddag::{Goddag, GoddagError, HierarchyId, NodeId};
+use goddag::{Goddag, HierarchyId, NodeId};
 use prevalid::{check_hierarchy, check_insertion, suggest_tags, HierarchyReport, PrevalidEngine};
-use xmlcore::{Attribute, QName};
+use sacx::{EditOp, EditOutcome};
+use xmlcore::Attribute;
 
 /// One undo/redo slot.
 struct Snapshot {
@@ -84,12 +85,6 @@ impl Session {
         &self.history
     }
 
-    fn snapshot(&mut self, label: &str) {
-        self.undo_stack.push(Snapshot { label: label.to_string(), goddag: self.goddag.clone() });
-        self.redo_stack.clear();
-        self.history.push(label.to_string());
-    }
-
     /// Undo the last command. Returns its label.
     pub fn undo(&mut self) -> Result<String> {
         let snap = self.undo_stack.pop().ok_or(XTaggerError::NothingToUndo)?;
@@ -114,9 +109,60 @@ impl Session {
     // Editing commands
     // ------------------------------------------------------------------
 
-    /// Insert `<tag>` over content bytes `start..end` in hierarchy `h`.
-    /// With prevalidation on and a DTD present, the insertion is first
-    /// checked and refused if it creates a dead end.
+    /// Apply one edit: resolve its names, run the prevalidation gate (an
+    /// element insert into a hierarchy with a DTD, while the gate is on),
+    /// then mutate. A refused edit leaves the document, the undo and redo
+    /// stacks and the history as they were; an applied one becomes one
+    /// undo step.
+    pub fn apply(&mut self, op: EditOp) -> Result<EditOutcome> {
+        let label = match &op {
+            EditOp::InsertElement { tag, start, end, .. } => {
+                format!("insert <{tag}> {start}..{end}")
+            }
+            EditOp::RemoveElement(n) => {
+                let name = self.goddag.is_alive(*n).then(|| self.goddag.name(*n)).flatten();
+                format!("remove <{}>", name.map(|q| q.to_string()).unwrap_or_default())
+            }
+            EditOp::SetAttr { name, .. } => format!("set @{name}"),
+            EditOp::RemoveAttr { name, .. } => format!("remove @{name}"),
+            EditOp::InsertText { offset, .. } => format!("insert text @{offset}"),
+            EditOp::DeleteText { start, end } => format!("delete text {start}..{end}"),
+        };
+        let resolved = op.resolve(&self.goddag)?;
+        if let (Some(h), EditOp::InsertElement { tag, start, end, .. }) =
+            (resolved.hierarchy(), resolved.op())
+        {
+            let engine = self.engines.get(h.idx()).and_then(Option::as_ref);
+            if let Some(engine) = engine.filter(|_| self.prevalidation) {
+                let verdict = check_insertion(engine, &self.goddag, h, tag, *start, *end);
+                if !verdict.ok {
+                    return Err(XTaggerError::PrevalidationRejected {
+                        tag: tag.clone(),
+                        reason: verdict.reason.unwrap_or_else(|| "dead end".into()),
+                    });
+                }
+            }
+        }
+        let before = self.goddag.clone();
+        match resolved.apply(&mut self.goddag) {
+            Ok(out) => {
+                self.undo_stack.push(Snapshot { label: label.clone(), goddag: before });
+                self.redo_stack.clear();
+                self.history.push(label);
+                Ok(out)
+            }
+            Err(e) => {
+                // The command didn't happen: a refusal after a leaf split
+                // must not leave the split behind.
+                self.goddag = before;
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Insert `<tag>` over content bytes `start..end` in hierarchy `h` —
+    /// [`Session::apply`] of an [`EditOp::InsertElement`], returning the
+    /// new element.
     pub fn insert_markup(
         &mut self,
         h: HierarchyId,
@@ -125,81 +171,14 @@ impl Session {
         start: usize,
         end: usize,
     ) -> Result<NodeId> {
-        if self.prevalidation {
-            if let Some(engine) = self.engines.get(h.idx()).and_then(Option::as_ref) {
-                let verdict = check_insertion(engine, &self.goddag, h, tag, start, end);
-                if !verdict.ok {
-                    return Err(XTaggerError::PrevalidationRejected {
-                        tag: tag.to_string(),
-                        reason: verdict.reason.unwrap_or_else(|| "dead end".into()),
-                    });
-                }
-            }
+        let hierarchy = self.goddag.hierarchy(h)?.name.clone();
+        if self.goddag.hierarchy_by_name(&hierarchy) != Some(h) {
+            return Err(XTaggerError::Query(format!("hierarchy name {hierarchy:?} is ambiguous")));
         }
-        self.snapshot(&format!("insert <{tag}> {start}..{end}"));
-        let name = QName::parse(tag)
-            .map_err(|e| XTaggerError::Goddag(GoddagError::Edit(e.to_string())))?;
-        match self.goddag.insert_element(h, name, attrs, start, end) {
-            Ok(id) => Ok(id),
-            Err(e) => {
-                // Roll the snapshot back; the command didn't happen.
-                let snap = self.undo_stack.pop().expect("just pushed");
-                self.goddag = snap.goddag;
-                self.history.pop();
-                Err(XTaggerError::Goddag(e))
-            }
-        }
-    }
-
-    /// Remove an element (its content stays).
-    pub fn remove_markup(&mut self, node: NodeId) -> Result<()> {
-        let label = format!(
-            "remove <{}>",
-            self.goddag.name(node).map(|q| q.to_string()).unwrap_or_default()
-        );
-        self.snapshot(&label);
-        match self.goddag.remove_element(node) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                let snap = self.undo_stack.pop().expect("just pushed");
-                self.goddag = snap.goddag;
-                self.history.pop();
-                Err(XTaggerError::Goddag(e))
-            }
-        }
-    }
-
-    /// Set an attribute on an element.
-    pub fn set_attribute(&mut self, node: NodeId, name: &str, value: &str) -> Result<()> {
-        self.snapshot(&format!("set @{name}"));
-        self.goddag.set_attr(node, name, value).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
-    }
-
-    /// Insert text at a byte offset (all hierarchies see the edit).
-    pub fn insert_text(&mut self, offset: usize, text: &str) -> Result<()> {
-        self.snapshot(&format!("insert text @{offset}"));
-        self.goddag.insert_text(offset, text).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
-    }
-
-    /// Delete the content bytes `start..end`.
-    pub fn delete_text(&mut self, start: usize, end: usize) -> Result<()> {
-        self.snapshot(&format!("delete text {start}..{end}"));
-        self.goddag.delete_text(start, end).map_err(|e| {
-            let snap = self.undo_stack.pop().expect("just pushed");
-            self.goddag = snap.goddag;
-            self.history.pop();
-            XTaggerError::Goddag(e)
-        })
+        let attrs = attrs.into_iter().map(|a| (a.name.to_string(), a.value)).collect();
+        let op = EditOp::InsertElement { hierarchy, tag: tag.into(), attrs, start, end };
+        // invariant: an applied element insert always reports its node.
+        Ok(self.apply(op)?.node.expect("element inserts create a node"))
     }
 
     // ------------------------------------------------------------------
@@ -239,6 +218,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goddag::GoddagError;
     use xmlcore::dtd::parse_dtd;
 
     const DTD: &str = "
@@ -333,9 +313,9 @@ mod tests {
     fn text_edits_and_undo() {
         let (mut s, h) = session();
         s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.insert_text(3, "n").unwrap();
+        s.apply(EditOp::InsertText { offset: 3, text: "n".into() }).unwrap();
         assert_eq!(s.goddag().content(), "swan hwa swe");
-        s.delete_text(0, 2).unwrap();
+        s.apply(EditOp::DeleteText { start: 0, end: 2 }).unwrap();
         assert_eq!(s.goddag().content(), "an hwa swe");
         s.undo().unwrap();
         s.undo().unwrap();
@@ -343,13 +323,76 @@ mod tests {
     }
 
     #[test]
-    fn set_attribute_command() {
+    fn attribute_commands() {
         let (mut s, h) = session();
         let w = s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.set_attribute(w, "type", "noun").unwrap();
+        let set = EditOp::SetAttr { node: w, name: "type".into(), value: "noun".into() };
+        s.apply(set).unwrap();
+        assert_eq!(s.goddag().attr(w, "type"), Some("noun"));
+        s.apply(EditOp::RemoveAttr { node: w, name: "type".into() }).unwrap();
+        assert_eq!(s.goddag().attr(w, "type"), None);
+        s.undo().unwrap();
         assert_eq!(s.goddag().attr(w, "type"), Some("noun"));
         s.undo().unwrap();
         assert_eq!(s.goddag().attr(w, "type"), None);
+        assert_eq!(s.history()[1..3], ["set @type", "remove @type"]);
+    }
+
+    #[test]
+    fn a_refused_insert_leaves_undo_redo_and_history_alone() {
+        // No DTD: nothing but the name check stands between the tag and
+        // the document.
+        let g = sacx::parse_distributed(&[("ling", "<r>swa hwa swe</r>")]).unwrap();
+        let h = g.hierarchy_by_name("ling").unwrap();
+        let mut s = Session::new(g);
+        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        s.insert_markup(h, "w", vec![], 4, 7).unwrap();
+        s.undo().unwrap();
+        let history = s.history().to_vec();
+        assert!(s.insert_markup(h, "1bad", vec![], 4, 7).is_err());
+        assert_eq!(s.history(), history, "no history entry for a refused command");
+        assert_eq!(s.undo_stack.len(), 1, "no undo entry for a refused command");
+        assert!(s.redo().unwrap().contains("insert <w> 4..7"), "the redo stack survives");
+    }
+
+    #[test]
+    fn insert_markup_refuses_a_hierarchy_it_cannot_name() {
+        let mut g = sacx::parse_distributed(&[("a", "<r>swa hwa</r>")]).unwrap();
+        let first = g.hierarchy_by_name("a").unwrap();
+        let second = g.add_hierarchy("a");
+        let mut s = Session::new(g);
+        assert!(matches!(s.insert_markup(second, "w", vec![], 0, 3), Err(XTaggerError::Query(_))));
+        assert_eq!(s.goddag().element_count(), 0);
+        s.insert_markup(first, "w", vec![], 0, 3).unwrap();
+    }
+
+    #[test]
+    fn refused_commands_leave_undo_redo_and_history_alone() {
+        let (mut s, h) = session();
+        s.insert_markup(h, "w", vec![], 0, 3).unwrap();
+        s.insert_markup(h, "w", vec![], 4, 7).unwrap();
+        s.undo().unwrap();
+        let history = s.history().to_vec();
+        let before = s.goddag().to_distributed().unwrap();
+        let refusals = [
+            s.insert_markup(h, "1bad", vec![], 4, 7).unwrap_err(),
+            s.apply(EditOp::SetAttr { node: NodeId(1), name: "1x".into(), value: "v".into() })
+                .unwrap_err(),
+            s.apply(EditOp::InsertText { offset: 1000, text: "x".into() }).unwrap_err(),
+            s.apply(EditOp::RemoveElement(NodeId(9999))).unwrap_err(),
+        ];
+        // Crossing markup fails after the insert has split a leaf.
+        s.set_prevalidation(false);
+        let crossing = s.insert_markup(h, "line", vec![], 1, 5).unwrap_err();
+        assert!(matches!(crossing, XTaggerError::Goddag(GoddagError::WouldCross { .. })));
+        assert!(matches!(refusals[0], XTaggerError::Goddag(_)), "{}", refusals[0]);
+        assert_eq!(s.history(), history, "no history entry for a refused command");
+        assert_eq!((s.undo_stack.len(), s.redo_stack.len()), (1, 1));
+        assert_eq!(s.goddag().to_distributed().unwrap(), before);
+        assert!(
+            s.redo().unwrap().contains("insert <w> 4..7"),
+            "the undone insert is still redoable"
+        );
     }
 
     #[test]
@@ -378,7 +421,8 @@ mod tests {
     fn remove_markup_and_undo() {
         let (mut s, h) = session();
         let w = s.insert_markup(h, "w", vec![], 0, 3).unwrap();
-        s.remove_markup(w).unwrap();
+        s.apply(EditOp::RemoveElement(w)).unwrap();
+        assert_eq!(s.history().last().unwrap(), "remove <w>");
         assert_eq!(s.goddag().element_count(), 0);
         s.undo().unwrap();
         assert_eq!(s.goddag().element_count(), 1);
