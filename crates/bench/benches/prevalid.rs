@@ -8,8 +8,9 @@
 //!   `<phrase>` over a two-word range inside that host (the per-keystroke
 //!   xTagger call, and the store's gated-edit cost);
 //! * `prevalid/suggest_tags/{words}` — the full tag-suggestion list over
-//!   the same range (partition + covered-items wrap table shared across
-//!   candidates; per-tag host-side checks re-run);
+//!   the same range (partition shared across candidates, covered-items
+//!   wrap table built only if a check needs it; per-tag host-side checks
+//!   re-run);
 //! * `prevalid/engine_compile` — `PrevalidEngine::new` on the standard
 //!   linguistic DTD (paid once per store entry / session hierarchy).
 //!

@@ -18,4 +18,4 @@ pub mod figure1;
 pub mod manuscript;
 pub mod text;
 
-pub use manuscript::{generate, mixed_host, Manuscript, Params};
+pub use manuscript::{bare_host, generate, mixed_host, Manuscript, Params};

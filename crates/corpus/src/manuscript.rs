@@ -259,6 +259,19 @@ fn build_editorial(
 /// smoke test. Returns the document, the hierarchy, and each word's byte
 /// range.
 pub fn mixed_host(words: usize) -> (Goddag, HierarchyId, Vec<(usize, usize)>) {
+    word_host(words, true)
+}
+
+/// [`mixed_host`] without the `<s>`: the words and the runs between them
+/// sit directly under the root `<r>`. Under the `ling` DTD, `r` does not
+/// hold `phrase` itself, so a `phrase` insertion here is only potentially
+/// valid by wrapping it into an `s`: the prevalidation case a linear pass
+/// cannot decide.
+pub fn bare_host(words: usize) -> (Goddag, HierarchyId, Vec<(usize, usize)>) {
+    word_host(words, false)
+}
+
+fn word_host(words: usize, sentence: bool) -> (Goddag, HierarchyId, Vec<(usize, usize)>) {
     assert!(words > 0, "a host needs at least one word");
     let mut content = String::new();
     let mut ranges = Vec::new();
@@ -274,8 +287,10 @@ pub fn mixed_host(words: usize) -> (Goddag, HierarchyId, Vec<(usize, usize)>) {
     let mut b = GoddagBuilder::new(QName::parse("r").unwrap());
     b.content(content);
     let h = b.hierarchy("ling");
-    b.range(h, "s", vec![], ranges[0].0, ranges.last().unwrap().1)
-        .expect("sentence range is word-aligned");
+    if sentence {
+        b.range(h, "s", vec![], ranges[0].0, ranges.last().unwrap().1)
+            .expect("sentence range is word-aligned");
+    }
     for &(s, e) in &ranges {
         b.range(h, "w", vec![], s, e).expect("word ranges are word-aligned");
     }
@@ -365,6 +380,14 @@ mod tests {
         // 5 <w> children + 4 non-whitespace text runs between them.
         assert_eq!(g.children_in(s, h).len(), 9);
         assert_eq!(g.find_elements("w").len(), 5);
+    }
+
+    #[test]
+    fn bare_host_shape() {
+        let (g, h, _) = bare_host(5);
+        check_invariants(&g).unwrap();
+        assert!(g.find_elements("s").is_empty());
+        assert_eq!(g.children_in(g.root(), h).len(), 9);
     }
 
     #[test]

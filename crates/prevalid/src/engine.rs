@@ -33,11 +33,39 @@
 //!   memoized per-(start, wrapper) state vectors so every (span, wrapper)
 //!   pair is decided exactly once.
 //!
-//! The result is `O(n³)` bit-ops in the child count `n` with tiny
-//! constants, against the old set-based engine's ≈`O(n⁴)` `BTreeSet`
-//! churn. Exact validity falls out as the same simulation with insertions
+//! A check is linear in the child count `n` when the linear decision below
+//! settles it, and `O(n³)` bit-ops with tiny constants when it falls back
+//! to the table (against the old set-based engine's ≈`O(n⁴)` `BTreeSet`
+//! churn). Exact validity falls out as the same simulation with insertions
 //! and wrapping disabled.
+//!
+//! # Linear decision
+//!
+//! Before any table, a potential check of host `x` over `items` makes one
+//! pass that settles most sequences, with an answer equal to the table's
+//! bit `x` of row `(0, n)`:
+//!
+//! * **No** when some item lies outside `x`'s derivable alphabet
+//!   (`derivable[x]`, or `text_ok[x]` for text) — the table's per-span
+//!   prefilter, applied to the whole sequence. Exact: `x`'s own start-0
+//!   dynamic program dies at that item, and the only other way into the
+//!   bit is the chain closure, through some `y ∈ wrap_closure[x]` that
+//!   wraps the whole span. But `wrap_closure[x] ⊆ derivable[x]` (a single
+//!   wrapped child is a symbol of `x`'s model, and chains compose), and
+//!   `derivable` is transitively closed, so every such `y`'s alphabet lies
+//!   inside `x`'s and misses the same item.
+//! * **Yes** when `x`'s automaton, with its free-insertion closure,
+//!   consumes every item itself and accepts. Exact: the table's start-0
+//!   dynamic program for `x` ORs the wrap steps and the fed-back rows into
+//!   this same direct step, so its state set contains the direct one at
+//!   every position; and a sequence the machine consumes lies inside its
+//!   alphabet, so the prefilter never prunes that path.
+//!
+//! Anything else — the machine gets stuck on an in-alphabet item, or ends
+//! outside acceptance — is undecided, and only then is the table built.
+//! With no items the direct simulation is the whole answer.
 
+use std::cell::OnceCell;
 use std::collections::{BTreeSet, HashMap};
 use xmlcore::dtd::{Automaton, ContentModel, ContentSpec, DenseAutomaton, Dtd};
 
@@ -533,7 +561,7 @@ impl PrevalidEngine {
 
     /// The element-declared check outranks item resolution errors (pinned
     /// diagnostic order of the set-based engine).
-    fn undeclared_or(&self, element: &str, v: Verdict) -> Verdict {
+    pub(crate) fn undeclared_or(&self, element: &str, v: Verdict) -> Verdict {
         if self.dtd.element(element).is_none() {
             return Verdict::no(format!("element <{element}> is not declared"));
         }
@@ -541,30 +569,38 @@ impl PrevalidEngine {
     }
 
     /// Map items to interned symbols; errors on the first undeclared child.
-    pub(crate) fn resolve_items(&self, items: &[Item]) -> Result<Vec<ItemSym>, Verdict> {
+    fn resolve_items(&self, items: &[Item]) -> Result<Vec<ItemSym>, Verdict> {
         items
             .iter()
             .map(|item| match item {
                 Item::Text => Ok(ItemSym::Text),
-                Item::Elem(n) => match self.symbol(n).filter(|&s| self.is_declared(s)) {
-                    Some(s) => Ok(ItemSym::Sym(s)),
-                    None => Err(Verdict::no(format!("child element <{n}> is not declared"))),
-                },
+                Item::Elem(n) => self.resolve_child(n),
             })
             .collect()
+    }
+
+    /// A child element name as an interned symbol, or the undeclared-child
+    /// verdict.
+    pub(crate) fn resolve_child(&self, name: &str) -> Result<ItemSym, Verdict> {
+        match self.symbol(name).filter(|&s| self.is_declared(s)) {
+            Some(s) => Ok(ItemSym::Sym(s)),
+            None => Err(Verdict::no(format!("child element <{name}> is not declared"))),
+        }
     }
 
     fn is_declared(&self, s: SymbolId) -> bool {
         !matches!(self.content[s], Content::Undeclared)
     }
 
-    /// Decide resolved items against `element`, optionally reusing a wrap
-    /// table already built over exactly these items (potential mode only).
+    /// Decide resolved items against `element`. In potential mode the
+    /// [linear pass](Self::decide_linear) answers first; only a sequence it
+    /// cannot decide reaches the wrap table, taken from `table` (built into
+    /// it on first use) when the caller shares one over exactly these items.
     pub(crate) fn check_resolved(
         &self,
         element: &str,
         items: &[ItemSym],
-        table: Option<&WrapTable>,
+        table: Option<&OnceCell<WrapTable>>,
         potential: bool,
     ) -> Verdict {
         let Some(decl) = self.dtd.element(element) else {
@@ -581,22 +617,16 @@ impl PrevalidEngine {
             ContentSpec::Any => Verdict::yes(),
             ContentSpec::Mixed(_) | ContentSpec::Children(_) => {
                 let x = self.index[element];
-                let ok = if potential {
-                    let owned;
-                    let table = match table {
-                        Some(t) => t,
-                        None => {
-                            owned = self.build_wrap_table(items);
-                            &owned
-                        }
-                    };
-                    if items.is_empty() {
-                        self.accepts_empty(x, true)
-                    } else {
-                        bit_get(table.row(0, items.len()), x)
-                    }
-                } else {
+                let ok = if !potential {
                     self.matches_strict(x, items)
+                } else if let Some(ok) = self.decide_linear(x, items) {
+                    ok
+                } else {
+                    let spans_all = |t: &WrapTable| bit_get(t.row(0, items.len()), x);
+                    match table {
+                        Some(cell) => spans_all(cell.get_or_init(|| self.build_wrap_table(items))),
+                        None => spans_all(&self.build_wrap_table(items)),
+                    }
                 };
                 if ok {
                     Verdict::yes()
@@ -611,18 +641,51 @@ impl PrevalidEngine {
         }
     }
 
-    /// Can `x`'s content be empty (with or without free insertions)?
-    fn accepts_empty(&self, x: SymbolId, potential: bool) -> bool {
-        match &self.content[x] {
-            Content::Undeclared => false,
-            Content::Empty | Content::Any => true,
-            Content::Machine(m) => {
-                if potential {
-                    m.auto.accepts_any(&m.start_closed)
-                } else {
-                    m.auto.accepts_any(&m.auto.start_set())
+    /// The linear decision for the machine-content host `x` (module docs,
+    /// "Linear decision"): `Some(false)` when an item lies outside `x`'s
+    /// derivable alphabet, `Some(true)` when `x`'s automaton with free
+    /// insertions consumes every item itself, `None` when only wrapping can
+    /// tell. With no items there is nothing to wrap, so the simulation
+    /// decides alone.
+    fn decide_linear(&self, x: SymbolId, items: &[ItemSym]) -> Option<bool> {
+        let Content::Machine(m) = &self.content[x] else {
+            unreachable!("the linear pass only runs on compiled machines")
+        };
+        let alphabet = Self::sym_row(&self.derivable, x, self.sym_words);
+        let a = &m.auto;
+        let mut states = m.start_closed.clone();
+        let mut image = a.empty_set();
+        let mut direct = true;
+        for &item in items {
+            match item {
+                ItemSym::Text => {
+                    if !bit_get(&self.text_ok, x) {
+                        return Some(false);
+                    }
+                    direct &= m.text_free;
+                }
+                ItemSym::Sym(y) => {
+                    if !bit_get(alphabet, y) {
+                        return Some(false);
+                    }
+                    if direct {
+                        image.iter_mut().for_each(|w| *w = 0);
+                        a.succ_union_into(&states, &mut image);
+                        for (i, &e) in image.iter_mut().zip(a.entered_by(y)) {
+                            *i &= e;
+                        }
+                        m.close_into(&image, &mut states);
+                        direct = !is_zero(&states);
+                    }
                 }
             }
+        }
+        if direct && a.accepts_any(&states) {
+            Some(true)
+        } else if items.is_empty() {
+            Some(false)
+        } else {
+            None
         }
     }
 
@@ -665,7 +728,7 @@ impl PrevalidEngine {
     /// `(q, m)` with `q > p` is already final; the only same-span dependency
     /// (a chain of wrappers over exactly `p..m`) is resolved algebraically
     /// by the precomputed [`Self::wrap_closure`].
-    pub(crate) fn build_wrap_table(&self, items: &[ItemSym]) -> WrapTable {
+    fn build_wrap_table(&self, items: &[ItemSym]) -> WrapTable {
         let n = items.len();
         let w = self.sym_words;
         let mut table = WrapTable::new(n, w);
@@ -903,7 +966,7 @@ impl WrapTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlcore::dtd::parse_dtd;
+    use xmlcore::dtd::{parse_dtd, ElementDecl};
 
     fn engine(dtd: &str) -> PrevalidEngine {
         PrevalidEngine::new(parse_dtd(dtd).unwrap())
@@ -1085,5 +1148,154 @@ mod tests {
         assert!(e.check_sequence("a", &[Item::Text]).ok); // second b insertable? no...
         assert!(e.check_sequence("a", &elems(&["c", "d"])).ok);
         assert!(!e.check_sequence("a", &elems(&["b", "b", "b"])).ok);
+    }
+
+    const LING: &str = "<!ELEMENT r (#PCDATA | s | w)*> <!ELEMENT s (#PCDATA | phrase | w)*>
+         <!ELEMENT phrase (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>";
+
+    /// The linear pass's outcome for `element` over `items`, after pinning
+    /// that the full potential check agrees with the wrap table's bit.
+    fn linear_outcome(e: &PrevalidEngine, element: &str, items: &[Item]) -> Option<bool> {
+        let items = e.resolve_items(items).unwrap();
+        let x = e.symbol(element).unwrap();
+        let spans_all = bit_get(e.build_wrap_table(&items).row(0, items.len()), x);
+        assert_eq!(e.check_resolved(element, &items, None, true).ok, spans_all, "<{element}>");
+        let outcome = e.decide_linear(x, &items);
+        if let Some(ok) = outcome {
+            assert_eq!(ok, spans_all, "<{element}>: the linear pass disagrees with the table");
+        }
+        outcome
+    }
+
+    #[test]
+    fn linear_pass_accepts_a_sequence_the_host_consumes_itself() {
+        let e = engine(LING);
+        let items = [Item::Text, Item::elem("w"), Item::Text, Item::elem("phrase")];
+        assert_eq!(linear_outcome(&e, "s", &items), Some(true));
+    }
+
+    #[test]
+    fn linear_pass_rejects_an_item_outside_the_derivable_alphabet() {
+        let e = engine(LING);
+        assert_eq!(linear_outcome(&e, "s", &elems(&["w", "r"])), Some(false));
+    }
+
+    #[test]
+    fn linear_pass_leaves_a_needed_wrap_to_the_table() {
+        // phrase is not a child of r, but [w, text, phrase] wraps into an s.
+        let e = engine(LING);
+        let items = [Item::elem("w"), Item::Text, Item::elem("phrase")];
+        assert_eq!(linear_outcome(&e, "r", &items), None);
+        assert!(e.check_sequence("r", &items).ok);
+    }
+
+    #[test]
+    fn linear_pass_leaves_text_under_element_content_to_the_table() {
+        let e = engine(
+            "<!ELEMENT page (head, line+)> <!ELEMENT head (#PCDATA)> <!ELEMENT line (#PCDATA)>",
+        );
+        assert_eq!(linear_outcome(&e, "page", &[Item::Text]), None);
+        assert!(e.check_sequence("page", &[Item::Text]).ok);
+    }
+
+    /// splitmix64: a seeded stream for the exactness property.
+    struct Mix(u64);
+
+    impl Mix {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+
+        /// One of the `k` declared names, occasionally an undeclared one.
+        fn name(&mut self, k: usize) -> String {
+            if self.below(12) == 0 {
+                "ghost".into()
+            } else {
+                format!("e{}", self.below(k))
+            }
+        }
+
+        fn model(&mut self, k: usize, depth: usize) -> ContentModel {
+            let base = if depth == 0 || self.below(3) == 0 {
+                ContentModel::name(self.name(k))
+            } else {
+                let parts: Vec<_> =
+                    (0..1 + self.below(3)).map(|_| self.model(k, depth - 1)).collect();
+                if self.below(2) == 0 {
+                    ContentModel::seq(parts)
+                } else {
+                    ContentModel::choice(parts)
+                }
+            };
+            match self.below(4) {
+                0 => base.opt(),
+                1 => base.star(),
+                2 => base.plus(),
+                _ => base,
+            }
+        }
+
+        fn dtd(&mut self, k: usize) -> Dtd {
+            let mut dtd = Dtd::new();
+            for i in 0..k {
+                let content = match self.below(5) {
+                    0 => ContentSpec::Empty,
+                    1 => ContentSpec::Any,
+                    2 => ContentSpec::Mixed((0..self.below(4)).map(|_| self.name(k)).collect()),
+                    _ => ContentSpec::Children(self.model(k, 2)),
+                };
+                dtd.declare(ElementDecl { name: format!("e{i}"), content, attrs: vec![] });
+            }
+            dtd
+        }
+    }
+
+    #[test]
+    fn linear_decisions_equal_the_wrap_table() {
+        // Random DTDs × random sequences of 0..=48 declared items: whenever
+        // the linear pass decides, it must agree with the table's bit (with
+        // no items, with the start closure). Every outcome must occur, so
+        // the table fallback cannot go unexercised.
+        let mut rng = Mix(2005);
+        let (mut yes, mut no, mut undecided) = (0, 0, 0);
+        for case in 0..2_000 {
+            let k = 2 + rng.below(4);
+            let e = PrevalidEngine::new(rng.dtd(k));
+            // Half the sequences short, where a host can still accept alone.
+            let max = if rng.below(2) == 0 { 6 } else { 49 };
+            let len = rng.below(max);
+            let items: Vec<ItemSym> = (0..len)
+                .map(|_| match rng.below(4) {
+                    0 => ItemSym::Text,
+                    _ => ItemSym::Sym(e.symbol(&format!("e{}", rng.below(k))).unwrap()),
+                })
+                .collect();
+            let table = e.build_wrap_table(&items);
+            for x in 0..k {
+                let Content::Machine(m) = &e.content[x] else { continue };
+                let reference = if items.is_empty() {
+                    m.auto.accepts_any(&m.start_closed)
+                } else {
+                    bit_get(table.row(0, len), x)
+                };
+                match e.decide_linear(x, &items) {
+                    Some(ok) => {
+                        assert_eq!(ok, reference, "case {case}: <{}> over {items:?}", e.symbols[x]);
+                        if ok {
+                            yes += 1;
+                        } else {
+                            no += 1;
+                        }
+                    }
+                    None => undecided += 1,
+                }
+            }
+        }
+        println!("linear pass: {yes} yes, {no} no, {undecided} undecided");
+        assert!(yes > 0 && no > 0 && undecided > 0, "yes {yes}, no {no}, undecided {undecided}");
     }
 }

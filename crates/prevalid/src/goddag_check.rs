@@ -10,15 +10,19 @@
 //!   xTagger's "choose the appropriate markup" list.
 //!
 //! Both single-tag checks and tag suggestion run through an
-//! [`InsertionContext`]: the host lookup, the child-sequence partition
-//! against the byte range, and the wrap table over the covered items are
-//! computed **once** and every candidate tag is tested against them —
-//! only the host-side sequence check, whose sequence genuinely differs
-//! per tag (the tag sits in it), is re-run per candidate. `cxstore`
-//! threads the same context through its gated-edit path.
+//! [`InsertionContext`]: the host lookup and the child-sequence partition
+//! against the byte range (resolved straight to engine symbols) are
+//! computed **once** and every candidate tag is tested against them. Each
+//! check is first put to the engine's linear decision; the wrap table over
+//! the covered items is built lazily, only when some tag's check cannot be
+//! decided that way, and then shared by the rest. The host-side sequence
+//! check, whose sequence genuinely differs per tag (the tag sits in it),
+//! runs per candidate. `cxstore` threads the same context through its
+//! gated-edit path.
 
-use crate::engine::{Item, ItemSym, PrevalidEngine, Verdict, WrapTable};
+use crate::engine::{ItemSym, PrevalidEngine, Verdict, WrapTable};
 use goddag::{Goddag, HierarchyId, NodeId, NodeKind, Span};
+use std::cell::OnceCell;
 
 /// Result of a whole-hierarchy check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,19 +38,26 @@ impl HierarchyReport {
     }
 }
 
-/// The child sequence of `n` in hierarchy `h`, as engine items
-/// (whitespace-only leaves dropped).
-fn item_sequence(g: &Goddag, h: HierarchyId, n: NodeId) -> Vec<Item> {
+/// The child sequence of `n` in hierarchy `h`, resolved to engine symbols
+/// (whitespace-only leaves dropped); `Err` on the first undeclared child.
+fn item_sequence(
+    engine: &PrevalidEngine,
+    g: &Goddag,
+    h: HierarchyId,
+    n: NodeId,
+) -> Result<Vec<ItemSym>, Verdict> {
     g.children_in(n, h)
         .iter()
         .filter_map(|&c| match g.kind(c) {
-            NodeKind::Element { name, .. } => Some(Item::Elem(name.local.clone())),
-            NodeKind::Leaf { text } => {
-                (!text.chars().all(char::is_whitespace)).then_some(Item::Text)
-            }
+            NodeKind::Element { name, .. } => Some(engine.resolve_child(&name.local)),
+            NodeKind::Leaf { text } => (!is_blank(text)).then_some(Ok(ItemSym::Text)),
             NodeKind::Root { .. } => None,
         })
         .collect()
+}
+
+fn is_blank(text: &str) -> bool {
+    text.chars().all(char::is_whitespace)
 }
 
 /// Check every element of hierarchy `h` (and the root) for potential
@@ -55,12 +66,11 @@ pub fn check_hierarchy(engine: &PrevalidEngine, g: &Goddag, h: HierarchyId) -> H
     let mut failures = Vec::new();
     let mut stack = vec![g.root()];
     while let Some(n) = stack.pop() {
-        let name = match g.name(n) {
-            Some(q) => q.local.clone(),
-            None => continue,
+        let Some(name) = g.name(n) else { continue };
+        let verdict = match item_sequence(engine, g, h, n) {
+            Ok(items) => engine.check_resolved(&name.local, &items, None, true),
+            Err(v) => engine.undeclared_or(&name.local, v),
         };
-        let items = item_sequence(g, h, n);
-        let verdict = engine.check_sequence(&name, &items);
         if !verdict.ok {
             failures.push((n, verdict.reason.unwrap_or_else(|| "invalid".into())));
         }
@@ -74,9 +84,32 @@ pub fn check_hierarchy(engine: &PrevalidEngine, g: &Goddag, h: HierarchyId) -> H
     HierarchyReport { failures }
 }
 
+/// Resolved items of one side of the range, or the reason of its first
+/// undeclared child.
+type Part = Result<Vec<ItemSym>, String>;
+
+/// Append `item` to `part`; once a part has failed, its first reason
+/// sticks.
+fn push(part: &mut Part, item: Result<ItemSym, Verdict>) {
+    match item {
+        Ok(item) => {
+            if let Ok(items) = part {
+                items.push(item);
+            }
+        }
+        Err(v) => {
+            if part.is_ok() {
+                *part = Err(v.reason.unwrap_or_default());
+            }
+        }
+    }
+}
+
 /// A prepared single-insertion check: the host of `start..end` in one
-/// hierarchy, its child sequence partitioned against the range, and the wrap
-/// table over the covered items — shared by every candidate tag.
+/// hierarchy and its child sequence partitioned against the range, shared
+/// by every candidate tag. The wrap table over the covered items is built
+/// lazily, the first time a tag's check cannot be decided by the linear
+/// pass, and then shared too.
 ///
 /// Construction fails (with the would-be [`Verdict`]) when the range itself
 /// is unusable: out of bounds, splitting a character, or crossing markup of
@@ -88,8 +121,9 @@ pub struct InsertionContext<'e> {
     /// Host children outside the range (the insertion point marked by
     /// `slot`), resolved; `Err` carries the first undeclared-child reason.
     outer: Result<(Vec<ItemSym>, usize), String>,
-    /// Covered items plus their shared wrap table; `Err` as above.
-    inner: Result<(Vec<ItemSym>, WrapTable), String>,
+    /// Covered items plus their wrap table, built on first need; `Err` as
+    /// above.
+    inner: Result<(Vec<ItemSym>, OnceCell<WrapTable>), String>,
 }
 
 impl<'e> InsertionContext<'e> {
@@ -117,80 +151,56 @@ impl<'e> InsertionContext<'e> {
             None => return Err(Verdict::no("host has no name")),
         };
 
-        // Partition the host's children against the byte range.
-        let mut before: Vec<Item> = Vec::new();
-        let mut inside: Vec<Item> = Vec::new();
-        let mut after: Vec<Item> = Vec::new();
+        // Partition the host's children against the byte range, resolving
+        // each straight to its engine symbol.
+        let (mut before, mut inside, mut after): (Part, Part, Part) =
+            (Ok(Vec::new()), Ok(Vec::new()), Ok(Vec::new()));
         for &c in g.children_in(host, h) {
             let (cs, ce) = g.char_range(c);
-            let item = match g.kind(c) {
-                NodeKind::Element { name, .. } => Some(Item::Elem(name.local.clone())),
-                NodeKind::Leaf { text } => {
-                    (!text.chars().all(char::is_whitespace)).then_some(Item::Text)
-                }
-                NodeKind::Root { .. } => None,
-            };
             // A leaf partially covered by the range splits: parts may fall on
             // both sides and inside.
-            if g.is_leaf(c) {
-                let text = g.leaf_text(c).expect("leaf has text");
-                let piece = |a: usize, b: usize| -> Option<Item> {
-                    if a >= b {
-                        return None;
+            if let Some(text) = g.leaf_text(c) {
+                let piece = |a: usize, b: usize| {
+                    a < b && {
+                        let (lo, hi) = (a.max(cs) - cs, b.min(ce) - cs);
+                        lo < hi && !is_blank(&text[lo..hi])
                     }
-                    let lo = a.max(cs) - cs;
-                    let hi = b.min(ce) - cs;
-                    if lo >= hi {
-                        return None;
-                    }
-                    (!text[lo..hi].chars().all(char::is_whitespace)).then_some(Item::Text)
                 };
-                if let Some(i) = piece(cs, start.min(ce)) {
-                    before.push(i);
+                if piece(cs, start.min(ce)) {
+                    push(&mut before, Ok(ItemSym::Text));
                 }
-                if let Some(i) = piece(start.max(cs), end.min(ce)) {
-                    inside.push(i);
+                if piece(start.max(cs), end.min(ce)) {
+                    push(&mut inside, Ok(ItemSym::Text));
                 }
-                if let Some(i) = piece(end.max(cs), ce) {
-                    after.push(i);
+                if piece(end.max(cs), ce) {
+                    push(&mut after, Ok(ItemSym::Text));
                 }
                 continue;
             }
-            let Some(item) = item else { continue };
+            let NodeKind::Element { name, .. } = g.kind(c) else { continue };
+            let item = engine.resolve_child(&name.local);
             // Empty children (milestones, cs == ce) at the boundaries fall
             // into the before/after arms via the same comparisons.
             if ce <= start {
-                before.push(item);
+                push(&mut before, item);
             } else if cs >= end {
-                after.push(item);
+                push(&mut after, item);
             } else if start <= cs && ce <= end {
-                inside.push(item);
+                push(&mut inside, item);
             } else {
                 return Err(Verdict::no(format!(
                     "range {start}..{end} would cross <{}> ({cs}..{ce}) in the same hierarchy",
-                    g.name(c).map(|q| q.local.clone()).unwrap_or_default()
+                    name.local
                 )));
             }
         }
 
-        let inner = match engine.resolve_items(&inside) {
-            Ok(items) => {
-                let table = engine.build_wrap_table(&items);
-                Ok((items, table))
-            }
-            Err(v) => Err(v.reason.unwrap_or_default()),
-        };
-        let slot = before.len();
-        let outer = match engine.resolve_items(&before).and_then(|mut seq| {
-            seq.reserve(after.len() + 1);
-            let rest = engine.resolve_items(&after)?;
-            seq.extend(rest);
-            Ok(seq)
-        }) {
-            Ok(seq) => Ok((seq, slot)),
-            Err(v) => Err(v.reason.unwrap_or_default()),
-        };
-
+        let inner = inside.map(|items| (items, OnceCell::new()));
+        let outer = before.and_then(|mut seq| {
+            let slot = seq.len();
+            seq.extend(after?);
+            Ok((seq, slot))
+        });
         Ok(InsertionContext { engine, host_name, outer, inner })
     }
 
@@ -200,8 +210,9 @@ impl<'e> InsertionContext<'e> {
     }
 
     /// Would inserting `<tag>` here keep the hierarchy potentially valid?
-    /// The covered items are tested against the shared wrap table; only the
-    /// host's new sequence (which differs per tag) is checked from scratch.
+    /// The covered items are tested with the shared (lazily built) wrap
+    /// table as their fallback; the host's new sequence, which differs per
+    /// tag, is checked from scratch.
     pub fn check(&self, tag: &str) -> Verdict {
         let Some(tag_sym) =
             self.engine.symbol(tag).filter(|_| self.engine.dtd().element(tag).is_some())

@@ -20,10 +20,15 @@
 //! (`xmlcore::dtd::DenseAutomaton`): state sets and per-span wrapper sets
 //! are `u64`-word bitmasks, so one simulation step is a few AND/OR words
 //! wide (`⌈states/64⌉` resp. `⌈symbols/64⌉` — one word each for realistic
-//! DTDs). The wrap-table dynamic program over a sequence of `n` child
+//! DTDs). A potential check first makes one linear pass over the items:
+//! an item outside the host's derivable alphabet decides **no**, and the
+//! host's automaton consuming every item itself (with free insertions)
+//! decides **yes** — both exactly the table's answer (the engine module
+//! docs give the argument). Only a sequence that needs wrapping to be
+//! decided reaches the wrap-table dynamic program, which over `n` child
 //! items runs in `O(n³ · machines)` word operations — down from the old
 //! set-based engine's ≈`O(n⁴)` `BTreeSet` churn — and three compile-time
-//! precomputations keep the constants tiny:
+//! precomputations keep its constants tiny:
 //!
 //! * a per-wrapper *derivable alphabet* prunes every (span, wrapper) pair
 //!   whose span contains a symbol the wrapper can never derive (and, since
@@ -34,15 +39,16 @@
 //! * per-(start, wrapper) NFA state vectors are memoized, so each (span,
 //!   wrapper) pair is decided exactly once.
 //!
-//! On a 200-word mixed-content host (399 child items) a `check_insertion`
-//! takes ~50 ms in release where the set-based engine needed ~387 s
-//! (~7500×). [`suggest_tags`] shares the host partition and the wrap
-//! table over the covered items across all candidate tags (see
-//! [`InsertionContext`]); only the host-side sequence check — which
-//! genuinely differs per tag — is re-run, so the whole suggestion list
-//! lands around ~106 ms on the same host. Engine compilation itself is
-//! ~8 µs for the standard DTDs, amortized per store entry / editing
-//! session.
+//! On a 200-word mixed-content `<s>` host (399 child items) every check
+//! xTagger makes is decided by the linear pass: a `check_insertion` takes
+//! ~17 µs in release, where the table took ~74 ms and the set-based engine
+//! ~387 s. [`suggest_tags`] shares the host partition across all candidate
+//! tags (see [`InsertionContext`]) and builds the covered-items wrap table
+//! lazily, only if some tag needs it, so the whole suggestion list costs
+//! about one check. The undecided class stays cubic: the same `phrase`
+//! insertion directly under a bare 200-word `<r>` (legal only by wrapping
+//! it into an `<s>`) takes ~60 ms. Engine compilation itself is ~8 µs for
+//! the standard DTDs, amortized per store entry / editing session.
 //!
 //! ```
 //! use prevalid::{PrevalidEngine, Item};

@@ -1,12 +1,17 @@
-//! One-shot timing repro for the prevalidation cliff (ROADMAP item,
-//! resolved in PR 2). Builds a mixed-content host with N words — `<w>`
-//! elements with real text runs between them, `2N − 1` child items — and
-//! times the editor services.
+//! One-shot timing repro for the prevalidation editor services. Builds a
+//! mixed-content host with N words — `<w>` elements with real text runs
+//! between them, `2N − 1` child items — and times the editor services.
+//!
+//! Two classes of check are timed. On the `<s>` host every check is
+//! decided by the engine's linear pass (the host consumes the new `phrase`
+//! itself). On a bare `<r>` host the same `phrase` insertion is only
+//! potentially valid by wrapping it into an `<s>`, so the check falls back
+//! to the cubic wrap table.
 //!
 //! Pre-rewrite (set-based engine, release): 200 words took ~387 s per
 //! `check_insertion`; post-rewrite the whole series is interactive.
 
-use corpus::mixed_host;
+use corpus::{bare_host, mixed_host};
 use prevalid::{check_insertion, suggest_tags, Item, PrevalidEngine};
 use std::time::Instant;
 
@@ -38,8 +43,14 @@ fn main() {
         let tags = suggest_tags(&engine, &g, h, s, e);
         let d_sug = t.elapsed();
         assert!(!tags.is_empty());
+
+        let (g, h, _) = bare_host(words);
+        let t = Instant::now();
+        let v = check_insertion(&engine, &g, h, "phrase", s, e);
+        let d_und = t.elapsed();
+        assert!(v.ok, "{:?}", v.reason);
         println!(
-            "{words:>4} words: check_insertion {d_ins:>12.3?}  check_sequence {d_seq:>12.3?}  suggest_tags {d_sug:>12.3?}"
+            "{words:>4} words: check_insertion {d_ins:>10.3?}  check_sequence {d_seq:>10.3?}  suggest_tags {d_sug:>10.3?}  undecided check_insertion {d_und:>10.3?}"
         );
     }
 }

@@ -10,7 +10,9 @@
 //! Guards the ROADMAP "prevalidation performance cliff" fix: before the
 //! bitset engine, `check_insertion` on this 200-word mixed-content host
 //! took ~387 s in release; the budget here is 1 s — generous enough for
-//! slow runners, and still ~400× under the old cost.
+//! slow runners, and still ~400× under the old cost. Checks the engine's
+//! linear pass decides get a 10 ms budget at 400 words; the one class that
+//! still builds the cubic wrap table keeps the 1 s budget at 200 words.
 
 use cxobs::{fault, trace, Registry, Scenario};
 use cxstore::{EditOp, Store};
@@ -18,21 +20,37 @@ use prevalid::{check_insertion, suggest_tags, PrevalidEngine};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// A 200-word mixed-content host (399 child items) with a two-word range
-/// in its middle.
-fn host_200() -> (goddag::Goddag, goddag::HierarchyId, usize, usize) {
-    let words = 200;
-    let (g, h, ranges) = corpus::mixed_host(words);
+type Host = (goddag::Goddag, goddag::HierarchyId, Vec<(usize, usize)>);
+
+/// A host from `make` (`corpus::mixed_host`: `2·words − 1` child items
+/// under an `<s>`) with a two-word range in its middle.
+fn two_words(
+    words: usize,
+    make: fn(usize) -> Host,
+) -> (goddag::Goddag, goddag::HierarchyId, usize, usize) {
+    let (g, h, ranges) = make(words);
     let (s, _) = ranges[words / 2];
     let (_, e) = ranges[words / 2 + 1];
     (g, h, s, e)
+}
+
+/// The fastest of five runs of `f` (after one warm-up run), and its result.
+fn best_of_5<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut out = f();
+    let mut best = Duration::MAX;
+    for _ in 0..5 {
+        let t = Instant::now();
+        out = f();
+        best = best.min(t.elapsed());
+    }
+    (best, out)
 }
 
 #[test]
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
 fn check_insertion_200_words_stays_interactive() {
     let engine = PrevalidEngine::new(corpus::dtds::ling());
-    let (g, h, s, e) = host_200();
+    let (g, h, s, e) = two_words(200, corpus::mixed_host);
 
     // Warm-up (page in code, fault in the allocator).
     assert!(check_insertion(&engine, &g, h, "phrase", s, e).ok);
@@ -217,7 +235,7 @@ fn blob_restore_scales_linearly() {
 #[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
 fn suggest_tags_200_words_stays_interactive() {
     let engine = PrevalidEngine::new(corpus::dtds::ling());
-    let (g, h, s, e) = host_200();
+    let (g, h, s, e) = two_words(200, corpus::mixed_host);
     let t = Instant::now();
     let tags = suggest_tags(&engine, &g, h, s, e);
     let elapsed = t.elapsed();
@@ -225,5 +243,53 @@ fn suggest_tags_200_words_stays_interactive() {
     assert!(
         elapsed < Duration::from_secs(2),
         "suggest_tags on a 200-word host took {elapsed:?} (budget 2s)"
+    );
+}
+
+/// Every check `suggest_tags` and the gate make on a 400-word `<s>` host
+/// (799 child items) is decided by the engine's linear pass, so neither
+/// builds a wrap table: each stays under 10 ms where the table alone took
+/// ~460 ms.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn decided_checks_400_words_stay_under_10ms() {
+    let engine = PrevalidEngine::new(corpus::dtds::ling());
+    let (g, h, s, e) = two_words(400, corpus::mixed_host);
+    let budget = Duration::from_millis(10);
+
+    let (elapsed, verdict) = best_of_5(|| check_insertion(&engine, &g, h, "phrase", s, e));
+    assert!(verdict.ok, "{:?}", verdict.reason);
+    assert!(
+        elapsed < budget,
+        "check_insertion on a 400-word host took {elapsed:?} (budget {budget:?})"
+    );
+
+    let (elapsed, tags) = best_of_5(|| suggest_tags(&engine, &g, h, s, e));
+    assert_eq!(tags, ["phrase"]);
+    assert!(
+        elapsed < budget,
+        "suggest_tags on a 400-word host took {elapsed:?} (budget {budget:?})"
+    );
+}
+
+/// The class the linear pass cannot decide: `phrase` over two words
+/// directly under a bare 200-word `<r>`, which only wrapping into an `<s>`
+/// makes potentially valid. It still builds the cubic wrap table, so it
+/// keeps the 1 s budget.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn undecided_check_200_words_stays_interactive() {
+    let engine = PrevalidEngine::new(corpus::dtds::ling());
+    let (g, h, s, e) = two_words(200, corpus::bare_host);
+    let check = || check_insertion(&engine, &g, h, "phrase", s, e);
+    assert!(check().ok); // Warm-up.
+
+    let t = Instant::now();
+    let verdict = check();
+    let elapsed = t.elapsed();
+    assert!(verdict.ok, "{:?}", verdict.reason);
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "undecided check_insertion on a bare 200-word host took {elapsed:?} (budget 1s)"
     );
 }
