@@ -3,6 +3,7 @@
 use crate::error::{ClusterError, Result};
 use crate::router::{Router, ShardId};
 use cxobs::fault::{self, Site};
+use cxobs::sync::{Level, RwLock};
 use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{CheckpointInfo, Claim, DocBlob, DurableStore, LoggedDoc, Options, StoreHealth};
 use cxrepl::Primary;
@@ -13,7 +14,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One shard's health as the cluster sees it.
@@ -156,16 +157,16 @@ pub struct Cluster {
 /// One batch-query result set: per-document node hits, keyed by handle.
 type BatchHits = Vec<(DocId, Vec<goddag::NodeId>)>;
 
-// Poison-tolerant: the migration gate guards `()` (pure ordering, no
-// data to corrupt), so a panicked holder — e.g. an injected
-// `cxobs::fault::Fault::Panic` inside a gated write — must not wedge every
-// later writer and `move_doc` behind a poisoned lock.
-fn read_gate(gate: &RwLock<()>) -> std::sync::RwLockReadGuard<'_, ()> {
-    gate.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_gate(gate: &RwLock<()>) -> std::sync::RwLockWriteGuard<'_, ()> {
-    gate.write().unwrap_or_else(PoisonError::into_inner)
+/// A shard's health: its explicit down mark if set, otherwise the
+/// store's own [`StoreHealth`].
+fn health(store: &DurableStore, down: &AtomicBool) -> ShardHealth {
+    if down.load(Ordering::Acquire) {
+        return ShardHealth::Down;
+    }
+    match store.health() {
+        StoreHealth::Healthy => ShardHealth::Healthy,
+        StoreHealth::Degraded => ShardHealth::Degraded,
+    }
 }
 
 impl Cluster {
@@ -208,15 +209,12 @@ impl Cluster {
                 // Crashed migration: pick the winner, heal its names from
                 // every copy, drop the losers.
                 let home = router.home_shard(id).0;
-                let &winner = held
-                    .iter()
-                    .max_by_key(|&&s| {
-                        let epoch = shards[s].store().epoch(id).unwrap_or(0);
-                        (epoch, s != home, s)
-                    })
-                    // invariant: this branch is only taken when `held` has
-                    // at least one shard, so max_by_key cannot be None.
-                    .expect("held is non-empty");
+                let Some(&winner) = held.iter().max_by_key(|&&s| {
+                    let epoch = shards[s].store().epoch(id).unwrap_or(0);
+                    (epoch, s != home, s)
+                }) else {
+                    continue; // no shard holds it: nothing to resolve
+                };
                 let winner_names: Vec<String> = doc_names(&shards[winner], id);
                 for &s in held {
                     if s == winner {
@@ -274,8 +272,8 @@ impl Cluster {
             shards,
             primaries,
             router,
-            names: RwLock::new(names),
-            gate: RwLock::new(()),
+            names: RwLock::new(Level::ClusterNames, names),
+            gate: RwLock::new(Level::ClusterGate, ()),
             next_insert: AtomicU64::new(0),
             down,
             obs,
@@ -352,24 +350,12 @@ impl Cluster {
     /// One shard's health: the explicit down mark if set, otherwise the
     /// shard's own [`StoreHealth`].
     pub fn shard_health(&self, shard: ShardId) -> Result<ShardHealth> {
-        let store = self.shard(shard)?;
-        Ok(if self.down[shard.0].load(Ordering::Acquire) {
-            ShardHealth::Down
-        } else {
-            match store.health() {
-                StoreHealth::Healthy => ShardHealth::Healthy,
-                StoreHealth::Degraded => ShardHealth::Degraded,
-            }
-        })
+        Ok(health(self.shard(shard)?, &self.down[shard.0]))
     }
 
     /// Every shard's health, by index.
     pub fn shard_healths(&self) -> Vec<ShardHealth> {
-        (0..self.shards.len())
-            // invariant: `i` ranges over this cluster's own shard list, so
-            // shard_health can never see an out-of-range id.
-            .map(|i| self.shard_health(ShardId(i)).expect("valid index"))
-            .collect()
+        self.shards.iter().zip(&self.down).map(|(store, down)| health(store, down)).collect()
     }
 
     /// Mark a shard **down**: writes routed to it fail fast with
@@ -462,7 +448,9 @@ impl Cluster {
         name: Option<String>,
         doc: LoggedDoc,
     ) -> Result<DocId> {
-        let _shared = self.shared_gate();
+        let waiting = self.gate_waiters.track();
+        let _shared = self.gate.read();
+        drop(waiting);
         let s = match shard {
             Some(s) => {
                 self.shard(s)?;
@@ -514,7 +502,7 @@ impl Cluster {
         target: ShardId,
         bind: impl FnOnce(String) -> cxpersist::Result<DocId>,
     ) -> Result<DocId> {
-        let mut names = self.names_write();
+        let mut names = self.names.write();
         let holder = names.get(&name).map(|&old| self.router.shard_of(old));
         let retired = match holder {
             Some(old) if old != target => {
@@ -540,7 +528,9 @@ impl Cluster {
     /// Bind (or rebind) a name to a live document, durably on its owning
     /// shard.
     pub fn bind_name(&self, name: impl Into<String>, id: DocId) -> Result<()> {
-        let _shared = self.shared_gate();
+        let waiting = self.gate_waiters.track();
+        let _shared = self.gate.read();
+        drop(waiting);
         let target = self.router.shard_of(id);
         self.ensure_shard_up(target.0)?;
         let store = &self.shards[target.0];
@@ -554,8 +544,10 @@ impl Cluster {
     /// Drop a name binding (the document stays). Returns what it was bound
     /// to.
     pub fn unbind_name(&self, name: &str) -> Result<Option<DocId>> {
-        let _shared = self.shared_gate();
-        let mut names = self.names_write();
+        let waiting = self.gate_waiters.track();
+        let _shared = self.gate.read();
+        drop(waiting);
+        let mut names = self.names.write();
         let Some(&id) = names.get(name) else { return Ok(None) };
         let s = self.router.shard_of(id).0;
         self.ensure_shard_up(s)?;
@@ -566,7 +558,8 @@ impl Cluster {
 
     /// Resolve a name to its document, wherever it lives.
     pub fn id_by_name(&self, name: &str) -> Result<DocId> {
-        self.names_read()
+        self.names
+            .read()
             .get(name)
             .copied()
             .ok_or_else(|| StoreError::NoSuchName(name.into()).into())
@@ -575,7 +568,7 @@ impl Cluster {
     /// All cluster-wide `name → id` bindings, sorted by name.
     pub fn name_bindings(&self) -> Vec<(String, DocId)> {
         let mut out: Vec<(String, DocId)> =
-            self.names_read().iter().map(|(n, id)| (n.clone(), *id)).collect();
+            self.names.read().iter().map(|(n, id)| (n.clone(), *id)).collect();
         out.sort();
         out
     }
@@ -583,8 +576,10 @@ impl Cluster {
     /// Drop a document (and all of its name bindings), durably, wherever
     /// it lives. Returns whether the handle was live.
     pub fn remove(&self, id: DocId) -> Result<bool> {
-        let _shared = self.shared_gate();
-        let mut names = self.names_write();
+        let waiting = self.gate_waiters.track();
+        let _shared = self.gate.read();
+        drop(waiting);
+        let mut names = self.names.write();
         let s = self.router.shard_of(id).0;
         self.ensure_shard_up(s)?;
         let _inflight = self.shard_inflight[s].track();
@@ -630,7 +625,7 @@ impl Cluster {
     /// All live handles across the cluster, sorted (= insertion order by
     /// id; round-robin placement interleaves the shards).
     pub fn doc_ids(&self) -> Vec<DocId> {
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         let mut out = Vec::new();
         for (s, shard) in self.shards.iter().enumerate() {
             out.extend(shard.store().doc_ids().into_iter().filter(|&id| self.owns(ShardId(s), id)));
@@ -746,7 +741,7 @@ impl Cluster {
     pub fn query_all_partial(&self, expr: &str, per_shard_timeout: Duration) -> PartialResults {
         let trace = trace::span("cluster.query_all");
         let parent = trace::current();
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         let (tx, rx) = mpsc::channel::<(usize, Result<BatchHits>)>();
         let mut errors = Vec::new();
         // Which shards still owe an answer.
@@ -853,7 +848,9 @@ impl Cluster {
         if let Some(expected) = guard {
             trace.attr("guard", expected);
         }
-        let _shared = self.shared_gate();
+        let waiting = self.gate_waiters.track();
+        let _shared = self.gate.read();
+        drop(waiting);
         // Under the shared gate the route cannot change mid-edit.
         let s = self.router.shard_of(id).0;
         trace.attr("shard", s);
@@ -907,7 +904,7 @@ impl Cluster {
         let trace = trace::span("cluster.move_doc");
         trace.attr("doc", id.raw());
         trace.attr("shard", to.0);
-        let _exclusive = write_gate(&self.gate);
+        let _exclusive = self.gate.write();
         let from = self.router.shard_of(id);
         if from == to {
             return Ok(from);
@@ -995,30 +992,6 @@ impl Cluster {
     /// Each shard's own registry hangs off its [`DurableStore::registry`].
     pub fn registry(&self) -> &Arc<Registry> {
         &self.obs
-    }
-
-    // ------------------------------------------------------------------
-    // Internals
-    // ------------------------------------------------------------------
-
-    /// Acquire the migration gate shared, counting this writer in
-    /// `cx_gate_waiters` while it blocks on (or enters) the gate.
-    fn shared_gate(&self) -> std::sync::RwLockReadGuard<'_, ()> {
-        let _waiting = self.gate_waiters.track();
-        read_gate(&self.gate)
-    }
-
-    // Poison-tolerant: the name directory is a derived cache of the
-    // shards' durable bindings — every mutation is a single HashMap
-    // insert/remove (no multi-step invariant a panicked holder could
-    // tear), and assembly rebuilds the whole map from the shards on
-    // reopen, so serving a recovered guard can never invent state.
-    fn names_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, DocId>> {
-        self.names.read().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn names_write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, DocId>> {
-        self.names.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

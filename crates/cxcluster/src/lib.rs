@@ -52,6 +52,17 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+// No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod cluster;
 mod error;
 mod router;

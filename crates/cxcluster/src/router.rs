@@ -1,9 +1,9 @@
 //! Deterministic `DocId → shard` routing: hash partitioning with an
 //! explicit assignment table on top so documents can move.
 
+use cxobs::sync::{Level, RwLock};
 use cxstore::DocId;
 use std::collections::HashMap;
-use std::sync::{PoisonError, RwLock};
 
 /// Index of one primary within a [`crate::Cluster`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,10 +26,6 @@ impl std::fmt::Display for ShardId {
 /// there is no separate routing artifact to keep crash-consistent.
 pub struct Router {
     shards: usize,
-    /// Poison-tolerant throughout: every mutation is one HashMap
-    /// insert/remove or a whole-table swap (no intermediate state a
-    /// panicked holder could expose), and the table is rebuilt from the
-    /// shards on assembly.
     overrides: RwLock<HashMap<u64, usize>>,
 }
 
@@ -37,7 +33,7 @@ impl Router {
     /// A router over `shards` primaries (at least one).
     pub fn new(shards: usize) -> Router {
         assert!(shards > 0, "a cluster has at least one shard");
-        Router { shards, overrides: RwLock::default() }
+        Router { shards, overrides: RwLock::new(Level::RouterOverrides, HashMap::new()) }
     }
 
     /// Number of shards routed across.
@@ -53,7 +49,7 @@ impl Router {
 
     /// Where the document lives right now.
     pub fn shard_of(&self, id: DocId) -> ShardId {
-        let overrides = self.overrides.read().unwrap_or_else(PoisonError::into_inner);
+        let overrides = self.overrides.read();
         match overrides.get(&id.raw()) {
             Some(&s) => ShardId(s),
             None => self.home_shard(id),
@@ -64,10 +60,7 @@ impl Router {
     /// migration). Routing a document back to its home shard drops the
     /// override instead of storing a redundant entry.
     pub fn route(&self, id: DocId, shard: ShardId) {
-        // Poison recovery (here and in `forget`/`overrides` below): every
-        // writer performs a single insert or remove, so a panicked holder
-        // cannot leave the table mid-update — see the field invariant.
-        let mut overrides = self.overrides.write().unwrap_or_else(PoisonError::into_inner);
+        let mut overrides = self.overrides.write();
         if shard == self.home_shard(id) {
             overrides.remove(&id.raw());
         } else {
@@ -84,24 +77,18 @@ impl Router {
             .filter(|&(raw, s)| s != self.home_shard(DocId::from_raw(raw)))
             .map(|(raw, s)| (raw, s.0))
             .collect();
-        // Poison recovery: the table is swapped whole, never left half-built.
-        *self.overrides.write().unwrap_or_else(PoisonError::into_inner) = table;
+        *self.overrides.write() = table;
     }
 
     /// Forget a document's route (it was removed).
     pub fn forget(&self, id: DocId) {
-        self.overrides.write().unwrap_or_else(PoisonError::into_inner).remove(&id.raw());
+        self.overrides.write().remove(&id.raw());
     }
 
     /// All explicit assignments, sorted by raw id — the moved documents.
     pub fn overrides(&self) -> Vec<(u64, ShardId)> {
-        let mut out: Vec<(u64, ShardId)> = self
-            .overrides
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .map(|(&raw, &s)| (raw, ShardId(s)))
-            .collect();
+        let mut out: Vec<(u64, ShardId)> =
+            self.overrides.read().iter().map(|(&raw, &s)| (raw, ShardId(s))).collect();
         out.sort_unstable_by_key(|&(raw, _)| raw);
         out
     }

@@ -1,7 +1,7 @@
 //! The bounded recent-events ring: a structured log for post-mortems.
 
+use crate::sync::{Level, Mutex};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
 /// One structured event: what happened (`kind` is a stable machine-
@@ -51,13 +51,6 @@ pub struct EventRing {
     inner: Mutex<Inner>,
 }
 
-fn lock(m: &Mutex<Inner>) -> MutexGuard<'_, Inner> {
-    // Poison recovery: the ring's writers push one complete event and pop
-    // whole entries, so a panicked holder leaves valid (at worst slightly
-    // stale) telemetry — dropping diagnostics over it would be backwards.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl EventRing {
     /// A ring keeping at most `cap` events (`cap` 0 records nothing).
     pub fn new(cap: usize) -> EventRing {
@@ -69,7 +62,7 @@ impl EventRing {
             cap,
             start: Instant::now(),
             epoch_unix_micros,
-            inner: Mutex::default(),
+            inner: Mutex::new(Level::Events, Inner::default()),
         }
     }
 
@@ -80,7 +73,7 @@ impl EventRing {
         }
         let at_micros = self.start.elapsed().as_micros().min(u64::MAX as u128) as u64;
         let at_unix_micros = self.epoch_unix_micros.saturating_add(at_micros);
-        let mut inner = lock(&self.inner);
+        let mut inner = self.inner.lock();
         inner.next_seq += 1;
         let seq = inner.next_seq;
         if inner.buf.len() >= self.cap {
@@ -92,29 +85,29 @@ impl EventRing {
 
     /// The retained events, oldest first (a copy — the ring keeps them).
     pub fn recent(&self) -> Vec<Event> {
-        lock(&self.inner).buf.iter().cloned().collect()
+        self.inner.lock().buf.iter().cloned().collect()
     }
 
     /// Take all retained events out of the ring, oldest first.
     pub fn drain(&self) -> Vec<Event> {
-        lock(&self.inner).buf.drain(..).collect()
+        self.inner.lock().buf.drain(..).collect()
     }
 
     /// The retained events of one kind, oldest first — the post-mortem
     /// question is almost always "show me every `store.degraded`", not
     /// the whole interleaved trail.
     pub fn of_kind(&self, kind: &str) -> Vec<Event> {
-        lock(&self.inner).buf.iter().filter(|e| e.kind == kind).cloned().collect()
+        self.inner.lock().buf.iter().filter(|e| e.kind == kind).cloned().collect()
     }
 
     /// Events evicted by overflow since creation.
     pub fn dropped(&self) -> u64 {
-        lock(&self.inner).dropped
+        self.inner.lock().dropped
     }
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
-        lock(&self.inner).buf.len()
+        self.inner.lock().buf.len()
     }
 
     /// Whether the ring is currently empty.

@@ -32,10 +32,10 @@
 //! and clears the table on entry and drop.
 
 use crate::splitmix64;
+use crate::sync::{Level, Mutex};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Declares [`Site`] with its `ALL` table and `name()` in one list, so
@@ -185,15 +185,7 @@ pub struct SiteStats {
 /// Number of armed failpoints — the [`fire`] fast path checks only this.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
 
-static TABLE: Mutex<BTreeMap<Failpoint, Armed>> = Mutex::new(BTreeMap::new());
-
-fn lock_table() -> MutexGuard<'static, BTreeMap<Failpoint, Armed>> {
-    // Poison recovery: a panic while holding the table lock (only
-    // possible through Fault::Panic, which fires after the guard is
-    // dropped, or a caller panicking mid-configure) leaves plain counters
-    // — safe to reuse.
-    TABLE.lock().unwrap_or_else(PoisonError::into_inner)
-}
+static TABLE: Mutex<BTreeMap<Failpoint, Armed>> = Mutex::new(Level::Failpoints, BTreeMap::new());
 
 /// Arm `at` with a default seed. See [`configure_seeded`].
 pub fn configure(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault) {
@@ -211,21 +203,21 @@ pub fn configure_seeded(at: impl Into<Failpoint>, trigger: Trigger, fault: Fault
     for b in at.to_string().bytes() {
         h = splitmix64(&mut h) ^ u64::from(b);
     }
-    let mut map = lock_table();
+    let mut map = TABLE.lock();
     map.insert(at, Armed { trigger, fault, rng: h, hits: 0, fires: 0 });
     ARMED.store(map.len(), Ordering::Release);
 }
 
 /// Disarm one failpoint (its counters are discarded).
 pub fn disarm(at: impl Into<Failpoint>) {
-    let mut map = lock_table();
+    let mut map = TABLE.lock();
     map.remove(&at.into());
     ARMED.store(map.len(), Ordering::Release);
 }
 
 /// Disarm every site.
 pub fn clear() {
-    let mut map = lock_table();
+    let mut map = TABLE.lock();
     map.clear();
     ARMED.store(0, Ordering::Release);
 }
@@ -246,7 +238,7 @@ pub fn fire(at: impl Into<Failpoint>) -> Option<InjectedFault> {
 #[cold]
 fn fire_slow(at: Failpoint) -> Option<InjectedFault> {
     let fault = {
-        let mut map = lock_table();
+        let mut map = TABLE.lock();
         let s = map.get_mut(&at)?;
         s.hits += 1;
         let due = match s.trigger {
@@ -302,18 +294,19 @@ pub fn torn_len(full: usize, frac: f64) -> usize {
 
 /// Lifetime hit count for `at` (0 if never armed).
 pub fn hits(at: impl Into<Failpoint>) -> u64 {
-    lock_table().get(&at.into()).map_or(0, |s| s.hits)
+    TABLE.lock().get(&at.into()).map_or(0, |s| s.hits)
 }
 
 /// Lifetime fire count for `at` (0 if never armed).
 pub fn fires(at: impl Into<Failpoint>) -> u64 {
-    lock_table().get(&at.into()).map_or(0, |s| s.fires)
+    TABLE.lock().get(&at.into()).map_or(0, |s| s.fires)
 }
 
 /// Hit/fire counts for every configured failpoint, sorted by rendered
 /// name — the feed for `cx_fault_*` metric exposition.
 pub fn site_stats() -> Vec<SiteStats> {
-    let mut v: Vec<SiteStats> = lock_table()
+    let mut v: Vec<SiteStats> = TABLE
+        .lock()
         .iter()
         .map(|(&site, s)| SiteStats { site, hits: s.hits, fires: s.fires })
         .collect();

@@ -33,6 +33,10 @@
 //! its kind, so the registry hands out a counter only for a counter name
 //! and the page never carries a name nobody declared.
 //!
+//! Every lock in the workspace is a [`sync::Mutex`] or [`sync::RwLock`]:
+//! leveled by [`sync::Level`], order-checked on every debug acquisition,
+//! and poison-recovering.
+//!
 //! Rare, high-signal moments (follower state transitions, terminal
 //! errors, checkpoint generations, migrations, gate rejections) go into a
 //! bounded [`EventRing`] — a structured recent-events log drainable for
@@ -73,6 +77,7 @@ mod metrics;
 pub mod names;
 mod process;
 mod registry;
+pub mod sync;
 pub mod trace;
 
 pub use events::{Event, EventRing};

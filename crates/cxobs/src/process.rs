@@ -2,9 +2,9 @@
 //! process-wide state: the PRNG step both draw from, the one page of
 //! their lines, and the one guard that serializes tests touching either.
 
+use crate::sync::{Level, Mutex, MutexGuard};
 use crate::trace::{self, TraceConfig};
 use crate::{fault, names, Exposition};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// The splitmix64 increment: the step [`splitmix64`] advances its state
 /// by, which lets the trace-id stream advance a shared atomic by the same
@@ -36,7 +36,7 @@ pub fn expose_process(out: &mut Exposition) {
     trace::expose_into(out);
 }
 
-static SCENARIO: Mutex<()> = Mutex::new(());
+static SCENARIO: Mutex<()> = Mutex::new(Level::Scenario, ());
 
 /// Serializes tests that touch the process-wide diagnostics state and
 /// leaves it clean: every failpoint disarmed, the flight recorder empty
@@ -62,10 +62,7 @@ pub struct Scenario {
 impl Scenario {
     /// Take the process-wide lock on a clean, untraced state.
     pub fn setup() -> Scenario {
-        // Poison recovery: the mutex carries no data — it only
-        // serializes scenarios — and `reset` below clears whatever a
-        // panicked predecessor left.
-        let guard = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
+        let guard = SCENARIO.lock();
         reset();
         Scenario { _guard: guard }
     }
@@ -112,7 +109,7 @@ mod tests {
     /// Check the state under the bare lock (`Scenario::setup` would reset
     /// it first), so no sibling test can touch it mid-check.
     fn assert_clean() {
-        let _lock = SCENARIO.lock().unwrap_or_else(PoisonError::into_inner);
+        let _lock = SCENARIO.lock();
         assert!(fault::site_stats().is_empty(), "every failpoint disarmed");
         assert_eq!(fault::fire(Site::WalAppend), None);
         assert!(trace::recent().is_empty() && trace::slow().is_empty(), "recorder emptied");

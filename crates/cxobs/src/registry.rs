@@ -4,8 +4,9 @@ use crate::events::EventRing;
 use crate::expose::Exposition;
 use crate::metrics::{Counter, Gauge, Histogram};
 use crate::names::Name;
+use crate::sync::{Level, RwLock};
 use std::collections::BTreeMap;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::Arc;
 
 /// How many events the registry's ring retains by default.
 const EVENT_CAP: usize = 256;
@@ -59,9 +60,9 @@ impl Registry {
     fn with(on: bool, event_cap: usize) -> Registry {
         Registry {
             on,
-            counters: RwLock::default(),
-            gauges: RwLock::default(),
-            histograms: RwLock::default(),
+            counters: RwLock::new(Level::Counters, BTreeMap::new()),
+            gauges: RwLock::new(Level::Gauges, BTreeMap::new()),
+            histograms: RwLock::new(Level::Histograms, BTreeMap::new()),
             events: EventRing::new(event_cap),
         }
     }
@@ -139,13 +140,9 @@ impl Registry {
             Scalar(i128),
             Histogram(&'a Histogram),
         }
-        // Poison recovery (all three families): registration (the only
-        // writer) inserts whole metrics, so a recovered read sees a valid
-        // registry — and hiding telemetry after a panic would hide the
-        // incident being diagnosed.
-        let counters = self.counters.read().unwrap_or_else(PoisonError::into_inner);
-        let gauges = self.gauges.read().unwrap_or_else(PoisonError::into_inner);
-        let histograms = self.histograms.read().unwrap_or_else(PoisonError::into_inner);
+        let counters = self.counters.read();
+        let gauges = self.gauges.read();
+        let histograms = self.histograms.read();
         // A name has one kind, so the three families never share a key
         // and one sort interleaves them by name.
         let mut all: Vec<(&Key, Series)> = counters
@@ -203,9 +200,6 @@ impl Registry {
 
 /// The handle registered under `(name, labels)` in `family`, created by
 /// `make` on first use.
-// Poison recovery (both acquisitions): the family's only writer inserts
-// one fully-constructed metric per critical section, so a panicked
-// holder leaves a smaller but valid registry.
 fn register<T, K>(
     family: &Family<T>,
     name: Name<K>,
@@ -214,17 +208,17 @@ fn register<T, K>(
 ) -> Arc<T> {
     let key: Key =
         (name.as_str(), labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect());
-    if let Some(m) = family.read().unwrap_or_else(PoisonError::into_inner).get(&key) {
+    if let Some(m) = family.read().get(&key) {
         return Arc::clone(m);
     }
-    let mut map = family.write().unwrap_or_else(PoisonError::into_inner);
+    let mut map = family.write();
     Arc::clone(map.entry(key).or_insert_with(|| Arc::new(make())))
 }
 
 /// `get` summed over every series of `family` named `name`: keys sort by
 /// name first, so they are one contiguous run.
 fn total<T, K, V: std::iter::Sum>(family: &Family<T>, name: Name<K>, get: fn(&T) -> V) -> V {
-    let map = family.read().unwrap_or_else(PoisonError::into_inner);
+    let map = family.read();
     let name = name.as_str();
     map.range((name, Vec::new())..).take_while(|((n, _), _)| *n == name).map(|(_, m)| get(m)).sum()
 }

@@ -3,9 +3,10 @@
 //! churn can never evict them.
 
 use super::span::SpanRecord;
+use crate::sync::{Level, Mutex};
 use crate::{names, Exposition};
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Retention and classification knobs for the flight recorder.
@@ -138,30 +139,25 @@ struct Recorder {
     stats: TraceStats,
 }
 
-static RECORDER: Mutex<Recorder> = Mutex::new(Recorder {
-    cfg: None,
-    open: Vec::new(),
-    normal: VecDeque::new(),
-    slow: VecDeque::new(),
-    stats: TraceStats {
-        started: 0,
-        finished: 0,
-        slow: 0,
-        error: 0,
-        spans: 0,
-        dropped_spans: 0,
-        dropped_traces: 0,
-        open: 0,
+static RECORDER: Mutex<Recorder> = Mutex::new(
+    Level::Recorder,
+    Recorder {
+        cfg: None,
+        open: Vec::new(),
+        normal: VecDeque::new(),
+        slow: VecDeque::new(),
+        stats: TraceStats {
+            started: 0,
+            finished: 0,
+            slow: 0,
+            error: 0,
+            spans: 0,
+            dropped_spans: 0,
+            dropped_traces: 0,
+            open: 0,
+        },
     },
-});
-
-fn lock() -> MutexGuard<'static, Recorder> {
-    // Poison recovery: recorder writers append whole frames / whole trace
-    // records, so a panicked holder leaves valid (at worst truncated)
-    // flight data — and a recorder that refuses to record after a panic
-    // would lose exactly the trace that matters.
-    RECORDER.lock().unwrap_or_else(|p| p.into_inner())
-}
+);
 
 /// The instant all `start_ns` offsets are measured from.
 fn epoch() -> Instant {
@@ -175,7 +171,7 @@ pub(crate) fn now_ns() -> u64 {
 }
 
 pub(crate) fn configure(cfg: TraceConfig) {
-    let mut r = lock();
+    let mut r = RECORDER.lock();
     r.cfg = Some(cfg);
     while r.normal.len() > cfg.retain {
         r.normal.pop_front();
@@ -192,7 +188,7 @@ fn cfg(r: &Recorder) -> TraceConfig {
 /// A thread opened a root span for `trace_id`. Called by the span layer
 /// before any of that root's spans can flush.
 pub(crate) fn root_opened(trace_id: u64) {
-    let mut r = lock();
+    let mut r = RECORDER.lock();
     if let Some(o) = r.open.iter_mut().find(|o| o.trace_id == trace_id) {
         o.open_roots += 1;
         return;
@@ -210,7 +206,7 @@ pub(crate) fn root_opened(trace_id: u64) {
 /// A thread's root span for `trace_id` closed: ingest that thread's
 /// buffered spans and, when this was the last open root, finalize.
 pub(crate) fn root_closed(trace_id: u64, spans: Vec<SpanRecord>, thread_dropped: u64) {
-    let mut r = lock();
+    let mut r = RECORDER.lock();
     let max_spans = cfg(&r).max_spans_per_trace;
     let Some(idx) = r.open.iter().position(|o| o.trace_id == trace_id) else {
         // The open entry was evicted under max_open pressure; the
@@ -313,29 +309,29 @@ fn take_finished(r: &mut Recorder, trace_id: u64) -> Option<FinishedTrace> {
 
 /// Summaries of ordinary completed traces, newest first.
 pub fn recent() -> Vec<TraceSummary> {
-    lock().normal.iter().rev().map(FinishedTrace::summary).collect()
+    RECORDER.lock().normal.iter().rev().map(FinishedTrace::summary).collect()
 }
 
 /// Summaries of retained slow/error traces, newest first.
 pub fn slow() -> Vec<TraceSummary> {
-    lock().slow.iter().rev().map(FinishedTrace::summary).collect()
+    RECORDER.lock().slow.iter().rev().map(FinishedTrace::summary).collect()
 }
 
 /// Fetch one retained trace in full, from either ring.
 pub fn find(trace_id: u64) -> Option<FinishedTrace> {
-    let r = lock();
+    let r = RECORDER.lock();
     r.normal.iter().chain(r.slow.iter()).find(|t| t.trace_id == trace_id).cloned()
 }
 
 /// The recorder's lifetime counters.
 pub fn stats() -> TraceStats {
-    lock().stats
+    RECORDER.lock().stats
 }
 
 /// Drop every retained and open trace and zero the counters. The
 /// configuration (and the enabled switch) are left alone.
 pub fn clear() {
-    let mut r = lock();
+    let mut r = RECORDER.lock();
     r.open.clear();
     r.normal.clear();
     r.slow.clear();

@@ -66,8 +66,12 @@ impl DocBlob {
         let (doc, elem_ids) = StandoffDoc::from_goddag_with_ids(g);
         let mut dtds = Vec::new();
         for h in g.hierarchy_ids() {
-            // invariant: `h` comes from this goddag's own hierarchy_ids.
-            if let Some(dtd) = &g.hierarchy(h).expect("live id").dtd {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: `h` comes from this goddag's own hierarchy_ids"
+            )]
+            let hierarchy = g.hierarchy(h).expect("live id");
+            if let Some(dtd) = &hierarchy.dtd {
                 dtds.push((h.0, dtd.to_text()));
             }
         }

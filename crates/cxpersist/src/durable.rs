@@ -12,11 +12,12 @@
 //! falling back to the previous one — and replays the log tail past it,
 //! dropping only a torn/corrupt tail.
 //!
-//! Lock order (deadlock-free by construction): `gate → document → wal`.
-//! Mutators hold the checkpoint gate shared, then the document lock, then
-//! the WAL mutex for the append; the checkpointer holds the gate
-//! exclusively, which drains all in-flight mutators before it reads
-//! documents and rotates the log.
+//! Lock order (`cxobs::sync::Level`, checked on every debug acquisition):
+//! `DurableGate → Doc → Wal`. Mutators hold the checkpoint gate shared,
+//! then the document lock, then the WAL mutex for the append; the
+//! checkpointer holds the gate exclusively, which drains all in-flight
+//! mutators, and takes the WAL only before and after it reads the
+//! documents, never while.
 
 use crate::apply::{apply_logged, Applied};
 use crate::blob::LoggedDoc;
@@ -27,6 +28,7 @@ use crate::snapshot::{
     StoreSnapshot,
 };
 use cxobs::fault::{self, Site};
+use cxobs::sync::{Level, Mutex, RwLock};
 use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxstore::{DocId, EditOp, EditOutcome, Store, StoreError, StoreStats};
 use goddag::Goddag;
@@ -35,7 +37,6 @@ use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 /// When the WAL file is fsynced.
@@ -225,17 +226,6 @@ impl PersistMetrics {
     }
 }
 
-/// Poison-tolerant: the WAL mutex guards plain state (file handle,
-/// LSN/byte counters, record offsets). A panic while it is held — an
-/// injected `cxobs::fault::Fault::Panic` at a WAL failpoint, or an
-/// out-of-memory mid-append — leaves counters that describe whatever
-/// actually reached the file; recovering the guard lets `Drop` still
-/// flush and `wal_tail` still ship, and reopen-time recovery re-derives
-/// the authoritative tail from the bytes themselves.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A durable, warm-restartable document store. See the module docs.
 pub struct DurableStore {
     store: Store,
@@ -398,12 +388,12 @@ impl DurableStore {
             metrics: PersistMetrics::new(r),
             store,
             dir,
-            gate: RwLock::new(()),
-            wal: Mutex::new(wal),
+            gate: RwLock::new(Level::DurableGate, ()),
+            wal: Mutex::new(Level::Wal, wal),
             policy: options.fsync,
             recovery,
             degraded: AtomicBool::new(false),
-            degraded_reason: Mutex::new(String::new()),
+            degraded_reason: Mutex::new(Level::DegradedReason, String::new()),
         }
     }
 
@@ -419,14 +409,14 @@ impl DurableStore {
 
     /// The last log sequence number assigned.
     pub fn last_lsn(&self) -> u64 {
-        lock(&self.wal).lsn
+        self.wal.lock().lsn
     }
 
     /// The current WAL position: last assigned LSN plus valid byte length.
     /// Replication lag is observable as the difference between a primary's
     /// position and a follower's last applied LSN.
     pub fn wal_position(&self) -> WalPosition {
-        let w = lock(&self.wal);
+        let w = self.wal.lock();
         WalPosition { lsn: w.lsn, bytes: w.len }
     }
 
@@ -443,7 +433,7 @@ impl DurableStore {
     /// bytes it ships.
     pub fn wal_tail(&self, after: u64, max_bytes: usize) -> Result<TailShipment> {
         let (file, start, end, last) = {
-            let mut w = lock(&self.wal);
+            let mut w = self.wal.lock();
             if after == w.lsn {
                 return Ok(TailShipment::CaughtUp);
             }
@@ -499,9 +489,9 @@ impl DurableStore {
     /// the log first — a shipped snapshot, like shipped records, must not
     /// contain state the primary could still lose.
     pub fn capture_snapshot(&self) -> Result<StoreSnapshot> {
-        let _exclusive = write_gate(&self.gate);
+        let _exclusive = self.gate.write();
         let lsn = {
-            let mut w = lock(&self.wal);
+            let mut w = self.wal.lock();
             self.sync_locked(&mut w)?;
             w.lsn
         };
@@ -578,7 +568,7 @@ impl DurableStore {
 
     fn logged_edit(&self, id: DocId, guard: Option<u64>, op: EditOp) -> Result<EditOutcome> {
         self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         // A guard mismatch leaves the document untouched and logs nothing.
         self.store
             .edit_with_log(id, op, |op, epoch| match guard {
@@ -612,13 +602,13 @@ impl DurableStore {
     /// identically.
     pub fn admit(&self, claim: Claim, doc: LoggedDoc, names: &[String]) -> Result<DocId> {
         self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         // The id claim and every record after it run under the WAL mutex:
         // the logged id and the applied id cannot be interleaved apart, and
         // a racing insert cannot take an exact handle between the liveness
         // check and the append (a logged DocInsert followed by a failed
         // local apply would make this shard's replicas diverge).
-        let mut w = lock(&self.wal);
+        let mut w = self.wal.lock();
         let id = match claim {
             Claim::Next => DocId::from_raw(self.store.next_doc_raw()),
             Claim::Residue { modulus, residue } => {
@@ -648,7 +638,7 @@ impl DurableStore {
     /// whether the handle was live.
     pub fn remove(&self, id: DocId) -> Result<bool> {
         self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         if !self.store.contains(id) {
             return Ok(false); // nothing to log
         }
@@ -659,7 +649,7 @@ impl DurableStore {
     /// Bind (or rebind) a name to a live document, durably.
     pub fn bind_name(&self, name: impl Into<String>, id: DocId) -> Result<()> {
         self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         let name = name.into();
         if !self.store.contains(id) {
             return Err(PersistError::Store(cxstore::StoreError::NoSuchDoc(id)));
@@ -674,7 +664,7 @@ impl DurableStore {
     /// was unbound already).
     pub fn unbind_name(&self, name: &str) -> Result<Option<DocId>> {
         self.ensure_writable()?;
-        let _shared = read_gate(&self.gate);
+        let _shared = self.gate.read();
         if self.store.id_by_name(name).is_err() {
             return Ok(None); // nothing to log
         }
@@ -683,7 +673,7 @@ impl DurableStore {
     }
 
     fn append(&self, op: WalOp) -> Result<()> {
-        let mut w = lock(&self.wal);
+        let mut w = self.wal.lock();
         self.append_locked(&mut w, op)
     }
 
@@ -768,7 +758,7 @@ impl DurableStore {
     /// Force an fsync of everything appended so far (a durability barrier
     /// under [`FsyncPolicy::Never`]).
     pub fn sync(&self) -> Result<()> {
-        let mut w = lock(&self.wal);
+        let mut w = self.wal.lock();
         self.sync_locked(&mut w)
     }
 
@@ -788,7 +778,7 @@ impl DurableStore {
     /// Why the store is degraded (`None` while healthy).
     pub fn degraded_reason(&self) -> Option<String> {
         if self.degraded.load(Ordering::Acquire) {
-            Some(lock(&self.degraded_reason).clone())
+            Some(self.degraded_reason.lock().clone())
         } else {
             None
         }
@@ -798,7 +788,7 @@ impl DurableStore {
     /// starts with. One relaxed-ish atomic load when healthy.
     fn ensure_writable(&self) -> Result<()> {
         if self.degraded.load(Ordering::Acquire) {
-            return Err(PersistError::Degraded { detail: lock(&self.degraded_reason).clone() });
+            return Err(PersistError::Degraded { detail: self.degraded_reason.lock().clone() });
         }
         Ok(())
     }
@@ -808,7 +798,7 @@ impl DurableStore {
     fn enter_degraded(&self, reason: &str) {
         if self.degraded.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
         {
-            *lock(&self.degraded_reason) = reason.to_string();
+            *self.degraded_reason.lock() = reason.to_string();
             self.metrics.degraded.set(1);
             self.store.registry().event("store.degraded", reason.to_string());
         }
@@ -825,13 +815,13 @@ impl DurableStore {
         if !self.degraded.load(Ordering::Acquire) {
             return Ok(StoreHealth::Healthy);
         }
-        let mut w = lock(&self.wal);
+        let mut w = self.wal.lock();
         fault::io_check(Site::WalAppend)?;
         fault::io_check(Site::WalFsync)?;
         self.metrics.wal_fsync_ns.time(|| w.file.sync_data())?;
         w.dirty = 0;
         self.degraded.store(false, Ordering::Release);
-        *lock(&self.degraded_reason) = String::new();
+        *self.degraded_reason.lock() = String::new();
         self.metrics.degraded.set(0);
         self.store.registry().event("store.healed", "write path re-probed OK");
         Ok(StoreHealth::Healthy)
@@ -869,12 +859,16 @@ impl DurableStore {
         self.ensure_writable()?;
         let _span = self.metrics.checkpoint_ns.span();
         let _trace = trace::span("checkpoint");
-        let _exclusive = write_gate(&self.gate);
-        let mut w = lock(&self.wal);
-        // Everything up to w.lsn is in memory (mutators are drained); the
-        // snapshot captures exactly that state.
-        self.sync_locked(&mut w)?;
-        let lsn = w.lsn;
+        let _exclusive = self.gate.write();
+        // Everything up to `lsn` is in memory (mutators are drained); the
+        // snapshot captures exactly that state. It reads the documents with
+        // the WAL lock released, as edits take `Doc` before `Wal`; the
+        // exclusive gate keeps `lsn` fixed until the rotation below.
+        let lsn = {
+            let mut w = self.wal.lock();
+            self.sync_locked(&mut w)?;
+            w.lsn
+        };
         // The newest *older* snapshot that validates end-to-end (manifest
         // + blob CRCs + epochs) serves two roles: its blobs are reused for
         // documents whose epoch is unchanged (incremental checkpointing),
@@ -892,7 +886,15 @@ impl DurableStore {
             prev.as_ref().map(|(_, path, m)| (path.as_path(), m)),
         )?;
         let floor = prev.as_ref().map_or(0, |&(l, _, _)| l);
-        self.drop_wal_prefix(&mut w, floor)?;
+        {
+            let mut w = self.wal.lock();
+            // `sync`, `wal_tail` and `heal` could run while the lock was
+            // released. With nothing appended they fsync nothing, so none
+            // can degrade the store today; the re-check keeps a degraded log
+            // from ever being rotated. The new snapshot is valid either way.
+            self.ensure_writable()?;
+            self.drop_wal_prefix(&mut w, floor)?;
+        }
         prune_snapshots(&self.dir, floor);
         self.metrics.checkpoints.bump();
         self.store.registry().event(
@@ -978,7 +980,7 @@ impl Observable for DurableStore {
 impl Drop for DurableStore {
     fn drop(&mut self) {
         // Best-effort flush of anything `Never` left unsynced.
-        let mut w = lock(&self.wal);
+        let mut w = self.wal.lock();
         let _ = self.sync_locked(&mut w);
     }
 }
@@ -1006,15 +1008,4 @@ fn read_range(mut file: File, start: u64, end: u64) -> io::Result<Vec<u8>> {
     file.seek(SeekFrom::Start(start))?;
     file.read_exact(&mut bytes)?;
     Ok(bytes)
-}
-
-// Poison-tolerant: the checkpoint gate guards `()` — there is no data a
-// panicked holder could have half-written; the lock exists purely to
-// order mutators against checkpoints.
-fn read_gate(gate: &RwLock<()>) -> std::sync::RwLockReadGuard<'_, ()> {
-    gate.read().unwrap_or_else(PoisonError::into_inner)
-}
-
-fn write_gate(gate: &RwLock<()>) -> std::sync::RwLockWriteGuard<'_, ()> {
-    gate.write().unwrap_or_else(PoisonError::into_inner)
 }

@@ -3,10 +3,11 @@
 use crate::error::{ReplError, Result};
 use crate::replica::ReplicaStore;
 use crate::transport::{FetchResponse, LogTransport};
+use cxobs::sync::{Level, Mutex};
 use cxpersist::StoreSnapshot;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -264,7 +265,7 @@ impl<T: LogTransport> Follower<T> {
         let stop = Arc::new(AtomicBool::new(false));
         let replica = Arc::clone(&self.replica);
         let stop2 = Arc::clone(&stop);
-        let terminal: Arc<Mutex<Option<FollowerError>>> = Arc::default();
+        let terminal = Arc::new(Mutex::new(Level::FollowerTerminal, None));
         let terminal2 = Arc::clone(&terminal);
         let thread = std::thread::spawn(move || {
             let mut f = self;
@@ -272,9 +273,7 @@ impl<T: LogTransport> Follower<T> {
             let mut failures: u32 = 0;
             let park = |f: &Follower<T>, e: FollowerError| {
                 f.replica.store().registry().event("follower.parked", e.to_string());
-                // Poison recovery: the slot holds one whole Option write,
-                // so a panicked holder cannot leave a torn value.
-                *terminal2.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
+                *terminal2.lock() = Some(e);
             };
             while !stop2.load(Ordering::Relaxed) {
                 match f.sync_once() {
@@ -361,9 +360,7 @@ impl FollowerHandle {
     /// reads at its last applied state, but it will never advance;
     /// re-bootstrap or promote it.
     pub fn terminal_error(&self) -> Option<FollowerError> {
-        // Poison recovery: writes are single whole-Option stores, so a
-        // recovered guard always reads a coherent error.
-        self.terminal.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
+        self.terminal.lock().clone()
     }
 
     /// Stop the loop and join the thread, returning the replica (its Arc

@@ -1,12 +1,13 @@
 //! The applying side: a live read-only store that follows a shipped log.
 
 use crate::error::{ReplError, Result};
+use cxobs::sync::{Level, Mutex};
 use cxobs::{names, Counter, Exposition, Histogram, Observable};
 use cxpersist::{apply_logged, scan_batch, Applied, DurableStore, Options, StoreSnapshot};
 use cxstore::{Store, StoreStats};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// How one batch application went.
 #[derive(Debug, Clone, Copy)]
@@ -20,15 +21,6 @@ pub struct BatchApply {
     /// Whether a torn/corrupt tail was dropped — the caller re-requests
     /// from [`ReplicaStore::last_applied`].
     pub torn: bool,
-}
-
-/// Poison-tolerant: the apply mutex serializes batch application; each
-/// record applies atomically through the store's own edit path, so a
-/// panic mid-batch (injected or real) leaves the replica at a record
-/// boundary — the next sync re-requests from `last_applied` and
-/// continues, which is precisely the torn-batch contract.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A read replica: a live [`cxstore::Store`] that continuously applies a
@@ -83,7 +75,7 @@ impl ReplicaStore {
             torn_batches: r.counter(names::REPL_TORN_BATCHES_TOTAL),
             snapshots_installed: r.counter(names::REPL_SNAPSHOTS_INSTALLED_TOTAL),
             store,
-            apply: Mutex::default(),
+            apply: Mutex::new(Level::ReplicaApply, HashSet::new()),
             last_applied: AtomicU64::new(0),
             last_head: AtomicU64::new(0),
         }
@@ -129,7 +121,7 @@ impl ReplicaStore {
     /// gaps and divergence. Concurrent readers keep working throughout.
     pub fn apply_batch(&self, bytes: &[u8]) -> Result<BatchApply> {
         let _span = self.apply_ns.span();
-        let mut removed = lock(&self.apply);
+        let mut removed = self.apply.lock();
         let scan = scan_batch(bytes, self.last_applied());
         if scan.torn {
             self.torn_batches.bump();
@@ -168,7 +160,7 @@ impl ReplicaStore {
     /// behind the primary's retention floor). In-flight readers holding
     /// document entries finish against the pre-snapshot documents.
     pub fn install_snapshot(&self, snap: &StoreSnapshot) -> Result<()> {
-        let mut removed = lock(&self.apply);
+        let mut removed = self.apply.lock();
         for id in self.store.doc_ids() {
             self.store.remove(id);
         }

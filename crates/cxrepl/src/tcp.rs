@@ -138,15 +138,12 @@ fn serve_connection(
             Err(e) => return Err(e),
         }
         read_full(&mut stream, &mut req[1..])?;
-        // invariant: req is a fixed 12-byte buffer, so both 8- and 4-byte
-        // slices below always convert (here and for max_bytes).
-        let after = u64::from_be_bytes(req[..8].try_into().unwrap());
+        let [after @ .., m0, m1, m2, m3] = req;
+        let after = u64::from_be_bytes(after);
         // The request's byte budget comes straight off the wire: clamp it
         // to the frame cap rather than letting a corrupt or hostile value
-        // drive an arbitrarily large slice. (Same invariant: a fixed-size
-        // req buffer makes the 4-byte conversion infallible.)
-        let max_bytes =
-            (u32::from_be_bytes(req[8..12].try_into().unwrap()).min(MAX_FRAME)) as usize;
+        // drive an arbitrarily large slice.
+        let max_bytes = u32::from_be_bytes([m0, m1, m2, m3]).min(MAX_FRAME) as usize;
         let (kind, head, payload) = match primary.handle_fetch(after, max_bytes) {
             Ok(FetchResponse::CaughtUp { head }) => (KIND_CAUGHT_UP, head, Vec::new()),
             Ok(FetchResponse::Records { head, bytes }) => (KIND_RECORDS, head, bytes),
@@ -212,14 +209,16 @@ impl TcpTransport {
     }
 
     fn ensure_connected(&mut self) -> std::io::Result<&mut TcpStream> {
-        if self.conn.is_none() {
-            let stream = TcpStream::connect(self.addr)?;
-            stream.set_nodelay(true)?;
-            stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-            self.conn = Some(stream);
-        }
-        // invariant: the branch above just filled `conn` on the None path.
-        Ok(self.conn.as_mut().expect("just connected"))
+        let stream = match self.conn.take() {
+            Some(stream) => stream,
+            None => {
+                let stream = TcpStream::connect(self.addr)?;
+                stream.set_nodelay(true)?;
+                stream.set_read_timeout(Some(Duration::from_secs(10)))?;
+                stream
+            }
+        };
+        Ok(self.conn.insert(stream))
     }
 }
 
@@ -234,11 +233,9 @@ impl LogTransport for TcpTransport {
             stream.flush()?;
             let mut header = [0u8; 13];
             read_full(stream, &mut header)?;
-            let kind = header[0];
-            // invariant: header is a fixed 13-byte buffer, so the 8- and
-            // 4-byte field slices always convert.
-            let head = u64::from_be_bytes(header[1..9].try_into().unwrap());
-            let len = u32::from_be_bytes(header[9..13].try_into().unwrap());
+            let [kind, head @ .., l0, l1, l2, l3] = header;
+            let head = u64::from_be_bytes(head);
+            let len = u32::from_be_bytes([l0, l1, l2, l3]);
             // The cap check runs before the allocation (cxwire refuses a
             // hostile declared length with `InvalidData`).
             let payload = cxwire::read_payload(stream, len)?;

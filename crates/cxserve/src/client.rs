@@ -57,6 +57,7 @@
 use crate::error::{Result, ServeError, WireError};
 use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb};
 use cxcluster::{Router, ShardId};
+use cxobs::sync::{Level, Mutex};
 use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp, EditOutcome};
@@ -64,7 +65,6 @@ use goddag::{Goddag, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// Per-document hits from a fan-out query.
@@ -156,7 +156,7 @@ impl Client {
         let addr = addr.to_socket_addrs()?.next().ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidInput, "address resolved to nothing")
         })?;
-        Ok(Client { addr, opts: options, idle: Mutex::new(Vec::new()) })
+        Ok(Client { addr, opts: options, idle: Mutex::new(Level::ClientIdle, Vec::new()) })
     }
 
     /// The endpoint this client talks to.
@@ -165,10 +165,7 @@ impl Client {
     }
 
     fn take_conn(&self) -> std::io::Result<Conn> {
-        // Poison recovery (also `put_back`): the pool holds whole
-        // connections pushed/popped one at a time, so a panicked holder
-        // leaves a valid (possibly shorter) free list.
-        let pooled = self.idle.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let pooled = self.idle.lock().pop();
         match pooled {
             Some(c) => Ok(c),
             None => Conn::dial(self.addr),
@@ -176,7 +173,7 @@ impl Client {
     }
 
     fn put_back(&self, conn: Conn) {
-        let mut idle = self.idle.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut idle = self.idle.lock();
         if idle.len() < POOL {
             idle.push(conn);
         }
@@ -280,7 +277,10 @@ impl Client {
         let edits = [(doc, op)];
         let mut run = Run::new(&edits, self.opts.retries);
         run.guards.insert(doc, expected);
-        // invariant: a run answers once per edit, and this run has one.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: a run answers once per edit, and this run has one"
+        )]
         let r = self.run_guarded(run).and_then(|mut r| r.pop().expect("one edit, one result"));
         if let Err(e) = &r {
             trace.err(e.to_string());
@@ -336,9 +336,14 @@ impl Client {
                 }
             }
         }
-        // invariant: the loop ends with nothing queued, in flight or lost,
-        // and every edit leaves those only by settling its slot.
-        Ok(run.slots.into_iter().map(|s| s.result.expect("every edit settled")).collect())
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the loop ends with nothing queued, in flight or lost, and every \
+                      edit leaves those only by settling its slot"
+        )]
+        let results =
+            run.slots.into_iter().map(|s| s.result.expect("every edit settled")).collect();
+        Ok(results)
     }
 
     /// Drive `run` over one connection, `first` aboard, until nothing is
@@ -888,9 +893,13 @@ impl RouterClient {
                     })
                 })
                 .collect();
-            // invariant: shard query threads return errors instead of
-            // panicking; a panic is a bug worth propagating.
-            handles.into_iter().map(|h| h.join().expect("query thread")).collect()
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: shard query threads return errors instead of panicking; a \
+                          panic is a bug worth propagating"
+            )]
+            let results = handles.into_iter().map(|h| h.join().expect("query thread")).collect();
+            results
         })
     }
 

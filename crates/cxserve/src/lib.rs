@@ -38,6 +38,16 @@
 //! handler span, and the `trace` verb serves the flight recorder's
 //! retained traces — summaries or one rendered tree — over the wire.
 
+// No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::allow_attributes_without_reason
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -30,6 +30,7 @@ use crate::error::{WireError, WireErrorKind};
 use crate::proto::{Request, Response, TraceQuery, Verb};
 use cxcluster::{Cluster, ClusterError, ShardId};
 use cxobs::fault::{self, Site};
+use cxobs::sync::{Level, Mutex};
 use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{LoggedDoc, PersistError};
 use cxstore::DocId;
@@ -38,7 +39,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -207,7 +208,7 @@ impl ClusterServer {
 
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = mpsc::sync_channel::<TcpStream>(options.backlog.max(1));
-        let rx = Arc::new(Mutex::new(rx));
+        let rx = Arc::new(Mutex::new(Level::ServerQueue, rx));
         let workers = (0..options.handlers.max(1))
             .map(|_| {
                 let svc = Arc::clone(&svc);
@@ -295,14 +296,8 @@ fn accept_loop(
 fn worker(svc: &Service, rx: &Mutex<Receiver<TcpStream>>, stop: &AtomicBool) {
     loop {
         // Hold the lock only around the dequeue; a 100 ms tick keeps the
-        // stop flag observed even when no connections arrive. Poison
-        // recovery: the guard protects only `recv_timeout` on the channel,
-        // whose state lives in the channel itself — a panicked holder
-        // leaves nothing half-updated behind the mutex.
-        let next = {
-            let guard = rx.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.recv_timeout(Duration::from_millis(100))
-        };
+        // stop flag observed even when no connections arrive.
+        let next = rx.lock().recv_timeout(Duration::from_millis(100));
         match next {
             Ok(stream) => {
                 let _live = svc.connections.track();

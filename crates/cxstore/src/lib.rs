@@ -52,6 +52,17 @@
 //! assert_eq!(stats.query_cache_hits, 1);
 //! ```
 
+// No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod entry;
 mod error;
 mod stats;

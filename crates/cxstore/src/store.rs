@@ -4,6 +4,7 @@
 use crate::entry::DocEntry;
 use crate::error::{Result, StoreError};
 use crate::stats::{StoreMetrics, StoreStats};
+use cxobs::sync::{Level, RwLock};
 use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
@@ -12,7 +13,7 @@ use sacx::{EditError, EditOp, EditOutcome, Resolved};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Stable handle to a document in a [`Store`]. Never reused, ordered by
 /// insertion.
@@ -88,10 +89,10 @@ impl Store {
     pub fn with_registry(obs: Arc<Registry>) -> Store {
         let metrics = StoreMetrics::new(&obs);
         Store {
-            docs: RwLock::default(),
-            names: RwLock::default(),
+            docs: RwLock::new(Level::StoreDocs, BTreeMap::new()),
+            names: RwLock::new(Level::StoreNames, HashMap::new()),
             next_id: AtomicU64::new(0),
-            queries: RwLock::default(),
+            queries: RwLock::new(Level::StoreQueries, HashMap::new()),
             query_tick: AtomicU64::new(0),
             obs,
             metrics,
@@ -128,7 +129,7 @@ impl Store {
     /// name, not the document it pointed to).
     pub fn insert_named(&self, name: impl Into<String>, g: Goddag) -> DocId {
         let id = self.insert(g);
-        self.names_write().insert(name.into(), id);
+        self.names.write().insert(name.into(), id);
         id
     }
 
@@ -186,7 +187,7 @@ impl Store {
 
     /// Resolve a name to a handle.
     pub fn id_by_name(&self, name: &str) -> Result<DocId> {
-        self.names_read().get(name).copied().ok_or_else(|| StoreError::NoSuchName(name.into()))
+        self.names.read().get(name).copied().ok_or_else(|| StoreError::NoSuchName(name.into()))
     }
 
     /// Bind (or rebind) a name to a live document.
@@ -195,7 +196,7 @@ impl Store {
         // concurrent `remove` takes this lock after dropping the document,
         // so its binding cleanup always observes (and removes) a racing
         // insert — no stale name → dead-id entry can survive.
-        let mut names = self.names_write();
+        let mut names = self.names.write();
         if !self.contains(id) {
             return Err(StoreError::NoSuchDoc(id));
         }
@@ -210,13 +211,13 @@ impl Store {
     /// rebind only shadows within one store). Returns the id the name was
     /// bound to, or `None` when it was unbound already.
     pub fn unbind_name(&self, name: &str) -> Option<DocId> {
-        self.names_write().remove(name)
+        self.names.write().remove(name)
     }
 
     /// All current `name → id` bindings, sorted by name.
     pub fn name_bindings(&self) -> Vec<(String, DocId)> {
         let mut out: Vec<(String, DocId)> =
-            self.names_read().iter().map(|(n, id)| (n.clone(), *id)).collect();
+            self.names.read().iter().map(|(n, id)| (n.clone(), *id)).collect();
         out.sort();
         out
     }
@@ -226,9 +227,9 @@ impl Store {
     /// handle was live. Every name bound to the document is unbound with it
     /// (no stale `name → id` entries survive).
     pub fn remove(&self, id: DocId) -> bool {
-        let removed = self.docs_write().remove(&id.0).is_some();
+        let removed = self.docs.write().remove(&id.0).is_some();
         if removed {
-            self.names_write().retain(|_, v| *v != id);
+            self.names.write().retain(|_, v| *v != id);
         }
         removed
     }
@@ -243,7 +244,7 @@ impl Store {
 
     /// Number of live documents.
     pub fn len(&self) -> usize {
-        self.docs_read().len()
+        self.docs.read().len()
     }
 
     /// True when no documents are stored.
@@ -253,25 +254,25 @@ impl Store {
 
     /// Whether the handle is live.
     pub fn contains(&self, id: DocId) -> bool {
-        self.docs_read().contains_key(&id.0)
+        self.docs.read().contains_key(&id.0)
     }
 
     /// All live handles, in insertion order.
     pub fn doc_ids(&self) -> Vec<DocId> {
-        self.docs_read().keys().map(|&raw| DocId(raw)).collect()
+        self.docs.read().keys().map(|&raw| DocId(raw)).collect()
     }
 
     /// A document's current edit epoch.
     pub fn epoch(&self, id: DocId) -> Result<u64> {
         let entry = self.entry(id)?;
-        let g = entry.read();
+        let g = entry.doc.read();
         Ok(g.edit_epoch())
     }
 
     /// Run a closure against a document under its read lock.
     pub fn with_doc<R>(&self, id: DocId, f: impl FnOnce(&Goddag) -> R) -> Result<R> {
         let entry = self.entry(id)?;
-        let g = entry.read();
+        let g = entry.doc.read();
         Ok(f(&g))
     }
 
@@ -284,14 +285,14 @@ impl Store {
     /// never re-parses.
     pub fn compile(&self, expr: &str) -> Result<Arc<Expr>> {
         let tick = self.query_tick.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(cached) = self.queries_read().get(expr) {
+        if let Some(cached) = self.queries.read().get(expr) {
             cached.last_used.store(tick, Ordering::Relaxed);
             self.metrics.query_cache_hits.bump();
             return Ok(Arc::clone(&cached.ast));
         }
         self.metrics.query_cache_misses.bump();
         let ast = Arc::new(parse(expr)?);
-        let mut cache = self.queries_write();
+        let mut cache = self.queries.write();
         if cache.len() >= QUERY_CACHE_CAP && !cache.contains_key(expr) {
             // Evict the least-recently-used entry (linear scan: eviction is
             // rare next to hits and already behind a parse).
@@ -347,8 +348,11 @@ impl Store {
                 .collect();
             let mut out = Vec::with_capacity(entries.len());
             for h in handles {
-                // invariant: query workers return errors, never panic; a
-                // panic is a bug worth propagating.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: query workers return errors, never panic; a panic is a \
+                              bug worth propagating"
+                )]
                 out.extend(h.join().expect("query worker panicked")?);
             }
             Ok(out)
@@ -358,7 +362,7 @@ impl Store {
     /// Prebuild every document's overlap index.
     pub fn warm_all(&self) {
         for (_, entry) in self.entries() {
-            let g = entry.read();
+            let g = entry.doc.read();
             entry.index_for(&g, &self.metrics);
         }
     }
@@ -409,7 +413,7 @@ impl Store {
                 return Ok(Err(err));
             }
         };
-        let mut g = entry.write();
+        let mut g = entry.doc.write();
         let gate_result = {
             let gate_trace = trace::span("store.gate");
             let r = self.metrics.gate_ns.time(|| self.gate(&entry, &g, op));
@@ -442,7 +446,7 @@ impl Store {
     /// in LSN order) and for epoch verification.
     pub fn apply_replicated(&self, id: DocId, op: EditOp) -> Result<EditOutcome> {
         let entry = self.entry(id)?;
-        let mut g = entry.write();
+        let mut g = entry.doc.write();
         self.count_outcome(op.apply(&mut g))
     }
 
@@ -487,7 +491,7 @@ impl Store {
         end: usize,
     ) -> Result<Vec<String>> {
         let entry = self.entry(id)?;
-        let g = entry.read();
+        let g = entry.doc.read();
         let h = g
             .hierarchy_by_name(hierarchy)
             .ok_or_else(|| StoreError::UnknownHierarchy(hierarchy.into()))?;
@@ -510,7 +514,7 @@ impl Store {
     pub fn stats(&self) -> StoreStats {
         let mut s = StoreStats::from_registry(&self.obs);
         for (_, entry) in self.entries() {
-            let g = entry.read();
+            let g = entry.doc.read();
             let gs = g.stats();
             s.docs += 1;
             s.elements += gs.elements;
@@ -522,7 +526,7 @@ impl Store {
                 s.warm_indexes += 1;
             }
         }
-        s.compiled_queries = self.queries_read().len();
+        s.compiled_queries = self.queries.read().len();
         s
     }
 
@@ -531,17 +535,17 @@ impl Store {
     // ------------------------------------------------------------------
 
     fn entry(&self, id: DocId) -> Result<Arc<DocEntry>> {
-        self.docs_read().get(&id.0).cloned().ok_or(StoreError::NoSuchDoc(id))
+        self.docs.read().get(&id.0).cloned().ok_or(StoreError::NoSuchDoc(id))
     }
 
     /// Every live `(id, entry)` pair in id order, as one snapshot.
     fn entries(&self) -> Vec<(DocId, Arc<DocEntry>)> {
-        self.docs_read().iter().map(|(&raw, e)| (DocId(raw), Arc::clone(e))).collect()
+        self.docs.read().iter().map(|(&raw, e)| (DocId(raw), Arc::clone(e))).collect()
     }
 
     /// Insert `entry` under `id` unless the id is live.
     fn claim(&self, id: DocId, entry: &Arc<DocEntry>) -> bool {
-        let mut docs = self.docs_write();
+        let mut docs = self.docs.write();
         if docs.contains_key(&id.0) {
             return false;
         }
@@ -562,7 +566,7 @@ impl Store {
     }
 
     fn query_entry(&self, entry: &DocEntry, ast: &Expr) -> Result<Vec<goddag::NodeId>> {
-        let g = entry.read();
+        let g = entry.doc.read();
         let idx = entry.index_for(&g, &self.metrics);
         let ev = Evaluator::with_shared_index(&g, idx);
         match ev.evaluate(ast, g.root())? {
@@ -577,30 +581,6 @@ impl Store {
         ast: &Expr,
     ) -> Result<Vec<(DocId, Vec<goddag::NodeId>)>> {
         entries.iter().map(|(id, e)| self.query_entry(e, ast).map(|ns| (*id, ns))).collect()
-    }
-
-    fn docs_read(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<u64, Arc<DocEntry>>> {
-        crate::entry::read_lock(&self.docs)
-    }
-
-    fn docs_write(&self) -> std::sync::RwLockWriteGuard<'_, BTreeMap<u64, Arc<DocEntry>>> {
-        crate::entry::write_lock(&self.docs)
-    }
-
-    fn names_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, DocId>> {
-        crate::entry::read_lock(&self.names)
-    }
-
-    fn names_write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, DocId>> {
-        crate::entry::write_lock(&self.names)
-    }
-
-    fn queries_read(&self) -> std::sync::RwLockReadGuard<'_, HashMap<String, CachedQuery>> {
-        crate::entry::read_lock(&self.queries)
-    }
-
-    fn queries_write(&self) -> std::sync::RwLockWriteGuard<'_, HashMap<String, CachedQuery>> {
-        crate::entry::write_lock(&self.queries)
     }
 }
 

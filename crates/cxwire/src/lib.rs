@@ -24,6 +24,17 @@
 //! ([`write_frame`] / [`read_frame`]). One implementation, two wire
 //! formats. Both listeners run the same [`accept_until`] loop.
 
+// No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -213,8 +213,11 @@ impl Resolved {
     pub fn apply(self, g: &mut Goddag) -> Result<EditOutcome, EditError> {
         let node = match self.op {
             EditOp::InsertElement { start, end, .. } => {
-                // invariant: `EditOp::resolve` fills `element` for every
-                // `InsertElement` and for nothing else.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: `EditOp::resolve` fills `element` for every \
+                              `InsertElement` and for nothing else"
+                )]
                 let (h, tag, attrs) = self.element.expect("resolve fills element inserts");
                 Some(g.insert_element(h, tag, attrs, start, end)?)
             }

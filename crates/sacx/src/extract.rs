@@ -90,8 +90,11 @@ pub fn extract(xml: &str, hierarchy_label: &str) -> Result<ExtractedDoc> {
                 }
             }
             Event::EndElement { .. } => {
-                // invariant: the reader refuses an end tag without its start,
-                // and every start pushed one slot.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "invariant: the reader refuses an end tag without its start, and \
+                              every start pushed one slot"
+                )]
                 let top = stack.pop().expect("reader guarantees balance");
                 if top != usize::MAX {
                     ranges[top].end = content.len();

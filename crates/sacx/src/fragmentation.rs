@@ -54,7 +54,7 @@ pub fn export_fragmentation(g: &Goddag, opts: &FragmentationOptions) -> Result<S
     let fragmented = sweep(&elems, &events, g, None)?;
     // Pass 2: emit.
     let mut writer = Writer::new();
-    // invariant: the root always has a name.
+    #[expect(clippy::expect_used, reason = "invariant: the root always has a name")]
     writer.start_with(g.name(g.root()).expect("root is named"), g.attrs(g.root()));
     let mut emit = Emit { writer, join_seq: 0, join_ids: BTreeMap::new(), fragmented };
     sweep(&elems, &events, g, Some(&mut emit))?;
@@ -69,12 +69,15 @@ fn wrap_xml(e: xmlcore::XmlError) -> SacxError {
 fn collect_logical(g: &Goddag, opts: &FragmentationOptions) -> Vec<Logical> {
     let mut elems: Vec<(NodeOrd, Logical)> = Vec::new();
     for h in g.hierarchy_ids() {
-        // invariant: `h` comes from `hierarchy_ids`, so it is live.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `h` comes from `hierarchy_ids`, so it is live"
+        )]
         let hname = &g.hierarchy(h).expect("live id").name;
         for e in g.elements_in(h) {
             let (start, end) = g.char_range(e);
+            #[expect(clippy::expect_used, reason = "invariant: every element has a name")]
             let name = exported_name(
-                // invariant: every element has a name.
                 g.name(e).expect("elements are named"),
                 hname,
                 &opts.default_hierarchy,

@@ -25,6 +25,17 @@
 //! assert_eq!(g.hierarchy_count(), 2);
 //! ```
 
+// No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 mod distributed;
 mod edit;
 mod error;

@@ -58,13 +58,16 @@ pub fn export_milestone(g: &Goddag, opts: &MilestoneOptions) -> Result<String> {
         if h == dominant {
             continue;
         }
-        // invariant: `h` comes from `hierarchy_ids`, so it is live.
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: `h` comes from `hierarchy_ids`, so it is live"
+        )]
         let hname = g.hierarchy(h).expect("live id").name.clone();
         let mut ordered: Vec<_> = g.elements_in(h).collect();
         ordered.sort_by_key(|&e| g.doc_order_key(e));
         for e in ordered {
             let (start, end) = g.char_range(e);
-            // invariant: every element has a name.
+            #[expect(clippy::expect_used, reason = "invariant: every element has a name")]
             let name = exported_name(g.name(e).expect("named"), &hname, "\u{0}never");
             mid_seq += 1;
             let mid = format!("m{mid_seq}");
@@ -92,7 +95,7 @@ pub fn export_milestone(g: &Goddag, opts: &MilestoneOptions) -> Result<String> {
     // boundaries (leaves split at *all* hierarchies' boundaries, so every
     // milestone offset is a leaf boundary).
     let mut w = Writer::new();
-    // invariant: the root always has a name.
+    #[expect(clippy::expect_used, reason = "invariant: the root always has a name")]
     w.start_with(g.name(g.root()).expect("root is named"), g.attrs(g.root()));
     let mut ev_i = 0usize;
     write_node(g, dominant, g.root(), &mut w, &events, &mut ev_i)?;
@@ -127,7 +130,10 @@ fn write_node(
             }
             w.text(text);
         } else {
-            // invariant: a non-leaf child is an element, and elements are named.
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: a non-leaf child is an element, and elements are named"
+            )]
             let name = g.name(c).expect("elements are named");
             let attrs = g.attrs(c);
             let (cstart, _) = g.char_range(c);

@@ -92,12 +92,12 @@ impl StandoffDoc {
                     depth += 1;
                     cur = p;
                 }
+                #[expect(clippy::expect_used, reason = "invariant: every element has a name")]
                 annotations.push((
                     e,
                     (span.start, -(span.end as i64), h.0, depth),
                     Annotation {
                         hierarchy: h.0,
-                        // invariant: every element has a name.
                         tag: g.name(e).expect("named").local.clone(),
                         start,
                         end,
@@ -115,8 +115,12 @@ impl StandoffDoc {
         // depths differ; distinct hierarchies differ in the third component.
         annotations.sort_by_key(|(_, key, _)| *key);
         let ids = annotations.iter().map(|(e, _, _)| *e).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the root always has a name, and each `h` comes from \
+                      `hierarchy_ids`, so it is live"
+        )]
         let doc = StandoffDoc {
-            // invariant: the root always has a name.
             root: g.name(g.root()).expect("root is named").to_string(),
             root_attrs: g
                 .attrs(g.root())
@@ -125,7 +129,6 @@ impl StandoffDoc {
                 .collect(),
             hierarchies: g
                 .hierarchy_ids()
-                // invariant: `h` comes from `hierarchy_ids`, so it is live.
                 .map(|h| g.hierarchy(h).expect("live id").name.clone())
                 .collect(),
             content: g.content(),
