@@ -2,6 +2,9 @@
 //! byte-identical to the records a cold scan of `wal.log` yields — across
 //! appends, byte caps, reopen (torn tail included), checkpoint rotation,
 //! an fsync-failure rollback, and adoption.
+//!
+//! Every test holds `cxobs::Scenario`: the fsync-rollback test arms
+//! `wal.fsync`, and every other test here crosses that site.
 
 mod common;
 
@@ -101,6 +104,7 @@ fn assert_ships_cold_scan(store: &DurableStore) {
 
 #[test]
 fn repeated_fetches_are_byte_identical() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-bytes");
     let store = open(&dir);
     store.insert(corpus::figure1::goddag()).unwrap();
@@ -133,6 +137,7 @@ fn repeated_fetches_are_byte_identical() {
 
 #[test]
 fn sequential_tailing_ships_every_record_once() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-seq");
     let store = open(&dir);
     store.insert(corpus::figure1::goddag()).unwrap();
@@ -163,6 +168,7 @@ fn sequential_tailing_ships_every_record_once() {
 
 #[test]
 fn rotation_retires_records_and_rebases_the_rest() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-rotate");
     let store = open(&dir);
     store.insert(corpus::figure1::goddag()).unwrap();
@@ -203,6 +209,7 @@ fn rotation_retires_records_and_rebases_the_rest() {
 
 #[test]
 fn reopen_indexes_the_recovered_log_and_drops_a_torn_tail() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-reopen");
     {
         let store = open(&dir);
@@ -233,6 +240,7 @@ fn reopen_indexes_the_recovered_log_and_drops_a_torn_tail() {
 
 #[test]
 fn a_log_cut_short_of_the_snapshot_ships_only_new_records() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-short");
     {
         let store = open(&dir);
@@ -295,6 +303,7 @@ fn fsync_rollback_leaves_no_phantom_start() {
 
 #[test]
 fn adopted_store_ships_only_what_it_logged() {
+    let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("tail-adopt");
     let mem = Store::new();
     mem.insert(corpus::figure1::goddag());

@@ -34,7 +34,7 @@ pub enum ReplError {
         detail: String,
     },
     /// A required payload cannot fit the transport's frame cap
-    /// ([`crate::MAX_FRAME`]) — a capacity condition no retry of the same
+    /// ([`cxwire::MAX_FRAME`]) — a capacity condition no retry of the same
     /// fetch can heal, so background followers park on it instead of
     /// re-requesting (and re-capturing) the oversized artifact forever.
     FrameTooLarge {

@@ -22,8 +22,9 @@
 //! * **[`LogTransport`]** — the one-verb shipping abstraction ("what
 //!   follows LSN n?"), with two implementations: [`InProcessTransport`]
 //!   (a function call, for replicas inside the server process and for
-//!   tests/benches) and [`TcpTransport`]/[`TcpReplServer`]
-//!   (length-prefixed frames over std TCP, no extra dependencies).
+//!   tests/benches) and [`TcpTransport`]/[`TcpReplServer`] (the `cxq1`
+//!   `fetch` verb over std TCP, through [`cxwire`]'s codec and
+//!   connection loop).
 //! * **[`Follower`]** — the tailing loop: catch up, poll, absorb primary
 //!   outages while the replica keeps serving reads.
 //! * **Promotion** — [`ReplicaStore::promote`] turns a follower into a
@@ -73,5 +74,5 @@ pub use fault::FaultTransport;
 pub use follower::{Follower, FollowerError, FollowerHandle, RetryPolicy, SyncProgress};
 pub use primary::Primary;
 pub use replica::{BatchApply, ReplicaStore};
-pub use tcp::{TcpReplServer, TcpTransport, MAX_FRAME};
+pub use tcp::{TcpReplServer, TcpTransport};
 pub use transport::{FetchResponse, InProcessTransport, LogTransport};

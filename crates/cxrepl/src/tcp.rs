@@ -1,59 +1,31 @@
-//! The cross-process transport: length-prefixed frames over std TCP.
-//!
-//! Wire format (all integers big-endian):
+//! The cross-process transport: the `cxq1` `fetch` verb over std TCP.
 //!
 //! ```text
-//! request  := after:u64  max_bytes:u32                    (12 bytes)
-//! response := kind:u8  head:u64  len:u32  payload:[len]   (13 + len bytes)
-//! kind     := 0 caught-up | 1 records | 2 snapshot
-//!           | 3 error (utf-8 detail, transient — the follower retries)
-//!           | 4 diverged (utf-8 detail, terminal — the follower parks)
-//!           | 5 too-large (utf-8 detail, terminal — the payload cannot
-//!             fit the frame cap; retrying the same fetch cannot help)
+//! cxq1 fetch <after> <max_bytes> [tc <trace>-<span>]
+//!   → ok caught_up <head>
+//!   | ok records <head> \n <WAL record bytes>
+//!   | ok snapshot <head> \n <StoreSnapshot text>
+//!   | err diverged … | err too_large …   (terminal: the follower parks)
+//!   | err <other kind> …                 (transient: the follower retries)
 //! ```
 //!
-//! One [`TcpReplServer`] serves any number of followers, one handler
-//! thread per connection, requests answered in order per connection. The
-//! payloads are exactly what the in-process transport carries — the WAL
-//! codec's self-framed records and the wire-snapshot text — so torn-tail
-//! tolerance and CRC verification are identical on both transports; the
-//! frame length only tells the client how much to read, the records
-//! defend themselves.
+//! Codec, frame cap and connection loop are [`cxwire`]'s, shared with the
+//! service tier; this module maps [`Request::Fetch`] onto
+//! [`Primary::handle_fetch`] and back. The bodies are the bytes the
+//! in-process transport carries, so torn-tail tolerance and CRC checks
+//! are the replica's on both transports. One handler thread per follower
+//! connection: followers hold theirs for life.
 
 use crate::error::{ReplError, Result};
 use crate::primary::Primary;
 use crate::transport::{FetchResponse, LogTransport};
-use cxwire::read_full;
-use std::io::{ErrorKind, Read, Write};
+use cxobs::trace;
+use cxwire::{Request, Response, WireError, MAX_FRAME};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
-
-const KIND_CAUGHT_UP: u8 = 0;
-const KIND_RECORDS: u8 = 1;
-const KIND_SNAPSHOT: u8 = 2;
-const KIND_ERROR: u8 = 3;
-/// Split history: preserved as [`ReplError::Diverged`] across the wire so
-/// the follower's loop parks instead of retrying an unhealable stream.
-const KIND_DIVERGED: u8 = 4;
-/// The response payload exceeds [`MAX_FRAME`]: preserved as
-/// [`ReplError::FrameTooLarge`] so the follower parks (a capacity
-/// condition; re-requesting would re-capture and re-discard the same
-/// oversized artifact forever, stalling the primary each time).
-const KIND_TOO_LARGE: u8 = 5;
-
-/// Hard ceiling on frame payloads, enforced on **both** ends: the client
-/// refuses a response header whose declared length exceeds it (a corrupt
-/// or hostile frame cannot demand a multi-GB allocation before a single
-/// payload byte arrives), and the server clamps the requested `max_bytes`
-/// and refuses to emit an oversized payload (a snapshot bootstrap that
-/// cannot fit is reported as an error, never silently truncated — the
-/// record/snapshot codecs would read a cut as a torn artifact anyway).
-/// The cap itself — and the stall-bounded exact reads that pair with it —
-/// live in [`cxwire`], shared verbatim with the `cxserve` service tier.
-pub use cxwire::MAX_FRAME;
 
 // ---------------------------------------------------------------------
 // Server
@@ -87,7 +59,8 @@ impl TcpReplServer {
                 let primary = Arc::clone(&primary);
                 let stop = Arc::clone(&stop2);
                 handlers.push(std::thread::spawn(move || {
-                    let _ = serve_connection(&primary, stream, &stop);
+                    let answer = |payload: &[u8]| respond(&primary, payload);
+                    let _ = cxwire::serve_connection(stream, &stop, answer, |_| {});
                 }));
             });
             for h in handlers {
@@ -121,60 +94,27 @@ impl Drop for TcpReplServer {
     }
 }
 
-fn serve_connection(
-    primary: &Primary,
-    mut stream: TcpStream,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    // Short read timeout so an idle connection re-checks the stop flag;
-    // once a request's first byte arrives, the rest is read to completion.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut req = [0u8; 12];
-    while !stop.load(Ordering::Relaxed) {
-        match stream.read(&mut req[..1]) {
-            Ok(0) => return Ok(()), // follower hung up
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) => return Err(e),
+/// Answer one request frame. Only `fetch` is served; a traced one runs
+/// under a `repl.fetch` span adopted from the caller's `tc` pair.
+fn respond(primary: &Primary, payload: &[u8]) -> Response {
+    let (after, max_bytes) = match Request::decode(payload) {
+        Ok(Request::Fetch { after, max_bytes }) => (after, max_bytes),
+        Ok(other) => {
+            let verb = other.verb();
+            let detail = format!("the replication listener serves `fetch`, not `{verb}`");
+            return Response::Err(WireError::BadRequest(detail));
         }
-        read_full(&mut stream, &mut req[1..])?;
-        let [after @ .., m0, m1, m2, m3] = req;
-        let after = u64::from_be_bytes(after);
-        // The request's byte budget comes straight off the wire: clamp it
-        // to the frame cap rather than letting a corrupt or hostile value
-        // drive an arbitrarily large slice.
-        let max_bytes = u32::from_be_bytes([m0, m1, m2, m3]).min(MAX_FRAME) as usize;
-        let (kind, head, payload) = match primary.handle_fetch(after, max_bytes) {
-            Ok(FetchResponse::CaughtUp { head }) => (KIND_CAUGHT_UP, head, Vec::new()),
-            Ok(FetchResponse::Records { head, bytes }) => (KIND_RECORDS, head, bytes),
-            Ok(FetchResponse::Snapshot { head, bytes }) => (KIND_SNAPSHOT, head, bytes),
-            Err(e @ ReplError::Diverged { .. }) => (KIND_DIVERGED, 0, e.to_string().into_bytes()),
-            Err(e) => (KIND_ERROR, 0, e.to_string().into_bytes()),
-        };
-        // Never emit a frame the client is contractually bound to refuse
-        // (`wal_tail` overshoots `max_bytes` by at most one record, and a
-        // snapshot bootstrap can be arbitrarily large): fail the fetch
-        // loudly — and *terminally*, so the follower parks with the
-        // capacity problem surfaced instead of re-requesting (and
-        // re-capturing) the same oversized artifact forever.
-        let (kind, payload) = if payload.len() > MAX_FRAME as usize {
-            let detail = format!(
-                "response payload of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
-                payload.len()
-            );
-            (KIND_TOO_LARGE, detail.into_bytes())
-        } else {
-            (kind, payload)
-        };
-        let mut header = [0u8; 13];
-        header[0] = kind;
-        header[1..9].copy_from_slice(&head.to_be_bytes());
-        header[9..13].copy_from_slice(&(payload.len() as u32).to_be_bytes());
-        stream.write_all(&header)?;
-        stream.write_all(&payload)?;
-        stream.flush()?;
+        Err(e) => return Response::Err(e),
+    };
+    let _span = trace::adopt("repl.fetch", Request::trace_context(payload).map(|c| c.child()));
+    // The byte budget comes straight off the wire: clamp it to the frame
+    // cap rather than let a corrupt or hostile value drive the slice.
+    match primary.handle_fetch(after, max_bytes.min(u64::from(MAX_FRAME)) as usize) {
+        Ok(fetched) => Response::Fetch(fetched),
+        Err(ReplError::Diverged { detail }) => Response::Err(WireError::Diverged(detail)),
+        Err(ReplError::FrameTooLarge { detail }) => Response::Err(WireError::TooLarge(detail)),
+        Err(e) => Response::Err(WireError::Server(e.to_string())),
     }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -203,68 +143,32 @@ impl TcpTransport {
             .to_socket_addrs()?
             .next()
             .ok_or_else(|| std::io::Error::new(ErrorKind::InvalidInput, "no address resolved"))?;
-        let mut t = TcpTransport::new(addr);
-        t.ensure_connected()?;
-        Ok(t)
-    }
-
-    fn ensure_connected(&mut self) -> std::io::Result<&mut TcpStream> {
-        let stream = match self.conn.take() {
-            Some(stream) => stream,
-            None => {
-                let stream = TcpStream::connect(self.addr)?;
-                stream.set_nodelay(true)?;
-                stream.set_read_timeout(Some(Duration::from_secs(10)))?;
-                stream
-            }
-        };
-        Ok(self.conn.insert(stream))
+        Ok(TcpTransport { addr, conn: Some(cxwire::dial(addr)?) })
     }
 }
 
 impl LogTransport for TcpTransport {
     fn fetch(&mut self, after: u64, max_bytes: usize) -> Result<FetchResponse> {
-        let result = (|| -> std::io::Result<(u8, u64, Vec<u8>)> {
-            let stream = self.ensure_connected()?;
-            let mut req = [0u8; 12];
-            req[..8].copy_from_slice(&after.to_be_bytes());
-            req[8..12].copy_from_slice(&(max_bytes.min(MAX_FRAME as usize) as u32).to_be_bytes());
-            stream.write_all(&req)?;
-            stream.flush()?;
-            let mut header = [0u8; 13];
-            read_full(stream, &mut header)?;
-            let [kind, head @ .., l0, l1, l2, l3] = header;
-            let head = u64::from_be_bytes(head);
-            let len = u32::from_be_bytes([l0, l1, l2, l3]);
-            // The cap check runs before the allocation (cxwire refuses a
-            // hostile declared length with `InvalidData`).
-            let payload = cxwire::read_payload(stream, len)?;
-            Ok((kind, head, payload))
-        })();
-        let (kind, head, payload) = match result {
-            Ok(frame) => frame,
-            Err(e) => {
-                // Poisoned stream state (half-read frame): reconnect next
-                // time rather than misparse.
-                self.conn = None;
-                return Err(ReplError::Io(e));
-            }
+        let max_bytes = max_bytes.min(MAX_FRAME as usize) as u64;
+        let request = Request::Fetch { after, max_bytes }.encode_traced(trace::current());
+        // The stream goes back only after a whole exchange: a failed one
+        // may leave half a frame behind, so the next fetch dials fresh.
+        let mut stream = match self.conn.take() {
+            Some(stream) => stream,
+            None => cxwire::dial(self.addr)?,
         };
-        match kind {
-            KIND_CAUGHT_UP => Ok(FetchResponse::CaughtUp { head }),
-            KIND_RECORDS => Ok(FetchResponse::Records { head, bytes: payload }),
-            KIND_SNAPSHOT => Ok(FetchResponse::Snapshot { head, bytes: payload }),
-            KIND_DIVERGED => {
-                Err(ReplError::Diverged { detail: String::from_utf8_lossy(&payload).into_owned() })
+        cxwire::write_frame(&mut stream, &request)?;
+        let fetched = match Response::decode(&cxwire::read_frame(&mut stream)?) {
+            Ok(Response::Fetch(fetched)) => Ok(fetched),
+            Ok(Response::Err(WireError::Diverged(detail))) => Err(ReplError::Diverged { detail }),
+            Ok(Response::Err(WireError::TooLarge(detail))) => {
+                Err(ReplError::FrameTooLarge { detail })
             }
-            KIND_TOO_LARGE => Err(ReplError::FrameTooLarge {
-                detail: String::from_utf8_lossy(&payload).into_owned(),
-            }),
-            KIND_ERROR => Err(ReplError::Remote(String::from_utf8_lossy(&payload).into_owned())),
-            other => {
-                self.conn = None;
-                Err(ReplError::Protocol(format!("unknown response kind {other}")))
-            }
-        }
+            Ok(Response::Err(e)) => Err(ReplError::Remote(e.to_string())),
+            Ok(_) => return Err(ReplError::Protocol("a fetch got a non-fetch answer".into())),
+            Err(e) => return Err(ReplError::Protocol(e.to_string())),
+        };
+        self.conn = Some(stream);
+        fetched
     }
 }

@@ -2,45 +2,17 @@
 //!
 //! A [`LogTransport`] carries exactly one request shape — "give me what
 //! follows LSN `after`, up to `max_bytes`" — and one response shape,
-//! [`FetchResponse`]. Everything else (framing tolerance, gap detection,
-//! epoch verification) lives in the replica, so a transport can be as dumb
-//! as a function call ([`InProcessTransport`]) or a socket
-//! ([`TcpTransport`](crate::TcpTransport)) without changing replication
-//! semantics.
+//! [`FetchResponse`] (declared in [`cxwire`], where it is also one
+//! [`cxwire::Response`] variant). Everything else (framing tolerance, gap
+//! detection, epoch verification) lives in the replica, so a transport can
+//! be as dumb as a function call ([`InProcessTransport`]) or a `cxq1`
+//! `fetch` over a socket ([`TcpTransport`](crate::TcpTransport)) without
+//! changing replication semantics.
 
 use crate::error::Result;
 use crate::primary::Primary;
+pub use cxwire::FetchResponse;
 use std::sync::Arc;
-
-/// A primary's answer to one fetch.
-#[derive(Debug)]
-pub enum FetchResponse {
-    /// Nothing past the requested LSN — the follower is caught up.
-    CaughtUp {
-        /// The primary's head LSN (equals the requested LSN).
-        head: u64,
-    },
-    /// Raw WAL record bytes: each record self-framed and CRC'd by the WAL
-    /// codec, LSNs contiguous from the requested LSN + 1. A torn tail
-    /// (truncated in flight) is detected by the replica's batch scan and
-    /// re-requested — see [`cxpersist::scan_batch`].
-    Records {
-        /// The primary's head LSN at response time (drives lag
-        /// accounting).
-        head: u64,
-        /// The record bytes.
-        bytes: Vec<u8>,
-    },
-    /// The requested LSN predates the primary's oldest retained record:
-    /// a full [`cxpersist::StoreSnapshot`] in wire-text form. The follower
-    /// installs it and continues fetching from its LSN.
-    Snapshot {
-        /// The snapshot's LSN (also the primary's head at capture).
-        head: u64,
-        /// `StoreSnapshot::to_text` bytes.
-        bytes: Vec<u8>,
-    },
-}
 
 /// One hop from a follower to a primary's log.
 pub trait LogTransport: Send {

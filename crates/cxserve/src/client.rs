@@ -54,13 +54,13 @@
 //! unambiguous; edits to distinct documents overlap freely. Each
 //! connection a run uses is one `client.call` trace span.
 
-use crate::error::{Result, ServeError, WireError};
-use crate::proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb};
+use crate::error::{Result, ServeError};
 use cxcluster::{Router, ShardId};
 use cxobs::sync::{Level, Mutex};
 use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp, EditOutcome};
+use cxwire::{Request, Response, TraceQuery, TraceSummaryWire, Verb, WireError};
 use goddag::{Goddag, NodeId};
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -80,8 +80,6 @@ type EditResult = std::result::Result<EditOutcome, ServeError>;
 const POOL: usize = 2;
 /// Guarded edits a run keeps in flight on one connection.
 const WINDOW: usize = 32;
-/// Dial timeout.
-const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tuning for a [`Client`].
 #[derive(Debug, Clone)]
@@ -115,15 +113,6 @@ struct Conn {
 }
 
 impl Conn {
-    fn dial(addr: SocketAddr) -> std::io::Result<Conn> {
-        let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
-        stream.set_nodelay(true)?;
-        // cxwire's reads ride out this timeout while a frame makes
-        // progress; total silence fails after FRAME_STALL_LIMIT.
-        stream.set_read_timeout(Some(Duration::from_millis(250)))?;
-        Ok(Conn { stream })
-    }
-
     fn send(&mut self, req: &Request) -> std::io::Result<()> {
         // If a trace is active on this thread, its context rides the
         // frame as the optional `tc` token — the server adopts it and
@@ -168,7 +157,7 @@ impl Client {
         let pooled = self.idle.lock().pop();
         match pooled {
             Some(c) => Ok(c),
-            None => Conn::dial(self.addr),
+            None => cxwire::dial(self.addr).map(|stream| Conn { stream }),
         }
     }
 
@@ -232,7 +221,7 @@ impl Client {
     pub fn ping(&self) -> Result<()> {
         match self.call_idem(&Request::Ping)? {
             Response::Pong => Ok(()),
-            other => Err(unexpected("pong", &other)),
+            other => Err(unexpected("pong", other)),
         }
     }
 
@@ -250,8 +239,7 @@ impl Client {
     fn insert_req(&self, req: Request) -> Result<DocId> {
         match self.call(&req)? {
             Response::Id(id) => Ok(id),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("id", &other)),
+            other => Err(unexpected("id", other)),
         }
     }
 
@@ -260,8 +248,7 @@ impl Client {
     pub fn edit(&self, doc: DocId, op: EditOp) -> Result<EditOutcome> {
         match self.call(&Request::Edit { doc, guard: None, op })? {
             Response::Edited { node, epoch } => Ok(EditOutcome { node, epoch }),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("edited", &other)),
+            other => Err(unexpected("edited", other)),
         }
     }
 
@@ -405,8 +392,7 @@ impl Client {
     pub fn query(&self, doc: DocId, expr: &str) -> Result<Vec<NodeId>> {
         match self.call_idem(&Request::Query { doc, expr: expr.into() })? {
             Response::Nodes(nodes) => Ok(nodes),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("nodes", &other)),
+            other => Err(unexpected("nodes", other)),
         }
     }
 
@@ -415,8 +401,7 @@ impl Client {
     pub fn query_all(&self, expr: &str) -> Result<Vec<(DocId, Vec<NodeId>)>> {
         match self.call_idem(&Request::QueryAll { expr: expr.into() })? {
             Response::Hits(hits) => Ok(hits),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("hits", &other)),
+            other => Err(unexpected("hits", other)),
         }
     }
 
@@ -433,8 +418,7 @@ impl Client {
         };
         match self.call_idem(&req)? {
             Response::Partial { hits, errors } => Ok((hits, errors)),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("partial", &other)),
+            other => Err(unexpected("partial", other)),
         }
     }
 
@@ -449,8 +433,7 @@ impl Client {
         let req = Request::Suggest { doc, hierarchy: hierarchy.into(), start, end };
         match self.call_idem(&req)? {
             Response::Tags(tags) => Ok(tags),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("tags", &other)),
+            other => Err(unexpected("tags", other)),
         }
     }
 
@@ -458,8 +441,7 @@ impl Client {
     pub fn export(&self, doc: DocId) -> Result<String> {
         match self.call_idem(&Request::Export { doc })? {
             Response::Text(text) => Ok(text),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("text", &other)),
+            other => Err(unexpected("text", other)),
         }
     }
 
@@ -467,8 +449,7 @@ impl Client {
     pub fn id_by_name(&self, name: &str) -> Result<DocId> {
         match self.call_idem(&Request::IdByName { name: name.into() })? {
             Response::Id(id) => Ok(id),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("id", &other)),
+            other => Err(unexpected("id", other)),
         }
     }
 
@@ -476,8 +457,7 @@ impl Client {
     pub fn epoch(&self, doc: DocId) -> Result<u64> {
         match self.call_idem(&Request::Epoch { doc })? {
             Response::Epoch(e) => Ok(e),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("epoch", &other)),
+            other => Err(unexpected("epoch", other)),
         }
     }
 
@@ -486,8 +466,7 @@ impl Client {
     pub fn remove(&self, doc: DocId) -> Result<bool> {
         match self.call(&Request::Remove { doc })? {
             Response::Removed(b) => Ok(b),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("removed", &other)),
+            other => Err(unexpected("removed", other)),
         }
     }
 
@@ -495,8 +474,7 @@ impl Client {
     pub fn metrics(&self) -> Result<String> {
         match self.call_idem(&Request::Metrics)? {
             Response::Text(text) => Ok(text),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("text", &other)),
+            other => Err(unexpected("text", other)),
         }
     }
 
@@ -504,8 +482,7 @@ impl Client {
     pub fn routes(&self) -> Result<(usize, Vec<(u64, usize)>)> {
         match self.call_idem(&Request::Routes)? {
             Response::Routes { shards, overrides } => Ok((shards, overrides)),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("routes", &other)),
+            other => Err(unexpected("routes", other)),
         }
     }
 
@@ -524,8 +501,7 @@ impl Client {
     fn traces_req(&self, req: Request) -> Result<Vec<TraceSummaryWire>> {
         match self.call_idem(&req)? {
             Response::Traces(traces) => Ok(traces),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("traces", &other)),
+            other => Err(unexpected("traces", other)),
         }
     }
 
@@ -534,14 +510,18 @@ impl Client {
     pub fn trace_tree(&self, trace_id: u64) -> Result<String> {
         match self.call_idem(&Request::Trace(TraceQuery::Get { trace_id }))? {
             Response::Text(text) => Ok(text),
-            Response::Err(e) => Err(e.into()),
-            other => Err(unexpected("text", &other)),
+            other => Err(unexpected("text", other)),
         }
     }
 }
 
-fn unexpected(wanted: &str, got: &Response) -> ServeError {
-    ServeError::Protocol(format!("expected {wanted} response, got {got:?}"))
+/// A reply that is not the `wanted` answer: the server's typed refusal,
+/// or a protocol violation.
+fn unexpected(wanted: &str, got: Response) -> ServeError {
+    match got {
+        Response::Err(e) => ServeError::Remote(e),
+        got => ServeError::Protocol(format!("expected {wanted} response, got {got:?}")),
+    }
 }
 
 fn conflict(doc: DocId, guard: u64, current: u64) -> ServeError {
@@ -671,7 +651,7 @@ impl<'a> Run<'a> {
                 self.settle(idx, Err(e.into()), Some(current))
             }
             Response::Err(e) => self.settle(idx, Err(e.into()), None),
-            other => return Err(unexpected("edited", &other)),
+            other => return Err(unexpected("edited", other)),
         }
         Ok(())
     }

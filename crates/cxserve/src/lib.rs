@@ -12,11 +12,11 @@
 //!   RouterClient ── per-shard ────┴─► ClusterServer::bind_shard (one per shard)
 //! ```
 //!
-//! Three layers:
+//! The `cxq1` protocol itself — one request/response per length-prefixed
+//! frame, answered in order, every failure a *typed* error frame
+//! ([`WireError`]) — lives in [`cxwire`], next to the connection loop
+//! both servers run; this crate re-exports it. Two layers:
 //!
-//! * [`proto`] — the `cxq1` protocol: one request/response per
-//!   length-prefixed [`cxwire`] frame, answered in order, every failure
-//!   a *typed* error frame ([`WireError`]);
 //! * [`server`] — [`ClusterServer`]: bounded handler pool, per-request
 //!   deadlines, panic containment, a `serve.request` fault site, and
 //!   `cx_server_*` metrics on the cluster's own [`cxobs`] registry;
@@ -52,10 +52,11 @@
 
 pub mod client;
 pub mod error;
-pub mod proto;
 pub mod server;
 
 pub use client::{Client, ClientOptions, RouterClient};
-pub use error::{Result, ServeError, WireError, WireErrorKind};
-pub use proto::{Request, Response, TraceQuery, TraceSummaryWire, Verb, VERSION};
+pub use cxwire::{
+    Request, Response, TraceQuery, TraceSummaryWire, Verb, WireError, WireErrorKind, VERSION,
+};
+pub use error::{Result, ServeError};
 pub use server::{ClusterServer, ServerOptions};

@@ -13,9 +13,10 @@
 //!   inject errors, delays, and panics here without touching the store;
 //! * a handler panic is caught and answered as a typed `server` error —
 //!   the connection (and the server) outlive it;
-//! * a malformed frame is answered with `bad_request`; an *oversized*
-//!   declared length additionally closes the connection (framing can no
-//!   longer be trusted) — but never allocates;
+//! * a malformed frame, and `fetch` (the replication listener's verb),
+//!   are answered with `bad_request`; [`cxwire::serve_connection`] also
+//!   closes the connection on an *oversized* declared length, before any
+//!   allocation, and turns an answer too big for one frame into `too_large`;
 //! * every request runs under a **deadline**: fan-out queries get the
 //!   remaining budget as their per-shard timeout, and any response that
 //!   would arrive after the deadline is replaced with a typed `deadline`
@@ -26,15 +27,14 @@
 //! registry as `cx_server_*` metrics and `serve.*` events, so the
 //! `METRICS` verb serves one page for the whole stack, store to socket.
 
-use crate::error::{WireError, WireErrorKind};
-use crate::proto::{Request, Response, TraceQuery, Verb};
 use cxcluster::{Cluster, ClusterError, ShardId};
 use cxobs::fault::{self, Site};
 use cxobs::sync::{Level, Mutex};
 use cxobs::{names, trace, Counter, Exposition, Gauge, Histogram, Observable, Registry};
 use cxpersist::{LoggedDoc, PersistError};
 use cxstore::DocId;
-use std::io::{ErrorKind, Read};
+use cxwire::{Request, Response, TraceQuery, Verb, WireError, WireErrorKind};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -278,9 +278,6 @@ fn accept_loop(
         accepted
     };
     cxwire::accept_until(stop, accept, |stream| {
-        // The listener is nonblocking for the stop poll; handlers want
-        // plain blocking reads under a read timeout.
-        let _ = stream.set_nonblocking(false);
         if let Err(TrySendError::Full(stream)) = tx.try_send(stream) {
             // Pool and backlog both full: refuse loudly. The write is
             // best-effort — a peer that already hung up changes nothing.
@@ -301,7 +298,9 @@ fn worker(svc: &Service, rx: &Mutex<Receiver<TcpStream>>, stop: &AtomicBool) {
         match next {
             Ok(stream) => {
                 let _live = svc.connections.track();
-                let _ = serve_connection(svc, stream, stop);
+                let answer = |payload: &[u8]| respond(svc, payload);
+                let refused = |e: &WireError| svc.count_error(e.kind());
+                let _ = cxwire::serve_connection(stream, stop, answer, refused);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if stop.load(Ordering::Relaxed) {
@@ -309,52 +308,6 @@ fn worker(svc: &Service, rx: &Mutex<Receiver<TcpStream>>, stop: &AtomicBool) {
                 }
             }
             Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn serve_connection(
-    svc: &Service,
-    mut stream: TcpStream,
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_nodelay(true)?;
-    // Short read timeout so an idle connection re-checks the stop flag;
-    // once a frame starts, cxwire's stall-bounded reads take over.
-    stream.set_read_timeout(Some(Duration::from_millis(100)))?;
-    let mut header = [0u8; 4];
-    loop {
-        match stream.read(&mut header[..1]) {
-            Ok(0) => return Ok(()), // client hung up
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::Relaxed) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        cxwire::read_full(&mut stream, &mut header[1..])?;
-        let len = u32::from_be_bytes(header);
-        let payload = match cxwire::read_payload(&mut stream, len) {
-            Ok(p) => p,
-            Err(e) if e.kind() == ErrorKind::InvalidData => {
-                // Hostile declared length: refused before any allocation.
-                // Answer typed, then drop the connection — the stream
-                // position can no longer be trusted.
-                svc.count_error(WireErrorKind::BadRequest);
-                let resp = Response::Err(WireError::BadRequest(e.to_string()));
-                let _ = cxwire::write_frame(&mut stream, &resp.encode());
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        };
-        // Errors are counted (per kind) inside `respond`.
-        let resp = respond(svc, &payload);
-        cxwire::write_frame(&mut stream, &resp.encode())?;
-        if stop.load(Ordering::Relaxed) {
-            return Ok(());
         }
     }
 }
@@ -530,6 +483,11 @@ fn dispatch(svc: &Service, req: Request, started: Instant) -> Response {
                 shards: c.shard_count(),
                 overrides: c.router().overrides().into_iter().map(|(raw, s)| (raw, s.0)).collect(),
             },
+            Request::Fetch { .. } => {
+                return Err(WireError::BadRequest(
+                    "fetch is served by the replication listener".into(),
+                ))
+            }
             Request::Trace(q) => match q {
                 TraceQuery::Recent { limit } => Response::Traces(
                     trace::recent().into_iter().take(limit).map(Into::into).collect(),

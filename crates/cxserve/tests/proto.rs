@@ -7,6 +7,7 @@ mod common;
 use cxpersist::DocBlob;
 use cxserve::{Request, Response, TraceQuery, WireError};
 use cxstore::{DocId, EditOp};
+use cxwire::FetchResponse;
 use goddag::NodeId;
 
 fn rt_req(req: Request) {
@@ -47,6 +48,8 @@ fn every_request_shape_roundtrips() {
     rt_req(Request::Trace(TraceQuery::Recent { limit: 5 }));
     rt_req(Request::Trace(TraceQuery::Slow { limit: 0 }));
     rt_req(Request::Trace(TraceQuery::Get { trace_id: u64::MAX }));
+    rt_req(Request::Fetch { after: 0, max_bytes: u64::MAX });
+    rt_req(Request::Fetch { after: u64::MAX, max_bytes: 0 });
 }
 
 /// The attribute list of an `insel` op ends at the first token without a
@@ -115,6 +118,14 @@ fn every_response_shape_roundtrips() {
     rt_resp(Response::Removed(false));
     rt_resp(Response::Routes { shards: 3, overrides: vec![(7, 2), (12, 0)] });
     rt_resp(Response::Routes { shards: 1, overrides: Vec::new() });
+    rt_resp(Response::Fetch(FetchResponse::CaughtUp { head: 12 }));
+    // Record bodies are raw bytes: newlines, a CRLF, half of a multibyte
+    // UTF-8 character (`é` is C3 A9) and an empty last line come back
+    // byte-identical.
+    let records = b"rec 1\n\x00\xff\r\ncut \xc3\n\n".to_vec();
+    rt_resp(Response::Fetch(FetchResponse::Records { head: 40, bytes: records }));
+    rt_resp(Response::Fetch(FetchResponse::Records { head: 0, bytes: Vec::new() }));
+    rt_resp(Response::Fetch(FetchResponse::Snapshot { head: 7, bytes: b"snap\n\xa9\n".to_vec() }));
 }
 
 #[test]
@@ -131,6 +142,8 @@ fn every_error_kind_roundtrips() {
         WireError::BadRequest("expected verb".into()),
         WireError::Busy,
         WireError::Server("handler panicked".into()),
+        WireError::Diverged("follower claims LSN 9, log ends at 4".into()),
+        WireError::TooLarge("response of 70000000 bytes".into()),
     ] {
         rt_resp(Response::Err(err));
     }
@@ -171,10 +184,17 @@ fn hostile_request_payloads_decode_to_typed_errors_never_panics() {
         b"cxq1 edit 1 1 insel h t 0 5 2 k v k2 v2", // ditto, with its attributes
         b"cxq1 remove 7 8",                         // trailing junk after the arguments
         b"cxq1 ping x y",
-        b"cxq1 ping tc",               // half a trace pair
-        b"cxq1 ping tc not-a-context", // malformed trace pair
-        b"cxq1 ping tc 1-2 tc 1-2",    // two of them
-        b"cxq1 edit 1 - rmel 4 a=b",   // attributes on an op that has none
+        b"cxq1 ping tc",                         // half a trace pair
+        b"cxq1 ping tc not-a-context",           // malformed trace pair
+        b"cxq1 ping tc 1-2 tc 1-2",              // two of them
+        b"cxq1 edit 1 - rmel 4 a=b",             // attributes on an op that has none
+        b"cxq1 fetch",                           // no arguments
+        b"cxq1 fetch 0",                         // a missing budget
+        b"cxq1 fetch x 1024",                    // a non-numeric `after`
+        b"cxq1 fetch 0 -1",                      // a negative budget
+        b"cxq1 fetch 18446744073709551616 1024", // an `after` past u64
+        b"cxq1 fetch 0 1024 5",                  // a trailing token
+        b"cxq2 fetch 0 1024",                    // version drift
     ];
     for payload in cases {
         match Request::decode(payload) {
@@ -196,6 +216,12 @@ fn hostile_response_payloads_decode_to_typed_errors_never_panics() {
         b"err",
         b"err weird-kind detail",
         b"\xff\xff\xff",
+        b"ok caught_up",       // missing head
+        b"ok records x\nbody", // bad head
+        b"ok snapshot",        // missing head
+        b"err diverged",       // missing detail
+        b"err too_large",      // missing detail
+        b"\xff records 1\nbody",
     ];
     for payload in cases {
         assert!(
@@ -219,6 +245,11 @@ fn trailing_response_tokens_and_body_lines_are_refused() {
         b"ok partial 0 0\n1 busy\n",  // an error past the count
         b"ok traces 0\nx\n",
         b"ok pong\nstray body",
+        b"ok caught_up 5 6",
+        b"ok caught_up 5\nstray body",
+        b"ok records 5 6\nbody",
+        b"ok hits 0\n\xc3", // a counted body that is not UTF-8
+        b"err diverged split history",
     ];
     for payload in cases {
         match Response::decode(payload) {

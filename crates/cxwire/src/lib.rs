@@ -1,28 +1,20 @@
-//! # cxwire — the one frame discipline every TCP wire format shares
+//! # cxwire — the one wire
 //!
-//! Two subsystems speak length-prefixed frames over std TCP: the
-//! replication transport (`cxrepl::tcp`, a fixed-header fetch protocol)
-//! and the service tier (`cxserve`, a request/response protocol). Both
-//! need exactly the same three defenses, and they must never drift apart:
+//! Every TCP conversation in the system is `cxq1`: one request per
+//! length-prefixed frame, one response per frame, in order per connection.
+//! The service tier speaks it for store operations; replication speaks it
+//! for one verb, `fetch`. This crate holds the codec ([`proto`], with the
+//! typed error frame [`WireError`]) and the frame discipline both tiers
+//! share:
 //!
-//! * **a hard length cap** ([`MAX_FRAME`]) enforced *before* allocating —
-//!   a corrupt or hostile header cannot demand a multi-GB buffer on the
-//!   strength of four declared bytes;
-//! * **stall-bounded exact reads** ([`read_full`]) — once a peer commits
-//!   to a frame, it gets [`FRAME_STALL_LIMIT`] without progress before
-//!   the connection is declared dead, so a half-open socket (peer powered
-//!   off, network partition, no FIN ever arrives) can never hang a
-//!   handler or follower thread forever;
-//! * **self-describing failure** — an oversized declared length fails
-//!   with [`std::io::ErrorKind::InvalidData`] and a message naming both
-//!   the length and the cap, so the refusal is diagnosable from either
-//!   end's logs.
-//!
-//! `cxrepl` keeps its own fixed request/response headers (they predate
-//! this crate and are pinned by wire tests) and uses the cap + exact-read
-//! primitives; `cxserve` uses the whole-frame helpers
-//! ([`write_frame`] / [`read_frame`]). One implementation, two wire
-//! formats. Both listeners run the same [`accept_until`] loop.
+//! * **a hard length cap** ([`MAX_FRAME`]), checked before allocating on
+//!   read and refused rather than truncated on write;
+//! * **stall-bounded exact reads**: once a peer starts a frame it gets
+//!   [`FRAME_STALL_LIMIT`] without progress, so a half-open socket cannot
+//!   hang a handler or a follower forever;
+//! * **one accept loop** ([`accept_until`]), **one connection loop**
+//!   ([`serve_connection`]) and **one dial** ([`dial`]) for both servers
+//!   and both clients.
 
 // No panics outside tests unless an `#[expect(.., reason = "invariant: ..")]` says why.
 #![cfg_attr(
@@ -34,9 +26,16 @@
         clippy::allow_attributes_without_reason
     )
 )]
+#![warn(missing_docs)]
+
+pub mod error;
+pub mod proto;
+
+pub use error::{WireError, WireErrorKind};
+pub use proto::{FetchResponse, Request, Response, TraceQuery, TraceSummaryWire, Verb, VERSION};
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -53,6 +52,13 @@ pub const MAX_FRAME: u32 = 64 << 20;
 /// connection is declared dead. Bounds server handlers (client died
 /// mid-request) and clients (server died mid-response) alike.
 pub const FRAME_STALL_LIMIT: Duration = Duration::from_secs(15);
+
+/// The read timeout on every stream, accepted or dialed: the tick at
+/// which idle loops poll their stop flag and stalled reads their limit.
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// How long [`dial`] waits for the peer to accept.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// How long an accept loop sleeps after an accept error — `WouldBlock`
 /// on an idle nonblocking listener included — before it polls again.
@@ -78,9 +84,77 @@ pub fn accept_until<S>(
     }
 }
 
+/// Serve one accepted connection: read a request frame, answer it with
+/// `respond`, repeat until the peer hangs up, `stop` is seen, or the
+/// stream fails. Every server in the workspace reads its requests here.
+///
+/// The stream gets `TCP_NODELAY` and a 100 ms read timeout, at which an
+/// idle connection polls `stop`. Two refusals are the loop's own, each
+/// passed to `refused` before it is sent: a declared length over
+/// [`MAX_FRAME`] is answered `bad_request` before any allocation and the
+/// connection closes; an answer too big for one frame becomes `too_large`.
+pub fn serve_connection(
+    mut stream: TcpStream,
+    stop: &AtomicBool,
+    mut respond: impl FnMut(&[u8]) -> Response,
+    mut refused: impl FnMut(&WireError),
+) -> std::io::Result<()> {
+    // Accepted off a nonblocking listener; reads here block under a timeout.
+    stream.set_nonblocking(false)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    let mut header = [0u8; 4];
+    loop {
+        match stream.read(&mut header[..1]) {
+            Ok(0) => return Ok(()), // peer hung up
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if stop.load(Ordering::Relaxed) {
+                    return Ok(());
+                }
+                continue;
+            }
+            Err(e) => return Err(e),
+        }
+        read_full(&mut stream, &mut header[1..])?;
+        let payload = match read_payload(&mut stream, u32::from_be_bytes(header)) {
+            Ok(p) => p,
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                let e = WireError::BadRequest(e.to_string());
+                refused(&e);
+                let _ = write_frame(&mut stream, &Response::Err(e).encode());
+                return Ok(());
+            }
+            Err(e) => return Err(e),
+        };
+        let mut reply = respond(&payload).encode();
+        if reply.len() > MAX_FRAME as usize {
+            let e = WireError::TooLarge(format!(
+                "response of {} bytes exceeds the {MAX_FRAME}-byte frame cap",
+                reply.len()
+            ));
+            refused(&e);
+            reply = Response::Err(e).encode();
+        }
+        write_frame(&mut stream, &reply)?;
+        if stop.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+    }
+}
+
+/// Open a client stream to `addr`: connect within 2 s, `TCP_NODELAY`,
+/// and the same 100 ms read timeout, which stall-bounded reads ride out.
+pub fn dial(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_TICK))?;
+    Ok(stream)
+}
+
 /// Refuse a declared frame length that exceeds [`MAX_FRAME`] — the check
 /// every reader runs between parsing a header and allocating the payload.
-pub fn check_frame_len(len: u32) -> std::io::Result<()> {
+fn check_frame_len(len: u32) -> std::io::Result<()> {
     if len > MAX_FRAME {
         return Err(std::io::Error::new(
             ErrorKind::InvalidData,
@@ -95,10 +169,10 @@ pub fn check_frame_len(len: u32) -> std::io::Result<()> {
 /// [`FRAME_STALL_LIMIT`] without progress, so a half-open connection
 /// fails the read instead of hanging the calling thread forever.
 ///
-/// Sockets handed here are expected to carry a read timeout (both wire
-/// formats set one so idle loops can poll a stop flag); a socket without
-/// one simply blocks in the kernel until bytes or EOF arrive.
-pub fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
+/// Sockets handed here are expected to carry a read timeout
+/// ([`serve_connection`] and [`dial`] set [`READ_TICK`]); a socket
+/// without one simply blocks in the kernel until bytes or EOF arrive.
+fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> {
     let mut done = 0;
     let mut last_progress = Instant::now();
     while done < buf.len() {
@@ -124,7 +198,7 @@ pub fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<()> 
 
 /// Allocate and read a payload whose length the peer declared: the cap
 /// check *then* the allocation *then* the stall-bounded exact read.
-pub fn read_payload(stream: &mut TcpStream, len: u32) -> std::io::Result<Vec<u8>> {
+fn read_payload(stream: &mut TcpStream, len: u32) -> std::io::Result<Vec<u8>> {
     check_frame_len(len)?;
     let mut payload = vec![0u8; len as usize];
     read_full(stream, &mut payload)?;

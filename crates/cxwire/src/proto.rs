@@ -1,18 +1,22 @@
-//! The versioned wire protocol: store operations as text payloads inside
-//! length-prefixed [`cxwire`] frames.
+//! The versioned wire protocol: store operations and replication fetches
+//! as payloads inside this crate's length-prefixed frames.
 //!
 //! One request per frame, one response per frame, answered in order per
 //! connection (which is what makes client-side pipelining work: write
 //! *k* requests, read *k* responses). The payload is a line of
 //! space-separated tokens read with the workspace's one token cursor
 //! ([`sacx::Tokens`]: strings percent-escaped, empty spelled `%`) —
-//! optionally followed by a newline and a raw text body (document blobs,
-//! stand-off exports, metrics pages), so bulky artifacts ride unescaped:
+//! optionally followed by a newline and a raw body (document blobs,
+//! stand-off exports, metrics pages, shipped WAL records), so bulky
+//! artifacts ride unescaped:
 //!
 //! ```text
 //! request  := "cxq1 " verb tokens… [" tc " trace "-" span] ["\n" body]
 //! response := ("ok " kind tokens… ["\n" body]) | ("err " kind tokens…)
 //! ```
+//!
+//! Decoders split a payload at its first `\n` before any UTF-8 check, so a
+//! `fetch`'s `records` body reaches [`cxpersist::scan_batch`] byte for byte.
 //!
 //! The leading `cxq1` is the protocol version: a server refuses anything
 //! else with a typed `bad_request`, so a v2 client talking to a v1 server
@@ -137,6 +141,13 @@ pub enum Request {
     /// Flight-recorder access: recent/slow trace summaries, or one
     /// trace rendered as a tree.
     Trace(TraceQuery),
+    /// A follower's fetch (served by `cxrepl::TcpReplServer` only).
+    Fetch {
+        /// The follower's last applied LSN.
+        after: u64,
+        /// Record byte budget, clamped to [`crate::MAX_FRAME`].
+        max_bytes: u64,
+    },
 }
 
 /// What a `trace` request asks the flight recorder for.
@@ -194,6 +205,36 @@ impl From<trace::TraceSummary> for TraceSummaryWire {
     }
 }
 
+/// A primary's answer to one fetch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FetchResponse {
+    /// Nothing past the requested LSN — the follower is caught up.
+    CaughtUp {
+        /// The primary's head LSN (equals the requested LSN).
+        head: u64,
+    },
+    /// Raw WAL record bytes: each record self-framed and CRC'd by the WAL
+    /// codec, LSNs contiguous from the requested LSN + 1. A torn tail
+    /// (truncated in flight) is detected by the replica's batch scan and
+    /// re-requested — see [`cxpersist::scan_batch`].
+    Records {
+        /// The primary's head LSN at response time (drives lag
+        /// accounting).
+        head: u64,
+        /// The record bytes.
+        bytes: Vec<u8>,
+    },
+    /// The requested LSN predates the primary's oldest retained record:
+    /// a full [`cxpersist::StoreSnapshot`] in wire-text form. The follower
+    /// installs it and continues fetching from its LSN.
+    Snapshot {
+        /// The snapshot's LSN (also the primary's head at capture).
+        head: u64,
+        /// `StoreSnapshot::to_text` bytes.
+        bytes: Vec<u8>,
+    },
+}
+
 /// One decoded server response.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -236,6 +277,8 @@ pub enum Response {
     },
     /// Flight-recorder summaries (`trace recent` / `trace slow`).
     Traces(Vec<TraceSummaryWire>),
+    /// A replication fetch answered.
+    Fetch(FetchResponse),
     /// A typed failure.
     Err(WireError),
 }
@@ -278,6 +321,8 @@ sacx::vocabulary! {
         Routes = "routes",
         /// [`Request::Trace`].
         Trace = "trace",
+        /// [`Request::Fetch`].
+        Fetch = "fetch",
     }
 }
 
@@ -306,18 +351,24 @@ sacx::vocabulary! {
         Removed = "removed",
         Routes = "routes",
         Traces = "traces",
+        CaughtUp = "caught_up",
+        Records = "records",
+        Snapshot = "snapshot",
     }
 }
 
 /// Introduces the optional trailing trace-context token.
 const TRACE_TOKEN: &str = "tc";
 
-/// Split a payload into its token line and optional raw body.
-fn split_body(payload: &str) -> (&str, Option<&str>) {
-    match payload.split_once('\n') {
-        Some((line, body)) => (line, Some(body)),
+/// Split a payload at its first `\n` into the token line, which must be
+/// UTF-8, and the optional raw body, which is checked by whoever reads it.
+fn split_body<'a>(payload: &'a [u8], what: &str) -> Result<(&'a str, Option<&'a [u8]>), String> {
+    let (line, body) = match payload.iter().position(|&b| b == b'\n') {
+        Some(at) => (&payload[..at], Some(&payload[at + 1..])),
         None => (payload, None),
-    }
+    };
+    let line = std::str::from_utf8(line).map_err(|_| format!("{what} is not utf-8"))?;
+    Ok((line, body))
 }
 
 /// A count-prefixed run of parsed tokens (`<k> <t1> … <tk>`). The
@@ -387,6 +438,7 @@ impl Request {
             Request::Trace(TraceQuery::Get { trace_id }) => {
                 write!(out, " {} {trace_id:016x}", TraceVerb::Get)
             }
+            Request::Fetch { after, max_bytes } => write!(out, " {after} {max_bytes}"),
         };
         if let Some(ctx) = ctx {
             let _ = write!(out, " {TRACE_TOKEN} {}", ctx.token());
@@ -416,6 +468,7 @@ impl Request {
             Request::Metrics => Verb::Metrics,
             Request::Routes => Verb::Routes,
             Request::Trace(_) => Verb::Trace,
+            Request::Fetch { .. } => Verb::Fetch,
         }
     }
 
@@ -428,8 +481,8 @@ impl Request {
     /// (Not decoding has a price: an *untraced* `setattr <node> tc <value>`
     /// whose value happens to be a well-formed context still reads as one.)
     pub fn trace_context(payload: &[u8]) -> Option<trace::TraceContext> {
-        let text = std::str::from_utf8(payload).ok()?;
-        let mut last = split_body(text).0.rsplitn(3, ' ');
+        let (line, _) = split_body(payload, "request").ok()?;
+        let mut last = line.rsplitn(3, ' ');
         let (ctx, tc) = (last.next()?, last.next()?);
         (tc == TRACE_TOKEN).then(|| trace::TraceContext::parse_token(ctx)).flatten()
     }
@@ -442,16 +495,16 @@ impl Request {
     }
 
     fn decode_text(payload: &[u8]) -> Result<Request, String> {
-        let text = std::str::from_utf8(payload).map_err(|_| "request is not utf-8")?;
-        let (line, body) = split_body(text);
+        let (line, body) = split_body(payload, "request")?;
         let mut t = Tokens::new(line);
         let version = t.token("protocol version")?;
         if version != VERSION {
             return Err(format!("unsupported protocol version `{version}`"));
         }
         let blob = || {
-            DocBlob::parse_text(body.ok_or("insert carries no blob")?)
-                .map_err(|e| format!("blob: {e}"))
+            let body = body.ok_or("insert carries no blob")?;
+            let text = std::str::from_utf8(body).map_err(|_| "blob is not utf-8")?;
+            DocBlob::parse_text(text).map_err(|e| format!("blob: {e}"))
         };
         let req = match Verb::parse(t.token("verb")?)? {
             Verb::Ping => Request::Ping,
@@ -484,6 +537,9 @@ impl Request {
                 TraceVerb::Slow => TraceQuery::Slow { limit: t.parse("limit")? },
                 TraceVerb::Get => TraceQuery::Get { trace_id: t.hex("trace id")? },
             }),
+            Verb::Fetch => {
+                Request::Fetch { after: t.parse("after lsn")?, max_bytes: t.parse("max bytes")? }
+            }
         };
         // After the verb's arguments: nothing, or the caller's trace context.
         if t.peek() == Some(TRACE_TOKEN) {
@@ -508,7 +564,9 @@ impl WireError {
             WireError::Store(d)
             | WireError::Injected(d)
             | WireError::BadRequest(d)
-            | WireError::Server(d) => write!(out, " {}", f(d)),
+            | WireError::Server(d)
+            | WireError::Diverged(d)
+            | WireError::TooLarge(d) => write!(out, " {}", f(d)),
             WireError::Stale { current } => write!(out, " {current}"),
             WireError::ShardDown(s) => write!(out, " {s}"),
             WireError::Timeout { shard, ms } => write!(out, " {shard} {ms}"),
@@ -535,6 +593,8 @@ impl WireError {
             K::BadRequest => WireError::BadRequest(t.string("detail")?),
             K::Busy => WireError::Busy,
             K::Server => WireError::Server(t.string("detail")?),
+            K::Diverged => WireError::Diverged(t.string("detail")?),
+            K::TooLarge => WireError::TooLarge(t.string("detail")?),
         })
     }
 }
@@ -585,7 +645,7 @@ fn decode_hit(t: &mut Tokens<'_>) -> Result<(DocId, Vec<NodeId>), String> {
 impl Response {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        use ResponseKind as K;
+        use {FetchResponse as F, ResponseKind as K};
         let ok = Status::Ok;
         let mut out = String::new();
         // Writing into a `String` cannot fail.
@@ -650,13 +710,22 @@ impl Response {
                 }
                 Ok(())
             }
+            Response::Fetch(F::CaughtUp { head }) => write!(out, "{ok} {} {head}", K::CaughtUp),
+            Response::Fetch(F::Records { head, .. }) => writeln!(out, "{ok} {} {head}", K::Records),
+            Response::Fetch(F::Snapshot { head, .. }) => {
+                writeln!(out, "{ok} {} {head}", K::Snapshot)
+            }
             Response::Err(e) => {
                 let _ = write!(out, "{} ", Status::Err);
                 e.encode_tokens(&mut out);
                 Ok(())
             }
         };
-        out.into_bytes()
+        let mut out = out.into_bytes();
+        if let Response::Fetch(F::Records { bytes, .. } | F::Snapshot { bytes, .. }) = self {
+            out.extend_from_slice(bytes);
+        }
+        out
     }
 
     /// Parse a frame payload. A malformed response is a protocol error
@@ -668,12 +737,14 @@ impl Response {
     }
 
     fn decode_text(payload: &[u8]) -> Result<Response, String> {
-        use ResponseKind as K;
-        let text = std::str::from_utf8(payload).map_err(|_| "response is not utf-8")?;
-        let (line, body) = split_body(text);
+        use {FetchResponse as F, ResponseKind as K};
+        let (line, raw) = split_body(payload, "response")?;
+        // Only `records` and `snapshot` take a body that is not UTF-8.
+        let text = std::str::from_utf8(raw.unwrap_or_default()).map_err(|_| "body is not utf-8");
+        let raw = || raw.unwrap_or_default().to_vec();
         let mut t = Tokens::new(line);
         let flag = |t: &mut Tokens<'_>, what| t.parse::<u8>(what).map(|f| f != 0);
-        let mut lines = body.unwrap_or("").lines();
+        let mut lines = text.unwrap_or_default().lines();
         let resp = match Status::parse(t.token("status")?)? {
             Status::Err => Response::Err(WireError::decode_tokens(&mut t)?),
             Status::Ok => match K::parse(t.token("response kind")?)? {
@@ -698,7 +769,7 @@ impl Response {
                     }
                 }
                 K::Tags => Response::Tags(counted(&mut t, |t| t.string("tag"))?),
-                K::Text => Response::Text(body.unwrap_or("").to_string()),
+                K::Text => Response::Text(text?.to_string()),
                 K::Epoch => Response::Epoch(t.parse("epoch")?),
                 K::Removed => Response::Removed(flag(&mut t, "flag")?),
                 K::Routes => {
@@ -722,15 +793,24 @@ impl Response {
                         })
                     })?)
                 }
+                K::CaughtUp => Response::Fetch(F::CaughtUp { head: t.parse("head")? }),
+                K::Records => Response::Fetch(F::Records { head: t.parse("head")?, bytes: raw() }),
+                K::Snapshot => {
+                    Response::Fetch(F::Snapshot { head: t.parse("head")?, bytes: raw() })
+                }
             },
         };
         t.finish()?;
-        // Only `text` takes its body raw; every other body is counted.
+        // `text`, `records` and `snapshot` take their bodies whole; every
+        // other body is counted lines.
+        let whole = matches!(
+            resp,
+            Response::Text(_) | Response::Fetch(F::Records { .. } | F::Snapshot { .. })
+        );
         match lines.next() {
-            Some(extra) if !matches!(resp, Response::Text(_)) => {
-                Err(format!("unexpected body line {extra:?}"))
-            }
-            _ => Ok(resp),
+            _ if whole => Ok(resp),
+            Some(extra) => Err(format!("unexpected body line {extra:?}")),
+            None => text.map(|_| resp).map_err(Into::into),
         }
     }
 }

@@ -20,8 +20,8 @@
 //! | [`cxpersist`] | durable stores: `EditOp` write-ahead log, stand-off snapshots, warm restart |
 //! | [`cxrepl`] | WAL log-shipping replication: read replicas, catch-up, follower promotion |
 //! | [`cxcluster`] | multi-primary write sharding: name routing, fan-out queries, live rebalancing |
-//! | [`cxwire`] | length-prefixed TCP framing shared by the replication and service tiers |
-//! | [`cxserve`] | network service tier: versioned wire protocol, cluster server, pooling/pipelining client, shard-aware router |
+//! | [`cxwire`] | the one wire: the `cxq1` codec, length-capped frames, and the accept and connection loops both servers run |
+//! | [`cxserve`] | network service tier: cluster server, pooling/pipelining client, shard-aware router (re-exports the `cxq1` codec) |
 //! | [`corpus`] | synthetic manuscript workloads + the paper's Figure 1 reconstruction |
 //!
 //! ## Quickstart
