@@ -104,18 +104,25 @@ pub fn axis_candidates(
         }
         Axis::Contained => {
             let span = g.span(node);
+            // Milestones anchored strictly inside count as contained.
             let mut out: Vec<NodeId> = match index {
-                Some(idx) => idx.contained_in(span),
+                Some(idx) => {
+                    let mut out = idx.contained_in(span);
+                    out.extend(idx.milestones_inside(span));
+                    out
+                }
                 None => g
                     .elements()
-                    .filter(|&e| !g.span(e).is_empty() && span.contains(g.span(e)))
+                    .filter(|&e| {
+                        let es = g.span(e);
+                        if es.is_empty() {
+                            span.start < es.start && es.start < span.end
+                        } else {
+                            span.contains(es)
+                        }
+                    })
                     .collect(),
             };
-            // Milestones anchored strictly inside count as contained.
-            out.extend(g.elements().filter(|&e| {
-                let es = g.span(e);
-                es.is_empty() && span.start < es.start && es.start < span.end
-            }));
             out.retain(|&e| e != node);
             g.sort_doc_order(&mut out);
             out

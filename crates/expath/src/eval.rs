@@ -29,6 +29,22 @@ use std::sync::Arc;
 /// let hits = ev.select("//line/overlapping::ling:w").unwrap();
 /// assert_eq!(hits.len(), 1);
 /// ```
+///
+/// Two step rewrites run at evaluation time; the AST keeps what was
+/// written:
+///
+/// * `descendant-or-self::node()/child::T[p…]` (what `//T[p…]` parses to)
+///   evaluates as the single step `descendant::T[p…]` when `T` is an
+///   element test or `text()` and every predicate is *position-free*: it
+///   calls neither `position()` nor `last()` anywhere, and its static type
+///   is not a number (number literals, unary minus, arithmetic,
+///   `count`/`sum`/`number`/`string-length`/`floor`/`ceiling`/`round` and
+///   unknown functions are numbers). So `//w[@n='2']` fuses while `//w[2]`,
+///   `//w[last()]` and `//w[position()=2]` keep the per-parent semantics.
+///   From the root, `descendant::T` enumerates the live elements (or takes
+///   the leaves for `text()`) and sorts only the matches.
+/// * `self::node()` without predicates (`.`) returns its input: every node
+///   set here is already sorted and deduplicated.
 pub struct Evaluator<'g> {
     g: &'g Goddag,
     index: Option<Arc<OverlapIndex>>,
@@ -276,7 +292,9 @@ impl<'g> Evaluator<'g> {
 
     fn eval_steps(&self, origins: Vec<NodeId>, steps: &[Step]) -> Result<Value> {
         let mut current = origins;
-        for (i, step) in steps.iter().enumerate() {
+        let mut i = 0;
+        while i < steps.len() {
+            let step = &steps[i];
             if step.axis == Axis::Attribute {
                 if i + 1 != steps.len() {
                     return Err(XPathError::Eval(
@@ -285,10 +303,27 @@ impl<'g> Evaluator<'g> {
                 }
                 return self.eval_attribute_step(&current, step);
             }
+            if is_self_node(step) {
+                // `.`: every node set is kept sorted and deduplicated.
+                i += 1;
+                continue;
+            }
+            let (axis, step) = match steps.get(i + 1) {
+                Some(next) if fuses(step, next) => {
+                    i += 1;
+                    (Axis::Descendant, next)
+                }
+                _ => (step.axis, step),
+            };
             let mut next: Vec<NodeId> = Vec::new();
             for &origin in &current {
-                let mut cands = axis_candidates(self.g, self.index.as_deref(), origin, step.axis);
-                self.retain_test(&mut cands, &step.test)?;
+                let mut cands = if axis == Axis::Descendant && self.g.is_root(origin) {
+                    self.root_descendants(&step.test)?
+                } else {
+                    let mut cands = axis_candidates(self.g, self.index.as_deref(), origin, axis);
+                    self.retain_test(&mut cands, &step.test)?;
+                    cands
+                };
                 for pred in &step.predicates {
                     cands = self.filter_nodes(cands, pred)?;
                 }
@@ -296,8 +331,27 @@ impl<'g> Evaluator<'g> {
             }
             self.g.sort_doc_order(&mut next);
             current = next;
+            i += 1;
         }
         Ok(Value::Nodes(current))
+    }
+
+    /// `descendant::T` from the root, filtered by `test`, in document order —
+    /// the same list as `descendants(root)` filtered by the test, without
+    /// materialising and sorting every node of the document.
+    fn root_descendants(&self, test: &NodeTest) -> Result<Vec<NodeId>> {
+        let g = self.g;
+        let mut out: Vec<NodeId> = match test {
+            NodeTest::Node => return Ok(g.descendants(g.root())),
+            // Every hierarchy reaches every leaf, and `leaves()` is in
+            // document order; with no hierarchy the root has no descendants.
+            NodeTest::Text if g.hierarchy_count() == 0 => return Ok(Vec::new()),
+            NodeTest::Text => return Ok(g.leaves().to_vec()),
+            _ => g.elements().collect(),
+        };
+        self.retain_test(&mut out, test)?;
+        g.sort_doc_order(&mut out);
+        Ok(out)
     }
 
     fn eval_attribute_step(&self, origins: &[NodeId], step: &Step) -> Result<Value> {
@@ -400,6 +454,85 @@ impl<'g> Evaluator<'g> {
             }
         }
         Ok(out)
+    }
+}
+
+/// `self::node()` with no predicates — the identity step `.`.
+fn is_self_node(step: &Step) -> bool {
+    step.axis == Axis::SelfAxis && step.test == NodeTest::Node && step.predicates.is_empty()
+}
+
+/// Whether `step, next` is `descendant-or-self::node()/child::T[p…]` that
+/// evaluates as the single step `descendant::T[p…]`: `T` names elements or
+/// text, and no predicate can see its position among a parent's children.
+fn fuses(step: &Step, next: &Step) -> bool {
+    step.axis == Axis::DescendantOrSelf
+        && step.test == NodeTest::Node
+        && step.predicates.is_empty()
+        && next.axis == Axis::Child
+        && next.test != NodeTest::Node
+        && next.predicates.iter().all(is_position_free)
+}
+
+/// A predicate whose outcome does not depend on the context position or
+/// size: it calls neither `position()` nor `last()`, and its value is not a
+/// number (a number predicate is compared with the position).
+fn is_position_free(pred: &Expr) -> bool {
+    !is_number_typed(pred) && !reads_position(pred)
+}
+
+/// The library functions that return a string, boolean or node-set.
+const NON_NUMBER_FUNCTIONS: [&str; 19] = [
+    "string",
+    "boolean",
+    "not",
+    "true",
+    "false",
+    "name",
+    "local-name",
+    "hierarchy",
+    "contains",
+    "starts-with",
+    "substring-before",
+    "substring-after",
+    "substring",
+    "normalize-space",
+    "concat",
+    "overlaps",
+    "leaves",
+    "root",
+    "id",
+];
+
+/// Whether an expression's value is statically a number. A function not
+/// known to return a string, boolean or node-set counts as a number, so an
+/// unknown or newly added one never fuses.
+fn is_number_typed(e: &Expr) -> bool {
+    match e {
+        Expr::Number(_) | Expr::Neg(_) => true,
+        Expr::Bin(op, _, _) => {
+            matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod)
+        }
+        Expr::Call { name, .. } => !NON_NUMBER_FUNCTIONS.contains(&name.as_str()),
+        Expr::Filter { primary, steps, .. } => steps.is_empty() && is_number_typed(primary),
+        Expr::Union(..) | Expr::Path { .. } | Expr::Literal(_) => false,
+    }
+}
+
+/// Whether `position()` or `last()` is called anywhere inside `e`.
+fn reads_position(e: &Expr) -> bool {
+    let in_steps = |steps: &[Step]| steps.iter().flat_map(|s| &s.predicates).any(reads_position);
+    match e {
+        Expr::Number(_) | Expr::Literal(_) => false,
+        Expr::Neg(inner) => reads_position(inner),
+        Expr::Bin(_, a, b) | Expr::Union(a, b) => reads_position(a) || reads_position(b),
+        Expr::Call { name, args } => {
+            name == "position" || name == "last" || args.iter().any(reads_position)
+        }
+        Expr::Path { steps, .. } => in_steps(steps),
+        Expr::Filter { primary, predicates, steps } => {
+            reads_position(primary) || predicates.iter().any(reads_position) || in_steps(steps)
+        }
     }
 }
 
@@ -639,21 +772,78 @@ mod tests {
         assert_eq!(ev(&g).select("//line[1]/contained::w").unwrap().len(), 2);
     }
 
+    /// [`fixture`] plus milestones: `pb` inside line 1 and on its end
+    /// boundary, `anchor` inside the sentence and at the document start.
+    fn fixture_with_milestones() -> Goddag {
+        let mut g = fixture();
+        let phys = g.hierarchy_by_name("phys").unwrap();
+        let ling = g.hierarchy_by_name("ling").unwrap();
+        for (h, name, at) in
+            [(phys, "pb", 4), (phys, "pb", 7), (ling, "anchor", 8), (ling, "anchor", 0)]
+        {
+            g.insert_element(h, QName::parse(name).unwrap(), vec![], at, at).unwrap();
+        }
+        g
+    }
+
     #[test]
     fn index_and_scan_agree() {
-        let g = fixture();
-        let plain = Evaluator::new(&g);
-        let indexed = Evaluator::with_index(&g);
-        assert!(indexed.has_index());
-        for q in [
-            "//s/overlapping::*",
-            "//dmg/overlapping::ling:*",
-            "//w[2]/containing::*",
-            "//line[1]/contained::*",
-            "//dmg/co-extensive::*",
-        ] {
-            assert_eq!(plain.select(q).unwrap(), indexed.select(q).unwrap(), "{q}");
+        for g in [fixture(), fixture_with_milestones()] {
+            let plain = Evaluator::new(&g);
+            let indexed = Evaluator::with_index(&g);
+            assert!(indexed.has_index());
+            for q in [
+                "//s/overlapping::*",
+                "//dmg/overlapping::ling:*",
+                "//w[2]/containing::*",
+                "//line[1]/contained::*",
+                "//dmg/co-extensive::*",
+                "//*/contained::*",
+                "//*/contained::pb",
+                "/contained::anchor",
+                "//pb/contained::*",
+            ] {
+                assert_eq!(plain.select(q).unwrap(), indexed.select(q).unwrap(), "{q}");
+            }
         }
+        // The milestones strictly inside are contained; the boundary ones
+        // are not.
+        let g = fixture_with_milestones();
+        let inside_line = Evaluator::with_index(&g).select("//line[1]/contained::pb").unwrap();
+        assert_eq!(inside_line.len(), 1);
+        let inside_s = Evaluator::with_index(&g).select("//s/contained::anchor").unwrap();
+        assert_eq!(inside_s.len(), 1);
+    }
+
+    #[test]
+    fn fusion_rule() {
+        let p = |q: &str| match parse(q).unwrap() {
+            Expr::Path { steps, .. } => steps,
+            other => panic!("{other:?}"),
+        };
+        for (q, fused) in [
+            ("//w", true),
+            ("//ling:*", true),
+            ("//text()", true),
+            ("//w[@n='2']", true),
+            ("//w[contains(string(.), 'o')]", true),
+            ("//w[count(leaves(.)) > 1]", true),
+            ("//node()", false),
+            ("//w[2]", false),
+            ("//w[last()]", false),
+            ("//w[position()=2]", false),
+            ("//w[1+1]", false),
+            ("//w[-1]", false),
+            ("//w[count(leaves(.))]", false),
+            ("//w[(string-length(.))]", false),
+            ("//w[frobnicate()]", false),
+            ("//w[.//w[last()]]", false),
+        ] {
+            let steps = p(q);
+            assert_eq!(fuses(&steps[0], &steps[1]), fused, "{q}");
+        }
+        assert!(is_self_node(&p(".")[0]));
+        assert!(!is_self_node(&p(".[1]")[0]));
     }
 
     #[test]
@@ -693,6 +883,13 @@ mod tests {
         assert_eq!(v, vec![g.root()]);
         let v = ev(&g).select("/self::node()").unwrap();
         assert_eq!(v, vec![g.root()]);
+        // `.` is the identity; a self step with a test or predicate is not.
+        let words = ev(&g).select("//w").unwrap();
+        assert_eq!(ev(&g).select("//w/.").unwrap(), words);
+        assert_eq!(ev(&g).select("//w/./self::node()/.").unwrap(), words);
+        assert!(ev(&g).select("//s/self::w").unwrap().is_empty());
+        assert!(ev(&g).select("//w/self::node()[2]").unwrap().is_empty());
+        assert_eq!(ev(&g).select("//*/self::w").unwrap(), words);
     }
 
     #[test]

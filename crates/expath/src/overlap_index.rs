@@ -5,7 +5,10 @@
 //! segment tree of maximum end offsets on top. Queries descend only into
 //! subtrees whose max end can still intersect, giving `O(log n + k)` for
 //! `k` results — the ablation experiment A1 measures this against the naive
-//! `O(n)` scan the evaluator falls back to without an index.
+//! `O(n)` scan the evaluator falls back to without an index. Empty-span
+//! elements (milestones) sit in a second list sorted by their anchor, so
+//! `contained::` finds the milestones strictly inside a span by binary
+//! search as well.
 
 use goddag::{Goddag, NodeId, Span};
 
@@ -16,22 +19,28 @@ use goddag::{Goddag, NodeId, Span};
 pub struct OverlapIndex {
     /// `(start, end, element)` sorted by `(start, end)`.
     entries: Vec<(u32, u32, NodeId)>,
+    /// `(anchor, milestone)` of every empty-span element, sorted.
+    milestones: Vec<(u32, NodeId)>,
     /// Segment-tree of max `end` over `entries` (1-based heap layout).
     max_end: Vec<u32>,
     size: usize,
 }
 
 impl OverlapIndex {
-    /// Build the index over all live, non-empty elements.
+    /// Build the index over all live elements.
     pub fn build(g: &Goddag) -> OverlapIndex {
-        let mut entries: Vec<(u32, u32, NodeId)> = g
-            .elements()
-            .filter_map(|e| {
-                let s = g.span(e);
-                (!s.is_empty()).then_some((s.start, s.end, e))
-            })
-            .collect();
+        let mut entries: Vec<(u32, u32, NodeId)> = Vec::new();
+        let mut milestones: Vec<(u32, NodeId)> = Vec::new();
+        for e in g.elements() {
+            let s = g.span(e);
+            if s.is_empty() {
+                milestones.push((s.start, e));
+            } else {
+                entries.push((s.start, s.end, e));
+            }
+        }
         entries.sort_unstable_by_key(|&(s, e, id)| (s, e, id));
+        milestones.sort_unstable();
         let size = entries.len().next_power_of_two().max(1);
         let mut max_end = vec![0u32; 2 * size];
         for (i, &(_, end, _)) in entries.iter().enumerate() {
@@ -40,10 +49,10 @@ impl OverlapIndex {
         for i in (1..size).rev() {
             max_end[i] = max_end[2 * i].max(max_end[2 * i + 1]);
         }
-        OverlapIndex { entries, max_end, size }
+        OverlapIndex { entries, milestones, max_end, size }
     }
 
-    /// Number of indexed elements.
+    /// Number of indexed non-empty elements (milestones not counted).
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -101,6 +110,13 @@ impl OverlapIndex {
             .filter(|&&(_, e, _)| e <= span.end)
             .map(|&(_, _, id)| id)
             .collect()
+    }
+
+    /// All milestones anchored strictly inside `span`.
+    pub fn milestones_inside(&self, span: Span) -> Vec<NodeId> {
+        let lo = self.milestones.partition_point(|&(m, _)| m <= span.start);
+        let hi = self.milestones.partition_point(|&(m, _)| m < span.end);
+        self.milestones[lo..hi.max(lo)].iter().map(|&(_, id)| id).collect()
     }
 
     /// All elements with exactly this span.
@@ -221,6 +237,18 @@ mod tests {
             ["e09", "e05", "e38", "e46", "e59"]
         );
         assert!(idx.contained_in(Span::new(0, 1)).is_empty());
+    }
+
+    #[test]
+    fn milestones_inside_query() {
+        let g = fixture();
+        let idx = OverlapIndex::build(&g);
+        // e33 anchors at leaf boundary 1: inside (0,2), not on either end.
+        assert_eq!(names(&g, idx.milestones_inside(Span::new(0, 2))), ["e33"]);
+        assert!(idx.milestones_inside(Span::new(1, 5)).is_empty());
+        assert!(idx.milestones_inside(Span::new(0, 1)).is_empty());
+        assert!(idx.milestones_inside(Span::empty_at(1)).is_empty());
+        assert_eq!(idx.len(), 5, "milestones are not interval entries");
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Release-mode performance smoke test for the prevalidation hot path.
+//! Release-mode performance smoke tests for the prevalidation and query hot
+//! paths.
 //!
 //! Ignored by default (debug builds and loaded CI runners would flake);
 //! CI runs it explicitly in release:
@@ -292,4 +293,26 @@ fn undecided_check_200_words_stays_interactive() {
         elapsed < Duration::from_secs(1),
         "undecided check_insertion on a bare 200-word host took {elapsed:?} (budget 1s)"
     );
+}
+
+/// `//T` is one descendant step that enumerates the document's elements
+/// instead of sorting every node under the root, and `contained::` takes
+/// milestones from the overlap index instead of scanning every element per
+/// origin. On a 2 000-word manuscript with a shared index, `//ling:w` cost
+/// ~1 ms and `//line/contained::ling:w` ~4 ms before; ~60 µs and ~170 µs
+/// after. The budgets sit ~5× above the latter.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn descendant_and_contained_queries_cost_their_hits() {
+    let g = corpus::generate(&corpus::Params::sized(2000)).goddag;
+    let index = Arc::new(expath::OverlapIndex::build(&g));
+    for (query, budget) in [
+        ("//ling:w", Duration::from_micros(300)),
+        ("//line/contained::ling:w", Duration::from_millis(1)),
+    ] {
+        let ev = expath::Evaluator::with_shared_index(&g, Arc::clone(&index));
+        let (elapsed, hits) = best_of_5(|| ev.select(query).unwrap().len());
+        assert_eq!(hits, 2000, "{query}");
+        assert!(elapsed < budget, "{query} took {elapsed:?} (budget {budget:?})");
+    }
 }

@@ -6,7 +6,7 @@
 use corpus::{dtds, generate, Params};
 use cxstore::{EditOp, Store, StoreError};
 use goddag::check_invariants;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A 3-hierarchy corpus workload (phys + ling + edit) of `words` words.
 fn manuscript(words: usize, seed: u64) -> goddag::Goddag {
@@ -137,12 +137,16 @@ fn prevalidation_gates_store_edits() {
 /// Readers hammer the store while a writer keeps editing one document.
 /// Every read must see a consistent document (invariants hold, queries
 /// succeed), and after the dust settles the cache serves the final state.
+/// The writer holds `done` until every reader has finished one round, so
+/// each reader gets at least one turn however fast the edits run.
 #[test]
 fn concurrent_readers_during_edits_stay_consistent() {
+    const READERS: usize = 3;
     let store = Store::new();
     let edited = store.insert(manuscript(150, 21));
     let stable = store.insert(manuscript(150, 22));
     let done = AtomicBool::new(false);
+    let readers_with_a_round = AtomicUsize::new(0);
 
     std::thread::scope(|s| {
         // Writer: interleave gated insertions and text edits.
@@ -168,11 +172,19 @@ fn concurrent_readers_during_edits_stay_consistent() {
                 // never happen is a poisoned lock or a torn document.
                 let _ = store.edit(edited, op);
             }
+            // The deadline only turns a reader that panicked before its
+            // first round into a failure instead of a hang.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while readers_with_a_round.load(Ordering::Acquire) < READERS
+                && std::time::Instant::now() < deadline
+            {
+                std::thread::yield_now();
+            }
             done.store(true, Ordering::Release);
         });
 
         // Readers: single-doc queries, batch queries, stats.
-        for _ in 0..3 {
+        for _ in 0..READERS {
             s.spawn(|| {
                 let mut reads = 0usize;
                 while !done.load(Ordering::Acquire) {
@@ -182,6 +194,9 @@ fn concurrent_readers_during_edits_stay_consistent() {
                     let _ = ns;
                     let _ = store.stats();
                     reads += 1;
+                    if reads == 1 {
+                        readers_with_a_round.fetch_add(1, Ordering::Release);
+                    }
                 }
                 assert!(reads > 0, "reader never got a turn");
             });
