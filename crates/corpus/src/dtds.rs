@@ -1,8 +1,10 @@
 //! Hierarchy DTDs for the manuscript vocabularies (substituting for the TEI
 //! P4 DTDs the paper's edition uses — same formal power: element
-//! declarations, content models, attribute lists).
+//! declarations, content models, attribute lists) — and random small DTDs
+//! for the properties that check prevalidation against its references.
 
-use xmlcore::dtd::{parse_dtd, Dtd};
+use crate::gen::Source;
+use xmlcore::dtd::{parse_dtd, ContentModel, ContentSpec, Dtd, ElementDecl};
 
 /// Physical structure: pages of lines (mixed content lines), page breaks.
 pub const PHYS_DTD: &str = "
@@ -56,6 +58,56 @@ pub fn attach_standard(g: &mut goddag::Goddag) {
         if let Some(h) = g.hierarchy_by_name(name) {
             g.set_dtd(h, dtd).expect("hierarchy id from the same document");
         }
+    }
+}
+
+/// A random DTD declaring `e0` … `e{k-1}` for `k` in `2..=5`: each element
+/// `EMPTY`, `ANY`, mixed over up to three names, or a content model up to
+/// two levels deep (sequences and choices of one to three parts, each
+/// part optionally `?`, `*` or `+`). Names are drawn by [`random_name`],
+/// so a model may mention the undeclared `ghost`.
+pub fn random(src: &mut Source) -> Dtd {
+    let k = 2 + src.index(4);
+    let mut dtd = Dtd::new();
+    for i in 0..k {
+        let content = match src.below(5) {
+            0 => ContentSpec::Empty,
+            1 => ContentSpec::Any,
+            2 => ContentSpec::Mixed((0..src.index(4)).map(|_| random_name(src, k)).collect()),
+            _ => ContentSpec::Children(random_model(src, k, 2)),
+        };
+        dtd.declare(ElementDecl { name: format!("e{i}"), content, attrs: vec![] });
+    }
+    dtd
+}
+
+/// One of the `k` names a [`random`] DTD declares, occasionally the
+/// undeclared `ghost`.
+pub fn random_name(src: &mut Source, k: usize) -> String {
+    if src.below(12) == 0 {
+        "ghost".into()
+    } else {
+        format!("e{}", src.index(k))
+    }
+}
+
+fn random_model(src: &mut Source, k: usize, depth: usize) -> ContentModel {
+    let base = if depth == 0 || src.below(3) == 0 {
+        ContentModel::name(random_name(src, k))
+    } else {
+        let parts: Vec<_> =
+            (0..1 + src.index(3)).map(|_| random_model(src, k, depth - 1)).collect();
+        if src.below(2) == 0 {
+            ContentModel::seq(parts)
+        } else {
+            ContentModel::choice(parts)
+        }
+    };
+    match src.below(4) {
+        0 => base.opt(),
+        1 => base.star(),
+        2 => base.plus(),
+        _ => base,
     }
 }
 

@@ -11,10 +11,14 @@
 //!   density;
 //! * [`figure1`] — a pinned reconstruction of the paper's Figure 1 fragment
 //!   (four conflicting encodings of one piece of Old English);
-//! * [`dtds`] — hierarchy DTDs standing in for the TEI P4 schemas.
+//! * [`dtds`] — hierarchy DTDs standing in for the TEI P4 schemas, and
+//!   random small DTDs for the prevalidation properties;
+//! * [`gen`] — the seeded, shrinking generator behind every randomised
+//!   test in the workspace (`gen::check`, `gen::replay`).
 
 pub mod dtds;
 pub mod figure1;
+pub mod gen;
 pub mod manuscript;
 pub mod text;
 

@@ -7,14 +7,15 @@
 //! OE-looking words from a syllable inventory drawn from the period's
 //! phonology — enough to make examples readable and encodings realistic.
 
-/// Minimal deterministic PRNG (splitmix64) — the build environment resolves
-/// no external crates, so this stands in for `rand::StdRng`. Statistical
-/// quality is irrelevant here: only determinism per seed and a roughly
-/// uniform spread matter for workload shape.
-struct SplitMix64(u64);
+/// The workspace's one seeded stream (splitmix64): it makes every corpus
+/// document and, through [`crate::gen::Source`], every randomised test's
+/// choices. Statistical quality is irrelevant here: only determinism per
+/// seed and a roughly uniform spread matter. The benchmark's documents
+/// come from it, so `tests/digests.rs` pins what it draws.
+pub(crate) struct SplitMix64(pub(crate) u64);
 
 impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -14,10 +14,9 @@
 //!   (see [`standoff_pins_structure`]).
 //! * Hostile blobs fail with [`PersistError::Codec`], never with a panic.
 
+use corpus::gen::Source;
 use cxpersist::{DocBlob, PersistError};
 use goddag::{Goddag, HierarchyId, NodeId};
-use proptest::prelude::*;
-use proptest::TestRng;
 use xmlcore::QName;
 
 const FIXTURE_BLOB: &str = include_str!("fixtures/blob_v1.cxblob");
@@ -171,145 +170,132 @@ fn capture_of_the_fixture_document_is_byte_identical() {
     assert_eq!(sacx::export_standoff(&g), FIXTURE_STANDOFF);
 }
 
-/// Seeded edit histories over a corpus document.
-struct Gen(TestRng);
+/// A char-boundary offset in `0..=content_len`.
+fn offset(src: &mut Source, g: &Goddag) -> usize {
+    let content = g.content();
+    let offsets: Vec<usize> =
+        content.char_indices().map(|(i, _)| i).chain([content.len()]).collect();
+    src.pick(&offsets)
+}
 
-impl Gen {
-    fn pick<T: Copy>(&mut self, items: &[T]) -> T {
-        items[self.0.below(items.len() as u64) as usize]
+/// An ordered pair of char-boundary offsets at most ~`max` bytes apart.
+fn range(src: &mut Source, g: &Goddag, max: usize) -> (usize, usize) {
+    let s = offset(src, g);
+    let content = g.content();
+    let mut e = (s + src.index(max + 1)).min(content.len());
+    while !content.is_char_boundary(e) {
+        e += 1;
     }
+    (s, e)
+}
 
-    /// A char-boundary offset in `0..=content_len`.
-    fn offset(&mut self, g: &Goddag) -> usize {
-        let content = g.content();
-        let offsets: Vec<usize> =
-            content.char_indices().map(|(i, _)| i).chain([content.len()]).collect();
-        self.pick(&offsets)
-    }
+fn hierarchy(src: &mut Source, g: &Goddag) -> HierarchyId {
+    HierarchyId(src.index(g.hierarchy_count()) as u16)
+}
 
-    /// An ordered pair of char-boundary offsets at most ~`max` bytes apart.
-    fn range(&mut self, g: &Goddag, max: usize) -> (usize, usize) {
-        let s = self.offset(g);
-        let content = g.content();
-        let mut e = (s + self.0.below(max as u64 + 1) as usize).min(content.len());
-        while !content.is_char_boundary(e) {
-            e += 1;
+fn attrs(src: &mut Source) -> Vec<xmlcore::Attribute> {
+    (0..src.below(3))
+        .map(|i| xmlcore::Attribute::new(format!("a{i}").as_str(), src.pick(HOSTILE)))
+        .collect()
+}
+
+fn element(src: &mut Source, g: &Goddag) -> Option<NodeId> {
+    let live: Vec<NodeId> = g.elements().collect();
+    (!live.is_empty()).then(|| src.pick(&live))
+}
+
+/// One edit of a seeded history over a corpus document. Failed edits are
+/// part of the history too: an element insert that would cross has
+/// already split the frontier.
+fn edit(src: &mut Source, g: &mut Goddag) {
+    let tags = ["w", "s", "phrase", "line", "dmg", "res", "seg"];
+    match src.below(9) {
+        0 => {
+            let (h, (s, e), a) = (hierarchy(src, g), range(src, g, 40), attrs(src));
+            let _ = g.insert_element(h, q(src.pick(&tags)), a, s, e);
         }
-        (s, e)
-    }
-
-    fn hierarchy(&mut self, g: &Goddag) -> HierarchyId {
-        HierarchyId(self.0.below(g.hierarchy_count() as u64) as u16)
-    }
-
-    fn attrs(&mut self) -> Vec<xmlcore::Attribute> {
-        (0..self.0.below(3))
-            .map(|i| xmlcore::Attribute::new(format!("a{i}").as_str(), self.pick(HOSTILE)))
-            .collect()
-    }
-
-    fn element(&mut self, g: &Goddag) -> Option<NodeId> {
-        let live: Vec<NodeId> = g.elements().collect();
-        (!live.is_empty()).then(|| self.pick(&live))
-    }
-
-    /// One edit. Failed edits are part of the history too: an element
-    /// insert that would cross has already split the frontier.
-    fn edit(&mut self, g: &mut Goddag) {
-        let tags = ["w", "s", "phrase", "line", "dmg", "res", "seg"];
-        match self.0.below(9) {
-            0 => {
-                let (h, (s, e), a) = (self.hierarchy(g), self.range(g, 40), self.attrs());
-                let _ = g.insert_element(h, q(self.pick(&tags)), a, s, e);
+        1 => {
+            // Equal spans: a second element over the first one's range
+            // nests inside it (child has the higher id) …
+            let (h, (s, e)) = (hierarchy(src, g), range(src, g, 30));
+            if g.insert_element(h, q("seg"), vec![], s, e).is_ok() {
+                let _ = g.insert_element(h, q("w"), vec![], s, e);
             }
-            1 => {
-                // Equal spans: a second element over the first one's range
-                // nests inside it (child has the higher id) …
-                let (h, (s, e)) = (self.hierarchy(g), self.range(g, 30));
-                if g.insert_element(h, q("seg"), vec![], s, e).is_ok() {
-                    let _ = g.insert_element(h, q("w"), vec![], s, e);
-                }
+        }
+        2 => {
+            // … or wraps a range one char wider, which deleting that char
+            // turns into equal spans with the parent minted last.
+            let (h, (s, e)) = (hierarchy(src, g), range(src, g, 30));
+            let content = g.content();
+            let Some(c) = content[e..].chars().next() else { return };
+            let wider = e + c.len_utf8();
+            if g.insert_element(h, q("phrase"), vec![], s, e).is_ok()
+                && g.insert_element(h, q("s"), vec![], s, wider).is_ok()
+            {
+                g.delete_text(e, wider).unwrap();
             }
-            2 => {
-                // … or wraps a range one char wider, which deleting that char
-                // turns into equal spans with the parent minted last.
-                let (h, (s, e)) = (self.hierarchy(g), self.range(g, 30));
-                let content = g.content();
-                let Some(c) = content[e..].chars().next() else { return };
-                let wider = e + c.len_utf8();
-                if g.insert_element(h, q("phrase"), vec![], s, e).is_ok()
-                    && g.insert_element(h, q("s"), vec![], s, wider).is_ok()
-                {
-                    g.delete_text(e, wider).unwrap();
-                }
+        }
+        3 => {
+            let (h, o) = (hierarchy(src, g), offset(src, g));
+            let _ = g.insert_element(h, q("pb"), attrs(src), o, o);
+        }
+        4 => {
+            if let Some(e) = element(src, g) {
+                g.remove_element(e).unwrap();
             }
-            3 => {
-                let (h, o) = (self.hierarchy(g), self.offset(g));
-                let _ = g.insert_element(h, q("pb"), self.attrs(), o, o);
-            }
-            4 => {
-                if let Some(e) = self.element(g) {
-                    g.remove_element(e).unwrap();
-                }
-            }
-            5 => {
-                let o = self.offset(g);
-                g.insert_text(o, self.pick(&["þ", "x", " ", "\n", "ā b", "%"])).unwrap();
-            }
-            6 => {
-                let (s, e) = self.range(g, 12);
-                g.delete_text(s, e).unwrap();
-            }
-            7 => {
-                let o = self.offset(g);
-                g.split_leaf_at(o).unwrap();
-            }
-            _ => {
-                let n = self.element(g).unwrap_or(g.root());
-                let name = self.pick(&["n", "type", "note", "resp"]);
-                if self.0.below(3) == 0 {
-                    g.remove_attr(n, name).unwrap();
-                } else {
-                    g.set_attr(n, name, self.pick(HOSTILE)).unwrap();
-                }
+        }
+        5 => {
+            let o = offset(src, g);
+            g.insert_text(o, src.pick(&["þ", "x", " ", "\n", "ā b", "%"])).unwrap();
+        }
+        6 => {
+            let (s, e) = range(src, g, 12);
+            g.delete_text(s, e).unwrap();
+        }
+        7 => {
+            let o = offset(src, g);
+            g.split_leaf_at(o).unwrap();
+        }
+        _ => {
+            let n = element(src, g).unwrap_or(g.root());
+            let name = src.pick(&["n", "type", "note", "resp"]);
+            if src.below(3) == 0 {
+                g.remove_attr(n, name).unwrap();
+            } else {
+                g.set_attr(n, name, src.pick(HOSTILE)).unwrap();
             }
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn restore_is_id_for_id_exact_after_arbitrary_histories(
-        seed in 0u64..u64::MAX,
-        len in 1usize..40,
-    ) {
-        let mut gen = Gen(TestRng::from_name(&format!("blob-{seed}")));
+#[test]
+fn restore_is_id_for_id_exact_after_arbitrary_histories() {
+    corpus::gen::check("restore_is_id_for_id_exact_after_arbitrary_histories", 64, |src| {
+        let seed = src.below(u64::MAX);
         let params = corpus::Params { words: 30, seed, ..corpus::Params::default() };
         let mut g = corpus::generate(&params).goddag;
         corpus::dtds::attach_standard(&mut g);
-        for _ in 0..len {
-            gen.edit(&mut g);
+        for _ in 0..1 + src.index(39) {
+            edit(src, &mut g);
         }
         goddag::check_invariants(&g).unwrap();
-        let ctx = format!("seed {seed}");
+        let ctx = format!("corpus seed {seed}");
         let (text, r) = roundtrip(&g);
         goddag::check_invariants(&r).unwrap();
         assert_same_next_id(&g, &r, &ctx);
         if standoff_pins_structure(&g) {
             assert_same_document(&g, &r, true, &ctx);
-            prop_assert_eq!(DocBlob::capture(&r).to_text(), text, "{}: re-capture", ctx);
+            assert_eq!(DocBlob::capture(&r).to_text(), text, "{ctx}: re-capture");
         } else {
             // Everything else is still exact, and the restored document is
             // the canonical one: it survives a second round trip exactly.
             assert_same_document(&g, &r, false, &ctx);
-            prop_assert!(standoff_pins_structure(&r), "{}: restore is canonical", ctx);
+            assert!(standoff_pins_structure(&r), "{ctx}: restore is canonical");
             let (text, r2) = roundtrip(&r);
             assert_same_document(&r, &r2, true, &ctx);
-            prop_assert_eq!(DocBlob::capture(&r2).to_text(), text, "{}: re-capture", ctx);
+            assert_eq!(DocBlob::capture(&r2).to_text(), text, "{ctx}: re-capture");
         }
-    }
+    });
 }
 
 #[test]

@@ -4,12 +4,9 @@
 //! record is round-tripped kind by kind in `cxstore/tests/op_tokens.rs`;
 //! `tests/golden_wal.rs` pins every record kind byte for byte.)
 
+use corpus::gen::Source;
 use cxpersist::{decode_record, encode_record, scan, WalOp, WAL_HEADER};
 use cxstore::{DocId, EditOp};
-use proptest::prelude::*;
-
-/// Deterministic op generator driven by one seed.
-struct Gen(TestRng);
 
 /// Strings chosen to stress the escaping: separators, escapes, newlines,
 /// non-ASCII, emptiness.
@@ -29,32 +26,27 @@ const STRINGS: &[&str] = &[
     "crc 00000000",
 ];
 
-impl Gen {
-    fn string(&mut self) -> String {
-        STRINGS[self.0.below(STRINGS.len() as u64) as usize].to_string()
-    }
+fn string(src: &mut Source) -> String {
+    src.pick(STRINGS).to_string()
+}
 
-    fn wal_op(&mut self) -> WalOp {
-        match self.0.below(8) {
-            0 => WalOp::DocRemove { doc: DocId::from_raw(self.0.below(100)) },
-            1 => WalOp::BindName { doc: DocId::from_raw(self.0.below(100)), name: self.string() },
-            2 => WalOp::UnbindName { name: self.string() },
-            _ => WalOp::Edit {
-                doc: DocId::from_raw(self.0.below(100)),
-                epoch: self.0.next_u64() >> 1,
-                op: EditOp::InsertText { offset: self.0.below(1000) as usize, text: self.string() },
-            },
-        }
+fn wal_op(src: &mut Source) -> WalOp {
+    match src.below(8) {
+        0 => WalOp::DocRemove { doc: DocId::from_raw(src.below(100)) },
+        1 => WalOp::BindName { doc: DocId::from_raw(src.below(100)), name: string(src) },
+        2 => WalOp::UnbindName { name: string(src) },
+        _ => WalOp::Edit {
+            doc: DocId::from_raw(src.below(100)),
+            epoch: src.below(1 << 63),
+            op: EditOp::InsertText { offset: src.index(1000), text: string(src) },
+        },
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn random_op_sequences_roundtrip(seed in 0u64..u64::MAX, len in 1usize..40) {
-        let mut gen = Gen(TestRng::from_name(&format!("codec-{seed}")));
-        let ops: Vec<WalOp> = (0..len).map(|_| gen.wal_op()).collect();
+#[test]
+fn random_op_sequences_roundtrip() {
+    corpus::gen::check("random_op_sequences_roundtrip", 256, |src| {
+        let ops: Vec<WalOp> = (0..1 + src.index(39)).map(|_| wal_op(src)).collect();
 
         // Record-level roundtrip. (The generator emits only single-line
         // record kinds; DocInsert payload framing is pinned by unit and
@@ -64,31 +56,29 @@ proptest! {
             let lsn = i as u64 + 1;
             let line = encode_record(lsn, op);
             let (rec, used) = decode_record(line.as_bytes(), i + 2).unwrap();
-            prop_assert_eq!(used, line.len());
-            prop_assert_eq!(rec.lsn, lsn);
-            prop_assert_eq!(&rec.op, op, "seed {} record {}", seed, i);
+            assert_eq!(used, line.len());
+            assert_eq!(rec.lsn, lsn);
+            assert_eq!(&rec.op, op, "record {i}");
             file.push_str(&line);
         }
 
         // File-level roundtrip through the scanner.
         let s = scan(file.as_bytes()).unwrap();
-        prop_assert!(!s.torn, "seed {}", seed);
-        prop_assert_eq!(s.valid_len, file.len());
-        prop_assert_eq!(s.records.len(), ops.len());
+        assert!(!s.torn);
+        assert_eq!(s.valid_len, file.len());
+        assert_eq!(s.records.len(), ops.len());
         for (rec, op) in s.records.iter().zip(&ops) {
-            prop_assert_eq!(&rec.op, op, "seed {}", seed);
+            assert_eq!(&rec.op, op);
         }
 
         // And a torn tail never breaks the prefix: cut inside the last
-        // record at a seed-chosen byte.
+        // record at a drawn byte.
         let last_start = file[..file.len() - 1].rfind('\n').unwrap() + 1;
-        let cut = last_start + (gen.0.below((file.len() - last_start) as u64) as usize);
+        let cut = last_start + src.index(file.len() - last_start);
         let s = scan(&file.as_bytes()[..cut]).unwrap();
-        prop_assert_eq!(s.records.len(), ops.len() - 1, "seed {} cut {}", seed, cut);
+        assert_eq!(s.records.len(), ops.len() - 1, "cut {cut}");
         // A cut exactly at the record boundary loses it cleanly (no torn
         // bytes); any later cut leaves a torn tail.
-        prop_assert_eq!(s.torn, cut != last_start, "seed {} cut {}", seed, cut);
-    }
+        assert_eq!(s.torn, cut != last_start, "cut {cut}");
+    });
 }
-
-use proptest::TestRng;

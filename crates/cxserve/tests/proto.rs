@@ -31,7 +31,8 @@ fn every_request_shape_roundtrips() {
     rt_req(Request::Insert { name: None, blob: blob.clone() });
     rt_req(Request::Insert { name: Some("a name with spaces %/\n ok".into()), blob });
     // The op itself is `EditOp::write_tokens` (round-tripped for every kind
-    // by cxstore's proptest); what this codec adds is the guard around it.
+    // by cxstore's `op_tokens` property); what this codec adds is the guard
+    // around it.
     let op = EditOp::InsertText { offset: 3, text: "x y\nz %".into() };
     rt_req(Request::Edit { doc: doc(7), guard: None, op: op.clone() });
     rt_req(Request::Edit { doc: doc(9), guard: Some(41), op });
@@ -183,6 +184,7 @@ fn hostile_request_payloads_decode_to_typed_errors_never_panics() {
         b"cxq1 edit 1 1 insel h t 0 5 999999999",   // the old count-prefixed spelling
         b"cxq1 edit 1 1 insel h t 0 5 2 k v k2 v2", // ditto, with its attributes
         b"cxq1 remove 7 8",                         // trailing junk after the arguments
+        b"cxq1 remove +5",                          // a second spelling of 5
         b"cxq1 ping x y",
         b"cxq1 ping tc",                         // half a trace pair
         b"cxq1 ping tc not-a-context",           // malformed trace pair

@@ -6,10 +6,9 @@
 //! when the reader returns. And no op, however hostile, panics the apply
 //! body: a refused op leaves the document as it was.
 
+use corpus::gen::Source;
 use cxstore::EditOp;
 use goddag::{Goddag, GoddagError, NodeId};
-use proptest::prelude::*;
-use proptest::TestRng;
 use sacx::{EditError, Tokens};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -38,36 +37,29 @@ const STRINGS: &[&str] = &[
 const TAILS: &[&[&str]] =
     &[&[], &["1a2b3c4d"], &["tc", "00000000000000aa-00000000000000bb"], &["insel"]];
 
-struct Gen(TestRng);
+fn string(src: &mut Source) -> String {
+    src.pick(STRINGS).to_string()
+}
 
-impl Gen {
-    fn string(&mut self) -> String {
-        STRINGS[self.0.below(STRINGS.len() as u64) as usize].to_string()
-    }
+fn node(src: &mut Source) -> NodeId {
+    NodeId(src.below(u32::MAX as u64 + 1) as u32)
+}
 
-    fn node(&mut self) -> NodeId {
-        NodeId(self.0.below(u32::MAX as u64 + 1) as u32)
-    }
-
-    fn offset(&mut self) -> usize {
-        self.0.below(1000) as usize
-    }
-
-    fn op(&mut self) -> EditOp {
-        match self.0.below(6) {
-            0 => EditOp::InsertElement {
-                hierarchy: self.string(),
-                tag: self.string(),
-                attrs: (0..self.0.below(4)).map(|_| (self.string(), self.string())).collect(),
-                start: self.offset(),
-                end: self.offset(),
-            },
-            1 => EditOp::RemoveElement(self.node()),
-            2 => EditOp::InsertText { offset: self.offset(), text: self.string() },
-            3 => EditOp::DeleteText { start: self.offset(), end: self.offset() },
-            4 => EditOp::SetAttr { node: self.node(), name: self.string(), value: self.string() },
-            _ => EditOp::RemoveAttr { node: self.node(), name: self.string() },
-        }
+fn op(src: &mut Source) -> EditOp {
+    let offset = |src: &mut Source| src.index(1000);
+    match src.below(6) {
+        0 => EditOp::InsertElement {
+            hierarchy: string(src),
+            tag: string(src),
+            attrs: (0..src.below(4)).map(|_| (string(src), string(src))).collect(),
+            start: offset(src),
+            end: offset(src),
+        },
+        1 => EditOp::RemoveElement(node(src)),
+        2 => EditOp::InsertText { offset: offset(src), text: string(src) },
+        3 => EditOp::DeleteText { start: offset(src), end: offset(src) },
+        4 => EditOp::SetAttr { node: node(src), name: string(src), value: string(src) },
+        _ => EditOp::RemoveAttr { node: node(src), name: string(src) },
     }
 }
 
@@ -75,125 +67,111 @@ impl Gen {
 const GOOD_NAMES: &[&str] = &["w", "s", "dmg", "n", "type", "x:y"];
 const BAD_NAMES: &[&str] = &["1x", "", "two words", "a=b", "x:", ":x", "a:b:c", "-w", "swā þæt"];
 
-/// Ops aimed at one live document: real and unknown hierarchies, good and
-/// bad names, in-range offsets, offsets past the end or inside a
-/// multi-byte character, live, leaf, root and dead node ids.
-impl Gen {
-    fn pick<'a>(&mut self, from: &[&'a str]) -> &'a str {
-        from[self.0.below(from.len() as u64) as usize]
-    }
+fn name(src: &mut Source) -> String {
+    let from = if src.below(4) == 0 { BAD_NAMES } else { GOOD_NAMES };
+    src.pick(from).to_string()
+}
 
-    fn name(&mut self) -> String {
-        let from = if self.0.below(4) == 0 { BAD_NAMES } else { GOOD_NAMES };
-        self.pick(from).to_string()
-    }
-
-    fn doc_offset(&mut self, g: &Goddag) -> usize {
-        let len = g.content_len();
-        match self.0.below(8) {
-            0 => len + 1 + self.0.below(100) as usize,
-            1 => {
-                // Inside a multi-byte character, when the content has one.
-                let content = g.content();
-                let inside: Vec<usize> =
-                    (1..len).filter(|&i| !content.is_char_boundary(i)).collect();
-                if inside.is_empty() {
-                    len + 1
-                } else {
-                    inside[self.0.below(inside.len() as u64) as usize]
-                }
-            }
-            _ => {
-                let mut off = self.0.below(len as u64 + 1) as usize;
-                while !g.is_char_boundary(off) {
-                    off -= 1;
-                }
-                off
+fn doc_offset(src: &mut Source, g: &Goddag) -> usize {
+    let len = g.content_len();
+    match src.below(8) {
+        0 => len + 1 + src.index(100),
+        1 => {
+            // Inside a multi-byte character, when the content has one.
+            let content = g.content();
+            let inside: Vec<usize> = (1..len).filter(|&i| !content.is_char_boundary(i)).collect();
+            if inside.is_empty() {
+                len + 1
+            } else {
+                src.pick(&inside)
             }
         }
-    }
-
-    fn doc_node(&mut self, g: &Goddag) -> NodeId {
-        let elements: Vec<NodeId> = g.elements().collect();
-        match self.0.below(8) {
-            0 => g.root(),
-            1 => g.leaves()[self.0.below(g.leaves().len() as u64) as usize],
-            // Never allocated, or tombstoned by an earlier removal.
-            2 => NodeId(self.0.below(g.arena_len() as u64 + 8) as u32),
-            3 => NodeId(u32::MAX),
-            _ if elements.is_empty() => g.root(),
-            _ => elements[self.0.below(elements.len() as u64) as usize],
-        }
-    }
-
-    fn doc_op(&mut self, g: &Goddag) -> EditOp {
-        let (a, b) = (self.doc_offset(g), self.doc_offset(g));
-        match self.0.below(6) {
-            0 => EditOp::InsertElement {
-                hierarchy: self.pick(&["phys", "ling", "edit", "ling", "nope"]).to_string(),
-                tag: self.name(),
-                attrs: (0..self.0.below(3)).map(|_| (self.name(), self.string())).collect(),
-                start: a.min(b),
-                end: a.max(b),
-            },
-            1 => EditOp::RemoveElement(self.doc_node(g)),
-            2 => EditOp::InsertText { offset: a, text: self.string() },
-            3 => EditOp::DeleteText { start: a.min(b), end: a.max(b) },
-            4 => {
-                EditOp::SetAttr { node: self.doc_node(g), name: self.name(), value: self.string() }
+        _ => {
+            let mut off = src.index(len + 1);
+            while !g.is_char_boundary(off) {
+                off -= 1;
             }
-            _ => EditOp::RemoveAttr { node: self.doc_node(g), name: self.name() },
+            off
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+fn doc_node(src: &mut Source, g: &Goddag) -> NodeId {
+    let elements: Vec<NodeId> = g.elements().collect();
+    match src.below(8) {
+        0 => g.root(),
+        1 if !g.leaves().is_empty() => src.pick(g.leaves()),
+        // Never allocated, or tombstoned by an earlier removal.
+        2 => NodeId(src.index(g.arena_len() + 8) as u32),
+        3 => NodeId(u32::MAX),
+        _ if elements.is_empty() => g.root(),
+        _ => src.pick(&elements),
+    }
+}
 
-    #[test]
-    fn no_edit_panics_and_a_refusal_changes_nothing(seed in 0u64..u64::MAX) {
-        let mut gen = Gen(TestRng::from_name(&format!("apply-{seed}")));
+/// An op aimed at one live document: real and unknown hierarchies, good
+/// and bad names, in-range offsets, offsets past the end or inside a
+/// multi-byte character, live, leaf, root and dead node ids.
+fn doc_op(src: &mut Source, g: &Goddag) -> EditOp {
+    let (a, b) = (doc_offset(src, g), doc_offset(src, g));
+    match src.below(6) {
+        0 => EditOp::InsertElement {
+            hierarchy: src.pick(&["phys", "ling", "edit", "ling", "nope"]).to_string(),
+            tag: name(src),
+            attrs: (0..src.below(3)).map(|_| (name(src), string(src))).collect(),
+            start: a.min(b),
+            end: a.max(b),
+        },
+        1 => EditOp::RemoveElement(doc_node(src, g)),
+        2 => EditOp::InsertText { offset: a, text: string(src) },
+        3 => EditOp::DeleteText { start: a.min(b), end: a.max(b) },
+        4 => EditOp::SetAttr { node: doc_node(src, g), name: name(src), value: string(src) },
+        _ => EditOp::RemoveAttr { node: doc_node(src, g), name: name(src) },
+    }
+}
+
+#[test]
+fn no_edit_panics_and_a_refusal_changes_nothing() {
+    corpus::gen::check("no_edit_panics_and_a_refusal_changes_nothing", 64, |src| {
+        let seed = src.below(u64::MAX);
         let params = corpus::Params { words: 40, seed, ..corpus::Params::default() };
         let mut g = corpus::generate(&params).goddag;
         for _ in 0..40 {
-            let op = gen.doc_op(&g);
+            let op = doc_op(src, &g);
             let (export, epoch) = (sacx::export_standoff(&g), g.edit_epoch());
             let applied = catch_unwind(AssertUnwindSafe(|| op.clone().apply(&mut g)));
-            prop_assert!(applied.is_ok(), "seed {}: {:?} panicked", seed, op);
+            assert!(applied.is_ok(), "corpus seed {seed}: {op:?} panicked");
             let Ok(Err(err)) = applied else { continue };
-            prop_assert_eq!(sacx::export_standoff(&g), export, "seed {}: {:?}", seed, op);
+            assert_eq!(sacx::export_standoff(&g), export, "corpus seed {seed}: {op:?}");
             // A crossing insert is refused after splitting the leaves at
             // its ends: invisible in the export, but a logged history that
             // replay reproduces, epoch bumps included.
             if !matches!(err, EditError::Goddag(GoddagError::WouldCross { .. })) {
-                prop_assert_eq!(g.edit_epoch(), epoch, "seed {}: {:?} ({})", seed, op, err);
+                assert_eq!(g.edit_epoch(), epoch, "corpus seed {seed}: {op:?} ({err})");
             }
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn ops_roundtrip_and_leave_the_tail_alone(seed in 0u64..u64::MAX) {
-        let mut gen = Gen(TestRng::from_name(&format!("op-{seed}")));
-        let op = gen.op();
-        let tail = TAILS[gen.0.below(TAILS.len() as u64) as usize];
+#[test]
+fn ops_roundtrip_and_leave_the_tail_alone() {
+    corpus::gen::check("ops_roundtrip_and_leave_the_tail_alone", 512, |src| {
+        let op = op(src);
+        let tail = src.pick(TAILS);
 
         let mut line = String::from("head ");
         op.write_tokens(&mut line);
-        prop_assert!(!line.contains('\n') && line.is_ascii(), "{:?}", line);
+        assert!(!line.contains('\n') && line.is_ascii(), "{line:?}");
         for t in tail {
             line.push(' ');
             line.push_str(t);
         }
 
         let mut t = Tokens::new(&line);
-        prop_assert_eq!(t.token("head"), Ok("head"));
-        prop_assert_eq!(EditOp::read_tokens(&mut t), Ok(op), "seed {}: {:?}", seed, line);
-        prop_assert_eq!(t.collect::<Vec<_>>(), tail, "seed {}: {:?}", seed, line);
-    }
+        assert_eq!(t.token("head"), Ok("head"));
+        assert_eq!(EditOp::read_tokens(&mut t), Ok(op), "{line:?}");
+        assert_eq!(t.collect::<Vec<_>>(), tail, "{line:?}");
+    });
 }
 
 #[test]

@@ -76,8 +76,8 @@ impl OverlapIndex {
         idxs.into_iter().map(|i| self.entries[i].2).collect()
     }
 
-    /// All elements whose span contains `span` (including co-extensive
-    /// ones). `span` may be empty (milestone anchors).
+    /// All non-empty elements whose span contains `span` (including
+    /// co-extensive ones). `span` may be empty (milestone anchors).
     pub fn containing(&self, span: Span) -> Vec<NodeId> {
         if self.entries.is_empty() {
             return Vec::new();
@@ -98,7 +98,8 @@ impl OverlapIndex {
             .collect()
     }
 
-    /// All elements whose span lies within `span`.
+    /// All non-empty elements whose span lies within `span` (the
+    /// milestones are [`OverlapIndex::milestones_inside`]).
     pub fn contained_in(&self, span: Span) -> Vec<NodeId> {
         if span.is_empty() || self.entries.is_empty() {
             return Vec::new();
@@ -119,7 +120,7 @@ impl OverlapIndex {
         self.milestones[lo..hi.max(lo)].iter().map(|&(_, id)| id).collect()
     }
 
-    /// All elements with exactly this span.
+    /// All non-empty elements with exactly this span.
     pub fn co_extensive(&self, span: Span) -> Vec<NodeId> {
         let lo = self.entries.partition_point(|&(s, _, _)| s < span.start);
         self.entries[lo..]
@@ -277,47 +278,66 @@ mod tests {
         assert!(idx.containing(Span::new(0, 0)).is_empty());
     }
 
-    #[test]
-    fn randomized_against_scan() {
-        // Deterministic pseudo-random spans over a larger fixture.
+    /// Up to 30 random ranges per hierarchy over 60 bytes, a quarter of
+    /// them milestones, keeping each range that crosses none kept before
+    /// (the builder refuses crossings).
+    fn random_doc(src: &mut corpus::gen::Source) -> Goddag {
         let mut b = GoddagBuilder::new(QName::parse("r").unwrap());
-        let content: String = "x".repeat(200);
-        b.content(content);
-        let mut seed = 12345u64;
-        let mut next = || {
-            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (seed >> 33) as usize
-        };
-        for hi in 0..4 {
+        b.content("x".repeat(60));
+        for hi in 0..1 + src.index(4) {
             let h = b.hierarchy(format!("h{hi}"));
-            // Build nested, non-crossing ranges per hierarchy.
-            for _ in 0..30 {
-                let a = next() % 200;
-                let len = next() % 20 + 1;
-                let bnd = (a + len).min(200);
-                // Avoid crossings by only adding if compatible; cheap check
-                // via builder error — collect candidates first.
-                let _ = (h, a, bnd);
+            let mut kept: Vec<(usize, usize)> = Vec::new();
+            for _ in 0..src.index(31) {
+                let s = src.index(61);
+                let e = if src.below(4) == 0 { s } else { (s + 1 + src.index(20)).min(60) };
+                let crosses = kept
+                    .iter()
+                    .any(|&(ks, ke)| (s < ks && ks < e && e < ke) || (ks < s && s < ke && ke < e));
+                if !crosses {
+                    kept.push((s, e));
+                    b.range(h, "e", vec![], s, e).unwrap();
+                }
             }
         }
-        // Use fixed well-nested ranges instead (builder rejects crossings).
-        let h0 = b.hierarchy("p");
-        let h1 = b.hierarchy("q");
-        for i in 0..20 {
-            b.range(h0, "seg", vec![], i * 10, i * 10 + 10).unwrap();
-            b.range(h1, "win", vec![], (i * 10 + 5).min(200), (i * 10 + 15).min(200)).unwrap();
-        }
-        let g = b.finish().unwrap();
-        let idx = OverlapIndex::build(&g);
-        for _ in 0..100 {
-            let s = (next() % g.leaf_count()) as u32;
-            let e = (s + (next() % 10) as u32).min(g.leaf_count() as u32);
-            let span = Span::new(s, e);
-            let mut a = idx.intersecting(span);
-            let mut b2 = scan_intersecting(&g, span);
-            g.sort_doc_order(&mut a);
-            g.sort_doc_order(&mut b2);
-            assert_eq!(a, b2, "span {span}");
-        }
+        b.finish().unwrap()
+    }
+
+    /// An index query, and the filter over one element's span that its doc
+    /// states.
+    type Query = (&'static str, fn(&OverlapIndex, Span) -> Vec<NodeId>, fn(Span, Span) -> bool);
+
+    #[test]
+    fn randomized_against_scan() {
+        // Each query against a filter over every element that states its doc.
+        corpus::gen::check("randomized_against_scan", 64, |src| {
+            let g = random_doc(src);
+            let idx = OverlapIndex::build(&g);
+            let leaves = g.leaf_count() as u32;
+            let queries: [Query; 5] = [
+                ("intersecting", OverlapIndex::intersecting, |es, q| es.intersects(q)),
+                ("containing", OverlapIndex::containing, |es, q| !es.is_empty() && es.contains(q)),
+                ("contained_in", OverlapIndex::contained_in, |es, q| {
+                    !es.is_empty() && q.contains(es)
+                }),
+                ("milestones_inside", OverlapIndex::milestones_inside, |es, q| {
+                    es.is_empty() && q.start < es.start && es.start < q.end
+                }),
+                ("co_extensive", OverlapIndex::co_extensive, |es, q| {
+                    !es.is_empty() && es.co_extensive(q)
+                }),
+            ];
+            for _ in 0..50 {
+                let s = src.below(leaves as u64 + 1) as u32;
+                let span = Span::new(s, s + src.below((leaves - s) as u64 + 1) as u32);
+                for (what, query, doc) in queries {
+                    let mut got = query(&idx, span);
+                    let mut want: Vec<NodeId> =
+                        g.elements().filter(|&e| doc(g.span(e), span)).collect();
+                    g.sort_doc_order(&mut got);
+                    g.sort_doc_order(&mut want);
+                    assert_eq!(got, want, "{what} {span}");
+                }
+            }
+        });
     }
 }

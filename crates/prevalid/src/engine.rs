@@ -966,7 +966,7 @@ impl WrapTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xmlcore::dtd::{parse_dtd, ElementDecl};
+    use xmlcore::dtd::parse_dtd;
 
     fn engine(dtd: &str) -> PrevalidEngine {
         PrevalidEngine::new(parse_dtd(dtd).unwrap())
@@ -1198,83 +1198,27 @@ mod tests {
         assert!(e.check_sequence("page", &[Item::Text]).ok);
     }
 
-    /// splitmix64: a seeded stream for the exactness property.
-    struct Mix(u64);
-
-    impl Mix {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            ((z ^ (z >> 31)) % n as u64) as usize
-        }
-
-        /// One of the `k` declared names, occasionally an undeclared one.
-        fn name(&mut self, k: usize) -> String {
-            if self.below(12) == 0 {
-                "ghost".into()
-            } else {
-                format!("e{}", self.below(k))
-            }
-        }
-
-        fn model(&mut self, k: usize, depth: usize) -> ContentModel {
-            let base = if depth == 0 || self.below(3) == 0 {
-                ContentModel::name(self.name(k))
-            } else {
-                let parts: Vec<_> =
-                    (0..1 + self.below(3)).map(|_| self.model(k, depth - 1)).collect();
-                if self.below(2) == 0 {
-                    ContentModel::seq(parts)
-                } else {
-                    ContentModel::choice(parts)
-                }
-            };
-            match self.below(4) {
-                0 => base.opt(),
-                1 => base.star(),
-                2 => base.plus(),
-                _ => base,
-            }
-        }
-
-        fn dtd(&mut self, k: usize) -> Dtd {
-            let mut dtd = Dtd::new();
-            for i in 0..k {
-                let content = match self.below(5) {
-                    0 => ContentSpec::Empty,
-                    1 => ContentSpec::Any,
-                    2 => ContentSpec::Mixed((0..self.below(4)).map(|_| self.name(k)).collect()),
-                    _ => ContentSpec::Children(self.model(k, 2)),
-                };
-                dtd.declare(ElementDecl { name: format!("e{i}"), content, attrs: vec![] });
-            }
-            dtd
-        }
-    }
-
     #[test]
     fn linear_decisions_equal_the_wrap_table() {
         // Random DTDs × random sequences of 0..=48 declared items: whenever
         // the linear pass decides, it must agree with the table's bit (with
         // no items, with the start closure). Every outcome must occur, so
         // the table fallback cannot go unexercised.
-        let mut rng = Mix(2005);
-        let (mut yes, mut no, mut undecided) = (0, 0, 0);
-        for case in 0..2_000 {
-            let k = 2 + rng.below(4);
-            let e = PrevalidEngine::new(rng.dtd(k));
+        let outcomes = std::cell::Cell::new((0, 0, 0));
+        corpus::gen::check("linear_decisions_equal_the_wrap_table", 2_000, |src| {
+            let e = PrevalidEngine::new(corpus::dtds::random(src));
+            let k = e.dtd().elements.len();
             // Half the sequences short, where a host can still accept alone.
-            let max = if rng.below(2) == 0 { 6 } else { 49 };
-            let len = rng.below(max);
+            let max = if src.below(2) == 0 { 6 } else { 49 };
+            let len = src.index(max);
             let items: Vec<ItemSym> = (0..len)
-                .map(|_| match rng.below(4) {
+                .map(|_| match src.below(4) {
                     0 => ItemSym::Text,
-                    _ => ItemSym::Sym(e.symbol(&format!("e{}", rng.below(k))).unwrap()),
+                    _ => ItemSym::Sym(e.symbol(&format!("e{}", src.index(k))).unwrap()),
                 })
                 .collect();
             let table = e.build_wrap_table(&items);
+            let (mut yes, mut no, mut undecided) = outcomes.get();
             for x in 0..k {
                 let Content::Machine(m) = &e.content[x] else { continue };
                 let reference = if items.is_empty() {
@@ -1284,7 +1228,7 @@ mod tests {
                 };
                 match e.decide_linear(x, &items) {
                     Some(ok) => {
-                        assert_eq!(ok, reference, "case {case}: <{}> over {items:?}", e.symbols[x]);
+                        assert_eq!(ok, reference, "<{}> over {items:?}", e.symbols[x]);
                         if ok {
                             yes += 1;
                         } else {
@@ -1294,7 +1238,9 @@ mod tests {
                     None => undecided += 1,
                 }
             }
-        }
+            outcomes.set((yes, no, undecided));
+        });
+        let (yes, no, undecided) = outcomes.get();
         println!("linear pass: {yes} yes, {no} no, {undecided} undecided");
         assert!(yes > 0 && no > 0 && undecided > 0, "yes {yes}, no {no}, undecided {undecided}");
     }

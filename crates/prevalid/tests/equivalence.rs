@@ -7,9 +7,9 @@
 //! sequences and require identical potential and strict verdicts, plus an
 //! identical insertable set.
 
+use corpus::dtds::{random, random_name};
+use corpus::gen::Source;
 use prevalid::{Item, PrevalidEngine};
-use proptest::prelude::*;
-use xmlcore::dtd::{ContentModel, ContentSpec, Dtd, ElementDecl};
 
 /// The pre-rewrite set-based engine, kept as the reference implementation.
 mod naive {
@@ -273,144 +273,58 @@ mod naive {
     }
 }
 
-// ----------------------------------------------------------------------
-// Random DTD / sequence generation (seed-driven so the proptest shim's
-// integer strategies are all we need)
-// ----------------------------------------------------------------------
-
-/// Element names used by generated DTDs: e0..e4 declared, "ghost" sometimes
-/// mentioned but never declared.
-const NAMES: [&str; 5] = ["e0", "e1", "e2", "e3", "e4"];
-
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        // splitmix64
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn name(&mut self, k: usize) -> String {
-        // Mostly declared names, occasionally an undeclared one.
-        if self.below(12) == 0 {
-            "ghost".to_string()
-        } else {
-            NAMES[self.below(k)].to_string()
-        }
-    }
-
-    fn model(&mut self, k: usize, depth: usize) -> ContentModel {
-        let leaf = depth == 0 || self.below(3) == 0;
-        let base = if leaf {
-            ContentModel::name(self.name(k))
-        } else {
-            let arity = 1 + self.below(3);
-            let items: Vec<ContentModel> = (0..arity).map(|_| self.model(k, depth - 1)).collect();
-            if self.below(2) == 0 {
-                ContentModel::seq(items)
-            } else {
-                ContentModel::choice(items)
-            }
-        };
-        match self.below(4) {
-            0 => base.opt(),
-            1 => base.star(),
-            2 => base.plus(),
-            _ => base,
-        }
-    }
-
-    fn dtd(&mut self) -> Dtd {
-        let k = 2 + self.below(NAMES.len() - 1); // 2..=5 declared elements
-        let mut dtd = Dtd::new();
-        for name in &NAMES[..k] {
-            let content = match self.below(5) {
-                0 => ContentSpec::Empty,
-                1 => ContentSpec::Any,
-                2 => {
-                    let allowed: Vec<String> = (0..self.below(3)).map(|_| self.name(k)).collect();
-                    ContentSpec::Mixed(allowed)
-                }
-                _ => ContentSpec::Children(self.model(k, 2)),
-            };
-            dtd.declare(ElementDecl { name: name.to_string(), content, attrs: vec![] });
-        }
-        dtd
-    }
-
-    fn items(&mut self, k: usize, len: usize) -> Vec<Item> {
-        (0..len)
-            .map(|_| if self.below(4) == 0 { Item::Text } else { Item::elem(self.name(k)) })
-            .collect()
-    }
+/// Random items over a [`corpus::dtds::random`] DTD: text, or an element
+/// whose name may be the undeclared `ghost`.
+fn items(src: &mut Source, k: usize) -> Vec<Item> {
+    (0..src.index(8))
+        .map(|_| if src.below(4) == 0 { Item::Text } else { Item::elem(random_name(src, k)) })
+        .collect()
 }
 
-fn declared_count(dtd: &Dtd) -> usize {
-    dtd.elements.len()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(160))]
-
-    #[test]
-    fn verdicts_match_naive_reference(seed in 0u64..u64::MAX, len in 0usize..8) {
-        let mut gen = Gen(seed);
-        let dtd = gen.dtd();
-        let k = declared_count(&dtd);
-        let items = gen.items(k, len);
+#[test]
+fn verdicts_match_naive_reference() {
+    corpus::gen::check("verdicts_match_naive_reference", 160, |src| {
+        let dtd = random(src);
+        let names: Vec<String> = dtd.elements.keys().cloned().collect();
+        let items = items(src, names.len());
 
         let fast = PrevalidEngine::new(dtd.clone());
         let slow = naive::NaiveEngine::new(dtd);
 
-        prop_assert_eq!(
-            fast.insertable(),
-            slow.insertable(),
-            "insertable sets diverge (seed {})",
-            seed
-        );
-        for element in NAMES.iter().take(k).chain(["ghost"].iter()) {
+        assert_eq!(fast.insertable(), slow.insertable(), "insertable sets diverge");
+        for element in names.iter().map(String::as_str).chain(["ghost"]) {
             let fast_pot = fast.check_sequence(element, &items).ok;
             let slow_pot = slow.check(element, &items, true);
-            prop_assert_eq!(
+            assert_eq!(
                 fast_pot, slow_pot,
-                "potential verdict diverges: seed {}, element {}, items {:?}",
-                seed, element, &items
+                "potential verdict diverges: <{element}> over {items:?}"
             );
             let fast_strict = fast.check_sequence_strict(element, &items).ok;
             let slow_strict = slow.check(element, &items, false);
-            prop_assert_eq!(
+            assert_eq!(
                 fast_strict, slow_strict,
-                "strict verdict diverges: seed {}, element {}, items {:?}",
-                seed, element, &items
+                "strict verdict diverges: <{element}> over {items:?}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn potential_is_implied_by_strict(seed in 0u64..u64::MAX, len in 0usize..8) {
-        // Sanity property on the new engine alone: exact validity must
-        // imply potential validity.
-        let mut gen = Gen(seed ^ 0xabcd_ef12_3456_789a);
-        let dtd = gen.dtd();
-        let k = declared_count(&dtd);
-        let items = gen.items(k, len);
+#[test]
+fn potential_is_implied_by_strict() {
+    // Sanity property on the new engine alone: exact validity must imply
+    // potential validity.
+    corpus::gen::check("potential_is_implied_by_strict", 160, |src| {
+        let dtd = random(src);
+        let names: Vec<String> = dtd.elements.keys().cloned().collect();
+        let items = items(src, names.len());
         let engine = PrevalidEngine::new(dtd);
-        for element in NAMES.iter().take(k) {
+        for element in &names {
             if engine.check_sequence_strict(element, &items).ok {
-                prop_assert!(
+                assert!(
                     engine.check_sequence(element, &items).ok,
-                    "strict ok but potential rejected: seed {}, element {}, items {:?}",
-                    seed, element, &items
+                    "strict ok but potential rejected: <{element}> over {items:?}"
                 );
             }
         }
-    }
+    });
 }

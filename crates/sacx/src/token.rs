@@ -46,9 +46,15 @@ pub fn unescape_field(s: &str) -> Result<String, String> {
     while i < raw.len() {
         if raw[i] == b'%' {
             let hex = raw.get(i + 1..i + 3).ok_or("truncated percent escape")?;
-            let hex = std::str::from_utf8(hex).map_err(|_| "invalid percent escape".to_string())?;
-            let b = u8::from_str_radix(hex, 16)
-                .map_err(|_| format!("invalid percent escape %{hex}"))?;
+            // Two hex digits exactly: `from_str_radix` alone would also
+            // take `+f`, a second spelling of `0f`.
+            let b = std::str::from_utf8(hex)
+                .ok()
+                .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
+                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .ok_or_else(|| {
+                    format!("invalid percent escape %{}", String::from_utf8_lossy(hex))
+                })?;
             bytes.push(b);
             i += 3;
         } else {
@@ -97,9 +103,14 @@ impl<'a> Tokens<'a> {
         self.0.next().ok_or_else(|| format!("expected {what}"))
     }
 
-    /// The next token, parsed (numbers, mostly).
+    /// The next token, parsed (numbers, mostly). A leading `+` is refused:
+    /// no writer emits one, and a value has one spelling.
     pub fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
-        self.0.next().and_then(|t| t.parse().ok()).ok_or_else(|| format!("expected {what}"))
+        self.0
+            .next()
+            .filter(|t| !t.starts_with('+'))
+            .and_then(|t| t.parse().ok())
+            .ok_or_else(|| format!("expected {what}"))
     }
 
     /// [`Tokens::parse`] where a lone `-` spells "none".
@@ -113,10 +124,11 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    /// The next token as a hexadecimal `u64`.
+    /// The next token as a hexadecimal `u64`, without a leading `+`.
     pub fn hex(&mut self, what: &str) -> Result<u64, String> {
         self.0
             .next()
+            .filter(|t| !t.starts_with('+'))
             .and_then(|t| u64::from_str_radix(t, 16).ok())
             .ok_or_else(|| format!("expected hex {what}"))
     }
@@ -216,6 +228,23 @@ mod tests {
         }
         assert!(unescape_field("%4").is_err());
         assert!(unescape_field("%zz").is_err());
+        // One spelling per byte: `%0f` only.
+        assert_eq!(unescape_field("%0f").unwrap(), "\x0f");
+        for s in ["%+f", "%-f", "% f", "%f+", "a%+fb"] {
+            assert!(unescape_field(s).is_err(), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn numbers_have_one_spelling() {
+        let mut t = Tokens::new("+5 +ff 5 ff -5");
+        assert_eq!(t.parse::<u64>("n"), Err("expected n".into()));
+        assert_eq!(t.hex("id"), Err("expected hex id".into()));
+        assert_eq!(t.parse::<u64>("n"), Ok(5));
+        assert_eq!(t.hex("id"), Ok(255));
+        assert_eq!(t.parse::<i64>("delta"), Ok(-5));
+        assert!(Tokens::new("+5").parse::<i64>("n").is_err());
+        assert!(Tokens::new("+0").hex("id").is_err());
     }
 
     #[test]

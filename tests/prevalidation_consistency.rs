@@ -11,7 +11,6 @@
 use corpus::{dtds, generate, Params};
 use goddag::Goddag;
 use prevalid::{check_hierarchy, check_insertion, suggest_tags, PrevalidEngine};
-use proptest::prelude::*;
 
 fn manuscript() -> (Goddag, goddag::HierarchyId) {
     let ms = generate(&Params { words: 60, seed: 99, ..Params::default() });
@@ -21,71 +20,62 @@ fn manuscript() -> (Goddag, goddag::HierarchyId) {
     (g, ling)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// The char-boundary range `a..a + len`, clamped to the content.
+fn selection(g: &Goddag, a: usize, len: usize) -> (usize, usize) {
+    let content_len = g.content_len();
+    let content = g.content();
+    let mut s = a.min(content_len);
+    let mut e = (a + len).min(content_len);
+    while s > 0 && !content.is_char_boundary(s) {
+        s -= 1;
+    }
+    while e < content_len && !content.is_char_boundary(e) {
+        e += 1;
+    }
+    (s, e)
+}
 
-    #[test]
-    fn approved_insertions_succeed_and_stay_potentially_valid(
-        a in 0usize..300,
-        len in 0usize..40,
-        tag_idx in 0usize..4,
-    ) {
-        let (g, ling) = manuscript();
-        let engine = PrevalidEngine::new(dtds::ling());
-        let content_len = g.content_len();
-        let content = g.content();
-        let mut s = a.min(content_len);
-        let mut e = (a + len).min(content_len);
-        while s > 0 && !content.is_char_boundary(s) { s -= 1; }
-        while e < content_len && !content.is_char_boundary(e) { e += 1; }
-        let tag = ["w", "phrase", "s", "r"][tag_idx];
+#[test]
+fn approved_insertions_succeed_and_stay_potentially_valid() {
+    let (g, ling) = manuscript();
+    let engine = PrevalidEngine::new(dtds::ling());
+    corpus::gen::check("approved_insertions_succeed_and_stay_potentially_valid", 48, |src| {
+        let (s, e) = selection(&g, src.index(300), src.index(40));
+        let tag = src.pick(&["w", "phrase", "s", "r"]);
 
         let verdict = check_insertion(&engine, &g, ling, tag, s, e);
         if verdict.ok {
             let mut g2 = g.clone();
-            let inserted = g2.insert_element(
-                ling,
-                xmlcore::QName::parse(tag).unwrap(),
-                vec![],
-                s,
-                e,
-            );
-            prop_assert!(inserted.is_ok(), "approved <{tag}> {s}..{e} failed: {:?}", inserted.err());
+            let inserted =
+                g2.insert_element(ling, xmlcore::QName::parse(tag).unwrap(), vec![], s, e);
+            assert!(inserted.is_ok(), "approved <{tag}> {s}..{e} failed: {:?}", inserted.err());
             goddag::check_invariants(&g2).unwrap();
             let report = check_hierarchy(&engine, &g2, ling);
-            prop_assert!(
+            assert!(
                 report.is_potentially_valid(),
                 "approved <{tag}> {s}..{e} left dead ends: {:?}",
                 report.failures
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn suggestions_are_exactly_the_insertable_tags(
-        a in 0usize..200,
-        len in 1usize..30,
-    ) {
-        let (g, ling) = manuscript();
-        let engine = PrevalidEngine::new(dtds::ling());
-        let content_len = g.content_len();
-        let content = g.content();
-        let mut s = a.min(content_len);
-        let mut e = (a + len).min(content_len);
-        while s > 0 && !content.is_char_boundary(s) { s -= 1; }
-        while e < content_len && !content.is_char_boundary(e) { e += 1; }
-
+#[test]
+fn suggestions_are_exactly_the_insertable_tags() {
+    let (g, ling) = manuscript();
+    let engine = PrevalidEngine::new(dtds::ling());
+    corpus::gen::check("suggestions_are_exactly_the_insertable_tags", 48, |src| {
+        let (s, e) = selection(&g, src.index(200), 1 + src.index(29));
         let suggested = suggest_tags(&engine, &g, ling, s, e);
         for tag in engine.dtd().elements.keys() {
             let approved = check_insertion(&engine, &g, ling, tag, s, e).ok;
-            prop_assert_eq!(
+            assert_eq!(
                 suggested.contains(tag),
                 approved,
-                "tag {} at {}..{}: suggested={:?}",
-                tag, s, e, suggested
+                "tag {tag} at {s}..{e}: suggested={suggested:?}"
             );
         }
-    }
+    });
 }
 
 #[test]

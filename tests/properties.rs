@@ -6,31 +6,34 @@
 //! * random edit sequences preserve the invariants and are undone exactly;
 //! * the overlap index always agrees with the naive scan.
 
+use corpus::gen::{check, Source};
 use goddag::{check_invariants, Goddag, GoddagBuilder, Span};
-use proptest::prelude::*;
 
-/// Generate a set of well-nested ranges over `len` units: recursively carve
-/// the interval, which guarantees per-hierarchy well-formedness.
-fn nested_ranges(len: usize, depth: u32) -> impl Strategy<Value = Vec<(usize, usize)>> {
-    // Bounded recursive carving expressed iteratively: sample split points
-    // and keep ranges that nest (stack discipline on sorted events).
-    proptest::collection::vec((0..=len, 0..=len), 0..12).prop_map(move |raw| {
-        let mut out: Vec<(usize, usize)> = Vec::new();
-        for (a, b) in raw {
-            let (s, e) = if a <= b { (a, b) } else { (b, a) };
-            // Keep only ranges compatible with all previous (no crossing).
-            let crosses = out.iter().any(|&(os, oe)| {
-                let inter = s < oe && os < e;
-                let nested = (os <= s && e <= oe) || (s <= os && oe <= e);
-                inter && !nested
-            });
-            if !crosses {
-                out.push((s, e));
-            }
+/// Up to 11 well-nested ranges over `len` units: draw endpoint pairs and
+/// keep each range that crosses none kept before, which guarantees
+/// per-hierarchy well-formedness.
+fn nested_ranges(src: &mut Source, len: usize) -> Vec<(usize, usize)> {
+    let mut out: Vec<(usize, usize)> = Vec::new();
+    for _ in 0..src.index(12) {
+        let (a, b) = (src.index(len + 1), src.index(len + 1));
+        let (s, e) = (a.min(b), a.max(b));
+        let crosses = out.iter().any(|&(os, oe)| {
+            let inter = s < oe && os < e;
+            let nested = (os <= s && e <= oe) || (s <= os && oe <= e);
+            inter && !nested
+        });
+        if !crosses {
+            out.push((s, e));
         }
-        let _ = depth;
-        out
-    })
+    }
+    out
+}
+
+/// A document over `len` units with one [`nested_ranges`] hierarchy per
+/// entry of `hierarchies`.
+fn random_doc(src: &mut Source, len: usize, hierarchies: usize) -> Goddag {
+    let ranges: Vec<_> = (0..hierarchies).map(|_| nested_ranges(src, len)).collect();
+    build(len, &ranges)
 }
 
 fn ascii_content(len: usize) -> String {
@@ -50,54 +53,45 @@ fn build(content_len: usize, hierarchies: &[Vec<(usize, usize)>]) -> Goddag {
     b.finish().expect("nested ranges always build")
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn builder_always_satisfies_invariants() {
+    check("builder_always_satisfies_invariants", 64, |src| {
+        let g = random_doc(src, 40, 3);
+        assert!(check_invariants(&g).is_ok());
+        assert_eq!(g.content_len(), 40);
+    });
+}
 
-    #[test]
-    fn builder_always_satisfies_invariants(
-        r1 in nested_ranges(40, 0),
-        r2 in nested_ranges(40, 0),
-        r3 in nested_ranges(40, 0),
-    ) {
-        let g = build(40, &[r1, r2, r3]);
-        prop_assert!(check_invariants(&g).is_ok());
-        prop_assert_eq!(g.content_len(), 40);
-    }
-
-    #[test]
-    fn distributed_roundtrip_lossless(
-        r1 in nested_ranges(30, 0),
-        r2 in nested_ranges(30, 0),
-    ) {
-        let g = build(30, &[r1, r2]);
+#[test]
+fn distributed_roundtrip_lossless() {
+    check("distributed_roundtrip_lossless", 64, |src| {
+        let g = random_doc(src, 30, 2);
         let docs = g.to_distributed().unwrap();
         let g2 = sacx::parse_distributed(&docs).unwrap();
-        prop_assert_eq!(g2.element_count(), g.element_count());
-        prop_assert_eq!(g2.content(), g.content());
+        assert_eq!(g2.element_count(), g.element_count());
+        assert_eq!(g2.content(), g.content());
         // Per-hierarchy projections identical.
         for h in g.hierarchy_ids() {
-            prop_assert_eq!(g.to_xml(h).unwrap(), g2.to_xml(h).unwrap());
+            assert_eq!(g.to_xml(h).unwrap(), g2.to_xml(h).unwrap());
         }
-    }
+    });
+}
 
-    #[test]
-    fn standoff_roundtrip_lossless(
-        r1 in nested_ranges(30, 0),
-        r2 in nested_ranges(30, 0),
-    ) {
-        let g = build(30, &[r1, r2]);
+#[test]
+fn standoff_roundtrip_lossless() {
+    check("standoff_roundtrip_lossless", 64, |src| {
+        let g = random_doc(src, 30, 2);
         let text = sacx::export_standoff(&g);
         let g2 = sacx::import_standoff(&text).unwrap();
-        prop_assert_eq!(g2.element_count(), g.element_count());
-        prop_assert_eq!(sacx::export_standoff(&g2), text);
-    }
+        assert_eq!(g2.element_count(), g.element_count());
+        assert_eq!(sacx::export_standoff(&g2), text);
+    });
+}
 
-    #[test]
-    fn fragmentation_roundtrip_preserves_spans(
-        r1 in nested_ranges(30, 0),
-        r2 in nested_ranges(30, 0),
-    ) {
-        let g = build(30, &[r1, r2]);
+#[test]
+fn fragmentation_roundtrip_preserves_spans() {
+    check("fragmentation_roundtrip_preserves_spans", 64, |src| {
+        let g = random_doc(src, 30, 2);
         let opts = sacx::FragmentationOptions::default();
         let xml = sacx::export_fragmentation(&g, &opts).unwrap();
         let g2 = sacx::import_fragmentation(&xml, &opts).unwrap();
@@ -112,34 +106,32 @@ proptest! {
             v.sort();
             v
         };
-        prop_assert_eq!(spans(&g2), spans(&g));
-        prop_assert!(check_invariants(&g2).is_ok());
-    }
+        assert_eq!(spans(&g2), spans(&g));
+        assert!(check_invariants(&g2).is_ok());
+    });
+}
 
-    #[test]
-    fn milestone_roundtrip_preserves_spans(
-        r1 in nested_ranges(30, 0),
-        r2 in nested_ranges(30, 0),
-    ) {
-        let g = build(30, &[r1, r2]);
+#[test]
+fn milestone_roundtrip_preserves_spans() {
+    check("milestone_roundtrip_preserves_spans", 64, |src| {
+        let g = random_doc(src, 30, 2);
         let opts = sacx::MilestoneOptions::new("h0");
         let xml = sacx::export_milestone(&g, &opts).unwrap();
         let g2 = sacx::import_milestone(&xml, "h0").unwrap();
-        prop_assert_eq!(g2.element_count(), g.element_count());
-        prop_assert_eq!(g2.content(), g.content());
-        prop_assert!(check_invariants(&g2).is_ok());
-    }
+        assert_eq!(g2.element_count(), g.element_count());
+        assert_eq!(g2.content(), g.content());
+        assert!(check_invariants(&g2).is_ok());
+    });
+}
 
-    #[test]
-    fn overlap_index_agrees_with_scan(
-        r1 in nested_ranges(30, 0),
-        r2 in nested_ranges(30, 0),
-        probes in proptest::collection::vec((0u32..32, 0u32..32), 10),
-    ) {
-        let g = build(30, &[r1, r2]);
+#[test]
+fn overlap_index_agrees_with_scan() {
+    check("overlap_index_agrees_with_scan", 64, |src| {
+        let g = random_doc(src, 30, 2);
         let idx = expath::OverlapIndex::build(&g);
-        for (a, b) in probes {
-            let (s, e) = if a <= b { (a, b) } else { (b, a) };
+        for _ in 0..10 {
+            let (a, b) = (src.below(32) as u32, src.below(32) as u32);
+            let (s, e) = (a.min(b), a.max(b));
             let e = e.min(g.leaf_count() as u32);
             let s = s.min(e);
             let span = Span::new(s, e);
@@ -147,29 +139,24 @@ proptest! {
             let mut from_scan = expath::scan_intersecting(&g, span);
             g.sort_doc_order(&mut from_idx);
             g.sort_doc_order(&mut from_scan);
-            prop_assert_eq!(from_idx, from_scan);
+            assert_eq!(from_idx, from_scan);
         }
-    }
+    });
+}
 
-    #[test]
-    fn random_edits_preserve_invariants(
-        ops in proptest::collection::vec((0usize..3, 0usize..30, 0usize..30), 1..15),
-    ) {
+#[test]
+fn random_edits_preserve_invariants() {
+    check("random_edits_preserve_invariants", 64, |src| {
         let mut g = build(30, &[vec![(0, 30)], vec![(5, 25)]]);
         let h0 = goddag::HierarchyId(0);
-        for (kind, a, b) in ops {
-            let (s, e) = if a <= b { (a, b) } else { (b, a) };
+        for _ in 0..1 + src.index(14) {
+            let (kind, a, b) = (src.below(3), src.index(30), src.index(30));
+            let (s, e) = (a.min(b), a.max(b));
             match kind {
                 0 => {
                     // Insertion may fail (crossing) — that's fine; it must
                     // not corrupt the document.
-                    let _ = g.insert_element(
-                        h0,
-                        xmlcore::QName::parse("x").unwrap(),
-                        vec![],
-                        s,
-                        e,
-                    );
+                    let _ = g.insert_element(h0, xmlcore::QName::parse("x").unwrap(), vec![], s, e);
                 }
                 1 => {
                     let target = g.elements().nth(a % 3);
@@ -181,29 +168,26 @@ proptest! {
                     let _ = g.split_leaf_at(s.min(g.content_len()));
                 }
             }
-            prop_assert!(check_invariants(&g).is_ok());
-            prop_assert_eq!(g.content_len(), 30);
+            assert!(check_invariants(&g).is_ok());
+            assert_eq!(g.content_len(), 30);
         }
-    }
+    });
+}
 
-    #[test]
-    fn undo_restores_exact_state(
-        s in 0usize..15,
-        len in 1usize..10,
-    ) {
+#[test]
+fn undo_restores_exact_state() {
+    check("undo_restores_exact_state", 64, |src| {
+        let (s, len) = (src.index(15), 1 + src.index(9));
         let g = build(30, &[vec![(0, 30)], vec![(5, 25)]]);
         let before_docs = g.to_distributed().unwrap();
         let before_counts = (g.element_count(), g.leaf_count(), g.content());
         let mut session = xtagger::Session::new(g);
         let e = (s + len).min(30);
-        if session
-            .insert_markup(goddag::HierarchyId(0), "w", vec![], s, e)
-            .is_ok()
-        {
+        if session.insert_markup(goddag::HierarchyId(0), "w", vec![], s, e).is_ok() {
             session.undo().unwrap();
         }
         let g = session.into_goddag();
-        prop_assert_eq!(g.to_distributed().unwrap(), before_docs);
-        prop_assert_eq!((g.element_count(), g.leaf_count(), g.content()), before_counts);
-    }
+        assert_eq!(g.to_distributed().unwrap(), before_docs);
+        assert_eq!((g.element_count(), g.leaf_count(), g.content()), before_counts);
+    });
 }

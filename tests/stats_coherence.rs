@@ -6,9 +6,9 @@
 //! * [`StoreStats::absorb`] composes shard summaries the way a cluster
 //!   needs: counters and totals sum, `repl_lag` takes the worst shard.
 
+use corpus::gen::{check, Source};
 use corpus::{dtds, generate, Params};
 use cxstore::{EditOp, Store, StoreStats};
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -83,68 +83,66 @@ fn concurrent_writers_lose_no_bumps_and_samplers_see_monotone_totals() {
 
 /// An arbitrary stats summary over the fields `absorb` treats
 /// differently: summed counters, summed gauges, and the max-folded lag.
-fn stats_strategy() -> impl Strategy<Value = StoreStats> {
-    (
-        (0usize..1000, 0usize..1000, 0u64..1_000_000, 0u64..1_000_000),
-        (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
-        (0u64..1_000_000, -100i64..100, -100i64..100),
-    )
-        .prop_map(
-            |((docs, shards, edits, queries), (appends, bytes, fsyncs, moved), (lag, wif, ww))| {
-                StoreStats {
-                    docs,
-                    cluster_shards: shards,
-                    edits,
-                    queries,
-                    wal_appends: appends,
-                    wal_bytes: bytes,
-                    wal_fsyncs: fsyncs,
-                    docs_moved: moved,
-                    repl_lag: lag,
-                    writes_in_flight: wif,
-                    writers_waiting: ww,
-                    ..StoreStats::default()
-                }
-            },
-        )
+fn stats(src: &mut Source) -> StoreStats {
+    let mut s = StoreStats {
+        docs: src.index(1000),
+        cluster_shards: src.index(1000),
+        ..StoreStats::default()
+    };
+    let counters = [
+        &mut s.edits,
+        &mut s.queries,
+        &mut s.wal_appends,
+        &mut s.wal_bytes,
+        &mut s.wal_fsyncs,
+        &mut s.docs_moved,
+        &mut s.repl_lag,
+    ];
+    for c in counters {
+        *c = src.below(1_000_000);
+    }
+    for g in [&mut s.writes_in_flight, &mut s.writers_waiting] {
+        *g = src.below(200) as i64 - 100;
+    }
+    s
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// One to seven shard summaries.
+fn shards(src: &mut Source) -> Vec<StoreStats> {
+    (0..1 + src.index(7)).map(|_| stats(src)).collect()
+}
 
-    /// Absorbing N shard summaries sums every counter, total and gauge —
-    /// but folds `repl_lag` with max: a cluster's lag is its worst
-    /// shard's, not the sum of all followers' backlogs.
-    #[test]
-    fn absorb_sums_counters_and_takes_worst_lag(
-        shards in proptest::collection::vec(stats_strategy(), 1..8)
-    ) {
+/// Absorbing N shard summaries sums every counter, total and gauge — but
+/// folds `repl_lag` with max: a cluster's lag is its worst shard's, not the
+/// sum of all followers' backlogs.
+#[test]
+fn absorb_sums_counters_and_takes_worst_lag() {
+    check("absorb_sums_counters_and_takes_worst_lag", 128, |src| {
+        let shards = shards(src);
         let mut agg = StoreStats::default();
         for s in &shards {
             agg.absorb(s);
         }
-        prop_assert_eq!(agg.docs, shards.iter().map(|s| s.docs).sum::<usize>());
-        prop_assert_eq!(agg.cluster_shards, shards.iter().map(|s| s.cluster_shards).sum::<usize>());
-        prop_assert_eq!(agg.edits, shards.iter().map(|s| s.edits).sum::<u64>());
-        prop_assert_eq!(agg.queries, shards.iter().map(|s| s.queries).sum::<u64>());
-        prop_assert_eq!(agg.wal_appends, shards.iter().map(|s| s.wal_appends).sum::<u64>());
-        prop_assert_eq!(agg.wal_bytes, shards.iter().map(|s| s.wal_bytes).sum::<u64>());
-        prop_assert_eq!(agg.wal_fsyncs, shards.iter().map(|s| s.wal_fsyncs).sum::<u64>());
-        prop_assert_eq!(agg.docs_moved, shards.iter().map(|s| s.docs_moved).sum::<u64>());
-        prop_assert_eq!(
-            agg.writes_in_flight,
-            shards.iter().map(|s| s.writes_in_flight).sum::<i64>()
-        );
-        prop_assert_eq!(agg.writers_waiting, shards.iter().map(|s| s.writers_waiting).sum::<i64>());
-        prop_assert_eq!(agg.repl_lag, shards.iter().map(|s| s.repl_lag).max().unwrap_or(0));
-    }
+        assert_eq!(agg.docs, shards.iter().map(|s| s.docs).sum::<usize>());
+        assert_eq!(agg.cluster_shards, shards.iter().map(|s| s.cluster_shards).sum::<usize>());
+        assert_eq!(agg.edits, shards.iter().map(|s| s.edits).sum::<u64>());
+        assert_eq!(agg.queries, shards.iter().map(|s| s.queries).sum::<u64>());
+        assert_eq!(agg.wal_appends, shards.iter().map(|s| s.wal_appends).sum::<u64>());
+        assert_eq!(agg.wal_bytes, shards.iter().map(|s| s.wal_bytes).sum::<u64>());
+        assert_eq!(agg.wal_fsyncs, shards.iter().map(|s| s.wal_fsyncs).sum::<u64>());
+        assert_eq!(agg.docs_moved, shards.iter().map(|s| s.docs_moved).sum::<u64>());
+        assert_eq!(agg.writes_in_flight, shards.iter().map(|s| s.writes_in_flight).sum::<i64>());
+        assert_eq!(agg.writers_waiting, shards.iter().map(|s| s.writers_waiting).sum::<i64>());
+        assert_eq!(agg.repl_lag, shards.iter().map(|s| s.repl_lag).max().unwrap_or(0));
+    });
+}
 
-    /// Absorb is order-insensitive on the max-folded field too: the worst
-    /// lag wins no matter where in the fold it sits.
-    #[test]
-    fn absorb_lag_is_order_insensitive(
-        shards in proptest::collection::vec(stats_strategy(), 1..8)
-    ) {
+/// Absorb is order-insensitive on the max-folded field too: the worst lag
+/// wins no matter where in the fold it sits.
+#[test]
+fn absorb_lag_is_order_insensitive() {
+    check("absorb_lag_is_order_insensitive", 128, |src| {
+        let shards = shards(src);
         let mut fwd = StoreStats::default();
         for s in &shards {
             fwd.absorb(s);
@@ -153,6 +151,6 @@ proptest! {
         for s in shards.iter().rev() {
             rev.absorb(s);
         }
-        prop_assert_eq!(fwd, rev);
-    }
+        assert_eq!(fwd, rev);
+    });
 }

@@ -2,7 +2,7 @@
 //! the writer must re-parse to the same tree, with content and structure
 //! preserved — the foundation every representation driver stands on.
 
-use proptest::prelude::*;
+use corpus::gen::{check, Source};
 use xmlcore::dom::{Document, DomNode};
 use xmlcore::{Attribute, QName};
 
@@ -13,42 +13,34 @@ enum Tree {
     Text(String),
 }
 
-fn name_strategy() -> impl Strategy<Value = String> {
-    proptest::sample::select(vec![
-        "r", "line", "w", "s", "dmg", "res", "page", "pb", "phrase", "seg",
-    ])
-    .prop_map(str::to_string)
+fn name(src: &mut Source) -> String {
+    src.pick(&["r", "line", "w", "s", "dmg", "res", "page", "pb", "phrase", "seg"]).to_string()
 }
 
-/// Text including XML-hostile characters.
-fn text_strategy() -> impl Strategy<Value = String> {
-    proptest::collection::vec(
-        proptest::sample::select(vec![
-            'a', 'b', ' ', '<', '>', '&', '\'', '"', 'æ', 'þ', '\n', '\t', ']', '!',
-        ]),
-        1..12,
-    )
-    .prop_map(|cs| cs.into_iter().collect())
+/// 1–11 characters, XML-hostile ones included.
+fn text(src: &mut Source) -> String {
+    let chars = ['a', 'b', ' ', '<', '>', '&', '\'', '"', 'æ', 'þ', '\n', '\t', ']', '!'];
+    (0..1 + src.index(11)).map(|_| src.pick(&chars)).collect()
 }
 
-fn attr_strategy() -> impl Strategy<Value = (String, String)> {
-    (name_strategy(), text_strategy())
+fn attrs(src: &mut Source) -> Vec<(String, String)> {
+    (0..src.index(3)).map(|_| (name(src), text(src))).collect()
 }
 
-fn tree_strategy() -> impl Strategy<Value = Tree> {
-    let leaf = prop_oneof![
-        text_strategy().prop_map(Tree::Text),
-        (name_strategy(), proptest::collection::vec(attr_strategy(), 0..3))
-            .prop_map(|(name, attrs)| Tree::Element { name, attrs, children: vec![] }),
-    ];
-    leaf.prop_recursive(4, 24, 4, |inner| {
-        (
-            name_strategy(),
-            proptest::collection::vec(attr_strategy(), 0..3),
-            proptest::collection::vec(inner, 0..4),
-        )
-            .prop_map(|(name, attrs, children)| Tree::Element { name, attrs, children })
-    })
+/// A leaf (text, or an element without children) or, while `depth`
+/// allows, an element with up to three subtrees.
+fn tree(src: &mut Source, depth: u32) -> Tree {
+    if depth == 0 || src.below(2) == 0 {
+        if src.below(2) == 0 {
+            Tree::Text(text(src))
+        } else {
+            Tree::Element { name: name(src), attrs: attrs(src), children: vec![] }
+        }
+    } else {
+        let (name, attrs) = (name(src), attrs(src));
+        let children = (0..src.index(4)).map(|_| tree(src, depth - 1)).collect();
+        Tree::Element { name, attrs, children }
+    }
 }
 
 fn build_dom(tree: &Tree) -> Document {
@@ -112,12 +104,10 @@ fn signature(doc: &Document, id: xmlcore::dom::DomId, out: &mut Vec<String>) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn writer_reader_roundtrip(tree in tree_strategy()) {
-        let doc = build_dom(&tree);
+#[test]
+fn writer_reader_roundtrip() {
+    check("writer_reader_roundtrip", 128, |src| {
+        let doc = build_dom(&tree(src, 4));
         let xml = doc.to_xml().unwrap();
         let reparsed = Document::parse(&xml)
             .unwrap_or_else(|e| panic!("serialized XML failed to parse: {e}\n{xml}"));
@@ -125,35 +115,39 @@ proptest! {
         let mut sig_b = Vec::new();
         signature(&doc, doc.root(), &mut sig_a);
         signature(&reparsed, reparsed.root(), &mut sig_b);
-        prop_assert_eq!(sig_a, sig_b, "{}", xml);
+        assert_eq!(sig_a, sig_b, "{xml}");
         // Content identical.
-        prop_assert_eq!(
-            reparsed.text_content(reparsed.root()),
-            doc.text_content(doc.root())
-        );
-    }
+        assert_eq!(reparsed.text_content(reparsed.root()), doc.text_content(doc.root()));
+    });
+}
 
-    #[test]
-    fn double_roundtrip_is_fixpoint(tree in tree_strategy()) {
-        let doc = build_dom(&tree);
-        let once = doc.to_xml().unwrap();
+#[test]
+fn double_roundtrip_is_fixpoint() {
+    check("double_roundtrip_is_fixpoint", 128, |src| {
+        let once = build_dom(&tree(src, 4)).to_xml().unwrap();
         let twice = Document::parse(&once).unwrap().to_xml().unwrap();
-        prop_assert_eq!(once, twice);
-    }
+        assert_eq!(once, twice);
+    });
+}
 
-    #[test]
-    fn escaped_text_never_breaks_wellformedness(t in text_strategy()) {
+#[test]
+fn escaped_text_never_breaks_wellformedness() {
+    check("escaped_text_never_breaks_wellformedness", 128, |src| {
+        let t = text(src);
         let escaped = xmlcore::escape::escape_text(&t);
         let doc = format!("<r>{escaped}</r>");
         let parsed = Document::parse(&doc).unwrap();
-        prop_assert_eq!(parsed.text_content(parsed.root()), t);
-    }
+        assert_eq!(parsed.text_content(parsed.root()), t);
+    });
+}
 
-    #[test]
-    fn escaped_attrs_never_break_wellformedness(v in text_strategy()) {
+#[test]
+fn escaped_attrs_never_break_wellformedness() {
+    check("escaped_attrs_never_break_wellformedness", 128, |src| {
+        let v = text(src);
         let escaped = xmlcore::escape::escape_attr(&v);
         let doc = format!("<r a=\"{escaped}\"/>");
         let parsed = Document::parse(&doc).unwrap();
-        prop_assert_eq!(parsed.attr(parsed.root(), "a").unwrap(), v);
-    }
+        assert_eq!(parsed.attr(parsed.root(), "a").unwrap(), v);
+    });
 }
