@@ -68,13 +68,25 @@ impl TraceContext {
     /// is best-effort and a bad token must never fail the request.
     pub fn parse_token(tok: &str) -> Option<TraceContext> {
         let (t, s) = tok.split_once('-')?;
-        let trace_id = u64::from_str_radix(t, 16).ok()?;
-        let span_id = u64::from_str_radix(s, 16).ok()?;
+        let (trace_id, span_id) = (hex16(t)?, hex16(s)?);
         if trace_id == 0 || span_id == 0 {
             return None;
         }
         Some(TraceContext { trace_id, span_id, parent_id: 0 })
     }
+}
+
+/// `s` as exactly 16 ASCII hex digits, the width [`TraceContext::token`]
+/// writes: no sign and no unpadded form, so an id has one spelling.
+fn hex16(s: &str) -> Option<u64> {
+    if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
+        return None;
+    }
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the trace token's one hex decode: `s` is checked to be 16 bare hex digits"
+    )]
+    u64::from_str_radix(s, 16).ok()
 }
 
 #[cfg(test)]
@@ -118,6 +130,20 @@ mod tests {
     #[test]
     fn malformed_tokens_parse_to_none() {
         for bad in ["", "zz", "12", "12-", "-12", "12-zz", "0-1", "1-0", "1-2-3x"] {
+            assert!(TraceContext::parse_token(bad).is_none(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn a_token_has_one_spelling() {
+        let good = "000000000000001a-000000000000002b";
+        assert!(TraceContext::parse_token(good).is_some());
+        for bad in [
+            "+1-+2",
+            "1a-2b",
+            "+00000000000001a-000000000000002b",
+            "000000000000001a-+00000000000002b",
+        ] {
             assert!(TraceContext::parse_token(bad).is_none(), "{bad:?}");
         }
     }

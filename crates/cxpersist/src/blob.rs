@@ -164,9 +164,9 @@ impl DocBlob {
         let (body, footer) = (&input[..split + 1], &trimmed[split + 1..]);
         let crc_expect = footer
             .strip_prefix("crc ")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .and_then(|h| xmlcore::num::hex_fixed(h, 8))
             .ok_or_else(|| bad(0, "missing crc footer".into()))?;
-        if crc32(body.as_bytes()) != crc_expect {
+        if u64::from(crc32(body.as_bytes())) != crc_expect {
             return Err(bad(0, "blob CRC mismatch".into()));
         }
 
@@ -212,7 +212,8 @@ impl DocBlob {
                             .by_ref()
                             .map(|entry| {
                                 let (id, off) = entry.split_once(':')?;
-                                Some((id.parse().ok()?, off.parse().ok()?))
+                                let id = u32::try_from(xmlcore::num::dec(id)?).ok()?;
+                                Some((id, usize::try_from(xmlcore::num::dec(off)?).ok()?))
                             })
                             .collect::<Option<_>>()
                             .ok_or("bad leaf entry")?;
@@ -312,6 +313,25 @@ mod tests {
         assert!(DocBlob::parse_text(&flipped).is_err());
         assert!(DocBlob::parse_text("").is_err());
         assert!(DocBlob::parse_text("#cxblob v1\n").is_err());
+    }
+
+    #[test]
+    fn the_crc_footer_has_one_spelling() {
+        // A blob whose CRC has a leading zero digit, so the footer has a
+        // signed (`+1234abc`) and an unpadded (`1234abc`) second spelling.
+        let text = (0..)
+            .map(|i| {
+                let doc = format!("<r><w>w{i}</w></r>");
+                DocBlob::capture(&sacx::parse_distributed(&[("a", &doc)]).unwrap()).to_text()
+            })
+            .find(|t| t.ends_with(&format!("crc 0{}\n", &t[t.len() - 8..t.len() - 1])))
+            .unwrap();
+        assert!(DocBlob::parse_text(&text).is_ok());
+        let padded = &text[text.len() - 9..text.len() - 1];
+        for other in [format!("+{}", &padded[1..]), padded[1..].to_string()] {
+            let respelled = text.replace(&format!("crc {padded}\n"), &format!("crc {other}\n"));
+            assert!(DocBlob::parse_text(&respelled).is_err(), "footer crc {other} accepted");
+        }
     }
 
     #[test]

@@ -202,8 +202,8 @@ fn decode_framed(input: &[u8]) -> Result<(WalRecord, usize), String> {
     let nl = input.iter().position(|&b| b == b'\n').ok_or("record without trailing newline")?;
     let line = std::str::from_utf8(&input[..nl]).map_err(|_| "record line is not UTF-8")?;
     let (body, crc_tok) = line.rsplit_once(' ').ok_or("record without CRC field")?;
-    let crc = u32::from_str_radix(crc_tok, 16).map_err(|_| "malformed CRC")?;
-    if crc_tok.len() != 8 || crc != crc32(body.as_bytes()) {
+    let crc = xmlcore::num::hex_fixed(crc_tok, 8).ok_or("malformed CRC")?;
+    if crc != u64::from(crc32(body.as_bytes())) {
         return Err("CRC mismatch".into());
     }
     let mut consumed = nl + 1;
@@ -251,13 +251,14 @@ pub(crate) fn skip_record(input: &[u8]) -> Option<(u64, usize)> {
     let nl = input.iter().position(|&b| b == b'\n')?;
     let line = std::str::from_utf8(&input[..nl]).ok()?;
     let mut parts = line.split(' ');
-    let lsn: u64 = parts.next()?.parse().ok()?;
+    let lsn = xmlcore::num::dec(parts.next()?)?;
     let mut consumed = nl + 1;
     if parts.next() == Some(RecordKind::Insert.name()) {
         // `ins <doc> anon|named [<name>] blob <len> <crc>` — the length is
         // the second-to-last token.
         let toks: Vec<&str> = parts.collect();
-        let len: usize = toks.get(toks.len().checked_sub(2)?)?.parse().ok()?;
+        let len =
+            usize::try_from(xmlcore::num::dec(toks.get(toks.len().checked_sub(2)?)?)?).ok()?;
         consumed = consumed.checked_add(len)?;
     }
     (consumed <= input.len()).then_some((lsn, consumed))
@@ -460,6 +461,25 @@ mod tests {
         // Torn inputs skip to None, never past the buffer.
         assert!(skip_record(b"9 ins 1 anon blob 400 deadbeef\nshort").is_none());
         assert!(skip_record(b"no newline").is_none());
+    }
+
+    #[test]
+    fn the_record_crc_has_one_spelling() {
+        // A record whose CRC has a leading zero digit: `+1234abc` and
+        // `1234abc` would spell the same value.
+        let line = (1..)
+            .map(|lsn| encode_record(lsn, &WalOp::DocRemove { doc: DocId::from_raw(1) }))
+            .find(|l| l.rsplit_once(' ').unwrap().1.starts_with('0'))
+            .unwrap();
+        assert!(decode_record(line.as_bytes(), 1).is_ok());
+        let (body, crc) = line.trim_end_matches('\n').rsplit_once(' ').unwrap();
+        for other in [format!("+{}", &crc[1..]), crc[1..].to_string()] {
+            let respelled = format!("{body} {other}\n");
+            assert!(decode_record(respelled.as_bytes(), 1).is_err(), "record crc {other} accepted");
+        }
+        // The framing-only walk refuses a signed LSN as well.
+        let signed = format!("+{line}");
+        assert!(skip_record(signed.as_bytes()).is_none());
     }
 
     #[test]

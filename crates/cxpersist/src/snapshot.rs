@@ -86,9 +86,9 @@ impl Manifest {
         let body = format!("{body}\n");
         let crc_expect = footer
             .strip_prefix("crc ")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
+            .and_then(|h| xmlcore::num::hex_fixed(h, 8))
             .ok_or_else(|| bad(0, "missing manifest crc".into()))?;
-        if crc32(body.as_bytes()) != crc_expect {
+        if u64::from(crc32(body.as_bytes())) != crc_expect {
             return Err(bad(0, "manifest CRC mismatch".into()));
         }
         let mut lines = body.lines().enumerate();
@@ -273,11 +273,7 @@ pub(crate) fn snapshot_dir_name(lsn: u64) -> String {
 
 /// Inverse of [`snapshot_dir_name`].
 pub(crate) fn parse_snapshot_dir(name: &str) -> Option<u64> {
-    let hex = name.strip_prefix("snap-")?;
-    if hex.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
+    xmlcore::num::hex_fixed(name.strip_prefix("snap-")?, 16)
 }
 
 /// Fsync a directory (so renames/creations inside it are durable).
@@ -575,6 +571,29 @@ mod tests {
         let doc = text.replacen("\ndoc 0 ", "\ndoc 0 0 ", 1);
         assert_ne!(doc, text);
         assert!(StoreSnapshot::parse_text(&doc).is_err());
+    }
+
+    #[test]
+    fn the_manifest_crc_has_one_spelling() {
+        // A manifest whose CRC has a leading zero digit.
+        let text = (0..)
+            .map(|lsn| Manifest { lsn, next_doc: 0, docs: vec![], names: vec![] }.to_text())
+            .find(|t| t[t.rfind("crc ").unwrap() + 4..].starts_with('0'))
+            .unwrap();
+        assert!(Manifest::parse_text(&text).is_ok());
+        let at = text.rfind("crc ").unwrap() + 4;
+        let padded = text[at..].trim_end_matches('\n');
+        for other in [format!("+{}", &padded[1..]), padded[1..].to_string()] {
+            let respelled = format!("{}{other}\n", &text[..at]);
+            assert!(Manifest::parse_text(&respelled).is_err(), "manifest crc {other} accepted");
+        }
+    }
+
+    #[test]
+    fn a_snapshot_dir_name_has_one_spelling() {
+        assert_eq!(parse_snapshot_dir("snap-0000000000000001"), Some(1));
+        assert_eq!(parse_snapshot_dir("snap-+000000000000001"), None);
+        assert_eq!(parse_snapshot_dir("snap-000000000000000g"), None);
     }
 
     #[test]

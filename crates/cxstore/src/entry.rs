@@ -58,16 +58,19 @@ impl DocEntry {
     }
 
     /// The prevalidation engine for hierarchy `h` of `g`, if that hierarchy
-    /// carries a DTD. Built once per entry and reused across edits.
+    /// carries a DTD. Built once per entry and reused across edits; the DTD
+    /// is cloned only to build it.
     pub(crate) fn engine_for(
         &self,
         g: &Goddag,
         h: goddag::HierarchyId,
     ) -> Option<Arc<PrevalidEngine>> {
-        let dtd = g.hierarchy(h).ok()?.dtd.clone()?;
+        let dtd = g.hierarchy(h).ok()?.dtd.as_ref()?;
         let mut engines = self.engines.lock();
         Some(Arc::clone(
-            engines.entry(h.idx() as u16).or_insert_with(|| Arc::new(PrevalidEngine::new(dtd))),
+            engines
+                .entry(h.idx() as u16)
+                .or_insert_with(|| Arc::new(PrevalidEngine::new(dtd.clone()))),
         ))
     }
 }

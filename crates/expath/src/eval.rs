@@ -358,20 +358,22 @@ impl<'g> Evaluator<'g> {
         let mut out: Vec<AttrRef> = Vec::new();
         for &origin in origins {
             let mut attrs = attrs_of(self.g, origin);
+            let view = self.g.attrs(origin);
             match &step.test {
                 NodeTest::Any | NodeTest::Node => {}
                 NodeTest::Name { hierarchy, local } => {
                     attrs.retain(|a| {
-                        let q = &self.g.attrs(a.element)[a.index].name;
-                        q.local == *local
-                            && hierarchy
-                                .as_ref()
-                                .is_none_or(|h| q.prefix.as_deref() == Some(h.as_str()))
+                        view.name(a.index).is_some_and(|q| {
+                            q.local == *local
+                                && hierarchy
+                                    .as_ref()
+                                    .is_none_or(|h| q.prefix.as_deref() == Some(h.as_str()))
+                        })
                     });
                 }
                 NodeTest::AnyInHierarchy(prefix) => {
                     attrs.retain(|a| {
-                        self.g.attrs(a.element)[a.index].name.prefix.as_deref()
+                        view.name(a.index).and_then(|q| q.prefix.as_deref())
                             == Some(prefix.as_str())
                     });
                 }

@@ -3,6 +3,7 @@
 //! `(element, attribute index)` pairs).
 
 use goddag::{Goddag, NodeId};
+use xmlcore::QName;
 
 /// A reference to one attribute node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -16,12 +17,12 @@ pub struct AttrRef {
 impl AttrRef {
     /// The attribute's value.
     pub fn value<'g>(&self, g: &'g Goddag) -> &'g str {
-        &g.attrs(self.element)[self.index].value
+        g.attrs(self.element).value(self.index).unwrap_or_default()
     }
 
     /// The attribute's name.
     pub fn name(&self, g: &Goddag) -> String {
-        g.attrs(self.element)[self.index].name.to_string()
+        g.attrs(self.element).name(self.index).map(QName::to_string).unwrap_or_default()
     }
 }
 

@@ -22,7 +22,7 @@
 //! and future edits mint the same ids.
 
 use crate::error::{GoddagError, Result};
-use crate::graph::{Goddag, NodeData, NodeKind};
+use crate::graph::{Goddag, NodeData, MAX_CONTENT};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use xmlcore::{Attribute, QName};
@@ -152,8 +152,9 @@ impl GoddagBuilder {
         let GoddagBuilder { root_name, root_attrs, content, hierarchies, mut ranges, layout } =
             self;
         let mut g = Goddag::new(root_name);
-        if let NodeKind::Root { attrs, .. } = &mut g.data_mut(NodeId(0)).kind {
-            *attrs = root_attrs;
+        for a in &root_attrs {
+            let name = g.names.intern(&a.name);
+            g.attrs.push(g.root, name, &a.value);
         }
         let nhier = hierarchies.len();
         for (name, dtd) in hierarchies {
@@ -165,6 +166,9 @@ impl GoddagBuilder {
 
         // Validate ranges.
         let len = content.len();
+        if len > MAX_CONTENT {
+            return Err(GoddagError::Edit(format!("content exceeds {MAX_CONTENT} bytes")));
+        }
         for r in &ranges {
             if r.hierarchy.idx() >= nhier {
                 return Err(GoddagError::NoSuchHierarchy(r.hierarchy));
@@ -195,10 +199,14 @@ impl GoddagBuilder {
 
         // Node ids: the root, the leaves, then the elements in range order —
         // or the recorded layout, in an arena pre-filled with tombstones.
+        // Either way the arena is sized once, to exactly what it holds.
         let (leaf_ids, elem_ids) = match layout {
             None => {
                 let first_elem = boundaries.len() as u32;
                 let elem_ids = (first_elem..).take(ranges.len()).map(NodeId).collect();
+                let arena = first_elem as usize + ranges.len();
+                g.nodes.reserve_exact(arena - g.nodes.len());
+                g.leaf_parents.reserve_exact(arena * nhier - g.leaf_parents.len());
                 ((1..first_elem).map(NodeId).collect(), elem_ids)
             }
             Some(layout) => layout.into_ids(&mut g, &boundaries, ranges.len())?,
@@ -207,37 +215,51 @@ impl GoddagBuilder {
         // in their pre-sized slots.
         let place = |g: &mut Goddag, id: NodeId, d: NodeData| match g.nodes.get_mut(id.idx()) {
             Some(slot) => *slot = d,
-            None => g.nodes.push(d),
+            None => {
+                g.push_node(d);
+            }
         };
 
-        // Leaves between consecutive boundaries.
-        let root = g.root();
+        // Leaves between consecutive boundaries, tiling the content.
+        g.content = content;
+        g.leaves.reserve_exact(leaf_ids.len());
         for (i, (window, &id)) in boundaries.windows(2).zip(&leaf_ids).enumerate() {
             let (a, b) = (window[0], window[1]);
-            let leaf = NodeData {
-                leaf_parents: vec![root; nhier],
-                span: Span::new(i as u32, i as u32 + 1),
-                char_start: a,
-                ..NodeData::new(NodeKind::Leaf { text: content[a..b].to_string() })
-            };
+            let leaf =
+                NodeData { span: Span::new(i as u32, i as u32 + 1), ..NodeData::leaf(a, b - a) };
             place(&mut g, id, leaf);
             g.leaves.push(id);
         }
 
         // Create element nodes up front (parents/children wired in the sweep).
+        let (count, bytes) = ranges
+            .iter()
+            .flat_map(|r| &r.attrs)
+            .fold((0, 0), |(n, b), a| (n + 1, b + a.value.len()));
+        g.attrs.reserve(count, bytes);
         for (r, &id) in ranges.iter_mut().zip(&elem_ids) {
-            let elem = NodeData::new(NodeKind::Element {
-                name: r.name.clone(),
-                attrs: std::mem::take(&mut r.attrs),
-                hierarchy: r.hierarchy,
-            });
-            place(&mut g, id, elem);
+            let name = g.names.intern(&r.name);
+            place(&mut g, id, NodeData::element(name, r.hierarchy));
+            for a in std::mem::take(&mut r.attrs) {
+                let name = g.names.intern(&a.name);
+                g.attrs.push(id, name, &a.value);
+            }
         }
+        // Fresh ids arrive in order; a recorded layout's may not.
+        g.attrs.sort();
+        g.index_attrs();
 
         // Sweep each hierarchy.
         for h in 0..nhier {
             let hid = HierarchyId(h as u16);
             sweep_hierarchy(&mut g, hid, &ranges, &elem_ids, &boundaries)?;
+        }
+        // Child lists grew by pushes; give back the slack.
+        for d in &mut g.nodes {
+            d.children.shrink_to_fit();
+        }
+        for list in &mut g.root_children {
+            list.shrink_to_fit();
         }
 
         g.renumber();
@@ -273,7 +295,7 @@ impl Layout {
                 _ => return err(format!("id {id} is the root's, taken, or outside {arena_len}")),
             }
         }
-        g.nodes.resize_with(arena_len, NodeData::tombstone);
+        g.resize_arena(arena_len);
         Ok((leaf_ids, elements))
     }
 }
@@ -362,7 +384,7 @@ fn sweep_hierarchy(
                         // Crossing within the hierarchy: the element on top
                         // started inside `ev.range` but ends after it.
                         let (ta, tb) = if top_range == usize::MAX {
-                            ("<root>".to_string(), (0, g.content_len))
+                            ("<root>".to_string(), (0, g.content.len()))
                         } else {
                             (
                                 ranges[top_range].name.to_string(),
@@ -381,11 +403,11 @@ fn sweep_hierarchy(
                 }
                 EvClass::Empty => {
                     let top = attach!(g, stack, eid);
-                    g.nodes[eid.idx()].parent = Some(top);
+                    g.nodes[eid.idx()].parent = top;
                 }
                 EvClass::Start => {
                     let top = attach!(g, stack, eid);
-                    g.nodes[eid.idx()].parent = Some(top);
+                    g.nodes[eid.idx()].parent = top;
                     stack.push((eid, ev.range));
                 }
             }
@@ -394,7 +416,7 @@ fn sweep_hierarchy(
         if bi + 1 < boundaries.len() {
             let leaf = g.leaves[bi];
             let top = attach!(g, stack, leaf);
-            g.nodes[leaf.idx()].leaf_parents[hid.idx()] = top;
+            g.set_leaf_parent(leaf, hid, top);
         }
     }
 
@@ -465,7 +487,7 @@ mod tests {
         assert!(g.leaves_of(line).contains(&cd));
         assert!(g.leaves_of(w).contains(&cd));
         // And its per-hierarchy parents are exactly those elements.
-        assert_eq!(g.data(cd).leaf_parents, vec![line, w]);
+        assert_eq!(g.leaf_parents_of(cd), [line, w]);
     }
 
     #[test]
@@ -499,7 +521,7 @@ mod tests {
         let g = b.finish().unwrap();
         let outer = g.elements().find(|&e| g.name(e).unwrap().local == "outer").unwrap();
         let inner = g.elements().find(|&e| g.name(e).unwrap().local == "inner").unwrap();
-        assert_eq!(g.data(inner).parent, Some(outer));
+        assert_eq!(g.data(inner).parent(), Some(outer));
         // outer's children: leaf ab, inner, leaf ef
         assert_eq!(g.data(outer).children.len(), 3);
         assert_eq!(g.data(outer).children[1], inner);
@@ -515,8 +537,8 @@ mod tests {
         let g = b.finish().unwrap();
         let outer = g.elements().find(|&e| g.name(e).unwrap().local == "outer").unwrap();
         let inner = g.elements().find(|&e| g.name(e).unwrap().local == "inner").unwrap();
-        assert_eq!(g.data(inner).parent, Some(outer));
-        assert_eq!(g.data(outer).parent, Some(g.root()));
+        assert_eq!(g.data(inner).parent(), Some(outer));
+        assert_eq!(g.data(outer).parent(), Some(g.root()));
     }
 
     #[test]

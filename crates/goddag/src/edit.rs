@@ -9,10 +9,11 @@
 //! * [`Goddag::remove_element`] splices an element out of its hierarchy;
 //! * [`Goddag::split_leaf_at`] refines the shared leaf frontier;
 //! * [`Goddag::insert_text`] / [`Goddag::delete_text`] edit the content under
-//!   all hierarchies at once.
+//!   all hierarchies at once: they are the only operations that move bytes
+//!   in the content buffer.
 
 use crate::error::{GoddagError, Result};
-use crate::graph::{Goddag, NodeData, NodeKind};
+use crate::graph::{Goddag, Kind, NodeData, MAX_CONTENT, NIL};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use xmlcore::{Attribute, QName};
@@ -22,18 +23,18 @@ impl Goddag {
     /// the number of leaves entirely before `off`. `off` must lie on a leaf
     /// boundary (use [`Goddag::split_leaf_at`] first to make it one).
     pub fn boundary_index(&self, off: usize) -> Option<u32> {
-        if off == self.content_len {
+        if off == self.content.len() {
             return Some(self.leaves.len() as u32);
         }
-        let i = self.leaves.partition_point(|&l| self.data(l).char_start < off);
+        let i = self.leaves.partition_point(|&l| self.data(l).start() < off);
         match self.leaves.get(i) {
-            Some(&l) if self.data(l).char_start == off => Some(i as u32),
+            Some(&l) if self.data(l).start() == off => Some(i as u32),
             _ => None,
         }
     }
 
     fn check_offset(&self, off: usize) -> Result<()> {
-        let len = self.content_len;
+        let len = self.content.len();
         let bad = GoddagError::RangeOutOfBounds { start: off, end: off, len };
         self.is_char_boundary(off).then_some(()).ok_or(bad)
     }
@@ -47,8 +48,18 @@ impl Goddag {
         }
     }
 
+    /// Point child `c` of a list in hierarchy `h` at its new parent `p`.
+    fn reparent(&mut self, c: NodeId, h: HierarchyId, p: NodeId) {
+        match self.data(c).kind {
+            Kind::Leaf => self.set_leaf_parent(c, h, p),
+            Kind::Element => self.data_mut(c).parent = p,
+            Kind::Root => unreachable!("root is never a child"),
+        }
+    }
+
     /// Ensure a leaf boundary exists at byte offset `off`, splitting the
     /// containing leaf if needed. No-op when `off` already is a boundary.
+    /// The content buffer is untouched: both halves keep tiling it.
     pub fn split_leaf_at(&mut self, off: usize) -> Result<()> {
         self.check_offset(off)?;
         if self.boundary_index(off).is_some() {
@@ -57,33 +68,23 @@ impl Goddag {
         // Find the leaf containing off.
         let i = self
             .leaves
-            .partition_point(|&l| self.data(l).char_start <= off)
+            .partition_point(|&l| self.data(l).start() <= off)
             .checked_sub(1)
             .expect("off > 0 here, some leaf starts at or before it");
         let leaf = self.leaves[i];
-        let local = off - self.data(leaf).char_start;
-        let (before, after) = {
-            let NodeKind::Leaf { text } = &self.data(leaf).kind else {
-                return Err(GoddagError::NotALeaf(leaf));
-            };
-            (text[..local].to_string(), text[local..].to_string())
-        };
-        debug_assert!(!before.is_empty() && !after.is_empty());
+        let (start, end) = (self.data(leaf).start(), self.data(leaf).end());
+        debug_assert!(start < off && off < end);
 
         // The original leaf keeps the prefix; a new leaf takes the suffix.
-        let new_leaf = NodeId(self.nodes.len() as u32);
-        let leaf_parents = self.data(leaf).leaf_parents.clone();
-        self.nodes.push(NodeData {
-            leaf_parents: leaf_parents.clone(),
-            ..NodeData::new(NodeKind::Leaf { text: after })
-        });
-        if let NodeKind::Leaf { text } = &mut self.data_mut(leaf).kind {
-            *text = before;
-        }
+        self.data_mut(leaf).len = (off - start) as u32;
+        let new_leaf = self.push_node(NodeData::leaf(off, end - off));
+        let stride = self.hierarchies.len();
+        let (from, to) = (leaf.idx() * stride, new_leaf.idx() * stride);
+        self.leaf_parents.copy_within(from..from + stride, to);
         self.leaves.insert(i + 1, new_leaf);
         // Insert the new leaf right after the old one in every hierarchy.
         for h in self.hierarchy_ids() {
-            let p = leaf_parents[h.idx()];
+            let p = self.leaf_parents_of(leaf)[h.idx()];
             let list = self.child_list_mut(p, h);
             let pos = list
                 .iter()
@@ -113,7 +114,7 @@ impl Goddag {
             return Err(GoddagError::NoSuchHierarchy(h));
         }
         if start > end {
-            return Err(GoddagError::RangeOutOfBounds { start, end, len: self.content_len });
+            return Err(GoddagError::RangeOutOfBounds { start, end, len: self.content.len() });
         }
         self.check_offset(start)?;
         self.check_offset(end)?;
@@ -171,25 +172,23 @@ impl Goddag {
         });
 
         // Create the new element.
-        let new_id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            parent: Some(host),
+        let name = self.names.intern(&name);
+        let new_id = self.push_node(NodeData {
+            parent: host,
             children: moved.clone(),
             span,
-            ..NodeData::new(NodeKind::Element { name, attrs, hierarchy: h })
+            ..NodeData::element(name, h)
         });
+        // The newest id owns the last group, so appending keeps the store
+        // grouped.
+        for a in &attrs {
+            let name = self.names.intern(&a.name);
+            self.attrs.push(new_id, name, &a.value);
+        }
 
         // Re-parent moved nodes.
         for &c in &moved {
-            match &mut self.nodes[c.idx()].kind {
-                NodeKind::Leaf { .. } => {
-                    self.nodes[c.idx()].leaf_parents[h.idx()] = new_id;
-                }
-                NodeKind::Element { .. } => {
-                    self.nodes[c.idx()].parent = Some(new_id);
-                }
-                NodeKind::Root { .. } => unreachable!("root is never a child"),
-            }
+            self.reparent(c, h, new_id);
         }
 
         // Splice the host's child list.
@@ -207,39 +206,28 @@ impl Goddag {
     /// valid; the removed id is tombstoned.
     pub fn remove_element(&mut self, e: NodeId) -> Result<()> {
         self.check_alive(e)?;
-        let NodeKind::Element { hierarchy: h, .. } = self.data(e).kind else {
+        let d = self.data(e);
+        if d.kind != Kind::Element {
             return Err(if self.is_root(e) {
                 GoddagError::CannotTouchRoot
             } else {
                 GoddagError::NotAnElement(e)
             });
-        };
-        let parent = self.data(e).parent.expect("live elements always have a parent");
-        let children = self.data(e).children.clone();
+        }
+        let (h, parent) = (d.hierarchy, d.parent);
+        let children = std::mem::take(&mut self.data_mut(e).children);
         // Re-parent grandchildren.
         for &c in &children {
-            match &mut self.nodes[c.idx()].kind {
-                NodeKind::Leaf { .. } => {
-                    self.nodes[c.idx()].leaf_parents[h.idx()] = parent;
-                }
-                NodeKind::Element { .. } => {
-                    self.nodes[c.idx()].parent = Some(parent);
-                }
-                NodeKind::Root { .. } => unreachable!("root is never a child"),
-            }
+            self.reparent(c, h, parent);
         }
         // Splice.
         let list = self.child_list_mut(parent, h);
         let pos = list.iter().position(|&c| c == e).expect("parent lists its child");
-        list.remove(pos);
-        for (i, &c) in children.iter().enumerate() {
-            list.insert(pos + i, c);
-        }
+        list.splice(pos..=pos, children);
         // Tombstone.
         let d = self.data_mut(e);
         d.alive = false;
-        d.children.clear();
-        d.parent = None;
+        d.parent = NIL;
         self.renumber();
         Ok(())
     }
@@ -247,12 +235,10 @@ impl Goddag {
     /// Rename an element (or the root).
     pub fn rename(&mut self, n: NodeId, new_name: QName) -> Result<()> {
         self.check_alive(n)?;
-        match &mut self.data_mut(n).kind {
-            NodeKind::Root { name, .. } | NodeKind::Element { name, .. } => {
-                *name = new_name;
-            }
-            NodeKind::Leaf { .. } => return Err(GoddagError::NotAnElement(n)),
+        if self.data(n).kind == Kind::Leaf {
+            return Err(GoddagError::NotAnElement(n));
         }
+        self.data_mut(n).name = self.names.intern(&new_name);
         self.bump_epoch();
         Ok(())
     }
@@ -262,15 +248,12 @@ impl Goddag {
         self.check_alive(n)?;
         let qname = QName::parse(name)
             .map_err(|_| GoddagError::Edit(format!("invalid attribute name {name:?}")))?;
-        match &mut self.data_mut(n).kind {
-            NodeKind::Root { attrs, .. } | NodeKind::Element { attrs, .. } => {
-                if let Some(a) = attrs.iter_mut().find(|a| a.name == qname) {
-                    a.value = value.to_string();
-                } else {
-                    attrs.push(Attribute { name: qname, value: value.to_string() });
-                }
-            }
-            NodeKind::Leaf { .. } => return Err(GoddagError::NotAnElement(n)),
+        if self.data(n).kind == Kind::Leaf {
+            return Err(GoddagError::NotAnElement(n));
+        }
+        let name = self.names.intern(&qname);
+        if self.attrs.set(self.data(n).attr_start, n, name, value) {
+            self.shift_attr_groups_after(n, true);
         }
         self.bump_epoch();
         Ok(())
@@ -279,15 +262,12 @@ impl Goddag {
     /// Remove an attribute; returns whether it existed.
     pub fn remove_attr(&mut self, n: NodeId, name: &str) -> Result<bool> {
         self.check_alive(n)?;
-        let changed = match &mut self.data_mut(n).kind {
-            NodeKind::Root { attrs, .. } | NodeKind::Element { attrs, .. } => {
-                let before = attrs.len();
-                attrs.retain(|a| a.name.as_str() != name);
-                attrs.len() != before
-            }
-            NodeKind::Leaf { .. } => return Err(GoddagError::NotAnElement(n)),
-        };
+        if self.data(n).kind == Kind::Leaf {
+            return Err(GoddagError::NotAnElement(n));
+        }
+        let changed = self.attrs.remove(&self.names, self.data(n).attr_start, n, name);
         if changed {
+            self.shift_attr_groups_after(n, false);
             self.bump_epoch();
         }
         Ok(changed)
@@ -301,34 +281,29 @@ impl Goddag {
         if text.is_empty() {
             return Ok(());
         }
+        if self.content.len() + text.len() > MAX_CONTENT {
+            return Err(GoddagError::Edit(format!("content would exceed {MAX_CONTENT} bytes")));
+        }
         if self.leaves.is_empty() {
             // First content in an empty document.
-            let new_leaf = NodeId(self.nodes.len() as u32);
-            let nhier = self.hierarchies.len();
-            let root = self.root;
-            self.nodes.push(NodeData {
-                leaf_parents: vec![root; nhier],
-                span: Span::new(0, 1),
-                ..NodeData::new(NodeKind::Leaf { text: text.to_string() })
-            });
+            let new_leaf = self.push_node(NodeData::leaf(0, text.len()));
+            self.content.push_str(text);
             self.leaves.push(new_leaf);
-            for h in 0..nhier {
-                self.root_children[h].push(new_leaf);
+            for list in &mut self.root_children {
+                list.push(new_leaf);
             }
             self.renumber();
             return Ok(());
         }
         // Attach to the leaf containing off; at the very end, to the last.
-        let i = if off == self.content_len {
+        let i = if off == self.content.len() {
             self.leaves.len() - 1
         } else {
-            self.leaves.partition_point(|&l| self.data(l).char_start <= off).saturating_sub(1)
+            self.leaves.partition_point(|&l| self.data(l).start() <= off).saturating_sub(1)
         };
         let leaf = self.leaves[i];
-        let local = off - self.data(leaf).char_start;
-        if let NodeKind::Leaf { text: t } = &mut self.data_mut(leaf).kind {
-            t.insert_str(local, text);
-        }
+        self.data_mut(leaf).len += text.len() as u32;
+        self.content.insert_str(off, text);
         self.renumber();
         Ok(())
     }
@@ -338,45 +313,41 @@ impl Goddag {
     /// left without leaves become empty elements.
     pub fn delete_text(&mut self, start: usize, end: usize) -> Result<()> {
         if start > end {
-            return Err(GoddagError::RangeOutOfBounds { start, end, len: self.content_len });
+            return Err(GoddagError::RangeOutOfBounds { start, end, len: self.content.len() });
         }
         self.check_offset(start)?;
         self.check_offset(end)?;
         if start == end {
             return Ok(());
         }
-        // Trim each intersecting leaf.
+        // Shorten each intersecting leaf.
         let mut emptied: Vec<NodeId> = Vec::new();
-        for i in 0..self.leaves.len() {
+        let from = self.leaves.partition_point(|&l| self.data(l).end() <= start);
+        for i in from..self.leaves.len() {
             let leaf = self.leaves[i];
-            let cstart = self.data(leaf).char_start;
-            let clen = match &self.data(leaf).kind {
-                NodeKind::Leaf { text } => text.len(),
-                _ => 0,
-            };
-            let cend = cstart + clen;
-            if cend <= start || cstart >= end {
-                continue;
+            let (cstart, cend) = (self.data(leaf).start(), self.data(leaf).end());
+            if cstart >= end {
+                break;
             }
-            let cut_from = start.max(cstart) - cstart;
-            let cut_to = end.min(cend) - cstart;
-            if let NodeKind::Leaf { text } = &mut self.data_mut(leaf).kind {
-                text.replace_range(cut_from..cut_to, "");
-                if text.is_empty() {
-                    emptied.push(leaf);
-                }
+            let cut = end.min(cend) - start.max(cstart);
+            let d = self.data_mut(leaf);
+            d.len -= cut as u32;
+            if d.len == 0 {
+                emptied.push(leaf);
             }
         }
+        self.content.replace_range(start..end, "");
         // Drop emptied leaves everywhere.
-        for leaf in emptied {
-            let leaf_parents = self.data(leaf).leaf_parents.clone();
+        for &leaf in &emptied {
             for h in self.hierarchy_ids() {
-                let p = leaf_parents[h.idx()];
+                let p = self.leaf_parents_of(leaf)[h.idx()];
                 let list = self.child_list_mut(p, h);
                 list.retain(|&c| c != leaf);
             }
-            self.leaves.retain(|&l| l != leaf);
             self.data_mut(leaf).alive = false;
+        }
+        if !emptied.is_empty() {
+            self.leaves.retain(|&l| self.nodes[l.idx()].alive);
         }
         self.renumber();
         Ok(())
@@ -384,18 +355,19 @@ impl Goddag {
 
     /// Merge adjacent leaves that have identical parent sets — the inverse of
     /// leaf splitting, used by editors to keep the frontier minimal after
-    /// markup removal. Returns the number of merges performed.
+    /// markup removal. Returns the number of merges performed. The content
+    /// buffer is untouched: the merged leaf covers both slices.
     pub fn coalesce_leaves(&mut self) -> usize {
         let mut merges = 0;
         let mut i = 0;
         while i + 1 < self.leaves.len() {
             let a = self.leaves[i];
             let b = self.leaves[i + 1];
-            if self.data(a).leaf_parents == self.data(b).leaf_parents {
+            if self.leaf_parents_of(a) == self.leaf_parents_of(b) {
                 // Also require b to be adjacent in every parent's child list
                 // (no milestone between them).
                 let adjacent = self.hierarchy_ids().all(|h| {
-                    let p = self.data(a).leaf_parents[h.idx()];
+                    let p = self.leaf_parents_of(a)[h.idx()];
                     let list = self.children_in(p, h);
                     match list.iter().position(|&c| c == a) {
                         Some(pos) => list.get(pos + 1) == Some(&b),
@@ -403,16 +375,10 @@ impl Goddag {
                     }
                 });
                 if adjacent {
-                    let btext = match &self.data(b).kind {
-                        NodeKind::Leaf { text } => text.clone(),
-                        _ => unreachable!("frontier holds only leaves"),
-                    };
-                    if let NodeKind::Leaf { text } = &mut self.data_mut(a).kind {
-                        text.push_str(&btext);
-                    }
-                    let leaf_parents = self.data(b).leaf_parents.clone();
+                    let blen = self.data(b).len;
+                    self.data_mut(a).len += blen;
                     for h in self.hierarchy_ids() {
-                        let p = leaf_parents[h.idx()];
+                        let p = self.leaf_parents_of(b)[h.idx()];
                         let list = self.child_list_mut(p, h);
                         list.retain(|&c| c != b);
                     }

@@ -4,68 +4,145 @@
 //! element tree per hierarchy in between (paper §3; Sperberg-McQueen &
 //! Huitfeldt 2000). This module holds the node arena and core accessors;
 //! navigation lives in [`crate::navigate`], mutation in [`crate::edit`].
+//!
+//! # Layout
+//!
+//! Everything whose size grows with the document costs a few bytes per
+//! node and almost no allocations:
+//!
+//! * **one fixed-size record per arena slot** (`NodeData`, at most 56
+//!   bytes): kind, alive flag, hierarchy, parent, leaf-index span, byte
+//!   offset, a leaf's byte length, a name symbol, where its attributes
+//!   start, and — for elements only — the one heap allocation a node may
+//!   own, its child list;
+//! * **the content in one `String`**, in document order. Leaves tile it,
+//!   so a leaf is just an offset and a length, and any node's text is the
+//!   slice [`Goddag::char_range`] names ([`Goddag::text`] borrows it);
+//! * **names interned per document**: element, root and attribute names
+//!   each stored once ([`Goddag::name`] still returns `&QName`);
+//! * **attributes out of line** in one per-document store (see
+//!   `crate::tables`), read through the borrowed [`Attrs`] view; a slot
+//!   keeps only where its group of records starts;
+//! * **leaf parents in one dense array** of `arena_len × hierarchies` ids:
+//!   the parent of leaf `n` in hierarchy `h` is entry `n·H + h`.
+//!
+//! Content is limited to `u32::MAX` bytes, as the leaf count already is
+//! by [`Span`]'s `u32` indices.
 
 use crate::error::{GoddagError, Result};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
-use xmlcore::event::find_attr;
-use xmlcore::{Attribute, QName};
+use crate::tables::{AttrStore, Attrs, Names, Sym};
+use xmlcore::QName;
 
-/// What a node is.
-#[derive(Debug, Clone, PartialEq)]
-pub enum NodeKind {
+/// What a node is, borrowed from its document.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeKind<'a> {
     /// The shared root. Carries the common root element name of all the
     /// hierarchy encodings (the paper's `<r>`).
-    Root { name: QName, attrs: Vec<Attribute> },
+    Root { name: &'a QName, attrs: Attrs<'a> },
     /// A markup element belonging to exactly one hierarchy.
-    Element { name: QName, attrs: Vec<Attribute>, hierarchy: HierarchyId },
+    Element { name: &'a QName, attrs: Attrs<'a>, hierarchy: HierarchyId },
     /// A shared text fragment. Leaves partition the document content; the
     /// borders are the union of markup positions from all hierarchies
     /// (paper §3).
-    Leaf { text: String },
+    Leaf { text: &'a str },
 }
+
+/// The kind tag of an arena slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Root,
+    Element,
+    Leaf,
+}
+
+/// Placeholder parent of slots that have none (the root, leaves, and
+/// removed elements).
+pub(crate) const NIL: NodeId = NodeId(u32::MAX);
+
+/// Largest content the arena addresses: offsets and lengths are `u32`.
+pub(crate) const MAX_CONTENT: usize = u32::MAX as usize;
 
 /// Arena slot.
 #[derive(Debug, Clone)]
 pub(crate) struct NodeData {
-    pub(crate) kind: NodeKind,
-    /// For elements: the unique parent in their own hierarchy (an element of
-    /// the same hierarchy, or the root). `None` for root and leaves.
-    pub(crate) parent: Option<NodeId>,
     /// For elements: ordered children (same-hierarchy elements and leaves).
     /// Empty for leaves. The root's per-hierarchy children live in
     /// `Goddag::root_children`.
     pub(crate) children: Vec<NodeId>,
-    /// For leaves: parent per hierarchy (`leaf_parents[h]` = deepest element
-    /// of hierarchy `h` directly containing the leaf, or the root).
-    pub(crate) leaf_parents: Vec<NodeId>,
     /// Leaf-index span. Leaves: `[i, i+1)`. Elements: cover of children,
     /// maintained by `Goddag::renumber`.
     pub(crate) span: Span,
-    /// Char (byte) offset of this leaf's text within the whole content
-    /// (leaves only; maintained by `renumber`).
-    pub(crate) char_start: usize,
+    /// Byte offset of this leaf's text within the content (leaves only;
+    /// maintained by `renumber`).
+    pub(crate) char_start: u32,
+    /// Byte length of this leaf's text (leaves only).
+    pub(crate) len: u32,
+    /// For live elements: the unique parent in their own hierarchy (an
+    /// element of the same hierarchy, or the root). [`NIL`] otherwise.
+    pub(crate) parent: NodeId,
+    /// Name of an element or the root.
+    pub(crate) name: Sym,
+    /// Where this node's group of attribute records starts in the store
+    /// (or would start, when it has none).
+    pub(crate) attr_start: u32,
+    /// Owning hierarchy of an element.
+    pub(crate) hierarchy: HierarchyId,
+    pub(crate) kind: Kind,
     /// Tombstone flag; ids are never reused.
     pub(crate) alive: bool,
 }
 
+const _: () = assert!(std::mem::size_of::<NodeData>() <= 56);
+
 impl NodeData {
-    /// A live node of `kind`, not wired yet: no parent, children or span.
-    pub(crate) fn new(kind: NodeKind) -> NodeData {
+    fn new(kind: Kind) -> NodeData {
         NodeData {
-            kind,
-            parent: None,
             children: Vec::new(),
-            leaf_parents: Vec::new(),
             span: Span::empty_at(0),
             char_start: 0,
+            len: 0,
+            parent: NIL,
+            name: Sym(0),
+            attr_start: 0,
+            hierarchy: HierarchyId(0),
+            kind,
             alive: true,
         }
     }
 
+    /// A live leaf at `char_start` of `len` bytes, not wired yet.
+    pub(crate) fn leaf(char_start: usize, len: usize) -> NodeData {
+        NodeData { char_start: char_start as u32, len: len as u32, ..NodeData::new(Kind::Leaf) }
+    }
+
+    /// A live element, not wired yet: no parent, children or span.
+    pub(crate) fn element(name: Sym, hierarchy: HierarchyId) -> NodeData {
+        NodeData { name, hierarchy, ..NodeData::new(Kind::Element) }
+    }
+
     /// A dead placeholder for an arena slot no live node occupies.
     pub(crate) fn tombstone() -> NodeData {
-        NodeData { alive: false, ..NodeData::new(NodeKind::Leaf { text: String::new() }) }
+        NodeData { alive: false, ..NodeData::new(Kind::Leaf) }
+    }
+
+    /// Byte offset of a leaf's text.
+    #[inline]
+    pub(crate) fn start(&self) -> usize {
+        self.char_start as usize
+    }
+
+    /// Byte offset one past a leaf's text.
+    #[inline]
+    pub(crate) fn end(&self) -> usize {
+        self.char_start as usize + self.len as usize
+    }
+
+    /// The parent pointer, `None` for [`NIL`].
+    #[inline]
+    pub(crate) fn parent(&self) -> Option<NodeId> {
+        (self.parent != NIL).then_some(self.parent)
     }
 }
 
@@ -90,8 +167,16 @@ pub struct Goddag {
     /// element of that hierarchy).
     pub(crate) root_children: Vec<Vec<NodeId>>,
     pub(crate) hierarchies: Vec<Hierarchy>,
-    /// Total content length in bytes.
-    pub(crate) content_len: usize,
+    /// `arena_len × hierarchies` ids: entry `n·H + h` is the parent of leaf
+    /// `n` in hierarchy `h` (the deepest element of `h` directly containing
+    /// it, or the root). Entries of non-leaf slots hold the root.
+    pub(crate) leaf_parents: Vec<NodeId>,
+    /// The whole content, in document order; the leaves tile it.
+    pub(crate) content: String,
+    /// Interned element, root and attribute names.
+    pub(crate) names: Names,
+    /// Every attribute, out of line.
+    pub(crate) attrs: AttrStore,
     /// Monotone edit counter: bumped by every mutation (structural or
     /// attribute-level). Derived read-side caches — most importantly the
     /// `OverlapIndex` instances held by `cxstore` — compare the epoch they
@@ -104,13 +189,18 @@ impl Goddag {
     /// hierarchies or content. Use [`crate::GoddagBuilder`] to construct one
     /// from ranges, or the `sacx` crate to parse one.
     pub fn new(root_name: QName) -> Goddag {
+        let mut names = Names::default();
+        let name = names.intern(&root_name);
         Goddag {
-            nodes: vec![NodeData::new(NodeKind::Root { name: root_name, attrs: Vec::new() })],
+            nodes: vec![NodeData { name, ..NodeData::new(Kind::Root) }],
             root: NodeId(0),
             leaves: Vec::new(),
             root_children: Vec::new(),
             hierarchies: Vec::new(),
-            content_len: 0,
+            leaf_parents: Vec::new(),
+            content: String::new(),
+            names,
+            attrs: AttrStore::default(),
             epoch: 0,
         }
     }
@@ -143,12 +233,17 @@ impl Goddag {
     pub fn add_hierarchy(&mut self, name: impl Into<String>) -> HierarchyId {
         self.bump_epoch();
         let id = HierarchyId(self.hierarchies.len() as u16);
-        self.hierarchies.push(Hierarchy { name: name.into(), dtd: None });
-        // The new hierarchy sees all current leaves as root children.
-        self.root_children.push(self.leaves.clone());
-        for &leaf in &self.leaves.clone() {
-            self.nodes[leaf.idx()].leaf_parents.push(self.root);
+        // Re-stride the dense leaf-parent array: the new hierarchy sees
+        // every current leaf as a root child.
+        let old = self.hierarchies.len();
+        let mut parents = Vec::with_capacity(self.nodes.len() * (old + 1));
+        for n in 0..self.nodes.len() {
+            parents.extend_from_slice(&self.leaf_parents[n * old..(n + 1) * old]);
+            parents.push(self.root);
         }
+        self.leaf_parents = parents;
+        self.hierarchies.push(Hierarchy { name: name.into(), dtd: None });
+        self.root_children.push(self.leaves.clone());
         id
     }
 
@@ -183,12 +278,78 @@ impl Goddag {
     // Node basics
     // ------------------------------------------------------------------
 
+    /// The slot of `n`. Panics on an id outside the arena: public readers
+    /// that can say "no such node" go through [`Goddag::slot`] instead.
     pub(crate) fn data(&self, n: NodeId) -> &NodeData {
         &self.nodes[n.idx()]
     }
 
     pub(crate) fn data_mut(&mut self, n: NodeId) -> &mut NodeData {
         &mut self.nodes[n.idx()]
+    }
+
+    /// The slot of `n`, or `None` for an id outside the arena.
+    #[inline]
+    fn slot(&self, n: NodeId) -> Option<&NodeData> {
+        self.nodes.get(n.idx())
+    }
+
+    /// Append a slot to the arena (its leaf-parent entries hold the root;
+    /// its attribute group, empty, starts after every other).
+    pub(crate) fn push_node(&mut self, d: NodeData) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.nodes.push(NodeData { attr_start: self.attrs.len() as u32, ..d });
+        let root = self.root;
+        self.leaf_parents.extend(std::iter::repeat_n(root, self.hierarchies.len()));
+        id
+    }
+
+    /// Grow the arena to `len` slots with tombstones.
+    pub(crate) fn resize_arena(&mut self, len: usize) {
+        self.nodes.resize_with(len, NodeData::tombstone);
+        self.leaf_parents.resize(len * self.hierarchies.len(), self.root);
+    }
+
+    /// Point every slot at its attribute group (after the store was
+    /// filled out of id order and sorted).
+    pub(crate) fn index_attrs(&mut self) {
+        let arena_len = self.nodes.len();
+        for (d, start) in self.nodes.iter_mut().zip(self.attrs.group_starts(arena_len)) {
+            d.attr_start = start;
+        }
+    }
+
+    /// After a record was inserted (`+1`) into or removed (`-1`) from the
+    /// group of `n`, move the groups of every later owner.
+    pub(crate) fn shift_attr_groups_after(&mut self, n: NodeId, inserted: bool) {
+        for d in &mut self.nodes[n.idx() + 1..] {
+            d.attr_start = if inserted { d.attr_start + 1 } else { d.attr_start - 1 };
+        }
+    }
+
+    /// The parents of leaf `n`, one per hierarchy.
+    #[inline]
+    pub(crate) fn leaf_parents_of(&self, n: NodeId) -> &[NodeId] {
+        let h = self.hierarchies.len();
+        &self.leaf_parents[n.idx() * h..(n.idx() + 1) * h]
+    }
+
+    /// Set the parent of leaf `n` in hierarchy `h`.
+    #[inline]
+    pub(crate) fn set_leaf_parent(&mut self, n: NodeId, h: HierarchyId, p: NodeId) {
+        let stride = self.hierarchies.len();
+        self.leaf_parents[n.idx() * stride + h.idx()] = p;
+    }
+
+    /// The text of a live leaf's slot: its slice of the content buffer
+    /// (empty for dead slots, whose offsets are stale).
+    #[inline]
+    pub(crate) fn leaf_str(&self, d: &NodeData) -> &str {
+        if d.alive {
+            self.content.get(d.start()..d.end()).unwrap_or_default()
+        } else {
+            ""
+        }
     }
 
     /// The shared root.
@@ -198,7 +359,7 @@ impl Goddag {
 
     /// Is the id live?
     pub fn is_alive(&self, n: NodeId) -> bool {
-        self.nodes.get(n.idx()).is_some_and(|d| d.alive)
+        self.slot(n).is_some_and(|d| d.alive)
     }
 
     /// Ensure the node is live.
@@ -210,19 +371,28 @@ impl Goddag {
         }
     }
 
-    /// Node kind.
-    pub fn kind(&self, n: NodeId) -> &NodeKind {
-        &self.data(n).kind
+    /// Node kind. Panics on an id outside the arena (`0..arena_len`).
+    pub fn kind(&self, n: NodeId) -> NodeKind<'_> {
+        let d = self.data(n);
+        match d.kind {
+            Kind::Root => NodeKind::Root { name: self.names.get(d.name), attrs: self.attrs(n) },
+            Kind::Element => NodeKind::Element {
+                name: self.names.get(d.name),
+                attrs: self.attrs(n),
+                hierarchy: d.hierarchy,
+            },
+            Kind::Leaf => NodeKind::Leaf { text: self.leaf_str(d) },
+        }
     }
 
-    /// True for element nodes.
+    /// True for element nodes (false for unknown ids).
     pub fn is_element(&self, n: NodeId) -> bool {
-        matches!(self.data(n).kind, NodeKind::Element { .. })
+        self.slot(n).is_some_and(|d| d.kind == Kind::Element)
     }
 
-    /// True for leaf (text) nodes.
+    /// True for leaf (text) nodes (false for unknown ids).
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        matches!(self.data(n).kind, NodeKind::Leaf { .. })
+        self.slot(n).is_some_and(|d| d.kind == Kind::Leaf)
     }
 
     /// True for the root.
@@ -230,41 +400,35 @@ impl Goddag {
         n == self.root
     }
 
-    /// Element or root name.
+    /// Element or root name (`None` for leaves and unknown ids).
     pub fn name(&self, n: NodeId) -> Option<&QName> {
-        match &self.data(n).kind {
-            NodeKind::Root { name, .. } | NodeKind::Element { name, .. } => Some(name),
-            NodeKind::Leaf { .. } => None,
-        }
+        self.slot(n).filter(|d| d.kind != Kind::Leaf).map(|d| self.names.get(d.name))
     }
 
-    /// Attributes of an element or the root.
-    pub fn attrs(&self, n: NodeId) -> &[Attribute] {
-        match &self.data(n).kind {
-            NodeKind::Root { attrs, .. } | NodeKind::Element { attrs, .. } => attrs,
-            NodeKind::Leaf { .. } => &[],
+    /// Attributes of an element or the root (empty for leaves and unknown
+    /// ids).
+    pub fn attrs(&self, n: NodeId) -> Attrs<'_> {
+        match self.slot(n) {
+            Some(d) if d.kind != Kind::Leaf => self.attrs.view(&self.names, d.attr_start, n),
+            _ => Attrs::none(&self.names, &self.attrs),
         }
     }
 
     /// Attribute lookup by full name.
     pub fn attr(&self, n: NodeId, name: &str) -> Option<&str> {
-        find_attr(self.attrs(n), name)
+        self.attrs(n).find(name)
     }
 
-    /// The hierarchy an element belongs to (None for root/leaves).
+    /// The hierarchy an element belongs to (None for root, leaves and
+    /// unknown ids).
     pub fn hierarchy_of(&self, n: NodeId) -> Option<HierarchyId> {
-        match self.data(n).kind {
-            NodeKind::Element { hierarchy, .. } => Some(hierarchy),
-            _ => None,
-        }
+        self.slot(n).filter(|d| d.kind == Kind::Element).map(|d| d.hierarchy)
     }
 
-    /// Leaf text.
+    /// Leaf text, borrowed from the content (None for other nodes and
+    /// unknown ids).
     pub fn leaf_text(&self, n: NodeId) -> Option<&str> {
-        match &self.data(n).kind {
-            NodeKind::Leaf { text } => Some(text),
-            _ => None,
-        }
+        self.slot(n).filter(|d| d.kind == Kind::Leaf).map(|d| self.leaf_str(d))
     }
 
     /// The node's leaf-index span.
@@ -296,28 +460,29 @@ impl Goddag {
         &self.leaves[span.start as usize..span.end as usize]
     }
 
-    /// Concatenated text content of a node.
+    /// The text a live node covers, borrowed from the content (empty for
+    /// dead and unknown ids).
+    pub fn text(&self, n: NodeId) -> &str {
+        if !self.is_alive(n) {
+            return "";
+        }
+        let (start, end) = self.char_range(n);
+        self.content.get(start..end).unwrap_or_default()
+    }
+
+    /// Concatenated text content of a node: a copy of [`Goddag::text`].
     pub fn text_of(&self, n: NodeId) -> String {
-        if let NodeKind::Leaf { text } = &self.data(n).kind {
-            return text.clone();
-        }
-        let mut out = String::new();
-        for &leaf in self.leaves_of(n) {
-            if let NodeKind::Leaf { text } = &self.data(leaf).kind {
-                out.push_str(text);
-            }
-        }
-        out
+        self.text(n).to_string()
     }
 
     /// The whole document content.
     pub fn content(&self) -> String {
-        self.text_of(self.root)
+        self.content.clone()
     }
 
     /// Total content length in bytes.
     pub fn content_len(&self) -> usize {
-        self.content_len
+        self.content.len()
     }
 
     /// Byte range of the content a node covers: `(start, end)`.
@@ -327,47 +492,27 @@ impl Goddag {
             let at = self
                 .leaves
                 .get(span.start as usize)
-                .map(|&l| self.data(l).char_start)
-                .unwrap_or(self.content_len);
+                .map_or(self.content.len(), |&l| self.data(l).start());
             return (at, at);
         }
         let first = self.leaves[span.start as usize];
         let last = self.leaves[span.end as usize - 1];
-        let last_d = self.data(last);
-        let last_len = match &last_d.kind {
-            NodeKind::Leaf { text } => text.len(),
-            _ => 0,
-        };
-        (self.data(first).char_start, last_d.char_start + last_len)
+        (self.data(first).start(), self.data(last).end())
     }
 
     /// Is byte offset `off` within the content and on a UTF-8 character
-    /// boundary? Binary search over the frontier, then a check inside one
-    /// leaf — the content is never materialised.
+    /// boundary?
     pub fn is_char_boundary(&self, off: usize) -> bool {
-        if off >= self.content_len {
-            return off == self.content_len;
-        }
-        self.leaf_at_char(off).is_some_and(|l| {
-            let text = self.leaf_text(l).unwrap_or_default();
-            text.is_char_boundary(off - self.data(l).char_start)
-        })
+        self.content.is_char_boundary(off)
     }
 
     /// The leaf containing byte offset `off` (the leaf whose char range
     /// includes `off`; offsets on a boundary resolve to the following leaf).
     pub fn leaf_at_char(&self, off: usize) -> Option<NodeId> {
-        if off >= self.content_len {
-            return self.leaves.last().copied().filter(|_| off == 0 && self.content_len == 0);
+        if off >= self.content.len() {
+            return self.leaves.last().copied().filter(|_| off == 0 && self.content.is_empty());
         }
-        let idx = self.leaves.partition_point(|&l| {
-            let d = self.data(l);
-            let len = match &d.kind {
-                NodeKind::Leaf { text } => text.len(),
-                _ => 0,
-            };
-            d.char_start + len <= off
-        });
+        let idx = self.leaves.partition_point(|&l| self.data(l).end() <= off);
         self.leaves.get(idx).copied()
     }
 
@@ -377,18 +522,16 @@ impl Goddag {
 
     /// All live element ids, in arena order.
     pub fn elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().enumerate().filter_map(|(i, d)| {
-            (d.alive && matches!(d.kind, NodeKind::Element { .. })).then_some(NodeId(i as u32))
-        })
+        self.nodes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, d)| (d.alive && d.kind == Kind::Element).then_some(NodeId(i as u32)))
     }
 
     /// All live elements of one hierarchy, in arena order.
     pub fn elements_in(&self, h: HierarchyId) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().enumerate().filter_map(move |(i, d)| match d.kind {
-            NodeKind::Element { hierarchy, .. } if d.alive && hierarchy == h => {
-                Some(NodeId(i as u32))
-            }
-            _ => None,
+        self.nodes.iter().enumerate().filter_map(move |(i, d)| {
+            (d.alive && d.kind == Kind::Element && d.hierarchy == h).then_some(NodeId(i as u32))
         })
     }
 
@@ -411,12 +554,12 @@ impl Goddag {
     /// evaluator sorts node-sets by.
     pub fn doc_order_key(&self, n: NodeId) -> (u32, i64, u8, u16, u32) {
         let span = self.span(n);
-        let kind_rank = match self.data(n).kind {
-            NodeKind::Root { .. } => 0,
-            NodeKind::Element { .. } => 1,
-            NodeKind::Leaf { .. } => 2,
+        let d = self.data(n);
+        let (kind_rank, h) = match d.kind {
+            Kind::Root => (0, 0),
+            Kind::Element => (1, d.hierarchy.0),
+            Kind::Leaf => (2, 0),
         };
-        let h = self.hierarchy_of(n).map_or(0, |h| h.0);
         (span.start, -(span.end as i64), kind_rank, h, n.0)
     }
 
@@ -509,6 +652,56 @@ mod tests {
         let empty = Goddag::new(QName::parse("r").unwrap());
         assert!(empty.is_char_boundary(0));
         assert!(!empty.is_char_boundary(1));
+    }
+
+    #[test]
+    fn forged_ids_read_as_no_such_node() {
+        let mut b = crate::builder::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("one two");
+        let h = b.hierarchy("phys");
+        b.range(h, "w", vec![xmlcore::Attribute::new("n", "1")], 0, 3).unwrap();
+        let g = b.finish().unwrap();
+        for n in [NodeId(g.arena_len() as u32), NodeId(u32::MAX)] {
+            assert_eq!(g.name(n), None);
+            assert!(g.attrs(n).is_empty());
+            assert_eq!(g.attr(n, "n"), None);
+            assert_eq!(g.hierarchy_of(n), None);
+            assert_eq!(g.leaf_text(n), None);
+            assert_eq!(g.text(n), "");
+            assert_eq!(g.text_of(n), "");
+            assert!(!g.is_element(n));
+            assert!(!g.is_leaf(n));
+            assert!(!g.is_alive(n));
+            assert!(g.children_in(n, h).is_empty());
+            assert!(g.children(n).is_empty());
+            assert_eq!(g.parent_in(n, h), None);
+            assert!(g.parents(n).is_empty());
+            assert!(g.ancestors_in(n, h).is_empty());
+        }
+    }
+
+    #[test]
+    fn text_borrows_from_one_buffer() {
+        let mut b = crate::builder::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("swā hwa swe");
+        let phys = b.hierarchy("phys");
+        let ling = b.hierarchy("ling");
+        b.range(phys, "line", vec![], 0, 8).unwrap();
+        b.range(ling, "w", vec![], 5, 12).unwrap();
+        let mut g = b.finish().unwrap();
+        let w = g.find_elements("w")[0];
+        assert_eq!(g.text(w), "hwa swe");
+        assert_eq!(g.text(g.root()), "swā hwa swe");
+        let joined: String = g.leaves().iter().map(|&l| g.leaf_text(l).unwrap()).collect();
+        assert_eq!(joined, g.text(g.root()));
+        // Splits and merges never move a byte; text edits do.
+        g.split_leaf_at(1).unwrap();
+        assert_eq!(g.coalesce_leaves(), 1);
+        g.insert_text(5, "X").unwrap();
+        g.delete_text(0, 5).unwrap();
+        assert_eq!(g.text(g.root()), "Xhwa swe");
+        assert_eq!(g.text(w), "Xhwa swe");
+        crate::validate::check_invariants(&g).unwrap();
     }
 
     #[test]

@@ -91,12 +91,8 @@ impl Goddag {
     /// The leaves whose text intersects the byte range `start..end`, in
     /// order.
     pub fn iter_leaf_range(&self, start: usize, end: usize) -> impl Iterator<Item = NodeId> + '_ {
-        let from = self.leaves.partition_point(|&l| {
-            let d = self.data(l);
-            let len = self.leaf_text(l).map_or(0, str::len);
-            d.char_start + len <= start
-        });
-        self.leaves[from..].iter().copied().take_while(move |&l| self.data(l).char_start < end)
+        let from = self.leaves.partition_point(|&l| self.data(l).end() <= start);
+        self.leaves[from..].iter().copied().take_while(move |&l| self.data(l).start() < end)
     }
 }
 

@@ -17,9 +17,10 @@
 //!   store restores a snapshot id-for-id in one pass.
 //!
 //! Modules: `builder` (ranges → GODDAG, fresh or recorded ids), `graph`
-//! (arena, accessors, char-boundary and epoch), `edit` (mutation),
-//! `navigate` / `iter` (traversal), `renumber` (span maintenance), `span`,
-//! `serialize`, `stats`, [`validate`].
+//! (the compact arena, content buffer and accessors; its docs describe the
+//! layout), `tables` (interned names, out-of-line attributes), `edit`
+//! (mutation), `navigate` / `iter` (traversal), `renumber` (span
+//! maintenance), `span`, `serialize`, `stats`, [`validate`].
 //!
 //! ```
 //! use goddag::GoddagBuilder;
@@ -49,6 +50,7 @@ mod renumber;
 mod serialize;
 mod span;
 mod stats;
+mod tables;
 pub mod validate;
 
 pub use builder::{GoddagBuilder, Layout, RangeSpec};
@@ -59,4 +61,5 @@ pub use iter::{HierarchyIter, WalkEvent, WalkIter};
 pub use serialize::DotOptions;
 pub use span::Span;
 pub use stats::GoddagStats;
+pub use tables::{Attr, AttrIter, Attrs};
 pub use validate::{check_invariants, validate_all, validate_hierarchy};

@@ -5,7 +5,7 @@
 //! another is done through the root node or leaf nodes" (paper §3) — i.e. via
 //! [`Goddag::parents`] on a shared leaf, or by re-rooting at [`Goddag::root`].
 
-use crate::graph::{Goddag, NodeKind};
+use crate::graph::{Goddag, Kind};
 use crate::ids::{HierarchyId, NodeId};
 
 impl Goddag {
@@ -19,8 +19,8 @@ impl Goddag {
         if self.is_root(n) {
             self.root_children.get(h.idx()).map_or(&[], Vec::as_slice)
         } else {
-            match self.data(n).kind {
-                NodeKind::Element { hierarchy, .. } if hierarchy == h => &self.data(n).children,
+            match self.nodes.get(n.idx()) {
+                Some(d) if d.kind == Kind::Element && d.hierarchy == h => &d.children,
                 _ => &[],
             }
         }
@@ -34,7 +34,7 @@ impl Goddag {
             self.sort_doc_order(&mut out);
             out
         } else {
-            self.data(n).children.clone()
+            self.nodes.get(n.idx()).map_or_else(Vec::new, |d| d.children.clone())
         }
     }
 
@@ -44,12 +44,11 @@ impl Goddag {
     /// * leaf → the deepest element of `h` containing it (or root);
     /// * root, or element of a different hierarchy → `None`.
     pub fn parent_in(&self, n: NodeId, h: HierarchyId) -> Option<NodeId> {
-        match &self.data(n).kind {
-            NodeKind::Root { .. } => None,
-            NodeKind::Element { hierarchy, .. } => {
-                (*hierarchy == h).then_some(self.data(n).parent).flatten()
-            }
-            NodeKind::Leaf { .. } => self.data(n).leaf_parents.get(h.idx()).copied(),
+        let d = self.nodes.get(n.idx())?;
+        match d.kind {
+            Kind::Root => None,
+            Kind::Element => (d.hierarchy == h).then(|| d.parent()).flatten(),
+            Kind::Leaf => self.leaf_parents_of(n).get(h.idx()).copied(),
         }
     }
 
@@ -57,10 +56,11 @@ impl Goddag {
     /// order. This is the cross-hierarchy hop the paper describes: a shared
     /// leaf's parents expose every structure that covers it.
     pub fn parents(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = match &self.data(n).kind {
-            NodeKind::Root { .. } => Vec::new(),
-            NodeKind::Element { .. } => self.data(n).parent.into_iter().collect(),
-            NodeKind::Leaf { .. } => self.data(n).leaf_parents.clone(),
+        let Some(d) = self.nodes.get(n.idx()) else { return Vec::new() };
+        let mut out = match d.kind {
+            Kind::Root => Vec::new(),
+            Kind::Element => d.parent().into_iter().collect(),
+            Kind::Leaf => self.leaf_parents_of(n).to_vec(),
         };
         self.sort_doc_order(&mut out);
         out

@@ -6,30 +6,26 @@
 //! (experiment A2) quantifies what this buys over recomputing spans on every
 //! query.
 
-use crate::graph::{Goddag, NodeKind};
+use crate::graph::{Goddag, Kind};
 use crate::ids::NodeId;
 use crate::span::Span;
 
 impl Goddag {
-    /// Recompute all derived position data: leaf indices, leaf byte offsets,
-    /// element spans (including empty-element anchors), and the total content
-    /// length.
+    /// Recompute all derived position data: leaf indices, leaf byte offsets
+    /// and element spans (including empty-element anchors).
     pub(crate) fn renumber(&mut self) {
         // Every structural edit funnels through here, so this is the one
         // chokepoint that must invalidate epoch-keyed caches.
         self.bump_epoch();
-        // Pass 0: leaves.
-        let mut off = 0usize;
-        for i in 0..self.leaves.len() {
-            let leaf = self.leaves[i];
+        // Pass 0: leaves, which tile the content buffer.
+        let mut off = 0u32;
+        for (i, &leaf) in self.leaves.iter().enumerate() {
             let d = &mut self.nodes[leaf.idx()];
             d.span = Span::new(i as u32, i as u32 + 1);
             d.char_start = off;
-            if let NodeKind::Leaf { text } = &d.kind {
-                off += text.len();
-            }
+            off += d.len;
         }
-        self.content_len = off;
+        debug_assert_eq!(off as usize, self.content.len(), "leaves must tile the content");
 
         // Pass 1 (per hierarchy, bottom-up): the leaf cover of each element,
         // or None for elements dominating no leaves (milestones).
@@ -42,7 +38,7 @@ impl Goddag {
             let mut stack: Vec<Visit> = self.root_children[h]
                 .iter()
                 .rev()
-                .filter(|&&n| matches!(self.nodes[n.idx()].kind, NodeKind::Element { .. }))
+                .filter(|&&n| self.nodes[n.idx()].kind == Kind::Element)
                 .map(|&n| Visit::Enter(n))
                 .collect();
             while let Some(v) = stack.pop() {
@@ -50,7 +46,7 @@ impl Goddag {
                     Visit::Enter(n) => {
                         stack.push(Visit::Exit(n));
                         for &c in self.nodes[n.idx()].children.iter().rev() {
-                            if matches!(self.nodes[c.idx()].kind, NodeKind::Element { .. }) {
+                            if self.nodes[c.idx()].kind == Kind::Element {
                                 stack.push(Visit::Enter(c));
                             }
                         }
@@ -58,12 +54,12 @@ impl Goddag {
                     Visit::Exit(n) => {
                         let mut cover: Option<Span> = None;
                         for &c in &self.nodes[n.idx()].children {
-                            let child_span = match &self.nodes[c.idx()].kind {
-                                NodeKind::Leaf { .. } => Some(self.nodes[c.idx()].span),
-                                NodeKind::Element { .. } => {
+                            let child_span = match self.nodes[c.idx()].kind {
+                                Kind::Leaf => Some(self.nodes[c.idx()].span),
+                                Kind::Element => {
                                     computed[c.idx()].expect("child visited before parent")
                                 }
-                                NodeKind::Root { .. } => unreachable!("root is never a child"),
+                                Kind::Root => unreachable!("root is never a child"),
                             };
                             if let Some(cs) = child_span {
                                 cover = Some(match cover {
@@ -99,10 +95,10 @@ impl Goddag {
                 };
                 frame.child_idx += 1;
                 match self.nodes[c.idx()].kind {
-                    NodeKind::Leaf { .. } => {
+                    Kind::Leaf => {
                         frame.cursor = self.nodes[c.idx()].span.end;
                     }
-                    NodeKind::Element { .. } => {
+                    Kind::Element => {
                         let span = match computed[c.idx()].expect("pass 1 covered all elements") {
                             Some(s) => {
                                 frame.cursor = s.end;
@@ -114,7 +110,7 @@ impl Goddag {
                         let start = span.start;
                         frames.push(Frame { node: Some(c), child_idx: 0, cursor: start });
                     }
-                    NodeKind::Root { .. } => unreachable!("root is never a child"),
+                    Kind::Root => unreachable!("root is never a child"),
                 }
             }
         }

@@ -1,6 +1,8 @@
 //! Size and composition statistics (experiment B5: one GODDAG vs N DOMs).
 
-use crate::graph::{Goddag, NodeKind};
+use crate::graph::{Goddag, Kind, NodeData};
+use crate::ids::NodeId;
+use std::mem::size_of;
 
 /// Size/composition summary of a GODDAG.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -11,11 +13,13 @@ pub struct GoddagStats {
     pub elements: usize,
     /// Leaf count.
     pub leaves: usize,
-    /// Content bytes (stored exactly once, in the shared leaves).
+    /// Content bytes (stored exactly once, in the shared content buffer).
     pub content_bytes: usize,
     /// Tombstoned arena slots.
     pub dead: usize,
-    /// Estimated heap footprint in bytes.
+    /// Estimated heap footprint in bytes: the arena and its child lists,
+    /// the frontier, the dense leaf-parent array, the content buffer, the
+    /// name and attribute tables, and the hierarchies with their DTDs.
     pub estimated_bytes: usize,
 }
 
@@ -25,49 +29,32 @@ impl Goddag {
         let mut per_h = vec![0usize; self.hierarchy_count()];
         let mut elements = 0usize;
         let mut dead = 0usize;
-        let mut content_bytes = 0usize;
-        let mut estimated = std::mem::size_of::<Goddag>();
+        let ids = |v: &Vec<NodeId>| v.capacity() * size_of::<NodeId>();
+        let mut estimated = size_of::<Goddag>() + self.nodes.capacity() * size_of::<NodeData>();
 
-        for d in self.nodes.iter() {
-            estimated += std::mem::size_of_val(d);
-            estimated += d.children.capacity() * std::mem::size_of::<crate::ids::NodeId>();
-            estimated += d.leaf_parents.capacity() * std::mem::size_of::<crate::ids::NodeId>();
+        for d in &self.nodes {
+            estimated += ids(&d.children);
             if !d.alive {
                 dead += 1;
-                continue;
-            }
-            match &d.kind {
-                NodeKind::Root { name, attrs } => {
-                    estimated += name.local.capacity();
-                    for a in attrs {
-                        estimated += a.name.local.capacity() + a.value.capacity();
-                    }
-                }
-                NodeKind::Element { name, attrs, hierarchy } => {
-                    elements += 1;
-                    per_h[hierarchy.idx()] += 1;
-                    estimated +=
-                        name.local.capacity() + name.prefix.as_ref().map_or(0, |p| p.capacity());
-                    for a in attrs {
-                        estimated += a.name.local.capacity() + a.value.capacity();
-                    }
-                }
-                NodeKind::Leaf { text } => {
-                    content_bytes += text.len();
-                    estimated += text.capacity();
-                }
+            } else if d.kind == Kind::Element {
+                elements += 1;
+                per_h[d.hierarchy.idx()] += 1;
             }
         }
-        estimated += self.leaves.capacity() * std::mem::size_of::<crate::ids::NodeId>();
-        for rc in &self.root_children {
-            estimated += rc.capacity() * std::mem::size_of::<crate::ids::NodeId>();
+        estimated += ids(&self.leaves) + ids(&self.leaf_parents);
+        estimated += self.root_children.capacity() * size_of::<Vec<NodeId>>();
+        estimated += self.root_children.iter().map(ids).sum::<usize>();
+        estimated += self.content.capacity() + self.names.heap_bytes() + self.attrs.heap_bytes();
+        estimated += self.hierarchies.capacity() * size_of::<crate::graph::Hierarchy>();
+        for h in &self.hierarchies {
+            estimated += h.name.capacity() + h.dtd.as_ref().map_or(0, |d| d.heap_bytes());
         }
 
         GoddagStats {
             elements_per_hierarchy: per_h,
             elements,
             leaves: self.leaf_count(),
-            content_bytes,
+            content_bytes: self.content.len(),
             dead,
             estimated_bytes: estimated,
         }

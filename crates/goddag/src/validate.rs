@@ -4,7 +4,7 @@
 //! the framework relies on. It is used pervasively in tests (including the
 //! property-based suites) and after editor commands in debug builds.
 
-use crate::graph::{Goddag, NodeKind};
+use crate::graph::{Goddag, Kind, NodeKind};
 use crate::ids::HierarchyId;
 use crate::span::Span;
 use std::collections::HashSet;
@@ -13,37 +13,65 @@ use xmlcore::dtd::{validate_attrs, validate_children, AutomatonCache, Validation
 /// Check every structural invariant of the GODDAG. Returns the first
 /// violation as an error string (with enough context to debug it).
 pub fn check_invariants(g: &Goddag) -> Result<(), String> {
-    // 1. The frontier holds only live leaves, and their spans/offsets tile
-    //    the content.
+    // 0. The layout's own tables: the dense leaf-parent array has one entry
+    //    per slot and hierarchy, and every symbol names a table entry.
+    let stride = g.hierarchy_count();
+    if g.leaf_parents.len() != g.arena_len() * stride {
+        return Err(format!(
+            "leaf-parent array holds {} ids, expected arena {} x hierarchies {stride}",
+            g.leaf_parents.len(),
+            g.arena_len()
+        ));
+    }
+    g.names.check()?;
+    g.attrs.check()?;
+    for (i, d) in g.nodes.iter().enumerate() {
+        if d.kind != Kind::Leaf && d.name.0 as usize >= g.names.len() {
+            return Err(format!("n{i} has name symbol {} of {}", d.name.0, g.names.len()));
+        }
+    }
+    for ((i, d), start) in g.nodes.iter().enumerate().zip(g.attrs.group_starts(g.arena_len())) {
+        if d.attr_start != start {
+            return Err(format!("n{i} attribute group at {}, stored at {start}", d.attr_start));
+        }
+    }
+    for r in g.attrs.all() {
+        if r.name.0 as usize >= g.names.len() {
+            return Err(format!("attribute of {} has name symbol {}", r.owner, r.name.0));
+        }
+        if r.owner.idx() >= g.arena_len() || g.data(r.owner).kind == Kind::Leaf {
+            return Err(format!("attribute owner {} is not an element or the root", r.owner));
+        }
+    }
+
+    // 1. The frontier holds only live leaves; their spans follow their
+    //    index, and their byte ranges tile the content buffer on character
+    //    boundaries.
     let mut off = 0usize;
     for (i, &leaf) in g.leaves().iter().enumerate() {
         let d = g.data(leaf);
         if !d.alive {
             return Err(format!("frontier contains dead node {leaf}"));
         }
-        let NodeKind::Leaf { text } = &d.kind else {
+        if d.kind != Kind::Leaf {
             return Err(format!("frontier contains non-leaf {leaf}"));
-        };
-        if text.is_empty() {
+        }
+        if d.len == 0 {
             return Err(format!("frontier contains empty leaf {leaf}"));
         }
         if d.span != Span::new(i as u32, i as u32 + 1) {
             return Err(format!("leaf {leaf} has span {} at index {i}", d.span));
         }
-        if d.char_start != off {
+        if d.start() != off {
             return Err(format!(
                 "leaf {leaf} char_start {} but running offset {off}",
                 d.char_start
             ));
         }
-        off += text.len();
-        if d.leaf_parents.len() != g.hierarchy_count() {
-            return Err(format!(
-                "leaf {leaf} has {} parents, expected one per hierarchy ({})",
-                d.leaf_parents.len(),
-                g.hierarchy_count()
-            ));
+        if !g.content.is_char_boundary(off) {
+            return Err(format!("leaf {leaf} starts inside a character at {off}"));
         }
+        off += d.len as usize;
     }
     if off != g.content_len() {
         return Err(format!("content_len {} but leaves sum to {off}", g.content_len()));
@@ -65,20 +93,21 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
                 if !cd.alive {
                     return Err(format!("{n} (h={h}) has dead child {c}"));
                 }
-                match &cd.kind {
-                    NodeKind::Root { .. } => {
+                match cd.kind {
+                    Kind::Root => {
                         return Err(format!("root appears as child of {n}"));
                     }
-                    NodeKind::Element { hierarchy, .. } => {
-                        if *hierarchy != h {
+                    Kind::Element => {
+                        if cd.hierarchy != h {
                             return Err(format!(
-                                "element {c} of {hierarchy} in child list of hierarchy {h}"
+                                "element {c} of {} in child list of hierarchy {h}",
+                                cd.hierarchy
                             ));
                         }
-                        if cd.parent != Some(n) {
+                        if cd.parent() != Some(n) {
                             return Err(format!(
                                 "element {c} parent pointer {:?} != list owner {n}",
-                                cd.parent
+                                cd.parent()
                             ));
                         }
                         if !seen_elems.insert(c) {
@@ -86,11 +115,11 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
                         }
                         stack.push(c);
                     }
-                    NodeKind::Leaf { .. } => {
-                        if cd.leaf_parents[h.idx()] != n {
+                    Kind::Leaf => {
+                        let p = g.leaf_parents_of(c)[h.idx()];
+                        if p != n {
                             return Err(format!(
-                                "leaf {c} leaf_parents[{h}] = {} != list owner {n}",
-                                cd.leaf_parents[h.idx()]
+                                "leaf {c} leaf_parents[{h}] = {p} != list owner {n}"
                             ));
                         }
                         seen_leaves.push(cd.span.start);
@@ -129,9 +158,8 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
 
     // 3. Element spans equal the cover of their children (non-empty case).
     for e in g.elements() {
-        let children = g.data(e).children.clone();
         let mut cover: Option<Span> = None;
-        for &c in &children {
+        for &c in &g.data(e).children {
             let cspan = g.span(c);
             if !cspan.is_empty() || g.is_leaf(c) {
                 cover = Some(match cover {
@@ -186,7 +214,7 @@ pub fn validate_hierarchy(g: &Goddag, h: HierarchyId, dtd: &xmlcore::dtd::Dtd) -
             }
         }
         validate_children(dtd, &mut cache, &elem_name, &child_names, has_text, &mut report);
-        validate_attrs(dtd, &elem_name, g.attrs(n), &mut ids, &mut report);
+        validate_attrs(dtd, &elem_name, &g.attrs(n).to_vec(), &mut ids, &mut report);
     }
     report
 }
@@ -274,7 +302,25 @@ mod tests {
         // Corrupt a leaf parent pointer directly.
         let leaf = g.leaves()[0];
         let bogus = g.leaves()[1];
-        g.data_mut(leaf).leaf_parents[0] = bogus;
+        g.set_leaf_parent(leaf, HierarchyId(0), bogus);
+        assert!(check_invariants(&g).is_err());
+    }
+
+    #[test]
+    fn invariants_catch_layout_corruption() {
+        // A leaf longer than its slice: the leaves no longer tile the buffer.
+        let mut g = doc();
+        let leaf = g.leaves()[0];
+        g.data_mut(leaf).len += 1;
+        assert!(check_invariants(&g).is_err());
+        // A dense leaf-parent array of the wrong length.
+        let mut g = doc();
+        g.leaf_parents.pop();
+        assert!(check_invariants(&g).is_err());
+        // A name symbol outside the table.
+        let mut g = doc();
+        let e = g.elements().next().unwrap();
+        g.data_mut(e).name = crate::tables::Sym(999);
         assert!(check_invariants(&g).is_err());
     }
 

@@ -104,7 +104,7 @@ impl StandoffDoc {
                         attrs: g
                             .attrs(e)
                             .iter()
-                            .map(|a| (a.name.to_string(), a.value.clone()))
+                            .map(|a| (a.name.to_string(), a.value.to_string()))
                             .collect(),
                     },
                 ));
@@ -125,7 +125,7 @@ impl StandoffDoc {
             root_attrs: g
                 .attrs(g.root())
                 .iter()
-                .map(|a| (a.name.to_string(), a.value.clone()))
+                .map(|a| (a.name.to_string(), a.value.to_string()))
                 .collect(),
             hierarchies: g
                 .hierarchy_ids()

@@ -46,12 +46,11 @@ pub fn unescape_field(s: &str) -> Result<String, String> {
     while i < raw.len() {
         if raw[i] == b'%' {
             let hex = raw.get(i + 1..i + 3).ok_or("truncated percent escape")?;
-            // Two hex digits exactly: `from_str_radix` alone would also
-            // take `+f`, a second spelling of `0f`.
+            // Two hex digits exactly, as `escape_field` writes them.
             let b = std::str::from_utf8(hex)
                 .ok()
-                .filter(|h| h.bytes().all(|c| c.is_ascii_hexdigit()))
-                .and_then(|h| u8::from_str_radix(h, 16).ok())
+                .and_then(|h| xmlcore::num::hex_fixed(h, 2))
+                .map(|b| b as u8)
                 .ok_or_else(|| {
                     format!("invalid percent escape %{}", String::from_utf8_lossy(hex))
                 })?;
@@ -124,13 +123,9 @@ impl<'a> Tokens<'a> {
         }
     }
 
-    /// The next token as a hexadecimal `u64`, without a leading `+`.
+    /// The next token as a hexadecimal `u64`: bare ASCII hex digits.
     pub fn hex(&mut self, what: &str) -> Result<u64, String> {
-        self.0
-            .next()
-            .filter(|t| !t.starts_with('+'))
-            .and_then(|t| u64::from_str_radix(t, 16).ok())
-            .ok_or_else(|| format!("expected hex {what}"))
+        self.0.next().and_then(xmlcore::num::hex).ok_or_else(|| format!("expected hex {what}"))
     }
 
     /// The next token, [`unescape_field`]ed.
@@ -245,6 +240,17 @@ mod tests {
         assert_eq!(t.parse::<i64>("delta"), Ok(-5));
         assert!(Tokens::new("+5").parse::<i64>("n").is_err());
         assert!(Tokens::new("+0").hex("id").is_err());
+    }
+
+    #[test]
+    fn hex_fields_take_bare_digits_only() {
+        for bad in ["-0", "0x1", " 1", "10000000000000000"] {
+            assert!(Tokens::new(bad).hex("id").is_err(), "{bad:?}");
+        }
+        for bad in ["%+f", "%-1", "%0", "%g0"] {
+            assert!(unescape_field(bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(unescape_field("a%0ab").unwrap(), "a\nb");
     }
 
     #[test]

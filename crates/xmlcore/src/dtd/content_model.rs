@@ -52,6 +52,20 @@ pub enum ContentModel {
 }
 
 impl ContentModel {
+    /// Estimated heap bytes this particle owns (names, lists, boxes).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            ContentModel::Name(n) => n.capacity(),
+            ContentModel::Seq(items) | ContentModel::Choice(items) => {
+                items.capacity() * std::mem::size_of::<ContentModel>()
+                    + items.iter().map(ContentModel::heap_bytes).sum::<usize>()
+            }
+            ContentModel::Repeat(inner, _) => {
+                std::mem::size_of::<ContentModel>() + inner.heap_bytes()
+            }
+        }
+    }
+
     /// Leaf constructor.
     pub fn name(n: impl Into<String>) -> ContentModel {
         ContentModel::Name(n.into())

@@ -103,6 +103,40 @@ pub struct ElementDecl {
     pub attrs: Vec<AttDef>,
 }
 
+fn strings_bytes(v: &[String], capacity: usize) -> usize {
+    capacity * std::mem::size_of::<String>() + v.iter().map(String::capacity).sum::<usize>()
+}
+
+impl ElementDecl {
+    /// Estimated heap bytes this declaration owns.
+    fn heap_bytes(&self) -> usize {
+        let content = match &self.content {
+            ContentSpec::Empty | ContentSpec::Any => 0,
+            ContentSpec::Mixed(names) => strings_bytes(names, names.capacity()),
+            ContentSpec::Children(model) => model.heap_bytes(),
+        };
+        let attrs: usize = self
+            .attrs
+            .iter()
+            .map(|a| {
+                let ty = match &a.ty {
+                    AttType::Enumeration(values) => strings_bytes(values, values.capacity()),
+                    _ => 0,
+                };
+                let default = match &a.default {
+                    AttDefault::Fixed(v) | AttDefault::Value(v) => v.capacity(),
+                    _ => 0,
+                };
+                a.name.capacity() + ty + default
+            })
+            .sum();
+        self.name.capacity()
+            + content
+            + self.attrs.capacity() * std::mem::size_of::<AttDef>()
+            + attrs
+    }
+}
+
 /// A parsed DTD: the schema of one markup hierarchy.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Dtd {
@@ -130,6 +164,28 @@ impl Dtd {
             self.root = Some(decl.name.clone());
         }
         self.elements.insert(decl.name.clone(), decl);
+    }
+
+    /// Estimated heap bytes this DTD owns: the declaration map's B-tree
+    /// nodes plus every string, list and boxed particle under them. Feeds
+    /// document footprint accounting (experiment B5).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        // A B-tree node holds up to 11 entries; past one node, splits leave
+        // them about half full, and every 6 nodes need an internal parent
+        // that also carries 12 edge pointers.
+        let entry = size_of::<String>() + size_of::<ElementDecl>();
+        let leaf = 16 + 11 * entry;
+        let mut nodes = if self.elements.len() <= 11 { 1 } else { self.elements.len().div_ceil(6) };
+        let mut bytes = if self.elements.is_empty() { 0 } else { nodes * leaf };
+        while nodes > 1 {
+            nodes = nodes.div_ceil(6);
+            bytes += nodes * (leaf + 12 * size_of::<usize>());
+        }
+        for (name, decl) in &self.elements {
+            bytes += name.capacity() + decl.heap_bytes();
+        }
+        bytes + self.root.as_ref().map_or(0, String::capacity)
     }
 
     /// Names of all declared elements.

@@ -50,7 +50,9 @@ fn escape_with(s: &str, needs: impl Fn(char) -> bool) -> Cow<'_, str> {
 /// Resolve a single entity name (the text between `&` and `;`).
 ///
 /// Handles the five predefined entities and `#nnn;` / `#xhhh;` character
-/// references.
+/// references. A reference is `&#` and decimal digits or `&#x` (lowercase
+/// `x`) and hex digits, nothing else (XML 1.0 §4.1, production 66): no
+/// sign, no `&#X`.
 pub fn resolve_entity(name: &str, pos: Pos) -> Result<char> {
     match name {
         "amp" => Ok('&'),
@@ -60,16 +62,16 @@ pub fn resolve_entity(name: &str, pos: Pos) -> Result<char> {
         "quot" => Ok('"'),
         _ => {
             if let Some(num) = name.strip_prefix('#') {
-                let code =
-                    if let Some(hex) = num.strip_prefix('x').or_else(|| num.strip_prefix('X')) {
-                        u32::from_str_radix(hex, 16)
-                    } else {
-                        num.parse::<u32>()
-                    };
-                let code = code
-                    .map_err(|e| XmlError::BadCharRef {
-                        pos, detail: format!("&#{num}; — {e}")
-                    })?;
+                let code = match num.strip_prefix('x') {
+                    Some(hex) => crate::num::hex(hex),
+                    None => crate::num::dec(num),
+                };
+                let code = code.and_then(|c| u32::try_from(c).ok()).ok_or_else(|| {
+                    XmlError::BadCharRef {
+                        pos,
+                        detail: format!("&#{num}; is not a character reference"),
+                    }
+                })?;
                 char::from_u32(code).ok_or_else(|| XmlError::BadCharRef {
                     pos,
                     detail: format!("U+{code:X} is not a valid character"),
@@ -153,6 +155,16 @@ mod tests {
     fn unescape_bad_char_ref_fails() {
         assert!(matches!(unescape("&#xD800;"), Err(XmlError::BadCharRef { .. })));
         assert!(matches!(unescape("&#zz;"), Err(XmlError::BadCharRef { .. })));
+    }
+
+    #[test]
+    fn char_refs_have_one_spelling() {
+        for bad in ["&#+65;", "&#x+41;", "&#X41;", "&#-65;", "&#x;", "&#;", "&#x110000;"] {
+            assert!(matches!(unescape(bad), Err(XmlError::BadCharRef { .. })), "{bad}");
+            let doc = format!("<r>{bad}</r>");
+            assert!(crate::dom::Document::parse(&doc).is_err(), "{doc}");
+        }
+        assert_eq!(unescape("&#x0041;&#0065;").unwrap(), "AA");
     }
 
     #[test]

@@ -22,6 +22,33 @@ impl Attribute {
     }
 }
 
+/// One attribute as the writer reads it: a name and an unescaped value,
+/// owned ([`Attribute`]) or borrowed from wherever a document keeps them.
+pub trait AttrLike {
+    /// Attribute name.
+    fn name(&self) -> &QName;
+    /// Unescaped attribute value.
+    fn value(&self) -> &str;
+}
+
+impl AttrLike for Attribute {
+    fn name(&self) -> &QName {
+        &self.name
+    }
+    fn value(&self) -> &str {
+        &self.value
+    }
+}
+
+impl<T: AttrLike + ?Sized> AttrLike for &T {
+    fn name(&self) -> &QName {
+        (**self).name()
+    }
+    fn value(&self) -> &str {
+        (**self).value()
+    }
+}
+
 impl From<&str> for QName {
     fn from(s: &str) -> QName {
         QName::parse(s).expect("invalid QName literal")
@@ -36,7 +63,7 @@ impl fmt::Display for Attribute {
 
 /// A sorted-insertion helper over attribute lists.
 pub fn find_attr<'a>(attrs: &'a [Attribute], name: &str) -> Option<&'a str> {
-    attrs.iter().find(|a| a.name.as_str() == name).map(|a| a.value.as_str())
+    attrs.iter().find(|a| a.name.eq_str(name)).map(|a| a.value.as_str())
 }
 
 /// An event produced by the pull parser.

@@ -30,11 +30,12 @@ pub mod error;
 pub mod escape;
 pub mod event;
 pub mod name;
+pub mod num;
 pub mod reader;
 pub mod writer;
 
 pub use error::{Pos, Result, XmlError};
-pub use event::{Attribute, Event};
+pub use event::{AttrLike, Attribute, Event};
 pub use name::QName;
 pub use reader::{parse_events, Reader};
 pub use writer::{Indent, Writer};

@@ -99,6 +99,16 @@ impl QName {
         }
     }
 
+    /// Does this name spell `s` (`prefix:local`, or `local` when
+    /// unprefixed)? Compares in place, without building the joined form.
+    pub fn eq_str(&self, s: &str) -> bool {
+        match (&self.prefix, s.split_once(':')) {
+            (None, None) => self.local == s,
+            (Some(p), Some((sp, sl))) => p == sp && self.local == sl,
+            _ => false,
+        }
+    }
+
     /// True if this name has no prefix.
     pub fn is_unprefixed(&self) -> bool {
         self.prefix.is_none()

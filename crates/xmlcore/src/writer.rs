@@ -2,7 +2,7 @@
 
 use crate::error::{Result, XmlError};
 use crate::escape::{escape_attr, escape_text};
-use crate::event::Attribute;
+use crate::event::{AttrLike, Attribute};
 use crate::name::QName;
 use std::fmt::Write as _;
 
@@ -76,32 +76,42 @@ impl Writer {
 
     /// Open `<name>`.
     pub fn start(&mut self, name: &QName) -> &mut Writer {
-        self.start_with(name, &[])
+        self.start_with(name, [] as [&Attribute; 0])
     }
 
     /// Open `<name attrs...>`.
-    pub fn start_with(&mut self, name: &QName, attrs: &[Attribute]) -> &mut Writer {
+    pub fn start_with<A: AttrLike>(
+        &mut self,
+        name: &QName,
+        attrs: impl IntoIterator<Item = A>,
+    ) -> &mut Writer {
         self.close_pending();
         self.newline_indent();
         let _ = write!(self.out, "<{name}");
-        for a in attrs {
-            let _ = write!(self.out, " {}=\"{}\"", a.name, escape_attr(&a.value));
-        }
+        self.write_attrs(attrs);
         self.stack.push(name.clone());
         self.tag_open = true;
         self
     }
 
     /// Emit `<name attrs.../>`.
-    pub fn empty(&mut self, name: &QName, attrs: &[Attribute]) -> &mut Writer {
+    pub fn empty<A: AttrLike>(
+        &mut self,
+        name: &QName,
+        attrs: impl IntoIterator<Item = A>,
+    ) -> &mut Writer {
         self.close_pending();
         self.newline_indent();
         let _ = write!(self.out, "<{name}");
-        for a in attrs {
-            let _ = write!(self.out, " {}=\"{}\"", a.name, escape_attr(&a.value));
-        }
+        self.write_attrs(attrs);
         self.out.push_str("/>");
         self
+    }
+
+    fn write_attrs<A: AttrLike>(&mut self, attrs: impl IntoIterator<Item = A>) {
+        for a in attrs {
+            let _ = write!(self.out, " {}=\"{}\"", a.name(), escape_attr(a.value()));
+        }
     }
 
     /// Emit escaped character data.
