@@ -3,12 +3,14 @@
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::axes::axis_candidates;
 use crate::error::{Result, XPathError};
-use crate::functions::{attrs_of, call, EvalCtx};
+use crate::functions::{call, EvalCtx};
 use crate::overlap_index::OverlapIndex;
 use crate::parser::parse;
-use crate::value::{AttrRef, Value};
+use crate::value::{xpath_number, AttrRef, Set, Val, Value};
 use goddag::{Goddag, HierarchyId, NodeId};
+use std::borrow::Cow;
 use std::sync::Arc;
+use xmlcore::QName;
 
 /// An Extended XPath evaluator bound to one GODDAG document.
 ///
@@ -30,7 +32,14 @@ use std::sync::Arc;
 /// assert_eq!(hits.len(), 1);
 /// ```
 ///
-/// Two step rewrites run at evaluation time; the AST keeps what was
+/// Intermediate values borrow from the document and the expression: a
+/// literal, a node's text and an attribute's value are read where they
+/// lie, `.` and a one-attribute `@n` hold their single member inline, and
+/// predicates filter candidate lists in place, so a candidate a predicate
+/// such as `[@n='5']` rejects costs no allocation. Each step resolves its
+/// node test (hierarchy and name) once, not once per origin.
+///
+/// Three step rewrites run at evaluation time; the AST keeps what was
 /// written:
 ///
 /// * `descendant-or-self::node()/child::T[p…]` (what `//T[p…]` parses to)
@@ -41,13 +50,84 @@ use std::sync::Arc;
 ///   `count`/`sum`/`number`/`string-length`/`floor`/`ceiling`/`round` and
 ///   unknown functions are numbers). So `//w[@n='2']` fuses while `//w[2]`,
 ///   `//w[last()]` and `//w[position()=2]` keep the per-parent semantics.
-///   From the root, `descendant::T` enumerates the live elements (or takes
-///   the leaves for `text()`) and sorts only the matches.
+///   From the root, `descendant::T[p…]` enumerates the live elements (or
+///   takes the leaves for `text()`), applies the test and the predicates in
+///   one pass and sorts only the matches.
+/// * The same pair from the root when it does not fuse (a positional
+///   predicate, or `node()`) keeps its per-parent positions but never
+///   lists the document: leaves have no children, so its origins are
+///   exactly the root and the live elements (only those of `T`'s hierarchy
+///   when `T` names one). Each element's children are a borrowed slice,
+///   the root's are the union over all hierarchies in document order with
+///   positions counted over that union, one buffer serves every parent, and
+///   the result is sorted once.
 /// * `self::node()` without predicates (`.`) returns its input: every node
 ///   set here is already sorted and deduplicated.
 pub struct Evaluator<'g> {
     g: &'g Goddag,
     index: Option<Arc<OverlapIndex>>,
+}
+
+/// A node test with its hierarchy resolved.
+#[derive(Clone, Copy)]
+enum Test<'a> {
+    /// `node()`
+    Node,
+    /// `*`: elements and the root.
+    Any,
+    /// `text()`
+    Text,
+    /// `h:*`
+    In(HierarchyId),
+    /// `T` or `h:T`
+    Name(Option<HierarchyId>, &'a str),
+}
+
+impl Test<'_> {
+    /// Calls `f` on each node of `nodes` the test accepts. The test's kind
+    /// is matched once, outside the loop: decided per node, the dispatch
+    /// cost more than the test itself.
+    fn try_each(
+        self,
+        g: &Goddag,
+        mut nodes: impl Iterator<Item = NodeId>,
+        f: impl FnMut(NodeId) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Test::Node => nodes.try_for_each(f),
+            Test::Any => nodes.filter(|&n| g.is_element(n) || g.is_root(n)).try_for_each(f),
+            Test::Text => nodes.filter(|&n| g.is_leaf(n)).try_for_each(f),
+            Test::In(h) => nodes.filter(|&n| g.hierarchy_of(n) == Some(h)).try_for_each(f),
+            Test::Name(h, local) => nodes
+                .filter(|&n| {
+                    h.is_none_or(|h| g.hierarchy_of(n) == Some(h))
+                        && g.name(n).is_some_and(|q| q.local == local)
+                })
+                .try_for_each(f),
+        }
+    }
+
+    /// Appends the nodes of `nodes` the test accepts to `out`.
+    fn extend_matching(
+        self,
+        g: &Goddag,
+        nodes: impl Iterator<Item = NodeId>,
+        out: &mut Vec<NodeId>,
+    ) {
+        // Pushing cannot fail.
+        let _ = self.try_each(g, nodes, |n| {
+            out.push(n);
+            Ok(())
+        });
+    }
+
+    /// The hierarchy of every element the test accepts, when it names one.
+    fn hierarchy(self) -> Option<HierarchyId> {
+        match self {
+            Test::In(h) | Test::Name(Some(h), _) => Some(h),
+            _ => None,
+        }
+    }
 }
 
 impl<'g> Evaluator<'g> {
@@ -97,7 +177,7 @@ impl<'g> Evaluator<'g> {
     /// Evaluate a parsed expression from a given context node.
     pub fn evaluate(&self, expr: &Expr, context: NodeId) -> Result<Value> {
         let ctx = EvalCtx { node: context, position: 1, size: 1 };
-        self.eval(expr, &ctx)
+        Ok(self.eval(expr, &ctx)?.into_value())
     }
 
     /// Evaluate an expression string and require a node-set result.
@@ -123,142 +203,159 @@ impl<'g> Evaluator<'g> {
 
     // ---------------------------------------------------------------------
 
-    fn eval(&self, expr: &Expr, ctx: &EvalCtx) -> Result<Value> {
+    fn eval<'a>(&self, expr: &'a Expr, ctx: &EvalCtx) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
         match expr {
-            Expr::Number(n) => Ok(Value::Number(*n)),
-            Expr::Literal(s) => Ok(Value::Str(s.clone())),
-            Expr::Neg(inner) => {
-                let v = self.eval(inner, ctx)?;
-                Ok(Value::Number(-v.number_value(self.g)))
-            }
+            Expr::Number(n) => Ok(Val::Number(*n)),
+            Expr::Literal(s) => Ok(Val::Str(Cow::Borrowed(s))),
+            Expr::Neg(inner) => Ok(Val::Number(-self.eval(inner, ctx)?.number(self.g))),
             Expr::Bin(op, lhs, rhs) => self.eval_bin(*op, lhs, rhs, ctx),
-            Expr::Union(lhs, rhs) => {
-                let a = self.eval(lhs, ctx)?;
-                let b = self.eval(rhs, ctx)?;
-                match (a, b) {
-                    (Value::Nodes(mut x), Value::Nodes(y)) => {
-                        x.extend(y);
-                        self.g.sort_doc_order(&mut x);
-                        Ok(Value::Nodes(x))
-                    }
-                    (Value::Attrs(mut x), Value::Attrs(y)) => {
-                        x.extend(y);
-                        Ok(Value::Attrs(x))
-                    }
-                    (a, b) => Err(XPathError::Eval(format!(
-                        "union requires two node-sets, got {a:?} | {b:?}"
-                    ))),
+            Expr::Union(lhs, rhs) => match (self.eval(lhs, ctx)?, self.eval(rhs, ctx)?) {
+                (Val::Nodes(x), Val::Nodes(y)) => {
+                    let mut x = x.into_vec();
+                    x.extend_from_slice(y.as_slice());
+                    self.g.sort_doc_order(&mut x);
+                    Ok(Val::Nodes(Set::Many(x)))
                 }
-            }
-            Expr::Call { name, args } => {
-                let mut evaluated = Vec::with_capacity(args.len());
-                for a in args {
-                    evaluated.push(self.eval(a, ctx)?);
+                (Val::Attrs(x), Val::Attrs(y)) => {
+                    let mut x = x.into_vec();
+                    x.extend_from_slice(y.as_slice());
+                    Ok(Val::Attrs(Set::Many(x)))
                 }
-                call(self.g, ctx, name, evaluated)
-            }
+                (a, b) => Err(XPathError::Eval(format!(
+                    "union requires two node-sets, got {:?} | {:?}",
+                    a.into_value(),
+                    b.into_value()
+                ))),
+            },
+            Expr::Call { name, args } => self.eval_call(name, args, ctx),
             Expr::Path { start, steps } => {
                 let origin = match start {
                     PathStart::Root => self.g.root(),
                     PathStart::Context => ctx.node,
                 };
-                self.eval_steps(vec![origin], steps)
+                self.eval_steps(Set::One(origin), steps)
             }
-            Expr::Filter { primary, predicates, steps } => {
-                let base = self.eval(primary, ctx)?;
-                match base {
-                    Value::Nodes(nodes) => {
-                        let mut filtered = nodes;
-                        for pred in predicates {
-                            filtered = self.filter_nodes(filtered, pred)?;
-                        }
-                        self.eval_steps(filtered, steps)
+            Expr::Filter { primary, predicates, steps } => match self.eval(primary, ctx)? {
+                Val::Nodes(nodes) if predicates.is_empty() => self.eval_steps(nodes, steps),
+                Val::Nodes(nodes) => {
+                    let mut nodes = nodes.into_vec();
+                    for pred in predicates {
+                        self.filter(&mut nodes, |n| n, pred)?;
                     }
-                    Value::Attrs(attrs) if steps.is_empty() => {
-                        let mut filtered = attrs;
-                        for pred in predicates {
-                            filtered = self.filter_attrs(filtered, pred)?;
-                        }
-                        Ok(Value::Attrs(filtered))
-                    }
-                    other if predicates.is_empty() && steps.is_empty() => Ok(other),
-                    other => Err(XPathError::Eval(format!("cannot filter or step from {other:?}"))),
+                    self.eval_steps(Set::Many(nodes), steps)
                 }
+                Val::Attrs(attrs) if steps.is_empty() => {
+                    let mut attrs = attrs.into_vec();
+                    for pred in predicates {
+                        self.filter(&mut attrs, |a| a.element, pred)?;
+                    }
+                    Ok(Val::Attrs(Set::Many(attrs)))
+                }
+                other if predicates.is_empty() && steps.is_empty() => Ok(other),
+                other => Err(XPathError::Eval(format!(
+                    "cannot filter or step from {:?}",
+                    other.into_value()
+                ))),
+            },
+        }
+    }
+
+    /// A function call. Up to three arguments (every library function but
+    /// `concat`) are evaluated into an array on the stack, so the call
+    /// itself allocates nothing.
+    fn eval_call<'a>(&self, name: &str, args: &'a [Expr], ctx: &EvalCtx) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        let g = self.g;
+        match args {
+            [] => call(g, ctx, name, &mut []),
+            [a] => call(g, ctx, name, &mut [self.eval(a, ctx)?]),
+            [a, b] => call(g, ctx, name, &mut [self.eval(a, ctx)?, self.eval(b, ctx)?]),
+            [a, b, c] => {
+                let mut evaluated = [self.eval(a, ctx)?, self.eval(b, ctx)?, self.eval(c, ctx)?];
+                call(g, ctx, name, &mut evaluated)
+            }
+            _ => {
+                let mut evaluated =
+                    args.iter().map(|a| self.eval(a, ctx)).collect::<Result<Vec<_>>>()?;
+                call(g, ctx, name, &mut evaluated)
             }
         }
     }
 
-    fn eval_bin(&self, op: BinOp, lhs: &Expr, rhs: &Expr, ctx: &EvalCtx) -> Result<Value> {
-        match op {
-            BinOp::Or => {
-                if self.eval(lhs, ctx)?.boolean_value(self.g) {
-                    return Ok(Value::Bool(true));
-                }
-                Ok(Value::Bool(self.eval(rhs, ctx)?.boolean_value(self.g)))
-            }
-            BinOp::And => {
-                if !self.eval(lhs, ctx)?.boolean_value(self.g) {
-                    return Ok(Value::Bool(false));
-                }
-                Ok(Value::Bool(self.eval(rhs, ctx)?.boolean_value(self.g)))
-            }
+    fn eval_bin<'a>(
+        &self,
+        op: BinOp,
+        lhs: &'a Expr,
+        rhs: &'a Expr,
+        ctx: &EvalCtx,
+    ) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        let g = self.g;
+        Ok(Val::Bool(match op {
+            BinOp::Or => self.eval(lhs, ctx)?.boolean() || self.eval(rhs, ctx)?.boolean(),
+            BinOp::And => self.eval(lhs, ctx)?.boolean() && self.eval(rhs, ctx)?.boolean(),
             BinOp::Eq | BinOp::Neq => {
-                let a = self.eval(lhs, ctx)?;
-                let b = self.eval(rhs, ctx)?;
-                Ok(Value::Bool(self.compare_eq(op, &a, &b)))
+                self.compare_eq(op, &self.eval(lhs, ctx)?, &self.eval(rhs, ctx)?)
             }
             BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let a = self.eval(lhs, ctx)?;
-                let b = self.eval(rhs, ctx)?;
-                Ok(Value::Bool(self.compare_rel(op, &a, &b)))
+                self.compare_rel(op, &self.eval(lhs, ctx)?, &self.eval(rhs, ctx)?)
             }
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                let a = self.eval(lhs, ctx)?.number_value(self.g);
-                let b = self.eval(rhs, ctx)?.number_value(self.g);
-                Ok(Value::Number(match op {
+                let a = self.eval(lhs, ctx)?.number(g);
+                let b = self.eval(rhs, ctx)?.number(g);
+                return Ok(Val::Number(match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
                     BinOp::Mul => a * b,
                     BinOp::Div => a / b,
                     BinOp::Mod => a % b,
                     _ => unreachable!("arithmetic ops only"),
-                }))
+                }));
+            }
+        }))
+    }
+
+    /// XPath 1.0 `=` / `!=` semantics (existential over sets, §3.4): set
+    /// members are compared where they lie, so `@n != 'v'` holds only for
+    /// an element with an `n` other than `v`.
+    fn compare_eq(&self, op: BinOp, a: &Val<'_>, b: &Val<'_>) -> bool {
+        let g = self.g;
+        let negate = op == BinOp::Neq;
+        match (a.is_set(), b.is_set()) {
+            (true, true) => a.members(g).any(|x| b.members(g).any(|y| (x == y) != negate)),
+            (true, false) | (false, true) => {
+                let (set, other) = if a.is_set() { (a, b) } else { (b, a) };
+                match other {
+                    Val::Bool(bv) => (set.boolean() == *bv) != negate,
+                    Val::Number(n) => set.members(g).any(|s| (xpath_number(s) == *n) != negate),
+                    _ => {
+                        let o = other.string(g);
+                        set.members(g).any(|s| (s == o) != negate)
+                    }
+                }
+            }
+            (false, false) => {
+                if matches!(a, Val::Bool(_)) || matches!(b, Val::Bool(_)) {
+                    (a.boolean() == b.boolean()) != negate
+                } else if matches!(a, Val::Number(_)) || matches!(b, Val::Number(_)) {
+                    (a.number(g) == b.number(g)) != negate
+                } else {
+                    (a.string(g) == b.string(g)) != negate
+                }
             }
         }
     }
 
-    /// XPath 1.0 `=` / `!=` semantics (existential over sets).
-    fn compare_eq(&self, op: BinOp, a: &Value, b: &Value) -> bool {
-        let negate = op == BinOp::Neq;
-        let result = if a.is_set() && b.is_set() {
-            let xs = a.member_strings(self.g);
-            let ys = b.member_strings(self.g);
-            xs.iter().any(|x| ys.iter().any(|y| (x == y) != negate))
-        } else if a.is_set() || b.is_set() {
-            let (set, other) = if a.is_set() { (a, b) } else { (b, a) };
-            match other {
-                Value::Bool(bv) => (set.boolean_value(self.g) == *bv) != negate,
-                Value::Number(n) => set
-                    .member_strings(self.g)
-                    .iter()
-                    .any(|s| (s.trim().parse::<f64>().map(|x| x == *n).unwrap_or(false)) != negate),
-                _ => {
-                    let o = other.string_value(self.g);
-                    set.member_strings(self.g).iter().any(|s| (*s == o) != negate)
-                }
-            }
-        } else if matches!(a, Value::Bool(_)) || matches!(b, Value::Bool(_)) {
-            (a.boolean_value(self.g) == b.boolean_value(self.g)) != negate
-        } else if matches!(a, Value::Number(_)) || matches!(b, Value::Number(_)) {
-            (a.number_value(self.g) == b.number_value(self.g)) != negate
-        } else {
-            (a.string_value(self.g) == b.string_value(self.g)) != negate
-        };
-        result
-    }
-
     /// XPath 1.0 relational comparison (numeric; existential over sets).
-    fn compare_rel(&self, op: BinOp, a: &Value, b: &Value) -> bool {
+    fn compare_rel(&self, op: BinOp, a: &Val<'_>, b: &Val<'_>) -> bool {
+        let g = self.g;
         let cmp = |x: f64, y: f64| match op {
             BinOp::Lt => x < y,
             BinOp::Le => x <= y,
@@ -266,31 +363,30 @@ impl<'g> Evaluator<'g> {
             BinOp::Ge => x >= y,
             _ => unreachable!("relational ops only"),
         };
-        if a.is_set() && b.is_set() {
-            let xs = a.member_strings(self.g);
-            let ys = b.member_strings(self.g);
-            xs.iter().any(|x| {
-                let xn = x.trim().parse::<f64>().unwrap_or(f64::NAN);
-                ys.iter().any(|y| cmp(xn, y.trim().parse::<f64>().unwrap_or(f64::NAN)))
-            })
-        } else if a.is_set() {
-            let yn = b.number_value(self.g);
-            a.member_strings(self.g)
-                .iter()
-                .any(|x| cmp(x.trim().parse::<f64>().unwrap_or(f64::NAN), yn))
-        } else if b.is_set() {
-            let xn = a.number_value(self.g);
-            b.member_strings(self.g)
-                .iter()
-                .any(|y| cmp(xn, y.trim().parse::<f64>().unwrap_or(f64::NAN)))
-        } else {
-            cmp(a.number_value(self.g), b.number_value(self.g))
+        match (a.is_set(), b.is_set()) {
+            (true, true) => a.members(g).any(|x| {
+                let xn = xpath_number(x);
+                b.members(g).any(|y| cmp(xn, xpath_number(y)))
+            }),
+            (true, false) => {
+                let yn = b.number(g);
+                a.members(g).any(|x| cmp(xpath_number(x), yn))
+            }
+            (false, true) => {
+                let xn = a.number(g);
+                b.members(g).any(|y| cmp(xn, xpath_number(y)))
+            }
+            (false, false) => cmp(a.number(g), b.number(g)),
         }
     }
 
     // Steps -----------------------------------------------------------------
 
-    fn eval_steps(&self, origins: Vec<NodeId>, steps: &[Step]) -> Result<Value> {
+    fn eval_steps<'a>(&self, origins: Set<NodeId>, steps: &'a [Step]) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        let root = self.g.root();
         let mut current = origins;
         let mut i = 0;
         while i < steps.len() {
@@ -301,161 +397,255 @@ impl<'g> Evaluator<'g> {
                         "the attribute axis must be the last step".into(),
                     ));
                 }
-                return self.eval_attribute_step(&current, step);
+                return self.attribute_step(current.as_slice(), step);
             }
             if is_self_node(step) {
                 // `.`: every node set is kept sorted and deduplicated.
                 i += 1;
                 continue;
             }
-            let (axis, step) = match steps.get(i + 1) {
-                Some(next) if fuses(step, next) => {
-                    i += 1;
-                    (Axis::Descendant, next)
+            let origins = current.as_slice();
+            let next = if origins.is_empty() {
+                // Nothing follows from nothing; the test is not even resolved.
+                Vec::new()
+            } else {
+                match steps.get(i + 1) {
+                    Some(child) if fuses(step, child) => {
+                        i += 1;
+                        self.fused_descendant_step(origins, child)?
+                    }
+                    Some(child) if is_double_slash(step, child) && origins == [root] => {
+                        i += 1;
+                        self.child_step_of_every_parent(child)?
+                    }
+                    _ => {
+                        let test = self.resolve(&step.test)?;
+                        self.axis_step(origins.iter().copied(), step.axis, test, &step.predicates)?
+                    }
                 }
-                _ => (step.axis, step),
             };
-            let mut next: Vec<NodeId> = Vec::new();
-            for &origin in &current {
-                let mut cands = if axis == Axis::Descendant && self.g.is_root(origin) {
-                    self.root_descendants(&step.test)?
-                } else {
-                    let mut cands = axis_candidates(self.g, self.index.as_deref(), origin, axis);
-                    self.retain_test(&mut cands, &step.test)?;
-                    cands
-                };
-                for pred in &step.predicates {
-                    cands = self.filter_nodes(cands, pred)?;
-                }
-                next.extend(cands);
-            }
-            self.g.sort_doc_order(&mut next);
-            current = next;
+            current = Set::Many(next);
             i += 1;
         }
-        Ok(Value::Nodes(current))
+        Ok(Val::Nodes(current))
     }
 
-    /// `descendant::T` from the root, filtered by `test`, in document order —
-    /// the same list as `descendants(root)` filtered by the test, without
-    /// materialising and sorting every node of the document.
-    fn root_descendants(&self, test: &NodeTest) -> Result<Vec<NodeId>> {
+    /// One step from every origin: each origin's candidates in axis order,
+    /// kept by the test and then by each predicate with positions counted
+    /// per origin (in one reused buffer); the union in document order.
+    fn axis_step(
+        &self,
+        origins: impl IntoIterator<Item = NodeId>,
+        axis: Axis,
+        test: Test<'_>,
+        predicates: &[Expr],
+    ) -> Result<Vec<NodeId>> {
         let g = self.g;
-        let mut out: Vec<NodeId> = match test {
-            NodeTest::Node => return Ok(g.descendants(g.root())),
-            // Every hierarchy reaches every leaf, and `leaves()` is in
-            // document order; with no hierarchy the root has no descendants.
-            NodeTest::Text if g.hierarchy_count() == 0 => return Ok(Vec::new()),
-            NodeTest::Text => return Ok(g.leaves().to_vec()),
-            _ => g.elements().collect(),
-        };
-        self.retain_test(&mut out, test)?;
+        let mut out = Vec::new();
+        let mut cands = Vec::new();
+        for origin in origins {
+            cands.clear();
+            match axis {
+                // What `Goddag::children` lists, every hierarchy's top level
+                // merged in document order, but only the nodes the test
+                // keeps are copied and sorted.
+                Axis::Child if g.is_root(origin) => {
+                    for h in g.hierarchy_ids() {
+                        test.extend_matching(
+                            g,
+                            g.children_in(origin, h).iter().copied(),
+                            &mut cands,
+                        );
+                    }
+                    g.sort_doc_order(&mut cands);
+                }
+                Axis::Child => {
+                    test.extend_matching(g, g.element_children(origin).iter().copied(), &mut cands);
+                }
+                Axis::Descendant if g.is_root(origin) => {
+                    let in_order = self.root_descendants(test, |n| {
+                        cands.push(n);
+                        Ok(())
+                    })?;
+                    if !in_order {
+                        g.sort_doc_order(&mut cands);
+                    }
+                }
+                _ => {
+                    let found = axis_candidates(g, self.index.as_deref(), origin, axis);
+                    test.extend_matching(g, found.into_iter(), &mut cands);
+                }
+            }
+            for pred in predicates {
+                self.filter(&mut cands, |n| n, pred)?;
+            }
+            if out.is_empty() && !cands.is_empty() {
+                // The first origin that keeps anything hands its list over,
+                // so one origin (a predicate's relative path) copies nothing.
+                std::mem::swap(&mut out, &mut cands);
+            } else {
+                out.extend_from_slice(&cands);
+            }
+        }
         g.sort_doc_order(&mut out);
         Ok(out)
     }
 
-    fn eval_attribute_step(&self, origins: &[NodeId], step: &Step) -> Result<Value> {
-        let mut out: Vec<AttrRef> = Vec::new();
-        for &origin in origins {
-            let mut attrs = attrs_of(self.g, origin);
-            let view = self.g.attrs(origin);
-            match &step.test {
-                NodeTest::Any | NodeTest::Node => {}
-                NodeTest::Name { hierarchy, local } => {
-                    attrs.retain(|a| {
-                        view.name(a.index).is_some_and(|q| {
-                            q.local == *local
-                                && hierarchy
-                                    .as_ref()
-                                    .is_none_or(|h| q.prefix.as_deref() == Some(h.as_str()))
-                        })
-                    });
-                }
-                NodeTest::AnyInHierarchy(prefix) => {
-                    attrs.retain(|a| {
-                        view.name(a.index).and_then(|q| q.prefix.as_deref())
-                            == Some(prefix.as_str())
-                    });
-                }
-                NodeTest::Text => attrs.clear(),
-            }
-            for pred in &step.predicates {
-                attrs = self.filter_attrs(attrs, pred)?;
-            }
-            out.extend(attrs);
+    /// `descendant::T[p…]` with position-free predicates: the fused
+    /// `//T[p…]`. From the root, test and predicates run in one pass and
+    /// only the matches are sorted (fusion never takes `node()`).
+    fn fused_descendant_step(&self, origins: &[NodeId], step: &Step) -> Result<Vec<NodeId>> {
+        let test = self.resolve(&step.test)?;
+        if origins != [self.g.root()] {
+            return self.axis_step(
+                origins.iter().copied(),
+                Axis::Descendant,
+                test,
+                &step.predicates,
+            );
         }
-        Ok(Value::Attrs(out))
+        let mut out = Vec::new();
+        let in_order = self.root_descendants(test, |n| {
+            let ctx = EvalCtx { node: n, position: 1, size: 1 };
+            for pred in &step.predicates {
+                if !self.holds(pred, &ctx)? {
+                    return Ok(());
+                }
+            }
+            out.push(n);
+            Ok(())
+        })?;
+        if !in_order {
+            self.g.sort_doc_order(&mut out);
+        }
+        Ok(out)
     }
 
-    fn retain_test(&self, nodes: &mut Vec<NodeId>, test: &NodeTest) -> Result<()> {
+    /// `descendant-or-self::node()/child::T[p…]` from the root, positions
+    /// counted per parent: the parents are the root and the live elements
+    /// (of `T`'s hierarchy, when it names one), since leaves have no
+    /// children.
+    fn child_step_of_every_parent(&self, step: &Step) -> Result<Vec<NodeId>> {
+        let g = self.g;
+        let test = self.resolve(&step.test)?;
+        let h = test.hierarchy();
+        let parents = std::iter::once(g.root())
+            .chain(g.elements().filter(|&e| h.is_none_or(|h| g.hierarchy_of(e) == Some(h))));
+        self.axis_step(parents, Axis::Child, test, &step.predicates)
+    }
+
+    /// Feeds `descendant::T` from the root to `f` and says whether it came
+    /// in document order: the leaves do (for `text()`), the live elements
+    /// are enumerated in arena order and the caller sorts what it keeps.
+    /// Only `node()` lists the whole document.
+    fn root_descendants(
+        &self,
+        test: Test<'_>,
+        mut f: impl FnMut(NodeId) -> Result<()>,
+    ) -> Result<bool> {
+        let g = self.g;
         match test {
-            NodeTest::Node => Ok(()),
-            NodeTest::Any => {
-                nodes.retain(|&n| self.g.is_element(n) || self.g.is_root(n));
-                Ok(())
-            }
-            NodeTest::Text => {
-                nodes.retain(|&n| self.g.is_leaf(n));
-                Ok(())
-            }
-            NodeTest::AnyInHierarchy(hname) => {
-                let h = self.resolve_hierarchy(hname)?;
-                nodes.retain(|&n| self.g.hierarchy_of(n) == Some(h));
-                Ok(())
-            }
-            NodeTest::Name { hierarchy, local } => {
-                let h = hierarchy.as_ref().map(|hn| self.resolve_hierarchy(hn)).transpose()?;
-                nodes.retain(|&n| {
-                    let name_ok = self.g.name(n).is_some_and(|q| q.local == *local);
-                    let h_ok = match h {
-                        None => true,
-                        Some(h) => self.g.hierarchy_of(n) == Some(h),
-                    };
-                    name_ok && h_ok
-                });
-                Ok(())
+            Test::Node => g.descendants(g.root()).into_iter().try_for_each(f)?,
+            // Every hierarchy reaches every leaf; with no hierarchy the
+            // root has no descendants.
+            Test::Text if g.hierarchy_count() == 0 => {}
+            Test::Text => g.leaves().iter().try_for_each(|&l| f(l))?,
+            _ => {
+                test.try_each(g, g.elements(), f)?;
+                return Ok(false);
             }
         }
+        Ok(true)
+    }
+
+    /// The attribute axis: each origin's attributes read from its view in
+    /// place; a single match is held inline.
+    fn attribute_step<'a>(&self, origins: &[NodeId], step: &'a Step) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        let mut out = Set::empty();
+        let mut group = Vec::new();
+        for &element in origins {
+            let matching = self
+                .g
+                .attrs(element)
+                .iter()
+                .enumerate()
+                .filter(|(_, a)| attr_test(&step.test, a.name))
+                .map(|(index, _)| AttrRef { element, index });
+            if step.predicates.is_empty() {
+                matching.for_each(|a| out.push(a));
+            } else {
+                group.clear();
+                group.extend(matching);
+                for pred in &step.predicates {
+                    self.filter(&mut group, |a| a.element, pred)?;
+                }
+                group.iter().for_each(|&a| out.push(a));
+            }
+        }
+        Ok(Val::Attrs(out))
+    }
+
+    fn resolve<'a>(&self, test: &'a NodeTest) -> Result<Test<'a>> {
+        Ok(match test {
+            NodeTest::Node => Test::Node,
+            NodeTest::Any => Test::Any,
+            NodeTest::Text => Test::Text,
+            NodeTest::AnyInHierarchy(h) => Test::In(self.resolve_hierarchy(h)?),
+            NodeTest::Name { hierarchy, local } => Test::Name(
+                hierarchy.as_deref().map(|h| self.resolve_hierarchy(h)).transpose()?,
+                local,
+            ),
+        })
     }
 
     fn resolve_hierarchy(&self, name: &str) -> Result<HierarchyId> {
         self.g.hierarchy_by_name(name).ok_or_else(|| XPathError::UnknownHierarchy(name.to_string()))
     }
 
-    /// Apply one predicate to a node list (positions in list order).
-    fn filter_nodes(&self, nodes: Vec<NodeId>, pred: &Expr) -> Result<Vec<NodeId>> {
-        let size = nodes.len();
-        let mut out = Vec::with_capacity(size);
-        for (i, n) in nodes.into_iter().enumerate() {
-            let ctx = EvalCtx { node: n, position: i + 1, size };
-            let v = self.eval(pred, &ctx)?;
-            let keep = match v {
-                Value::Number(num) => (i + 1) as f64 == num,
-                other => other.boolean_value(self.g),
-            };
-            if keep {
-                out.push(n);
+    /// Keep the items that satisfy `pred`, positions counted in list
+    /// order, in place.
+    fn filter<T: Copy>(
+        &self,
+        items: &mut Vec<T>,
+        node: impl Fn(T) -> NodeId,
+        pred: &Expr,
+    ) -> Result<()> {
+        let size = items.len();
+        let mut kept = 0;
+        for position in 1..=size {
+            let item = items[position - 1];
+            if self.holds(pred, &EvalCtx { node: node(item), position, size })? {
+                items[kept] = item;
+                kept += 1;
             }
         }
-        Ok(out)
+        items.truncate(kept);
+        Ok(())
     }
 
-    /// Apply one predicate to an attribute list.
-    fn filter_attrs(&self, attrs: Vec<AttrRef>, pred: &Expr) -> Result<Vec<AttrRef>> {
-        let size = attrs.len();
-        let mut out = Vec::with_capacity(size);
-        for (i, a) in attrs.into_iter().enumerate() {
-            let ctx = EvalCtx { node: a.element, position: i + 1, size };
-            let v = self.eval(pred, &ctx)?;
-            let keep = match v {
-                Value::Number(num) => (i + 1) as f64 == num,
-                other => other.boolean_value(self.g),
-            };
-            if keep {
-                out.push(a);
-            }
+    /// Whether a predicate holds in `ctx`: a number is compared with the
+    /// position, anything else converted to a boolean.
+    fn holds(&self, pred: &Expr, ctx: &EvalCtx) -> Result<bool> {
+        Ok(match self.eval(pred, ctx)? {
+            Val::Number(n) => ctx.position as f64 == n,
+            other => other.boolean(),
+        })
+    }
+}
+
+/// Whether an attribute named `q` passes an attribute step's node test. A
+/// prefix compares as written: on an attribute it names no hierarchy.
+fn attr_test(test: &NodeTest, q: &QName) -> bool {
+    match test {
+        NodeTest::Any | NodeTest::Node => true,
+        NodeTest::Name { hierarchy, local } => {
+            q.local == *local && hierarchy.as_deref().is_none_or(|p| q.prefix.as_deref() == Some(p))
         }
-        Ok(out)
+        NodeTest::AnyInHierarchy(p) => q.prefix.as_deref() == Some(p.as_str()),
+        NodeTest::Text => false,
     }
 }
 
@@ -464,14 +654,20 @@ fn is_self_node(step: &Step) -> bool {
     step.axis == Axis::SelfAxis && step.test == NodeTest::Node && step.predicates.is_empty()
 }
 
-/// Whether `step, next` is `descendant-or-self::node()/child::T[p…]` that
-/// evaluates as the single step `descendant::T[p…]`: `T` names elements or
-/// text, and no predicate can see its position among a parent's children.
-fn fuses(step: &Step, next: &Step) -> bool {
+/// Whether `step, next` is `descendant-or-self::node()/child::T[p…]`, what
+/// `//T[p…]` parses to.
+fn is_double_slash(step: &Step, next: &Step) -> bool {
     step.axis == Axis::DescendantOrSelf
         && step.test == NodeTest::Node
         && step.predicates.is_empty()
         && next.axis == Axis::Child
+}
+
+/// Whether `step, next` is a `//T[p…]` that evaluates as the single step
+/// `descendant::T[p…]`: `T` names elements or text, and no predicate can
+/// see its position among a parent's children.
+fn fuses(step: &Step, next: &Step) -> bool {
+    is_double_slash(step, next)
         && next.test != NodeTest::Node
         && next.predicates.iter().all(is_position_free)
 }
@@ -876,6 +1072,118 @@ mod tests {
         let v = ev(&g).select("id('s1')").unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(g.name(v[0]).unwrap().local, "s");
+    }
+
+    #[test]
+    fn id_splits_on_whitespace_and_unions_a_node_set() {
+        let mut g = fixture();
+        let ws = g.find_elements("w");
+        let dmg = g.find_elements("dmg")[0];
+        g.set_attr(dmg, "xml:id", "d1").unwrap();
+        g.set_attr(ws[0], "ref", "s1").unwrap();
+        g.set_attr(ws[3], "ref", " d1\tnope ").unwrap();
+        let s = g.find_elements("s")[0];
+        assert_eq!(ev(&g).select("id('s1 d1')").unwrap(), [dmg, s]);
+        assert_eq!(ev(&g).select("id(' s1 ')").unwrap(), [s]);
+        assert_eq!(ev(&g).select("id(//w/@ref)").unwrap(), [dmg, s]);
+        assert_eq!(ev(&g).select("id(//w[1]/@ref)").unwrap(), [s]);
+        assert!(ev(&g).select("id('')").unwrap().is_empty());
+        assert!(ev(&g).select("id(//nothing)").unwrap().is_empty());
+    }
+
+    #[test]
+    fn round_takes_halves_towards_positive_infinity() {
+        let g = fixture();
+        let num = |q: &str| ev(&g).eval_str(q).unwrap().number_value(&g);
+        assert_eq!(num("round(-1.5)"), -1.0);
+        assert_eq!(num("round(2.5)"), 3.0);
+        assert_eq!(num("round(-2.6)"), -3.0);
+        for q in ["round(-0.5)", "round(-0.2)", "round(-0)"] {
+            let r = num(q);
+            assert!(r == 0.0 && r.is_sign_negative(), "{q} = {r}, want -0");
+        }
+        assert!(num("round(0 div 0)").is_nan());
+        assert_eq!(num("round(1 div 0)"), f64::INFINITY);
+    }
+
+    #[test]
+    fn strings_convert_to_numbers_by_xpath_rules() {
+        let g = fixture();
+        let val = |q: &str| ev(&g).eval_str(q).unwrap();
+        for q in [
+            "number('1e3')",
+            "number('+5')",
+            "number('inf')",
+            "number('Infinity')",
+            "number('-infinity')",
+            "number('NaN')",
+            "number('')",
+            "sum(//w/@type)",
+        ] {
+            assert!(val(q).number_value(&g).is_nan(), "{q}");
+        }
+        for q in [
+            "'infinity' = 1 div 0",
+            "'1e3' = 1000",
+            "'+5' = 5",
+            "'1e3' > 999",
+            "//w/@type = 0 div 0",
+        ] {
+            assert_eq!(val(q), Value::Bool(false), "{q}");
+        }
+        assert_eq!(val("number(' 12 ')"), Value::Number(12.0));
+        assert_eq!(val("number('-.5')"), Value::Number(-0.5));
+        assert_eq!(val("'2' = 2.0"), Value::Bool(true));
+        assert_eq!(val("//line/@n = 2"), Value::Bool(true));
+        assert_eq!(val("//line/@n != 2"), Value::Bool(true));
+        assert_eq!(ev(&g).select("//line[@n = 2]").unwrap().len(), 1);
+    }
+
+    #[test]
+    fn substring_positions_are_computed_in_f64() {
+        let g = fixture();
+        for (q, want) in [
+            ("substring('12345', -1 div 0, 1 div 0)", ""),
+            ("substring('12345', 2, -1 div 0)", ""),
+            ("substring('12345', 0 div 0)", ""),
+            ("substring('12345', 0 div 0, 3)", ""),
+            ("substring('12345', 1, 0 div 0)", ""),
+            ("substring('12345', 1.5, 2.6)", "234"),
+            ("substring('12345', 0, 3)", "12"),
+            ("substring('12345', -42, 1 div 0)", "12345"),
+            ("substring('12345', -1 div 0)", "12345"),
+            ("substring('12345', 2)", "2345"),
+            ("substring('12345', 9)", ""),
+            ("substring('aé€b', 2, 2)", "é€"),
+            ("substring(//line[2], 3, 4)", "ree "),
+            ("substring-before(//line[2], ' ')", "three"),
+            ("substring-after(//line[2], ' ')", "four"),
+            ("substring-after(//line[2], 'x')", ""),
+        ] {
+            assert_eq!(ev(&g).eval_str(q).unwrap(), Value::Str(want.into()), "{q}");
+        }
+    }
+
+    #[test]
+    fn string_functions_read_the_context_node() {
+        let g = fixture();
+        let words = |q: &str| -> Vec<String> {
+            ev(&g).select(q).unwrap().iter().map(|&n| g.text_of(n)).collect()
+        };
+        assert_eq!(words("//w[string-length() = 3]"), ["one", "two"]);
+        assert_eq!(words("//w[normalize-space() = 'four']"), ["four"]);
+        assert_eq!(words("//w[number() != number()]").len(), 4);
+        assert_eq!(words("//w[starts-with(., 't')]"), ["two", "three"]);
+        assert_eq!(words("//w[local-name() = 'w' and name() = 'w']").len(), 4);
+        assert_eq!(words("//*[hierarchy() = 'phys']").len(), 2);
+        assert_eq!(
+            ev(&g).eval_str("normalize-space(' a  b\tc ')").unwrap(),
+            Value::Str("a b c".into())
+        );
+        assert_eq!(
+            ev(&g).eval_str("concat(1, true(), 'x', //w)").unwrap(),
+            Value::Str("1truexone".into())
+        );
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! The Extended XPath function library: the XPath 1.0 core plus
 //! concurrent-markup functions (`hierarchy()`, `overlaps()`, `leaves()`).
+//!
+//! Functions read strings where they lie — the document's text buffer, its
+//! attribute store, the expression's literals — and return slices of their
+//! arguments where they can, so a string test allocates nothing.
 
 use crate::error::{Result, XPathError};
-use crate::value::{AttrRef, Value};
+use crate::value::{xpath_number, Set, Val};
 use goddag::{Goddag, NodeId};
+use std::borrow::Cow;
 
 /// Static context passed to functions needing `position()`/`last()`.
 #[derive(Debug, Clone, Copy)]
@@ -20,7 +25,7 @@ fn bad(function: &str, detail: impl Into<String>) -> XPathError {
     XPathError::BadArguments { function: function.into(), detail: detail.into() }
 }
 
-fn arity(function: &str, args: &[Value], min: usize, max: usize) -> Result<()> {
+fn arity(function: &str, args: &[Val<'_>], min: usize, max: usize) -> Result<()> {
     if args.len() < min || args.len() > max {
         Err(bad(function, format!("expected {min}..={max} arguments, got {}", args.len())))
     } else {
@@ -29,223 +34,311 @@ fn arity(function: &str, args: &[Value], min: usize, max: usize) -> Result<()> {
 }
 
 /// First node of a node-set argument, or the context node when absent.
-fn node_arg(function: &str, args: &[Value], ctx: &EvalCtx) -> Result<Option<NodeId>> {
+fn node_arg(function: &str, args: &[Val<'_>], ctx: &EvalCtx) -> Result<Option<NodeId>> {
     match args.first() {
         None => Ok(Some(ctx.node)),
-        Some(Value::Nodes(ns)) => Ok(ns.first().copied()),
-        Some(other) => Err(bad(function, format!("expected a node-set, got {other:?}"))),
+        Some(Val::Nodes(ns)) => Ok(ns.first()),
+        Some(other) => {
+            Err(bad(function, format!("expected a node-set, got {:?}", other.clone().into_value())))
+        }
     }
 }
 
-/// Evaluate a function call with already-evaluated arguments.
-pub(crate) fn call(g: &Goddag, ctx: &EvalCtx, name: &str, args: Vec<Value>) -> Result<Value> {
+/// Argument `i`, moved out of the list.
+fn take<'a>(args: &mut [Val<'a>], i: usize) -> Val<'a> {
+    std::mem::replace(&mut args[i], Val::Bool(false))
+}
+
+/// The first argument as a string, or the context node's text when there
+/// is none.
+fn string_arg<'a>(g: &'a Goddag, args: &mut [Val<'a>], ctx: &EvalCtx) -> Cow<'a, str> {
+    if args.is_empty() {
+        Cow::Borrowed(g.text(ctx.node))
+    } else {
+        take(args, 0).into_string(g)
+    }
+}
+
+/// A byte range of `s`: borrowed stays borrowed.
+fn slice(s: Cow<'_, str>, range: std::ops::Range<usize>) -> Cow<'_, str> {
+    match s {
+        Cow::Borrowed(b) => Cow::Borrowed(&b[range]),
+        Cow::Owned(o) => Cow::Owned(o[range].to_string()),
+    }
+}
+
+/// XPath `round()` (§4.4): the nearest integer, a half towards +∞; NaN,
+/// ±∞ and ±0 unchanged, and −0 for arguments in [−0.5, 0).
+fn xpath_round(x: f64) -> f64 {
+    if !x.is_finite() || x == 0.0 {
+        return x;
+    }
+    if (-0.5..0.0).contains(&x) {
+        return -0.0;
+    }
+    let floor = x.floor();
+    if x - floor >= 0.5 {
+        floor + 1.0
+    } else {
+        floor
+    }
+}
+
+/// XML whitespace-separated tokens (`S`: space, tab, CR, LF).
+fn tokens(s: &str) -> impl Iterator<Item = &str> {
+    s.split([' ', '\t', '\r', '\n']).filter(|t| !t.is_empty())
+}
+
+/// Evaluate a function call with already-evaluated arguments, which it may
+/// move out of `args`.
+pub(crate) fn call<'a>(
+    g: &'a Goddag,
+    ctx: &EvalCtx,
+    name: &str,
+    args: &mut [Val<'a>],
+) -> Result<Val<'a>> {
     match name {
         // Context ---------------------------------------------------------
         "position" => {
-            arity(name, &args, 0, 0)?;
-            Ok(Value::Number(ctx.position as f64))
+            arity(name, args, 0, 0)?;
+            Ok(Val::Number(ctx.position as f64))
         }
         "last" => {
-            arity(name, &args, 0, 0)?;
-            Ok(Value::Number(ctx.size as f64))
+            arity(name, args, 0, 0)?;
+            Ok(Val::Number(ctx.size as f64))
         }
         "count" => {
-            arity(name, &args, 1, 1)?;
+            arity(name, args, 1, 1)?;
             args[0]
                 .count()
-                .map(|c| Value::Number(c as f64))
+                .map(|c| Val::Number(c as f64))
                 .ok_or_else(|| bad(name, "expected a node-set"))
         }
         // Conversions -----------------------------------------------------
         "string" => {
-            arity(name, &args, 0, 1)?;
-            let v = args.first().cloned().unwrap_or_else(|| Value::Nodes(vec![ctx.node]));
-            Ok(Value::Str(v.string_value(g)))
+            arity(name, args, 0, 1)?;
+            Ok(Val::Str(string_arg(g, args, ctx)))
         }
         "number" => {
-            arity(name, &args, 0, 1)?;
-            let v = args.first().cloned().unwrap_or_else(|| Value::Nodes(vec![ctx.node]));
-            Ok(Value::Number(v.number_value(g)))
+            arity(name, args, 0, 1)?;
+            Ok(Val::Number(match args.first() {
+                Some(v) => v.number(g),
+                None => xpath_number(g.text(ctx.node)),
+            }))
         }
         "boolean" => {
-            arity(name, &args, 1, 1)?;
-            Ok(Value::Bool(args[0].boolean_value(g)))
+            arity(name, args, 1, 1)?;
+            Ok(Val::Bool(args[0].boolean()))
         }
         "not" => {
-            arity(name, &args, 1, 1)?;
-            Ok(Value::Bool(!args[0].boolean_value(g)))
+            arity(name, args, 1, 1)?;
+            Ok(Val::Bool(!args[0].boolean()))
         }
         "true" => {
-            arity(name, &args, 0, 0)?;
-            Ok(Value::Bool(true))
+            arity(name, args, 0, 0)?;
+            Ok(Val::Bool(true))
         }
         "false" => {
-            arity(name, &args, 0, 0)?;
-            Ok(Value::Bool(false))
+            arity(name, args, 0, 0)?;
+            Ok(Val::Bool(false))
         }
         // Names & hierarchy -------------------------------------------------
         "name" => {
-            arity(name, &args, 0, 1)?;
-            Ok(Value::Str(match node_arg(name, &args, ctx)? {
-                Some(n) => g.name(n).map(|q| q.to_string()).unwrap_or_default(),
-                None => String::new(),
+            arity(name, args, 0, 1)?;
+            let q = node_arg(name, args, ctx)?.and_then(|n| g.name(n));
+            Ok(Val::Str(match q {
+                Some(q) if q.prefix.is_none() => Cow::Borrowed(&q.local),
+                Some(q) => Cow::Owned(q.to_string()),
+                None => Cow::Borrowed(""),
             }))
         }
         "local-name" => {
-            arity(name, &args, 0, 1)?;
-            Ok(Value::Str(match node_arg(name, &args, ctx)? {
-                Some(n) => g.name(n).map(|q| q.local.clone()).unwrap_or_default(),
-                None => String::new(),
-            }))
+            arity(name, args, 0, 1)?;
+            let q = node_arg(name, args, ctx)?.and_then(|n| g.name(n));
+            Ok(Val::Str(Cow::Borrowed(q.map_or("", |q| &q.local))))
         }
         "hierarchy" => {
-            arity(name, &args, 0, 1)?;
-            Ok(Value::Str(match node_arg(name, &args, ctx)? {
-                Some(n) => g
-                    .hierarchy_of(n)
-                    .and_then(|h| g.hierarchy(h).ok())
-                    .map(|h| h.name.clone())
-                    .unwrap_or_default(),
-                None => String::new(),
-            }))
+            arity(name, args, 0, 1)?;
+            let h = node_arg(name, args, ctx)?
+                .and_then(|n| g.hierarchy_of(n))
+                .and_then(|h| g.hierarchy(h).ok());
+            Ok(Val::Str(Cow::Borrowed(h.map_or("", |h| &h.name))))
         }
         // Strings -----------------------------------------------------------
         "contains" => {
-            arity(name, &args, 2, 2)?;
-            let a = args[0].string_value(g);
-            let b = args[1].string_value(g);
-            Ok(Value::Bool(a.contains(&b)))
+            arity(name, args, 2, 2)?;
+            Ok(Val::Bool(args[0].string(g).contains(&*args[1].string(g))))
         }
         "starts-with" => {
-            arity(name, &args, 2, 2)?;
-            let a = args[0].string_value(g);
-            let b = args[1].string_value(g);
-            Ok(Value::Bool(a.starts_with(&b)))
+            arity(name, args, 2, 2)?;
+            Ok(Val::Bool(args[0].string(g).starts_with(&*args[1].string(g))))
         }
         "substring-before" => {
-            arity(name, &args, 2, 2)?;
-            let a = args[0].string_value(g);
-            let b = args[1].string_value(g);
-            Ok(Value::Str(a.split_once(&b).map(|(x, _)| x.to_string()).unwrap_or_default()))
+            arity(name, args, 2, 2)?;
+            let s = take(args, 0).into_string(g);
+            let at = s.find(&*args[1].string(g));
+            Ok(Val::Str(at.map_or(Cow::Borrowed(""), |at| slice(s, 0..at))))
         }
         "substring-after" => {
-            arity(name, &args, 2, 2)?;
-            let a = args[0].string_value(g);
-            let b = args[1].string_value(g);
-            Ok(Value::Str(a.split_once(&b).map(|(_, y)| y.to_string()).unwrap_or_default()))
+            arity(name, args, 2, 2)?;
+            let s = take(args, 0).into_string(g);
+            let needle = args[1].string(g);
+            let (at, len) = (s.find(&*needle), s.len());
+            Ok(Val::Str(at.map_or(Cow::Borrowed(""), |at| slice(s, at + needle.len()..len))))
         }
         "substring" => {
-            arity(name, &args, 2, 3)?;
-            let s = args[0].string_value(g);
-            let chars: Vec<char> = s.chars().collect();
-            let start = args[1].number_value(g).round();
-            let len = args.get(2).map(|v| v.number_value(g).round());
-            // XPath 1-based indexing with rounding semantics.
-            let from = (start as i64 - 1).max(0) as usize;
-            let to = match len {
-                Some(l) => ((start + l).round() as i64 - 1).max(0) as usize,
-                None => chars.len(),
-            };
-            let to = to.min(chars.len());
-            let from = from.min(to);
-            Ok(Value::Str(chars[from..to].iter().collect()))
+            arity(name, args, 2, 3)?;
+            // The characters at 1-based positions p with
+            // round(start) <= p < round(start) + round(len), in f64 (§4.2):
+            // a NaN bound selects none, infinite ones are fine.
+            let start = xpath_round(args[1].number(g));
+            let end = args.get(2).map_or(f64::INFINITY, |len| start + xpath_round(len.number(g)));
+            let s = take(args, 0).into_string(g);
+            let mut range: Option<(usize, usize)> = None;
+            for (i, (at, c)) in s.char_indices().enumerate() {
+                let p = (i + 1) as f64;
+                if p >= start && p < end {
+                    range.get_or_insert((at, at)).1 = at + c.len_utf8();
+                }
+            }
+            Ok(Val::Str(range.map_or(Cow::Borrowed(""), |(from, to)| slice(s, from..to))))
         }
         "string-length" => {
-            arity(name, &args, 0, 1)?;
-            let s = match args.first() {
-                Some(v) => v.string_value(g),
-                None => g.text_of(ctx.node),
-            };
-            Ok(Value::Number(s.chars().count() as f64))
+            arity(name, args, 0, 1)?;
+            Ok(Val::Number(string_arg(g, args, ctx).chars().count() as f64))
         }
         "normalize-space" => {
-            arity(name, &args, 0, 1)?;
-            let s = match args.first() {
-                Some(v) => v.string_value(g),
-                None => g.text_of(ctx.node),
-            };
-            Ok(Value::Str(s.split_whitespace().collect::<Vec<_>>().join(" ")))
+            arity(name, args, 0, 1)?;
+            let s = string_arg(g, args, ctx);
+            let normal = s.split(' ').all(|w| !w.is_empty() && !w.contains(char::is_whitespace));
+            Ok(Val::Str(if normal {
+                s
+            } else {
+                Cow::Owned(s.split_whitespace().collect::<Vec<_>>().join(" "))
+            }))
         }
         "concat" => {
             if args.len() < 2 {
                 return Err(bad(name, "needs at least two arguments"));
             }
-            Ok(Value::Str(args.iter().map(|v| v.string_value(g)).collect()))
+            Ok(Val::Str(Cow::Owned(args.iter().map(|v| v.string(g)).collect())))
         }
         // Numbers -----------------------------------------------------------
         "floor" => {
-            arity(name, &args, 1, 1)?;
-            Ok(Value::Number(args[0].number_value(g).floor()))
+            arity(name, args, 1, 1)?;
+            Ok(Val::Number(args[0].number(g).floor()))
         }
         "ceiling" => {
-            arity(name, &args, 1, 1)?;
-            Ok(Value::Number(args[0].number_value(g).ceil()))
+            arity(name, args, 1, 1)?;
+            Ok(Val::Number(args[0].number(g).ceil()))
         }
         "round" => {
-            arity(name, &args, 1, 1)?;
-            Ok(Value::Number(args[0].number_value(g).round()))
+            arity(name, args, 1, 1)?;
+            Ok(Val::Number(xpath_round(args[0].number(g))))
         }
         "sum" => {
-            arity(name, &args, 1, 1)?;
+            arity(name, args, 1, 1)?;
             match &args[0] {
-                Value::Nodes(ns) => Ok(Value::Number(
-                    ns.iter().map(|&n| Value::Nodes(vec![n]).number_value(g)).sum(),
-                )),
-                Value::Attrs(attrs) => Ok(Value::Number(
-                    attrs
-                        .iter()
-                        .map(|a| a.value(g).trim().parse::<f64>().unwrap_or(f64::NAN))
-                        .sum(),
-                )),
+                Val::Nodes(ns) => {
+                    Ok(Val::Number(ns.as_slice().iter().map(|&n| xpath_number(g.text(n))).sum()))
+                }
+                Val::Attrs(attrs) => {
+                    Ok(Val::Number(attrs.as_slice().iter().map(|a| xpath_number(a.value(g))).sum()))
+                }
                 _ => Err(bad(name, "expected a node-set")),
             }
         }
         // Concurrent-markup extensions --------------------------------------
         "overlaps" => {
-            arity(name, &args, 2, 2)?;
-            let (Value::Nodes(a), Value::Nodes(b)) = (&args[0], &args[1]) else {
+            arity(name, args, 2, 2)?;
+            let (Val::Nodes(a), Val::Nodes(b)) = (&args[0], &args[1]) else {
                 return Err(bad(name, "expected two node-sets"));
             };
+            let (a, b) = (a.as_slice(), b.as_slice());
             let found = a.iter().any(|&x| b.iter().any(|&y| g.span(x).overlaps(g.span(y))));
-            Ok(Value::Bool(found))
+            Ok(Val::Bool(found))
         }
         "leaves" => {
-            arity(name, &args, 0, 1)?;
-            let nodes: Vec<NodeId> = match args.first() {
-                None => vec![ctx.node],
-                Some(Value::Nodes(ns)) => ns.clone(),
+            arity(name, args, 0, 1)?;
+            let nodes = match args.first() {
+                None => std::slice::from_ref(&ctx.node),
+                Some(Val::Nodes(ns)) => ns.as_slice(),
                 Some(other) => {
-                    return Err(bad(name, format!("expected a node-set, got {other:?}")))
+                    return Err(bad(
+                        name,
+                        format!("expected a node-set, got {:?}", other.clone().into_value()),
+                    ))
                 }
             };
             let mut out: Vec<NodeId> = Vec::new();
-            for n in nodes {
+            for &n in nodes {
                 out.extend_from_slice(g.leaves_of(n));
             }
             g.sort_doc_order(&mut out);
-            Ok(Value::Nodes(out))
+            Ok(Val::Nodes(Set::Many(out)))
         }
         "root" => {
-            arity(name, &args, 0, 0)?;
-            Ok(Value::Nodes(vec![g.root()]))
+            arity(name, args, 0, 0)?;
+            Ok(Val::Nodes(Set::One(g.root())))
         }
         "id" => {
-            arity(name, &args, 1, 1)?;
-            let wanted = args[0].string_value(g);
+            // §4.1: the argument's string splits into ids; a node-set's
+            // members each do, and the result is the union.
+            arity(name, args, 1, 1)?;
+            let scalar;
+            let wanted: Vec<&str> = match &args[0] {
+                Val::Nodes(ns) => ns.as_slice().iter().flat_map(|&n| tokens(g.text(n))).collect(),
+                Val::Attrs(a) => a.as_slice().iter().flat_map(|a| tokens(a.value(g))).collect(),
+                other => {
+                    scalar = other.string(g);
+                    tokens(&scalar).collect()
+                }
+            };
             let mut out: Vec<NodeId> = g
                 .elements()
                 .filter(|&e| {
-                    g.attr(e, "id").or_else(|| g.attr(e, "xml:id")) == Some(wanted.as_str())
+                    g.attr(e, "id")
+                        .or_else(|| g.attr(e, "xml:id"))
+                        .is_some_and(|id| wanted.contains(&id))
                 })
                 .collect();
             g.sort_doc_order(&mut out);
-            Ok(Value::Nodes(out))
+            Ok(Val::Nodes(Set::Many(out)))
         }
         other => Err(XPathError::UnknownFunction(other.to_string())),
     }
 }
 
-/// Attribute reference constructor shared with the evaluator.
-pub(crate) fn attrs_of(g: &Goddag, n: NodeId) -> Vec<AttrRef> {
-    (0..g.attrs(n).len()).map(|index| AttrRef { element: n, index }).collect()
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn round_follows_xpath() {
+        for (x, want) in [
+            (2.5, 3.0),
+            (2.4, 2.0),
+            (-1.5, -1.0),
+            (-2.5, -2.0),
+            (-2.6, -3.0),
+            (0.49999999999999994, 0.0),
+            (4503599627370497.0, 4503599627370497.0),
+        ] {
+            assert_eq!(xpath_round(x), want, "round({x})");
+        }
+        for x in [-0.5, -0.2, -0.0] {
+            let r = xpath_round(x);
+            assert!(r == 0.0 && r.is_sign_negative(), "round({x}) = {r}, want -0");
+        }
+        assert!(xpath_round(0.2).is_sign_positive());
+        assert!(xpath_round(f64::NAN).is_nan());
+        assert_eq!(xpath_round(f64::NEG_INFINITY), f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn slices_stay_borrowed() {
+        assert!(matches!(slice(Cow::Borrowed("abc"), 1..2), Cow::Borrowed("b")));
+        assert_eq!(slice(Cow::Owned("abc".into()), 1..3), "bc");
+        assert_eq!(tokens(" a\tb\r\n c ").collect::<Vec<_>>(), ["a", "b", "c"]);
+    }
 }

@@ -34,7 +34,17 @@ impl Goddag {
             self.sort_doc_order(&mut out);
             out
         } else {
-            self.nodes.get(n.idx()).map_or_else(Vec::new, |d| d.children.clone())
+            self.element_children(n).to_vec()
+        }
+    }
+
+    /// Children of an element in its own hierarchy, borrowed. Empty for the
+    /// root (its children are per hierarchy: [`Goddag::children_in`]),
+    /// leaves and unknown ids.
+    pub fn element_children(&self, n: NodeId) -> &[NodeId] {
+        match self.nodes.get(n.idx()) {
+            Some(d) if d.kind == Kind::Element => &d.children,
+            _ => &[],
         }
     }
 

@@ -7,7 +7,14 @@
 //! manuscripts before and after edits that reorder ids (a wrapper), leave
 //! tombstones (a removal) and add milestones, with and without the overlap
 //! index.
+//!
+//! The reference spellings run through the evaluator too, so the shapes
+//! the evaluator rewrites from the root — `//T[k]`, `//T[last()]`,
+//! `/child::T[k]`, `//T[@n='v']` and its existential `!=` — are also
+//! checked against a brute-force reference that uses only
+//! `Goddag::children` and `Goddag::attr`, on `corpus::gen` documents.
 
+use corpus::gen::Source;
 use corpus::{generate, Params};
 use expath::{Evaluator, OverlapIndex};
 use goddag::{check_invariants, Goddag, NodeId};
@@ -34,9 +41,10 @@ const PALETTE: [&str; 16] = [
     "//line[@n='17']/overlapping::ling:s",
 ];
 
-/// Positional forms (never fused), nested and filtered `//`, every test
-/// kind, and the axes the edits below make interesting.
-const MORE: [&str; 21] = [
+/// Positional forms (never fused; from the root they take the per-parent
+/// step), nested and filtered `//`, every test kind, existential `!=`, and
+/// the axes the edits below make interesting.
+const MORE: [&str; 30] = [
     "//w[2]",
     "//w[-(-2)]",
     "//w[last()]",
@@ -58,6 +66,15 @@ const MORE: [&str; 21] = [
     "//w[not(@n)] | //pb",
     "count(//w[string-length(.) > 3])",
     "/descendant::ling:w[3]",
+    "//ling:w[3]",
+    "//*[2]",
+    "//*[last()]",
+    "//text()[2]",
+    "//node()[3]",
+    "/child::*[2]",
+    "//w[@n!='3']",
+    "//*[@n!='3']",
+    "//ling:*[@n='2'][1]",
 ];
 
 /// A sample of the 4 096-expression mixed palette.
@@ -221,4 +238,155 @@ fn milestones_are_exercised() {
     let ev = Evaluator::with_index(&g);
     assert!(!ev.select("//line/contained::pb").unwrap().is_empty());
     assert!(!ev.select("//s/contained::anchor").unwrap().is_empty());
+}
+
+/// A manuscript drawn from `src`, then edited the ways that break naive
+/// rewrites: a wrapper over words of a sentence (a late id), a sentence
+/// removed so its words become root children next to the other
+/// hierarchies' top levels, a word removed (a tombstone), and milestones in
+/// two hierarchies.
+fn drawn(src: &mut Source) -> Goddag {
+    let params = Params {
+        seed: src.below(1 << 32),
+        words_per_sentence: 3 + src.index(6),
+        words_per_line: 2 + src.index(6),
+        word_markup_prob: src.pick(&[1.0, 0.6]),
+        ..Params::sized(12 + src.index(40))
+    };
+    let mut g = generate(&params).goddag;
+    let ling = g.hierarchy_by_name("ling").unwrap();
+    let phys = g.hierarchy_by_name("phys").unwrap();
+    let name = |s: &str| QName::parse(s).unwrap();
+    let words_of = |g: &Goddag, s: NodeId| -> Vec<NodeId> {
+        g.element_children(s).iter().copied().filter(|&c| g.is_element(c)).collect()
+    };
+
+    let sentences = g.find_elements("s");
+    let s = sentences[src.index(sentences.len())];
+    let ws = words_of(&g, s);
+    if ws.len() >= 2 {
+        let i = src.index(ws.len() - 1);
+        let j = i + 1 + src.index(ws.len() - 1 - i);
+        let (from, to) = (g.char_range(ws[i]).0, g.char_range(ws[j]).1);
+        g.insert_element(ling, name("phrase"), vec![], from, to).unwrap();
+    }
+    let sentences = g.find_elements("s");
+    g.remove_element(sentences[src.index(sentences.len())]).unwrap();
+    let words = g.find_elements("w");
+    if !words.is_empty() {
+        g.remove_element(words[src.index(words.len())]).unwrap();
+    }
+    for h in [phys, ling] {
+        let words = g.find_elements("w");
+        if let Some(&w) = words.get(src.index(words.len().max(1))) {
+            let at = g.char_range(w).0;
+            g.insert_element(h, name("pb"), vec![], at, at).unwrap();
+        }
+    }
+    check_invariants(&g).unwrap();
+    g
+}
+
+/// A node test, spelled the way the reference applies it.
+#[derive(Clone, Copy, Debug)]
+enum Test {
+    Named(Option<&'static str>, &'static str),
+    Element,
+    Text,
+}
+
+impl Test {
+    fn spelling(self) -> String {
+        match self {
+            Test::Named(Some(h), local) => format!("{h}:{local}"),
+            Test::Named(None, local) => local.to_string(),
+            Test::Element => "*".into(),
+            Test::Text => "text()".into(),
+        }
+    }
+
+    fn passes(self, g: &Goddag, n: NodeId) -> bool {
+        match self {
+            Test::Named(h, local) => {
+                g.is_element(n)
+                    && g.name(n).is_some_and(|q| q.local == local)
+                    && h.is_none_or(|h| g.hierarchy_of(n) == g.hierarchy_by_name(h))
+            }
+            Test::Element => g.is_element(n),
+            Test::Text => g.is_leaf(n),
+        }
+    }
+}
+
+/// `//T[k]` (`k == 0`: `//T[last()]`) without the evaluator: every parent,
+/// the root and each live element, lists its children with
+/// `Goddag::children`; the `k`-th (or last) that passes the test is kept.
+/// With `root_only`, `/child::T[k]`.
+fn per_parent(g: &Goddag, test: Test, k: usize, root_only: bool) -> Vec<NodeId> {
+    let parents: Vec<NodeId> = if root_only {
+        vec![g.root()]
+    } else {
+        std::iter::once(g.root()).chain(g.elements()).collect()
+    };
+    let mut out = Vec::new();
+    for p in parents {
+        let kids: Vec<NodeId> = g.children(p).into_iter().filter(|&c| test.passes(g, c)).collect();
+        out.extend(if k == 0 { kids.last() } else { kids.get(k - 1) });
+    }
+    g.sort_doc_order(&mut out);
+    out
+}
+
+/// `//T[@n='v']` (or `!=`) without the evaluator: existential, so an
+/// element without `@n` never matches either way.
+fn with_attr(g: &Goddag, test: Test, v: &str, equal: bool) -> Vec<NodeId> {
+    let mut out: Vec<NodeId> = g
+        .elements()
+        .filter(|&e| test.passes(g, e) && g.attr(e, "n").is_some_and(|n| (n == v) == equal))
+        .collect();
+    g.sort_doc_order(&mut out);
+    out
+}
+
+#[test]
+fn rewritten_shapes_equal_a_brute_force_reference() {
+    let tests = [
+        Test::Named(None, "w"),
+        Test::Named(Some("ling"), "w"),
+        Test::Named(Some("phys"), "line"),
+        Test::Named(None, "pb"),
+        Test::Element,
+        Test::Text,
+    ];
+    corpus::gen::check("rewritten_shapes_equal_a_brute_force_reference", 24, |src| {
+        let g = drawn(src);
+        let index = Arc::new(OverlapIndex::build(&g));
+        let evaluators = [Evaluator::new(&g), Evaluator::with_shared_index(&g, index)];
+        let mut cases: Vec<(String, Vec<NodeId>)> = Vec::new();
+        for test in tests {
+            let t = test.spelling();
+            let k = 1 + src.index(4);
+            cases.push((format!("//{t}[{k}]"), per_parent(&g, test, k, false)));
+            cases.push((format!("//{t}[position()={k}]"), per_parent(&g, test, k, false)));
+            cases.push((format!("//{t}[last()]"), per_parent(&g, test, 0, false)));
+            cases.push((format!("/child::{t}[{k}]"), per_parent(&g, test, k, true)));
+            if !matches!(test, Test::Text) {
+                let v = (1 + src.index(6)).to_string();
+                cases.push((format!("//{t}[@n='{v}']"), with_attr(&g, test, &v, true)));
+                cases.push((format!("//{t}[@n!='{v}']"), with_attr(&g, test, &v, false)));
+            }
+        }
+        for (q, want) in &cases {
+            for ev in &evaluators {
+                let got = ev.select(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+                assert_eq!(&got, want, "{q}, index {}", ev.has_index());
+            }
+        }
+        // The shapes are not vacuous: the root has element children in two
+        // hierarchies, and some elements lack `@n`.
+        let root_kids = g.children(g.root());
+        let tops: Vec<_> = root_kids.iter().filter_map(|&c| g.hierarchy_of(c)).collect();
+        assert!(tops.iter().any(|&h| h != tops[0]), "root children in one hierarchy");
+        assert!(g.elements().any(|e| g.attr(e, "n").is_none()));
+    });
 }
