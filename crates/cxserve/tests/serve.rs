@@ -156,6 +156,37 @@ fn every_verb_in_the_vocabulary_is_served() {
 }
 
 #[test]
+fn frames_sharing_one_segment_are_answered_in_order() {
+    use std::io::Write;
+
+    let _s = cxobs::Scenario::setup();
+    let dir = TempDir::new("segment");
+    let cluster = open_cluster(&dir, 2);
+    let server =
+        ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let doc = client(&server).insert(&manuscript(30, 31)).unwrap();
+    let words = cluster.query(doc, "//w").unwrap();
+    assert!(!words.is_empty());
+
+    // Three frames, one `write`: the server may not assume a frame per read.
+    let mut bytes = Vec::new();
+    cxwire::write_frame(&mut bytes, &Request::Ping.encode()).unwrap();
+    cxwire::write_frame(&mut bytes, &Request::Query { doc, expr: "//w".into() }.encode()).unwrap();
+    cxwire::write_frame(&mut bytes, b"\xff\xfe\x80 total garbage \x00\x01").unwrap();
+    let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    conn.write_all(&bytes).unwrap();
+
+    let mut reply = || Response::decode(&cxwire::read_frame(&mut conn).unwrap()).unwrap();
+    assert_eq!(reply(), Response::Pong);
+    assert_eq!(reply(), Response::Nodes(words));
+    let garbage = reply();
+    assert!(matches!(garbage, Response::Err(WireError::BadRequest(_))), "{garbage:?}");
+    drop(conn);
+    server.shutdown();
+}
+
+#[test]
 fn typed_cluster_failures_cross_the_wire() {
     let _s = cxobs::Scenario::setup();
     let dir = TempDir::new("typed");

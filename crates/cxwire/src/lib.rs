@@ -9,6 +9,9 @@
 //!
 //! * **a hard length cap** ([`MAX_FRAME`]), checked before allocating on
 //!   read and refused rather than truncated on write;
+//! * **one write per frame**: [`write_frame`] hands the header and the
+//!   payload to the stream in one vectored write, without copying the
+//!   payload;
 //! * **stall-bounded exact reads**: once a peer starts a frame it gets
 //!   [`FRAME_STALL_LIMIT`] without progress, so a half-open socket cannot
 //!   hang a handler or a follower forever;
@@ -34,7 +37,7 @@ pub mod proto;
 pub use error::{WireError, WireErrorKind};
 pub use proto::{FetchResponse, Request, Response, TraceQuery, TraceSummaryWire, Verb, VERSION};
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -211,7 +214,12 @@ fn read_payload(stream: &mut TcpStream, len: u32) -> std::io::Result<Vec<u8>> {
 
 /// Write one length-prefixed frame. Refuses (rather than truncates) a
 /// payload over [`MAX_FRAME`] — the caller decides what smaller thing to
-/// say instead.
+/// say instead — and then nothing reaches the stream.
+///
+/// Header and payload go out in one vectored write, without copying the
+/// payload, so under `TCP_NODELAY` a small frame leaves as one segment.
+/// Partial writes are finished and `Interrupted` retried; a stream that
+/// accepts nothing fails with `WriteZero`.
 pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.len() > MAX_FRAME as usize {
         return Err(std::io::Error::new(
@@ -219,8 +227,17 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             format!("refusing to emit a {}-byte frame (cap {MAX_FRAME})", payload.len()),
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_be_bytes())?;
-    stream.write_all(payload)?;
+    let header = (payload.len() as u32).to_be_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut rest = &mut slices[..];
+    while !rest.is_empty() {
+        match stream.write_vectored(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -289,6 +306,79 @@ mod tests {
         let e = write_frame(&mut sink, &big).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::InvalidData);
         assert!(sink.is_empty(), "nothing may hit the wire");
+    }
+
+    /// A sink that counts write calls and takes at most `take` bytes per
+    /// call, after failing `interrupts` calls with `Interrupted`.
+    struct Counting {
+        bytes: Vec<u8>,
+        writes: usize,
+        take: usize,
+        interrupts: usize,
+    }
+
+    impl Counting {
+        fn new(take: usize, interrupts: usize) -> Self {
+            Counting { bytes: Vec::new(), writes: 0, take, interrupts }
+        }
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.take - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frame_bytes(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = (payload.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(payload);
+        bytes
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        for payload in [&b""[..], b"ping", &[7u8; 70_000]] {
+            let mut sink = Counting::new(usize::MAX, 0);
+            write_frame(&mut sink, payload).unwrap();
+            assert_eq!(sink.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(sink.bytes, frame_bytes(payload));
+        }
+    }
+
+    #[test]
+    fn partial_and_interrupted_writes_still_deliver_the_frame() {
+        let payload = b"hello frames";
+        let mut sink = Counting::new(1, 1);
+        write_frame(&mut sink, payload).unwrap();
+        assert_eq!(sink.bytes, frame_bytes(payload));
+        assert_eq!(sink.writes, 1 + 4 + payload.len(), "one interrupt, then a byte a call");
+    }
+
+    #[test]
+    fn a_stream_that_takes_nothing_is_write_zero() {
+        let mut sink = Counting::new(0, 0);
+        let e = write_frame(&mut sink, b"ping").unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::WriteZero);
+        assert_eq!(sink.writes, 1);
     }
 
     #[test]

@@ -222,6 +222,8 @@ impl<'g> Evaluator<'g> {
                 (Val::Attrs(x), Val::Attrs(y)) => {
                     let mut x = x.into_vec();
                     x.extend_from_slice(y.as_slice());
+                    x.sort_by_key(|a| (self.g.doc_order_key(a.element), a.index));
+                    x.dedup();
                     Ok(Val::Attrs(Set::Many(x)))
                 }
                 (a, b) => Err(XPathError::Eval(format!(
@@ -354,6 +356,7 @@ impl<'g> Evaluator<'g> {
     }
 
     /// XPath 1.0 relational comparison (numeric; existential over sets).
+    /// A set compared with a boolean compares `boolean(set)` (§3.4).
     fn compare_rel(&self, op: BinOp, a: &Val<'_>, b: &Val<'_>) -> bool {
         let g = self.g;
         let cmp = |x: f64, y: f64| match op {
@@ -363,7 +366,10 @@ impl<'g> Evaluator<'g> {
             BinOp::Ge => x >= y,
             _ => unreachable!("relational ops only"),
         };
+        let truth = |set: &Val<'_>| f64::from(u8::from(set.boolean()));
         match (a.is_set(), b.is_set()) {
+            (true, false) if matches!(b, Val::Bool(_)) => cmp(truth(a), b.number(g)),
+            (false, true) if matches!(a, Val::Bool(_)) => cmp(a.number(g), truth(b)),
             (true, true) => a.members(g).any(|x| {
                 let xn = xpath_number(x);
                 b.members(g).any(|y| cmp(xn, xpath_number(y)))
@@ -1236,5 +1242,33 @@ mod tests {
         assert_eq!(after.len(), 3);
         let before = ev(&g).select("//w[last()]/preceding::w").unwrap();
         assert_eq!(before.len(), 3);
+    }
+
+    #[test]
+    fn a_union_of_attribute_sets_is_deduplicated() {
+        let g = corpus::figure1::goddag();
+        let value = |q: &str| ev(&g).eval_str(q).unwrap();
+        assert_eq!(value("count(//line/@n)"), Value::Number(2.0));
+        assert_eq!(value("count(//line/@n | //line/@n)"), Value::Number(2.0));
+        assert_eq!(value("sum(//line/@n | //line/@n)"), value("sum(//line/@n)"));
+    }
+
+    #[test]
+    fn a_set_compared_with_a_boolean_compares_its_boolean() {
+        let g = corpus::figure1::goddag();
+        let holds = |q: &str| ev(&g).eval_str(q).unwrap() == Value::Bool(true);
+        assert!(!holds("//line/@n > true()"));
+        assert!(holds("//line/@n >= true()"));
+        assert!(!holds("true() < //line/@n"));
+        assert!(holds("false() < //line/@n"));
+        assert!(!holds("//nothing > false()"));
+        assert!(holds("//nothing <= false()"));
+        // Set against number, set against set and two scalars are unchanged.
+        assert!(holds("//line/@n > 1"));
+        assert!(!holds("//line/@n > 2"));
+        assert!(holds("1 < //line/@n"));
+        assert!(holds("//line/@n < //line/@n"));
+        assert!(holds("true() > 0"));
+        assert!(!holds("true() > '1'"));
     }
 }
