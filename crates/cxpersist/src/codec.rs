@@ -152,7 +152,7 @@ pub fn encode_record(lsn: u64, op: &WalOp) -> String {
     match op {
         WalOp::Edit { doc, epoch, op } => {
             let _ = write!(body, "{} {} {epoch} ", K::Edit, doc.raw());
-            op.write_tokens(&mut body);
+            body.push_str(&String::from_utf8_lossy(&sacx::Line::encode(op)));
         }
         WalOp::DocInsert { doc, name, blob } => {
             let _ = write!(body, "{} {} ", K::Insert, doc.raw());
@@ -216,7 +216,7 @@ fn decode_framed(input: &[u8]) -> Result<(WalRecord, usize), String> {
         K::Edit => WalOp::Edit {
             doc: doc(&mut t)?,
             epoch: t.parse("epoch")?,
-            op: EditOp::read_tokens(&mut t)?,
+            op: <EditOp as sacx::Field>::read(&mut t, "edit op")?,
         },
         K::Insert => {
             let doc = doc(&mut t)?;

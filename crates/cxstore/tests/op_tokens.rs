@@ -1,5 +1,5 @@
 //! Property tests beside the one `EditOp` text codec and apply body:
-//! `write_tokens` → `read_tokens` is the identity for every op kind and
+//! `encode` → `decode` is the identity for every op kind and
 //! every string the escaping has to survive, and the spelling is
 //! self-delimiting — whatever the enclosing format appends after the op
 //! (the WAL its CRC, `cxq1` its `tc <trace>-<span>` pair) is still there
@@ -9,7 +9,7 @@
 use corpus::gen::Source;
 use cxstore::EditOp;
 use goddag::{Goddag, GoddagError, NodeId};
-use sacx::{EditError, Tokens};
+use sacx::{EditError, Field, Line};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Strings chosen to stress the escaping: separators, escapes, newlines,
@@ -160,17 +160,25 @@ fn ops_roundtrip_and_leave_the_tail_alone() {
         let tail = src.pick(TAILS);
 
         let mut line = String::from("head ");
-        op.write_tokens(&mut line);
+        line.push_str(std::str::from_utf8(&op.encode()).unwrap());
         assert!(!line.contains('\n') && line.is_ascii(), "{line:?}");
         for t in tail {
             line.push(' ');
             line.push_str(t);
         }
 
-        let mut t = Tokens::new(&line);
-        assert_eq!(t.token("head"), Ok("head"));
-        assert_eq!(EditOp::read_tokens(&mut t), Ok(op), "{line:?}");
-        assert_eq!(t.collect::<Vec<_>>(), tail, "{line:?}");
+        let (read, rest) = sacx::token::decode_payload(line.as_bytes(), |t| {
+            assert_eq!(t.token("head"), Ok("head"));
+            let op = EditOp::read(t, "op")?;
+            let mut rest = Vec::new();
+            while let Ok(tok) = t.token("tail") {
+                rest.push(tok.to_string());
+            }
+            Ok((op, rest))
+        })
+        .unwrap();
+        assert_eq!(read, op, "{line:?}");
+        assert_eq!(rest, tail, "{line:?}");
     });
 }
 
@@ -179,6 +187,6 @@ fn malformed_ops_are_errors_not_panics() {
     let lines =
         ["", "frobnicate 1", "insel h", "insel h t x 2", "rmel -1", "setattr 1 n", "instext 0 %zz"];
     for line in lines {
-        assert!(EditOp::read_tokens(&mut Tokens::new(line)).is_err(), "{line:?}");
+        assert!(EditOp::decode(line.as_bytes()).is_err(), "{line:?}");
     }
 }

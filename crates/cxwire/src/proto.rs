@@ -416,7 +416,7 @@ impl Request {
                     Some(g) => write!(out, " {} {g} ", doc.raw()),
                     None => write!(out, " {} - ", doc.raw()),
                 };
-                op.write_tokens(&mut out);
+                out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(op)));
                 Ok(())
             }
             Request::Query { doc, expr } => write!(out, " {} {}", doc.raw(), f(expr)),
@@ -513,7 +513,7 @@ impl Request {
             Verb::Edit => Request::Edit {
                 doc: doc_id(&mut t)?,
                 guard: t.parse_opt("guard epoch")?,
-                op: EditOp::read_tokens(&mut t)?,
+                op: <EditOp as sacx::Field>::read(&mut t, "edit op")?,
             },
             Verb::Query => Request::Query { doc: doc_id(&mut t)?, expr: t.string("expr")? },
             Verb::QueryAll => Request::QueryAll { expr: t.string("expr")? },

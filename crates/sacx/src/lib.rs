@@ -45,7 +45,7 @@ mod fragmentation;
 mod milestone;
 mod prefix;
 mod standoff;
-mod token;
+pub mod token;
 
 pub mod driver;
 
@@ -60,4 +60,7 @@ pub use fragmentation::{
 };
 pub use milestone::{export_milestone, import_milestone, MilestoneOptions, CX_MID, CX_MS};
 pub use standoff::{export_standoff, import_standoff, Annotation, StandoffDoc};
-pub use token::{escape_field, escape_token, take_line, unescape_field, write_attrs, Tokens};
+pub use token::{
+    crc32, escape_field, escape_token, take_line, unescape_field, write_attrs, Attrs, Bare, Block,
+    Body, Directives, Escaped, Field, Hex, Line, Lines, Raw, Shape, Tokens, Writer,
+};

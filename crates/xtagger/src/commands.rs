@@ -79,7 +79,9 @@ impl Command {
                 t.next();
                 Command::Redo
             }
-            _ => Command::Edit(EditOp::read_tokens(&mut t).map_err(XTaggerError::Query)?),
+            _ => Command::Edit(
+                <EditOp as sacx::Field>::read(&mut t, "edit op").map_err(XTaggerError::Query)?,
+            ),
         };
         t.finish().map_err(XTaggerError::Query)?;
         Ok(Some(cmd))
@@ -168,8 +170,7 @@ mod tests {
             EditOp::RemoveAttr { node: NodeId(3), name: "n".into() },
         ];
         for op in ops {
-            let mut line = String::new();
-            op.write_tokens(&mut line);
+            let line = String::from_utf8(sacx::Line::encode(&op)).unwrap();
             assert_eq!(Command::parse(&line).unwrap(), Some(Command::Edit(op)), "{line:?}");
         }
     }
