@@ -16,43 +16,57 @@
 //! annot 1 w 0 3
 //! ```
 //!
-//! Attribute values are percent-encoded (`%xx`) so they survive whitespace
-//! and newlines.
+//! Names and attribute values are percent-encoded (`%xx`) so they survive
+//! whitespace and newlines. The format is declared once as a
+//! [`directives!`](crate::directives) file: blank lines, `#` comments and
+//! trailing blanks are skipped for hand editing; `root` and `content` appear
+//! exactly once.
 
 use crate::error::{Result, SacxError};
-use crate::token::{escape_token, take_line, Tokens};
+use crate::token::{Attrs, Bare, Block, Directives};
 use goddag::{Goddag, GoddagBuilder, HierarchyId, RangeSpec};
-use std::fmt::Write as _;
 use xmlcore::{Attribute, QName};
 
-/// One stand-off annotation record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Annotation {
-    /// Index into [`StandoffDoc::hierarchies`].
-    pub hierarchy: u16,
-    /// Element name (local).
-    pub tag: String,
-    /// Content byte range (empty when `start == end`).
-    pub start: usize,
-    /// End offset (exclusive).
-    pub end: usize,
-    /// `(name, value)` attribute pairs.
-    pub attrs: Vec<(String, String)>,
+crate::line! {
+    /// One stand-off annotation record: an `annot` line.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Annotation {
+        /// Index into [`StandoffDoc::hierarchies`].
+        pub hierarchy: u16,
+        /// Element name (local).
+        pub tag: String as Bare,
+        /// Content byte range (empty when `start == end`).
+        pub start: usize,
+        /// End offset (exclusive).
+        pub end: usize,
+        /// `(name, value)` attribute pairs.
+        pub attrs: Vec<(String, String)> as Attrs<Bare>,
+    }
 }
 
-/// A complete stand-off document.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StandoffDoc {
-    /// Shared root element name.
-    pub root: String,
-    /// Root attributes.
-    pub root_attrs: Vec<(String, String)>,
-    /// Hierarchy names.
-    pub hierarchies: Vec<String>,
-    /// The base text.
-    pub content: String,
-    /// Annotations in document order (outer-first for equal spans).
-    pub annotations: Vec<Annotation>,
+crate::directives! {
+    /// A complete stand-off document.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct StandoffDoc("#cxml-standoff v1", None, lenient) {
+        "root" once {
+            /// Shared root element name.
+            root: String as Bare,
+            /// Root attributes.
+            root_attrs: Vec<(String, String)> as Attrs<Bare>,
+        },
+        "hierarchy" many {
+            /// Hierarchy names.
+            hierarchies: String as Bare,
+        },
+        "content" once {
+            /// The base text.
+            content: String as Block<true>,
+        },
+        "annot" many {
+            /// Annotations in document order (outer-first for equal spans).
+            annotations: Annotation,
+        },
+    }
 }
 
 impl StandoffDoc {
@@ -183,99 +197,12 @@ impl StandoffDoc {
 
     /// Serialize to the line-oriented text format.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("#cxml-standoff v1\n");
-        let _ = write!(out, "root {}", escape_token(&self.root));
-        for (n, v) in &self.root_attrs {
-            let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
-        }
-        out.push('\n');
-        for h in &self.hierarchies {
-            let _ = writeln!(out, "hierarchy {}", escape_token(h));
-        }
-        let _ = writeln!(out, "content {}", self.content.len());
-        out.push_str(&self.content);
-        out.push('\n');
-        for a in &self.annotations {
-            let _ =
-                write!(out, "annot {} {} {} {}", a.hierarchy, escape_token(&a.tag), a.start, a.end);
-            for (n, v) in &a.attrs {
-                let _ = write!(out, " {}={}", escape_token(n), escape_token(v));
-            }
-            out.push('\n');
-        }
-        out
+        self.to_file()
     }
 
     /// Parse the line-oriented text format.
     pub fn parse_text(input: &str) -> Result<StandoffDoc> {
-        let mut rest = input;
-
-        let header = take_line(&mut rest)
-            .ok_or(SacxError::Standoff { line: 1, detail: "empty input".into() })?;
-        if header.trim() != "#cxml-standoff v1" {
-            return Err(SacxError::Standoff { line: 1, detail: "bad magic line".into() });
-        }
-
-        let mut root: Option<String> = None;
-        let mut root_attrs: Vec<(String, String)> = Vec::new();
-        let mut hierarchies: Vec<String> = Vec::new();
-        let mut content: Option<String> = None;
-        let mut annotations: Vec<Annotation> = Vec::new();
-        let mut ln = 1usize;
-        while let Some(line) = take_line(&mut rest) {
-            ln += 1;
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            // Trailing blanks on a hand-edited line are not tokens.
-            let mut t = Tokens::new(line.trim_end_matches(' '));
-            let mut directive = || -> std::result::Result<(), String> {
-                match t.token("directive")? {
-                    "root" => {
-                        root = Some(t.string("root name")?);
-                        root_attrs.extend(t.attrs()?);
-                    }
-                    "hierarchy" => hierarchies.push(t.string("hierarchy name")?),
-                    "content" => {
-                        let len: usize = t.parse("content byte length")?;
-                        if rest.len() < len {
-                            return Err(format!(
-                                "content length {len} exceeds remaining input {}",
-                                rest.len()
-                            ));
-                        }
-                        if !rest.is_char_boundary(len) {
-                            return Err("content length splits a UTF-8 char".into());
-                        }
-                        content = Some(rest[..len].to_string());
-                        rest = &rest[len..];
-                        // Consume the newline terminating the content block.
-                        if let Some(r) = rest.strip_prefix('\n') {
-                            rest = r;
-                        }
-                    }
-                    "annot" => annotations.push(Annotation {
-                        hierarchy: t.parse("hierarchy index")?,
-                        tag: t.string("tag")?,
-                        start: t.parse("start offset")?,
-                        end: t.parse("end offset")?,
-                        attrs: t.attrs()?,
-                    }),
-                    other => return Err(format!("unknown directive {other:?}")),
-                }
-                t.finish()
-            };
-            directive().map_err(|detail| SacxError::Standoff { line: ln, detail })?;
-        }
-        Ok(StandoffDoc {
-            root: root.ok_or(SacxError::Standoff { line: ln, detail: "missing root".into() })?,
-            root_attrs,
-            hierarchies,
-            content: content
-                .ok_or(SacxError::Standoff { line: ln, detail: "missing content".into() })?,
-            annotations,
-        })
+        StandoffDoc::from_file(input).map_err(|(line, detail)| SacxError::Standoff { line, detail })
     }
 }
 
@@ -406,6 +333,28 @@ mod tests {
                 matches!(StandoffDoc::parse_text(&bad), Err(SacxError::Standoff { .. })),
                 "{junk:?} accepted"
             );
+        }
+    }
+
+    #[test]
+    fn one_spelling_per_file_with_hand_editing_leniency() {
+        let good =
+            "#cxml-standoff v1\nroot r id=1\nhierarchy a\ncontent 3\nxyz\nannot 0 w 0 3 n=1\n";
+        let doc = StandoffDoc::parse_text(good).unwrap();
+        let edited = good.replace("hierarchy a\n", "# a comment\n\nhierarchy a  \n");
+        assert_eq!(StandoffDoc::parse_text(&edited).unwrap(), doc);
+        for (from, to) in [
+            ("#cxml-standoff v1\n", "  #cxml-standoff v1  \n"),
+            // A second root line used to merge its attributes into the first.
+            ("root r id=1\n", "root r id=1\nroot r n=2\n"),
+            ("content 3\nxyz\n", "content 3\nxyz\ncontent 1\nx\n"),
+            ("annot 0 w 0 3", "annot 0 w 00 3"),
+            ("annot 0 w 0 3", "annot +0 w 0 3"),
+            ("content 3\nxyz\n", "content 3\nxyz"),
+            ("root r id=1", "root r id=%31"),
+        ] {
+            let bad = good.replace(from, to);
+            assert!(StandoffDoc::parse_text(&bad).is_err(), "{to:?} accepted");
         }
     }
 

@@ -45,13 +45,17 @@ pub fn escape_token(s: &str) -> String {
 
 fn escape_into(out: &mut String, s: &str) {
     for b in s.bytes() {
-        match b {
-            b'%' | b'\n' | b'\r' | b' ' | b'=' | 0..=0x1f | 0x80.. => {
-                let _ = write!(out, "%{b:02x}");
-            }
-            _ => out.push(b as char),
+        if escaped(b) {
+            let _ = write!(out, "%{b:02x}");
+        } else {
+            out.push(b as char);
         }
     }
+}
+
+/// The bytes a token spells as `%xx` — and the only ones it may.
+fn escaped(b: u8) -> bool {
+    matches!(b, b'%' | b'\n' | b'\r' | b' ' | b'=' | 0..=0x1f | 0x80..)
 }
 
 /// [`escape_token`] for a *positional* token: `""` is spelled as a lone `%`
@@ -78,9 +82,13 @@ fn unescape_token(s: &str) -> Result<String, String> {
     while i < raw.len() {
         if raw[i] == b'%' {
             let hex = raw.get(i + 1..i + 3).ok_or("truncated percent escape")?;
-            // Two lowercase hex digits exactly, as `escape_into` writes them.
-            let b =
-                std::str::from_utf8(hex).ok().and_then(|h| hex_lower(h, 2)).ok_or_else(|| {
+            // Two lowercase hex digits of a byte that needs them, exactly as
+            // `escape_into` writes them.
+            let b = std::str::from_utf8(hex)
+                .ok()
+                .and_then(|h| hex_lower(h, 2))
+                .filter(|&b| escaped(b as u8))
+                .ok_or_else(|| {
                     format!("invalid percent escape %{}", String::from_utf8_lossy(hex))
                 })?;
             bytes.push(b as u8);
@@ -1451,7 +1459,7 @@ mod tests {
         assert!(unescape_field("%zz").is_err());
         // One spelling per byte: `%0f` only.
         assert_eq!(unescape_field("%0f").unwrap(), "\x0f");
-        for s in ["%+f", "%-f", "% f", "%f+", "a%+fb", "%0F"] {
+        for s in ["%+f", "%-f", "% f", "%f+", "a%+fb", "%0F", "%41", "%2d"] {
             assert!(unescape_field(s).is_err(), "{s:?}");
         }
     }
