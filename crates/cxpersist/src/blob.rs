@@ -253,6 +253,18 @@ impl DocBlob {
     }
 }
 
+/// A blob travels raw after its line: in a WAL `ins` record, a wire
+/// snapshot and a `cxq1` insert.
+impl sacx::Raw for DocBlob {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.to_text().as_bytes());
+    }
+    fn take(bytes: &[u8]) -> Result<DocBlob, String> {
+        let text = std::str::from_utf8(bytes).map_err(|_| "blob is not UTF-8")?;
+        DocBlob::parse_text(text).map_err(|e| format!("blob: {e}"))
+    }
+}
+
 /// A document on its way into a durable store: the GODDAG the store
 /// applies in memory and the [`DocBlob`] its `DocInsert` record logs.
 /// Built only by [`LoggedDoc::capture`] or [`LoggedDoc::restore`], so the

@@ -13,14 +13,13 @@
 //!
 //! Every record starts with one line `<lsn> <kind> <fields…> <crc32>`,
 //! where the CRC covers the record body (everything before the final
-//! space). Fields are read with the workspace's one token cursor
-//! ([`sacx::Tokens`]: strings percent-escaped, the empty string a lone `%`)
-//! and an `edit` record's tail is [`EditOp::write_tokens`] verbatim — the
-//! paper core's one edit spelling (`sacx::EditOp`, re-exported by
-//! `cxstore`), which a `cxq1` edit request and an xTagger script line
-//! carry too. `ins` records
-//! carry the document blob as a *length-prefixed raw payload block* after
-//! the line (escaping it would ~triple its size; the blob's own CRC footer
+//! space). The kinds and their fields are declared once, as [`WalOp`]
+//! (a [`sacx::line!`] declaration: strings percent-escaped, the empty
+//! string a lone `%`), and an `edit` record's tail is the paper core's one
+//! edit spelling (`sacx::EditOp`, re-exported by `cxstore`), which a `cxq1`
+//! edit request and an xTagger script line carry too. `ins` records carry
+//! the document blob as a *length-prefixed raw payload block* after the
+//! line (escaping it would ~triple its size; the blob's own CRC footer
 //! guards its integrity). Torn or bit-flipped trailing records are
 //! detected by [`scan`]: the first record that fails framing, parsing or
 //! its CRC ends the valid prefix, and everything after it is dropped.
@@ -28,106 +27,105 @@
 use crate::blob::DocBlob;
 use crate::error::PersistError;
 use cxstore::{DocId, EditOp};
-use sacx::{escape_field, Tokens};
-use std::fmt::Write as _;
+use sacx::{Block, Field, Hex, Tokens, Writer};
 
 /// First line of every WAL file (version-bumps on format changes).
 pub const WAL_HEADER: &str = "#cxwal v1\n";
 
-// ---------------------------------------------------------------------
-// CRC-32 (IEEE, reflected) — dependency-free, table-driven.
-// ---------------------------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut t = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            k += 1;
-        }
-        t[i] = c;
-        i += 1;
-    }
-    t
-}
-
-const CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE 802.3) of a byte string.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
+pub use sacx::crc32;
 
 // ---------------------------------------------------------------------
 // Records
 // ---------------------------------------------------------------------
 
-sacx::vocabulary! {
-    /// The keyword a [`WalOp`] is logged under.
-    enum RecordKind("record kind") {
-        Edit = "edit",
-        Insert = "ins",
-        Remove = "rm",
-        Bind = "bind",
-        Unbind = "unbind",
+sacx::line! {
+    /// One logged operation (the payload of a [`WalRecord`]).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum WalOp: RecordKind("record kind") {
+        /// A document edit. `epoch` is the document's edit epoch *before*
+        /// the op was applied — recovery verifies it against the replaying
+        /// document to detect divergence.
+        Edit {
+            /// Target document.
+            doc: DocId,
+            /// Edit epoch the document was at when the record was appended.
+            epoch: u64,
+            /// The operation itself.
+            op: EditOp,
+        } = "edit",
+        /// A document entered the store (the full blob rides in the log so
+        /// documents inserted after the last snapshot survive a crash).
+        DocInsert {
+            /// The handle the document received.
+            doc: DocId,
+            /// Name bound at insertion, if any.
+            name: Option<String> as Naming,
+            /// Complete serialized document.
+            blob: DocBlob as Payload,
+        } = "ins",
+        /// A document left the store.
+        DocRemove {
+            /// The removed handle.
+            doc: DocId,
+        } = "rm",
+        /// A name was bound (or re-bound) to a document.
+        BindName {
+            /// Target document.
+            doc: DocId,
+            /// The name.
+            name: String,
+        } = "bind",
+        /// A name was unbound without removing its document — how a cluster
+        /// retires one shard's binding when a name moves to a document on a
+        /// different shard (a plain rebind only shadows within one store).
+        UnbindName {
+            /// The name.
+            name: String,
+        } = "unbind",
     }
 }
 
 sacx::vocabulary! {
-    /// Whether an `ins` record binds a name.
+    /// Whether an `ins` record binds a name: `anon`, or `named <name>`.
     enum Naming("insert naming") { Anon = "anon", Named = "named" }
 }
 
-/// One logged operation (the payload of a [`WalRecord`]).
-#[derive(Debug, Clone, PartialEq)]
-pub enum WalOp {
-    /// A document edit. `epoch` is the document's edit epoch *before* the
-    /// op was applied — recovery verifies it against the replaying
-    /// document to detect divergence.
-    Edit {
-        /// Target document.
-        doc: DocId,
-        /// Edit epoch the document was at when the record was appended.
-        epoch: u64,
-        /// The operation itself.
-        op: EditOp,
-    },
-    /// A document entered the store (the full blob rides in the log so
-    /// documents inserted after the last snapshot survive a crash).
-    DocInsert {
-        /// The handle the document received.
-        doc: DocId,
-        /// Name bound at insertion, if any.
-        name: Option<String>,
-        /// Complete serialized document.
-        blob: DocBlob,
-    },
-    /// A document left the store.
-    DocRemove {
-        /// The removed handle.
-        doc: DocId,
-    },
-    /// A name was bound (or re-bound) to a document.
-    BindName {
-        /// Target document.
-        doc: DocId,
-        /// The name.
-        name: String,
-    },
-    /// A name was unbound without removing its document — how a cluster
-    /// retires one shard's binding when a name moves to a document on a
-    /// different shard (a plain rebind only shadows within one store).
-    UnbindName {
-        /// The name.
-        name: String,
-    },
+impl Field<Option<String>> for Naming {
+    fn write(v: &Option<String>, w: &mut Writer) {
+        match v {
+            Some(name) => {
+                Naming::write(&Naming::Named, w);
+                String::write(name, w);
+            }
+            None => Naming::write(&Naming::Anon, w),
+        }
+    }
+    fn read(t: &mut Tokens<'_>, what: &str) -> Result<Option<String>, String> {
+        match Naming::read(t, what)? {
+            Naming::Anon => Ok(None),
+            Naming::Named => String::read(t, what).map(Some),
+        }
+    }
+}
+
+/// `blob <len>`, and the document blob as a raw block after the record
+/// line: framing it raw instead of percent-escaping it keeps document
+/// inserts at ~1× their blob size rather than ~3× (spaces, newlines and
+/// non-ASCII dominate document text). The blob's own CRC footer covers the
+/// payload, the record CRC covers the declared length.
+struct Payload;
+
+impl Field<DocBlob> for Payload {
+    fn write(v: &DocBlob, w: &mut Writer) {
+        w.word("blob");
+        <Block>::write(v, w);
+    }
+    fn read(t: &mut Tokens<'_>, what: &str) -> Result<DocBlob, String> {
+        if t.token(what)? != "blob" {
+            return Err("expected blob length".into());
+        }
+        <Block>::read(t, what)
+    }
 }
 
 /// One WAL record: a monotonic log sequence number plus the operation.
@@ -139,53 +137,17 @@ pub struct WalRecord {
     pub op: WalOp,
 }
 
-/// Encode a record: one CRC'd line, plus — for `DocInsert` only — the raw
-/// document blob as a length-prefixed payload block after the line.
-/// Framing the blob raw instead of percent-escaping it keeps document
-/// inserts at ~1× their blob size rather than ~3× (spaces, newlines and
-/// non-ASCII dominate document text); the blob's own CRC footer covers the
-/// payload's integrity, the record CRC covers the declared length.
+/// Encode a record: `<lsn> <op> <crc>` on one line, where the CRC covers
+/// everything before its space, then the blob block of a `DocInsert`.
 pub fn encode_record(lsn: u64, op: &WalOp) -> String {
-    use RecordKind as K;
-    let mut body = format!("{lsn} ");
-    let mut payload = None;
-    match op {
-        WalOp::Edit { doc, epoch, op } => {
-            let _ = write!(body, "{} {} {epoch} ", K::Edit, doc.raw());
-            body.push_str(&String::from_utf8_lossy(&sacx::Line::encode(op)));
-        }
-        WalOp::DocInsert { doc, name, blob } => {
-            let _ = write!(body, "{} {} ", K::Insert, doc.raw());
-            match name {
-                Some(n) => {
-                    let _ = write!(body, "{} {} ", Naming::Named, escape_field(n));
-                }
-                None => {
-                    let _ = write!(body, "{} ", Naming::Anon);
-                }
-            }
-            let text = blob.to_text();
-            debug_assert!(text.ends_with('\n'), "blob text is newline-terminated");
-            let _ = write!(body, "blob {}", text.len());
-            payload = Some(text);
-        }
-        WalOp::DocRemove { doc } => {
-            let _ = write!(body, "{} {}", K::Remove, doc.raw());
-        }
-        WalOp::BindName { doc, name } => {
-            let _ = write!(body, "{} {} {}", K::Bind, doc.raw(), escape_field(name));
-        }
-        WalOp::UnbindName { name } => {
-            let _ = write!(body, "{} {}", K::Unbind, escape_field(name));
-        }
-    }
-    let crc = crc32(body.as_bytes());
-    let _ = write!(body, " {crc:08x}");
-    body.push('\n');
-    if let Some(payload) = payload {
-        body.push_str(&payload);
-    }
-    body
+    let mut w = Writer::default();
+    u64::write(&lsn, &mut w);
+    WalOp::write(op, &mut w);
+    let crc = crc32(w.line().as_bytes());
+    Hex::<8>::write(&u64::from(crc), &mut w);
+    let mut out = String::new();
+    w.finish_into(&mut out);
+    out
 }
 
 /// Decode one record starting at the beginning of `input` (which may hold
@@ -198,49 +160,17 @@ pub fn decode_record(input: &[u8], line_no: usize) -> Result<(WalRecord, usize),
 }
 
 fn decode_framed(input: &[u8]) -> Result<(WalRecord, usize), String> {
-    use RecordKind as K;
     let nl = input.iter().position(|&b| b == b'\n').ok_or("record without trailing newline")?;
     let line = std::str::from_utf8(&input[..nl]).map_err(|_| "record line is not UTF-8")?;
     let (body, crc_tok) = line.rsplit_once(' ').ok_or("record without CRC field")?;
-    let crc = xmlcore::num::hex_fixed(crc_tok, 8).ok_or("malformed CRC")?;
+    let crc = sacx::token::hex_lower(crc_tok, 8).ok_or("malformed CRC")?;
     if crc != u64::from(crc32(body.as_bytes())) {
         return Err("CRC mismatch".into());
     }
-    let mut consumed = nl + 1;
-    let mut t = Tokens::new(body);
-    let lsn: u64 = t.parse("LSN")?;
-    let kind = K::parse(t.token("record kind")?)?;
-    // Every kind but `unbind` names a document first.
-    let doc = |t: &mut Tokens<'_>| t.parse("doc id").map(DocId::from_raw);
-    let op = match kind {
-        K::Edit => WalOp::Edit {
-            doc: doc(&mut t)?,
-            epoch: t.parse("epoch")?,
-            op: <EditOp as sacx::Field>::read(&mut t, "edit op")?,
-        },
-        K::Insert => {
-            let doc = doc(&mut t)?;
-            let name = match Naming::parse(t.token("anon|named")?)? {
-                Naming::Anon => None,
-                Naming::Named => Some(t.string("name")?),
-            };
-            if t.token("blob length")? != "blob" {
-                return Err("expected blob length".into());
-            }
-            let len: usize = t.parse("blob length")?;
-            let end = consumed.checked_add(len).ok_or("blob length overflows")?;
-            let payload = input.get(consumed..end).ok_or("torn blob payload")?;
-            let payload = std::str::from_utf8(payload).map_err(|_| "blob payload is not UTF-8")?;
-            let blob = DocBlob::parse_text(payload).map_err(|e| format!("blob payload: {e}"))?;
-            consumed = end;
-            WalOp::DocInsert { doc, name, blob }
-        }
-        K::Remove => WalOp::DocRemove { doc: doc(&mut t)? },
-        K::Bind => WalOp::BindName { doc: doc(&mut t)?, name: t.string("name")? },
-        K::Unbind => WalOp::UnbindName { name: t.string("name")? },
-    };
-    t.finish()?;
-    Ok((WalRecord { lsn, op }, consumed))
+    let (record, taken) = sacx::token::decode_line(body, &input[nl + 1..], |t| {
+        Ok(WalRecord { lsn: u64::read(t, "LSN")?, op: WalOp::read(t, "record")? })
+    })?;
+    Ok((record, nl + 1 + taken))
 }
 
 /// Framing-only walk of one record: return its LSN and total byte length
@@ -253,7 +183,7 @@ pub(crate) fn skip_record(input: &[u8]) -> Option<(u64, usize)> {
     let mut parts = line.split(' ');
     let lsn = xmlcore::num::dec(parts.next()?)?;
     let mut consumed = nl + 1;
-    if parts.next() == Some(RecordKind::Insert.name()) {
+    if parts.next() == Some(RecordKind::DocInsert.name()) {
         // `ins <doc> anon|named [<name>] blob <len> <crc>` — the length is
         // the second-to-last token.
         let toks: Vec<&str> = parts.collect();
@@ -480,6 +410,33 @@ mod tests {
         // The framing-only walk refuses a signed LSN as well.
         let signed = format!("+{line}");
         assert!(skip_record(signed.as_bytes()).is_none());
+    }
+
+    #[test]
+    fn a_record_has_one_spelling_under_a_valid_crc() {
+        let seal = |body: &str| format!("{body} {:08x}\n", crc32(body.as_bytes()));
+        for good in ["5 edit 1 3 instext 3 x", "5 rm 1", "5 edit 0 0 deltext 0 10"] {
+            assert!(decode_record(seal(good).as_bytes(), 1).is_ok(), "{good:?}");
+        }
+        for bad in [
+            "5 edit 1 3 instext 03 x",
+            "05 rm 1",
+            "5 rm 01",
+            "5 edit 1 03 deltext 0 1",
+            "5 edit 1 3 instext 3 %78",
+            "5 rm 1 1",
+            "5 rm",
+        ] {
+            assert!(decode_record(seal(bad).as_bytes(), 1).is_err(), "{bad:?} accepted");
+        }
+        // The CRC is lowercase hex, as written.
+        let line = (1..)
+            .map(|lsn| encode_record(lsn, &WalOp::DocRemove { doc: DocId::from_raw(1) }))
+            .find(|l| l.rsplit_once(' ').unwrap().1.bytes().any(|b| b.is_ascii_lowercase()))
+            .unwrap();
+        let (body, crc) = line.rsplit_once(' ').unwrap();
+        let upper = format!("{body} {}", crc.to_uppercase());
+        assert!(decode_record(upper.as_bytes(), 1).is_err(), "{upper:?} accepted");
     }
 
     #[test]

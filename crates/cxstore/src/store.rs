@@ -34,6 +34,16 @@ impl DocId {
     }
 }
 
+/// On the wire and in the log: the raw id, decimal.
+impl sacx::Field for DocId {
+    fn write(v: &DocId, w: &mut sacx::Writer) {
+        u64::write(&v.0, w);
+    }
+    fn read(t: &mut sacx::Tokens<'_>, what: &str) -> std::result::Result<DocId, String> {
+        u64::read(t, what).map(DocId)
+    }
+}
+
 impl fmt::Display for DocId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "doc#{}", self.0)

@@ -192,8 +192,8 @@ impl Writer {
         out
     }
 
-    /// Append the line, its `\n` and the body to a text file.
-    fn finish_into(self, out: &mut String) {
+    /// Append the line, its `\n` and the body to a text.
+    pub fn finish_into(self, out: &mut String) {
         out.push_str(&self.line);
         out.push('\n');
         if let Some(body) = &self.body {
