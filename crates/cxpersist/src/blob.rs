@@ -29,34 +29,65 @@
 //! word that ends there, or leave empty elements nested): such elements
 //! come back outermost, as siblings in id order, with the same ids, and a
 //! second capture → restore reproduces that document exactly.
+//!
+//! The text form is declared once as a [`sacx::directives!`] file:
+//! `arena`, `elems`, `leaves` and `standoff` exactly once, `dtd` per
+//! schema, and a `crc` footer.
 
-use crate::codec::crc32;
 use crate::error::PersistError;
 use cxobs::trace;
 use goddag::{Goddag, Layout, NodeId};
-use sacx::{escape_field, take_line, StandoffDoc, Tokens};
+use sacx::token::{dec, Counted};
+use sacx::{Block, Directives, Field, StandoffDoc, Tokens, Writer};
 use std::fmt::Write as _;
 
-/// A complete serialized document (see module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DocBlob {
-    /// Stand-off text (`sacx` v1 format).
-    pub standoff: String,
-    /// `(hierarchy index, DTD external-subset text)` for each hierarchy
-    /// that carries a schema.
-    pub dtds: Vec<(u16, String)>,
-    /// Arena length at capture (ids are never reused, so future edit
-    /// allocations start here).
-    pub arena_len: u32,
-    /// Root node id (always 0 in documents this workspace builds; recorded
-    /// for validation).
-    pub root: u32,
-    /// Edit epoch at capture.
-    pub epoch: u64,
-    /// Original element ids, parallel to the stand-off annotations.
-    pub elems: Vec<u32>,
-    /// Original `(leaf id, byte offset)` pairs in frontier order.
-    pub leaves: Vec<(u32, usize)>,
+sacx::directives! {
+    /// A complete serialized document (see module docs).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct DocBlob("#cxblob v1", Crc) {
+        "arena" once {
+            /// Arena length at capture (ids are never reused, so future edit
+            /// allocations start here).
+            arena_len: u32,
+            /// Root node id (always 0 in documents this workspace builds;
+            /// recorded for validation).
+            root: u32,
+            /// Edit epoch at capture.
+            epoch: u64,
+        },
+        "elems" once {
+            /// Original element ids, parallel to the stand-off annotations.
+            elems: Vec<u32>,
+        },
+        "leaves" once {
+            /// Original `(leaf id, byte offset)` pairs in frontier order.
+            leaves: Vec<(u32, usize)> as Counted<Leaf>,
+        },
+        "dtd" many {
+            /// `(hierarchy index, DTD external-subset text)` for each
+            /// hierarchy that carries a schema.
+            dtds: (u16, String),
+        },
+        "standoff" once {
+            /// Stand-off text (`sacx` v1 format).
+            standoff: String as Block,
+        },
+    }
+}
+
+/// One leaf of the `leaves` line: `<id>:<byte offset>`.
+pub struct Leaf;
+
+impl Field<(u32, usize)> for Leaf {
+    fn write(v: &(u32, usize), w: &mut Writer) {
+        let _ = write!(w.token(), "{}:{}", v.0, v.1);
+    }
+    fn read(t: &mut Tokens<'_>, what: &str) -> Result<(u32, usize), String> {
+        let (id, off) = t.token(what)?.split_once(':').ok_or("bad leaf entry")?;
+        let id = dec(id).and_then(|id| u32::try_from(id).ok());
+        let off = dec(off).and_then(|off| usize::try_from(off).ok());
+        id.zip(off).ok_or_else(|| "bad leaf entry".to_string())
+    }
 }
 
 impl DocBlob {
@@ -123,133 +154,16 @@ impl DocBlob {
     }
 
     /// Serialize to the versioned text format (used verbatim as snapshot
-    /// doc files; percent-escaped as a single WAL token for `DocInsert`
-    /// records). Ends with a `crc` footer over everything before it.
+    /// doc files, raw after its line in WAL `DocInsert` records, wire
+    /// snapshots and `cxq1` inserts). Ends with a `crc` footer over
+    /// everything before it.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("#cxblob v1\n");
-        let _ = writeln!(out, "arena {} {} {}", self.arena_len, self.root, self.epoch);
-        let _ = write!(out, "elems {}", self.elems.len());
-        for e in &self.elems {
-            let _ = write!(out, " {e}");
-        }
-        out.push('\n');
-        let _ = write!(out, "leaves {}", self.leaves.len());
-        for (l, off) in &self.leaves {
-            let _ = write!(out, " {l}:{off}");
-        }
-        out.push('\n');
-        for (h, text) in &self.dtds {
-            let _ = writeln!(out, "dtd {h} {}", escape_field(text));
-        }
-        let _ = writeln!(out, "standoff {}", self.standoff.len());
-        out.push_str(&self.standoff);
-        if !self.standoff.ends_with('\n') {
-            out.push('\n');
-        }
-        let crc = crc32(out.as_bytes());
-        let _ = writeln!(out, "crc {crc:08x}");
-        out
+        self.to_file()
     }
 
     /// Parse the text format, verifying the `crc` footer.
     pub fn parse_text(input: &str) -> Result<DocBlob, PersistError> {
-        let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
-        // The CRC covers everything up to and including the newline before
-        // the footer line.
-        let trimmed = input.strip_suffix('\n').unwrap_or(input);
-        let Some(split) = trimmed.rfind('\n') else {
-            return Err(bad(1, "blob too short".into()));
-        };
-        let (body, footer) = (&input[..split + 1], &trimmed[split + 1..]);
-        let crc_expect = footer
-            .strip_prefix("crc ")
-            .and_then(|h| xmlcore::num::hex_fixed(h, 8))
-            .ok_or_else(|| bad(0, "missing crc footer".into()))?;
-        if u64::from(crc32(body.as_bytes())) != crc_expect {
-            return Err(bad(0, "blob CRC mismatch".into()));
-        }
-
-        let mut rest = body;
-        let mut ln = 0usize;
-
-        let header = take_line(&mut rest).ok_or_else(|| bad(1, "empty blob".into()))?;
-        if header.trim() != "#cxblob v1" {
-            return Err(bad(1, "bad blob magic".into()));
-        }
-        let mut arena: Option<(u32, u32, u64)> = None;
-        let mut elems: Option<Vec<u32>> = None;
-        let mut leaves: Option<Vec<(u32, usize)>> = None;
-        let mut dtds: Vec<(u16, String)> = Vec::new();
-        let mut standoff: Option<String> = None;
-        while let Some(line) = take_line(&mut rest) {
-            ln += 1;
-            let mut t = Tokens::new(line);
-            let mut directive = || -> Result<(), String> {
-                match t.token("directive")? {
-                    "arena" => {
-                        arena = Some((
-                            t.parse("arena length")?,
-                            t.parse("root id")?,
-                            t.parse("epoch")?,
-                        ));
-                    }
-                    "elems" => {
-                        let n: usize = t.parse("element count")?;
-                        let ids: Vec<u32> = t
-                            .by_ref()
-                            .map(str::parse)
-                            .collect::<Result<_, _>>()
-                            .map_err(|_| "bad element id")?;
-                        if ids.len() != n {
-                            return Err("element count mismatch".into());
-                        }
-                        elems = Some(ids);
-                    }
-                    "leaves" => {
-                        let n: usize = t.parse("leaf count")?;
-                        let ids: Vec<(u32, usize)> = t
-                            .by_ref()
-                            .map(|entry| {
-                                let (id, off) = entry.split_once(':')?;
-                                let id = u32::try_from(xmlcore::num::dec(id)?).ok()?;
-                                Some((id, usize::try_from(xmlcore::num::dec(off)?).ok()?))
-                            })
-                            .collect::<Option<_>>()
-                            .ok_or("bad leaf entry")?;
-                        if ids.len() != n {
-                            return Err("leaf count mismatch".into());
-                        }
-                        leaves = Some(ids);
-                    }
-                    "dtd" => dtds.push((t.parse("hierarchy index")?, t.string("DTD text")?)),
-                    "standoff" => {
-                        let len: usize = t.parse("stand-off length")?;
-                        if rest.len() < len || !rest.is_char_boundary(len) {
-                            return Err("stand-off length out of bounds".into());
-                        }
-                        standoff = Some(rest[..len].to_string());
-                        rest = &rest[len..];
-                        if let Some(r) = rest.strip_prefix('\n') {
-                            rest = r;
-                        }
-                    }
-                    other => return Err(format!("unknown blob directive {other:?}")),
-                }
-                t.finish()
-            };
-            directive().map_err(|detail| bad(ln, detail))?;
-        }
-        let (arena_len, root, epoch) = arena.ok_or_else(|| bad(ln, "missing arena line".into()))?;
-        Ok(DocBlob {
-            standoff: standoff.ok_or_else(|| bad(ln, "missing stand-off".into()))?,
-            dtds,
-            arena_len,
-            root,
-            epoch,
-            elems: elems.ok_or_else(|| bad(ln, "missing elems line".into()))?,
-            leaves: leaves.ok_or_else(|| bad(ln, "missing leaves line".into()))?,
-        })
+        DocBlob::from_file(input).map_err(|(line, detail)| PersistError::Codec { line, detail })
     }
 }
 
@@ -292,6 +206,7 @@ impl LoggedDoc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
     use goddag::HierarchyId;
 
     fn sample() -> Goddag {
@@ -377,6 +292,40 @@ mod tests {
                 "{prefix:?} line with {extra:?} accepted"
             );
         }
+    }
+
+    #[test]
+    fn one_spelling_per_blob_under_a_recomputed_crc() {
+        let text = DocBlob::capture(&sample()).to_text();
+        let body = &text[..text.rfind("crc ").unwrap()];
+        let seal = |body: &str| format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        assert_eq!(DocBlob::parse_text(&seal(body)).unwrap().to_text(), text);
+        let arena = body.lines().find(|l| l.starts_with("arena ")).unwrap();
+        let elems = body.lines().find(|l| l.starts_with("elems ")).unwrap();
+        let (count, first) = {
+            let mut parts = elems.split(' ').skip(1);
+            (parts.next().unwrap(), parts.next().unwrap())
+        };
+        for bad in [
+            body.replacen("#cxblob v1", "  #cxblob v1  ", 1),
+            // A bogus first `arena` line used to lose to the second.
+            body.replacen(arena, &format!("arena 1 0 0\n{arena}"), 1),
+            body.replacen(elems, &format!("elems {count} +{first}"), 1),
+            body.replacen(elems, &format!("{elems} "), 1),
+            body.replacen(arena, &arena.replacen("arena ", "arena 0", 1), 1),
+            body.replacen(arena, &arena.replacen(" 0 ", " 00 ", 1), 1),
+            // An extra newline after the stand-off block.
+            format!("{body}\n"),
+        ] {
+            assert_ne!(bad, body);
+            assert!(DocBlob::parse_text(&seal(&bad)).is_err(), "{bad:?} accepted");
+        }
+        let crc = &text[text.rfind("crc ").unwrap() + 4..text.len() - 1];
+        if crc.bytes().any(|b| b.is_ascii_lowercase()) {
+            let upper = format!("{body}crc {}\n", crc.to_uppercase());
+            assert!(DocBlob::parse_text(&upper).is_err(), "{upper:?} accepted");
+        }
+        assert!(DocBlob::parse_text(text.trim_end_matches('\n')).is_err());
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub fn hex_lower(tok: &str, width: usize) -> Option<u64> {
 }
 
 /// `tok` as a decimal with no sign and no leading zero.
-fn dec(tok: &str) -> Option<u64> {
+pub fn dec(tok: &str) -> Option<u64> {
     if tok.len() > 1 && tok.starts_with('0') {
         return None;
     }
