@@ -19,110 +19,63 @@
 //! newest otherwise.
 
 use crate::blob::DocBlob;
-use crate::codec::crc32;
 use crate::error::{PersistError, Result};
 use cxobs::fault::{self, Site};
 use cxstore::{DocId, Store};
-use sacx::{escape_field, Tokens};
+use sacx::{escape_field, Directives, Tokens};
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Magic first line of a manifest.
-const MANIFEST_HEADER: &str = "#cxmanifest v1";
-
-/// One document listed in a [`Manifest`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ManifestDoc {
-    /// Raw [`DocId`].
-    pub doc: u64,
-    /// Edit epoch at snapshot time (cross-checked against the blob).
-    pub epoch: u64,
-    /// Blob file name within the snapshot directory.
-    pub file: String,
+sacx::line! {
+    /// One document listed in a [`Manifest`]: a `doc` line.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct ManifestDoc {
+        /// Raw [`DocId`].
+        pub doc: u64,
+        /// Edit epoch at snapshot time (cross-checked against the blob).
+        pub epoch: u64,
+        /// Blob file name within the snapshot directory.
+        pub file: String,
+    }
 }
 
-/// The snapshot manifest: everything the store needs besides the blobs.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Manifest {
-    /// WAL position the snapshot captures: recovery replays only records
-    /// with a larger LSN.
-    pub lsn: u64,
-    /// Doc-id allocator position (ids are never reused, even across
-    /// restarts).
-    pub next_doc: u64,
-    /// Documents, in id order.
-    pub docs: Vec<ManifestDoc>,
-    /// `name → raw id` bindings, sorted by name.
-    pub names: Vec<(String, u64)>,
+sacx::directives! {
+    /// The snapshot manifest: everything the store needs besides the blobs.
+    /// CRC-guarded, so an extra token on a directive line is an error even
+    /// under a valid CRC.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct Manifest("#cxmanifest v1", Crc) {
+        "lsn" once {
+            /// WAL position the snapshot captures: recovery replays only
+            /// records with a larger LSN.
+            lsn: u64,
+        },
+        "next" once {
+            /// Doc-id allocator position (ids are never reused, even across
+            /// restarts).
+            next_doc: u64,
+        },
+        "doc" many {
+            /// Documents, in id order.
+            docs: ManifestDoc,
+        },
+        "name" many {
+            /// `name → raw id` bindings, sorted by name.
+            names: (String, u64),
+        },
+    }
 }
 
 impl Manifest {
     /// Serialize with a trailing CRC line.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(MANIFEST_HEADER);
-        out.push('\n');
-        let _ = writeln!(out, "lsn {}", self.lsn);
-        let _ = writeln!(out, "next {}", self.next_doc);
-        for d in &self.docs {
-            let _ = writeln!(out, "doc {} {} {}", d.doc, d.epoch, escape_field(&d.file));
-        }
-        for (n, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", escape_field(n));
-        }
-        let crc = crc32(out.as_bytes());
-        let _ = writeln!(out, "crc {crc:08x}");
-        out
+        self.to_file()
     }
 
-    /// Parse and CRC-verify. An extra token on a directive line is an
-    /// error, even under a valid CRC.
+    /// Parse and CRC-verify.
     pub fn parse_text(input: &str) -> Result<Manifest> {
-        let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
-        let stripped = input.strip_suffix('\n').unwrap_or(input);
-        let (body, footer) =
-            stripped.rsplit_once('\n').ok_or_else(|| bad(1, "manifest too short".into()))?;
-        let body = format!("{body}\n");
-        let crc_expect = footer
-            .strip_prefix("crc ")
-            .and_then(|h| xmlcore::num::hex_fixed(h, 8))
-            .ok_or_else(|| bad(0, "missing manifest crc".into()))?;
-        if u64::from(crc32(body.as_bytes())) != crc_expect {
-            return Err(bad(0, "manifest CRC mismatch".into()));
-        }
-        let mut lines = body.lines().enumerate();
-        let (_, header) = lines.next().ok_or_else(|| bad(1, "empty manifest".into()))?;
-        if header.trim() != MANIFEST_HEADER {
-            return Err(bad(1, "bad manifest magic".into()));
-        }
-        let mut m = Manifest::default();
-        let mut saw_lsn = false;
-        for (i, line) in lines {
-            let mut t = Tokens::new(line);
-            let mut directive = || -> std::result::Result<(), String> {
-                match t.token("directive")? {
-                    "lsn" => {
-                        m.lsn = t.parse("lsn")?;
-                        saw_lsn = true;
-                    }
-                    "next" => m.next_doc = t.parse("next id")?,
-                    "doc" => m.docs.push(ManifestDoc {
-                        doc: t.parse("doc id")?,
-                        epoch: t.parse("epoch")?,
-                        file: t.string("blob file")?,
-                    }),
-                    "name" => m.names.push((t.string("name")?, t.parse("doc id")?)),
-                    other => return Err(format!("unknown manifest directive {other:?}")),
-                }
-                t.finish()
-            };
-            directive().map_err(|detail| bad(i + 1, detail))?;
-        }
-        if !saw_lsn {
-            return Err(bad(0, "manifest missing lsn".into()));
-        }
-        Ok(m)
+        Manifest::from_file(input).map_err(|(line, detail)| PersistError::Codec { line, detail })
     }
 }
 
@@ -464,6 +417,7 @@ pub(crate) fn prune_snapshots(dir: &Path, keep_lsn: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::crc32;
 
     #[test]
     fn manifest_roundtrip() {
@@ -508,6 +462,33 @@ mod tests {
             ("next 1\n", "next 1 junk\n"),
             ("doc 0 2 doc-0.blob\n", "doc 0 2 doc-0.blob x\n"),
             ("name ms 0\n", "name ms 0 0\n"),
+        ] {
+            let edited = body.replacen(from, to, 1);
+            assert_ne!(edited, body, "{from:?} not found");
+            assert!(Manifest::parse_text(&sealed(&edited)).is_err(), "{to:?} accepted");
+        }
+    }
+
+    #[test]
+    fn one_spelling_per_manifest_under_a_recomputed_crc() {
+        let m = Manifest {
+            lsn: 9,
+            next_doc: 1,
+            docs: vec![ManifestDoc { doc: 0, epoch: 2, file: "doc-0.blob".into() }],
+            names: vec![("ms".into(), 0)],
+        };
+        let text = m.to_text();
+        let body = &text[..text.rfind("crc ").unwrap()];
+        let sealed = |body: &str| format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
+        for (from, to) in [
+            ("#cxmanifest v1\n", "  #cxmanifest v1  \n"),
+            // The last of two `lsn` lines used to win.
+            ("lsn 9\n", "lsn 9\nlsn 3\n"),
+            ("next 1\n", "next 1\nnext 1\n"),
+            ("lsn 9\n", "lsn 09\n"),
+            ("doc 0 2 ", "doc +0 2 "),
+            ("next 1\n", ""),
+            ("name ms 0\n", "name ms 0\n\n"),
         ] {
             let edited = body.replacen(from, to, 1);
             assert_ne!(edited, body, "{from:?} not found");
