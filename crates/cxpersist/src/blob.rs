@@ -179,6 +179,16 @@ impl sacx::Raw for DocBlob {
     }
 }
 
+/// A blob's default spelling is a block after its line.
+impl Field for DocBlob {
+    fn write(v: &DocBlob, w: &mut Writer) {
+        <Block>::write(v, w);
+    }
+    fn read(t: &mut Tokens<'_>, what: &str) -> Result<DocBlob, String> {
+        <Block>::read(t, what)
+    }
+}
+
 /// A document on its way into a durable store: the GODDAG the store
 /// applies in memory and the [`DocBlob`] its `DocInsert` record logs.
 /// Built only by [`LoggedDoc::capture`] or [`LoggedDoc::restore`], so the

@@ -27,7 +27,7 @@
 use crate::blob::DocBlob;
 use crate::error::PersistError;
 use cxstore::{DocId, EditOp};
-use sacx::{Block, Field, Hex, Tokens, Writer};
+use sacx::{Field, Hex, Tokens, Writer};
 
 /// First line of every WAL file (version-bumps on format changes).
 pub const WAL_HEADER: &str = "#cxwal v1\n";
@@ -118,13 +118,13 @@ struct Payload;
 impl Field<DocBlob> for Payload {
     fn write(v: &DocBlob, w: &mut Writer) {
         w.word("blob");
-        <Block>::write(v, w);
+        DocBlob::write(v, w);
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<DocBlob, String> {
         if t.token(what)? != "blob" {
             return Err("expected blob length".into());
         }
-        <Block>::read(t, what)
+        DocBlob::read(t, what)
     }
 }
 

@@ -22,8 +22,7 @@ use crate::blob::DocBlob;
 use crate::error::{PersistError, Result};
 use cxobs::fault::{self, Site};
 use cxstore::{DocId, Store};
-use sacx::{escape_field, Directives, Tokens};
-use std::fmt::Write as _;
+use sacx::Directives;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -83,25 +82,36 @@ impl Manifest {
 // Wire snapshots (replication bootstrap)
 // ---------------------------------------------------------------------
 
-/// A complete store state as one shippable artifact: the replication
-/// bootstrap form. Where on-disk snapshots spread a manifest plus one blob
-/// file per document across a directory, a `StoreSnapshot` carries the
-/// same information — WAL position, id-allocator position, every
-/// document's [`DocBlob`], the name bindings — in a single self-delimiting
-/// text so it can travel over a byte transport. Blob integrity rides on
-/// each blob's own CRC footer; the trailing `end` line guards against
-/// truncation of the artifact as a whole.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StoreSnapshot {
-    /// WAL position the snapshot captures: shipped records with a larger
-    /// LSN apply on top.
-    pub lsn: u64,
-    /// Doc-id allocator position.
-    pub next_doc: u64,
-    /// `(raw id, blob)` per document, in id order.
-    pub docs: Vec<(u64, DocBlob)>,
-    /// `name → raw id` bindings, sorted by name.
-    pub names: Vec<(String, u64)>,
+sacx::directives! {
+    /// A complete store state as one shippable artifact: the replication
+    /// bootstrap form. Where on-disk snapshots spread a manifest plus one
+    /// blob file per document across a directory, a `StoreSnapshot` carries
+    /// the same information — WAL position, id-allocator position, every
+    /// document's [`DocBlob`], the name bindings — in a single
+    /// self-delimiting text so it can travel over a byte transport. Blob
+    /// integrity rides on each blob's own CRC footer; the closing `end`
+    /// line guards against truncation of the artifact as a whole.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct StoreSnapshot("#cxsnap v1", End) {
+        "lsn" once {
+            /// WAL position the snapshot captures: shipped records with a
+            /// larger LSN apply on top.
+            lsn: u64,
+        },
+        "next" once {
+            /// Doc-id allocator position.
+            next_doc: u64,
+        },
+        "name" many {
+            /// `name → raw id` bindings, sorted by name.
+            names: (String, u64),
+        },
+        "doc" many {
+            /// `(raw id, blob)` per document, in id order; the blob rides as
+            /// a block after its line.
+            docs: (u64, DocBlob),
+        },
+    }
 }
 
 impl StoreSnapshot {
@@ -138,83 +148,15 @@ impl StoreSnapshot {
 
     /// Serialize to the wire text form.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("#cxsnap v1\n");
-        let _ = writeln!(out, "lsn {}", self.lsn);
-        let _ = writeln!(out, "next {}", self.next_doc);
-        for (name, id) in &self.names {
-            let _ = writeln!(out, "name {} {id}", escape_field(name));
-        }
-        for (raw, blob) in &self.docs {
-            let text = blob.to_text();
-            let _ = writeln!(out, "doc {raw} {}", text.len());
-            out.push_str(&text);
-        }
-        out.push_str("end\n");
-        out
+        self.to_file()
     }
 
     /// Parse the wire text form. Truncation (a missing `end` line, a short
     /// blob), blob corruption, an extra token on a directive line and any
     /// byte after the `end` line are errors — the receiver re-requests.
     pub fn parse_text(input: &str) -> Result<StoreSnapshot> {
-        let bad = |line: usize, detail: String| PersistError::Codec { line, detail };
-        let mut rest = input;
-        let mut ln = 0usize;
-        let next_line = |rest: &mut &str| -> Option<String> {
-            let i = rest.find('\n')?;
-            let l = rest[..i].to_string();
-            *rest = &rest[i + 1..];
-            Some(l)
-        };
-        let header = next_line(&mut rest).ok_or_else(|| bad(1, "empty snapshot".into()))?;
-        if header.trim() != "#cxsnap v1" {
-            return Err(bad(1, "bad snapshot magic".into()));
-        }
-        let mut snap = StoreSnapshot { lsn: 0, next_doc: 0, docs: Vec::new(), names: Vec::new() };
-        let mut saw_lsn = false;
-        let mut complete = false;
-        while let Some(line) = next_line(&mut rest) {
-            ln += 1;
-            let mut t = Tokens::new(&line);
-            // A `doc` line is followed by its blob: `(raw id, byte length)`.
-            let mut directive = || -> std::result::Result<Option<(u64, usize)>, String> {
-                let mut doc = None;
-                match t.token("directive")? {
-                    "lsn" => {
-                        snap.lsn = t.parse("lsn")?;
-                        saw_lsn = true;
-                    }
-                    "next" => snap.next_doc = t.parse("next id")?,
-                    "name" => snap.names.push((t.string("name")?, t.parse("doc id")?)),
-                    "doc" => doc = Some((t.parse("doc id")?, t.parse("blob length")?)),
-                    "end" => complete = true,
-                    other => return Err(format!("unknown snapshot directive {other:?}")),
-                }
-                t.finish()?;
-                Ok(doc)
-            };
-            if let Some((raw, len)) = directive().map_err(|detail| bad(ln, detail))? {
-                if rest.len() < len || !rest.is_char_boundary(len) {
-                    return Err(bad(ln, "blob length out of bounds".into()));
-                }
-                snap.docs.push((raw, DocBlob::parse_text(&rest[..len])?));
-                rest = &rest[len..];
-            }
-            if complete {
-                break;
-            }
-        }
-        if !saw_lsn {
-            return Err(bad(0, "snapshot missing lsn".into()));
-        }
-        if !complete {
-            return Err(bad(ln, "snapshot truncated (missing end marker)".into()));
-        }
-        if !rest.is_empty() {
-            return Err(bad(ln + 1, "trailing bytes after the end marker".into()));
-        }
-        Ok(snap)
+        StoreSnapshot::from_file(input)
+            .map_err(|(line, detail)| PersistError::Codec { line, detail })
     }
 }
 
@@ -552,6 +494,25 @@ mod tests {
         let doc = text.replacen("\ndoc 0 ", "\ndoc 0 0 ", 1);
         assert_ne!(doc, text);
         assert!(StoreSnapshot::parse_text(&doc).is_err());
+    }
+
+    #[test]
+    fn one_spelling_per_wire_snapshot() {
+        let store = Store::new();
+        store.insert_named("ms", corpus::figure1::goddag());
+        let text = StoreSnapshot::capture(&store, 3).unwrap().to_text();
+        for (from, to) in [
+            ("#cxsnap v1\n", "  #cxsnap v1  \n"),
+            ("lsn 3\n", "lsn 3\nlsn 2\n"),
+            ("next 1\n", "next 1\nnext 1\n"),
+            ("lsn 3\n", "lsn 03\n"),
+            ("\ndoc 0 ", "\ndoc 00 "),
+            ("\nend\n", "\n\nend\n"),
+        ] {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from:?} not found");
+            assert!(StoreSnapshot::parse_text(&edited).is_err(), "{to:?} accepted");
+        }
     }
 
     #[test]
