@@ -21,7 +21,7 @@
 //! The leading `cxq1` is the protocol version: a server refuses anything
 //! else with a typed `bad_request`, so a v2 client talking to a v1 server
 //! fails loudly at the first exchange instead of misparsing. Every keyword
-//! set — [`Verb`], [`WireErrorKind`], the response kinds, the `trace`
+//! set — [`Verb`], [`WireErrorKind`](crate::WireErrorKind), the response kinds, the `trace`
 //! sub-queries — is declared once with [`sacx::vocabulary!`] and matched
 //! as an enum, so a variant without an encoder or decoder arm does not
 //! compile. An `edit` request carries its operation as
@@ -42,7 +42,7 @@
 //! silently ignored — and the wire bytes without tracing enabled carry no
 //! pair at all.
 
-use crate::error::{WireError, WireErrorKind};
+use crate::error::WireError;
 use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
@@ -553,53 +553,6 @@ impl Request {
 }
 
 // ---------------------------------------------------------------------
-// Errors on the wire
-// ---------------------------------------------------------------------
-
-impl WireError {
-    fn encode_tokens(&self, out: &mut String) {
-        let f = escape_field;
-        let _ = write!(out, "{}", self.kind());
-        let _ = match self {
-            WireError::Store(d)
-            | WireError::Injected(d)
-            | WireError::BadRequest(d)
-            | WireError::Server(d)
-            | WireError::Diverged(d)
-            | WireError::TooLarge(d) => write!(out, " {}", f(d)),
-            WireError::Stale { current } => write!(out, " {current}"),
-            WireError::ShardDown(s) => write!(out, " {s}"),
-            WireError::Timeout { shard, ms } => write!(out, " {shard} {ms}"),
-            WireError::Unavailable { shard, detail } => write!(out, " {shard} {}", f(detail)),
-            WireError::WrongShard { owner } => write!(out, " {owner}"),
-            WireError::Deadline { ms } => write!(out, " {ms}"),
-            WireError::Busy => Ok(()),
-        };
-    }
-
-    fn decode_tokens(t: &mut Tokens<'_>) -> Result<WireError, String> {
-        use WireErrorKind as K;
-        Ok(match K::parse(t.token("error kind")?)? {
-            K::Store => WireError::Store(t.string("detail")?),
-            K::Stale => WireError::Stale { current: t.parse("epoch")? },
-            K::ShardDown => WireError::ShardDown(t.parse("shard")?),
-            K::Timeout => WireError::Timeout { shard: t.parse("shard")?, ms: t.parse("ms")? },
-            K::Unavailable => {
-                WireError::Unavailable { shard: t.parse("shard")?, detail: t.string("detail")? }
-            }
-            K::WrongShard => WireError::WrongShard { owner: t.parse("shard")? },
-            K::Deadline => WireError::Deadline { ms: t.parse("ms")? },
-            K::Injected => WireError::Injected(t.string("detail")?),
-            K::BadRequest => WireError::BadRequest(t.string("detail")?),
-            K::Busy => WireError::Busy,
-            K::Server => WireError::Server(t.string("detail")?),
-            K::Diverged => WireError::Diverged(t.string("detail")?),
-            K::TooLarge => WireError::TooLarge(t.string("detail")?),
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------
 
@@ -671,7 +624,7 @@ impl Response {
                 encode_hits(&mut out, hits);
                 for (shard, err) in errors {
                     let _ = write!(out, "{shard} ");
-                    err.encode_tokens(&mut out);
+                    out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(err)));
                     out.push('\n');
                 }
                 Ok(())
@@ -717,7 +670,7 @@ impl Response {
             }
             Response::Err(e) => {
                 let _ = write!(out, "{} ", Status::Err);
-                e.encode_tokens(&mut out);
+                out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(e)));
                 Ok(())
             }
         };
@@ -746,7 +699,7 @@ impl Response {
         let flag = |t: &mut Tokens<'_>, what| t.parse::<u8>(what).map(|f| f != 0);
         let mut lines = text.unwrap_or_default().lines();
         let resp = match Status::parse(t.token("status")?)? {
-            Status::Err => Response::Err(WireError::decode_tokens(&mut t)?),
+            Status::Err => Response::Err(<WireError as sacx::Field>::read(&mut t, "error")?),
             Status::Ok => match K::parse(t.token("response kind")?)? {
                 K::Pong => Response::Pong,
                 K::Id => Response::Id(doc_id(&mut t)?),
@@ -764,7 +717,7 @@ impl Response {
                     Response::Partial {
                         hits: body_lines(&mut lines, hk, "hit", decode_hit)?,
                         errors: body_lines(&mut lines, ek, "error", |t| {
-                            Ok((t.parse("shard")?, WireError::decode_tokens(t)?))
+                            Ok((t.parse("shard")?, <WireError as sacx::Field>::read(t, "error")?))
                         })?,
                     }
                 }
