@@ -206,6 +206,35 @@ fn hostile_request_payloads_decode_to_typed_errors_never_panics() {
     }
 }
 
+/// A number has one spelling on the wire: the writer's. Decimal has no
+/// sign and no leading zero; hex is lowercase at the writer's width.
+#[test]
+fn alternate_number_spellings_are_refused() {
+    let id = Request::Trace(TraceQuery::Get { trace_id: 255 });
+    assert_eq!(id.encode(), b"cxq1 trace get 00000000000000ff");
+    let cases: &[&[u8]] = &[
+        b"cxq1 trace get ff",
+        b"cxq1 trace get 00000000000000FF",
+        b"cxq1 trace get 000000000000000ff",
+        b"cxq1 epoch 007",
+        b"cxq1 epoch 00",
+        b"cxq1 edit 1 - instext 03 x",
+        b"cxq1 edit 1 07 deltext 0 1",
+        b"cxq1 trace recent 05",
+        b"cxq1 fetch 0 01024",
+        b"cxq1 query 1 %2f%2fw",
+    ];
+    for payload in cases {
+        match Request::decode(payload) {
+            Err(WireError::BadRequest(_)) => {}
+            other => panic!("{:?} decoded to {other:?}", String::from_utf8_lossy(payload)),
+        }
+    }
+    for payload in [&b"cxq1 epoch 0"[..], b"cxq1 edit 1 - instext 3 x", b"cxq1 query 1 //w"] {
+        assert!(Request::decode(payload).is_ok(), "{:?}", String::from_utf8_lossy(payload));
+    }
+}
+
 #[test]
 fn hostile_response_payloads_decode_to_typed_errors_never_panics() {
     let cases: &[&[u8]] = &[

@@ -47,128 +47,134 @@ use cxobs::trace;
 use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
-use sacx::{escape_field, Tokens};
+use sacx::token::Aliased;
+use sacx::{escape_field, Body, Field, Hex, Tokens, Writer};
 use std::fmt::Write as _;
 
 /// Version sentinel opening every request line.
 pub const VERSION: &str = "cxq1";
 
-/// One decoded client request.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Liveness probe.
-    Ping,
-    /// Add a document (the blob rides as the body), optionally named.
-    Insert {
-        /// Cluster-wide name to bind, if any.
-        name: Option<String>,
-        /// The serialized document.
-        blob: DocBlob,
-    },
-    /// One gated edit. `guard` is an optional compare-and-set epoch: the
-    /// server applies the op only when the document's current epoch
-    /// equals it, refusing with [`WireError::Stale`] otherwise — which is
-    /// what makes a blind retry after a dead connection safe (a replayed
-    /// edit that already applied comes back `Stale { current: guard+1 }`
-    /// instead of applying twice).
-    Edit {
-        /// Target document.
-        doc: DocId,
-        /// Expected pre-op epoch, if the client wants CAS semantics.
-        guard: Option<u64>,
-        /// The operation.
-        op: EditOp,
-    },
-    /// Evaluate a node-set expression against one document.
-    Query {
-        /// Target document.
-        doc: DocId,
-        /// expath expression.
-        expr: String,
-    },
-    /// Fan-out query over every document (all-or-nothing; the server
-    /// runs it under its request deadline and fails typed on a sick or
-    /// slow shard).
-    QueryAll {
-        /// expath expression.
-        expr: String,
-    },
-    /// Fan-out query that tolerates sick shards: hits from whoever
-    /// answered inside `timeout_ms`, typed per-shard errors for the rest.
-    QueryPartial {
-        /// Per-shard budget in milliseconds (clamped by the server's own
-        /// deadline).
-        timeout_ms: u64,
-        /// expath expression.
-        expr: String,
-    },
-    /// Editor tag suggestions for a span.
-    Suggest {
-        /// Target document.
-        doc: DocId,
-        /// Hierarchy name.
-        hierarchy: String,
-        /// Content range start.
-        start: usize,
-        /// Content range end (exclusive).
-        end: usize,
-    },
-    /// The document's stand-off export.
-    Export {
-        /// Target document.
-        doc: DocId,
-    },
-    /// Resolve a cluster-wide name.
-    IdByName {
-        /// The name.
-        name: String,
-    },
-    /// A document's current edit epoch.
-    Epoch {
-        /// Target document.
-        doc: DocId,
-    },
-    /// Drop a document (and its name bindings).
-    Remove {
-        /// Target document.
-        doc: DocId,
-    },
-    /// The server's full `cxobs` exposition page.
-    Metrics,
-    /// The routing view: shard count plus the override table, so a
-    /// stateless router client can compute `shard_of` locally.
-    Routes,
-    /// Flight-recorder access: recent/slow trace summaries, or one
-    /// trace rendered as a tree.
-    Trace(TraceQuery),
-    /// A follower's fetch (served by `cxrepl::TcpReplServer` only).
-    Fetch {
-        /// The follower's last applied LSN.
-        after: u64,
-        /// Record byte budget, clamped to [`crate::MAX_FRAME`].
-        max_bytes: u64,
-    },
+sacx::line! {
+    /// One decoded client request.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Request: pub Verb("verb") {
+        /// Liveness probe.
+        Ping = "ping",
+        /// Add a document (the blob rides as the body), optionally named:
+        /// `insert` without a name, `insertn <name>` with one.
+        Insert {
+            /// Cluster-wide name to bind, if any.
+            name: Option<String> as Aliased<String>,
+            /// The serialized document.
+            blob: DocBlob as Body,
+        } = "insert" | InsertNamed = "insertn",
+        /// One gated edit. `guard` is an optional compare-and-set epoch: the
+        /// server applies the op only when the document's current epoch
+        /// equals it, refusing with [`WireError::Stale`] otherwise — which
+        /// is what makes a blind retry after a dead connection safe (a
+        /// replayed edit that already applied comes back
+        /// `Stale { current: guard+1 }` instead of applying twice).
+        Edit {
+            /// Target document.
+            doc: DocId,
+            /// Expected pre-op epoch, if the client wants CAS semantics.
+            guard: Option<u64>,
+            /// The operation.
+            op: EditOp,
+        } = "edit",
+        /// Evaluate a node-set expression against one document.
+        Query {
+            /// Target document.
+            doc: DocId,
+            /// expath expression.
+            expr: String,
+        } = "query",
+        /// Fan-out query over every document (all-or-nothing; the server
+        /// runs it under its request deadline and fails typed on a sick or
+        /// slow shard).
+        QueryAll {
+            /// expath expression.
+            expr: String,
+        } = "qall",
+        /// Fan-out query that tolerates sick shards: hits from whoever
+        /// answered inside `timeout_ms`, typed per-shard errors for the rest.
+        QueryPartial {
+            /// Per-shard budget in milliseconds (clamped by the server's own
+            /// deadline).
+            timeout_ms: u64,
+            /// expath expression.
+            expr: String,
+        } = "qpart",
+        /// Editor tag suggestions for a span.
+        Suggest {
+            /// Target document.
+            doc: DocId,
+            /// Hierarchy name.
+            hierarchy: String,
+            /// Content range start.
+            start: usize,
+            /// Content range end (exclusive).
+            end: usize,
+        } = "suggest",
+        /// The document's stand-off export.
+        Export {
+            /// Target document.
+            doc: DocId,
+        } = "export",
+        /// Resolve a cluster-wide name.
+        IdByName {
+            /// The name.
+            name: String,
+        } = "name",
+        /// A document's current edit epoch.
+        Epoch {
+            /// Target document.
+            doc: DocId,
+        } = "epoch",
+        /// Drop a document (and its name bindings).
+        Remove {
+            /// Target document.
+            doc: DocId,
+        } = "remove",
+        /// The server's full `cxobs` exposition page.
+        Metrics = "metrics",
+        /// The routing view: shard count plus the override table, so a
+        /// stateless router client can compute `shard_of` locally.
+        Routes = "routes",
+        /// Flight-recorder access: recent/slow trace summaries, or one
+        /// trace rendered as a tree.
+        Trace(query: TraceQuery) = "trace",
+        /// A follower's fetch (served by `cxrepl::TcpReplServer` only).
+        Fetch {
+            /// The follower's last applied LSN.
+            after: u64,
+            /// Record byte budget, clamped to [`crate::MAX_FRAME`].
+            max_bytes: u64,
+        } = "fetch",
+    }
 }
 
-/// What a `trace` request asks the flight recorder for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceQuery {
-    /// The newest ordinary completed traces (summaries, newest first).
-    Recent {
-        /// Maximum summaries to return.
-        limit: usize,
-    },
-    /// The retained slow/error traces (summaries, newest first).
-    Slow {
-        /// Maximum summaries to return.
-        limit: usize,
-    },
-    /// One trace by id, rendered as an indented tree with per-span
-    /// self-time.
-    Get {
-        /// The trace to fetch.
-        trace_id: u64,
-    },
+sacx::line! {
+    /// What a `trace` request asks the flight recorder for.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TraceQuery: TraceVerb("trace query") {
+        /// The newest ordinary completed traces (summaries, newest first).
+        Recent {
+            /// Maximum summaries to return.
+            limit: usize,
+        } = "recent",
+        /// The retained slow/error traces (summaries, newest first).
+        Slow {
+            /// Maximum summaries to return.
+            limit: usize,
+        } = "slow",
+        /// One trace by id, rendered as an indented tree with per-span
+        /// self-time.
+        Get {
+            /// The trace to fetch.
+            trace_id: u64 as Hex<16>,
+        } = "get",
+    }
 }
 
 /// One trace summary as it crosses the wire (the `&'static str` root
@@ -288,50 +294,6 @@ pub enum Response {
 // ---------------------------------------------------------------------
 
 sacx::vocabulary! {
-    /// The verb token a request travels as — also the `verb` label of the
-    /// per-verb server metrics and trace spans.
-    pub enum Verb("verb") {
-        /// [`Request::Ping`].
-        Ping = "ping",
-        /// [`Request::Insert`] without a name.
-        Insert = "insert",
-        /// [`Request::Insert`] with a name.
-        InsertNamed = "insertn",
-        /// [`Request::Edit`].
-        Edit = "edit",
-        /// [`Request::Query`].
-        Query = "query",
-        /// [`Request::QueryAll`].
-        QueryAll = "qall",
-        /// [`Request::QueryPartial`].
-        QueryPartial = "qpart",
-        /// [`Request::Suggest`].
-        Suggest = "suggest",
-        /// [`Request::Export`].
-        Export = "export",
-        /// [`Request::IdByName`].
-        IdByName = "name",
-        /// [`Request::Epoch`].
-        Epoch = "epoch",
-        /// [`Request::Remove`].
-        Remove = "remove",
-        /// [`Request::Metrics`].
-        Metrics = "metrics",
-        /// [`Request::Routes`].
-        Routes = "routes",
-        /// [`Request::Trace`].
-        Trace = "trace",
-        /// [`Request::Fetch`].
-        Fetch = "fetch",
-    }
-}
-
-sacx::vocabulary! {
-    /// The sub-query of a `trace` request.
-    enum TraceVerb("trace query") { Recent = "recent", Slow = "slow", Get = "get" }
-}
-
-sacx::vocabulary! {
     /// First token of every response.
     enum Status("status") { Ok = "ok", Err = "err" }
 }
@@ -404,72 +366,19 @@ impl Request {
     /// body separator, so body-carrying verbs work too). `None` encodes
     /// identically to [`Request::encode`].
     pub fn encode_traced(&self, ctx: Option<trace::TraceContext>) -> Vec<u8> {
-        let f = escape_field;
-        let mut out = format!("{VERSION} {}", self.verb());
-        // Writing into a `String` cannot fail.
-        let _ = match self {
-            Request::Ping | Request::Metrics | Request::Routes => Ok(()),
-            Request::Insert { name: None, .. } => Ok(()),
-            Request::Insert { name: Some(n), .. } => write!(out, " {}", f(n)),
-            Request::Edit { doc, guard, op } => {
-                let _ = match guard {
-                    Some(g) => write!(out, " {} {g} ", doc.raw()),
-                    None => write!(out, " {} - ", doc.raw()),
-                };
-                out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(op)));
-                Ok(())
-            }
-            Request::Query { doc, expr } => write!(out, " {} {}", doc.raw(), f(expr)),
-            Request::QueryAll { expr } => write!(out, " {}", f(expr)),
-            Request::QueryPartial { timeout_ms, expr } => write!(out, " {timeout_ms} {}", f(expr)),
-            Request::Suggest { doc, hierarchy, start, end } => {
-                write!(out, " {} {} {start} {end}", doc.raw(), f(hierarchy))
-            }
-            Request::Export { doc } | Request::Epoch { doc } | Request::Remove { doc } => {
-                write!(out, " {}", doc.raw())
-            }
-            Request::IdByName { name } => write!(out, " {}", f(name)),
-            Request::Trace(TraceQuery::Recent { limit }) => {
-                write!(out, " {} {limit}", TraceVerb::Recent)
-            }
-            Request::Trace(TraceQuery::Slow { limit }) => {
-                write!(out, " {} {limit}", TraceVerb::Slow)
-            }
-            Request::Trace(TraceQuery::Get { trace_id }) => {
-                write!(out, " {} {trace_id:016x}", TraceVerb::Get)
-            }
-            Request::Fetch { after, max_bytes } => write!(out, " {after} {max_bytes}"),
-        };
+        let mut w = Writer::default();
+        w.word(VERSION);
+        Request::write(self, &mut w);
         if let Some(ctx) = ctx {
-            let _ = write!(out, " {TRACE_TOKEN} {}", ctx.token());
+            w.word(TRACE_TOKEN);
+            w.word(&ctx.token());
         }
-        if let Request::Insert { blob, .. } = self {
-            out.push('\n');
-            out.push_str(&blob.to_text());
-        }
-        out.into_bytes()
+        w.into_bytes()
     }
 
     /// The verb this request travels as.
     pub fn verb(&self) -> Verb {
-        match self {
-            Request::Ping => Verb::Ping,
-            Request::Insert { name: None, .. } => Verb::Insert,
-            Request::Insert { name: Some(_), .. } => Verb::InsertNamed,
-            Request::Edit { .. } => Verb::Edit,
-            Request::Query { .. } => Verb::Query,
-            Request::QueryAll { .. } => Verb::QueryAll,
-            Request::QueryPartial { .. } => Verb::QueryPartial,
-            Request::Suggest { .. } => Verb::Suggest,
-            Request::Export { .. } => Verb::Export,
-            Request::IdByName { .. } => Verb::IdByName,
-            Request::Epoch { .. } => Verb::Epoch,
-            Request::Remove { .. } => Verb::Remove,
-            Request::Metrics => Verb::Metrics,
-            Request::Routes => Verb::Routes,
-            Request::Trace(_) => Verb::Trace,
-            Request::Fetch { .. } => Verb::Fetch,
-        }
+        self.kind()
     }
 
     /// Best-effort extraction of the `tc` token pair from a request
@@ -481,8 +390,8 @@ impl Request {
     /// (Not decoding has a price: an *untraced* `setattr <node> tc <value>`
     /// whose value happens to be a well-formed context still reads as one.)
     pub fn trace_context(payload: &[u8]) -> Option<trace::TraceContext> {
-        let (line, _) = split_body(payload, "request").ok()?;
-        let mut last = line.rsplitn(3, ' ');
+        let line = payload.split(|&b| b == b'\n').next()?;
+        let mut last = std::str::from_utf8(line).ok()?.rsplitn(3, ' ');
         let (ctx, tc) = (last.next()?, last.next()?);
         (tc == TRACE_TOKEN).then(|| trace::TraceContext::parse_token(ctx)).flatten()
     }
@@ -491,64 +400,21 @@ impl Request {
     /// [`WireError::BadRequest`] the server answers with — malformed
     /// input never panics a handler.
     pub fn decode(payload: &[u8]) -> Result<Request, WireError> {
-        Request::decode_text(payload).map_err(WireError::BadRequest)
-    }
-
-    fn decode_text(payload: &[u8]) -> Result<Request, String> {
-        let (line, body) = split_body(payload, "request")?;
-        let mut t = Tokens::new(line);
-        let version = t.token("protocol version")?;
-        if version != VERSION {
-            return Err(format!("unsupported protocol version `{version}`"));
-        }
-        let blob = || {
-            let body = body.ok_or("insert carries no blob")?;
-            let text = std::str::from_utf8(body).map_err(|_| "blob is not utf-8")?;
-            DocBlob::parse_text(text).map_err(|e| format!("blob: {e}"))
-        };
-        let req = match Verb::parse(t.token("verb")?)? {
-            Verb::Ping => Request::Ping,
-            Verb::Insert => Request::Insert { name: None, blob: blob()? },
-            Verb::InsertNamed => Request::Insert { name: Some(t.string("name")?), blob: blob()? },
-            Verb::Edit => Request::Edit {
-                doc: doc_id(&mut t)?,
-                guard: t.parse_opt("guard epoch")?,
-                op: <EditOp as sacx::Field>::read(&mut t, "edit op")?,
-            },
-            Verb::Query => Request::Query { doc: doc_id(&mut t)?, expr: t.string("expr")? },
-            Verb::QueryAll => Request::QueryAll { expr: t.string("expr")? },
-            Verb::QueryPartial => {
-                Request::QueryPartial { timeout_ms: t.parse("timeout")?, expr: t.string("expr")? }
+        sacx::token::decode_payload(payload, |t| {
+            let version = t.token("protocol version")?;
+            if version != VERSION {
+                return Err(format!("unsupported protocol version `{version}`"));
             }
-            Verb::Suggest => Request::Suggest {
-                doc: doc_id(&mut t)?,
-                hierarchy: t.string("hierarchy")?,
-                start: t.parse("start")?,
-                end: t.parse("end")?,
-            },
-            Verb::Export => Request::Export { doc: doc_id(&mut t)? },
-            Verb::IdByName => Request::IdByName { name: t.string("name")? },
-            Verb::Epoch => Request::Epoch { doc: doc_id(&mut t)? },
-            Verb::Remove => Request::Remove { doc: doc_id(&mut t)? },
-            Verb::Metrics => Request::Metrics,
-            Verb::Routes => Request::Routes,
-            Verb::Trace => Request::Trace(match TraceVerb::parse(t.token("trace query")?)? {
-                TraceVerb::Recent => TraceQuery::Recent { limit: t.parse("limit")? },
-                TraceVerb::Slow => TraceQuery::Slow { limit: t.parse("limit")? },
-                TraceVerb::Get => TraceQuery::Get { trace_id: t.hex("trace id")? },
-            }),
-            Verb::Fetch => {
-                Request::Fetch { after: t.parse("after lsn")?, max_bytes: t.parse("max bytes")? }
+            let request = Request::read(t, "request")?;
+            // After the verb's arguments: nothing, or the caller's trace context.
+            if t.peek() == Some(TRACE_TOKEN) {
+                t.token(TRACE_TOKEN)?;
+                trace::TraceContext::parse_token(t.token("trace context")?)
+                    .ok_or("malformed trace context")?;
             }
-        };
-        // After the verb's arguments: nothing, or the caller's trace context.
-        if t.peek() == Some(TRACE_TOKEN) {
-            t.next();
-            trace::TraceContext::parse_token(t.token("trace context")?)
-                .ok_or("malformed trace context")?;
-        }
-        t.finish()?;
-        Ok(req)
+            Ok(request)
+        })
+        .map_err(WireError::BadRequest)
     }
 }
 
