@@ -290,6 +290,36 @@ fn trailing_response_tokens_and_body_lines_are_refused() {
     }
 }
 
+/// A response has one spelling too: the numbers, flags and hex ids the
+/// writer emits, a body exactly when the kind carries one, and every body
+/// line `\n`-terminated.
+#[test]
+fn alternate_response_spellings_are_refused() {
+    let cases: &[&[u8]] = &[
+        b"ok pong\n",
+        b"ok epoch 05",
+        b"ok edited 05 1",
+        b"ok removed 2",
+        b"ok removed 01",
+        b"ok text",
+        b"ok records 5",
+        b"ok hits 0",
+        b"ok hits 1\n5 0",
+        b"ok hits 1\n5 0\r\n",
+        b"ok routes 1 1\n07 1\n",
+        b"ok traces 1\n00000000000000FF root 0 0 0 0 0\n",
+        b"ok traces 1\nff root 0 0 0 0 0\n",
+        b"err stale 07",
+        b"ok tags 1 %61",
+    ];
+    for payload in cases {
+        match Response::decode(payload) {
+            Err(WireError::BadRequest(_)) => {}
+            other => panic!("{:?} decoded to {other:?}", String::from_utf8_lossy(payload)),
+        }
+    }
+}
+
 #[test]
 fn version_sentinel_is_checked_first() {
     let mut good = Request::Ping.encode();

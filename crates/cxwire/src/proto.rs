@@ -48,8 +48,7 @@ use cxpersist::DocBlob;
 use cxstore::{DocId, EditOp};
 use goddag::NodeId;
 use sacx::token::Aliased;
-use sacx::{escape_field, Body, Field, Hex, Tokens, Writer};
-use std::fmt::Write as _;
+use sacx::{Body, Field, Hex, Lines, Writer};
 
 /// Version sentinel opening every request line.
 pub const VERSION: &str = "cxq1";
@@ -177,24 +176,27 @@ sacx::line! {
     }
 }
 
-/// One trace summary as it crosses the wire (the `&'static str` root
-/// name of [`cxobs::trace::TraceSummary`] becomes owned text here).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceSummaryWire {
-    /// The id to fetch the full tree with.
-    pub trace_id: u64,
-    /// The root span's name.
-    pub root: String,
-    /// Earliest span start, ns since the serving process's trace epoch.
-    pub start_ns: u64,
-    /// Whole-trace wall time, ns.
-    pub duration_ns: u64,
-    /// Recorded span count.
-    pub spans: usize,
-    /// Classified slow by the serving process.
-    pub slow: bool,
-    /// Holds an error-annotated span.
-    pub error: bool,
+sacx::line! {
+    /// One trace summary as it crosses the wire (the `&'static str` root
+    /// name of [`cxobs::trace::TraceSummary`] becomes owned text here): one
+    /// body line of a `traces` response.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TraceSummaryWire {
+        /// The id to fetch the full tree with.
+        pub trace_id: u64 as Hex<16>,
+        /// The root span's name.
+        pub root: String,
+        /// Earliest span start, ns since the serving process's trace epoch.
+        pub start_ns: u64,
+        /// Whole-trace wall time, ns.
+        pub duration_ns: u64,
+        /// Recorded span count.
+        pub spans: usize,
+        /// Classified slow by the serving process.
+        pub slow: bool,
+        /// Holds an error-annotated span.
+        pub error: bool,
+    }
 }
 
 impl From<trace::TraceSummary> for TraceSummaryWire {
@@ -211,145 +213,93 @@ impl From<trace::TraceSummary> for TraceSummaryWire {
     }
 }
 
-/// A primary's answer to one fetch.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FetchResponse {
-    /// Nothing past the requested LSN — the follower is caught up.
-    CaughtUp {
-        /// The primary's head LSN (equals the requested LSN).
-        head: u64,
-    },
-    /// Raw WAL record bytes: each record self-framed and CRC'd by the WAL
-    /// codec, LSNs contiguous from the requested LSN + 1. A torn tail
-    /// (truncated in flight) is detected by the replica's batch scan and
-    /// re-requested — see [`cxpersist::scan_batch`].
-    Records {
-        /// The primary's head LSN at response time (drives lag
-        /// accounting).
-        head: u64,
-        /// The record bytes.
-        bytes: Vec<u8>,
-    },
-    /// The requested LSN predates the primary's oldest retained record:
-    /// a full [`cxpersist::StoreSnapshot`] in wire-text form. The follower
-    /// installs it and continues fetching from its LSN.
-    Snapshot {
-        /// The snapshot's LSN (also the primary's head at capture).
-        head: u64,
-        /// `StoreSnapshot::to_text` bytes.
-        bytes: Vec<u8>,
-    },
-}
-
-/// One decoded server response.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// `Ping` answered.
-    Pong,
-    /// A document handle (`Insert`, `IdByName`).
-    Id(DocId),
-    /// An applied edit: the created node (if any) and the post-op epoch.
-    Edited {
-        /// Node created by `InsertElement`.
-        node: Option<NodeId>,
-        /// The document's epoch after the edit.
-        epoch: u64,
-    },
-    /// Per-document query hits.
-    Nodes(Vec<NodeId>),
-    /// Fan-out hits, id-sorted.
-    Hits(Vec<(DocId, Vec<NodeId>)>),
-    /// Partial fan-out: hits plus typed per-shard failures.
-    Partial {
-        /// Hits from the shards that answered.
-        hits: Vec<(DocId, Vec<NodeId>)>,
-        /// `(shard, why)` for every shard that did not.
-        errors: Vec<(usize, WireError)>,
-    },
-    /// Tag suggestions.
-    Tags(Vec<String>),
-    /// A text artifact (stand-off export, metrics page).
-    Text(String),
-    /// An epoch.
-    Epoch(u64),
-    /// Whether `Remove` found a live document.
-    Removed(bool),
-    /// The routing view.
-    Routes {
-        /// Number of shards (the residue-class modulus).
-        shards: usize,
-        /// `(raw id, owning shard)` for every moved document.
-        overrides: Vec<(u64, usize)>,
-    },
-    /// Flight-recorder summaries (`trace recent` / `trace slow`).
-    Traces(Vec<TraceSummaryWire>),
-    /// A replication fetch answered.
-    Fetch(FetchResponse),
-    /// A typed failure.
-    Err(WireError),
-}
-
-// ---------------------------------------------------------------------
-// Vocabularies
-// ---------------------------------------------------------------------
-
-sacx::vocabulary! {
-    /// First token of every response.
-    enum Status("status") { Ok = "ok", Err = "err" }
-}
-
-sacx::vocabulary! {
-    /// Second token of an `ok` response: which [`Response`] follows.
-    enum ResponseKind("response kind") {
-        Pong = "pong",
-        Id = "id",
-        Edited = "edited",
-        Nodes = "nodes",
-        Hits = "hits",
-        Partial = "partial",
-        Tags = "tags",
-        Text = "text",
-        Epoch = "epoch",
-        Removed = "removed",
-        Routes = "routes",
-        Traces = "traces",
-        CaughtUp = "caught_up",
-        Records = "records",
-        Snapshot = "snapshot",
+sacx::line! {
+    /// A primary's answer to one fetch.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum FetchResponse: FetchKind("response kind") {
+        /// Nothing past the requested LSN — the follower is caught up.
+        CaughtUp {
+            /// The primary's head LSN (equals the requested LSN).
+            head: u64,
+        } = "ok caught_up",
+        /// Raw WAL record bytes: each record self-framed and CRC'd by the
+        /// WAL codec, LSNs contiguous from the requested LSN + 1. A torn
+        /// tail (truncated in flight) is detected by the replica's batch
+        /// scan and re-requested — see [`cxpersist::scan_batch`].
+        Records {
+            /// The primary's head LSN at response time (drives lag
+            /// accounting).
+            head: u64,
+            /// The record bytes.
+            bytes: Vec<u8> as Body,
+        } = "ok records",
+        /// The requested LSN predates the primary's oldest retained record:
+        /// a full [`cxpersist::StoreSnapshot`] in wire-text form. The
+        /// follower installs it and continues fetching from its LSN.
+        Snapshot {
+            /// The snapshot's LSN (also the primary's head at capture).
+            head: u64,
+            /// `StoreSnapshot::to_text` bytes.
+            bytes: Vec<u8> as Body,
+        } = "ok snapshot",
     }
+}
+
+/// Per-document hits: one body line, `<doc> <k> <node 1> … <node k>`.
+type Hit = (DocId, Vec<NodeId>);
+
+sacx::line! {
+    /// One decoded server response: `ok <kind> …` or `err <error kind> …`.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response: ResponseKind("response kind") {
+        /// `Ping` answered.
+        Pong = "ok pong",
+        /// A document handle (`Insert`, `IdByName`).
+        Id(doc: DocId) = "ok id",
+        /// An applied edit: the created node (if any) and the post-op epoch.
+        Edited {
+            /// Node created by `InsertElement`.
+            node: Option<NodeId>,
+            /// The document's epoch after the edit.
+            epoch: u64,
+        } = "ok edited",
+        /// Per-document query hits.
+        Nodes(nodes: Vec<NodeId>) = "ok nodes",
+        /// Fan-out hits, id-sorted.
+        Hits(hits: Vec<Hit> as Lines<Hit>) = "ok hits",
+        /// Partial fan-out: hits plus typed per-shard failures.
+        Partial {
+            /// Hits from the shards that answered.
+            hits: Vec<Hit> as Lines<Hit>,
+            /// `(shard, why)` for every shard that did not.
+            errors: Vec<(usize, WireError)> as Lines<(usize, WireError)>,
+        } = "ok partial",
+        /// Tag suggestions.
+        Tags(tags: Vec<String>) = "ok tags",
+        /// A text artifact (stand-off export, metrics page).
+        Text(text: String as Body) = "ok text",
+        /// An epoch.
+        Epoch(epoch: u64) = "ok epoch",
+        /// Whether `Remove` found a live document.
+        Removed(removed: bool) = "ok removed",
+        /// The routing view.
+        Routes {
+            /// Number of shards (the residue-class modulus).
+            shards: usize,
+            /// `(raw id, owning shard)` for every moved document.
+            overrides: Vec<(u64, usize)> as Lines<(u64, usize)>,
+        } = "ok routes",
+        /// Flight-recorder summaries (`trace recent` / `trace slow`).
+        Traces(traces: Vec<TraceSummaryWire> as Lines<TraceSummaryWire>) = "ok traces",
+        /// A typed failure.
+        Err(error: WireError) = "err",
+    } else
+    /// A replication fetch answered.
+    Fetch(fetch: FetchResponse)
 }
 
 /// Introduces the optional trailing trace-context token.
 const TRACE_TOKEN: &str = "tc";
-
-/// Split a payload at its first `\n` into the token line, which must be
-/// UTF-8, and the optional raw body, which is checked by whoever reads it.
-fn split_body<'a>(payload: &'a [u8], what: &str) -> Result<(&'a str, Option<&'a [u8]>), String> {
-    let (line, body) = match payload.iter().position(|&b| b == b'\n') {
-        Some(at) => (&payload[..at], Some(&payload[at + 1..])),
-        None => (payload, None),
-    };
-    let line = std::str::from_utf8(line).map_err(|_| format!("{what} is not utf-8"))?;
-    Ok((line, body))
-}
-
-/// A count-prefixed run of parsed tokens (`<k> <t1> … <tk>`). The
-/// pre-allocation is capped: the count is untrusted input.
-fn counted<T>(
-    t: &mut Tokens<'_>,
-    mut item: impl FnMut(&mut Tokens<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let k: usize = t.parse("count")?;
-    let mut out = Vec::with_capacity(k.min(1 << 12));
-    for _ in 0..k {
-        out.push(item(t)?);
-    }
-    Ok(out)
-}
-
-fn doc_id(t: &mut Tokens<'_>) -> Result<DocId, String> {
-    t.parse("document id").map(DocId::from_raw)
-}
 
 // ---------------------------------------------------------------------
 // Requests
@@ -418,218 +368,17 @@ impl Request {
     }
 }
 
-// ---------------------------------------------------------------------
-// Responses
-// ---------------------------------------------------------------------
-
-fn encode_nodes(out: &mut String, nodes: &[NodeId]) {
-    let _ = write!(out, " {}", nodes.len());
-    for n in nodes {
-        let _ = write!(out, " {}", n.0);
-    }
-}
-
-fn decode_nodes(t: &mut Tokens<'_>) -> Result<Vec<NodeId>, String> {
-    counted(t, |t| t.parse("node id").map(NodeId))
-}
-
-fn encode_hits(out: &mut String, hits: &[(DocId, Vec<NodeId>)]) {
-    for (doc, nodes) in hits {
-        let _ = write!(out, "{}", doc.raw());
-        encode_nodes(out, nodes);
-        out.push('\n');
-    }
-}
-
-/// The next `k` body lines, each parsed whole by `item`.
-fn body_lines<'a, T>(
-    lines: &mut impl Iterator<Item = &'a str>,
-    k: usize,
-    what: &str,
-    mut item: impl FnMut(&mut Tokens<'a>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(k.min(1 << 12));
-    for _ in 0..k {
-        let mut t = Tokens::new(lines.next().ok_or_else(|| format!("expected {what} line"))?);
-        out.push(item(&mut t)?);
-        t.finish()?;
-    }
-    Ok(out)
-}
-
-fn decode_hit(t: &mut Tokens<'_>) -> Result<(DocId, Vec<NodeId>), String> {
-    Ok((doc_id(t)?, decode_nodes(t)?))
-}
-
 impl Response {
     /// Serialize to a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        use {FetchResponse as F, ResponseKind as K};
-        let ok = Status::Ok;
-        let mut out = String::new();
-        // Writing into a `String` cannot fail.
-        let _ = match self {
-            Response::Pong => write!(out, "{ok} {}", K::Pong),
-            Response::Id(id) => write!(out, "{ok} {} {}", K::Id, id.raw()),
-            Response::Edited { node: Some(n), epoch } => {
-                write!(out, "{ok} {} {} {epoch}", K::Edited, n.0)
-            }
-            Response::Edited { node: None, epoch } => write!(out, "{ok} {} - {epoch}", K::Edited),
-            Response::Nodes(nodes) => {
-                let _ = write!(out, "{ok} {}", K::Nodes);
-                encode_nodes(&mut out, nodes);
-                Ok(())
-            }
-            Response::Hits(hits) => {
-                let _ = writeln!(out, "{ok} {} {}", K::Hits, hits.len());
-                encode_hits(&mut out, hits);
-                Ok(())
-            }
-            Response::Partial { hits, errors } => {
-                let _ = writeln!(out, "{ok} {} {} {}", K::Partial, hits.len(), errors.len());
-                encode_hits(&mut out, hits);
-                for (shard, err) in errors {
-                    let _ = write!(out, "{shard} ");
-                    out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(err)));
-                    out.push('\n');
-                }
-                Ok(())
-            }
-            Response::Tags(tags) => {
-                let _ = write!(out, "{ok} {} {}", K::Tags, tags.len());
-                for t in tags {
-                    let _ = write!(out, " {}", escape_field(t));
-                }
-                Ok(())
-            }
-            Response::Text(text) => write!(out, "{ok} {}\n{text}", K::Text),
-            Response::Epoch(e) => write!(out, "{ok} {} {e}", K::Epoch),
-            Response::Removed(r) => write!(out, "{ok} {} {}", K::Removed, u8::from(*r)),
-            Response::Routes { shards, overrides } => {
-                let _ = writeln!(out, "{ok} {} {shards} {}", K::Routes, overrides.len());
-                for (raw, shard) in overrides {
-                    let _ = writeln!(out, "{raw} {shard}");
-                }
-                Ok(())
-            }
-            Response::Traces(list) => {
-                let _ = writeln!(out, "{ok} {} {}", K::Traces, list.len());
-                for t in list {
-                    let _ = writeln!(
-                        out,
-                        "{:016x} {} {} {} {} {} {}",
-                        t.trace_id,
-                        escape_field(&t.root),
-                        t.start_ns,
-                        t.duration_ns,
-                        t.spans,
-                        u8::from(t.slow),
-                        u8::from(t.error),
-                    );
-                }
-                Ok(())
-            }
-            Response::Fetch(F::CaughtUp { head }) => write!(out, "{ok} {} {head}", K::CaughtUp),
-            Response::Fetch(F::Records { head, .. }) => writeln!(out, "{ok} {} {head}", K::Records),
-            Response::Fetch(F::Snapshot { head, .. }) => {
-                writeln!(out, "{ok} {} {head}", K::Snapshot)
-            }
-            Response::Err(e) => {
-                let _ = write!(out, "{} ", Status::Err);
-                out.push_str(&String::from_utf8_lossy(&sacx::Line::encode(e)));
-                Ok(())
-            }
-        };
-        let mut out = out.into_bytes();
-        if let Response::Fetch(F::Records { bytes, .. } | F::Snapshot { bytes, .. }) = self {
-            out.extend_from_slice(bytes);
-        }
-        out
+        sacx::Line::encode(self)
     }
 
     /// Parse a frame payload. A malformed response is a protocol error
     /// (the connection is torn down — framing can no longer be trusted),
-    /// and so is a leftover token on the status line or a body line past
+    /// and so is a leftover token on the status line or a body byte past
     /// the ones the status line counts.
     pub fn decode(payload: &[u8]) -> Result<Response, WireError> {
-        Response::decode_text(payload).map_err(WireError::BadRequest)
-    }
-
-    fn decode_text(payload: &[u8]) -> Result<Response, String> {
-        use {FetchResponse as F, ResponseKind as K};
-        let (line, raw) = split_body(payload, "response")?;
-        // Only `records` and `snapshot` take a body that is not UTF-8.
-        let text = std::str::from_utf8(raw.unwrap_or_default()).map_err(|_| "body is not utf-8");
-        let raw = || raw.unwrap_or_default().to_vec();
-        let mut t = Tokens::new(line);
-        let flag = |t: &mut Tokens<'_>, what| t.parse::<u8>(what).map(|f| f != 0);
-        let mut lines = text.unwrap_or_default().lines();
-        let resp = match Status::parse(t.token("status")?)? {
-            Status::Err => Response::Err(<WireError as sacx::Field>::read(&mut t, "error")?),
-            Status::Ok => match K::parse(t.token("response kind")?)? {
-                K::Pong => Response::Pong,
-                K::Id => Response::Id(doc_id(&mut t)?),
-                K::Edited => Response::Edited {
-                    node: t.parse_opt("node id")?.map(NodeId),
-                    epoch: t.parse("epoch")?,
-                },
-                K::Nodes => Response::Nodes(decode_nodes(&mut t)?),
-                K::Hits => {
-                    let k = t.parse("hit count")?;
-                    Response::Hits(body_lines(&mut lines, k, "hit", decode_hit)?)
-                }
-                K::Partial => {
-                    let (hk, ek) = (t.parse("hit count")?, t.parse("error count")?);
-                    Response::Partial {
-                        hits: body_lines(&mut lines, hk, "hit", decode_hit)?,
-                        errors: body_lines(&mut lines, ek, "error", |t| {
-                            Ok((t.parse("shard")?, <WireError as sacx::Field>::read(t, "error")?))
-                        })?,
-                    }
-                }
-                K::Tags => Response::Tags(counted(&mut t, |t| t.string("tag"))?),
-                K::Text => Response::Text(text?.to_string()),
-                K::Epoch => Response::Epoch(t.parse("epoch")?),
-                K::Removed => Response::Removed(flag(&mut t, "flag")?),
-                K::Routes => {
-                    let (shards, k) = (t.parse("shard count")?, t.parse("override count")?);
-                    let overrides = body_lines(&mut lines, k, "route", |t| {
-                        Ok((t.parse("raw id")?, t.parse("shard")?))
-                    })?;
-                    Response::Routes { shards, overrides }
-                }
-                K::Traces => {
-                    let k = t.parse("count")?;
-                    Response::Traces(body_lines(&mut lines, k, "trace", |t| {
-                        Ok(TraceSummaryWire {
-                            trace_id: t.hex("trace id")?,
-                            root: t.string("root")?,
-                            start_ns: t.parse("start")?,
-                            duration_ns: t.parse("duration")?,
-                            spans: t.parse("spans")?,
-                            slow: flag(t, "slow flag")?,
-                            error: flag(t, "error flag")?,
-                        })
-                    })?)
-                }
-                K::CaughtUp => Response::Fetch(F::CaughtUp { head: t.parse("head")? }),
-                K::Records => Response::Fetch(F::Records { head: t.parse("head")?, bytes: raw() }),
-                K::Snapshot => {
-                    Response::Fetch(F::Snapshot { head: t.parse("head")?, bytes: raw() })
-                }
-            },
-        };
-        t.finish()?;
-        // `text`, `records` and `snapshot` take their bodies whole; every
-        // other body is counted lines.
-        let whole = matches!(
-            resp,
-            Response::Text(_) | Response::Fetch(F::Records { .. } | F::Snapshot { .. })
-        );
-        match lines.next() {
-            _ if whole => Ok(resp),
-            Some(extra) => Err(format!("unexpected body line {extra:?}")),
-            None => text.map(|_| resp).map_err(Into::into),
-        }
+        sacx::Line::decode(payload).map_err(WireError::BadRequest)
     }
 }
