@@ -1,9 +1,10 @@
-//! A replayable command layer over [`Session`].
+//! A replayable command layer over [`Session`], declared once as a
+//! [`sacx::line!`].
 //!
 //! The EPT demo (paper Figure 4) drives the editor through recorded
 //! interactions; this module gives the library the same capability: a
 //! script is one command per line, applied to a session in order. An edit
-//! is written in the one edit spelling ([`EditOp::write_tokens`]) — the
+//! is written in the one edit spelling ([`EditOp`]'s declaration) — the
 //! bytes a WAL record or a `cxq1` frame carries — and `undo` / `redo` step
 //! through the session's history:
 //!
@@ -26,17 +27,19 @@
 use crate::error::{Result, XTaggerError};
 use crate::session::Session;
 use goddag::NodeId;
-use sacx::{EditOp, Tokens};
+use sacx::{EditOp, Line};
 
-/// One editor command.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Command {
+sacx::line! {
+    /// One editor command.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Command: CommandKind("command") {
+        /// Undo the last command.
+        Undo = "undo",
+        /// Redo the last undone command.
+        Redo = "redo",
+    } else
     /// Apply an edit through [`Session::apply`].
-    Edit(EditOp),
-    /// Undo the last command.
-    Undo,
-    /// Redo the last undone command.
-    Redo,
+    Edit(op: EditOp)
 }
 
 /// Outcome of applying one command.
@@ -69,22 +72,7 @@ impl Command {
         if line.is_empty() || line.starts_with('#') {
             return Ok(None);
         }
-        let mut t = Tokens::new(line);
-        let cmd = match t.peek() {
-            Some("undo") => {
-                t.next();
-                Command::Undo
-            }
-            Some("redo") => {
-                t.next();
-                Command::Redo
-            }
-            _ => Command::Edit(
-                <EditOp as sacx::Field>::read(&mut t, "edit op").map_err(XTaggerError::Query)?,
-            ),
-        };
-        t.finish().map_err(XTaggerError::Query)?;
-        Ok(Some(cmd))
+        Command::decode(line.as_bytes()).map(Some).map_err(XTaggerError::Query)
     }
 }
 
