@@ -280,7 +280,9 @@ impl<'a> Tokens<'a> {
     /// The next `len` bytes after the line: the one bounds rule of blocks.
     pub fn block(&mut self, len: usize, what: &str) -> Result<&'a [u8], String> {
         let after = self.after(what)?;
-        let block = after.get(..len).ok_or_else(|| format!("{what} length {len} out of bounds"))?;
+        let block = after
+            .get(..len)
+            .ok_or_else(|| format!("{what} length {len} exceeds the {} bytes left", after.len()))?;
         self.taken += len;
         Ok(block)
     }
@@ -693,8 +695,8 @@ impl Raw for Vec<u8> {
     }
 }
 
-/// A length-prefixed block: its byte length on the line, the bytes after
-/// it. The block ends at a line boundary: a `\n` follows unless the block
+/// A length-prefixed block: its byte length as the last token of the
+/// line, the bytes after it. The block ends at a line boundary: a `\n` follows unless the block
 /// ends in one — or always, when `NEWLINE` is set (stand-off content).
 pub struct Block<const NEWLINE: bool = false>;
 
@@ -711,6 +713,9 @@ impl<T: Raw, const NEWLINE: bool> Field<T> for Block<NEWLINE> {
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<T, String> {
         let len = usize::read(t, what)?;
+        // The length ends its line: a stray token is reported as one, not
+        // misread as a block.
+        t.finish()?;
         let bytes = t.block(len, what)?;
         if NEWLINE || !bytes.ends_with(b"\n") {
             t.block(1, what)

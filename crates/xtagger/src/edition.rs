@@ -7,6 +7,10 @@
 //! self-contained text bundle holding the stand-off form of the GODDAG plus
 //! every hierarchy's DTD, loadable back into a ready-to-edit [`Session`].
 //!
+//! The bundle is declared once as a [`sacx::directives!`] file; like
+//! stand-off, it skips blank lines, `#` comments and trailing blanks for
+//! hand editing.
+//!
 //! ```text
 //! #cxml-edition v1
 //! dtd phys 123
@@ -20,72 +24,46 @@
 use crate::error::{Result, XTaggerError};
 use crate::session::Session;
 use goddag::Goddag;
-use sacx::{escape_field, take_line, SacxError, StandoffDoc, Tokens};
-use std::fmt::Write as _;
+use sacx::{Block, Directives, SacxError, StandoffDoc};
 
-const MAGIC: &str = "#cxml-edition v1";
+sacx::line! {
+    /// One hierarchy's schema: `dtd <hierarchy name> <length>`, then the
+    /// DTD text as a block.
+    struct Dtd {
+        name: String,
+        text: String as Block,
+    }
+}
+
+sacx::directives! {
+    /// The bundle: every schema, then the stand-off form of the document.
+    struct Bundle("#cxml-edition v1", None, lenient) {
+        "dtd" many { dtds: Dtd },
+        "standoff" once { standoff: String as Block },
+    }
+}
 
 /// Serialize a document (with its attached DTDs) into a bundle.
 pub fn save_edition(g: &Goddag) -> String {
-    let mut out = String::new();
-    out.push_str(MAGIC);
-    out.push('\n');
-    for h in g.hierarchy_ids() {
-        let hier = g.hierarchy(h).expect("iterating live ids");
-        if let Some(dtd) = &hier.dtd {
-            let text = dtd.to_text();
-            let _ = writeln!(out, "dtd {} {}", escape_field(&hier.name), text.len());
-            out.push_str(&text);
-            if !text.ends_with('\n') {
-                out.push('\n');
-            }
-        }
-    }
-    let standoff = StandoffDoc::from_goddag(g).to_text();
-    let _ = writeln!(out, "standoff {}", standoff.len());
-    out.push_str(&standoff);
-    out
+    let dtds = g
+        .hierarchy_ids()
+        .filter_map(|h| {
+            let hier = g.hierarchy(h).ok()?;
+            Some(Dtd { name: hier.name.clone(), text: hier.dtd.as_ref()?.to_text() })
+        })
+        .collect();
+    Bundle { dtds, standoff: StandoffDoc::from_goddag(g).to_text() }.to_file()
 }
 
 /// Load a bundle back into a document with DTDs attached.
 pub fn load_edition(input: &str) -> Result<Goddag> {
-    let mut rest = input;
-    let line = take_line(&mut rest).ok_or_else(|| bad("empty input"))?;
-    if line.trim() != MAGIC {
-        return Err(bad("bad magic line"));
-    }
-    let mut dtds: Vec<(String, xmlcore::dtd::Dtd)> = Vec::new();
-    let mut goddag: Option<Goddag> = None;
-    while let Some(line) = take_line(&mut rest) {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut t = Tokens::new(line);
-        let directive = t.token("a directive").map_err(bad)?;
-        let ctx = |e: String| bad(format!("{directive}: {e}"));
-        let name = match directive {
-            "dtd" => Some(t.string("a hierarchy name").map_err(ctx)?),
-            "standoff" => None,
-            other => return Err(bad(format!("unknown directive {other:?}"))),
-        };
-        let len: usize = t.parse("a byte length").map_err(ctx)?;
-        t.finish().map_err(ctx)?;
-        let block = take_block(&mut rest, len)?;
-        match name {
-            Some(name) => {
-                let dtd = xmlcore::dtd::parse_dtd(&block)
-                    .map_err(|e| bad(format!("DTD for {name:?}: {e}")))?;
-                dtds.push((name, dtd));
-            }
-            None => {
-                let doc = StandoffDoc::parse_text(&block).map_err(XTaggerError::Sacx)?;
-                goddag = Some(doc.to_goddag().map_err(XTaggerError::Sacx)?);
-            }
-        }
-    }
-    let mut g = goddag.ok_or_else(|| bad("bundle has no standoff section"))?;
-    for (name, dtd) in dtds {
+    let bundle = Bundle::from_file(input)
+        .map_err(|(line, detail)| XTaggerError::Sacx(SacxError::Standoff { line, detail }))?;
+    let doc = StandoffDoc::parse_text(&bundle.standoff).map_err(XTaggerError::Sacx)?;
+    let mut g = doc.to_goddag().map_err(XTaggerError::Sacx)?;
+    for Dtd { name, text } in bundle.dtds {
+        let dtd =
+            xmlcore::dtd::parse_dtd(&text).map_err(|e| bad(format!("DTD for {name:?}: {e}")))?;
         let h = g
             .hierarchy_by_name(&name)
             .ok_or_else(|| bad(format!("DTD for unknown hierarchy {name:?}")))?;
@@ -101,18 +79,6 @@ pub fn open_edition(input: &str) -> Result<Session> {
 
 fn bad(detail: impl Into<String>) -> XTaggerError {
     XTaggerError::Sacx(SacxError::Standoff { line: 0, detail: detail.into() })
-}
-
-fn take_block(rest: &mut &str, len: usize) -> Result<String> {
-    if rest.len() < len {
-        return Err(bad(format!("block length {len} exceeds remaining {}", rest.len())));
-    }
-    if !rest.is_char_boundary(len) {
-        return Err(bad("block length splits a UTF-8 char"));
-    }
-    let block = rest[..len].to_string();
-    *rest = &rest[len..];
-    Ok(block)
 }
 
 #[cfg(test)]
@@ -200,6 +166,18 @@ mod tests {
         let bundle = format!("#cxml-edition v1\ndtd phys {} extra\n{dtd}", dtd.len());
         let err = load_edition(&bundle).unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
+    }
+
+    #[test]
+    fn one_spelling_per_bundle_with_hand_editing_leniency() {
+        let bundle = save_edition(&edition());
+        let standoff = bundle.find("\nstandoff ").unwrap() + 1;
+        let edited = format!("{}# notes\n\n{}", &bundle[..standoff], &bundle[standoff..]);
+        assert_eq!(save_edition(&load_edition(&edited).unwrap()), bundle);
+        let twice = format!("{bundle}{}", &bundle[standoff..]);
+        for bad in [bundle.replacen("#cxml-edition v1", " #cxml-edition v1 ", 1), twice] {
+            assert!(load_edition(&bad).is_err(), "{bad:?} accepted");
+        }
     }
 
     #[test]
