@@ -365,68 +365,6 @@ pub fn decode_line<T>(
     Ok((value, t.taken))
 }
 
-// LEGACY: the hand-written cursor calls, deleted once every format is declared.
-impl<'a> Tokens<'a> {
-    /// Legacy.
-    pub fn parse<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, String> {
-        self.token(what)
-            .ok()
-            .filter(|t| !t.starts_with('+'))
-            .and_then(|t| t.parse().ok())
-            .ok_or_else(|| format!("expected {what}"))
-    }
-    /// Legacy.
-    pub fn parse_opt<T: std::str::FromStr>(&mut self, what: &str) -> Result<Option<T>, String> {
-        match self.peek() {
-            Some("-") => {
-                self.token(what)?;
-                Ok(None)
-            }
-            _ => self.parse(what).map(Some),
-        }
-    }
-    /// Legacy.
-    pub fn hex(&mut self, what: &str) -> Result<u64, String> {
-        self.token(what)
-            .ok()
-            .and_then(xmlcore::num::hex)
-            .ok_or_else(|| format!("expected hex {what}"))
-    }
-    /// Legacy.
-    pub fn string(&mut self, what: &str) -> Result<String, String> {
-        unescape_field(self.token(what)?)
-    }
-    /// Legacy.
-    pub fn attrs(&mut self) -> Result<Vec<(String, String)>, String> {
-        <Attrs as Field<Vec<(String, String)>>>::read(self, "attrs")
-    }
-}
-
-/// Legacy.
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
-    fn next(&mut self) -> Option<&'a str> {
-        self.token("").ok()
-    }
-}
-
-/// Legacy.
-pub fn take_line<'a>(rest: &mut &'a str) -> Option<&'a str> {
-    if rest.is_empty() {
-        return None;
-    }
-    let (line, tail) = rest.split_once('\n').unwrap_or((rest, ""));
-    *rest = tail;
-    Some(line)
-}
-
-/// Legacy.
-pub fn write_attrs(out: &mut String, attrs: &[(String, String)]) {
-    for (k, v) in attrs {
-        let _ = write!(out, " {}={}", escape_field(k), escape_field(v));
-    }
-}
-
 // ---------------------------------------------------------------------
 // Fields
 // ---------------------------------------------------------------------
