@@ -37,14 +37,14 @@
 use crate::error::PersistError;
 use cxobs::trace;
 use goddag::{Goddag, Layout, NodeId};
-use sacx::token::{dec, Counted};
-use sacx::{Block, Directives, Field, StandoffDoc, Tokens, Writer};
+use sacx::token::dec;
+use sacx::{Block, Field, StandoffDoc, Tokens, Writer};
 use std::fmt::Write as _;
 
 sacx::directives! {
     /// A complete serialized document (see module docs).
     #[derive(Debug, Clone, PartialEq)]
-    pub struct DocBlob("#cxblob v1", Crc) {
+    pub struct DocBlob("#cxblob v1", Crc) -> PersistError::Codec {
         "arena" once {
             /// Arena length at capture (ids are never reused, so future edit
             /// allocations start here).
@@ -61,7 +61,7 @@ sacx::directives! {
         },
         "leaves" once {
             /// Original `(leaf id, byte offset)` pairs in frontier order.
-            leaves: Vec<(u32, usize)> as Counted<Leaf>,
+            leaves: Vec<(u32, usize)> as Leaves,
         },
         "dtd" many {
             /// `(hierarchy index, DTD external-subset text)` for each
@@ -75,18 +75,26 @@ sacx::directives! {
     }
 }
 
-/// One leaf of the `leaves` line: `<id>:<byte offset>`.
-pub struct Leaf;
+/// The `leaves` line: `<k> <id>:<byte offset> …`.
+pub struct Leaves;
 
-impl Field<(u32, usize)> for Leaf {
-    fn write(v: &(u32, usize), w: &mut Writer) {
-        let _ = write!(w.token(), "{}:{}", v.0, v.1);
+impl Field<Vec<(u32, usize)>> for Leaves {
+    fn write(v: &Vec<(u32, usize)>, w: &mut Writer) {
+        usize::write(&v.len(), w);
+        for (id, off) in v {
+            let _ = write!(w.token(), "{id}:{off}");
+        }
     }
-    fn read(t: &mut Tokens<'_>, what: &str) -> Result<(u32, usize), String> {
-        let (id, off) = t.token(what)?.split_once(':').ok_or("bad leaf entry")?;
-        let id = dec(id).and_then(|id| u32::try_from(id).ok());
-        let off = dec(off).and_then(|off| usize::try_from(off).ok());
-        id.zip(off).ok_or_else(|| "bad leaf entry".to_string())
+    fn read(t: &mut Tokens<'_>, what: &str) -> Result<Vec<(u32, usize)>, String> {
+        let k = usize::read(t, what)?;
+        let mut out = Vec::with_capacity(k.min(1 << 12));
+        for _ in 0..k {
+            let leaf = t.token(what)?.split_once(':').and_then(|(id, off)| {
+                Some((u32::try_from(dec(id)?).ok()?, usize::try_from(dec(off)?).ok()?))
+            });
+            out.push(leaf.ok_or("bad leaf entry")?);
+        }
+        Ok(out)
     }
 }
 
@@ -151,19 +159,6 @@ impl DocBlob {
         }
         g.force_edit_epoch(self.epoch);
         Ok(g)
-    }
-
-    /// Serialize to the versioned text format (used verbatim as snapshot
-    /// doc files, raw after its line in WAL `DocInsert` records, wire
-    /// snapshots and `cxq1` inserts). Ends with a `crc` footer over
-    /// everything before it.
-    pub fn to_text(&self) -> String {
-        self.to_file()
-    }
-
-    /// Parse the text format, verifying the `crc` footer.
-    pub fn parse_text(input: &str) -> Result<DocBlob, PersistError> {
-        DocBlob::from_file(input).map_err(|(line, detail)| PersistError::Codec { line, detail })
     }
 }
 

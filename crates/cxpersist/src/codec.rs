@@ -12,17 +12,13 @@
 //! ```
 //!
 //! Every record starts with one line `<lsn> <kind> <fields…> <crc32>`,
-//! where the CRC covers the record body (everything before the final
-//! space). The kinds and their fields are declared once, as [`WalOp`]
-//! (a [`sacx::line!`] declaration: strings percent-escaped, the empty
-//! string a lone `%`), and an `edit` record's tail is the paper core's one
-//! edit spelling (`sacx::EditOp`, re-exported by `cxstore`), which a `cxq1`
-//! edit request and an xTagger script line carry too. `ins` records carry
-//! the document blob as a *length-prefixed raw payload block* after the
-//! line (escaping it would ~triple its size; the blob's own CRC footer
-//! guards its integrity). Torn or bit-flipped trailing records are
-//! detected by [`scan`]: the first record that fails framing, parsing or
-//! its CRC ends the valid prefix, and everything after it is dropped.
+//! where the CRC covers everything before its space. The kinds and their
+//! fields are declared once, as [`WalOp`] (a [`sacx::line!`]); an `edit`
+//! record carries the one edit spelling (`sacx::EditOp`), and an `ins`
+//! record its document blob as a raw block after the line. Torn or
+//! bit-flipped trailing records are detected by [`scan`]: the first record
+//! that fails framing, parsing or its CRC ends the valid prefix, and
+//! everything after it is dropped.
 
 use crate::blob::DocBlob;
 use crate::error::PersistError;
@@ -33,10 +29,6 @@ use sacx::{Field, Hex, Tokens, Writer};
 pub const WAL_HEADER: &str = "#cxwal v1\n";
 
 pub use sacx::crc32;
-
-// ---------------------------------------------------------------------
-// Records
-// ---------------------------------------------------------------------
 
 sacx::line! {
     /// One logged operation (the payload of a [`WalRecord`]).
@@ -92,13 +84,8 @@ sacx::vocabulary! {
 
 impl Field<Option<String>> for Naming {
     fn write(v: &Option<String>, w: &mut Writer) {
-        match v {
-            Some(name) => {
-                Naming::write(&Naming::Named, w);
-                String::write(name, w);
-            }
-            None => Naming::write(&Naming::Anon, w),
-        }
+        Naming::write(if v.is_some() { &Naming::Named } else { &Naming::Anon }, w);
+        v.iter().for_each(|name| String::write(name, w));
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<Option<String>, String> {
         match Naming::read(t, what)? {
@@ -108,10 +95,8 @@ impl Field<Option<String>> for Naming {
     }
 }
 
-/// `blob <len>`, and the document blob as a raw block after the record
-/// line: framing it raw instead of percent-escaping it keeps document
-/// inserts at ~1× their blob size rather than ~3× (spaces, newlines and
-/// non-ASCII dominate document text). The blob's own CRC footer covers the
+/// `blob <len>`, then the blob raw after the record line (~1× its size,
+/// where escaping would cost ~3×). The blob's own CRC footer covers the
 /// payload, the record CRC covers the declared length.
 struct Payload;
 

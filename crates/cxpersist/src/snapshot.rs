@@ -22,7 +22,6 @@ use crate::blob::DocBlob;
 use crate::error::{PersistError, Result};
 use cxobs::fault::{self, Site};
 use cxstore::{DocId, Store};
-use sacx::Directives;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -44,7 +43,7 @@ sacx::directives! {
     /// CRC-guarded, so an extra token on a directive line is an error even
     /// under a valid CRC.
     #[derive(Debug, Clone, Default, PartialEq, Eq)]
-    pub struct Manifest("#cxmanifest v1", Crc) {
+    pub struct Manifest("#cxmanifest v1", Crc) -> PersistError::Codec {
         "lsn" once {
             /// WAL position the snapshot captures: recovery replays only
             /// records with a larger LSN.
@@ -66,18 +65,6 @@ sacx::directives! {
     }
 }
 
-impl Manifest {
-    /// Serialize with a trailing CRC line.
-    pub fn to_text(&self) -> String {
-        self.to_file()
-    }
-
-    /// Parse and CRC-verify.
-    pub fn parse_text(input: &str) -> Result<Manifest> {
-        Manifest::from_file(input).map_err(|(line, detail)| PersistError::Codec { line, detail })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Wire snapshots (replication bootstrap)
 // ---------------------------------------------------------------------
@@ -92,7 +79,7 @@ sacx::directives! {
     /// integrity rides on each blob's own CRC footer; the closing `end`
     /// line guards against truncation of the artifact as a whole.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct StoreSnapshot("#cxsnap v1", End) {
+    pub struct StoreSnapshot("#cxsnap v1", End) -> PersistError::Codec {
         "lsn" once {
             /// WAL position the snapshot captures: shipped records with a
             /// larger LSN apply on top.
@@ -144,19 +131,6 @@ impl StoreSnapshot {
         }
         store.reserve_doc_ids(self.next_doc);
         Ok(())
-    }
-
-    /// Serialize to the wire text form.
-    pub fn to_text(&self) -> String {
-        self.to_file()
-    }
-
-    /// Parse the wire text form. Truncation (a missing `end` line, a short
-    /// blob), blob corruption, an extra token on a directive line and any
-    /// byte after the `end` line are errors — the receiver re-requests.
-    pub fn parse_text(input: &str) -> Result<StoreSnapshot> {
-        StoreSnapshot::from_file(input)
-            .map_err(|(line, detail)| PersistError::Codec { line, detail })
     }
 }
 

@@ -1,46 +1,33 @@
 //! The versioned wire protocol: store operations and replication fetches
-//! as payloads inside this crate's length-prefixed frames.
-//!
-//! One request per frame, one response per frame, answered in order per
-//! connection (which is what makes client-side pipelining work: write
-//! *k* requests, read *k* responses). The payload is a line of
-//! space-separated tokens read with the workspace's one token cursor
-//! ([`sacx::Tokens`]: strings percent-escaped, empty spelled `%`) —
-//! optionally followed by a newline and a raw body (document blobs,
-//! stand-off exports, metrics pages, shipped WAL records), so bulky
-//! artifacts ride unescaped:
+//! as payloads inside this crate's length-prefixed frames, one request and
+//! one response per frame, answered in order per connection (which is what
+//! makes client-side pipelining work).
 //!
 //! ```text
 //! request  := "cxq1 " verb tokens… [" tc " trace "-" span] ["\n" body]
 //! response := ("ok " kind tokens… ["\n" body]) | ("err " kind tokens…)
 //! ```
 //!
-//! Decoders split a payload at its first `\n` before any UTF-8 check, so a
-//! `fetch`'s `records` body reaches [`cxpersist::scan_batch`] byte for byte.
+//! Both are declared once, as [`Request`] and [`Response`] ([`sacx::line!`]
+//! declarations, with [`TraceQuery`], [`FetchResponse`] and
+//! [`WireError`]): the declaration is the encoder and the decoder, keyword
+//! sets included ([`Verb`] is also the per-verb metrics label), and a
+//! leftover token or body byte is a `bad_request`. Bulky artifacts ride
+//! unescaped in the body after the first `\n`, which is split off before
+//! any UTF-8 check, so a `fetch`'s `records` reach
+//! [`cxpersist::scan_batch`] byte for byte. An `edit` request carries the
+//! one edit spelling (`sacx::EditOp`): the WAL record the edit becomes, and
+//! a line of an xTagger script.
 //!
 //! The leading `cxq1` is the protocol version: a server refuses anything
-//! else with a typed `bad_request`, so a v2 client talking to a v1 server
-//! fails loudly at the first exchange instead of misparsing. Every keyword
-//! set — [`Verb`], [`WireErrorKind`](crate::WireErrorKind), the response kinds, the `trace`
-//! sub-queries — is declared once with [`sacx::vocabulary!`] and matched
-//! as an enum, so a variant without an encoder or decoder arm does not
-//! compile. An `edit` request carries its operation as
-//! [`EditOp::write_tokens`] writes it (`sacx::EditOp`, re-exported by
-//! `cxstore`): the spelling of the WAL record the edit becomes, and of a
-//! line of an xTagger script.
-//!
-//! Error frames are **typed** — `shard_down`, `timeout`, `stale`,
-//! `wrong_shard`, … — so a client can react structurally (refresh its
-//! routing table, treat a CAS replay as already-applied) instead of
-//! grepping a message.
+//! else with a typed `bad_request`, so a v2 client fails loudly at the
+//! first exchange. Error frames are typed, so a client reacts structurally
+//! (refreshes its routing table, treats a CAS replay as already-applied).
 //!
 //! **Trace propagation.** A request line may end with one
-//! `tc <trace_id>-<span_id>` token pair ([`Request::encode_traced`]):
-//! the client's current [`cxobs::trace::TraceContext`] riding the frame so
-//! the server's handler span joins the caller's trace. Nothing else may
-//! follow a verb's arguments — leftover tokens are a `bad_request`, not
-//! silently ignored — and the wire bytes without tracing enabled carry no
-//! pair at all.
+//! `tc <trace_id>-<span_id>` pair ([`Request::encode_traced`]): the
+//! client's [`cxobs::trace::TraceContext`], so the server's handler span
+//! joins the caller's trace. Untraced frames carry no pair at all.
 
 use crate::error::WireError;
 use cxobs::trace;

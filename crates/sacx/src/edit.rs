@@ -12,20 +12,10 @@ crate::line! {
     /// One edit against a document. Hierarchies are addressed by name so
     /// operations are meaningful without holding a handle to the document's
     /// internals; nodes use the stable [`NodeId`]s returned by earlier
-    /// queries and edits (GODDAG ids are never reused).
-    ///
-    /// This is also the one text spelling of an edit, shared by WAL records,
-    /// shipped replication batches, `cxq1` frames and xTagger scripts (the
-    /// bytes are on disk, so they do not move):
-    ///
-    /// ```text
-    /// insel <hierarchy> <tag> <start> <end> [<name>=<value>]…
-    /// rmel <node> | instext <offset> <text> | deltext <start> <end>
-    /// setattr <node> <name> <value> | rmattr <node> <name>
-    /// ```
-    ///
-    /// Strings are escaped fields. The attribute list needs no count (see
-    /// [`Attrs`]), so whatever the enclosing format appends still parses.
+    /// queries and edits (GODDAG ids are never reused). The declaration is
+    /// also the one text spelling of an edit, which WAL records, shipped
+    /// replication batches, `cxq1` frames and xTagger scripts share (the
+    /// bytes are on disk, so they do not move): `insel ling w 0 3 n=1`.
     #[derive(Debug, Clone, PartialEq)]
     pub enum EditOp: pub OpKind("edit op") {
         /// Wrap content bytes `start..end` of hierarchy `hierarchy` in a new

@@ -61,6 +61,6 @@ pub use fragmentation::{
 pub use milestone::{export_milestone, import_milestone, MilestoneOptions, CX_MID, CX_MS};
 pub use standoff::{export_standoff, import_standoff, Annotation, StandoffDoc};
 pub use token::{
-    crc32, escape_field, escape_token, unescape_field, Attrs, Bare, Block, Body, Directives,
-    Escaped, Field, Hex, Line, Lines, Raw, Shape, Tokens, Writer,
+    crc32, Attrs, Bare, Block, Body, Directives, Escaped, Field, Hex, Line, Lines, Raw, Shape,
+    Tokens, Writer,
 };

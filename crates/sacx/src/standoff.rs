@@ -23,7 +23,7 @@
 //! exactly once.
 
 use crate::error::{Result, SacxError};
-use crate::token::{Attrs, Bare, Block, Directives};
+use crate::token::{Attrs, Bare, Block};
 use goddag::{Goddag, GoddagBuilder, HierarchyId, RangeSpec};
 use xmlcore::{Attribute, QName};
 
@@ -47,7 +47,7 @@ crate::line! {
 crate::directives! {
     /// A complete stand-off document.
     #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct StandoffDoc("#cxml-standoff v1", None, lenient) {
+    pub struct StandoffDoc("#cxml-standoff v1", None, lenient) -> SacxError::Standoff {
         "root" once {
             /// Shared root element name.
             root: String as Bare,
@@ -193,16 +193,6 @@ impl StandoffDoc {
             });
         }
         Ok(b)
-    }
-
-    /// Serialize to the line-oriented text format.
-    pub fn to_text(&self) -> String {
-        self.to_file()
-    }
-
-    /// Parse the line-oriented text format.
-    pub fn parse_text(input: &str) -> Result<StandoffDoc> {
-        StandoffDoc::from_file(input).map_err(|(line, detail)| SacxError::Standoff { line, detail })
     }
 }
 

@@ -24,25 +24,16 @@
 //!   edition bundles are directive files; stand-off and editions also skip
 //!   blank lines, `#` comments and trailing blanks, for hand editing.
 //!
-//! A decoder is never written by hand: `Tokens` has no public constructor
-//! outside this module that clippy allows, so a format that wants one
-//! declares itself here instead. The declarations also list their fields
-//! ([`Line::SHAPES`], [`Directives::SPEC`]), which is what the
-//! declaration-driven refusal tests walk.
+//! A decoder is never written by hand (clippy refuses [`Tokens::new`]). The
+//! declarations list their fields ([`Line::SHAPES`], [`Directives::SPEC`])
+//! for the declaration-driven refusal tests.
 
 use std::fmt::Write as _;
 use std::marker::PhantomData;
 
-/// Percent-escape a string into a single token free of spaces, newlines,
-/// `=` and non-ASCII bytes. Non-ASCII bytes are escaped byte-wise: pushing
-/// them as `char`s would re-encode each UTF-8 byte as its own code point
-/// and mangle the value on re-import.
-pub fn escape_token(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
-}
-
+/// Percent-escape `s` into one token free of spaces, newlines, `=` and
+/// non-ASCII bytes. Non-ASCII bytes are escaped byte-wise: pushing them as
+/// `char`s would re-encode each UTF-8 byte as its own code point.
 fn escape_into(out: &mut String, s: &str) {
     for b in s.bytes() {
         if escaped(b) {
@@ -58,23 +49,7 @@ fn escaped(b: u8) -> bool {
     matches!(b, b'%' | b'\n' | b'\r' | b' ' | b'=' | 0..=0x1f | 0x80..)
 }
 
-/// [`escape_token`] for a *positional* token: `""` is spelled as a lone `%`
-/// (otherwise unproducible — a `%` always introduces two hex digits),
-/// because an empty token would vanish from the space framing.
-pub fn escape_field(s: &str) -> String {
-    let mut out = String::with_capacity(s.len().max(1));
-    Escaped::put(&mut out, s);
-    out
-}
-
-/// Undo [`escape_field`] and [`escape_token`] (the lone `%` is the only
-/// difference). Errors carry a bare detail string so callers can wrap them
-/// in their own error types.
-pub fn unescape_field(s: &str) -> Result<String, String> {
-    Escaped::get(s)
-}
-
-/// Undo [`escape_token`]: every `%` introduces two lowercase hex digits.
+/// Undo [`escape_into`]: every `%` introduces two lowercase hex digits.
 fn unescape_token(s: &str) -> Result<String, String> {
     let mut bytes: Vec<u8> = Vec::with_capacity(s.len());
     let raw = s.as_bytes();
@@ -146,10 +121,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-// ---------------------------------------------------------------------
-// Writing and reading one line
-// ---------------------------------------------------------------------
-
 /// One line being written: its tokens, and the raw bytes that follow it
 /// (blocks, or a frame's body), if any field wrote some.
 #[derive(Debug, Default)]
@@ -216,10 +187,8 @@ pub struct Tokens<'a> {
 }
 
 impl<'a> Tokens<'a> {
-    /// Start at the first token of `line`, with nothing after it. Only the
-    /// declarations construct cursors (clippy refuses this call anywhere
-    /// else): a format declares its lines with [`line!`](crate::line) or
-    /// [`directives!`](crate::directives).
+    /// Start at the first token of `line`. Clippy refuses this call: a
+    /// format is declared ([`line!`](crate::line), [`directives!`](crate::directives)).
     pub fn new(line: &'a str) -> Tokens<'a> {
         Tokens::over(line, None)
     }
@@ -231,16 +200,10 @@ impl<'a> Tokens<'a> {
     /// The next raw token.
     pub fn token(&mut self, what: &str) -> Result<&'a str, String> {
         let rest = self.rest.ok_or_else(|| format!("expected {what}"))?;
-        Ok(match rest.split_once(' ') {
-            Some((tok, tail)) => {
-                self.rest = Some(tail);
-                tok
-            }
-            None => {
-                self.rest = None;
-                rest
-            }
-        })
+        let (tok, tail) =
+            rest.split_once(' ').map_or((rest, None), |(tok, tail)| (tok, Some(tail)));
+        self.rest = tail;
+        Ok(tok)
     }
 
     /// The next raw token, not consumed.
@@ -262,74 +225,33 @@ impl<'a> Tokens<'a> {
 
     /// The line must be exhausted.
     pub fn finish(&mut self) -> Result<(), String> {
-        match self.rest.take() {
+        match self.peek() {
             None => Ok(()),
-            Some(rest) => Err(format!(
-                "unexpected trailing token {:?}",
-                rest.split(' ').next().unwrap_or_default()
-            )),
+            Some(tok) => Err(format!("unexpected trailing token {tok:?}")),
         }
     }
 
+    /// The bytes after the line that no field has taken yet.
     fn after(&mut self, what: &str) -> Result<&'a [u8], String> {
         self.body_read = true;
         let after = self.after.ok_or_else(|| format!("expected {what} after the line"))?;
         Ok(&after[self.taken..])
     }
 
-    /// The next `len` bytes after the line: the one bounds rule of blocks.
-    pub fn block(&mut self, len: usize, what: &str) -> Result<&'a [u8], String> {
+    /// Take `len` bytes after the line: the one bounds rule of blocks.
+    fn take(&mut self, len: usize, what: &str) -> Result<&'a [u8], String> {
         let after = self.after(what)?;
-        let block = after
+        let bytes = after
             .get(..len)
             .ok_or_else(|| format!("{what} length {len} exceeds the {} bytes left", after.len()))?;
         self.taken += len;
-        Ok(block)
+        Ok(bytes)
     }
 
-    /// Everything after the line that no field has taken yet.
-    pub fn rest_after(&mut self, what: &str) -> Result<&'a [u8], String> {
-        let rest = self.after(what)?;
-        self.taken += rest.len();
-        Ok(rest)
-    }
-
-    /// The next `\n`-terminated line after this one, as a cursor of its
-    /// own (for counted body lines).
-    pub fn next_line(&mut self, what: &str) -> Result<Tokens<'a>, String> {
-        let after = self.after(what)?;
-        let nl =
-            after.iter().position(|&b| b == b'\n').ok_or_else(|| format!("expected {what}"))?;
-        let line = std::str::from_utf8(&after[..nl]).map_err(|_| format!("{what} is not utf-8"))?;
-        self.taken += nl + 1;
-        Ok(Tokens::over(line, None))
-    }
-
-    /// Whether the keyword just read was its variant's alias (and clear it).
-    pub fn take_alias(&mut self) -> bool {
-        std::mem::take(&mut self.alias)
-    }
-
-    #[doc(hidden)]
-    pub fn set_alias(&mut self, alias: bool) {
-        self.alias = alias;
-    }
-
-    /// After the line is read: no byte after it may go unread, and a
-    /// payload has a body exactly when some field read one.
-    fn finish_payload(&mut self) -> Result<(), String> {
-        self.finish()?;
-        match self.after {
-            Some(after) if !self.body_read => Err(format!(
-                "unexpected body {:?}",
-                String::from_utf8_lossy(&after[..after.len().min(32)])
-            )),
-            Some(after) if self.taken < after.len() => Err(format!(
-                "unexpected bytes after the body: {:?}",
-                String::from_utf8_lossy(&after[self.taken..after.len().min(self.taken + 32)])
-            )),
-            _ => Ok(()),
-        }
+    /// Whether the keyword just read was its variant's alias; `set`
+    /// records it (the declarations do), reading clears it.
+    pub fn alias(&mut self, set: Option<bool>) -> bool {
+        std::mem::replace(&mut self.alias, set.unwrap_or(false))
     }
 }
 
@@ -348,8 +270,15 @@ pub fn decode_payload<T>(
     let line = std::str::from_utf8(line).map_err(|_| "line is not utf-8".to_string())?;
     let mut t = Tokens::over(line, after);
     let value = read(&mut t)?;
-    t.finish_payload()?;
-    Ok(value)
+    t.finish()?;
+    // A payload has a body exactly when some field read one, all of it.
+    match after.map(|after| &after[t.taken..]) {
+        Some(rest) if !t.body_read || !rest.is_empty() => Err(format!(
+            "unexpected bytes after the line: {:?}",
+            String::from_utf8_lossy(rest.get(..32).unwrap_or(rest))
+        )),
+        _ => Ok(value),
+    }
 }
 
 /// Read one line whose blocks follow it in `after`, with `read`; returns
@@ -364,10 +293,6 @@ pub fn decode_line<T>(
     t.finish()?;
     Ok((value, t.taken))
 }
-
-// ---------------------------------------------------------------------
-// Fields
-// ---------------------------------------------------------------------
 
 /// One token type: how a value of `T` is written to a line and read back.
 /// The implementing type is the *spelling* — `T` itself for its default
@@ -430,13 +355,13 @@ impl Field for goddag::NodeId {
     }
 }
 
-/// A string, [`escape_field`]ed.
+/// A string, in the [`Escaped`] spelling.
 impl Field for String {
     fn write(v: &String, w: &mut Writer) {
-        Escaped::put(w.token(), v);
+        Escaped::write(v, w);
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<String, String> {
-        Escaped::get(t.token(what)?)
+        Escaped::read(t, what)
     }
 }
 
@@ -460,29 +385,15 @@ impl<T: Field> Field for Option<T> {
 /// `<k> <item 1> … <item k>`.
 impl<T: Field> Field for Vec<T> {
     fn write(v: &Vec<T>, w: &mut Writer) {
-        Counted::<T>::write(v, w);
-    }
-    fn read(t: &mut Tokens<'_>, what: &str) -> Result<Vec<T>, String> {
-        Counted::<T>::read(t, what)
-    }
-}
-
-/// `<k> <item 1> … <item k>`, each item in spelling `S`.
-pub struct Counted<S>(PhantomData<S>);
-
-impl<T, S: Field<T>> Field<Vec<T>> for Counted<S> {
-    fn write(v: &Vec<T>, w: &mut Writer) {
         usize::write(&v.len(), w);
-        for item in v {
-            S::write(item, w);
-        }
+        v.iter().for_each(|item| T::write(item, w));
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<Vec<T>, String> {
         let k = usize::read(t, what)?;
         // The count is untrusted input: cap the pre-allocation.
         let mut out = Vec::with_capacity(k.min(1 << 12));
         for _ in 0..k {
-            out.push(S::read(t, what)?);
+            out.push(T::read(t, what)?);
         }
         Ok(out)
     }
@@ -519,7 +430,8 @@ pub trait Spelling {
     fn get(tok: &str) -> Result<String, String>;
 }
 
-/// [`escape_field`]: `""` is a lone `%`. The default string spelling.
+/// Percent escapes, and `""` as a lone `%` (otherwise unproducible — a
+/// `%` always introduces two hex digits): the default string spelling.
 pub struct Escaped;
 
 impl Spelling for Escaped {
@@ -538,7 +450,7 @@ impl Spelling for Escaped {
     }
 }
 
-/// [`escape_token`]: `""` is an empty token. Stand-off's spelling.
+/// Percent escapes, and `""` as an empty token: stand-off's spelling.
 pub struct Bare;
 
 impl Spelling for Bare {
@@ -550,12 +462,13 @@ impl Spelling for Bare {
     }
 }
 
-impl Field<String> for Bare {
+/// A string in spelling `S` is one token.
+impl<S: Spelling> Field<String> for S {
     fn write(v: &String, w: &mut Writer) {
-        Bare::put(w.token(), v);
+        S::put(w.token(), v);
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<String, String> {
-        Bare::get(t.token(what)?)
+        S::get(t.token(what)?)
     }
 }
 
@@ -596,7 +509,7 @@ impl<T, S: Field<T>> Field<Option<T>> for Aliased<S> {
         }
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<Option<T>, String> {
-        if t.take_alias() {
+        if t.alias(None) {
             S::read(t, what).map(Some)
         } else {
             Ok(None)
@@ -654,12 +567,9 @@ impl<T: Raw, const NEWLINE: bool> Field<T> for Block<NEWLINE> {
         // The length ends its line: a stray token is reported as one, not
         // misread as a block.
         t.finish()?;
-        let bytes = t.block(len, what)?;
-        if NEWLINE || !bytes.ends_with(b"\n") {
-            t.block(1, what)
-                .ok()
-                .filter(|nl| *nl == b"\n")
-                .ok_or("block not followed by a newline")?;
+        let bytes = t.take(len, what)?;
+        if (NEWLINE || !bytes.ends_with(b"\n")) && t.take(1, what).ok() != Some(b"\n") {
+            return Err("block not followed by a newline".into());
         }
         T::take(bytes)
     }
@@ -673,7 +583,8 @@ impl<T: Raw> Field<T> for Body {
         v.put(w.body());
     }
     fn read(t: &mut Tokens<'_>, what: &str) -> Result<T, String> {
-        T::take(t.rest_after(what)?)
+        let len = t.after(what)?.len();
+        T::take(t.take(len, what)?)
     }
 }
 
@@ -698,7 +609,10 @@ impl<T, S: Field<T>> Field<Vec<T>> for Lines<S> {
         let mut out = Vec::with_capacity(k.min(1 << 12));
         t.after(what)?;
         for _ in 0..k {
-            let mut line = t.next_line(what)?;
+            let nl = t.after(what)?.iter().position(|&b| b == b'\n').ok_or("unterminated line")?;
+            let line = &t.take(nl + 1, what)?[..nl];
+            let line = std::str::from_utf8(line).map_err(|_| format!("{what} is not utf-8"))?;
+            let mut line = Tokens::over(line, None);
             out.push(S::read(&mut line, what)?);
             line.finish()?;
         }
@@ -706,19 +620,13 @@ impl<T, S: Field<T>> Field<Vec<T>> for Lines<S> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Lines
-// ---------------------------------------------------------------------
-
-/// One declared line shape: its keyword (empty for a struct line or an
-/// untagged variant) and its fields as `(name, spelling)`.
+/// One declared line shape: its keyword (empty for a struct line) and its
+/// fields as `(name, spelling)`. An alias and the untagged variant are not
+/// listed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Shape {
     /// The keyword the shape travels under.
     pub keyword: &'static str,
-    /// The keyword it travels under when its first field is present
-    /// (see [`Aliased`]), or empty.
-    pub alias: &'static str,
     /// `(field name, type and spelling)` in line order.
     pub fields: &'static [(&'static str, &'static str)],
 }
@@ -742,16 +650,17 @@ pub trait Line: Field + Sized {
     }
 }
 
-/// The spelling of a declared field: its type, or the `as` marker.
+/// The spelling of a declared field (its type, or the `as` marker), and
+/// the return type of `kind()` with and without an untagged variant.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __spelling {
-    ($t:ty) => {
-        $t
-    };
-    ($t:ty, $s:ty) => {
-        $s
-    };
+macro_rules! __line {
+    ($t:ty) => { $t };
+    ($t:ty, $s:ty) => { $s };
+    (kind $kind:ident) => { $kind };
+    (kind $kind:ident $else_variant:ident) => { ::std::option::Option<$kind> };
+    (wrap $kind:ident) => { $kind };
+    (wrap $kind:ident $else_variant:ident) => { Some($kind) };
 }
 
 /// Declare a closed keyword set once: the enum, `ALL`, `name()` (the
@@ -777,12 +686,12 @@ macro_rules! vocabulary {
                 match self { $($name::$variant => $tok),+ }
             }
 
-            /// Read a keyword; anything else is the error.
-            #[allow(dead_code, reason = "not every keyword set is parsed from a bare token")]
-            $vis fn parse(tok: &str) -> ::std::result::Result<$name, ::std::string::String> {
-                match tok {
-                    $($tok => Ok($name::$variant),)+
-                    _ => Err(format!(concat!("unknown ", $what, " `{}`"), tok)),
+            /// Read a keyword, which may span several tokens; anything else
+            /// is the error.
+            $vis fn parse(t: &mut $crate::Tokens<'_>) -> ::std::result::Result<$name, ::std::string::String> {
+                match $name::ALL.iter().find(|k| t.eat(k.name())) {
+                    Some(&k) => Ok(k),
+                    None => Err(format!(concat!("unknown ", $what, " `{}`"), t.peek().unwrap_or(""))),
                 }
             }
         }
@@ -790,12 +699,6 @@ macro_rules! vocabulary {
         impl ::std::fmt::Display for $name {
             fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
                 f.write_str(self.name())
-            }
-        }
-
-        impl $crate::token::Keyword for $name {
-            fn keyword(self) -> ::std::option::Option<&'static str> {
-                Some(self.name())
             }
         }
 
@@ -807,12 +710,7 @@ macro_rules! vocabulary {
                 t: &mut $crate::Tokens<'_>,
                 _: &str,
             ) -> ::std::result::Result<$name, ::std::string::String> {
-                for &k in $name::ALL {
-                    if t.eat(k.name()) {
-                        return Ok(k);
-                    }
-                }
-                Err(format!(concat!("unknown ", $what, " `{}`"), t.peek().unwrap_or("")))
+                $name::parse(t)
             }
         }
     };
@@ -851,24 +749,6 @@ macro_rules! vocabulary {
 macro_rules! line {
     (
         $(#[$meta:meta])* $vis:vis enum $name:ident : $kvis:vis $kind:ident ($what:literal) {
-            $($body:tt)*
-        }
-    ) => {
-        $crate::line!(@enum [$kind] [::std::convert::identity] $(#[$meta])* $vis enum $name: $kvis $kind($what) { $($body)* });
-    };
-    (
-        $(#[$meta:meta])* $vis:vis enum $name:ident : $kvis:vis $kind:ident ($what:literal) {
-            $($body:tt)*
-        } else $($rest:tt)*
-    ) => {
-        $crate::line!(
-            @enum [::std::option::Option<$kind>] [::std::option::Option::Some]
-            $(#[$meta])* $vis enum $name: $kvis $kind($what) { $($body)* } else $($rest)*
-        );
-    };
-    (
-        @enum [$ret:ty] [$wrap:expr]
-        $(#[$meta:meta])* $vis:vis enum $name:ident : $kvis:vis $kind:ident ($what:literal) {
             $(
                 $(#[$vmeta:meta])* $variant:ident
                 $( ( $($tf:ident : $tty:ty $(as $ts:ty)?),* $(,)? ) )?
@@ -906,34 +786,36 @@ macro_rules! line {
         impl $name {
             /// The keyword this value travels under.
             #[allow(dead_code, reason = "not every format asks for its keyword")]
-            $kvis fn kind(&self) -> $ret {
-                match self {
+            $kvis fn kind(&self) -> $crate::__line!(kind $kind $($else_variant)?) {
+                let kind = match self {
                     $(
                         $name::$variant $( ( $($tf),* ) )? $( { $($sf),* } )? => {
                             let aliased = false
-                                $($( | <$crate::__spelling!($tty $(, $ts)?) as $crate::Field<$tty>>::aliased($tf) )*)?
-                                $($( | <$crate::__spelling!($sty $(, $ss)?) as $crate::Field<$sty>>::aliased($sf) )*)?;
+                                $($( | <$crate::__line!($tty $(, $ts)?) as $crate::Field<$tty>>::aliased($tf) )*)?
+                                $($( | <$crate::__line!($sty $(, $ss)?) as $crate::Field<$sty>>::aliased($sf) )*)?;
                             let kind = $kind::$variant;
                             $( let kind = if aliased { $kind::$alias } else { kind }; )?
                             let _ = aliased;
-                            $wrap(kind)
+                            kind
                         }
                     )+
-                    $($name::$else_variant(_) => None,)?
-                }
+                    $($name::$else_variant(_) => return None,)?
+                };
+                $crate::__line!(wrap kind $($else_variant)?)
             }
         }
 
         impl $crate::Field for $name {
             fn write(v: &$name, w: &mut $crate::Writer) {
-                if let Some(kw) = $crate::token::Keyword::keyword(v.kind()) {
-                    w.word(kw);
+                let kind: ::std::option::Option<$kind> = v.kind().into();
+                if let Some(kind) = kind {
+                    w.word(kind.name());
                 }
                 match v {
                     $(
                         $name::$variant $( ( $($tf),* ) )? $( { $($sf),* } )? => {
-                            $($( <$crate::__spelling!($tty $(, $ts)?) as $crate::Field<$tty>>::write($tf, w); )*)?
-                            $($( <$crate::__spelling!($sty $(, $ss)?) as $crate::Field<$sty>>::write($sf, w); )*)?
+                            $($( <$crate::__line!($tty $(, $ts)?) as $crate::Field<$tty>>::write($tf, w); )*)?
+                            $($( <$crate::__line!($sty $(, $ss)?) as $crate::Field<$sty>>::write($sf, w); )*)?
                         }
                     )+
                     $($name::$else_variant(v) => <$else_ty as $crate::Field>::write(v, w),)?
@@ -954,14 +836,14 @@ macro_rules! line {
                 let value = match kind {
                     $(
                         $kind::$variant $( | $kind::$alias )? => {
-                            t.set_alias(kind != $kind::$variant);
+                            t.alias(Some(kind != $kind::$variant));
                             $name::$variant
-                            $( ( $( <$crate::__spelling!($tty $(, $ts)?) as $crate::Field<$tty>>::read(t, stringify!($tf))? ),* ) )?
-                            $( { $( $sf: <$crate::__spelling!($sty $(, $ss)?) as $crate::Field<$sty>>::read(t, stringify!($sf))? ),* } )?
+                            $( ( $( <$crate::__line!($tty $(, $ts)?) as $crate::Field<$tty>>::read(t, stringify!($tf))? ),* ) )?
+                            $( { $( $sf: <$crate::__line!($sty $(, $ss)?) as $crate::Field<$sty>>::read(t, stringify!($sf))? ),* } )?
                         }
                     )+
                 };
-                if t.take_alias() {
+                if t.alias(None) {
                     return Err(format!("{kind} takes no alias"));
                 }
                 Ok(value)
@@ -969,25 +851,15 @@ macro_rules! line {
         }
 
         impl $crate::Line for $name {
-            const SHAPES: &'static [$crate::Shape] = &[
-                $(
-                    $crate::Shape {
-                        keyword: $tok,
-                        alias: concat!("" $(, $atok)?),
-                        fields: &[
-                            $($( (stringify!($tf), stringify!($tty $(as $ts)?)) ),*)?
-                            $($( (stringify!($sf), stringify!($sty $(as $ss)?)) ),*)?
-                        ],
-                    },
-                )+
-                $(
-                    $crate::Shape {
-                        keyword: "",
-                        alias: "",
-                        fields: &[(stringify!($else_field), stringify!($else_ty))],
-                    },
-                )?
-            ];
+            const SHAPES: &'static [$crate::Shape] = &[$(
+                $crate::Shape {
+                    keyword: $tok,
+                    fields: &[
+                        $($( (stringify!($tf), stringify!($tty $(as $ts)?)) ),*)?
+                        $($( (stringify!($sf), stringify!($sty $(as $ss)?)) ),*)?
+                    ],
+                },
+            )+];
         }
     };
 
@@ -1003,7 +875,7 @@ macro_rules! line {
 
         impl $crate::Field for $name {
             fn write(v: &$name, w: &mut $crate::Writer) {
-                $( <$crate::__spelling!($fty $(, $fs)?) as $crate::Field<$fty>>::write(&v.$f, w); )+
+                $( <$crate::__line!($fty $(, $fs)?) as $crate::Field<$fty>>::write(&v.$f, w); )+
             }
 
             fn read(
@@ -1011,7 +883,7 @@ macro_rules! line {
                 _: &str,
             ) -> ::std::result::Result<$name, ::std::string::String> {
                 Ok($name {
-                    $( $f: <$crate::__spelling!($fty $(, $fs)?) as $crate::Field<$fty>>::read(t, stringify!($f))? ),+
+                    $( $f: <$crate::__line!($fty $(, $fs)?) as $crate::Field<$fty>>::read(t, stringify!($f))? ),+
                 })
             }
         }
@@ -1019,37 +891,18 @@ macro_rules! line {
         impl $crate::Line for $name {
             const SHAPES: &'static [$crate::Shape] = &[$crate::Shape {
                 keyword: "",
-                alias: "",
                 fields: &[$( (stringify!($f), stringify!($fty $(as $fs)?)) ),+],
             }];
         }
     };
 }
 
-/// A keyword, or none: what a line's `kind()` returns.
-#[doc(hidden)]
-pub trait Keyword {
-    fn keyword(self) -> Option<&'static str>;
-}
-
-impl<K: Keyword> Keyword for Option<K> {
-    fn keyword(self) -> Option<&'static str> {
-        self.and_then(K::keyword)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Directive files
-// ---------------------------------------------------------------------
-
-/// What closes a directive file.
+/// What closes a directive file: nothing, `crc <8 lowercase hex digits>`
+/// (the [`crc32`] of every byte before it), or an `end` line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Footer {
-    /// Nothing: the file ends after its last directive.
     None,
-    /// `crc <8 lowercase hex digits>`, the [`crc32`] of every byte before it.
     Crc,
-    /// `end`, and not one byte after it.
     End,
 }
 
@@ -1091,14 +944,6 @@ pub trait Directives: Sized {
 }
 
 #[doc(hidden)]
-pub fn write_magic(spec: &Spec) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str(spec.magic);
-    out.push('\n');
-    out
-}
-
-#[doc(hidden)]
 pub fn write_directive(out: &mut String, keyword: &str, fields: impl FnOnce(&mut Writer)) {
     let mut w = Writer::default();
     w.word(keyword);
@@ -1131,19 +976,11 @@ pub fn read_directives<'a>(
     let body = match spec.footer {
         Footer::None => input,
         Footer::Crc => {
-            let footer_at = input
-                .strip_suffix('\n')
-                .and_then(|s| s.rfind('\n'))
-                .ok_or((0, "missing crc footer".to_string()))?
-                + 1;
-            let (body, footer) = input.split_at(footer_at);
-            let crc = footer
-                .strip_prefix("crc ")
-                .and_then(|f| f.strip_suffix('\n'))
-                .and_then(|h| hex_lower(h, 8))
-                .ok_or((0, "missing crc footer".to_string()))?;
-            if u64::from(crc32(body.as_bytes())) != crc {
-                return Err((0, "CRC mismatch".into()));
+            let at = input.strip_suffix('\n').and_then(|s| s.rfind('\n')).map_or(0, |i| i + 1);
+            let (body, footer) = input.split_at(at);
+            let crc = footer.strip_prefix("crc ").and_then(|f| f.strip_suffix('\n'));
+            if crc.and_then(|h| hex_lower(h, 8)) != Some(u64::from(crc32(body.as_bytes()))) {
+                return Err((0, "missing crc footer or CRC mismatch".into()));
             }
             body
         }
@@ -1198,84 +1035,38 @@ pub fn read_directives<'a>(
     }
 }
 
-/// What one directive's fields become: the field itself for a singleton,
-/// a `Vec` of them for a repeated directive.
+/// The pieces of [`directives!`](crate::directives) that differ between
+/// singleton (`once`) and repeated (`many`) directives.
 #[doc(hidden)]
 #[macro_export]
-macro_rules! __directive_ty {
-    (once $t:ty) => { $t };
-    (many $t:ty) => { ::std::vec::Vec<$t> };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __directive_is_once {
-    (once) => {
-        true
-    };
-    (many) => {
-        false
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __directive_write {
-    (once $out:ident $kw:literal $($v:ident : $t:ty $(as $s:ty)?),*) => {
+macro_rules! __directive {
+    (ty once $t:ty) => { $t };
+    (ty many $t:ty) => { ::std::vec::Vec<$t> };
+    (once once) => { true };
+    (once many) => { false };
+    (init once) => { None };
+    (init many) => { Vec::new() };
+    (take once $v:ident) => { $v.ok_or_else(|| (0, concat!("missing ", stringify!($v)).to_string()))? };
+    (take many $v:ident) => { $v };
+    (lenient) => { false };
+    (lenient lenient) => { true };
+    (write once $out:ident $kw:literal $($v:ident : $t:ty $(as $s:ty)?),*) => {
         $crate::token::write_directive(&mut $out, $kw, |w| {
-            $( <$crate::__spelling!($t $(, $s)?) as $crate::Field<$t>>::write($v, w); )*
+            $( <$crate::__line!($t $(, $s)?) as $crate::Field<$t>>::write($v, w); )*
         });
     };
-    (many $out:ident $kw:literal $v:ident : $t:ty $(as $s:ty)?) => {
+    (write many $out:ident $kw:literal $v:ident : $t:ty $(as $s:ty)?) => {
         for item in $v {
             $crate::token::write_directive(&mut $out, $kw, |w| {
-                <$crate::__spelling!($t $(, $s)?) as $crate::Field<$t>>::write(item, w);
+                <$crate::__line!($t $(, $s)?) as $crate::Field<$t>>::write(item, w);
             });
         }
     };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __directive_read {
-    (once $t_:ident $($v:ident : $t:ty $(as $s:ty)?),*) => {
-        $( $v = Some(<$crate::__spelling!($t $(, $s)?) as $crate::Field<$t>>::read($t_, stringify!($v))?); )*
+    (read once $t_:ident $($v:ident : $t:ty $(as $s:ty)?),*) => {
+        $( $v = Some(<$crate::__line!($t $(, $s)?) as $crate::Field<$t>>::read($t_, stringify!($v))?); )*
     };
-    (many $t_:ident $v:ident : $t:ty $(as $s:ty)?) => {
-        $v.push(<$crate::__spelling!($t $(, $s)?) as $crate::Field<$t>>::read($t_, stringify!($v))?);
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __lenient {
-    () => {
-        false
-    };
-    (lenient) => {
-        true
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __directive_init {
-    (once) => {
-        None
-    };
-    (many) => {
-        Vec::new()
-    };
-}
-
-#[doc(hidden)]
-#[macro_export]
-macro_rules! __directive_take {
-    (once $v:ident) => {
-        $v.ok_or_else(|| (0, concat!("missing ", stringify!($v)).to_string()))?
-    };
-    (many $v:ident) => {
-        $v
+    (read many $t_:ident $v:ident : $t:ty $(as $s:ty)?) => {
+        $v.push(<$crate::__line!($t $(, $s)?) as $crate::Field<$t>>::read($t_, stringify!($v))?);
     };
 }
 
@@ -1286,7 +1077,7 @@ macro_rules! __directive_take {
 ///
 /// ```text
 /// directives! {
-///     pub struct Manifest("#cxmanifest v1", Crc) {
+///     pub struct Manifest("#cxmanifest v1", Crc) -> PersistError::Codec {
 ///         "lsn" once { lsn: u64 },
 ///         "doc" many { docs: ManifestDoc },
 ///     }
@@ -1297,11 +1088,13 @@ macro_rules! __directive_take {
 /// declared type; a repeated (`many`) directive has one field, and the
 /// struct holds a `Vec` of it. Directives are written in declaration
 /// order. `lenient` after the footer turns on blank lines, `#` comments
-/// and trailing blanks.
+/// and trailing blanks. `-> Error::Variant` also generates `to_text` and a
+/// `parse_text` whose failure is `Error::Variant { line, detail }`.
 #[macro_export]
 macro_rules! directives {
     (
-        $(#[$meta:meta])* $vis:vis struct $name:ident ($magic:literal, $footer:ident $(, $lenient:ident)?) {
+        $(#[$meta:meta])* $vis:vis struct $name:ident ($magic:literal, $footer:ident $(, $lenient:ident)?)
+        $(-> $err:ident :: $err_variant:ident)? {
             $(
                 $kw:literal $mode:ident {
                     $($(#[$fmeta:meta])* $f:ident : $fty:ty $(as $fs:ty)?),+ $(,)?
@@ -1311,18 +1104,33 @@ macro_rules! directives {
     ) => {
         $(#[$meta])*
         $vis struct $name {
-            $($($(#[$fmeta])* pub $f: $crate::__directive_ty!($mode $fty),)+)+
+            $($($(#[$fmeta])* pub $f: $crate::__directive!(ty $mode $fty),)+)+
         }
+
+        $(
+            impl $name {
+                /// The whole file.
+                pub fn to_text(&self) -> ::std::string::String {
+                    $crate::Directives::to_file(self)
+                }
+
+                /// Read the whole file: the declared grammar, and nothing else.
+                pub fn parse_text(input: &str) -> ::std::result::Result<$name, $err> {
+                    $crate::Directives::from_file(input)
+                        .map_err(|(line, detail)| $err::$err_variant { line, detail })
+                }
+            }
+        )?
 
         impl $crate::Directives for $name {
             const SPEC: $crate::token::Spec = $crate::token::Spec {
                 magic: $magic,
                 footer: $crate::token::Footer::$footer,
-                lenient: $crate::__lenient!($($lenient)?),
+                lenient: $crate::__directive!(lenient $($lenient)?),
                 directives: &[$(
                     $crate::token::Directive {
                         keyword: $kw,
-                        once: $crate::__directive_is_once!($mode),
+                        once: $crate::__directive!(once $mode),
                         fields: &[$( (stringify!($f), stringify!($fty $(as $fs)?)) ),+],
                     },
                 )+],
@@ -1330,8 +1138,8 @@ macro_rules! directives {
 
             fn to_file(&self) -> ::std::string::String {
                 let $name { $($($f,)+)+ } = self;
-                let mut out = $crate::token::write_magic(&Self::SPEC);
-                $( $crate::__directive_write!($mode out $kw $($f : $fty $(as $fs)?),+); )+
+                let mut out = format!("{}\n", $magic);
+                $( $crate::__directive!(write $mode out $kw $($f : $fty $(as $fs)?),+); )+
                 $crate::token::write_footer(&Self::SPEC, &mut out);
                 out
             }
@@ -1339,19 +1147,19 @@ macro_rules! directives {
             fn from_file(
                 input: &str,
             ) -> ::std::result::Result<$name, (usize, ::std::string::String)> {
-                $($( let mut $f = $crate::__directive_init!($mode); )+)+
+                $($( let mut $f = $crate::__directive!(init $mode); )+)+
                 $crate::token::read_directives(input, &Self::SPEC, |i, t| {
                     let mut index = 0usize;
                     $(
                         if i == index {
-                            $crate::__directive_read!($mode t $($f : $fty $(as $fs)?),+);
+                            $crate::__directive!(read $mode t $($f : $fty $(as $fs)?),+);
                         }
                         index += 1;
                     )+
                     let _ = index;
                     Ok(())
                 })?;
-                Ok($name { $($( $f: $crate::__directive_take!($mode $f), )+)+ })
+                Ok($name { $($( $f: $crate::__directive!(take $mode $f), )+)+ })
             }
         }
     };
@@ -1393,18 +1201,25 @@ mod tests {
 
     #[test]
     fn fields_roundtrip_hard_strings() {
+        let escape = |s: &str| {
+            let mut out = String::new();
+            Escaped::put(&mut out, s);
+            out
+        };
         for s in ["", "%", "a b", "x=y", "line\nbreak", "tab\there", "æøå", "100%"] {
-            let e = escape_field(s);
+            let e = escape(s);
             assert!(!e.is_empty() && !e.contains([' ', '\n', '=']), "{e:?}");
-            assert_eq!(unescape_field(&e).unwrap(), s);
+            assert_eq!(Escaped::get(&e).unwrap(), s);
         }
-        assert!(unescape_field("%4").is_err());
-        assert!(unescape_field("%zz").is_err());
-        // One spelling per byte: `%0f` only.
-        assert_eq!(unescape_field("%0f").unwrap(), "\x0f");
+        assert!(Escaped::get("%4").is_err());
+        assert!(Escaped::get("%zz").is_err());
+        // One spelling per byte: `%0f` only, and only for bytes that need it.
+        assert_eq!(Escaped::get("%0f").unwrap(), "\x0f");
         for s in ["%+f", "%-f", "% f", "%f+", "a%+fb", "%0F", "%41", "%2d"] {
-            assert!(unescape_field(s).is_err(), "{s:?}");
+            assert!(Escaped::get(s).is_err(), "{s:?}");
         }
+        assert_eq!(Bare::get("").unwrap(), "");
+        assert!(Bare::get("%").is_err());
     }
 
     #[test]
@@ -1498,9 +1313,11 @@ mod tests {
     #[test]
     fn vocabulary_parses_exactly_its_keywords() {
         assert_eq!(Fruit::ALL, [Fruit::Apple, Fruit::Pear]);
+        let parse = |s: &str| decode_payload(s.as_bytes(), Fruit::parse);
         for &f in Fruit::ALL {
-            assert_eq!(Fruit::parse(f.name()), Ok(f));
+            assert_eq!(parse(f.name()), Ok(f));
         }
-        assert_eq!(Fruit::parse("plum"), Err("unknown fruit `plum`".into()));
+        assert_eq!(parse("plum"), Err("unknown fruit `plum`".into()));
+        assert!(parse("apple pear").is_err());
     }
 }
