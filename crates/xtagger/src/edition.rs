@@ -29,16 +29,17 @@ use sacx::{Block, Directives, SacxError, StandoffDoc};
 sacx::line! {
     /// One hierarchy's schema: `dtd <hierarchy name> <length>`, then the
     /// DTD text as a block.
-    struct Dtd {
+    pub struct EditionDtd {
         name: String,
         text: String as Block,
     }
 }
 
 sacx::directives! {
-    /// The bundle: every schema, then the stand-off form of the document.
-    struct Bundle("#cxml-edition v1", None, lenient) {
-        "dtd" many { dtds: Dtd },
+    /// The bundle file: every schema, then the stand-off form of the
+    /// document ([`save_edition`] and [`load_edition`] go through it).
+    pub struct EditionBundle("#cxml-edition v1", None, lenient) {
+        "dtd" many { dtds: EditionDtd },
         "standoff" once { standoff: String as Block },
     }
 }
@@ -49,19 +50,19 @@ pub fn save_edition(g: &Goddag) -> String {
         .hierarchy_ids()
         .filter_map(|h| {
             let hier = g.hierarchy(h).ok()?;
-            Some(Dtd { name: hier.name.clone(), text: hier.dtd.as_ref()?.to_text() })
+            Some(EditionDtd { name: hier.name.clone(), text: hier.dtd.as_ref()?.to_text() })
         })
         .collect();
-    Bundle { dtds, standoff: StandoffDoc::from_goddag(g).to_text() }.to_file()
+    EditionBundle { dtds, standoff: StandoffDoc::from_goddag(g).to_text() }.to_file()
 }
 
 /// Load a bundle back into a document with DTDs attached.
 pub fn load_edition(input: &str) -> Result<Goddag> {
-    let bundle = Bundle::from_file(input)
+    let bundle = EditionBundle::from_file(input)
         .map_err(|(line, detail)| XTaggerError::Sacx(SacxError::Standoff { line, detail }))?;
     let doc = StandoffDoc::parse_text(&bundle.standoff).map_err(XTaggerError::Sacx)?;
     let mut g = doc.to_goddag().map_err(XTaggerError::Sacx)?;
-    for Dtd { name, text } in bundle.dtds {
+    for EditionDtd { name, text } in bundle.dtds {
         let dtd =
             xmlcore::dtd::parse_dtd(&text).map_err(|e| bad(format!("DTD for {name:?}: {e}")))?;
         let h = g

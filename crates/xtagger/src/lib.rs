@@ -30,7 +30,7 @@ mod filter;
 mod session;
 
 pub use commands::{run_script, Applied, Command};
-pub use edition::{load_edition, open_edition, save_edition};
+pub use edition::{load_edition, open_edition, save_edition, EditionBundle, EditionDtd};
 pub use error::{Result, XTaggerError};
 pub use filter::{export_filtered, filter_hierarchies};
 pub use session::Session;
