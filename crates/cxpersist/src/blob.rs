@@ -313,7 +313,7 @@ mod tests {
         };
         for bad in [
             body.replacen("#cxblob v1", "  #cxblob v1  ", 1),
-            // A bogus first `arena` line used to lose to the second.
+            // A repeated singleton is refused, not resolved last-wins.
             body.replacen(arena, &format!("arena 1 0 0\n{arena}"), 1),
             body.replacen(elems, &format!("elems {count} +{first}"), 1),
             body.replacen(elems, &format!("{elems} "), 1),

@@ -130,9 +130,7 @@ pub fn encode_record(lsn: u64, op: &WalOp) -> String {
     WalOp::write(op, &mut w);
     let crc = crc32(w.line().as_bytes());
     Hex::<8>::write(&u64::from(crc), &mut w);
-    let mut out = String::new();
-    w.finish_into(&mut out);
-    out
+    w.into_text()
 }
 
 /// Decode one record starting at the beginning of `input` (which may hold

@@ -16,7 +16,8 @@
 //! place, so a crash mid-checkpoint leaves either the old state or a fully
 //! formed new directory; the loader additionally validates the manifest
 //! CRC and every blob before trusting a snapshot, falling back to the next
-//! newest otherwise.
+//! newest otherwise. The [`Manifest`] and the wire form [`StoreSnapshot`]
+//! are declared once as [`sacx::directives!`] files.
 
 use crate::blob::DocBlob;
 use crate::error::{PersistError, Result};
@@ -398,7 +399,7 @@ mod tests {
         let sealed = |body: &str| format!("{body}crc {:08x}\n", crc32(body.as_bytes()));
         for (from, to) in [
             ("#cxmanifest v1\n", "  #cxmanifest v1  \n"),
-            // The last of two `lsn` lines used to win.
+            // A repeated singleton is refused, not resolved last-wins.
             ("lsn 9\n", "lsn 9\nlsn 3\n"),
             ("next 1\n", "next 1\nnext 1\n"),
             ("lsn 9\n", "lsn 09\n"),

@@ -30,7 +30,7 @@ fn every_request_shape_roundtrips() {
     rt_req(Request::Ping);
     rt_req(Request::Insert { name: None, blob: blob.clone() });
     rt_req(Request::Insert { name: Some("a name with spaces %/\n ok".into()), blob });
-    // The op itself is `EditOp::write_tokens` (round-tripped for every kind
+    // The op itself is `EditOp`'s declared spelling (round-tripped for every kind
     // by cxstore's `op_tokens` property); what this codec adds is the guard
     // around it.
     let op = EditOp::InsertText { offset: 3, text: "x y\nz %".into() };

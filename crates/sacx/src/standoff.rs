@@ -335,7 +335,7 @@ mod tests {
         assert_eq!(StandoffDoc::parse_text(&edited).unwrap(), doc);
         for (from, to) in [
             ("#cxml-standoff v1\n", "  #cxml-standoff v1  \n"),
-            // A second root line used to merge its attributes into the first.
+            // A second root line is refused, not merged into the first.
             ("root r id=1\n", "root r id=1\nroot r n=2\n"),
             ("content 3\nxyz\n", "content 3\nxyz\ncontent 1\nx\n"),
             ("annot 0 w 0 3", "annot 0 w 00 3"),

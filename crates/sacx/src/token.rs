@@ -121,18 +121,20 @@ pub fn crc32(data: &[u8]) -> u32 {
     !c
 }
 
-/// One line being written: its tokens, and the raw bytes that follow it
-/// (blocks, or a frame's body), if any field wrote some.
+/// One line being written (at the end of `line`, from `start`): its
+/// tokens, and the raw bytes that follow it (blocks, or a frame's body), if
+/// any field wrote some.
 #[derive(Debug, Default)]
 pub struct Writer {
     line: String,
+    start: usize,
     body: Option<Vec<u8>>,
 }
 
 impl Writer {
     /// Start the next token: a space unless the line is still empty.
     pub fn token(&mut self) -> &mut String {
-        if !self.line.is_empty() {
+        if self.line.len() > self.start {
             self.line.push(' ');
         }
         &mut self.line
@@ -150,7 +152,7 @@ impl Writer {
 
     /// The line written so far (what a record CRC covers).
     pub fn line(&self) -> &str {
-        &self.line
+        &self.line[self.start..]
     }
 
     /// The line, then `\n` and the body if there is one.
@@ -163,14 +165,14 @@ impl Writer {
         out
     }
 
-    /// Append the line, its `\n` and the body to a text.
-    pub fn finish_into(self, out: &mut String) {
-        out.push_str(&self.line);
-        out.push('\n');
+    /// The text so far, the line's `\n`, and the body.
+    pub fn into_text(mut self) -> String {
+        self.line.push('\n');
         if let Some(body) = &self.body {
-            // Directive-file bodies are blocks of text: never lossy.
-            out.push_str(&String::from_utf8_lossy(body));
+            // A body written to a text is a block of text: never lossy.
+            self.line.push_str(&String::from_utf8_lossy(body));
         }
+        self.line
     }
 }
 
@@ -824,15 +826,17 @@ macro_rules! line {
 
             fn read(
                 t: &mut $crate::Tokens<'_>,
-                what: &str,
+                _what: &str,
             ) -> ::std::result::Result<$name, ::std::string::String> {
-                let _ = what;
+                // A keyword that does not parse consumed nothing: the
+                // untagged variant reads it as its own.
+                let kind = $kind::parse(t);
                 $(
-                    if !$kind::ALL.iter().any(|k| t.clone().eat(k.name())) {
-                        return Ok($name::$else_variant(<$else_ty as $crate::Field>::read(t, what)?));
+                    if kind.is_err() {
+                        return <$else_ty as $crate::Field>::read(t, _what).map($name::$else_variant);
                     }
                 )?
-                let kind = <$kind as $crate::Field>::read(t, what)?;
+                let kind = kind?;
                 let value = match kind {
                     $(
                         $kind::$variant $( | $kind::$alias )? => {
@@ -945,10 +949,11 @@ pub trait Directives: Sized {
 
 #[doc(hidden)]
 pub fn write_directive(out: &mut String, keyword: &str, fields: impl FnOnce(&mut Writer)) {
-    let mut w = Writer::default();
+    let start = out.len();
+    let mut w = Writer { line: std::mem::take(out), start, body: None };
     w.word(keyword);
     fields(&mut w);
-    w.finish_into(out);
+    *out = w.into_text();
 }
 
 #[doc(hidden)]
