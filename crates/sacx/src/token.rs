@@ -85,12 +85,14 @@ pub fn hex_lower(tok: &str, width: usize) -> Option<u64> {
     xmlcore::num::hex_fixed(tok, width)
 }
 
-/// `tok` as a decimal with no sign and no leading zero.
+/// `tok` as a decimal with no sign and no leading zero, in one pass.
 pub fn dec(tok: &str) -> Option<u64> {
-    if tok.len() > 1 && tok.starts_with('0') {
-        return None;
+    match tok.as_bytes() {
+        [] | [b'0', _, ..] => None,
+        digits => digits.iter().try_fold(0u64, |n, &d| {
+            n.checked_mul(10)?.checked_add(u64::from(d.checked_sub(b'0').filter(|&v| v < 10)?))
+        }),
     }
-    xmlcore::num::dec(tok)
 }
 
 const fn crc_table() -> [u32; 256] {
