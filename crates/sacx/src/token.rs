@@ -148,7 +148,7 @@ impl Writer {
     }
 
     /// The bytes after the line; asking for them gives the line a body.
-    pub fn body(&mut self) -> &mut Vec<u8> {
+    fn body(&mut self) -> &mut Vec<u8> {
         self.body.get_or_insert_with(Vec::new)
     }
 
