@@ -353,11 +353,6 @@ impl Cluster {
         Ok(health(self.shard(shard)?, &self.down[shard.0]))
     }
 
-    /// Every shard's health, by index.
-    pub fn shard_healths(&self) -> Vec<ShardHealth> {
-        self.shards.iter().zip(&self.down).map(|(store, down)| health(store, down)).collect()
-    }
-
     /// Mark a shard **down**: writes routed to it fail fast with
     /// [`ClusterError::ShardDown`] (nothing reaches its WAL), new
     /// documents place elsewhere, and every fan-out skips it with an

@@ -67,11 +67,6 @@ impl Registry {
         }
     }
 
-    /// Whether metrics recorded through this registry are kept.
-    pub fn is_enabled(&self) -> bool {
-        self.on
-    }
-
     /// The named counter (registered on first use).
     pub fn counter(&self, name: Name<Counter>) -> Arc<Counter> {
         self.counter_with(name, &[])

@@ -188,12 +188,6 @@ impl<T: LogTransport> Follower<T> {
         &self.replica
     }
 
-    /// Dissolve the follower, returning its transport — e.g. to reuse one
-    /// TCP connection for a sequence of replicas.
-    pub fn into_transport(self) -> T {
-        self.transport
-    }
-
     /// One fetch/apply round.
     pub fn sync_once(&mut self) -> Result<SyncProgress> {
         match self.transport.fetch(self.replica.last_applied(), self.batch_bytes)? {

@@ -65,14 +65,6 @@ impl Value {
         self.head().boolean()
     }
 
-    /// The node-set, if this value is one.
-    pub fn as_nodes(&self) -> Option<&[NodeId]> {
-        match self {
-            Value::Nodes(ns) => Some(ns),
-            _ => None,
-        }
-    }
-
     /// Number of members for `count()`.
     pub fn count(&self) -> Option<usize> {
         match self {

@@ -20,11 +20,14 @@
 //! tombstones in the slots no node claims. The result is id-for-id the
 //! captured document, so logged edits naming pre-crash ids replay onto it
 //! and future edits mint the same ids.
+//!
+//! Either way every table is filled in one pass: the sorted boundaries are
+//! the leaf table's offsets, each range is one element row, and each
+//! hierarchy's sweep writes its column of leaf parents.
 
 use crate::error::{GoddagError, Result};
-use crate::graph::{Goddag, NodeData, MAX_CONTENT};
+use crate::graph::{Goddag, Slot, MAX_CONTENT};
 use crate::ids::{HierarchyId, NodeId};
-use crate::span::Span;
 use xmlcore::{Attribute, QName};
 
 /// A recorded node-id layout to build into (see [`GoddagBuilder::layout`]).
@@ -65,7 +68,7 @@ pub struct GoddagBuilder {
     root_name: QName,
     root_attrs: Vec<Attribute>,
     content: String,
-    hierarchies: Vec<(String, Option<xmlcore::dtd::Dtd>)>,
+    hierarchies: Vec<String>,
     ranges: Vec<RangeSpec>,
     layout: Option<Layout>,
 }
@@ -106,17 +109,7 @@ impl GoddagBuilder {
 
     /// Register a hierarchy.
     pub fn hierarchy(&mut self, name: impl Into<String>) -> HierarchyId {
-        self.hierarchies.push((name.into(), None));
-        HierarchyId(self.hierarchies.len() as u16 - 1)
-    }
-
-    /// Register a hierarchy together with its DTD.
-    pub fn hierarchy_with_dtd(
-        &mut self,
-        name: impl Into<String>,
-        dtd: xmlcore::dtd::Dtd,
-    ) -> HierarchyId {
-        self.hierarchies.push((name.into(), Some(dtd)));
+        self.hierarchies.push(name.into());
         HierarchyId(self.hierarchies.len() as u16 - 1)
     }
 
@@ -142,26 +135,14 @@ impl GoddagBuilder {
         self
     }
 
-    /// Number of ranges queued so far.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
-    }
-
     /// Build the GODDAG.
     pub fn finish(self) -> Result<Goddag> {
         let GoddagBuilder { root_name, root_attrs, content, hierarchies, mut ranges, layout } =
             self;
         let mut g = Goddag::new(root_name);
-        for a in &root_attrs {
-            let name = g.names.intern(&a.name);
-            g.attrs.push(g.root, name, &a.value);
-        }
         let nhier = hierarchies.len();
-        for (name, dtd) in hierarchies {
-            let h = g.add_hierarchy(name);
-            if let Some(dtd) = dtd {
-                g.set_dtd(h, dtd)?;
-            }
+        for name in hierarchies {
+            g.add_hierarchy(name);
         }
 
         // Validate ranges.
@@ -183,63 +164,68 @@ impl GoddagBuilder {
         }
 
         // Boundaries: content ends, every range endpoint and every recorded
-        // leaf start.
+        // leaf start. Sorted, they are the leaf table's offsets.
         let recorded = layout.as_ref().map_or(&[][..], |l| &l.leaves[..]);
         if let Some(&(_, off)) = recorded.iter().find(|&&(_, off)| !content.is_char_boundary(off)) {
             return Err(GoddagError::RangeOutOfBounds { start: off, end: off, len });
         }
-        let mut boundaries: Vec<usize> = Vec::with_capacity(ranges.len() * 2 + recorded.len() + 2);
-        boundaries.extend([0, len]);
+        let mut boundaries: Vec<u32> = Vec::with_capacity(ranges.len() * 2 + recorded.len() + 2);
+        boundaries.extend([0, len as u32]);
         for r in &ranges {
-            boundaries.extend([r.start, r.end]);
+            boundaries.extend([r.start as u32, r.end as u32]);
         }
-        boundaries.extend(recorded.iter().map(|&(_, off)| off));
+        boundaries.extend(recorded.iter().map(|&(_, off)| off as u32));
         boundaries.sort_unstable();
         boundaries.dedup();
+        boundaries.shrink_to_fit();
 
         // Node ids: the root, the leaves, then the elements in range order —
-        // or the recorded layout, in an arena pre-filled with tombstones.
-        // Either way the arena is sized once, to exactly what it holds.
+        // or the recorded layout, in an id table pre-filled with tombstones.
+        // Either way the table is sized once, to exactly what it holds.
         let (leaf_ids, elem_ids) = match layout {
             None => {
                 let first_elem = boundaries.len() as u32;
                 let elem_ids = (first_elem..).take(ranges.len()).map(NodeId).collect();
-                let arena = first_elem as usize + ranges.len();
-                g.nodes.reserve_exact(arena - g.nodes.len());
-                g.leaf_parents.reserve_exact(arena * nhier - g.leaf_parents.len());
+                g.slots.reserve_exact(first_elem as usize + ranges.len() - g.slots.len());
                 ((1..first_elem).map(NodeId).collect(), elem_ids)
             }
             Some(layout) => layout.into_ids(&mut g, &boundaries, ranges.len())?,
         };
         // Fresh ids are consecutive and arrive in order; recorded ones land
-        // in their pre-sized slots.
-        let place = |g: &mut Goddag, id: NodeId, d: NodeData| match g.nodes.get_mut(id.idx()) {
+        // in their pre-sized records.
+        let place = |g: &mut Goddag, id: NodeId, d: Slot| match g.slots.get_mut(id.idx()) {
             Some(slot) => *slot = d,
             None => {
-                g.push_node(d);
+                g.push_slot(d);
             }
         };
 
-        // Leaves between consecutive boundaries, tiling the content.
+        // The leaf table: one leaf between consecutive boundaries, every
+        // parent the root until the sweeps say otherwise.
         g.content = content;
-        g.leaves.reserve_exact(leaf_ids.len());
-        for (i, (window, &id)) in boundaries.windows(2).zip(&leaf_ids).enumerate() {
-            let (a, b) = (window[0], window[1]);
-            let leaf =
-                NodeData { span: Span::new(i as u32, i as u32 + 1), ..NodeData::leaf(a, b - a) };
-            place(&mut g, id, leaf);
-            g.leaves.push(id);
+        for (i, &id) in leaf_ids.iter().enumerate() {
+            place(&mut g, id, Slot::leaf(i));
         }
+        g.leaf_parents = vec![g.root; leaf_ids.len() * nhier];
+        g.leaves = leaf_ids;
+        g.offsets = boundaries;
 
-        // Create element nodes up front (parents/children wired in the sweep).
-        let (count, bytes) = ranges
-            .iter()
-            .flat_map(|r| &r.attrs)
+        // Element records and rows up front (parents and children wired in
+        // the sweep); row `i` is range `i`'s.
+        let (count, bytes) = (ranges.iter().flat_map(|r| &r.attrs))
+            .chain(&root_attrs)
             .fold((0, 0), |(n, b), a| (n + 1, b + a.value.len()));
-        g.attrs.reserve(count, bytes);
+        g.attrs.reserve(count, bytes)?;
+        for a in &root_attrs {
+            let name = g.names.intern(&a.name);
+            g.attrs.push(g.root, name, &a.value);
+        }
+        g.children.reserve_exact(ranges.len());
+        g.parents.reserve_exact(ranges.len());
         for (r, &id) in ranges.iter_mut().zip(&elem_ids) {
             let name = g.names.intern(&r.name);
-            place(&mut g, id, NodeData::element(name, r.hierarchy));
+            let slot = g.element_slot(name, r.hierarchy, g.root, Vec::new());
+            place(&mut g, id, slot);
             for a in std::mem::take(&mut r.attrs) {
                 let name = g.names.intern(&a.name);
                 g.attrs.push(id, name, &a.value);
@@ -251,14 +237,10 @@ impl GoddagBuilder {
 
         // Sweep each hierarchy.
         for h in 0..nhier {
-            let hid = HierarchyId(h as u16);
-            sweep_hierarchy(&mut g, hid, &ranges, &elem_ids, &boundaries)?;
+            sweep_hierarchy(&mut g, HierarchyId(h as u16), &ranges, &elem_ids)?;
         }
         // Child lists grew by pushes; give back the slack.
-        for d in &mut g.nodes {
-            d.children.shrink_to_fit();
-        }
-        for list in &mut g.root_children {
+        for list in g.children.iter_mut().chain(&mut g.root_children) {
             list.shrink_to_fit();
         }
 
@@ -270,18 +252,18 @@ impl GoddagBuilder {
 impl Layout {
     /// Check the layout against the boundaries the build derived (the
     /// recorded leaf starts must be all of them but the content end), size
-    /// `g`'s arena to it, and split it into leaf and element ids: one per
-    /// leaf and range, distinct, inside the arena, never the root's.
+    /// `g`'s id table to it, and split it into leaf and element ids: one
+    /// per leaf and range, distinct, inside the table, never the root's.
     fn into_ids(
         self,
         g: &mut Goddag,
-        boundaries: &[usize],
+        boundaries: &[u32],
         nranges: usize,
     ) -> Result<(Vec<NodeId>, Vec<NodeId>)> {
         let err = |detail: String| Err(GoddagError::Edit(format!("layout: {detail}")));
         let Layout { arena_len, leaves, elements } = self;
         let frontier = &boundaries[..boundaries.len() - 1];
-        if !leaves.iter().map(|&(_, off)| off).eq(frontier.iter().copied()) {
+        if !leaves.iter().map(|&(_, off)| off).eq(frontier.iter().map(|&b| b as usize)) {
             return err(format!("{} recorded leaves, {} boundaries", leaves.len(), frontier.len()));
         }
         if elements.len() != nranges {
@@ -295,7 +277,7 @@ impl Layout {
                 _ => return err(format!("id {id} is the root's, taken, or outside {arena_len}")),
             }
         }
-        g.resize_arena(arena_len);
+        g.resize_ids(arena_len);
         Ok((leaf_ids, elements))
     }
 }
@@ -321,7 +303,6 @@ fn sweep_hierarchy(
     hid: HierarchyId,
     ranges: &[RangeSpec],
     elem_ids: &[NodeId],
-    boundaries: &[usize],
 ) -> Result<()> {
     // Collect events for this hierarchy.
     let mut events: Vec<Ev> = Vec::new();
@@ -355,24 +336,24 @@ fn sweep_hierarchy(
     });
 
     let root = g.root();
-    // Stack entries: (node, range index or usize::MAX for root).
+    let nhier = g.hierarchies.len();
+    // Stack entries: (node, range index — its row — or usize::MAX for root).
     let mut stack: Vec<(NodeId, usize)> = vec![(root, usize::MAX)];
     let mut ev_i = 0usize;
 
-    // Helper to append a child to the top of the stack.
-    macro_rules! attach {
-        ($g:expr, $stack:expr, $child:expr) => {{
-            let (top, _) = *$stack.last().expect("stack never empty");
-            if top == root {
-                $g.root_children[hid.idx()].push($child);
-            } else {
-                $g.nodes[top.idx()].children.push($child);
-            }
-            top
-        }};
-    }
+    // Append a child to the top of the stack; returns the top.
+    let attach = |g: &mut Goddag, stack: &[(NodeId, usize)], child: NodeId| {
+        let &(top, row) = stack.last().expect("stack never empty");
+        if top == root {
+            g.root_children[hid.idx()].push(child);
+        } else {
+            g.children[row].push(child);
+        }
+        top
+    };
 
-    for (bi, &b) in boundaries.iter().enumerate() {
+    for bi in 0..g.offsets.len() {
+        let b = g.offsets[bi] as usize;
         while ev_i < events.len() && events[ev_i].offset == b {
             let ev = events[ev_i];
             ev_i += 1;
@@ -402,21 +383,17 @@ fn sweep_hierarchy(
                     stack.pop();
                 }
                 EvClass::Empty => {
-                    let top = attach!(g, stack, eid);
-                    g.nodes[eid.idx()].parent = top;
+                    g.parents[ev.range] = attach(g, &stack, eid);
                 }
                 EvClass::Start => {
-                    let top = attach!(g, stack, eid);
-                    g.nodes[eid.idx()].parent = top;
+                    g.parents[ev.range] = attach(g, &stack, eid);
                     stack.push((eid, ev.range));
                 }
             }
         }
         // The leaf starting at this boundary (if any) joins the open element.
-        if bi + 1 < boundaries.len() {
-            let leaf = g.leaves[bi];
-            let top = attach!(g, stack, leaf);
-            g.set_leaf_parent(leaf, hid, top);
+        if let Some(&leaf) = g.leaves.get(bi) {
+            g.leaf_parents[bi * nhier + hid.idx()] = attach(g, &stack, leaf);
         }
     }
 
@@ -436,6 +413,7 @@ fn sweep_hierarchy(
 mod tests {
     use super::*;
     use crate::graph::NodeKind;
+    use crate::span::Span;
 
     fn q(s: &str) -> QName {
         QName::parse(s).unwrap()
@@ -487,7 +465,7 @@ mod tests {
         assert!(g.leaves_of(line).contains(&cd));
         assert!(g.leaves_of(w).contains(&cd));
         // And its per-hierarchy parents are exactly those elements.
-        assert_eq!(g.leaf_parents_of(cd), [line, w]);
+        assert_eq!(g.leaf_parents_of(g.data(cd)), [line, w]);
     }
 
     #[test]
@@ -521,10 +499,10 @@ mod tests {
         let g = b.finish().unwrap();
         let outer = g.elements().find(|&e| g.name(e).unwrap().local == "outer").unwrap();
         let inner = g.elements().find(|&e| g.name(e).unwrap().local == "inner").unwrap();
-        assert_eq!(g.data(inner).parent(), Some(outer));
+        assert_eq!(g.parent_in(inner, h), Some(outer));
         // outer's children: leaf ab, inner, leaf ef
-        assert_eq!(g.data(outer).children.len(), 3);
-        assert_eq!(g.data(outer).children[1], inner);
+        assert_eq!(g.element_children(outer).len(), 3);
+        assert_eq!(g.element_children(outer)[1], inner);
     }
 
     #[test]
@@ -537,8 +515,8 @@ mod tests {
         let g = b.finish().unwrap();
         let outer = g.elements().find(|&e| g.name(e).unwrap().local == "outer").unwrap();
         let inner = g.elements().find(|&e| g.name(e).unwrap().local == "inner").unwrap();
-        assert_eq!(g.data(inner).parent(), Some(outer));
-        assert_eq!(g.data(outer).parent(), Some(g.root()));
+        assert_eq!(g.parent_in(inner, h), Some(outer));
+        assert_eq!(g.parent_in(outer, h), Some(g.root()));
     }
 
     #[test]
@@ -555,7 +533,7 @@ mod tests {
         assert_eq!(g.char_range(pb), (2, 2));
         // pb sits inside line's child list between the two leaves.
         let line = g.elements().find(|&e| g.name(e).unwrap().local == "line").unwrap();
-        let children = &g.data(line).children;
+        let children = g.element_children(line);
         assert_eq!(children.len(), 3);
         assert_eq!(children[1], pb);
     }

@@ -10,10 +10,11 @@
 //! * [`Goddag::split_leaf_at`] refines the shared leaf frontier;
 //! * [`Goddag::insert_text`] / [`Goddag::delete_text`] edit the content under
 //!   all hierarchies at once: they are the only operations that move bytes
-//!   in the content buffer.
+//!   in the content buffer, and they shift the leaf offsets past the edit in
+//!   one pass.
 
 use crate::error::{GoddagError, Result};
-use crate::graph::{Goddag, Kind, NodeData, MAX_CONTENT, NIL};
+use crate::graph::{Goddag, Kind, Slot, MAX_CONTENT, NIL};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use xmlcore::{Attribute, QName};
@@ -23,14 +24,10 @@ impl Goddag {
     /// the number of leaves entirely before `off`. `off` must lie on a leaf
     /// boundary (use [`Goddag::split_leaf_at`] first to make it one).
     pub fn boundary_index(&self, off: usize) -> Option<u32> {
-        if off == self.content.len() {
-            return Some(self.leaves.len() as u32);
-        }
-        let i = self.leaves.partition_point(|&l| self.data(l).start() < off);
-        match self.leaves.get(i) {
-            Some(&l) if self.data(l).start() == off => Some(i as u32),
-            _ => None,
-        }
+        u32::try_from(off)
+            .ok()
+            .and_then(|off| self.offsets.binary_search(&off).ok())
+            .map(|i| i as u32)
     }
 
     fn check_offset(&self, off: usize) -> Result<()> {
@@ -44,16 +41,36 @@ impl Goddag {
         if p == self.root {
             &mut self.root_children[h.idx()]
         } else {
-            &mut self.nodes[p.idx()].children
+            let row = self.data(p).row as usize;
+            &mut self.children[row]
         }
     }
 
     /// Point child `c` of a list in hierarchy `h` at its new parent `p`.
     fn reparent(&mut self, c: NodeId, h: HierarchyId, p: NodeId) {
-        match self.data(c).kind {
-            Kind::Leaf => self.set_leaf_parent(c, h, p),
-            Kind::Element => self.data_mut(c).parent = p,
+        let (kind, leaf, row) = (self.data(c).kind, self.data(c).span.start, self.data(c).row);
+        match kind {
+            Kind::Leaf => self.leaf_parents[leaf as usize * self.hierarchies.len() + h.idx()] = p,
+            Kind::Element => self.parents[row as usize] = p,
             Kind::Root => unreachable!("root is never a child"),
+        }
+    }
+
+    /// Take the leaves at places `range` out of the leaf table (offsets
+    /// included) and out of every hierarchy's child list, and tombstone
+    /// them. The content is untouched: the caller has emptied them, or
+    /// hands their bytes to the leaf before.
+    fn drop_leaves(&mut self, range: std::ops::Range<usize>) {
+        let stride = self.hierarchies.len();
+        let parents: Vec<NodeId> =
+            self.leaf_parents.drain(range.start * stride..range.end * stride).collect();
+        self.offsets.drain(range.clone());
+        let dropped: Vec<NodeId> = self.leaves.drain(range).collect();
+        for (k, &leaf) in dropped.iter().enumerate() {
+            for (h, &p) in self.hierarchy_ids().zip(&parents[k * stride..]) {
+                self.child_list_mut(p, h).retain(|&c| c != leaf);
+            }
+            self.data_mut(leaf).alive = false;
         }
     }
 
@@ -65,26 +82,19 @@ impl Goddag {
         if self.boundary_index(off).is_some() {
             return Ok(());
         }
-        // Find the leaf containing off.
-        let i = self
-            .leaves
-            .partition_point(|&l| self.data(l).start() <= off)
-            .checked_sub(1)
-            .expect("off > 0 here, some leaf starts at or before it");
+        // The leaf containing off keeps the prefix; a new leaf right after
+        // it takes the suffix, with the same parents.
+        let i = self.leaf_index_at(off);
         let leaf = self.leaves[i];
-        let (start, end) = (self.data(leaf).start(), self.data(leaf).end());
-        debug_assert!(start < off && off < end);
-
-        // The original leaf keeps the prefix; a new leaf takes the suffix.
-        self.data_mut(leaf).len = (off - start) as u32;
-        let new_leaf = self.push_node(NodeData::leaf(off, end - off));
-        let stride = self.hierarchies.len();
-        let (from, to) = (leaf.idx() * stride, new_leaf.idx() * stride);
-        self.leaf_parents.copy_within(from..from + stride, to);
+        debug_assert!(self.offsets[i] < off as u32 && (off as u32) < self.offsets[i + 1]);
+        self.offsets.insert(i + 1, off as u32);
+        let new_leaf = self.push_slot(Slot::leaf(i + 1));
         self.leaves.insert(i + 1, new_leaf);
+        let stride = self.hierarchies.len();
+        let parents = self.leaf_parents[i * stride..(i + 1) * stride].to_vec();
+        self.leaf_parents.splice((i + 1) * stride..(i + 1) * stride, parents.iter().copied());
         // Insert the new leaf right after the old one in every hierarchy.
-        for h in self.hierarchy_ids() {
-            let p = self.leaf_parents_of(leaf)[h.idx()];
+        for (h, p) in self.hierarchy_ids().zip(parents) {
             let list = self.child_list_mut(p, h);
             let pos = list
                 .iter()
@@ -118,6 +128,7 @@ impl Goddag {
         }
         self.check_offset(start)?;
         self.check_offset(end)?;
+        self.attrs.room(attrs.iter().map(|a| a.value.len()).sum())?;
         self.split_leaf_at(start)?;
         self.split_leaf_at(end)?;
         let s = self.boundary_index(start).expect("split created boundary");
@@ -173,12 +184,8 @@ impl Goddag {
 
         // Create the new element.
         let name = self.names.intern(&name);
-        let new_id = self.push_node(NodeData {
-            parent: host,
-            children: moved.clone(),
-            span,
-            ..NodeData::element(name, h)
-        });
+        let slot = self.element_slot(name, h, host, moved.clone());
+        let new_id = self.push_slot(Slot { span, ..slot });
         // The newest id owns the last group, so appending keeps the store
         // grouped.
         for a in &attrs {
@@ -214,8 +221,9 @@ impl Goddag {
                 GoddagError::NotAnElement(e)
             });
         }
-        let (h, parent) = (d.hierarchy, d.parent);
-        let children = std::mem::take(&mut self.data_mut(e).children);
+        let (h, row) = (d.hierarchy, d.row as usize);
+        let parent = std::mem::replace(&mut self.parents[row], NIL);
+        let children = std::mem::take(&mut self.children[row]);
         // Re-parent grandchildren.
         for &c in &children {
             self.reparent(c, h, parent);
@@ -225,9 +233,7 @@ impl Goddag {
         let pos = list.iter().position(|&c| c == e).expect("parent lists its child");
         list.splice(pos..=pos, children);
         // Tombstone.
-        let d = self.data_mut(e);
-        d.alive = false;
-        d.parent = NIL;
+        self.data_mut(e).alive = false;
         self.renumber();
         Ok(())
     }
@@ -251,6 +257,7 @@ impl Goddag {
         if self.data(n).kind == Kind::Leaf {
             return Err(GoddagError::NotAnElement(n));
         }
+        self.attrs.room(value.len())?;
         let name = self.names.intern(&qname);
         if self.attrs.set(self.data(n).attr_start, n, name, value) {
             self.shift_attr_groups_after(n, true);
@@ -275,7 +282,7 @@ impl Goddag {
 
     /// Insert text at byte offset `off`. The text lands in the leaf
     /// containing `off` (all hierarchies see it at once, since leaves are
-    /// shared).
+    /// shared); no leaf index moves, so no span does.
     pub fn insert_text(&mut self, off: usize, text: &str) -> Result<()> {
         self.check_offset(off)?;
         if text.is_empty() {
@@ -284,27 +291,28 @@ impl Goddag {
         if self.content.len() + text.len() > MAX_CONTENT {
             return Err(GoddagError::Edit(format!("content would exceed {MAX_CONTENT} bytes")));
         }
+        self.content.insert_str(off, text);
         if self.leaves.is_empty() {
-            // First content in an empty document.
-            let new_leaf = self.push_node(NodeData::leaf(0, text.len()));
-            self.content.push_str(text);
+            // First content in an empty document: one leaf, a root child
+            // in every hierarchy.
+            let new_leaf = self.push_slot(Slot::leaf(0));
             self.leaves.push(new_leaf);
+            self.offsets.push(text.len() as u32);
+            self.leaf_parents.resize(self.hierarchies.len(), self.root);
             for list in &mut self.root_children {
                 list.push(new_leaf);
             }
             self.renumber();
             return Ok(());
         }
-        // Attach to the leaf containing off; at the very end, to the last.
-        let i = if off == self.content.len() {
-            self.leaves.len() - 1
-        } else {
-            self.leaves.partition_point(|&l| self.data(l).start() <= off).saturating_sub(1)
-        };
-        let leaf = self.leaves[i];
-        self.data_mut(leaf).len += text.len() as u32;
-        self.content.insert_str(off, text);
-        self.renumber();
+        // Grow the leaf containing off (at the very end, the last): every
+        // later offset moves by the text's length.
+        let i = self.leaf_index_at(off).min(self.leaves.len() - 1);
+        for o in &mut self.offsets[i + 1..] {
+            *o += text.len() as u32;
+        }
+        self.bump_epoch();
+        self.debug_check_tables();
         Ok(())
     }
 
@@ -320,36 +328,28 @@ impl Goddag {
         if start == end {
             return Ok(());
         }
-        // Shorten each intersecting leaf.
-        let mut emptied: Vec<NodeId> = Vec::new();
-        let from = self.leaves.partition_point(|&l| self.data(l).end() <= start);
-        for i in from..self.leaves.len() {
-            let leaf = self.leaves[i];
-            let (cstart, cend) = (self.data(leaf).start(), self.data(leaf).end());
-            if cstart >= end {
-                break;
-            }
-            let cut = end.min(cend) - start.max(cstart);
-            let d = self.data_mut(leaf);
-            d.len -= cut as u32;
-            if d.len == 0 {
-                emptied.push(leaf);
-            }
-        }
         self.content.replace_range(start..end, "");
-        // Drop emptied leaves everywhere.
-        for &leaf in &emptied {
-            for h in self.hierarchy_ids() {
-                let p = self.leaf_parents_of(leaf)[h.idx()];
-                let list = self.child_list_mut(p, h);
-                list.retain(|&c| c != leaf);
+        // One pass over the offsets: those inside the cut land on `start`,
+        // those past it move back by its length.
+        let (from, to, cut) = (start as u32, end as u32, (end - start) as u32);
+        for o in &mut self.offsets {
+            if *o >= to {
+                *o -= cut;
+            } else if *o > from {
+                *o = from;
             }
-            self.data_mut(leaf).alive = false;
         }
-        if !emptied.is_empty() {
-            self.leaves.retain(|&l| self.nodes[l.idx()].alive);
+        // The leaves whose two offsets now meet were emptied: a run of
+        // them starting at the first offset on `start`.
+        let first = self.offsets.partition_point(|&o| o < from);
+        let meeting = self.offsets[first..].iter().take_while(|&&o| o == from).count();
+        if meeting > 1 {
+            self.drop_leaves(first..first + meeting - 1);
+            self.renumber();
+        } else {
+            self.bump_epoch();
+            self.debug_check_tables();
         }
-        self.renumber();
         Ok(())
     }
 
@@ -358,35 +358,27 @@ impl Goddag {
     /// markup removal. Returns the number of merges performed. The content
     /// buffer is untouched: the merged leaf covers both slices.
     pub fn coalesce_leaves(&mut self) -> usize {
+        let stride = self.hierarchies.len();
         let mut merges = 0;
         let mut i = 0;
         while i + 1 < self.leaves.len() {
-            let a = self.leaves[i];
-            let b = self.leaves[i + 1];
-            if self.leaf_parents_of(a) == self.leaf_parents_of(b) {
-                // Also require b to be adjacent in every parent's child list
-                // (no milestone between them).
-                let adjacent = self.hierarchy_ids().all(|h| {
-                    let p = self.leaf_parents_of(a)[h.idx()];
+            let (a, b) = (self.leaves[i], self.leaves[i + 1]);
+            let parents = &self.leaf_parents[i * stride..(i + 2) * stride];
+            // Same parents, and b right after a in every parent's child
+            // list (no milestone between them).
+            let mergeable = parents[..stride] == parents[stride..]
+                && self.hierarchy_ids().zip(&parents[..stride]).all(|(h, &p)| {
                     let list = self.children_in(p, h);
                     match list.iter().position(|&c| c == a) {
                         Some(pos) => list.get(pos + 1) == Some(&b),
                         None => false,
                     }
                 });
-                if adjacent {
-                    let blen = self.data(b).len;
-                    self.data_mut(a).len += blen;
-                    for h in self.hierarchy_ids() {
-                        let p = self.leaf_parents_of(b)[h.idx()];
-                        let list = self.child_list_mut(p, h);
-                        list.retain(|&c| c != b);
-                    }
-                    self.leaves.remove(i + 1);
-                    self.data_mut(b).alive = false;
-                    merges += 1;
-                    continue; // retry same i (may merge further)
-                }
+            if mergeable {
+                // b's bytes join a.
+                self.drop_leaves(i + 1..i + 2);
+                merges += 1;
+                continue; // retry same i (may merge further)
             }
             i += 1;
         }

@@ -2,29 +2,36 @@
 //!
 //! One shared root, one shared ordered sequence of text leaves, and one
 //! element tree per hierarchy in between (paper §3; Sperberg-McQueen &
-//! Huitfeldt 2000). This module holds the node arena and core accessors;
+//! Huitfeldt 2000). This module holds the node tables and core accessors;
 //! navigation lives in [`crate::navigate`], mutation in [`crate::edit`].
 //!
 //! # Layout
 //!
-//! Everything whose size grows with the document costs a few bytes per
-//! node and almost no allocations:
+//! Leaves and elements share one id space (ids are what edit logs,
+//! snapshots and replies carry), but not one record shape. Everything
+//! whose size grows with the document costs a few bytes per node and
+//! almost no allocations:
 //!
-//! * **one fixed-size record per arena slot** (`NodeData`, at most 56
-//!   bytes): kind, alive flag, hierarchy, parent, leaf-index span, byte
-//!   offset, a leaf's byte length, a name symbol, where its attributes
-//!   start, and — for elements only — the one heap allocation a node may
-//!   own, its child list;
+//! * **one 24-byte record per id** (`Slot`): kind, alive flag, hierarchy,
+//!   leaf-index span, name symbol, where its attributes start, and — for
+//!   elements — its row in the element table. It is everything an element
+//!   test, a span comparison or an attribute lookup reads, so those paths
+//!   touch one record per candidate;
+//! * **the element table**, one row per element ever created: its child
+//!   list (the one heap allocation a node may own) and its parent;
+//! * **the leaf table**, in document order: each leaf's id, its byte
+//!   offset (one `u32`; a sentinel equal to the content length ends the
+//!   array, so a leaf's length is the gap to the next offset) and its
+//!   parents, one per hierarchy: the parent of leaf `i` in hierarchy `h`
+//!   is entry `i·H + h`. A leaf's record only says where in this table it
+//!   sits (its span is `[i, i+1)`);
 //! * **the content in one `String`**, in document order. Leaves tile it,
-//!   so a leaf is just an offset and a length, and any node's text is the
-//!   slice [`Goddag::char_range`] names ([`Goddag::text`] borrows it);
+//!   so any node's text is `content[offset[span.start]..offset[span.end]]`
+//!   ([`Goddag::text`] borrows it, reading no leaf record);
 //! * **names interned per document**: element, root and attribute names
 //!   each stored once ([`Goddag::name`] still returns `&QName`);
 //! * **attributes out of line** in one per-document store (see
-//!   `crate::tables`), read through the borrowed [`Attrs`] view; a slot
-//!   keeps only where its group of records starts;
-//! * **leaf parents in one dense array** of `arena_len × hierarchies` ids:
-//!   the parent of leaf `n` in hierarchy `h` is entry `n·H + h`.
+//!   `crate::tables`), read through the borrowed [`Attrs`] view.
 //!
 //! Content is limited to `u32::MAX` bytes, as the leaf count already is
 //! by [`Span`]'s `u32` indices.
@@ -49,7 +56,7 @@ pub enum NodeKind<'a> {
     Leaf { text: &'a str },
 }
 
-/// The kind tag of an arena slot.
+/// The kind tag of an id's record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Kind {
     Root,
@@ -57,36 +64,26 @@ pub(crate) enum Kind {
     Leaf,
 }
 
-/// Placeholder parent of slots that have none (the root, leaves, and
-/// removed elements).
+/// Placeholder parent of elements that have none (removed ones).
 pub(crate) const NIL: NodeId = NodeId(u32::MAX);
 
-/// Largest content the arena addresses: offsets and lengths are `u32`.
+/// Largest content the tables address: offsets are `u32`.
 pub(crate) const MAX_CONTENT: usize = u32::MAX as usize;
 
-/// Arena slot.
+/// The record of one id.
 #[derive(Debug, Clone)]
-pub(crate) struct NodeData {
-    /// For elements: ordered children (same-hierarchy elements and leaves).
-    /// Empty for leaves. The root's per-hierarchy children live in
-    /// `Goddag::root_children`.
-    pub(crate) children: Vec<NodeId>,
-    /// Leaf-index span. Leaves: `[i, i+1)`. Elements: cover of children,
+pub(crate) struct Slot {
+    /// Leaf-index span. Leaves: `[i, i+1)`, `i` their place in the leaf
+    /// table. The root: every leaf. Elements: cover of children. All
     /// maintained by `Goddag::renumber`.
     pub(crate) span: Span,
-    /// Byte offset of this leaf's text within the content (leaves only;
-    /// maintained by `renumber`).
-    pub(crate) char_start: u32,
-    /// Byte length of this leaf's text (leaves only).
-    pub(crate) len: u32,
-    /// For live elements: the unique parent in their own hierarchy (an
-    /// element of the same hierarchy, or the root). [`NIL`] otherwise.
-    pub(crate) parent: NodeId,
     /// Name of an element or the root.
     pub(crate) name: Sym,
     /// Where this node's group of attribute records starts in the store
     /// (or would start, when it has none).
     pub(crate) attr_start: u32,
+    /// An element's row in the element table.
+    pub(crate) row: u32,
     /// Owning hierarchy of an element.
     pub(crate) hierarchy: HierarchyId,
     pub(crate) kind: Kind,
@@ -94,55 +91,29 @@ pub(crate) struct NodeData {
     pub(crate) alive: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<NodeData>() <= 56);
+const _: () = assert!(std::mem::size_of::<Slot>() <= 24);
 
-impl NodeData {
-    fn new(kind: Kind) -> NodeData {
-        NodeData {
-            children: Vec::new(),
+impl Slot {
+    fn new(kind: Kind) -> Slot {
+        Slot {
             span: Span::empty_at(0),
-            char_start: 0,
-            len: 0,
-            parent: NIL,
             name: Sym(0),
             attr_start: 0,
+            row: 0,
             hierarchy: HierarchyId(0),
             kind,
             alive: true,
         }
     }
 
-    /// A live leaf at `char_start` of `len` bytes, not wired yet.
-    pub(crate) fn leaf(char_start: usize, len: usize) -> NodeData {
-        NodeData { char_start: char_start as u32, len: len as u32, ..NodeData::new(Kind::Leaf) }
+    /// A live leaf at place `i` of the leaf table.
+    pub(crate) fn leaf(i: usize) -> Slot {
+        Slot { span: Span::new(i as u32, i as u32 + 1), ..Slot::new(Kind::Leaf) }
     }
 
-    /// A live element, not wired yet: no parent, children or span.
-    pub(crate) fn element(name: Sym, hierarchy: HierarchyId) -> NodeData {
-        NodeData { name, hierarchy, ..NodeData::new(Kind::Element) }
-    }
-
-    /// A dead placeholder for an arena slot no live node occupies.
-    pub(crate) fn tombstone() -> NodeData {
-        NodeData { alive: false, ..NodeData::new(Kind::Leaf) }
-    }
-
-    /// Byte offset of a leaf's text.
-    #[inline]
-    pub(crate) fn start(&self) -> usize {
-        self.char_start as usize
-    }
-
-    /// Byte offset one past a leaf's text.
-    #[inline]
-    pub(crate) fn end(&self) -> usize {
-        self.char_start as usize + self.len as usize
-    }
-
-    /// The parent pointer, `None` for [`NIL`].
-    #[inline]
-    pub(crate) fn parent(&self) -> Option<NodeId> {
-        (self.parent != NIL).then_some(self.parent)
+    /// A dead placeholder for an id no live node holds.
+    pub(crate) fn tombstone() -> Slot {
+        Slot { alive: false, ..Slot::new(Kind::Leaf) }
     }
 }
 
@@ -158,19 +129,29 @@ pub struct Hierarchy {
 /// A multihierarchical document: the paper's data model.
 #[derive(Debug, Clone)]
 pub struct Goddag {
-    pub(crate) nodes: Vec<NodeData>,
+    /// One record per id.
+    pub(crate) slots: Vec<Slot>,
     pub(crate) root: NodeId,
-    /// Global leaf order (the shared frontier).
+    /// Element table, by row: ordered children (same-hierarchy elements
+    /// and leaves). The root's per-hierarchy children live in
+    /// `root_children`.
+    pub(crate) children: Vec<Vec<NodeId>>,
+    /// Element table, by row: the unique parent in the element's own
+    /// hierarchy (an element of it, or the root); [`NIL`] once removed.
+    pub(crate) parents: Vec<NodeId>,
+    /// Leaf table: the ids in document order (the shared frontier).
     pub(crate) leaves: Vec<NodeId>,
+    /// Leaf table: the byte offset of each leaf, then `content.len()`.
+    pub(crate) offsets: Vec<u32>,
+    /// Leaf table: `leaves × hierarchies` ids; entry `i·H + h` is the
+    /// parent of leaf `i` in hierarchy `h` (the deepest element of `h`
+    /// directly containing it, or the root).
+    pub(crate) leaf_parents: Vec<NodeId>,
     /// Per hierarchy: ordered top-level nodes (elements of that hierarchy
     /// with no element parent, interleaved with leaves not covered by any
     /// element of that hierarchy).
     pub(crate) root_children: Vec<Vec<NodeId>>,
     pub(crate) hierarchies: Vec<Hierarchy>,
-    /// `arena_len × hierarchies` ids: entry `n·H + h` is the parent of leaf
-    /// `n` in hierarchy `h` (the deepest element of `h` directly containing
-    /// it, or the root). Entries of non-leaf slots hold the root.
-    pub(crate) leaf_parents: Vec<NodeId>,
     /// The whole content, in document order; the leaves tile it.
     pub(crate) content: String,
     /// Interned element, root and attribute names.
@@ -192,12 +173,15 @@ impl Goddag {
         let mut names = Names::default();
         let name = names.intern(&root_name);
         Goddag {
-            nodes: vec![NodeData { name, ..NodeData::new(Kind::Root) }],
+            slots: vec![Slot { name, ..Slot::new(Kind::Root) }],
             root: NodeId(0),
+            children: Vec::new(),
+            parents: Vec::new(),
             leaves: Vec::new(),
+            offsets: vec![0],
+            leaf_parents: Vec::new(),
             root_children: Vec::new(),
             hierarchies: Vec::new(),
-            leaf_parents: Vec::new(),
             content: String::new(),
             names,
             attrs: AttrStore::default(),
@@ -233,17 +217,18 @@ impl Goddag {
     pub fn add_hierarchy(&mut self, name: impl Into<String>) -> HierarchyId {
         self.bump_epoch();
         let id = HierarchyId(self.hierarchies.len() as u16);
-        // Re-stride the dense leaf-parent array: the new hierarchy sees
-        // every current leaf as a root child.
+        // Re-stride the leaf parents: the new hierarchy sees every current
+        // leaf as a root child.
         let old = self.hierarchies.len();
-        let mut parents = Vec::with_capacity(self.nodes.len() * (old + 1));
-        for n in 0..self.nodes.len() {
-            parents.extend_from_slice(&self.leaf_parents[n * old..(n + 1) * old]);
+        let mut parents = Vec::with_capacity(self.leaves.len() * (old + 1));
+        for i in 0..self.leaves.len() {
+            parents.extend_from_slice(&self.leaf_parents[i * old..(i + 1) * old]);
             parents.push(self.root);
         }
         self.leaf_parents = parents;
         self.hierarchies.push(Hierarchy { name: name.into(), dtd: None });
         self.root_children.push(self.leaves.clone());
+        self.debug_check_tables();
         id
     }
 
@@ -278,43 +263,56 @@ impl Goddag {
     // Node basics
     // ------------------------------------------------------------------
 
-    /// The slot of `n`. Panics on an id outside the arena: public readers
-    /// that can say "no such node" go through [`Goddag::slot`] instead.
-    pub(crate) fn data(&self, n: NodeId) -> &NodeData {
-        &self.nodes[n.idx()]
+    /// The record of `n`. Panics on an id outside the table: public
+    /// readers that can say "no such node" go through [`Goddag::slot`]
+    /// instead.
+    pub(crate) fn data(&self, n: NodeId) -> &Slot {
+        &self.slots[n.idx()]
     }
 
-    pub(crate) fn data_mut(&mut self, n: NodeId) -> &mut NodeData {
-        &mut self.nodes[n.idx()]
+    pub(crate) fn data_mut(&mut self, n: NodeId) -> &mut Slot {
+        &mut self.slots[n.idx()]
     }
 
-    /// The slot of `n`, or `None` for an id outside the arena.
+    /// The record of `n`, or `None` for an id outside the table.
     #[inline]
-    fn slot(&self, n: NodeId) -> Option<&NodeData> {
-        self.nodes.get(n.idx())
+    pub(crate) fn slot(&self, n: NodeId) -> Option<&Slot> {
+        self.slots.get(n.idx())
     }
 
-    /// Append a slot to the arena (its leaf-parent entries hold the root;
-    /// its attribute group, empty, starts after every other).
-    pub(crate) fn push_node(&mut self, d: NodeData) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(NodeData { attr_start: self.attrs.len() as u32, ..d });
-        let root = self.root;
-        self.leaf_parents.extend(std::iter::repeat_n(root, self.hierarchies.len()));
+    /// Append a record (its attribute group, empty, starts after every
+    /// other).
+    pub(crate) fn push_slot(&mut self, d: Slot) -> NodeId {
+        let id = NodeId(self.slots.len() as u32);
+        self.slots.push(Slot { attr_start: self.attrs.len() as u32, ..d });
         id
     }
 
-    /// Grow the arena to `len` slots with tombstones.
-    pub(crate) fn resize_arena(&mut self, len: usize) {
-        self.nodes.resize_with(len, NodeData::tombstone);
-        self.leaf_parents.resize(len * self.hierarchies.len(), self.root);
+    /// A live element record with a fresh row in the element table,
+    /// holding `children` under `parent`.
+    pub(crate) fn element_slot(
+        &mut self,
+        name: Sym,
+        hierarchy: HierarchyId,
+        parent: NodeId,
+        children: Vec<NodeId>,
+    ) -> Slot {
+        let row = self.children.len() as u32;
+        self.children.push(children);
+        self.parents.push(parent);
+        Slot { name, hierarchy, row, ..Slot::new(Kind::Element) }
     }
 
-    /// Point every slot at its attribute group (after the store was
+    /// Grow the id table to `len` records with tombstones.
+    pub(crate) fn resize_ids(&mut self, len: usize) {
+        self.slots.resize_with(len, Slot::tombstone);
+    }
+
+    /// Point every record at its attribute group (after the store was
     /// filled out of id order and sorted).
     pub(crate) fn index_attrs(&mut self) {
-        let arena_len = self.nodes.len();
-        for (d, start) in self.nodes.iter_mut().zip(self.attrs.group_starts(arena_len)) {
+        let ids = self.slots.len();
+        for (d, start) in self.slots.iter_mut().zip(self.attrs.group_starts(ids)) {
             d.attr_start = start;
         }
     }
@@ -322,34 +320,66 @@ impl Goddag {
     /// After a record was inserted (`+1`) into or removed (`-1`) from the
     /// group of `n`, move the groups of every later owner.
     pub(crate) fn shift_attr_groups_after(&mut self, n: NodeId, inserted: bool) {
-        for d in &mut self.nodes[n.idx() + 1..] {
+        for d in &mut self.slots[n.idx() + 1..] {
             d.attr_start = if inserted { d.attr_start + 1 } else { d.attr_start - 1 };
         }
     }
 
-    /// The parents of leaf `n`, one per hierarchy.
+    /// The child list of element `d` (its row's).
     #[inline]
-    pub(crate) fn leaf_parents_of(&self, n: NodeId) -> &[NodeId] {
-        let h = self.hierarchies.len();
-        &self.leaf_parents[n.idx() * h..(n.idx() + 1) * h]
+    pub(crate) fn row_children(&self, d: &Slot) -> &[NodeId] {
+        &self.children[d.row as usize]
     }
 
-    /// Set the parent of leaf `n` in hierarchy `h`.
+    /// The tree parent of element `d`, `None` once removed.
     #[inline]
-    pub(crate) fn set_leaf_parent(&mut self, n: NodeId, h: HierarchyId, p: NodeId) {
-        let stride = self.hierarchies.len();
-        self.leaf_parents[n.idx() * stride + h.idx()] = p;
+    pub(crate) fn row_parent(&self, d: &Slot) -> Option<NodeId> {
+        let p = self.parents[d.row as usize];
+        (p != NIL).then_some(p)
     }
 
-    /// The text of a live leaf's slot: its slice of the content buffer
-    /// (empty for dead slots, whose offsets are stale).
+    /// The parents of leaf `d`, one per hierarchy.
     #[inline]
-    pub(crate) fn leaf_str(&self, d: &NodeData) -> &str {
+    pub(crate) fn leaf_parents_of(&self, d: &Slot) -> &[NodeId] {
+        let (h, i) = (self.hierarchies.len(), d.span.start as usize);
+        &self.leaf_parents[i * h..(i + 1) * h]
+    }
+
+    /// Byte offsets of the content a leaf-index span covers.
+    #[inline]
+    pub(crate) fn byte_range(&self, span: Span) -> (usize, usize) {
+        (self.offsets[span.start as usize] as usize, self.offsets[span.end as usize] as usize)
+    }
+
+    /// The text of a live record's span (empty for dead ones, whose spans
+    /// are stale).
+    #[inline]
+    fn slot_text(&self, d: &Slot) -> &str {
         if d.alive {
-            self.content.get(d.start()..d.end()).unwrap_or_default()
+            let (start, end) = self.byte_range(d.span);
+            self.content.get(start..end).unwrap_or_default()
         } else {
             ""
         }
+    }
+
+    /// In debug builds, check the leaf table's shape: offsets ascend from 0
+    /// and end at the content length, one per leaf plus the sentinel, and
+    /// one parent per leaf and hierarchy. Every structural edit ends here.
+    pub(crate) fn debug_check_tables(&self) {
+        debug_assert_eq!(self.offsets.len(), self.leaves.len() + 1, "one offset per leaf");
+        debug_assert_eq!(self.offsets.first(), Some(&0), "offsets start at 0");
+        debug_assert_eq!(
+            self.offsets.last().map(|&o| o as usize),
+            Some(self.content.len()),
+            "offsets end at the content length"
+        );
+        debug_assert!(self.offsets.windows(2).all(|w| w[0] < w[1]), "offsets ascend");
+        debug_assert_eq!(
+            self.leaf_parents.len(),
+            self.leaves.len() * self.hierarchies.len(),
+            "one parent per leaf and hierarchy"
+        );
     }
 
     /// The shared root.
@@ -371,7 +401,7 @@ impl Goddag {
         }
     }
 
-    /// Node kind. Panics on an id outside the arena (`0..arena_len`).
+    /// Node kind. Panics on an id outside the table (`0..arena_len`).
     pub fn kind(&self, n: NodeId) -> NodeKind<'_> {
         let d = self.data(n);
         match d.kind {
@@ -381,7 +411,7 @@ impl Goddag {
                 attrs: self.attrs(n),
                 hierarchy: d.hierarchy,
             },
-            Kind::Leaf => NodeKind::Leaf { text: self.leaf_str(d) },
+            Kind::Leaf => NodeKind::Leaf { text: self.slot_text(d) },
         }
     }
 
@@ -428,16 +458,12 @@ impl Goddag {
     /// Leaf text, borrowed from the content (None for other nodes and
     /// unknown ids).
     pub fn leaf_text(&self, n: NodeId) -> Option<&str> {
-        self.slot(n).filter(|d| d.kind == Kind::Leaf).map(|d| self.leaf_str(d))
+        self.slot(n).filter(|d| d.kind == Kind::Leaf).map(|d| self.slot_text(d))
     }
 
     /// The node's leaf-index span.
     pub fn span(&self, n: NodeId) -> Span {
-        if self.is_root(n) {
-            Span::new(0, self.leaves.len() as u32)
-        } else {
-            self.data(n).span
-        }
+        self.data(n).span
     }
 
     // ------------------------------------------------------------------
@@ -463,11 +489,7 @@ impl Goddag {
     /// The text a live node covers, borrowed from the content (empty for
     /// dead and unknown ids).
     pub fn text(&self, n: NodeId) -> &str {
-        if !self.is_alive(n) {
-            return "";
-        }
-        let (start, end) = self.char_range(n);
-        self.content.get(start..end).unwrap_or_default()
+        self.slot(n).map_or("", |d| self.slot_text(d))
     }
 
     /// Concatenated text content of a node: a copy of [`Goddag::text`].
@@ -485,19 +507,13 @@ impl Goddag {
         self.content.len()
     }
 
-    /// Byte range of the content a node covers: `(start, end)`.
+    /// Byte range of the content a node covers: `(start, end)`. A removed
+    /// node's span is stale: past the leaf table it reads as the content
+    /// end.
     pub fn char_range(&self, n: NodeId) -> (usize, usize) {
         let span = self.span(n);
-        if span.is_empty() {
-            let at = self
-                .leaves
-                .get(span.start as usize)
-                .map_or(self.content.len(), |&l| self.data(l).start());
-            return (at, at);
-        }
-        let first = self.leaves[span.start as usize];
-        let last = self.leaves[span.end as usize - 1];
-        (self.data(first).start(), self.data(last).end())
+        let at = |i: u32| self.offsets.get(i as usize).map_or(self.content.len(), |&o| o as usize);
+        (at(span.start), at(span.end))
     }
 
     /// Is byte offset `off` within the content and on a UTF-8 character
@@ -506,31 +522,34 @@ impl Goddag {
         self.content.is_char_boundary(off)
     }
 
+    /// The place in the leaf table of the leaf containing byte offset
+    /// `off` (offsets on a boundary resolve to the following leaf), or the
+    /// leaf count when `off` is at or past the content end.
+    pub(crate) fn leaf_index_at(&self, off: usize) -> usize {
+        self.offsets[1..].partition_point(|&end| end as usize <= off)
+    }
+
     /// The leaf containing byte offset `off` (the leaf whose char range
     /// includes `off`; offsets on a boundary resolve to the following leaf).
     pub fn leaf_at_char(&self, off: usize) -> Option<NodeId> {
-        if off >= self.content.len() {
-            return self.leaves.last().copied().filter(|_| off == 0 && self.content.is_empty());
-        }
-        let idx = self.leaves.partition_point(|&l| self.data(l).end() <= off);
-        self.leaves.get(idx).copied()
+        self.leaves.get(self.leaf_index_at(off)).copied()
     }
 
     // ------------------------------------------------------------------
-    // Counting / iteration over the arena
+    // Counting / iteration over the ids
     // ------------------------------------------------------------------
 
-    /// All live element ids, in arena order.
+    /// All live element ids, in id order.
     pub fn elements(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
+        self.slots
             .iter()
             .enumerate()
             .filter_map(|(i, d)| (d.alive && d.kind == Kind::Element).then_some(NodeId(i as u32)))
     }
 
-    /// All live elements of one hierarchy, in arena order.
+    /// All live elements of one hierarchy, in id order.
     pub fn elements_in(&self, h: HierarchyId) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes.iter().enumerate().filter_map(move |(i, d)| {
+        self.slots.iter().enumerate().filter_map(move |(i, d)| {
             (d.alive && d.kind == Kind::Element && d.hierarchy == h).then_some(NodeId(i as u32))
         })
     }
@@ -540,9 +559,9 @@ impl Goddag {
         self.elements().count()
     }
 
-    /// Total arena slots (live + tombstoned); ids are `0..arena_len`.
+    /// Total ids (live + tombstoned); ids are `0..arena_len`.
     pub fn arena_len(&self) -> usize {
-        self.nodes.len()
+        self.slots.len()
     }
 
     /// A deterministic total document order over nodes:
@@ -553,14 +572,13 @@ impl Goddag {
     /// hierarchies it gives the stable interleaving the Extended XPath
     /// evaluator sorts node-sets by.
     pub fn doc_order_key(&self, n: NodeId) -> (u32, i64, u8, u16, u32) {
-        let span = self.span(n);
         let d = self.data(n);
         let (kind_rank, h) = match d.kind {
             Kind::Root => (0, 0),
             Kind::Element => (1, d.hierarchy.0),
             Kind::Leaf => (2, 0),
         };
-        (span.start, -(span.end as i64), kind_rank, h, n.0)
+        (d.span.start, -(d.span.end as i64), kind_rank, h, n.0)
     }
 
     /// Sort and deduplicate a node list into document order.

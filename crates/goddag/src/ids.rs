@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Index of a node in a [`crate::Goddag`] arena.
+/// A node of a [`crate::Goddag`]: leaves and elements share one id space.
 ///
 /// Ids are stable across edits: removed nodes are tombstoned, never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

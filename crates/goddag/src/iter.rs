@@ -91,8 +91,9 @@ impl Goddag {
     /// The leaves whose text intersects the byte range `start..end`, in
     /// order.
     pub fn iter_leaf_range(&self, start: usize, end: usize) -> impl Iterator<Item = NodeId> + '_ {
-        let from = self.leaves.partition_point(|&l| self.data(l).end() <= start);
-        self.leaves[from..].iter().copied().take_while(move |&l| self.data(l).start() < end)
+        let from = self.leaf_index_at(start);
+        let to = self.offsets[..self.leaves.len()].partition_point(|&o| (o as usize) < end);
+        self.leaves[from..to.max(from)].iter().copied()
     }
 }
 

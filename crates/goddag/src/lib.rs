@@ -17,10 +17,11 @@
 //!   store restores a snapshot id-for-id in one pass.
 //!
 //! Modules: `builder` (ranges → GODDAG, fresh or recorded ids), `graph`
-//! (the compact arena, content buffer and accessors; its docs describe the
-//! layout), `tables` (interned names, out-of-line attributes), `edit`
-//! (mutation), `navigate` / `iter` (traversal), `renumber` (span
-//! maintenance), `span`, `serialize`, `stats`, [`validate`].
+//! (the id records, the element and leaf tables, the content buffer and
+//! accessors; its docs describe the layout), `tables` (interned names,
+//! out-of-line attributes), `edit` (mutation), `navigate` / `iter`
+//! (traversal), `renumber` (span maintenance), `span`, `serialize`,
+//! `stats`, [`validate`].
 //!
 //! ```
 //! use goddag::GoddagBuilder;

@@ -19,8 +19,8 @@ impl Goddag {
         if self.is_root(n) {
             self.root_children.get(h.idx()).map_or(&[], Vec::as_slice)
         } else {
-            match self.nodes.get(n.idx()) {
-                Some(d) if d.kind == Kind::Element && d.hierarchy == h => &d.children,
+            match self.slot(n) {
+                Some(d) if d.kind == Kind::Element && d.hierarchy == h => self.row_children(d),
                 _ => &[],
             }
         }
@@ -42,8 +42,8 @@ impl Goddag {
     /// root (its children are per hierarchy: [`Goddag::children_in`]),
     /// leaves and unknown ids.
     pub fn element_children(&self, n: NodeId) -> &[NodeId] {
-        match self.nodes.get(n.idx()) {
-            Some(d) if d.kind == Kind::Element => &d.children,
+        match self.slot(n) {
+            Some(d) if d.kind == Kind::Element => self.row_children(d),
             _ => &[],
         }
     }
@@ -54,11 +54,12 @@ impl Goddag {
     /// * leaf → the deepest element of `h` containing it (or root);
     /// * root, or element of a different hierarchy → `None`.
     pub fn parent_in(&self, n: NodeId, h: HierarchyId) -> Option<NodeId> {
-        let d = self.nodes.get(n.idx())?;
+        let d = self.slot(n)?;
         match d.kind {
             Kind::Root => None,
-            Kind::Element => (d.hierarchy == h).then(|| d.parent()).flatten(),
-            Kind::Leaf => self.leaf_parents_of(n).get(h.idx()).copied(),
+            Kind::Element => (d.hierarchy == h).then(|| self.row_parent(d)).flatten(),
+            Kind::Leaf if d.alive => self.leaf_parents_of(d).get(h.idx()).copied(),
+            Kind::Leaf => None,
         }
     }
 
@@ -66,11 +67,12 @@ impl Goddag {
     /// order. This is the cross-hierarchy hop the paper describes: a shared
     /// leaf's parents expose every structure that covers it.
     pub fn parents(&self, n: NodeId) -> Vec<NodeId> {
-        let Some(d) = self.nodes.get(n.idx()) else { return Vec::new() };
+        let Some(d) = self.slot(n) else { return Vec::new() };
         let mut out = match d.kind {
             Kind::Root => Vec::new(),
-            Kind::Element => d.parent().into_iter().collect(),
-            Kind::Leaf => self.leaf_parents_of(n).to_vec(),
+            Kind::Element => self.row_parent(d).into_iter().collect(),
+            Kind::Leaf if d.alive => self.leaf_parents_of(d).to_vec(),
+            Kind::Leaf => Vec::new(),
         };
         self.sort_doc_order(&mut out);
         out

@@ -1,63 +1,59 @@
-//! Span/offset maintenance: recompute leaf indices, byte offsets and element
-//! spans after structural edits.
+//! Span maintenance: recompute leaf indices and element spans after
+//! structural edits.
 //!
 //! The renumber pass is O(nodes). Element spans are *cached* on the nodes so
 //! the hot overlap tests stay O(1); the `span_cache` ablation bench
 //! (experiment A2) quantifies what this buys over recomputing spans on every
-//! query.
+//! query. Byte offsets are not derived: the leaf table holds them, and the
+//! text edits shift them in place.
 
 use crate::graph::{Goddag, Kind};
 use crate::ids::NodeId;
 use crate::span::Span;
 
 impl Goddag {
-    /// Recompute all derived position data: leaf indices, leaf byte offsets
-    /// and element spans (including empty-element anchors).
+    /// Recompute all derived position data: leaf indices and element spans
+    /// (including empty-element anchors).
     pub(crate) fn renumber(&mut self) {
         // Every structural edit funnels through here, so this is the one
         // chokepoint that must invalidate epoch-keyed caches.
         self.bump_epoch();
-        // Pass 0: leaves, which tile the content buffer.
-        let mut off = 0u32;
+        // Pass 0: each leaf's place in the leaf table, and the root's cover.
         for (i, &leaf) in self.leaves.iter().enumerate() {
-            let d = &mut self.nodes[leaf.idx()];
-            d.span = Span::new(i as u32, i as u32 + 1);
-            d.char_start = off;
-            off += d.len;
+            self.slots[leaf.idx()].span = Span::new(i as u32, i as u32 + 1);
         }
-        debug_assert_eq!(off as usize, self.content.len(), "leaves must tile the content");
+        self.slots[self.root.idx()].span = Span::new(0, self.leaves.len() as u32);
 
         // Pass 1 (per hierarchy, bottom-up): the leaf cover of each element,
-        // or None for elements dominating no leaves (milestones).
-        let mut computed: Vec<Option<Option<Span>>> = vec![None; self.nodes.len()];
+        // or None for elements dominating no leaves (milestones). Elements
+        // are visited by row, so a list is found in one load.
+        let mut computed: Vec<Option<Option<Span>>> = vec![None; self.children.len()];
         enum Visit {
-            Enter(NodeId),
-            Exit(NodeId),
+            Enter(usize),
+            Exit(usize),
         }
         for h in 0..self.root_children.len() {
             let mut stack: Vec<Visit> = self.root_children[h]
                 .iter()
                 .rev()
-                .filter(|&&n| self.nodes[n.idx()].kind == Kind::Element)
-                .map(|&n| Visit::Enter(n))
+                .filter_map(|&n| self.element_row(n))
+                .map(Visit::Enter)
                 .collect();
             while let Some(v) = stack.pop() {
                 match v {
-                    Visit::Enter(n) => {
-                        stack.push(Visit::Exit(n));
-                        for &c in self.nodes[n.idx()].children.iter().rev() {
-                            if self.nodes[c.idx()].kind == Kind::Element {
-                                stack.push(Visit::Enter(c));
-                            }
-                        }
+                    Visit::Enter(row) => {
+                        stack.push(Visit::Exit(row));
+                        let inner = self.children[row].iter().rev();
+                        stack.extend(inner.filter_map(|&c| self.element_row(c)).map(Visit::Enter));
                     }
-                    Visit::Exit(n) => {
+                    Visit::Exit(row) => {
                         let mut cover: Option<Span> = None;
-                        for &c in &self.nodes[n.idx()].children {
-                            let child_span = match self.nodes[c.idx()].kind {
-                                Kind::Leaf => Some(self.nodes[c.idx()].span),
+                        for &c in &self.children[row] {
+                            let d = &self.slots[c.idx()];
+                            let child_span = match d.kind {
+                                Kind::Leaf => Some(d.span),
                                 Kind::Element => {
-                                    computed[c.idx()].expect("child visited before parent")
+                                    computed[d.row as usize].expect("child visited before parent")
                                 }
                                 Kind::Root => unreachable!("root is never a child"),
                             };
@@ -68,7 +64,7 @@ impl Goddag {
                                 });
                             }
                         }
-                        computed[n.idx()] = Some(cover);
+                        computed[row] = Some(cover);
                     }
                 }
             }
@@ -78,41 +74,49 @@ impl Goddag {
         // elements to an anchor at the running cursor position.
         struct Frame {
             /// None = the root's child list for this hierarchy.
-            node: Option<NodeId>,
+            row: Option<usize>,
             child_idx: usize,
             cursor: u32,
         }
         for h in 0..self.root_children.len() {
-            let mut frames = vec![Frame { node: None, child_idx: 0, cursor: 0 }];
+            let mut frames = vec![Frame { row: None, child_idx: 0, cursor: 0 }];
             while let Some(frame) = frames.last_mut() {
-                let child = match frame.node {
-                    None => self.root_children[h].get(frame.child_idx).copied(),
-                    Some(n) => self.nodes[n.idx()].children.get(frame.child_idx).copied(),
+                let child = match frame.row {
+                    None => self.root_children[h].get(frame.child_idx),
+                    Some(row) => self.children[row].get(frame.child_idx),
                 };
-                let Some(c) = child else {
+                let Some(&c) = child else {
                     frames.pop();
                     continue;
                 };
                 frame.child_idx += 1;
-                match self.nodes[c.idx()].kind {
+                let d = &mut self.slots[c.idx()];
+                match d.kind {
                     Kind::Leaf => {
-                        frame.cursor = self.nodes[c.idx()].span.end;
+                        frame.cursor = d.span.end;
                     }
                     Kind::Element => {
-                        let span = match computed[c.idx()].expect("pass 1 covered all elements") {
+                        let row = d.row as usize;
+                        let span = match computed[row].expect("pass 1 covered all elements") {
                             Some(s) => {
                                 frame.cursor = s.end;
                                 s
                             }
                             None => Span::empty_at(frame.cursor),
                         };
-                        self.nodes[c.idx()].span = span;
-                        let start = span.start;
-                        frames.push(Frame { node: Some(c), child_idx: 0, cursor: start });
+                        d.span = span;
+                        frames.push(Frame { row: Some(row), child_idx: 0, cursor: span.start });
                     }
                     Kind::Root => unreachable!("root is never a child"),
                 }
             }
         }
+        self.debug_check_tables();
+    }
+
+    /// The element table row of `n`, `None` for a leaf.
+    fn element_row(&self, n: NodeId) -> Option<usize> {
+        let d = &self.slots[n.idx()];
+        (d.kind == Kind::Element).then_some(d.row as usize)
     }
 }

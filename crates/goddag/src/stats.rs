@@ -1,6 +1,6 @@
 //! Size and composition statistics (experiment B5: one GODDAG vs N DOMs).
 
-use crate::graph::{Goddag, Kind, NodeData};
+use crate::graph::{Goddag, Kind, Slot};
 use crate::ids::NodeId;
 use std::mem::size_of;
 
@@ -15,11 +15,18 @@ pub struct GoddagStats {
     pub leaves: usize,
     /// Content bytes (stored exactly once, in the shared content buffer).
     pub content_bytes: usize,
-    /// Tombstoned arena slots.
+    /// Tombstoned ids.
     pub dead: usize,
-    /// Estimated heap footprint in bytes: the arena and its child lists,
-    /// the frontier, the dense leaf-parent array, the content buffer, the
-    /// name and attribute tables, and the hierarchies with their DTDs.
+    /// Heap bytes the leaves hold: their id records, and the leaf table's
+    /// ids, offsets and parents.
+    pub leaf_bytes: usize,
+    /// Heap bytes the elements hold: their id records, the element table
+    /// with its child lists, and the attribute store.
+    pub element_bytes: usize,
+    /// Estimated heap footprint in bytes: `leaf_bytes`, `element_bytes`
+    /// and the shared tables — the root's record and spare id records, the
+    /// root's child lists, the content buffer, the name table and the
+    /// hierarchies with their DTDs.
     pub estimated_bytes: usize,
 }
 
@@ -30,10 +37,13 @@ impl Goddag {
         let mut elements = 0usize;
         let mut dead = 0usize;
         let ids = |v: &Vec<NodeId>| v.capacity() * size_of::<NodeId>();
-        let mut estimated = size_of::<Goddag>() + self.nodes.capacity() * size_of::<NodeData>();
-
-        for d in &self.nodes {
-            estimated += ids(&d.children);
+        let (mut leaf_slots, mut element_slots) = (0usize, 0usize);
+        for d in &self.slots {
+            match d.kind {
+                Kind::Leaf => leaf_slots += 1,
+                Kind::Element => element_slots += 1,
+                Kind::Root => {}
+            }
             if !d.alive {
                 dead += 1;
             } else if d.kind == Kind::Element {
@@ -41,13 +51,24 @@ impl Goddag {
                 per_h[d.hierarchy.idx()] += 1;
             }
         }
-        estimated += ids(&self.leaves) + ids(&self.leaf_parents);
-        estimated += self.root_children.capacity() * size_of::<Vec<NodeId>>();
-        estimated += self.root_children.iter().map(ids).sum::<usize>();
-        estimated += self.content.capacity() + self.names.heap_bytes() + self.attrs.heap_bytes();
-        estimated += self.hierarchies.capacity() * size_of::<crate::graph::Hierarchy>();
+
+        let leaf_bytes = leaf_slots * size_of::<Slot>()
+            + ids(&self.leaves)
+            + self.offsets.capacity() * size_of::<u32>()
+            + ids(&self.leaf_parents);
+        let element_bytes = element_slots * size_of::<Slot>()
+            + self.children.capacity() * size_of::<Vec<NodeId>>()
+            + self.children.iter().map(ids).sum::<usize>()
+            + ids(&self.parents)
+            + self.attrs.heap_bytes();
+        let mut shared = size_of::<Goddag>()
+            + (self.slots.capacity() - leaf_slots - element_slots) * size_of::<Slot>();
+        shared += self.root_children.capacity() * size_of::<Vec<NodeId>>();
+        shared += self.root_children.iter().map(ids).sum::<usize>();
+        shared += self.content.capacity() + self.names.heap_bytes();
+        shared += self.hierarchies.capacity() * size_of::<crate::graph::Hierarchy>();
         for h in &self.hierarchies {
-            estimated += h.name.capacity() + h.dtd.as_ref().map_or(0, |d| d.heap_bytes());
+            shared += h.name.capacity() + h.dtd.as_ref().map_or(0, |d| d.heap_bytes());
         }
 
         GoddagStats {
@@ -56,7 +77,9 @@ impl Goddag {
             leaves: self.leaf_count(),
             content_bytes: self.content.len(),
             dead,
-            estimated_bytes: estimated,
+            leaf_bytes,
+            element_bytes,
+            estimated_bytes: leaf_bytes + element_bytes + shared,
         }
     }
 }
@@ -81,7 +104,8 @@ mod tests {
         assert_eq!(s.elements_per_hierarchy, vec![1, 2]);
         assert_eq!(s.content_bytes, 13);
         assert_eq!(s.dead, 0);
-        assert!(s.estimated_bytes > 0);
+        assert!(s.leaf_bytes > 0 && s.element_bytes > 0);
+        assert!(s.leaf_bytes + s.element_bytes < s.estimated_bytes);
 
         let w = g.find_elements("w")[0];
         g.remove_element(w).unwrap();

@@ -1,7 +1,7 @@
-//! Per-document tables behind the compact node arena: interned names and
+//! Per-document tables behind the compact node records: interned names and
 //! out-of-line attributes.
 //!
-//! An arena slot names its element through a [`Sym`], an index into the
+//! A node record names its element through a [`Sym`], an index into the
 //! document's one [`Names`] table, so each distinct name is stored once no
 //! matter how many elements carry it. Attributes live in one
 //! [`AttrStore`]: a record per attribute (owner, name symbol, value range)
@@ -9,6 +9,7 @@
 //! stores nothing for them and an attribute allocates nothing of its own.
 //! Readers see them through the borrowed [`Attrs`] view.
 
+use crate::error::{GoddagError, Result};
 use crate::ids::NodeId;
 use std::fmt;
 use std::mem::size_of;
@@ -72,7 +73,7 @@ impl Names {
 
     /// The table's own rules: the sorted index is a permutation of the
     /// symbols, strictly ordered by name (so no name is stored twice).
-    pub(crate) fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> std::result::Result<(), String> {
         if self.sorted.len() != self.names.len() {
             return Err(format!(
                 "{} names, {} sorted symbols",
@@ -102,16 +103,19 @@ impl Names {
 pub(crate) struct AttrRec {
     pub(crate) owner: NodeId,
     pub(crate) name: Sym,
-    value: (usize, usize),
+    value: (u32, u32),
 }
+
+/// Largest values buffer the store addresses: value ranges are `u32`.
+const MAX_VALUES: usize = u32::MAX as usize;
 
 /// Every attribute of a document, out of line.
 ///
-/// Each arena slot keeps the index of its group's first record (where the
+/// Each node record keeps the index of its group's first record (where the
 /// group starts, or would start), so finding a node's attributes is one
 /// load and a walk over its own records. Inserting or removing a record
 /// shifts the groups of every later owner by one; [`AttrStore::set`] and
-/// [`AttrStore::remove`] report when that happens so the arena can follow.
+/// [`AttrStore::remove`] report when that happens so the records can follow.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AttrStore {
     /// Grouped by owner in ascending id order; within one owner, in the
@@ -141,11 +145,28 @@ impl AttrStore {
         &self.recs
     }
 
-    fn store_value(&mut self, value: &str) -> (usize, usize) {
+    /// Append a value; [`AttrStore::room`] said it fits.
+    fn store_value(&mut self, value: &str) -> (u32, u32) {
         let start = self.values.len();
         self.values.push_str(value);
         self.live += value.len();
-        (start, self.values.len())
+        assert!(self.values.len() <= MAX_VALUES, "values past their u32 offsets");
+        (start as u32, self.values.len() as u32)
+    }
+
+    /// Make sure `bytes` more value bytes stay addressable, dropping dead
+    /// bytes first if that is what it takes. Every store of a value comes
+    /// after this check.
+    pub(crate) fn room(&mut self, bytes: usize) -> Result<()> {
+        if self.values.len() + bytes > MAX_VALUES {
+            self.compact();
+        }
+        if self.values.len() + bytes > MAX_VALUES {
+            return Err(GoddagError::Edit(format!(
+                "attribute values would exceed {MAX_VALUES} bytes"
+            )));
+        }
+        Ok(())
     }
 
     /// Append an attribute to `owner`. The store stays grouped when `owner`
@@ -157,9 +178,11 @@ impl AttrStore {
     }
 
     /// Make room for `count` more attributes holding `bytes` of values.
-    pub(crate) fn reserve(&mut self, count: usize, bytes: usize) {
+    pub(crate) fn reserve(&mut self, count: usize, bytes: usize) -> Result<()> {
+        self.room(bytes)?;
         self.recs.reserve_exact(count);
         self.values.reserve_exact(bytes);
+        Ok(())
     }
 
     /// Restore the owner grouping after out-of-order [`AttrStore::push`]es: a
@@ -179,7 +202,7 @@ impl AttrStore {
         match found {
             Some(i) => {
                 let old = std::mem::replace(&mut self.recs[range.start + i].value, stored);
-                self.live -= old.1 - old.0;
+                self.live -= (old.1 - old.0) as usize;
                 self.compact_if_sparse();
                 false
             }
@@ -197,7 +220,7 @@ impl AttrStore {
         let found = self.recs[range.clone()].iter().position(|r| names.get(r.name).eq_str(name));
         let Some(i) = found else { return false };
         let old = self.recs.remove(range.start + i);
-        self.live -= old.value.1 - old.value.0;
+        self.live -= (old.value.1 - old.value.0) as usize;
         self.compact_if_sparse();
         true
     }
@@ -213,9 +236,9 @@ impl AttrStore {
     fn compact(&mut self) {
         let mut values = String::with_capacity(self.live);
         for r in &mut self.recs {
-            let start = values.len();
-            values.push_str(&self.values[r.value.0..r.value.1]);
-            r.value = (start, values.len());
+            let start = values.len() as u32;
+            values.push_str(&self.values[r.value.0 as usize..r.value.1 as usize]);
+            r.value = (start, values.len() as u32);
         }
         self.values = values;
     }
@@ -223,7 +246,7 @@ impl AttrStore {
     /// The value a record points at.
     #[inline]
     pub(crate) fn value(&self, r: &AttrRec) -> &str {
-        &self.values[r.value.0..r.value.1]
+        &self.values[r.value.0 as usize..r.value.1 as usize]
     }
 
     /// A borrowed view of `owner`'s attributes (group at `start`).
@@ -231,10 +254,10 @@ impl AttrStore {
         Attrs { names, store: self, recs: &self.recs[self.group(start, owner)] }
     }
 
-    /// Where each owner's group starts, for owners `0..arena_len` in order.
-    pub(crate) fn group_starts(&self, arena_len: usize) -> impl Iterator<Item = u32> + '_ {
+    /// Where each owner's group starts, for owners `0..ids` in order.
+    pub(crate) fn group_starts(&self, ids: usize) -> impl Iterator<Item = u32> + '_ {
         let mut at = 0;
-        (0..arena_len as u32).map(move |n| {
+        (0..ids as u32).map(move |n| {
             let start = at;
             at += self.recs[at..].iter().take_while(|r| r.owner == NodeId(n)).count();
             start as u32
@@ -248,13 +271,13 @@ impl AttrStore {
 
     /// The store's own rules: records grouped by owner, every value range
     /// inside `values` and on character boundaries, `live` their total.
-    pub(crate) fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> std::result::Result<(), String> {
         if let Some(w) = self.recs.windows(2).find(|w| w[0].owner > w[1].owner) {
             return Err(format!("attribute of {} stored after one of {}", w[1].owner, w[0].owner));
         }
         let mut live = 0;
         for r in &self.recs {
-            let (a, b) = r.value;
+            let (a, b) = (r.value.0 as usize, r.value.1 as usize);
             if a > b || self.values.get(a..b).is_none() {
                 return Err(format!("attribute of {} has value range {a}..{b}", r.owner));
             }

@@ -5,7 +5,7 @@
 //! property-based suites) and after editor commands in debug builds.
 
 use crate::graph::{Goddag, Kind, NodeKind};
-use crate::ids::HierarchyId;
+use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use std::collections::HashSet;
 use xmlcore::dtd::{validate_attrs, validate_children, AutomatonCache, ValidationReport};
@@ -13,24 +13,12 @@ use xmlcore::dtd::{validate_attrs, validate_children, AutomatonCache, Validation
 /// Check every structural invariant of the GODDAG. Returns the first
 /// violation as an error string (with enough context to debug it).
 pub fn check_invariants(g: &Goddag) -> Result<(), String> {
-    // 0. The layout's own tables: the dense leaf-parent array has one entry
-    //    per slot and hierarchy, and every symbol names a table entry.
-    let stride = g.hierarchy_count();
-    if g.leaf_parents.len() != g.arena_len() * stride {
-        return Err(format!(
-            "leaf-parent array holds {} ids, expected arena {} x hierarchies {stride}",
-            g.leaf_parents.len(),
-            g.arena_len()
-        ));
-    }
+    // 0. The layout's own tables.
+    check_leaf_table(g)?;
+    check_ids(g)?;
     g.names.check()?;
     g.attrs.check()?;
-    for (i, d) in g.nodes.iter().enumerate() {
-        if d.kind != Kind::Leaf && d.name.0 as usize >= g.names.len() {
-            return Err(format!("n{i} has name symbol {} of {}", d.name.0, g.names.len()));
-        }
-    }
-    for ((i, d), start) in g.nodes.iter().enumerate().zip(g.attrs.group_starts(g.arena_len())) {
+    for ((i, d), start) in g.slots.iter().enumerate().zip(g.attrs.group_starts(g.arena_len())) {
         if d.attr_start != start {
             return Err(format!("n{i} attribute group at {}, stored at {start}", d.attr_start));
         }
@@ -39,45 +27,12 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
         if r.name.0 as usize >= g.names.len() {
             return Err(format!("attribute of {} has name symbol {}", r.owner, r.name.0));
         }
-        if r.owner.idx() >= g.arena_len() || g.data(r.owner).kind == Kind::Leaf {
+        if g.slot(r.owner).is_none_or(|d| d.kind == Kind::Leaf) {
             return Err(format!("attribute owner {} is not an element or the root", r.owner));
         }
     }
 
-    // 1. The frontier holds only live leaves; their spans follow their
-    //    index, and their byte ranges tile the content buffer on character
-    //    boundaries.
-    let mut off = 0usize;
-    for (i, &leaf) in g.leaves().iter().enumerate() {
-        let d = g.data(leaf);
-        if !d.alive {
-            return Err(format!("frontier contains dead node {leaf}"));
-        }
-        if d.kind != Kind::Leaf {
-            return Err(format!("frontier contains non-leaf {leaf}"));
-        }
-        if d.len == 0 {
-            return Err(format!("frontier contains empty leaf {leaf}"));
-        }
-        if d.span != Span::new(i as u32, i as u32 + 1) {
-            return Err(format!("leaf {leaf} has span {} at index {i}", d.span));
-        }
-        if d.start() != off {
-            return Err(format!(
-                "leaf {leaf} char_start {} but running offset {off}",
-                d.char_start
-            ));
-        }
-        if !g.content.is_char_boundary(off) {
-            return Err(format!("leaf {leaf} starts inside a character at {off}"));
-        }
-        off += d.len as usize;
-    }
-    if off != g.content_len() {
-        return Err(format!("content_len {} but leaves sum to {off}", g.content_len()));
-    }
-
-    // 2. Per hierarchy: the induced subgraph is a tree over that hierarchy's
+    // 1. Per hierarchy: the induced subgraph is a tree over that hierarchy's
     //    elements + all leaves; children lists are consistent with parent
     //    pointers; spans are the cover of children; child spans are ordered
     //    and non-overlapping.
@@ -104,10 +59,10 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
                                 cd.hierarchy
                             ));
                         }
-                        if cd.parent() != Some(n) {
+                        if g.row_parent(cd) != Some(n) {
                             return Err(format!(
                                 "element {c} parent pointer {:?} != list owner {n}",
-                                cd.parent()
+                                g.row_parent(cd)
                             ));
                         }
                         if !seen_elems.insert(c) {
@@ -116,7 +71,7 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
                         stack.push(c);
                     }
                     Kind::Leaf => {
-                        let p = g.leaf_parents_of(c)[h.idx()];
+                        let p = g.leaf_parents_of(cd)[h.idx()];
                         if p != n {
                             return Err(format!(
                                 "leaf {c} leaf_parents[{h}] = {p} != list owner {n}"
@@ -156,10 +111,10 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
         }
     }
 
-    // 3. Element spans equal the cover of their children (non-empty case).
+    // 2. Element spans equal the cover of their children (non-empty case).
     for e in g.elements() {
         let mut cover: Option<Span> = None;
-        for &c in &g.data(e).children {
+        for &c in g.element_children(e) {
             let cspan = g.span(c);
             if !cspan.is_empty() || g.is_leaf(c) {
                 cover = Some(match cover {
@@ -177,6 +132,107 @@ pub fn check_invariants(g: &Goddag) -> Result<(), String> {
         }
     }
 
+    Ok(())
+}
+
+/// The leaf table: offsets strictly ascend from 0 on character
+/// boundaries, one per leaf plus the content length; there is one parent
+/// per leaf and hierarchy, and each is the root or a live element of that
+/// hierarchy whose span holds the leaf.
+fn check_leaf_table(g: &Goddag) -> Result<(), String> {
+    let (leaves, stride) = (g.leaf_count(), g.hierarchy_count());
+    if g.offsets.len() != leaves + 1 {
+        return Err(format!("{} leaf offsets for {leaves} leaves", g.offsets.len()));
+    }
+    if g.offsets[0] != 0 {
+        return Err(format!("leaf offsets start at {}", g.offsets[0]));
+    }
+    if let Some(i) = g.offsets.windows(2).position(|w| w[0] >= w[1]) {
+        let (a, b) = (g.offsets[i], g.offsets[i + 1]);
+        return Err(format!("leaf {i} spans offsets {a}..{b}: offsets must strictly ascend"));
+    }
+    let end = g.offsets[leaves] as usize;
+    if end != g.content_len() {
+        return Err(format!("leaf offsets end at {end}, content length {}", g.content_len()));
+    }
+    if let Some(o) = g.offsets.iter().find(|&&o| !g.content.is_char_boundary(o as usize)) {
+        return Err(format!("leaf offset {o} is inside a character"));
+    }
+    if g.leaf_parents.len() != leaves * stride {
+        return Err(format!(
+            "{} leaf parents, expected {leaves} leaves x {stride} hierarchies",
+            g.leaf_parents.len()
+        ));
+    }
+    for (k, &p) in g.leaf_parents.iter().enumerate() {
+        let (i, h) = (k / stride, HierarchyId((k % stride) as u16));
+        if p == g.root() {
+            continue;
+        }
+        let holds = g.slot(p).is_some_and(|d| {
+            d.alive && d.kind == Kind::Element && d.hierarchy == h && d.span.contains_leaf(i as u32)
+        });
+        if !holds {
+            return Err(format!(
+                "parent {p} of leaf {i} in {h} is not a live element of {h} holding it"
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Every id's record resolves to the root (id 0 only), a live leaf at its
+/// own place in the leaf table, a live element with a row of its own in the
+/// element table and a name in the table, or a tombstone; and every place
+/// in the leaf table is some live leaf's.
+fn check_ids(g: &Goddag) -> Result<(), String> {
+    let rows = g.children.len();
+    if g.parents.len() != rows {
+        return Err(format!("element table: {rows} child lists, {} parents", g.parents.len()));
+    }
+    let mut row_taken = vec![false; rows];
+    let mut live_leaves = 0;
+    for (i, d) in g.slots.iter().enumerate() {
+        let n = NodeId(i as u32);
+        if (d.kind == Kind::Root) != (n == g.root()) {
+            return Err(format!("{n}: the root's record and id {} disagree", g.root()));
+        }
+        if !d.alive {
+            if n == g.root() {
+                return Err("the root is dead".into());
+            }
+            continue;
+        }
+        match d.kind {
+            Kind::Root => {
+                if d.span != Span::new(0, g.leaf_count() as u32) {
+                    return Err(format!("root span {} over {} leaves", d.span, g.leaf_count()));
+                }
+            }
+            Kind::Leaf => {
+                let at = d.span.start as usize;
+                if d.span.len() != 1 || g.leaves.get(at) != Some(&n) {
+                    return Err(format!("live leaf {n} has span {}, not its place", d.span));
+                }
+                live_leaves += 1;
+            }
+            Kind::Element => match row_taken.get_mut(d.row as usize) {
+                Some(taken) if !*taken => *taken = true,
+                _ => {
+                    return Err(format!("element {n} has row {} of {rows}, or a taken one", d.row))
+                }
+            },
+        }
+        if d.kind != Kind::Leaf && d.name.0 as usize >= g.names.len() {
+            return Err(format!("{n} has name symbol {} of {}", d.name.0, g.names.len()));
+        }
+    }
+    if live_leaves != g.leaf_count() {
+        return Err(format!(
+            "{live_leaves} live leaves, {} places in the leaf table",
+            g.leaf_count()
+        ));
+    }
     Ok(())
 }
 
@@ -296,32 +352,68 @@ mod tests {
         assert!(reports.iter().all(|(_, r)| r.is_valid()));
     }
 
-    #[test]
-    fn invariants_catch_manual_corruption() {
-        let mut g = doc();
-        // Corrupt a leaf parent pointer directly.
-        let leaf = g.leaves()[0];
-        let bogus = g.leaves()[1];
-        g.set_leaf_parent(leaf, HierarchyId(0), bogus);
-        assert!(check_invariants(&g).is_err());
+    /// Each corruption, applied to a fresh `doc()` (leaves "one", " ",
+    /// "two", " ", "three"; phys `line` over the first three, ling `w` over
+    /// each word), must be refused.
+    fn refused(cases: &[fn(&mut Goddag)]) {
+        for (i, corrupt) in cases.iter().enumerate() {
+            let mut g = doc();
+            check_invariants(&g).unwrap();
+            corrupt(&mut g);
+            assert!(check_invariants(&g).is_err(), "case {i} passed");
+        }
+    }
+
+    fn element(g: &Goddag, local: &str, k: usize) -> crate::ids::NodeId {
+        g.find_elements(local)[k]
     }
 
     #[test]
-    fn invariants_catch_layout_corruption() {
-        // A leaf longer than its slice: the leaves no longer tile the buffer.
-        let mut g = doc();
-        let leaf = g.leaves()[0];
-        g.data_mut(leaf).len += 1;
-        assert!(check_invariants(&g).is_err());
-        // A dense leaf-parent array of the wrong length.
-        let mut g = doc();
-        g.leaf_parents.pop();
-        assert!(check_invariants(&g).is_err());
-        // A name symbol outside the table.
-        let mut g = doc();
-        let e = g.elements().next().unwrap();
-        g.data_mut(e).name = crate::tables::Sym(999);
-        assert!(check_invariants(&g).is_err());
+    fn invariants_refuse_offsets_that_do_not_tile_the_content() {
+        refused(&[
+            |g| g.offsets[0] = 1,                       // not from 0
+            |g| g.offsets[2] = g.offsets[1],            // an empty leaf
+            |g| g.offsets[1] = g.offsets[3],            // out of order
+            |g| *g.offsets.last_mut().unwrap() -= 1,    // short of the content
+            |g| g.offsets.push(g.content_len() as u32), // one too many
+        ]);
+    }
+
+    #[test]
+    fn invariants_refuse_a_leaf_parent_count_off_the_leaves() {
+        refused(&[
+            |g| {
+                g.leaf_parents.pop();
+            },
+            |g| g.leaf_parents.push(g.root()),
+        ]);
+    }
+
+    #[test]
+    fn invariants_refuse_a_leaf_parent_that_does_not_hold_the_leaf() {
+        refused(&[
+            |g| g.leaf_parents[0] = g.leaves()[1],             // a leaf
+            |g| g.leaf_parents[0] = element(g, "w", 0),        // another hierarchy's element
+            |g| g.leaf_parents[4 * 2] = element(g, "line", 0), // an element short of it
+            |g| {
+                // A removed element.
+                let w = element(g, "w", 2);
+                g.remove_element(w).unwrap();
+                g.leaf_parents[4 * 2 + 1] = w;
+            },
+        ]);
+    }
+
+    #[test]
+    fn invariants_refuse_an_id_record_that_resolves_to_nothing() {
+        refused(&[
+            |g| g.data_mut(g.leaves()[1]).span = Span::new(2, 3), // a leaf at another's place
+            |g| g.data_mut(g.leaves()[1]).alive = false,          // a dead leaf in the table
+            |g| g.data_mut(element(g, "w", 0)).row = 99,          // a row past the table
+            |g| g.data_mut(element(g, "w", 0)).row = 0,           // a row another element has
+            |g| g.data_mut(element(g, "w", 0)).name = crate::tables::Sym(999), // no such name
+            |g| g.data_mut(NodeId(0)).alive = false,              // a dead root
+        ]);
     }
 
     #[test]

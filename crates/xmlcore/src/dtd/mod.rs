@@ -188,11 +188,6 @@ impl Dtd {
         bytes + self.root.as_ref().map_or(0, String::capacity)
     }
 
-    /// Names of all declared elements.
-    pub fn element_names(&self) -> impl Iterator<Item = &str> {
-        self.elements.keys().map(String::as_str)
-    }
-
     /// An attribute definition on an element.
     pub fn attr_def(&self, element: &str, attr: &str) -> Option<&AttDef> {
         self.element(element)?.attrs.iter().find(|a| a.name == attr)

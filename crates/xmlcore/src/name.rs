@@ -36,14 +36,6 @@ pub fn is_ncname(s: &str) -> bool {
     chars.all(is_name_char)
 }
 
-/// Check that `s` is a valid QName: `NCName` or `NCName:NCName`.
-pub fn is_qname(s: &str) -> bool {
-    match s.split_once(':') {
-        None => is_ncname(s),
-        Some((p, l)) => is_ncname(p) && is_ncname(l),
-    }
-}
-
 /// A (possibly prefixed) XML qualified name.
 ///
 /// The prefix is used throughout the framework as a *hierarchy qualifier*:

@@ -98,9 +98,15 @@ fn check(words: usize, pins: [usize; 4]) {
     assert_pinned("clone allocations", copy_allocs, pins[3]);
 
     for (what, doc, counted) in [("built", &g, bytes), ("clone", &copy, copy_bytes)] {
-        let estimated = doc.stats().estimated_bytes;
+        let stats = doc.stats();
+        let estimated = stats.estimated_bytes;
         let off = (estimated as f64 - counted as f64).abs() / counted as f64;
-        eprintln!("{words} words, {what}: estimated_bytes {estimated} against {counted} counted");
+        eprintln!(
+            "{words} words, {what}: estimated_bytes {estimated} against {counted} counted; \
+             leaves {:.1} B/word, elements {:.1} B/word",
+            stats.leaf_bytes as f64 / words as f64,
+            stats.element_bytes as f64 / words as f64,
+        );
         assert!(
             off <= 0.05,
             "{what}: estimated_bytes {estimated} is {:.1} % off the counted {counted}",
@@ -111,19 +117,19 @@ fn check(words: usize, pins: [usize; 4]) {
 
 #[test]
 fn footprint_at_300_words() {
-    check(300, [99_294, 466, 97_110, 466]);
+    check(300, [72_938, 469, 70_754, 469]);
 }
 
 #[test]
 fn footprint_at_2000_words() {
-    check(2000, [618_703, 2_560, 616_519, 2_560]);
+    check(2000, [443_643, 2_563, 441_459, 2_563]);
 }
 
 #[test]
 fn footprint_at_2000_words_meets_the_layout_budget() {
     let words = 2000;
     let (g, bytes, allocs) = held(|| manuscript(words));
-    assert!(bytes <= 350 * words, "{bytes} B is over 350 B/word");
+    assert!(bytes <= 230 * words, "{bytes} B is over 230 B/word");
     assert!(allocs <= 2 * words, "{allocs} allocations is over 2/word");
     drop(g);
 }

@@ -144,14 +144,25 @@ fn overlap_index_agrees_with_scan() {
     });
 }
 
+/// The text of `n` rebuilt from `children` and `leaf_text` alone (the
+/// root's from one hierarchy's top-level list).
+fn text_from_children(g: &Goddag, n: goddag::NodeId, h: goddag::HierarchyId) -> String {
+    if let Some(text) = g.leaf_text(n) {
+        return text.to_string();
+    }
+    let children = if g.is_root(n) { g.children_in(n, h).to_vec() } else { g.children(n) };
+    children.iter().map(|&c| text_from_children(g, c, h)).collect()
+}
+
 #[test]
 fn random_edits_preserve_invariants() {
     check("random_edits_preserve_invariants", 64, |src| {
         let mut g = build(30, &[vec![(0, 30)], vec![(5, 25)]]);
         let h0 = goddag::HierarchyId(0);
+        let mut len = 30;
         for _ in 0..1 + src.index(14) {
-            let (kind, a, b) = (src.below(3), src.index(30), src.index(30));
-            let (s, e) = (a.min(b), a.max(b));
+            let (kind, a, b) = (src.below(5), src.index(30), src.index(30));
+            let (s, e) = (a.min(b).min(len), a.max(b).min(len));
             match kind {
                 0 => {
                     // Insertion may fail (crossing) — that's fine; it must
@@ -164,12 +175,34 @@ fn random_edits_preserve_invariants() {
                         let _ = g.remove_element(e1);
                     }
                 }
+                2 => {
+                    let _ = g.split_leaf_at(s);
+                }
+                3 => {
+                    // Multi-byte text leaves offsets inside characters for
+                    // later draws, which must be refused, not corrupt.
+                    let text = src.pick(&["x", "yz", "þ", "ā b"]);
+                    if g.insert_text(s, text).is_ok() {
+                        len += text.len();
+                        // It lands inside one leaf: the one that held `s`.
+                        let (a, b) = g.char_range(g.leaf_at_char(s).unwrap());
+                        assert!(a <= s && s + text.len() <= b, "{a}..{b} holds {s}+{text:?}");
+                    }
+                }
                 _ => {
-                    let _ = g.split_leaf_at(s.min(g.content_len()));
+                    if g.delete_text(s, e).is_ok() {
+                        len -= e - s;
+                    }
                 }
             }
             assert!(check_invariants(&g).is_ok());
-            assert_eq!(g.content_len(), 30);
+            assert_eq!(g.content_len(), len);
+            for h in g.hierarchy_ids() {
+                assert_eq!(g.text(g.root()), text_from_children(&g, g.root(), h));
+            }
+            for n in g.elements().chain(g.leaves().iter().copied()) {
+                assert_eq!(g.text(n), text_from_children(&g, n, h0), "{n}");
+            }
         }
     });
 }
