@@ -3,7 +3,7 @@
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
 use crate::axes::axis_candidates;
 use crate::error::{Result, XPathError};
-use crate::functions::{call, EvalCtx};
+use crate::functions::{call, EvalCtx, Item};
 use crate::overlap_index::OverlapIndex;
 use crate::parser::parse;
 use crate::value::{xpath_number, AttrRef, Set, Val, Value};
@@ -38,6 +38,31 @@ use xmlcore::QName;
 /// predicates filter candidate lists in place, so a candidate a predicate
 /// such as `[@n='5']` rejects costs no allocation. Each step resolves its
 /// node test (hierarchy and name) once, not once per origin.
+///
+/// Each step also lowers its predicates once, before its first origin, so
+/// the spellings an editor asks most often read the candidate directly
+/// instead of walking the expression tree per candidate:
+///
+/// * `[k]`, `[position()=k]` and `[k=position()]` with `k` a number
+///   literal keep the k-th candidate and evaluate nothing (a `k` that is
+///   not a positive integer keeps none);
+/// * `[@a='v']`, `['v'=@a]` and their `!=`, for any attribute test, compare
+///   the candidate's attributes in place, existentially as `=` on a set
+///   does (`@n` also matches a prefixed `x:n`);
+/// * `[contains(S, 'v')]` and `[starts-with(S, 'v')]`, where `S` is `.`,
+///   `string(.)` or `string()`, test the candidate's string-value in place.
+///
+/// Every other spelling is evaluated as an expression per candidate: for
+/// example `[position()!=k]`, `[-1]`, `[@n]`, `[@n[1]='v']`, a comparison
+/// of two paths, `[contains(string(..), 'v')]` or a boolean combination of
+/// lowered forms. A lowered predicate gives the answer and the error its
+/// expression gives, and the fusion rule below is decided on the AST.
+///
+/// A predicate over an attribute set (`//w/@n[. = '7']`, `(//w/@n)[2]`)
+/// takes each attribute as its context item: `.`, `self::node()`,
+/// `string()`, `number()`, `string-length()`, `normalize-space()`, `name()`
+/// and `local-name()` read the attribute, `..` and `parent::T` reach its
+/// element, and any other axis is an error.
 ///
 /// Three step rewrites run at evaluation time; the AST keeps what was
 /// written:
@@ -176,7 +201,7 @@ impl<'g> Evaluator<'g> {
 
     /// Evaluate a parsed expression from a given context node.
     pub fn evaluate(&self, expr: &Expr, context: NodeId) -> Result<Value> {
-        let ctx = EvalCtx { node: context, position: 1, size: 1 };
+        let ctx = EvalCtx { item: Item::Node(context), position: 1, size: 1 };
         Ok(self.eval(expr, &ctx)?.into_value())
     }
 
@@ -233,26 +258,26 @@ impl<'g> Evaluator<'g> {
                 ))),
             },
             Expr::Call { name, args } => self.eval_call(name, args, ctx),
-            Expr::Path { start, steps } => {
-                let origin = match start {
-                    PathStart::Root => self.g.root(),
-                    PathStart::Context => ctx.node,
-                };
-                self.eval_steps(Set::One(origin), steps)
+            Expr::Path { start: PathStart::Root, steps } => {
+                self.eval_steps(Set::One(self.g.root()), steps)
             }
+            Expr::Path { start: PathStart::Context, steps } => match ctx.item {
+                Item::Node(n) => self.eval_steps(Set::One(n), steps),
+                Item::Attr(a) => self.steps_from_attr(a, steps),
+            },
             Expr::Filter { primary, predicates, steps } => match self.eval(primary, ctx)? {
                 Val::Nodes(nodes) if predicates.is_empty() => self.eval_steps(nodes, steps),
                 Val::Nodes(nodes) => {
                     let mut nodes = nodes.into_vec();
                     for pred in predicates {
-                        self.filter(&mut nodes, |n| n, pred)?;
+                        self.filter(&mut nodes, Item::Node, lower(pred))?;
                     }
                     self.eval_steps(Set::Many(nodes), steps)
                 }
                 Val::Attrs(attrs) if steps.is_empty() => {
                     let mut attrs = attrs.into_vec();
                     for pred in predicates {
-                        self.filter(&mut attrs, |a| a.element, pred)?;
+                        self.filter(&mut attrs, Item::Attr, lower(pred))?;
                     }
                     Ok(Val::Attrs(Set::Many(attrs)))
                 }
@@ -438,7 +463,9 @@ impl<'g> Evaluator<'g> {
 
     /// One step from every origin: each origin's candidates in axis order,
     /// kept by the test and then by each predicate with positions counted
-    /// per origin (in one reused buffer); the union in document order.
+    /// per origin (in one reused buffer); the union in document order. The
+    /// predicates are lowered once, before the first origin, and an origin
+    /// without candidates skips them.
     fn axis_step(
         &self,
         origins: impl IntoIterator<Item = NodeId>,
@@ -447,6 +474,7 @@ impl<'g> Evaluator<'g> {
         predicates: &[Expr],
     ) -> Result<Vec<NodeId>> {
         let g = self.g;
+        let preds = Preds::new(predicates);
         let mut out = Vec::new();
         let mut cands = Vec::new();
         for origin in origins {
@@ -482,8 +510,11 @@ impl<'g> Evaluator<'g> {
                     test.extend_matching(g, found.into_iter(), &mut cands);
                 }
             }
-            for pred in predicates {
-                self.filter(&mut cands, |n| n, pred)?;
+            if cands.is_empty() {
+                continue;
+            }
+            for i in 0..preds.len() {
+                self.filter(&mut cands, Item::Node, preds.get(i))?;
             }
             if out.is_empty() && !cands.is_empty() {
                 // The first origin that keeps anything hands its list over,
@@ -511,16 +542,20 @@ impl<'g> Evaluator<'g> {
             );
         }
         let mut out = Vec::new();
-        let in_order = self.root_descendants(test, |n| {
-            let ctx = EvalCtx { node: n, position: 1, size: 1 };
-            for pred in &step.predicates {
-                if !self.holds(pred, &ctx)? {
-                    return Ok(());
+        let in_order = if step.predicates.is_empty() {
+            self.root_descendants(test, |n| {
+                out.push(n);
+                Ok(())
+            })?
+        } else {
+            let preds = Preds::new(&step.predicates);
+            self.root_descendants(test, |n| {
+                if self.accepts_all(&preds, Item::Node(n))? {
+                    out.push(n);
                 }
-            }
-            out.push(n);
-            Ok(())
-        })?;
+                Ok(())
+            })?
+        };
         if !in_order {
             self.g.sort_doc_order(&mut out);
         }
@@ -534,10 +569,13 @@ impl<'g> Evaluator<'g> {
     fn child_step_of_every_parent(&self, step: &Step) -> Result<Vec<NodeId>> {
         let g = self.g;
         let test = self.resolve(&step.test)?;
-        let h = test.hierarchy();
-        let parents = std::iter::once(g.root())
-            .chain(g.elements().filter(|&e| h.is_none_or(|h| g.hierarchy_of(e) == Some(h))));
-        self.axis_step(parents, Axis::Child, test, &step.predicates)
+        let root = std::iter::once(g.root());
+        match test.hierarchy() {
+            Some(h) => {
+                self.axis_step(root.chain(g.elements_in(h)), Axis::Child, test, &step.predicates)
+            }
+            None => self.axis_step(root.chain(g.elements()), Axis::Child, test, &step.predicates),
+        }
     }
 
     /// Feeds `descendant::T` from the root to `f` and says whether it came
@@ -565,11 +603,13 @@ impl<'g> Evaluator<'g> {
     }
 
     /// The attribute axis: each origin's attributes read from its view in
-    /// place; a single match is held inline.
+    /// place; a single match is held inline. Predicates take each attribute
+    /// as their context item.
     fn attribute_step<'a>(&self, origins: &[NodeId], step: &'a Step) -> Result<Val<'a>>
     where
         'g: 'a,
     {
+        let preds = Preds::new(&step.predicates);
         let mut out = Set::empty();
         let mut group = Vec::new();
         for &element in origins {
@@ -585,8 +625,8 @@ impl<'g> Evaluator<'g> {
             } else {
                 group.clear();
                 group.extend(matching);
-                for pred in &step.predicates {
-                    self.filter(&mut group, |a| a.element, pred)?;
+                for i in 0..preds.len() {
+                    self.filter(&mut group, Item::Attr, preds.get(i))?;
                 }
                 group.iter().for_each(|&a| out.push(a));
             }
@@ -611,20 +651,63 @@ impl<'g> Evaluator<'g> {
         self.g.hierarchy_by_name(name).ok_or_else(|| XPathError::UnknownHierarchy(name.to_string()))
     }
 
-    /// Keep the items that satisfy `pred`, positions counted in list
-    /// order, in place.
+    /// A relative path from an attribute context item: `.` and
+    /// `self::node()` keep the attribute, `..` and `parent::T` reach its
+    /// element, and the rest of the path goes on from there. `self::T`
+    /// selects nothing (an attribute is not an element); any other axis is
+    /// an error rather than an answer about the element.
+    fn steps_from_attr<'a>(&self, a: AttrRef, steps: &'a [Step]) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        for (i, step) in steps.iter().enumerate() {
+            match step.axis {
+                Axis::SelfAxis if step.test == NodeTest::Node => {
+                    let ctx = EvalCtx { item: Item::Attr(a), position: 1, size: 1 };
+                    for pred in &step.predicates {
+                        if !self.holds(pred, &ctx)? {
+                            return Ok(Val::Attrs(Set::empty()));
+                        }
+                    }
+                }
+                Axis::SelfAxis => return Ok(Val::Nodes(Set::empty())),
+                Axis::Parent => {
+                    // The element is the one candidate, as it is its own
+                    // `self`.
+                    let test = self.resolve(&step.test)?;
+                    let parent =
+                        self.axis_step([a.element], Axis::SelfAxis, test, &step.predicates)?;
+                    return self.eval_steps(Set::Many(parent), &steps[i + 1..]);
+                }
+                axis => return Err(not_from_an_attribute(axis)),
+            }
+        }
+        Ok(Val::Attrs(Set::One(a)))
+    }
+
+    /// Keep the items `pred` accepts, positions counted in list order, in
+    /// place. `[k]` keeps the k-th item and evaluates nothing.
     fn filter<T: Copy>(
         &self,
         items: &mut Vec<T>,
-        node: impl Fn(T) -> NodeId,
-        pred: &Expr,
+        item: impl Fn(T) -> Item,
+        pred: Pred<'_>,
     ) -> Result<()> {
+        if let Pred::Nth(k) = pred {
+            if (1..=items.len()).contains(&k) {
+                items.swap(0, k - 1);
+                items.truncate(1);
+            } else {
+                items.clear();
+            }
+            return Ok(());
+        }
         let size = items.len();
         let mut kept = 0;
         for position in 1..=size {
-            let item = items[position - 1];
-            if self.holds(pred, &EvalCtx { node: node(item), position, size })? {
-                items[kept] = item;
+            let x = items[position - 1];
+            if self.accepts(pred, item(x), position, size)? {
+                items[kept] = x;
                 kept += 1;
             }
         }
@@ -632,14 +715,193 @@ impl<'g> Evaluator<'g> {
         Ok(())
     }
 
+    /// Whether a lowered predicate holds for `item` at `position` of
+    /// `size`: what [`Evaluator::holds`] answers for the predicate it was
+    /// lowered from, errors included.
+    fn accepts(&self, pred: Pred<'_>, item: Item, position: usize, size: usize) -> Result<bool> {
+        let g = self.g;
+        match pred {
+            Pred::Nth(k) => Ok(position == k),
+            Pred::AttrCmp { test, literal, negate } => match item {
+                Item::Node(n) => {
+                    // Value first, by index: most values differ from the
+                    // literal in length, so most names are never read.
+                    let attrs = g.attrs(n);
+                    Ok((0..attrs.len()).any(|i| {
+                        (attrs.value(i) == Some(literal)) != negate
+                            && attrs.name(i).is_some_and(|q| attr_test(test, q))
+                    }))
+                }
+                Item::Attr(_) => Err(not_from_an_attribute(Axis::Attribute)),
+            },
+            Pred::Text { starts_with, needle } => {
+                let s = item.string(g);
+                Ok(if starts_with { s.starts_with(needle) } else { contains(s, needle) })
+            }
+            Pred::Expr(e) => self.holds(e, &EvalCtx { item, position, size }),
+        }
+    }
+
+    /// Whether every predicate of a position-free step accepts `item`.
+    fn accepts_all(&self, preds: &Preds<'_>, item: Item) -> Result<bool> {
+        for i in 0..preds.len() {
+            if !self.accepts(preds.get(i), item, 1, 1)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Whether a predicate holds in `ctx`: a number is compared with the
-    /// position, anything else converted to a boolean.
+    /// position, anything else converted to a boolean. The reference for
+    /// every lowered [`Pred`].
     fn holds(&self, pred: &Expr, ctx: &EvalCtx) -> Result<bool> {
         Ok(match self.eval(pred, ctx)? {
             Val::Number(n) => ctx.position as f64 == n,
             other => other.boolean(),
         })
     }
+}
+
+/// A predicate lowered for evaluation: the spellings the editor asks most
+/// often read the context item directly instead of walking the expression
+/// tree per candidate. Only spellings whose general evaluation cannot fail
+/// on a node are lowered, and each answers exactly what
+/// [`Evaluator::holds`] answers, errors included.
+#[derive(Clone, Copy)]
+enum Pred<'a> {
+    /// `[k]`, `[position()=k]` or `[k=position()]` with `k` a number
+    /// literal: the k-th item. A `k` that is not a positive integer is held
+    /// as 0 and keeps nothing.
+    Nth(usize),
+    /// `[@a='v']`, `['v'=@a]` or their `!=`, for any attribute node test:
+    /// existential over the context item's attributes. From an attribute
+    /// it raises the error `@a` raises there.
+    AttrCmp { test: &'a NodeTest, literal: &'a str, negate: bool },
+    /// `contains(S, 'v')` or `starts-with(S, 'v')` where `S` is `.`,
+    /// `string(.)` or `string()`: a test on the context item's
+    /// string-value, read in place.
+    Text { starts_with: bool, needle: &'a str },
+    /// Anything else, through [`Evaluator::holds`].
+    Expr(&'a Expr),
+}
+
+/// Lowers one predicate (see [`Pred`]).
+fn lower(pred: &Expr) -> Pred<'_> {
+    match pred {
+        Expr::Number(k) => Pred::Nth(nth(*k)),
+        Expr::Bin(op @ (BinOp::Eq | BinOp::Neq), lhs, rhs) => match (&**lhs, &**rhs) {
+            (Expr::Call { name, args }, Expr::Number(k))
+            | (Expr::Number(k), Expr::Call { name, args })
+                if *op == BinOp::Eq && name == "position" && args.is_empty() =>
+            {
+                Pred::Nth(nth(*k))
+            }
+            (Expr::Path { start: PathStart::Context, steps }, Expr::Literal(literal))
+            | (Expr::Literal(literal), Expr::Path { start: PathStart::Context, steps }) => {
+                match steps.as_slice() {
+                    [Step { axis: Axis::Attribute, test, predicates }] if predicates.is_empty() => {
+                        Pred::AttrCmp { test, literal, negate: *op == BinOp::Neq }
+                    }
+                    _ => Pred::Expr(pred),
+                }
+            }
+            _ => Pred::Expr(pred),
+        },
+        Expr::Call { name, args } => match (name.as_str(), args.as_slice()) {
+            ("contains" | "starts-with", [s, Expr::Literal(needle)]) if is_context_string(s) => {
+                Pred::Text { starts_with: name == "starts-with", needle }
+            }
+            _ => Pred::Expr(pred),
+        },
+        _ => Pred::Expr(pred),
+    }
+}
+
+/// `haystack.contains(needle)` for the short strings a predicate tests: a
+/// scan for the needle's first byte, where `str::contains` builds a
+/// searcher per call. Bytes match where characters do, since UTF-8 is
+/// self-synchronising.
+fn contains(haystack: &str, needle: &str) -> bool {
+    let h = haystack.as_bytes();
+    match needle.as_bytes() {
+        [] => true,
+        [first, rest @ ..] => {
+            h.iter().enumerate().any(|(i, b)| b == first && h[i + 1..].starts_with(rest))
+        }
+    }
+}
+
+/// The item `[k]` keeps: `k` itself when it is a positive integer, else 0,
+/// which no position equals.
+fn nth(k: f64) -> usize {
+    if k >= 1.0 && k.fract() == 0.0 {
+        k as usize
+    } else {
+        0
+    }
+}
+
+/// `.`, `string(.)` or `string()`: the context item's string-value.
+fn is_context_string(e: &Expr) -> bool {
+    match e {
+        Expr::Call { name, args } if name == "string" => match args.as_slice() {
+            [] => true,
+            [arg] => is_dot(arg),
+            _ => false,
+        },
+        _ => is_dot(e),
+    }
+}
+
+/// `.` (or `self::node()`) as an expression.
+fn is_dot(e: &Expr) -> bool {
+    match e {
+        Expr::Path { start: PathStart::Context, steps } => {
+            matches!(steps.as_slice(), [step] if is_self_node(step))
+        }
+        _ => false,
+    }
+}
+
+/// How many of a step's predicates are lowered in place.
+const LOWERED: usize = 4;
+
+/// A step's predicates, lowered once per step without allocating: the
+/// first [`LOWERED`] are held in place, any further ones run through
+/// [`Evaluator::holds`].
+struct Preds<'a> {
+    all: &'a [Expr],
+    lowered: [Pred<'a>; LOWERED],
+}
+
+impl<'a> Preds<'a> {
+    fn new(all: &'a [Expr]) -> Preds<'a> {
+        // Slots past `all.len()` are never read.
+        let mut lowered = [Pred::Nth(0); LOWERED];
+        for (slot, pred) in lowered.iter_mut().zip(all) {
+            *slot = lower(pred);
+        }
+        Preds { all, lowered }
+    }
+
+    fn len(&self) -> usize {
+        self.all.len()
+    }
+
+    /// The `i`-th predicate, lowered.
+    fn get(&self, i: usize) -> Pred<'a> {
+        match self.lowered.get(i) {
+            Some(&pred) => pred,
+            None => Pred::Expr(&self.all[i]),
+        }
+    }
+}
+
+/// The error an axis other than `self` and `parent` raises from an
+/// attribute context item.
+fn not_from_an_attribute(axis: Axis) -> XPathError {
+    XPathError::Eval(format!("the {axis} axis does not apply to an attribute"))
 }
 
 /// Whether an attribute named `q` passes an attribute step's node test. A
@@ -1048,6 +1310,139 @@ mod tests {
         }
         assert!(is_self_node(&p(".")[0]));
         assert!(!is_self_node(&p(".[1]")[0]));
+    }
+
+    /// Every spelling [`lower`] turns into an operator, and a few it
+    /// leaves to [`Evaluator::holds`].
+    const LOWERED_SPELLINGS: [&str; 22] = [
+        "1",
+        "3",
+        "0",
+        "2.5",
+        "position()=2",
+        "2=position()",
+        "position()=2.5",
+        "@n='3'",
+        "'3'=@n",
+        "@n!='3'",
+        "@*='3'",
+        "@x:n='1'",
+        "@x:*!='1'",
+        "@node()='2'",
+        "@text()='2'",
+        "contains(string(.), 'th')",
+        "contains(., 'e')",
+        "contains(string(), '')",
+        "starts-with(string(), 't')",
+        "starts-with(., '')",
+        "starts-with(string(.), 'th')",
+        "starts-with(self::node(), 'o')",
+    ];
+    const HELD_SPELLINGS: [&str; 8] = [
+        "-1",
+        "position()!=2",
+        "@n",
+        "@n[1]='3'",
+        "@n='3' and @n",
+        "contains(string(..), 'a')",
+        "contains(string(., .), 'a')",
+        "starts-with(name(), 'w')",
+    ];
+
+    /// A generated manuscript, then edited: prefixed attributes, a wrapper
+    /// over words, a removed element, a milestone and a word's text deleted.
+    fn edited(src: &mut corpus::gen::Source) -> Vec<Goddag> {
+        let params = corpus::Params {
+            seed: src.below(1 << 32),
+            words_per_sentence: 3 + src.index(5),
+            words_per_line: 2 + src.index(5),
+            ..corpus::Params::sized(8 + src.index(24))
+        };
+        let mut g = corpus::generate(&params).goddag;
+        let mut out = vec![g.clone()];
+        let ws = g.find_elements("w");
+        for &w in ws.iter().step_by(1 + src.index(3)) {
+            g.set_attr(w, "x:n", &(1 + src.index(3)).to_string()).unwrap();
+        }
+        let ling = g.hierarchy_by_name("ling").unwrap();
+        let words_of = |s: NodeId| -> Vec<NodeId> {
+            g.element_children(s).iter().copied().filter(|&c| g.is_element(c)).collect()
+        };
+        if let Some(pair) = g.find_elements("s").into_iter().map(words_of).find(|w| w.len() >= 2) {
+            let (from, to) = (g.char_range(pair[0]).0, g.char_range(pair[1]).1);
+            g.insert_element(ling, QName::parse("phrase").unwrap(), vec![], from, to).unwrap();
+        }
+        g.remove_element(ws[src.index(ws.len())]).unwrap();
+        let ws = g.find_elements("w");
+        let at = g.char_range(ws[src.index(ws.len())]).0;
+        g.insert_element(ling, QName::parse("pb").unwrap(), vec![], at, at).unwrap();
+        out.push(g.clone());
+        let (start, end) = g.char_range(ws[src.index(ws.len())]);
+        g.delete_text(start, end).unwrap();
+        out.push(g);
+        out
+    }
+
+    #[test]
+    fn lowered_predicates_agree_with_holds() {
+        let lowered: Vec<Expr> = LOWERED_SPELLINGS.iter().map(|p| parse(p).unwrap()).collect();
+        let held: Vec<Expr> = HELD_SPELLINGS.iter().map(|p| parse(p).unwrap()).collect();
+        for (spelling, pred) in LOWERED_SPELLINGS.iter().zip(&lowered) {
+            assert!(!matches!(lower(pred), Pred::Expr(_)), "{spelling} is not lowered");
+        }
+        for (spelling, pred) in HELD_SPELLINGS.iter().zip(&held) {
+            assert!(matches!(lower(pred), Pred::Expr(_)), "{spelling} is lowered");
+        }
+        corpus::gen::check("lowered_predicates_agree_with_holds", 12, |src| {
+            for g in edited(src) {
+                let ev = Evaluator::new(&g);
+                let nodes: Vec<NodeId> = std::iter::once(g.root())
+                    .chain(g.elements())
+                    .chain(g.leaves().iter().copied())
+                    .collect();
+                let attrs: Vec<AttrRef> = g
+                    .elements()
+                    .flat_map(|element| {
+                        (0..g.attrs(element).len()).map(move |index| AttrRef { element, index })
+                    })
+                    .collect();
+                let items = nodes
+                    .iter()
+                    .map(|&n| Item::Node(n))
+                    .chain(attrs.iter().map(|&a| Item::Attr(a)));
+                for pred in lowered.iter().chain(&held) {
+                    let op = lower(pred);
+                    for item in items.clone() {
+                        for (position, size) in [(1, 1), (1, 3), (2, 3), (3, 3)] {
+                            let ctx = EvalCtx { item, position, size };
+                            assert_eq!(
+                                ev.accepts(op, item, position, size),
+                                ev.holds(pred, &ctx),
+                                "[{pred}] on {item:?} at {position} of {size}"
+                            );
+                        }
+                    }
+                    // Whole lists, as steps filter them: `[k]` picks without
+                    // evaluating.
+                    for &n in &nodes {
+                        let mut fast = g.children(n);
+                        let mut slow = fast.clone();
+                        assert_eq!(
+                            ev.filter(&mut fast, Item::Node, op).map(|()| fast),
+                            ev.filter(&mut slow, Item::Node, Pred::Expr(pred)).map(|()| slow),
+                            "[{pred}] over the children of {n:?}"
+                        );
+                    }
+                    let mut fast = attrs.clone();
+                    let mut slow = attrs.clone();
+                    assert_eq!(
+                        ev.filter(&mut fast, Item::Attr, op).map(|()| fast),
+                        ev.filter(&mut slow, Item::Attr, Pred::Expr(pred)).map(|()| slow),
+                        "[{pred}] over every attribute"
+                    );
+                }
+            }
+        });
     }
 
     #[test]

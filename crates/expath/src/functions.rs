@@ -6,15 +6,42 @@
 //! arguments where they can, so a string test allocates nothing.
 
 use crate::error::{Result, XPathError};
-use crate::value::{xpath_number, Set, Val};
+use crate::value::{xpath_number, AttrRef, Set, Val};
 use goddag::{Goddag, NodeId};
 use std::borrow::Cow;
+use xmlcore::QName;
+
+/// The context item: a node, or an attribute while a predicate filters an
+/// attribute set (`@n[. = '7']`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Item {
+    Node(NodeId),
+    Attr(AttrRef),
+}
+
+impl Item {
+    /// The item's string-value: a node's text or an attribute's value.
+    pub(crate) fn string(self, g: &Goddag) -> &str {
+        match self {
+            Item::Node(n) => g.text(n),
+            Item::Attr(a) => a.value(g),
+        }
+    }
+
+    /// An element's, the root's or an attribute's name.
+    fn name(self, g: &Goddag) -> Option<&QName> {
+        match self {
+            Item::Node(n) => g.name(n),
+            Item::Attr(a) => g.attrs(a.element).name(a.index),
+        }
+    }
+}
 
 /// Static context passed to functions needing `position()`/`last()`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvalCtx {
-    /// The context node.
-    pub node: NodeId,
+    /// The context item.
+    pub item: Item,
     /// 1-based context position.
     pub position: usize,
     /// Context size.
@@ -33,11 +60,13 @@ fn arity(function: &str, args: &[Val<'_>], min: usize, max: usize) -> Result<()>
     }
 }
 
-/// First node of a node-set argument, or the context node when absent.
-fn node_arg(function: &str, args: &[Val<'_>], ctx: &EvalCtx) -> Result<Option<NodeId>> {
+/// First member of a node-set or attribute-set argument, or the context
+/// item when absent.
+fn item_arg(function: &str, args: &[Val<'_>], ctx: &EvalCtx) -> Result<Option<Item>> {
     match args.first() {
-        None => Ok(Some(ctx.node)),
-        Some(Val::Nodes(ns)) => Ok(ns.first()),
+        None => Ok(Some(ctx.item)),
+        Some(Val::Nodes(ns)) => Ok(ns.first().map(Item::Node)),
+        Some(Val::Attrs(a)) => Ok(a.first().map(Item::Attr)),
         Some(other) => {
             Err(bad(function, format!("expected a node-set, got {:?}", other.clone().into_value())))
         }
@@ -49,11 +78,11 @@ fn take<'a>(args: &mut [Val<'a>], i: usize) -> Val<'a> {
     std::mem::replace(&mut args[i], Val::Bool(false))
 }
 
-/// The first argument as a string, or the context node's text when there
-/// is none.
+/// The first argument as a string, or the context item's string-value
+/// when there is none.
 fn string_arg<'a>(g: &'a Goddag, args: &mut [Val<'a>], ctx: &EvalCtx) -> Cow<'a, str> {
     if args.is_empty() {
-        Cow::Borrowed(g.text(ctx.node))
+        Cow::Borrowed(ctx.item.string(g))
     } else {
         take(args, 0).into_string(g)
     }
@@ -123,7 +152,7 @@ pub(crate) fn call<'a>(
             arity(name, args, 0, 1)?;
             Ok(Val::Number(match args.first() {
                 Some(v) => v.number(g),
-                None => xpath_number(g.text(ctx.node)),
+                None => xpath_number(ctx.item.string(g)),
             }))
         }
         "boolean" => {
@@ -145,7 +174,7 @@ pub(crate) fn call<'a>(
         // Names & hierarchy -------------------------------------------------
         "name" => {
             arity(name, args, 0, 1)?;
-            let q = node_arg(name, args, ctx)?.and_then(|n| g.name(n));
+            let q = item_arg(name, args, ctx)?.and_then(|i| i.name(g));
             Ok(Val::Str(match q {
                 Some(q) if q.prefix.is_none() => Cow::Borrowed(&q.local),
                 Some(q) => Cow::Owned(q.to_string()),
@@ -154,13 +183,17 @@ pub(crate) fn call<'a>(
         }
         "local-name" => {
             arity(name, args, 0, 1)?;
-            let q = node_arg(name, args, ctx)?.and_then(|n| g.name(n));
+            let q = item_arg(name, args, ctx)?.and_then(|i| i.name(g));
             Ok(Val::Str(Cow::Borrowed(q.map_or("", |q| &q.local))))
         }
         "hierarchy" => {
             arity(name, args, 0, 1)?;
-            let h = node_arg(name, args, ctx)?
-                .and_then(|n| g.hierarchy_of(n))
+            // An attribute belongs to no hierarchy.
+            let h = item_arg(name, args, ctx)?
+                .and_then(|i| match i {
+                    Item::Node(n) => g.hierarchy_of(n),
+                    Item::Attr(_) => None,
+                })
                 .and_then(|h| g.hierarchy(h).ok());
             Ok(Val::Str(Cow::Borrowed(h.map_or("", |h| &h.name))))
         }
@@ -260,10 +293,11 @@ pub(crate) fn call<'a>(
         }
         "leaves" => {
             arity(name, args, 0, 1)?;
-            let nodes = match args.first() {
-                None => std::slice::from_ref(&ctx.node),
-                Some(Val::Nodes(ns)) => ns.as_slice(),
-                Some(other) => {
+            let nodes = match (args.first(), &ctx.item) {
+                (None, Item::Node(n)) => std::slice::from_ref(n),
+                (Some(Val::Nodes(ns)), _) => ns.as_slice(),
+                (None, Item::Attr(_)) => return Err(bad(name, "the context item is an attribute")),
+                (Some(other), _) => {
                     return Err(bad(
                         name,
                         format!("expected a node-set, got {:?}", other.clone().into_value()),

@@ -480,10 +480,14 @@ impl Goddag {
         self.leaves.len()
     }
 
-    /// The leaves a node dominates, in order.
+    /// The leaves a live node dominates, in order (empty for dead and
+    /// unknown ids: a removed element keeps a span later edits never
+    /// revisit).
     pub fn leaves_of(&self, n: NodeId) -> &[NodeId] {
-        let span = self.span(n);
-        &self.leaves[span.start as usize..span.end as usize]
+        match self.slot(n) {
+            Some(d) if d.alive => &self.leaves[d.span.start as usize..d.span.end as usize],
+            _ => &[],
+        }
     }
 
     /// The text a live node covers, borrowed from the content (empty for
@@ -653,6 +657,23 @@ mod tests {
         // Removing an absent attribute is a no-op, not an edit.
         assert!(!g.remove_attr(g.root(), "nope").unwrap());
         assert_eq!(g.edit_epoch(), last);
+    }
+
+    #[test]
+    fn a_removed_element_has_no_leaves() {
+        let mut b = crate::builder::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("one two three four");
+        let h = b.hierarchy("ling");
+        b.range(h, "w", vec![], 14, 18).unwrap();
+        let mut g = b.finish().unwrap();
+        let w = g.find_elements("w")[0];
+        assert_eq!(g.leaves_of(w).len(), 1);
+        g.remove_element(w).unwrap();
+        g.delete_text(4, 18).unwrap();
+        assert!(g.leaves_of(w).is_empty());
+        assert_eq!(g.text(w), "");
+        assert!(g.leaves_of(NodeId(u32::MAX - 1)).is_empty());
+        assert_eq!(g.leaves_of(g.root()), g.leaves());
     }
 
     #[test]

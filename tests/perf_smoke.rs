@@ -35,11 +35,12 @@ fn two_words(
     (g, h, s, e)
 }
 
-/// The fastest of five runs of `f` (after one warm-up run), and its result.
-fn best_of_5<T>(mut f: impl FnMut() -> T) -> (Duration, T) {
+/// The fastest of `runs` runs of `f` (after one warm-up run), and its
+/// result.
+fn best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     let mut out = f();
     let mut best = Duration::MAX;
-    for _ in 0..5 {
+    for _ in 0..runs {
         let t = Instant::now();
         out = f();
         best = best.min(t.elapsed());
@@ -258,14 +259,14 @@ fn decided_checks_400_words_stay_under_10ms() {
     let (g, h, s, e) = two_words(400, corpus::mixed_host);
     let budget = Duration::from_millis(10);
 
-    let (elapsed, verdict) = best_of_5(|| check_insertion(&engine, &g, h, "phrase", s, e));
+    let (elapsed, verdict) = best_of(5, || check_insertion(&engine, &g, h, "phrase", s, e));
     assert!(verdict.ok, "{:?}", verdict.reason);
     assert!(
         elapsed < budget,
         "check_insertion on a 400-word host took {elapsed:?} (budget {budget:?})"
     );
 
-    let (elapsed, tags) = best_of_5(|| suggest_tags(&engine, &g, h, s, e));
+    let (elapsed, tags) = best_of(5, || suggest_tags(&engine, &g, h, s, e));
     assert_eq!(tags, ["phrase"]);
     assert!(
         elapsed < budget,
@@ -311,8 +312,55 @@ fn descendant_and_contained_queries_cost_their_hits() {
         ("//line/contained::ling:w", Duration::from_millis(1)),
     ] {
         let ev = expath::Evaluator::with_shared_index(&g, Arc::clone(&index));
-        let (elapsed, hits) = best_of_5(|| ev.select(query).unwrap().len());
+        let (elapsed, hits) = best_of(5, || ev.select(query).unwrap().len());
         assert_eq!(hits, 2000, "{query}");
         assert!(elapsed < budget, "{query} took {elapsed:?} (budget {budget:?})");
+    }
+}
+
+/// The served 16-expression palette.
+const PALETTE: [&str; 16] = [
+    "//ling:w",
+    "//line[@n='5']",
+    "//s/overlapping::phys:line",
+    "//dmg/overlapping::ling:w",
+    "//dmg/contained::ling:w",
+    "//dmg/containing::*",
+    "//s[overlapping::phys:line]",
+    "//ling:w[contains(string(.), 'th')]",
+    "//res/overlapping::ling:w",
+    "//res/containing::*",
+    "//line/contained::ling:w",
+    "//page/contained::ling:s",
+    "//s/containing::phys:page",
+    "//line/co-extensive::*",
+    "//dmg/co-extensive::*",
+    "//line[@n='17']/overlapping::ling:s",
+];
+
+/// A step lowers its predicates once, so `[contains(string(.), 's')]` and
+/// `[@n='v']` read each candidate in place instead of evaluating an
+/// expression tree per candidate. Before, on a 2 000-word manuscript,
+/// `//ling:w[contains(string(.), 'th')]` took 3.3–3.8× the palette mean
+/// and `//ling:w[@n='7']` ≈ 6× `//ling:w`; after, ≈ 1.7× each. The bounds
+/// are ratios of best-of-21 times taken in one process, which a slow or
+/// loaded runner moves on both sides.
+#[test]
+#[ignore = "release-mode perf budget; run with: cargo test --release --test perf_smoke -- --ignored"]
+fn lowered_predicates_cost_about_what_their_step_costs() {
+    let g = corpus::generate(&corpus::Params::sized(2000)).goddag;
+    let ev = expath::Evaluator::with_shared_index(&g, Arc::new(expath::OverlapIndex::build(&g)));
+    let time = |query: &str| {
+        let ast = expath::parse(query).unwrap();
+        best_of(21, || ev.evaluate(&ast, g.root()).unwrap()).0.as_secs_f64()
+    };
+    let mean = PALETTE.iter().map(|q| time(q)).sum::<f64>() / PALETTE.len() as f64;
+    for (query, base, what) in [
+        ("//ling:w[contains(string(.), 'th')]", mean, "the palette mean"),
+        ("//ling:w[@n='7']", time("//ling:w"), "//ling:w"),
+    ] {
+        let ratio = time(query) / base;
+        eprintln!("{query}: {ratio:.2}× {what}");
+        assert!(ratio <= 2.0, "{query} took {ratio:.2}× {what} (budget 2×)");
     }
 }

@@ -116,6 +116,45 @@ fn attribute_axis_and_predicates() {
     check_value(&g, "count(//line/@n)", Value::Number(2.0));
 }
 
+/// A predicate over an attribute set takes each attribute as its context
+/// item (XPath 1.0 §2.4), not the attribute's element.
+#[test]
+fn attribute_predicates_read_the_attribute() {
+    let g = sacx::parse_distributed(&[("ling", "<r><w n=\"7\">one</w> <w n=\"8\">two</w></r>")])
+        .unwrap();
+    let number = |q: &str| {
+        let v = Evaluator::new(&g).eval_str(q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        (q.to_string(), v)
+    };
+    for (q, want) in [
+        ("count(//w/@n[. = '7'])", 1.0),
+        ("count(//w/@n[. = 'one'])", 0.0),
+        ("count(//w/@n[name() = 'n'])", 2.0),
+        ("count(//w/@n[contains(., '8')])", 1.0),
+        ("count(//w/@n[string() = '8'])", 1.0),
+        ("count(//w/@n[number() > 7])", 1.0),
+        ("count(//w/@n[string-length() = 1])", 2.0),
+        ("count(//w/@n[local-name() = 'n'])", 2.0),
+        ("count(//w/@n[self::node() = '7'])", 1.0),
+        ("count(//w/@n[../@n = '8'])", 1.0),
+        ("count(//w/@n[parent::w])", 2.0),
+        ("count(//w/@n[parent::s])", 0.0),
+        ("count(//w/@n[self::w])", 0.0),
+        ("count((//w/@n)[. = '8'])", 1.0),
+        ("count(//w/@*[1])", 2.0),
+    ] {
+        assert_eq!(number(q), (q.to_string(), Value::Number(want)));
+    }
+    check_value(&g, "string((//w/@n)[2])", Value::Str("8".into()));
+    check_value(&g, "name(//w/@n)", Value::Str("n".into()));
+    // No other axis answers for the element behind an attribute.
+    let ev = Evaluator::new(&g);
+    for q in ["//w/@n[@n]", "//w/@n[child::node()]", "//w/@n[ancestor::r]", "//w/@n[@n = '7']"] {
+        let err = ev.eval_str(q).expect_err(q).to_string();
+        assert!(err.contains("does not apply to an attribute"), "{q}: {err}");
+    }
+}
+
 #[test]
 fn positional_predicates() {
     let g = doc();

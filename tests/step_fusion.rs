@@ -10,13 +10,15 @@
 //!
 //! The reference spellings run through the evaluator too, so the shapes
 //! the evaluator rewrites from the root — `//T[k]`, `//T[last()]`,
-//! `/child::T[k]`, `//T[@n='v']` and its existential `!=` — are also
-//! checked against a brute-force reference that uses only
-//! `Goddag::children` and `Goddag::attr`, on `corpus::gen` documents.
+//! `/child::T[k]`, `//T[@n='v']` and its existential `!=` — and every
+//! predicate spelling it lowers (`[position()=k]`, `['v'=@n]`, `[@*='v']`,
+//! `[contains(string(.), 's')]`, …) are also checked against a brute-force
+//! reference that uses only `Goddag::children`, `Goddag::parents`,
+//! `Goddag::attrs` and `Goddag::text`, on `corpus::gen` documents.
 
 use corpus::gen::Source;
 use corpus::{generate, Params};
-use expath::{Evaluator, OverlapIndex};
+use expath::{AttrRef, Evaluator, OverlapIndex, Value};
 use goddag::{check_invariants, Goddag, NodeId};
 use std::sync::Arc;
 use xmlcore::QName;
@@ -254,6 +256,11 @@ fn drawn(src: &mut Source) -> Goddag {
         ..Params::sized(12 + src.index(40))
     };
     let mut g = generate(&params).goddag;
+    // A prefixed attribute on every third word, beside its `n`.
+    for w in g.find_elements("w").into_iter().step_by(3) {
+        let n = g.attr(w, "n").unwrap().to_string();
+        g.set_attr(w, "x:n", &n).unwrap();
+    }
     let ling = g.hierarchy_by_name("ling").unwrap();
     let phys = g.hierarchy_by_name("phys").unwrap();
     let name = |s: &str| QName::parse(s).unwrap();
@@ -320,9 +327,16 @@ impl Test {
 
 /// `//T[k]` (`k == 0`: `//T[last()]`) without the evaluator: every parent,
 /// the root and each live element, lists its children with
-/// `Goddag::children`; the `k`-th (or last) that passes the test is kept.
-/// With `root_only`, `/child::T[k]`.
-fn per_parent(g: &Goddag, test: Test, k: usize, root_only: bool) -> Vec<NodeId> {
+/// `Goddag::children`; the `k`-th (or last) that passes the test and `keep`
+/// is kept, so `keep` is a first predicate before `[k]`. With `root_only`,
+/// `/child::T[k]`.
+fn per_parent(
+    g: &Goddag,
+    test: Test,
+    keep: impl Fn(NodeId) -> bool,
+    k: usize,
+    root_only: bool,
+) -> Vec<NodeId> {
     let parents: Vec<NodeId> = if root_only {
         vec![g.root()]
     } else {
@@ -330,20 +344,71 @@ fn per_parent(g: &Goddag, test: Test, k: usize, root_only: bool) -> Vec<NodeId> 
     };
     let mut out = Vec::new();
     for p in parents {
-        let kids: Vec<NodeId> = g.children(p).into_iter().filter(|&c| test.passes(g, c)).collect();
+        let kids: Vec<NodeId> =
+            g.children(p).into_iter().filter(|&c| test.passes(g, c) && keep(c)).collect();
         out.extend(if k == 0 { kids.last() } else { kids.get(k - 1) });
     }
     g.sort_doc_order(&mut out);
     out
 }
 
-/// `//T[@n='v']` (or `!=`) without the evaluator: existential, so an
-/// element without `@n` never matches either way.
-fn with_attr(g: &Goddag, test: Test, v: &str, equal: bool) -> Vec<NodeId> {
-    let mut out: Vec<NodeId> = g
-        .elements()
-        .filter(|&e| test.passes(g, e) && g.attr(e, "n").is_some_and(|n| (n == v) == equal))
-        .collect();
+/// `//T[p]` for a position-free `p` without the evaluator: the live
+/// elements (the leaves for `text()`) that pass the test and `keep`.
+fn matching(g: &Goddag, test: Test, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    let nodes: Vec<NodeId> = match test {
+        Test::Text => g.leaves().to_vec(),
+        _ => g.elements().collect(),
+    };
+    let mut out: Vec<NodeId> =
+        nodes.into_iter().filter(|&n| test.passes(g, n) && keep(n)).collect();
+    g.sort_doc_order(&mut out);
+    out
+}
+
+/// Whether an attribute named `q` passes the test `@name` (`None`: `@*`):
+/// a prefixed test compares the whole name, an unprefixed one the local
+/// part, so `@n` also matches `x:n`.
+fn attr_named(q: &QName, name: Option<&str>) -> bool {
+    name.is_none_or(|name| if name.contains(':') { q.to_string() == name } else { q.local == name })
+}
+
+/// `[@a='v']` (or `!=`) without the evaluator: existential, so a node
+/// without a matching attribute never matches either way.
+fn attr_is(g: &Goddag, n: NodeId, name: Option<&str>, v: &str, equal: bool) -> bool {
+    g.attrs(n).iter().any(|a| attr_named(a.name, name) && (a.value == v) == equal)
+}
+
+/// The `k`-th ancestor (1: the parent) of each origin, from the parent
+/// chain: an element's ancestors are one chain up to the root.
+fn nth_ancestor(g: &Goddag, origins: &[NodeId], k: usize) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    for &o in origins {
+        let mut chain = Vec::new();
+        let mut at = o;
+        while let Some(&p) = g.parents(at).first() {
+            chain.push(p);
+            at = p;
+        }
+        out.extend(chain.get(k - 1));
+    }
+    g.sort_doc_order(&mut out);
+    out
+}
+
+/// The nearest element before each origin among its parent's children in
+/// its own hierarchy.
+fn nearest_preceding_sibling(g: &Goddag, origins: &[NodeId]) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    for &o in origins {
+        let h = g.hierarchy_of(o);
+        let kids: Vec<NodeId> = g
+            .children(g.parents(o)[0])
+            .into_iter()
+            .filter(|&c| g.is_element(c) && g.hierarchy_of(c) == h)
+            .collect();
+        let at = kids.iter().position(|&c| c == o).unwrap();
+        out.extend(at.checked_sub(1).map(|i| kids[i]));
+    }
     g.sort_doc_order(&mut out);
     out
 }
@@ -362,25 +427,84 @@ fn rewritten_shapes_equal_a_brute_force_reference() {
         let g = drawn(src);
         let index = Arc::new(OverlapIndex::build(&g));
         let evaluators = [Evaluator::new(&g), Evaluator::with_shared_index(&g, index)];
+        let words = g.find_elements("w");
+        // A needle from the document, and the empty one.
+        let needle: String = g.text(words[src.index(words.len())]).chars().take(2).collect();
+        let all = |_: NodeId| true;
         let mut cases: Vec<(String, Vec<NodeId>)> = Vec::new();
         for test in tests {
             let t = test.spelling();
             let k = 1 + src.index(4);
-            cases.push((format!("//{t}[{k}]"), per_parent(&g, test, k, false)));
-            cases.push((format!("//{t}[position()={k}]"), per_parent(&g, test, k, false)));
-            cases.push((format!("//{t}[last()]"), per_parent(&g, test, 0, false)));
-            cases.push((format!("/child::{t}[{k}]"), per_parent(&g, test, k, true)));
+            cases.push((format!("//{t}[{k}]"), per_parent(&g, test, all, k, false)));
+            cases.push((format!("//{t}[position()={k}]"), per_parent(&g, test, all, k, false)));
+            cases.push((format!("//{t}[{k}=position()]"), per_parent(&g, test, all, k, false)));
+            cases.push((format!("//{t}[last()]"), per_parent(&g, test, all, 0, false)));
+            cases.push((format!("/child::{t}[{k}]"), per_parent(&g, test, all, k, true)));
+            for never in ["position()=2.5", "0", "-1"] {
+                cases.push((format!("//{t}[{never}]"), Vec::new()));
+            }
+            for s in [needle.as_str(), ""] {
+                let contains = |n: NodeId| g.text(n).contains(s);
+                let starts = |n: NodeId| g.text(n).starts_with(s);
+                cases.push((
+                    format!("//{t}[contains(string(.), '{s}')]"),
+                    matching(&g, test, contains),
+                ));
+                cases.push((format!("//{t}[contains(., '{s}')]"), matching(&g, test, contains)));
+                cases.push((
+                    format!("//{t}[starts-with(string(), '{s}')]"),
+                    matching(&g, test, starts),
+                ));
+                cases.push((
+                    format!("//{t}[contains(., '{s}')][position()={k}]"),
+                    per_parent(&g, test, contains, k, false),
+                ));
+            }
             if !matches!(test, Test::Text) {
                 let v = (1 + src.index(6)).to_string();
-                cases.push((format!("//{t}[@n='{v}']"), with_attr(&g, test, &v, true)));
-                cases.push((format!("//{t}[@n!='{v}']"), with_attr(&g, test, &v, false)));
+                for (pred, name, equal) in [
+                    (format!("@n='{v}'"), Some("n"), true),
+                    (format!("'{v}'=@n"), Some("n"), true),
+                    (format!("@n!='{v}'"), Some("n"), false),
+                    (format!("@*='{v}'"), None, true),
+                    (format!("@x:n='{v}'"), Some("x:n"), true),
+                    (format!("@x:n!='{v}'"), Some("x:n"), false),
+                ] {
+                    let keep = |n: NodeId| attr_is(&g, n, name, &v, equal);
+                    cases.push((format!("//{t}[{pred}]"), matching(&g, test, keep)));
+                    cases.push((
+                        format!("//{t}[{pred}][{k}]"),
+                        per_parent(&g, test, keep, k, false),
+                    ));
+                }
             }
         }
+        let ws: Vec<NodeId> =
+            g.elements().filter(|&e| Test::Named(Some("ling"), "w").passes(&g, e)).collect();
+        cases.push(("//ling:w/ancestor::*[position()=2]".into(), nth_ancestor(&g, &ws, 2)));
+        cases.push(("//ling:w/ancestor::*[1]".into(), nth_ancestor(&g, &ws, 1)));
+        cases.push(("//ling:w/preceding-sibling::*[1]".into(), nearest_preceding_sibling(&g, &ws)));
         for (q, want) in &cases {
             for ev in &evaluators {
                 let got = ev.select(q).unwrap_or_else(|e| panic!("{q}: {e}"));
                 assert_eq!(&got, want, "{q}, index {}", ev.has_index());
             }
+        }
+        // `(//w/@n)[2]`: the second attribute `@n` matches, in document
+        // order of the elements and then in attribute order.
+        let second: Vec<AttrRef> = matching(&g, Test::Named(None, "w"), all)
+            .into_iter()
+            .flat_map(|element| {
+                let attrs = g.attrs(element);
+                (0..attrs.len())
+                    .filter(move |&i| attr_named(attrs.name(i).unwrap(), Some("n")))
+                    .map(move |index| AttrRef { element, index })
+            })
+            .skip(1)
+            .take(1)
+            .collect();
+        for ev in &evaluators {
+            assert_eq!(ev.eval_str("(//w/@n)[2]").unwrap(), Value::Attrs(second.clone()));
         }
         // The shapes are not vacuous: the root has element children in two
         // hierarchies, and some elements lack `@n`.
