@@ -62,7 +62,9 @@ use xmlcore::QName;
 /// takes each attribute as its context item: `.`, `self::node()`,
 /// `string()`, `number()`, `string-length()`, `normalize-space()`, `name()`
 /// and `local-name()` read the attribute, `..` and `parent::T` reach its
-/// element, and any other axis is an error.
+/// element, and any other axis is an error. A path goes on from a selected
+/// attribute by the same rule (`//w/@n/..`, `(//w/@n)/..`): each attribute
+/// takes the rest of the path, and the union is in document order.
 ///
 /// Three step rewrites run at evaluation time; the AST keeps what was
 /// written:
@@ -247,8 +249,7 @@ impl<'g> Evaluator<'g> {
                 (Val::Attrs(x), Val::Attrs(y)) => {
                     let mut x = x.into_vec();
                     x.extend_from_slice(y.as_slice());
-                    x.sort_by_key(|a| (self.g.doc_order_key(a.element), a.index));
-                    x.dedup();
+                    self.sort_attrs(&mut x);
                     Ok(Val::Attrs(Set::Many(x)))
                 }
                 (a, b) => Err(XPathError::Eval(format!(
@@ -274,12 +275,13 @@ impl<'g> Evaluator<'g> {
                     }
                     self.eval_steps(Set::Many(nodes), steps)
                 }
-                Val::Attrs(attrs) if steps.is_empty() => {
+                Val::Attrs(attrs) if predicates.is_empty() => self.steps_from_attrs(attrs, steps),
+                Val::Attrs(attrs) => {
                     let mut attrs = attrs.into_vec();
                     for pred in predicates {
                         self.filter(&mut attrs, Item::Attr, lower(pred))?;
                     }
-                    Ok(Val::Attrs(Set::Many(attrs)))
+                    self.steps_from_attrs(Set::Many(attrs), steps)
                 }
                 other if predicates.is_empty() && steps.is_empty() => Ok(other),
                 other => Err(XPathError::Eval(format!(
@@ -423,12 +425,8 @@ impl<'g> Evaluator<'g> {
         while i < steps.len() {
             let step = &steps[i];
             if step.axis == Axis::Attribute {
-                if i + 1 != steps.len() {
-                    return Err(XPathError::Eval(
-                        "the attribute axis must be the last step".into(),
-                    ));
-                }
-                return self.attribute_step(current.as_slice(), step);
+                let attrs = self.attribute_step(current.as_slice(), step)?;
+                return self.steps_from_attrs(attrs, &steps[i + 1..]);
             }
             if is_self_node(step) {
                 // `.`: every node set is kept sorted and deduplicated.
@@ -605,10 +603,7 @@ impl<'g> Evaluator<'g> {
     /// The attribute axis: each origin's attributes read from its view in
     /// place; a single match is held inline. Predicates take each attribute
     /// as their context item.
-    fn attribute_step<'a>(&self, origins: &[NodeId], step: &'a Step) -> Result<Val<'a>>
-    where
-        'g: 'a,
-    {
+    fn attribute_step(&self, origins: &[NodeId], step: &Step) -> Result<Set<AttrRef>> {
         let preds = Preds::new(&step.predicates);
         let mut out = Set::empty();
         let mut group = Vec::new();
@@ -631,7 +626,7 @@ impl<'g> Evaluator<'g> {
                 group.iter().for_each(|&a| out.push(a));
             }
         }
-        Ok(Val::Attrs(out))
+        Ok(out)
     }
 
     fn resolve<'a>(&self, test: &'a NodeTest) -> Result<Test<'a>> {
@@ -683,6 +678,49 @@ impl<'g> Evaluator<'g> {
             }
         }
         Ok(Val::Attrs(Set::One(a)))
+    }
+
+    /// The rest of a path from each attribute of `attrs`, through
+    /// [`Evaluator::steps_from_attr`], and the union of what they select:
+    /// nodes in document order, attributes ordered and deduplicated as `|`
+    /// orders them. A path selects attributes when its last step that is
+    /// not `self::node()` is the attribute axis, or when it has no such
+    /// step; only then does an attribute come back. An axis that does not
+    /// apply to an attribute is an error even when `attrs` is empty.
+    fn steps_from_attrs<'a>(&self, attrs: Set<AttrRef>, steps: &'a [Step]) -> Result<Val<'a>>
+    where
+        'g: 'a,
+    {
+        if steps.is_empty() {
+            return Ok(Val::Attrs(attrs));
+        }
+        let first = steps.iter().find(|s| !keeps_an_attribute(s));
+        if let Some(step) = first.filter(|s| !matches!(s.axis, Axis::SelfAxis | Axis::Parent)) {
+            return Err(not_from_an_attribute(step.axis));
+        }
+        let (mut nodes, mut kept) = (Vec::new(), Vec::new());
+        for &a in attrs.as_slice() {
+            match self.steps_from_attr(a, steps)? {
+                Val::Nodes(n) => nodes.extend_from_slice(n.as_slice()),
+                Val::Attrs(x) => kept.extend_from_slice(x.as_slice()),
+                _ => unreachable!("a path selects a set"),
+            }
+        }
+        let last = steps.iter().rev().find(|s| !keeps_an_attribute(s));
+        if last.is_none_or(|s| s.axis == Axis::Attribute) {
+            self.sort_attrs(&mut kept);
+            Ok(Val::Attrs(Set::Many(kept)))
+        } else {
+            self.g.sort_doc_order(&mut nodes);
+            Ok(Val::Nodes(Set::Many(nodes)))
+        }
+    }
+
+    /// Attributes in document order of their elements, then in each
+    /// element's attribute order, each once.
+    fn sort_attrs(&self, attrs: &mut Vec<AttrRef>) {
+        attrs.sort_by_key(|a| (self.g.doc_order_key(a.element), a.index));
+        attrs.dedup();
     }
 
     /// Keep the items `pred` accepts, positions counted in list order, in
@@ -920,6 +958,12 @@ fn attr_test(test: &NodeTest, q: &QName) -> bool {
 /// `self::node()` with no predicates — the identity step `.`.
 fn is_self_node(step: &Step) -> bool {
     step.axis == Axis::SelfAxis && step.test == NodeTest::Node && step.predicates.is_empty()
+}
+
+/// Whether `step` is `self::node()[p…]`, which keeps an attribute context
+/// item its predicates accept.
+fn keeps_an_attribute(step: &Step) -> bool {
+    step.axis == Axis::SelfAxis && step.test == NodeTest::Node
 }
 
 /// Whether `step, next` is `descendant-or-self::node()/child::T[p…]`, what

@@ -2,8 +2,7 @@
 //! structural edits.
 //!
 //! The renumber pass is O(nodes). Element spans are *cached* on the nodes so
-//! the hot overlap tests stay O(1); the `span_cache` ablation bench
-//! (experiment A2) quantifies what this buys over recomputing spans on every
+//! the hot overlap tests stay O(1) rather than recomputing a span on every
 //! query. Byte offsets are not derived: the leaf table holds them, and the
 //! text edits shift them in place.
 

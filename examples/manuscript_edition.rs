@@ -93,8 +93,8 @@ fn main() {
     println!("  one GODDAG:   {goddag_bytes} bytes");
     println!(
         "  GODDAG/DOMs = {:.2}; the GODDAG stores the text once, so adding \
-         hierarchies grows it by markup only — the `memory` bench sweeps N \
-         to show the slope difference",
+         hierarchies grows it by markup only — `tests/cost_ledger.rs` sweeps \
+         N and holds the GODDAG to at most half the DOMs",
         goddag_bytes as f64 / dom_bytes as f64
     );
 

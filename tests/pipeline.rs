@@ -119,7 +119,7 @@ fn sacx_event_stream_equals_builder_structure() {
 
 #[test]
 fn growing_hierarchy_count_scales() {
-    // 1..=3 hierarchies over the same content: parse time aside (bench B1),
+    // 1..=3 hierarchies over the same content: parse time aside (experiment B1),
     // the model stays consistent and the content is never duplicated.
     for nh in 1..=3 {
         let params = Params {

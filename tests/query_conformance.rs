@@ -155,6 +155,45 @@ fn attribute_predicates_read_the_attribute() {
     }
 }
 
+/// A path goes on from a selected attribute as a predicate's relative path
+/// does: `.` keeps it, `..` reaches its element, any other axis is an
+/// error. The union is in document order, each element once.
+#[test]
+fn a_path_steps_from_an_attribute() {
+    let g = sacx::parse_distributed(&[(
+        "ling",
+        "<r><w n=\"7\" id=\"a\">one</w> <v n=\"9\">mid</v> <w n=\"8\">two</w> <w>three</w></r>",
+    )])
+    .unwrap();
+    check(&g, "//w/@n/..", &["one", "two"]);
+    check(&g, "(//w/@n)/..", &["one", "two"]);
+    check(&g, "//w/@*/..", &["one", "two"]);
+    check(&g, "//@n/parent::w", &["one", "two"]);
+    check(&g, "//w/@n[. = '8']/..", &["two"]);
+    check(&g, "//w/@n/../@id/..", &["one"]);
+    check(&g, "//w/@n/self::w", &[]);
+    check_value(&g, "count(//w/@n/..)", Value::Number(2.0));
+    check_value(&g, "string(//w/@n[. = '8']/..)", Value::Str("two".into()));
+    check_value(&g, "string((//w/@n)[2]/..)", Value::Str("two".into()));
+    check_value(&g, "count(//w/@n/.)", Value::Number(2.0));
+    check_value(&g, "string(//w/@n/.[. = '8'])", Value::Str("8".into()));
+    check_value(&g, "count(//w/@n/..[@id])", Value::Number(1.0));
+    let ev = Evaluator::new(&g);
+    let (Value::Attrs(dot), Value::Attrs(plain)) =
+        (ev.eval_str("//w/@n/.").unwrap(), ev.eval_str("//w/@n").unwrap())
+    else {
+        panic!("//w/@n/. and //w/@n select attributes");
+    };
+    assert_eq!(dot, plain);
+    let err = ev.eval_str("//w/@n/child::*").expect_err("child of an attribute").to_string();
+    assert!(err.contains("does not apply to an attribute"), "{err}");
+
+    let g = doc();
+    check(&g, "//line/@n/..", &["aa bb cc", "dd ee"]);
+    check(&g, "(//line/@n)/..", &["aa bb cc", "dd ee"]);
+    check_value(&g, "string(//line/@n[. = '2']/..)", Value::Str("dd ee".into()));
+}
+
 #[test]
 fn positional_predicates() {
     let g = doc();
