@@ -2,8 +2,7 @@
 //!
 //! The paper demonstrates on an image-based electronic edition of the
 //! 10th-century Old English Boethius manuscript (BL MS Cotton Otho A. vi),
-//! which we cannot ship. This crate provides the substitute documented in
-//! DESIGN.md §3.5:
+//! which we cannot ship. This crate provides the substitute:
 //!
 //! * [`manuscript::generate`] — a parameterized synthetic manuscript with
 //!   the paper's exact feature classes (pages/lines, sentences/words,

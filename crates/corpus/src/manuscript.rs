@@ -4,7 +4,9 @@
 //! Reproduces exactly the feature classes the paper lists (§2: "manuscript
 //! physical structure (lines, pages), document structure (words, sentences,
 //! verses), text restorations, manuscript damages") with controlled size and
-//! overlap density — the workload for every experiment in EXPERIMENTS.md.
+//! overlap density — the documents the benchmark serves and the cost and
+//! randomised tests read (`crates/corpus/tests/digests.rs` pins its output
+//! byte for byte).
 
 use crate::text::{join_words, WordGen};
 use goddag::{Goddag, GoddagBuilder, HierarchyId};

@@ -3,7 +3,7 @@
 //! their lines, and the one guard that serializes tests touching either.
 
 use crate::sync::{Level, Mutex, MutexGuard};
-use crate::trace::{self, TraceConfig};
+use crate::trace;
 use crate::{fault, names, Exposition};
 
 /// The splitmix64 increment: the step [`splitmix64`] advances its state
@@ -54,7 +54,7 @@ static SCENARIO: Mutex<()> = Mutex::new(Level::Scenario, ());
 ///
 /// Any test that arms a failpoint, crosses a site a sibling in the same
 /// binary may arm, or turns tracing on takes it; only
-/// [`Scenario::traced`] / [`Scenario::traced_with`] turn tracing on.
+/// [`Scenario::traced`] turns tracing on.
 pub struct Scenario {
     _guard: MutexGuard<'static, ()>,
 }
@@ -67,15 +67,10 @@ impl Scenario {
         Scenario { _guard: guard }
     }
 
-    /// [`Scenario::setup`] with tracing on under the default config.
+    /// [`Scenario::setup`] with tracing on.
     pub fn traced() -> Scenario {
-        Scenario::traced_with(TraceConfig::default())
-    }
-
-    /// [`Scenario::setup`] with tracing on under an explicit config.
-    pub fn traced_with(cfg: TraceConfig) -> Scenario {
         let s = Scenario::setup();
-        trace::enable_with(cfg);
+        trace::enable();
         s
     }
 }

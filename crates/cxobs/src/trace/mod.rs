@@ -22,11 +22,11 @@
 //!   spans accumulate in a thread-local buffer and are flushed to the
 //!   process-wide recorder once per thread-root span — one short mutex
 //!   per request per thread, never per span. The recorder retains the
-//!   last N completed traces *plus* every trace that ran slower than
-//!   the configured threshold or ended in an error; slow/error traces
-//!   live in their own ring, so normal churn can never evict them
-//!   (and they never evict normal traces' ring slots either — both
-//!   rings are independently bounded).
+//!   last [`RETAIN`] completed traces *plus* the last [`RETAIN_SLOW`]
+//!   that ran at least [`SLOW_THRESHOLD`] or ended in an error;
+//!   slow/error traces live in their own ring, so normal churn can never
+//!   evict them (and they never evict normal traces' ring slots either —
+//!   both rings are independently bounded).
 //! * **Histograms tag themselves.** A latency observation recorded
 //!   while a trace is active carries that trace's id as its bucket
 //!   exemplar ([`crate::Histogram`]).
@@ -56,10 +56,10 @@ mod span;
 pub use context::{seed, TraceContext};
 pub(crate) use recorder::expose_into;
 pub use recorder::{
-    clear, find, recent, render_tree, slow, stats, FinishedTrace, TraceConfig, TraceStats,
-    TraceSummary,
+    clear, find, recent, render_tree, slow, stats, FinishedTrace, TraceStats, TraceSummary,
+    MAX_OPEN, MAX_SPANS_PER_TRACE, RETAIN, RETAIN_SLOW, SLOW_THRESHOLD,
 };
 pub use span::{
-    adopt, current, current_trace_id, disable, enable, enable_with, enabled, span, span_or_root,
-    start, AttrValue, SpanGuard, SpanRecord,
+    adopt, current, current_trace_id, disable, enable, enabled, span, span_or_root, start,
+    AttrValue, SpanGuard, SpanRecord,
 };

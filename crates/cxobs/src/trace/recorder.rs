@@ -9,34 +9,19 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Retention and classification knobs for the flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceConfig {
-    /// How many ordinary completed traces to retain.
-    pub retain: usize,
-    /// How many slow/error traces to retain (their own ring — ordinary
-    /// traffic never evicts them, and they never evict ordinary slots).
-    pub retain_slow: usize,
-    /// A trace at least this long is classified slow.
-    pub slow_threshold: Duration,
-    /// Per-trace span cap; spans past it are counted dropped.
-    pub max_spans_per_trace: usize,
-    /// How many traces may be open (not yet finalized) at once; opening
-    /// past the cap evicts the oldest open trace.
-    pub max_open: usize,
-}
-
-impl Default for TraceConfig {
-    fn default() -> TraceConfig {
-        TraceConfig {
-            retain: 32,
-            retain_slow: 32,
-            slow_threshold: Duration::from_millis(100),
-            max_spans_per_trace: 512,
-            max_open: 64,
-        }
-    }
-}
+/// How many ordinary completed traces the recorder retains.
+pub const RETAIN: usize = 32;
+/// How many slow/error traces the recorder retains (their own ring:
+/// ordinary traffic never evicts them, and they never evict ordinary
+/// slots).
+pub const RETAIN_SLOW: usize = 32;
+/// A trace at least this long is classified slow.
+pub const SLOW_THRESHOLD: Duration = Duration::from_millis(100);
+/// Per-trace span cap; spans past it are counted dropped.
+pub const MAX_SPANS_PER_TRACE: usize = 512;
+/// How many traces may be open (not yet finalized) at once; opening past
+/// the cap evicts the oldest open trace.
+pub const MAX_OPEN: usize = 64;
 
 /// One completed trace as retained by the flight recorder.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +34,7 @@ pub struct FinishedTrace {
     pub start_ns: u64,
     /// Latest span end minus earliest span start.
     pub duration_ns: u64,
-    /// Ran at least [`TraceConfig::slow_threshold`].
+    /// Ran at least [`SLOW_THRESHOLD`].
     pub slow: bool,
     /// At least one span carries an error annotation.
     pub error: bool,
@@ -130,8 +115,7 @@ struct OpenTrace {
 
 #[derive(Default)]
 struct Recorder {
-    cfg: Option<TraceConfig>,
-    /// Open traces in arrival order (bounded by `max_open`; linear
+    /// Open traces in arrival order (bounded by [`MAX_OPEN`]; linear
     /// scans are fine at that size).
     open: Vec<OpenTrace>,
     normal: VecDeque<FinishedTrace>,
@@ -142,7 +126,6 @@ struct Recorder {
 static RECORDER: Mutex<Recorder> = Mutex::new(
     Level::Recorder,
     Recorder {
-        cfg: None,
         open: Vec::new(),
         normal: VecDeque::new(),
         slow: VecDeque::new(),
@@ -170,21 +153,6 @@ pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-pub(crate) fn configure(cfg: TraceConfig) {
-    let mut r = RECORDER.lock();
-    r.cfg = Some(cfg);
-    while r.normal.len() > cfg.retain {
-        r.normal.pop_front();
-    }
-    while r.slow.len() > cfg.retain_slow {
-        r.slow.pop_front();
-    }
-}
-
-fn cfg(r: &Recorder) -> TraceConfig {
-    r.cfg.unwrap_or_default()
-}
-
 /// A thread opened a root span for `trace_id`. Called by the span layer
 /// before any of that root's spans can flush.
 pub(crate) fn root_opened(trace_id: u64) {
@@ -193,8 +161,7 @@ pub(crate) fn root_opened(trace_id: u64) {
         o.open_roots += 1;
         return;
     }
-    let max_open = cfg(&r).max_open;
-    while r.open.len() >= max_open {
+    while r.open.len() >= MAX_OPEN {
         r.open.remove(0);
         r.stats.dropped_traces += 1;
     }
@@ -207,9 +174,8 @@ pub(crate) fn root_opened(trace_id: u64) {
 /// buffered spans and, when this was the last open root, finalize.
 pub(crate) fn root_closed(trace_id: u64, spans: Vec<SpanRecord>, thread_dropped: u64) {
     let mut r = RECORDER.lock();
-    let max_spans = cfg(&r).max_spans_per_trace;
     let Some(idx) = r.open.iter().position(|o| o.trace_id == trace_id) else {
-        // The open entry was evicted under max_open pressure; the
+        // The open entry was evicted under `MAX_OPEN` pressure; the
         // spans have nowhere to land.
         r.stats.dropped_spans += thread_dropped + spans.len() as u64;
         return;
@@ -218,7 +184,7 @@ pub(crate) fn root_closed(trace_id: u64, spans: Vec<SpanRecord>, thread_dropped:
         let o = &mut r.open[idx];
         o.dropped_spans += thread_dropped;
         for s in spans {
-            if o.spans.len() < max_spans {
+            if o.spans.len() < MAX_SPANS_PER_TRACE {
                 o.spans.push(s);
             } else {
                 o.dropped_spans += 1;
@@ -235,7 +201,6 @@ pub(crate) fn root_closed(trace_id: u64, spans: Vec<SpanRecord>, thread_dropped:
 }
 
 fn finalize(r: &mut Recorder, o: OpenTrace) {
-    let cfg = cfg(r);
     r.stats.spans += o.spans.len() as u64;
     r.stats.dropped_spans += o.dropped_spans;
 
@@ -261,7 +226,7 @@ fn finalize(r: &mut Recorder, o: OpenTrace) {
     let end_ns =
         t.spans.iter().map(|s| s.start_ns.saturating_add(s.duration_ns)).max().unwrap_or(0);
     t.duration_ns = end_ns.saturating_sub(t.start_ns);
-    t.slow = t.duration_ns as u128 >= cfg.slow_threshold.as_nanos();
+    t.slow = t.duration_ns as u128 >= SLOW_THRESHOLD.as_nanos();
     t.error = t.spans.iter().any(|s| s.error.is_some());
 
     r.stats.finished += 1;
@@ -273,12 +238,12 @@ fn finalize(r: &mut Recorder, o: OpenTrace) {
     }
     if t.slow || t.error {
         r.slow.push_back(t);
-        while r.slow.len() > cfg.retain_slow {
+        while r.slow.len() > RETAIN_SLOW {
             r.slow.pop_front();
         }
     } else {
         r.normal.push_back(t);
-        while r.normal.len() > cfg.retain {
+        while r.normal.len() > RETAIN {
             r.normal.pop_front();
         }
     }
@@ -328,8 +293,8 @@ pub fn stats() -> TraceStats {
     RECORDER.lock().stats
 }
 
-/// Drop every retained and open trace and zero the counters. The
-/// configuration (and the enabled switch) are left alone.
+/// Drop every retained and open trace and zero the counters. The enabled
+/// switch is left alone.
 pub fn clear() {
     let mut r = RECORDER.lock();
     r.open.clear();
@@ -433,26 +398,23 @@ mod tests {
 
     #[test]
     fn normal_ring_is_bounded_and_newest_first() {
-        let _s = Scenario::traced_with(TraceConfig { retain: 3, ..TraceConfig::default() });
-        let ids: Vec<u64> = (0..5).map(|_| burst("r")).collect();
+        let _s = Scenario::traced();
+        let ids: Vec<u64> = (0..RETAIN + 2).map(|_| burst("r")).collect();
         let got: Vec<u64> = recent().iter().map(|s| s.trace_id).collect();
-        assert_eq!(got, vec![ids[4], ids[3], ids[2]]);
+        let newest: Vec<u64> = ids[2..].iter().rev().copied().collect();
+        assert_eq!(got, newest);
         assert!(find(ids[0]).is_none(), "evicted from the normal ring");
-        assert_eq!(stats().finished, 5);
+        assert!(find(ids[1]).is_none(), "evicted from the normal ring");
+        assert_eq!(stats().finished, RETAIN as u64 + 2);
     }
 
     #[test]
     fn slow_and_error_traces_survive_normal_churn() {
-        let _s = Scenario::traced_with(TraceConfig {
-            retain: 2,
-            retain_slow: 8,
-            slow_threshold: Duration::from_millis(5),
-            ..TraceConfig::default()
-        });
+        let _s = Scenario::traced();
         let slow_id = {
             let g = span_or_root("slow.request");
             let id = current_trace_id();
-            std::thread::sleep(Duration::from_millis(6));
+            std::thread::sleep(SLOW_THRESHOLD + Duration::from_millis(50));
             drop(g);
             id
         };
@@ -464,7 +426,7 @@ mod tests {
             id
         };
         // 2× the normal retention of ordinary traffic churns through.
-        for _ in 0..4 {
+        for _ in 0..2 * RETAIN {
             burst("normal");
         }
         let slow_summaries = slow();
@@ -472,7 +434,7 @@ mod tests {
         assert!(slow_summaries.iter().any(|s| s.trace_id == err_id && s.error));
         assert!(find(slow_id).is_some());
         assert!(find(err_id).is_some());
-        assert_eq!(recent().len(), 2, "normal ring bounded independently");
+        assert_eq!(recent().len(), RETAIN, "normal ring bounded independently");
         let st = stats();
         assert_eq!(st.slow, 1);
         assert_eq!(st.error, 1);
@@ -480,16 +442,15 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops() {
-        let _s =
-            Scenario::traced_with(TraceConfig { max_spans_per_trace: 4, ..TraceConfig::default() });
+        let _s = Scenario::traced();
         {
             let _root = span_or_root("big");
-            for _ in 0..10 {
+            for _ in 0..MAX_SPANS_PER_TRACE + 6 {
                 let _c = span("child");
             }
         }
         let t = find(recent()[0].trace_id).unwrap();
-        assert_eq!(t.spans.len(), 4);
+        assert_eq!(t.spans.len(), MAX_SPANS_PER_TRACE);
         assert_eq!(t.dropped_spans, 7, "6 spans past the cap plus the root itself");
         assert_eq!(stats().dropped_spans, 7);
     }

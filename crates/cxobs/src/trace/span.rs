@@ -2,7 +2,7 @@
 //! and RAII guards that record on drop.
 
 use super::context::TraceContext;
-use super::recorder::{self, TraceConfig};
+use super::recorder;
 use std::cell::RefCell;
 use std::fmt;
 use std::marker::PhantomData;
@@ -22,14 +22,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Turn tracing on with the default [`TraceConfig`].
+/// Turn tracing on. Retention, the slow threshold and the caps are the
+/// recorder's constants ([`super::RETAIN`], [`super::SLOW_THRESHOLD`], …).
 pub fn enable() {
-    enable_with(TraceConfig::default());
-}
-
-/// Turn tracing on with an explicit retention/threshold configuration.
-pub fn enable_with(cfg: TraceConfig) {
-    recorder::configure(cfg);
     ENABLED.store(true, Ordering::Relaxed);
 }
 

@@ -13,7 +13,7 @@ mod common;
 use common::{manuscript, open_cluster, TempDir};
 use cxcluster::ShardId;
 use cxobs::fault::{self, Fault, Site, Trigger};
-use cxobs::trace::{self, FinishedTrace, SpanRecord, TraceConfig};
+use cxobs::trace::{self, FinishedTrace, SpanRecord};
 use cxserve::{
     Client, ClientOptions, ClusterServer, RouterClient, ServeError, ServerOptions, WireError,
 };
@@ -178,27 +178,22 @@ fn a_delayed_request_survives_normal_churn() {
         ClusterServer::bind(Arc::clone(&cluster), "127.0.0.1:0", ServerOptions::default()).unwrap();
     let c = Client::connect(server.addr(), ClientOptions::default()).unwrap();
 
-    let retain = 4;
-    trace::enable_with(TraceConfig {
-        retain,
-        retain_slow: 4,
-        slow_threshold: Duration::from_millis(40),
-        ..TraceConfig::default()
-    });
+    trace::enable();
 
     // Exactly one request stalls server-side, long enough to classify
     // slow but far under the server deadline.
-    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Delay(Duration::from_millis(80)));
+    let delay = trace::SLOW_THRESHOLD + Duration::from_millis(50);
+    fault::configure(Site::ServeRequest, Trigger::Nth(1), Fault::Delay(delay));
     c.ping().unwrap();
 
-    for _ in 0..2 * retain {
+    for _ in 0..2 * trace::RETAIN {
         c.ping().unwrap();
     }
 
     let slow = c.traces_slow(16).unwrap();
     let delayed = slow
         .iter()
-        .find(|t| t.slow && t.duration_ns >= 80_000_000)
+        .find(|t| t.slow && u128::from(t.duration_ns) >= delay.as_nanos())
         .expect("the delayed trace survived the churn");
     assert_eq!(delayed.root, "client.call");
     let tree = c.trace_tree(delayed.trace_id).unwrap();

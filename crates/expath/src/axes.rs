@@ -2,152 +2,275 @@
 //! on GODDAG ... and extend it with features that are specific to processing
 //! of concurrent XML, such as the overlapping axis").
 //!
-//! Standard axes follow graph edges (hierarchy-aware); extended axes follow
-//! the span algebra across hierarchies, optionally served by the
-//! [`OverlapIndex`].
+//! This is the one place node candidates come from: [`candidates`] appends
+//! one origin's nodes on any axis, already kept by the resolved node test,
+//! and [`root_descendants`] feeds the fused `//T[p…]` from the root.
+//! Standard axes follow graph edges (hierarchy-aware); following and
+//! preceding compare spans; the extended axes follow the span algebra
+//! across hierarchies, with the [`OverlapIndex`] narrowing the elements a
+//! span relation is tested on. The node test always runs before the sort.
 
 use crate::ast::Axis;
+use crate::error::Result;
 use crate::overlap_index::{scan_intersecting, OverlapIndex};
-use goddag::{Goddag, NodeId};
+use goddag::{Goddag, HierarchyId, NodeId, Span};
 
-/// Candidate nodes of `axis` from `node`, ordered in axis direction
-/// (reverse axes nearest-first). The node test and predicates are applied by
-/// the evaluator.
-pub fn axis_candidates(
-    g: &Goddag,
-    index: Option<&OverlapIndex>,
-    node: NodeId,
-    axis: Axis,
-) -> Vec<NodeId> {
-    match axis {
-        Axis::SelfAxis => vec![node],
-        Axis::Child => g.children(node),
-        Axis::Descendant => g.descendants(node),
-        Axis::DescendantOrSelf => {
-            let mut v = vec![node];
-            v.extend(g.descendants(node));
-            v
-        }
-        Axis::Parent => g.parents(node),
-        Axis::Ancestor => ancestors_nearest_first(g, node),
-        Axis::AncestorOrSelf => {
-            let mut v = vec![node];
-            v.extend(ancestors_nearest_first(g, node));
-            v
-        }
-        Axis::FollowingSibling => {
-            let mut out = Vec::new();
-            for h in g.hierarchy_ids() {
-                out.extend(g.following_siblings_in(node, h));
+/// A node test with its hierarchy resolved.
+#[derive(Clone, Copy)]
+pub(crate) enum Test<'a> {
+    /// `node()`
+    Node,
+    /// `*`: elements and the root.
+    Any,
+    /// `text()`
+    Text,
+    /// `h:*`
+    In(HierarchyId),
+    /// `T` or `h:T`
+    Name(Option<HierarchyId>, &'a str),
+}
+
+impl Test<'_> {
+    /// Whether the test accepts `n`.
+    #[inline]
+    fn accepts(self, g: &Goddag, n: NodeId) -> bool {
+        match self {
+            Test::Node => true,
+            Test::Any => g.is_element(n) || g.is_root(n),
+            Test::Text => g.is_leaf(n),
+            Test::In(h) => g.hierarchy_of(n) == Some(h),
+            Test::Name(h, local) => {
+                h.is_none_or(|h| g.hierarchy_of(n) == Some(h))
+                    && g.name(n).is_some_and(|q| q.local == local)
             }
-            g.sort_doc_order(&mut out);
-            out
         }
-        Axis::PrecedingSibling => {
-            let mut out = Vec::new();
-            for h in g.hierarchy_ids() {
-                out.extend(g.preceding_siblings_in(node, h));
+    }
+
+    /// Calls `f` on each node of `nodes` the test accepts. The test's kind
+    /// is matched once, outside the loop (each arm names its own variant, so
+    /// [`Test::accepts`] folds to that variant's check): decided per node,
+    /// the dispatch cost more than the test itself.
+    #[inline]
+    pub(crate) fn try_each(
+        self,
+        g: &Goddag,
+        mut nodes: impl Iterator<Item = NodeId>,
+        f: impl FnMut(NodeId) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Test::Node => nodes.try_for_each(f),
+            Test::Any => nodes.filter(|&n| Test::Any.accepts(g, n)).try_for_each(f),
+            Test::Text => nodes.filter(|&n| Test::Text.accepts(g, n)).try_for_each(f),
+            Test::In(h) => nodes.filter(|&n| Test::In(h).accepts(g, n)).try_for_each(f),
+            Test::Name(h, local) => {
+                nodes.filter(|&n| Test::Name(h, local).accepts(g, n)).try_for_each(f)
             }
-            // Reverse axis: nearest (document-latest) first.
-            g.sort_doc_order(&mut out);
-            out.reverse();
-            out
         }
-        Axis::Following => {
-            let span = g.span(node);
-            let mut out: Vec<NodeId> = g
-                .elements()
-                .filter(|&e| e != node && span.precedes(g.span(e)) && !g.span(e).is_empty())
-                .collect();
-            out.extend(g.leaves().iter().copied().filter(|&l| span.precedes(g.span(l))));
-            g.sort_doc_order(&mut out);
-            out
-        }
-        Axis::Preceding => {
-            let span = g.span(node);
-            let mut out: Vec<NodeId> = g
-                .elements()
-                .filter(|&e| e != node && g.span(e).precedes(span) && !g.span(e).is_empty())
-                .collect();
-            out.extend(g.leaves().iter().copied().filter(|&l| g.span(l).precedes(span)));
-            g.sort_doc_order(&mut out);
-            out.reverse();
-            out
-        }
-        Axis::Attribute => Vec::new(), // handled by the evaluator
-        Axis::Overlapping => {
-            let span = g.span(node);
-            let mut out: Vec<NodeId> = match index {
-                Some(idx) => idx.intersecting(span),
-                None => scan_intersecting(g, span),
-            };
-            out.retain(|&e| e != node && g.span(e).overlaps(span));
-            g.sort_doc_order(&mut out);
-            out
-        }
-        Axis::Containing => {
-            let span = g.span(node);
-            let mut out: Vec<NodeId> = match index {
-                Some(idx) => idx.containing(span),
-                None => g
-                    .elements()
-                    .filter(|&e| !g.span(e).is_empty() && g.span(e).contains(span))
-                    .collect(),
-            };
-            out.retain(|&e| e != node);
-            // The root contains everything.
-            if node != g.root() {
-                out.push(g.root());
-            }
-            g.sort_doc_order(&mut out);
-            out
-        }
-        Axis::Contained => {
-            let span = g.span(node);
-            // Milestones anchored strictly inside count as contained.
-            let mut out: Vec<NodeId> = match index {
-                Some(idx) => {
-                    let mut out = idx.contained_in(span);
-                    out.extend(idx.milestones_inside(span));
-                    out
-                }
-                None => g
-                    .elements()
-                    .filter(|&e| {
-                        let es = g.span(e);
-                        if es.is_empty() {
-                            span.start < es.start && es.start < span.end
-                        } else {
-                            span.contains(es)
-                        }
-                    })
-                    .collect(),
-            };
-            out.retain(|&e| e != node);
-            g.sort_doc_order(&mut out);
-            out
-        }
-        Axis::CoExtensive => {
-            let span = g.span(node);
-            let mut out: Vec<NodeId> = match index {
-                Some(idx) if !span.is_empty() => idx.co_extensive(span),
-                _ => g.elements().filter(|&e| g.span(e).co_extensive(span)).collect(),
-            };
-            out.retain(|&e| e != node);
-            g.sort_doc_order(&mut out);
-            out
+    }
+
+    /// Appends the nodes of `nodes` the test accepts to `out`.
+    #[inline]
+    fn append(self, g: &Goddag, nodes: impl Iterator<Item = NodeId>, out: &mut Vec<NodeId>) {
+        // Pushing cannot fail.
+        let _ = self.try_each(g, nodes, |n| {
+            out.push(n);
+            Ok(())
+        });
+    }
+
+    /// The hierarchy of every element the test accepts, when it names one.
+    pub(crate) fn hierarchy(self) -> Option<HierarchyId> {
+        match self {
+            Test::In(h) | Test::Name(Some(h), _) => Some(h),
+            _ => None,
         }
     }
 }
 
-/// Union of per-hierarchy ancestor chains, nearest-first by span (inner
-/// before outer), ending with the root.
-fn ancestors_nearest_first(g: &Goddag, node: NodeId) -> Vec<NodeId> {
-    let mut out = g.ancestors(node);
-    // `ancestors` returns document order (outermost spans first); reverse
-    // for nearest-first, keeping the root last.
-    out.reverse();
-    out
+/// Appends to `out` the nodes of `axis` from `origin` that `test` accepts,
+/// in axis order: document order, nearest first on the reverse axes
+/// (`ancestor`, `ancestor-or-self`, `preceding-sibling`, `preceding`), and
+/// the hierarchy's child order for `child` and `descendant` from an
+/// element. The attribute axis has no node candidates; the evaluator reads
+/// attributes.
+#[inline]
+pub(crate) fn candidates(
+    g: &Goddag,
+    index: Option<&OverlapIndex>,
+    origin: NodeId,
+    axis: Axis,
+    test: Test<'_>,
+    out: &mut Vec<NodeId>,
+) {
+    let from = out.len();
+    let own = |out: &mut Vec<NodeId>| test.append(g, std::iter::once(origin), out);
+    match axis {
+        Axis::Attribute => {}
+        Axis::SelfAxis => own(out),
+        // Every hierarchy's top level, merged in document order.
+        Axis::Child if g.is_root(origin) => {
+            for h in g.hierarchy_ids() {
+                test.append(g, g.children_in(origin, h).iter().copied(), out);
+            }
+            sort_from(g, out, from);
+        }
+        Axis::Child => test.append(g, g.element_children(origin).iter().copied(), out),
+        Axis::DescendantOrSelf | Axis::AncestorOrSelf => {
+            own(out);
+            let axis =
+                if axis == Axis::DescendantOrSelf { Axis::Descendant } else { Axis::Ancestor };
+            candidates(g, index, origin, axis, test, out);
+        }
+        Axis::Descendant if g.is_root(origin) => {
+            // Pushing cannot fail.
+            if let Ok(false) = root_descendants(g, test, |n| {
+                out.push(n);
+                Ok(())
+            }) {
+                sort_from(g, out, from);
+            }
+        }
+        Axis::Descendant => {
+            if let Some(h) = g.hierarchy_of(origin) {
+                descendants_in(g, origin, h, test, out);
+            }
+        }
+        Axis::Parent => {
+            test.append(g, g.hierarchy_ids().filter_map(|h| g.parent_in(origin, h)), out);
+            sort_from(g, out, from);
+        }
+        Axis::Ancestor => {
+            for h in g.hierarchy_ids() {
+                // The root has no parent.
+                let chain = std::iter::successors(g.parent_in(origin, h), |&p| g.parent_in(p, h));
+                test.append(g, chain, out);
+            }
+            sort_from(g, out, from);
+            out[from..].reverse();
+        }
+        Axis::FollowingSibling | Axis::PrecedingSibling => {
+            let forward = axis == Axis::FollowingSibling;
+            for h in g.hierarchy_ids() {
+                let Some(parent) = g.parent_in(origin, h) else { continue };
+                let siblings = g.children_in(parent, h);
+                let Some(i) = siblings.iter().position(|&s| s == origin) else { continue };
+                let side = if forward { &siblings[i + 1..] } else { &siblings[..i] };
+                test.append(g, side.iter().copied(), out);
+            }
+            sort_from(g, out, from);
+            if !forward {
+                out[from..].reverse();
+            }
+        }
+        Axis::Following | Axis::Preceding => {
+            // Elements and leaves wholly after (before) the origin's span;
+            // milestones (empty elements) are on neither side.
+            let forward = axis == Axis::Following;
+            let span = g.span(origin);
+            let apart = |s: Span| {
+                !s.is_empty() && if forward { span.precedes(s) } else { s.precedes(span) }
+            };
+            let nodes = g.elements().chain(g.leaves().iter().copied());
+            test.append(g, nodes.filter(|&n| apart(g.span(n))), out);
+            sort_from(g, out, from);
+            if !forward {
+                out[from..].reverse();
+            }
+        }
+        Axis::Overlapping | Axis::Containing | Axis::Contained | Axis::CoExtensive => {
+            // The index, or a scan, appends elements the relation may hold
+            // for; the relation and the test then keep theirs in place.
+            let span = g.span(origin);
+            match (index, axis) {
+                (Some(idx), Axis::Overlapping) => idx.intersecting(span, out),
+                (Some(idx), Axis::Containing) => idx.containing(span, out),
+                (Some(idx), Axis::Contained) => {
+                    idx.contained_in(span, out);
+                    idx.milestones_inside(span, out);
+                }
+                (Some(idx), Axis::CoExtensive) if !span.is_empty() => idx.co_extensive(span, out),
+                (None, Axis::Overlapping) => scan_intersecting(g, span, out),
+                _ => out.extend(g.elements().filter(|&e| related(axis, span, g.span(e)))),
+            }
+            retain_from(out, from, |e| {
+                e != origin && related(axis, span, g.span(e)) && test.accepts(g, e)
+            });
+            // The root contains everything.
+            if axis == Axis::Containing && !g.is_root(origin) {
+                test.append(g, std::iter::once(g.root()), out);
+            }
+            sort_from(g, out, from);
+        }
+    }
+}
+
+/// Whether an element spanning `s` lies on the extended `axis` from an
+/// origin spanning `span`.
+fn related(axis: Axis, span: Span, s: Span) -> bool {
+    match axis {
+        Axis::Overlapping => s.overlaps(span),
+        Axis::Containing => !s.is_empty() && s.contains(span),
+        // Milestones anchored strictly inside count as contained.
+        Axis::Contained if s.is_empty() => span.start < s.start && s.start < span.end,
+        Axis::Contained => span.contains(s),
+        _ => s.co_extensive(span),
+    }
+}
+
+/// Feeds `descendant::T` from the root to `f` and says whether it came in
+/// document order: the leaves do (for `text()`), the live elements are
+/// enumerated in arena order and the caller sorts what it keeps. Only
+/// `node()` lists the whole document.
+#[inline]
+pub(crate) fn root_descendants(
+    g: &Goddag,
+    test: Test<'_>,
+    mut f: impl FnMut(NodeId) -> Result<()>,
+) -> Result<bool> {
+    match test {
+        Test::Node => g.descendants(g.root()).into_iter().try_for_each(f)?,
+        // Every hierarchy reaches every leaf; with no hierarchy the root has
+        // no descendants.
+        Test::Text if g.hierarchy_count() == 0 => {}
+        Test::Text => g.leaves().iter().try_for_each(|&l| f(l))?,
+        _ => {
+            test.try_each(g, g.elements(), f)?;
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Appends the descendants of `n` in hierarchy `h` that `test` accepts, in
+/// the hierarchy's child order (pre-order).
+fn descendants_in(g: &Goddag, n: NodeId, h: HierarchyId, test: Test<'_>, out: &mut Vec<NodeId>) {
+    for &child in g.children_in(n, h) {
+        if test.accepts(g, child) {
+            out.push(child);
+        }
+        descendants_in(g, child, h, test, out);
+    }
+}
+
+/// Keeps, in order, the nodes of `out[from..]` that `keep` allows (it sees
+/// each node once, in order).
+fn retain_from(out: &mut Vec<NodeId>, from: usize, mut keep: impl FnMut(NodeId) -> bool) {
+    let mut kept = from;
+    for i in from..out.len() {
+        let n = out[i];
+        if keep(n) {
+            out[kept] = n;
+            kept += 1;
+        }
+    }
+    out.truncate(kept);
+}
+
+/// Sorts `out[from..]` into document order and drops its repeats.
+fn sort_from(g: &Goddag, out: &mut Vec<NodeId>, from: usize) {
+    out[from..].sort_by_key(|&n| g.doc_order_key(n));
+    let mut last = None;
+    retain_from(out, from, |n| last.replace(n) != Some(n));
 }
 
 #[cfg(test)]
@@ -171,6 +294,13 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// `axis::node()` from `node`, in axis order.
+    fn on(g: &Goddag, index: Option<&OverlapIndex>, node: NodeId, axis: Axis) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        candidates(g, index, node, axis, Test::Node, &mut out);
+        out
+    }
+
     fn names(g: &Goddag, ids: &[NodeId]) -> Vec<String> {
         ids.iter()
             .map(|&n| {
@@ -185,11 +315,11 @@ mod tests {
     fn overlapping_axis_finds_cross_hierarchy_conflicts() {
         let g = fixture();
         let s = g.find_elements("s")[0];
-        let over = axis_candidates(&g, None, s, Axis::Overlapping);
+        let over = on(&g, None, s, Axis::Overlapping);
         assert_eq!(names(&g, &over), ["line", "line"]);
         // And symmetric from a line.
         let line0 = g.find_elements("line")[0];
-        let over = axis_candidates(&g, None, line0, Axis::Overlapping);
+        let over = on(&g, None, line0, Axis::Overlapping);
         assert_eq!(names(&g, &over), ["s"]);
     }
 
@@ -198,8 +328,8 @@ mod tests {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
         for e in g.elements() {
-            let with = axis_candidates(&g, Some(&idx), e, Axis::Overlapping);
-            let without = axis_candidates(&g, None, e, Axis::Overlapping);
+            let with = on(&g, Some(&idx), e, Axis::Overlapping);
+            let without = on(&g, None, e, Axis::Overlapping);
             assert_eq!(with, without);
         }
     }
@@ -209,7 +339,7 @@ mod tests {
         let g = fixture();
         // w("two") [4,7) is inside line1 [0,7) and s [4,13).
         let w_two = g.find_elements("w")[1];
-        let containing = axis_candidates(&g, None, w_two, Axis::Containing);
+        let containing = on(&g, None, w_two, Axis::Containing);
         let mut n = names(&g, &containing);
         n.sort();
         assert_eq!(n, ["line", "r", "s"]);
@@ -219,7 +349,7 @@ mod tests {
     fn contained_axis_crosses_hierarchies() {
         let g = fixture();
         let line0 = g.find_elements("line")[0];
-        let contained = axis_candidates(&g, None, line0, Axis::Contained);
+        let contained = on(&g, None, line0, Axis::Contained);
         let mut n = names(&g, &contained);
         n.sort();
         // Words "one" and "two" fit inside line 1; s does not (crosses).
@@ -236,14 +366,14 @@ mod tests {
         b.range(h1, "y", vec![], 0, 3).unwrap();
         let g = b.finish().unwrap();
         let x = g.find_elements("x")[0];
-        let co = axis_candidates(&g, None, x, Axis::CoExtensive);
+        let co = on(&g, None, x, Axis::CoExtensive);
         assert_eq!(names(&g, &co), ["y"]);
     }
 
     #[test]
     fn child_axis_on_root_merges_hierarchies() {
         let g = fixture();
-        let kids = axis_candidates(&g, None, g.root(), Axis::Child);
+        let kids = on(&g, None, g.root(), Axis::Child);
         let elem_names: Vec<_> = kids.iter().filter(|&&n| g.is_element(n)).collect();
         // 2 lines + ling top-level {w(one), s, w(four)} — w(two) nests in s.
         assert_eq!(elem_names.len(), 5);
@@ -253,7 +383,7 @@ mod tests {
     fn parent_axis_on_shared_leaf() {
         let g = fixture();
         let leaf_two = g.leaf_at_char(5).unwrap();
-        let parents = axis_candidates(&g, None, leaf_two, Axis::Parent);
+        let parents = on(&g, None, leaf_two, Axis::Parent);
         let mut n = names(&g, &parents);
         n.sort();
         assert_eq!(n, ["line", "w"]);
@@ -263,7 +393,7 @@ mod tests {
     fn ancestor_nearest_first() {
         let g = fixture();
         let leaf_three = g.leaf_at_char(9).unwrap();
-        let anc = axis_candidates(&g, None, leaf_three, Axis::Ancestor);
+        let anc = on(&g, None, leaf_three, Axis::Ancestor);
         // Nearest-first, root last.
         assert_eq!(anc.last().copied(), Some(g.root()));
         let n = names(&g, &anc);
@@ -274,11 +404,11 @@ mod tests {
     fn following_and_preceding_direction() {
         let g = fixture();
         let w_one = g.find_elements("w")[0];
-        let following = axis_candidates(&g, None, w_one, Axis::Following);
+        let following = on(&g, None, w_one, Axis::Following);
         assert!(!following.is_empty());
         assert!(following.iter().all(|&n| g.span(w_one).precedes(g.span(n))));
         let w_four = g.find_elements("w")[3];
-        let preceding = axis_candidates(&g, None, w_four, Axis::Preceding);
+        let preceding = on(&g, None, w_four, Axis::Preceding);
         assert!(preceding.iter().all(|&n| g.span(n).precedes(g.span(w_four))));
         // Reverse axis: nearest first.
         let first = preceding[0];
@@ -289,8 +419,8 @@ mod tests {
     fn self_and_descendant_or_self() {
         let g = fixture();
         let line = g.find_elements("line")[0];
-        assert_eq!(axis_candidates(&g, None, line, Axis::SelfAxis), vec![line]);
-        let dos = axis_candidates(&g, None, line, Axis::DescendantOrSelf);
+        assert_eq!(on(&g, None, line, Axis::SelfAxis), vec![line]);
+        let dos = on(&g, None, line, Axis::DescendantOrSelf);
         assert_eq!(dos[0], line);
         assert!(dos.len() > 1);
     }
@@ -299,10 +429,10 @@ mod tests {
     fn containing_includes_root() {
         let g = fixture();
         let w = g.find_elements("w")[0];
-        let containing = axis_candidates(&g, None, w, Axis::Containing);
+        let containing = on(&g, None, w, Axis::Containing);
         assert!(containing.contains(&g.root()));
         // But the root's own containing set is empty.
-        assert!(axis_candidates(&g, None, g.root(), Axis::Containing).is_empty());
+        assert!(on(&g, None, g.root(), Axis::Containing).is_empty());
     }
 
     #[test]
@@ -315,7 +445,7 @@ mod tests {
         b.range(h1, "pb", vec![], 2, 2).unwrap();
         let g = b.finish().unwrap();
         let seg = g.find_elements("seg")[0];
-        let contained = axis_candidates(&g, None, seg, Axis::Contained);
+        let contained = on(&g, None, seg, Axis::Contained);
         assert_eq!(names(&g, &contained), ["pb"]);
     }
 }

@@ -1,7 +1,7 @@
 //! The Extended XPath evaluator.
 
 use crate::ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
-use crate::axes::axis_candidates;
+use crate::axes::{self, Test};
 use crate::error::{Result, XPathError};
 use crate::functions::{call, EvalCtx, Item};
 use crate::overlap_index::OverlapIndex;
@@ -37,7 +37,9 @@ use xmlcore::QName;
 /// lie, `.` and a one-attribute `@n` hold their single member inline, and
 /// predicates filter candidate lists in place, so a candidate a predicate
 /// such as `[@n='5']` rejects costs no allocation. Each step resolves its
-/// node test (hierarchy and name) once, not once per origin.
+/// node test (hierarchy and name) once, not once per origin, and takes every
+/// origin's candidates from the axis layer into one reused buffer, already
+/// kept by the test, so only the nodes the test keeps are sorted.
 ///
 /// Each step also lowers its predicates once, before its first origin, so
 /// the spellings an editor asks most often read the candidate directly
@@ -93,68 +95,6 @@ use xmlcore::QName;
 pub struct Evaluator<'g> {
     g: &'g Goddag,
     index: Option<Arc<OverlapIndex>>,
-}
-
-/// A node test with its hierarchy resolved.
-#[derive(Clone, Copy)]
-enum Test<'a> {
-    /// `node()`
-    Node,
-    /// `*`: elements and the root.
-    Any,
-    /// `text()`
-    Text,
-    /// `h:*`
-    In(HierarchyId),
-    /// `T` or `h:T`
-    Name(Option<HierarchyId>, &'a str),
-}
-
-impl Test<'_> {
-    /// Calls `f` on each node of `nodes` the test accepts. The test's kind
-    /// is matched once, outside the loop: decided per node, the dispatch
-    /// cost more than the test itself.
-    fn try_each(
-        self,
-        g: &Goddag,
-        mut nodes: impl Iterator<Item = NodeId>,
-        f: impl FnMut(NodeId) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            Test::Node => nodes.try_for_each(f),
-            Test::Any => nodes.filter(|&n| g.is_element(n) || g.is_root(n)).try_for_each(f),
-            Test::Text => nodes.filter(|&n| g.is_leaf(n)).try_for_each(f),
-            Test::In(h) => nodes.filter(|&n| g.hierarchy_of(n) == Some(h)).try_for_each(f),
-            Test::Name(h, local) => nodes
-                .filter(|&n| {
-                    h.is_none_or(|h| g.hierarchy_of(n) == Some(h))
-                        && g.name(n).is_some_and(|q| q.local == local)
-                })
-                .try_for_each(f),
-        }
-    }
-
-    /// Appends the nodes of `nodes` the test accepts to `out`.
-    fn extend_matching(
-        self,
-        g: &Goddag,
-        nodes: impl Iterator<Item = NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        // Pushing cannot fail.
-        let _ = self.try_each(g, nodes, |n| {
-            out.push(n);
-            Ok(())
-        });
-    }
-
-    /// The hierarchy of every element the test accepts, when it names one.
-    fn hierarchy(self) -> Option<HierarchyId> {
-        match self {
-            Test::In(h) | Test::Name(Some(h), _) => Some(h),
-            _ => None,
-        }
-    }
 }
 
 impl<'g> Evaluator<'g> {
@@ -477,37 +417,7 @@ impl<'g> Evaluator<'g> {
         let mut cands = Vec::new();
         for origin in origins {
             cands.clear();
-            match axis {
-                // What `Goddag::children` lists, every hierarchy's top level
-                // merged in document order, but only the nodes the test
-                // keeps are copied and sorted.
-                Axis::Child if g.is_root(origin) => {
-                    for h in g.hierarchy_ids() {
-                        test.extend_matching(
-                            g,
-                            g.children_in(origin, h).iter().copied(),
-                            &mut cands,
-                        );
-                    }
-                    g.sort_doc_order(&mut cands);
-                }
-                Axis::Child => {
-                    test.extend_matching(g, g.element_children(origin).iter().copied(), &mut cands);
-                }
-                Axis::Descendant if g.is_root(origin) => {
-                    let in_order = self.root_descendants(test, |n| {
-                        cands.push(n);
-                        Ok(())
-                    })?;
-                    if !in_order {
-                        g.sort_doc_order(&mut cands);
-                    }
-                }
-                _ => {
-                    let found = axis_candidates(g, self.index.as_deref(), origin, axis);
-                    test.extend_matching(g, found.into_iter(), &mut cands);
-                }
-            }
+            axes::candidates(g, self.index.as_deref(), origin, axis, test, &mut cands);
             if cands.is_empty() {
                 continue;
             }
@@ -541,13 +451,13 @@ impl<'g> Evaluator<'g> {
         }
         let mut out = Vec::new();
         let in_order = if step.predicates.is_empty() {
-            self.root_descendants(test, |n| {
+            axes::root_descendants(self.g, test, |n| {
                 out.push(n);
                 Ok(())
             })?
         } else {
             let preds = Preds::new(&step.predicates);
-            self.root_descendants(test, |n| {
+            axes::root_descendants(self.g, test, |n| {
                 if self.accepts_all(&preds, Item::Node(n))? {
                     out.push(n);
                 }
@@ -574,30 +484,6 @@ impl<'g> Evaluator<'g> {
             }
             None => self.axis_step(root.chain(g.elements()), Axis::Child, test, &step.predicates),
         }
-    }
-
-    /// Feeds `descendant::T` from the root to `f` and says whether it came
-    /// in document order: the leaves do (for `text()`), the live elements
-    /// are enumerated in arena order and the caller sorts what it keeps.
-    /// Only `node()` lists the whole document.
-    fn root_descendants(
-        &self,
-        test: Test<'_>,
-        mut f: impl FnMut(NodeId) -> Result<()>,
-    ) -> Result<bool> {
-        let g = self.g;
-        match test {
-            Test::Node => g.descendants(g.root()).into_iter().try_for_each(f)?,
-            // Every hierarchy reaches every leaf; with no hierarchy the
-            // root has no descendants.
-            Test::Text if g.hierarchy_count() == 0 => {}
-            Test::Text => g.leaves().iter().try_for_each(|&l| f(l))?,
-            _ => {
-                test.try_each(g, g.elements(), f)?;
-                return Ok(false);
-            }
-        }
-        Ok(true)
     }
 
     /// The attribute axis: each origin's attributes read from its view in

@@ -14,6 +14,11 @@
 //! Hierarchies are addressed by QName prefixes in node tests (`phys:line`,
 //! `ling:*`) and by the `hierarchy()` function.
 //!
+//! Every step takes its candidates from one axis layer, which appends one
+//! origin's nodes on any axis into the step's buffer with the node test
+//! applied before any sort; the [`OverlapIndex`] appends the extended axes'
+//! hits into that buffer directly.
+//!
 //! ```
 //! use expath::Evaluator;
 //! let g = sacx::parse_distributed(&[
@@ -38,7 +43,6 @@ mod parser;
 mod value;
 
 pub use ast::{Axis, BinOp, Expr, NodeTest, PathStart, Step};
-pub use axes::axis_candidates;
 pub use error::{Result, XPathError};
 pub use eval::Evaluator;
 pub use overlap_index::{scan_intersecting, OverlapIndex};

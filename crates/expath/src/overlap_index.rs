@@ -4,11 +4,13 @@
 //! Layout: all non-empty element spans sorted by start offset, with a
 //! segment tree of maximum end offsets on top. Queries descend only into
 //! subtrees whose max end can still intersect, giving `O(log n + k)` for
-//! `k` results — the ablation experiment A1 measures this against the naive
-//! `O(n)` scan the evaluator falls back to without an index. Empty-span
-//! elements (milestones) sit in a second list sorted by their anchor, so
-//! `contained::` finds the milestones strictly inside a span by binary
-//! search as well.
+//! `k` results where [`scan_intersecting`], the evaluator's path without an
+//! index, reads every element. Empty-span elements (milestones) sit in a
+//! second list sorted by their anchor, so `contained::` finds the
+//! milestones strictly inside a span by binary search as well.
+//!
+//! Every query appends the elements it finds to the caller's buffer, in
+//! index order; the evaluator applies the node test and sorts.
 
 use goddag::{Goddag, NodeId, Span};
 
@@ -62,76 +64,60 @@ impl OverlapIndex {
         self.entries.is_empty()
     }
 
-    /// All elements whose span *intersects* `span` (shares at least one
-    /// leaf). Callers refine to proper overlap / containment as needed.
-    pub fn intersecting(&self, span: Span) -> Vec<NodeId> {
-        if span.is_empty() || self.entries.is_empty() {
-            return Vec::new();
+    /// Appends every element whose span *intersects* `span` (shares at
+    /// least one leaf). Callers refine to proper overlap as needed.
+    pub fn intersecting(&self, span: Span, out: &mut Vec<NodeId>) {
+        if span.is_empty() {
+            return;
         }
-        // Candidates: start < span.end (prefix by sortedness) AND
-        // end > span.start (segment-tree pruned descent).
+        // start < span.end (a prefix, by sortedness) AND end > span.start
+        // (segment-tree pruned descent).
         let prefix = self.entries.partition_point(|&(s, _, _)| s < span.end);
-        let mut idxs = Vec::new();
-        self.collect(1, 0, self.size, prefix, span.start, &mut idxs);
-        idxs.into_iter().map(|i| self.entries[i].2).collect()
+        self.collect(1, 0, self.size, prefix, span.start, out);
     }
 
-    /// All non-empty elements whose span contains `span` (including
-    /// co-extensive ones). `span` may be empty (milestone anchors).
-    pub fn containing(&self, span: Span) -> Vec<NodeId> {
-        if self.entries.is_empty() {
-            return Vec::new();
-        }
-        // start <= span.start AND end >= span.end (for empty spans the
-        // anchor may sit on either boundary, handled by Span::contains).
+    /// Appends every non-empty element whose span contains `span`
+    /// (co-extensive ones included). `span` may be empty (a milestone's
+    /// anchor, which may sit on either boundary).
+    pub fn containing(&self, span: Span, out: &mut Vec<NodeId>) {
+        // start <= span.start AND end >= span.end: for an empty span at 0
+        // every non-empty entry has `end >= 1`, so the bound is
+        // `end > max(span.end, 1) - 1` and the walk is exact.
         let prefix = self.entries.partition_point(|&(s, _, _)| s <= span.start);
-        let mut idxs = Vec::new();
-        let min_end = span.end.max(1);
-        self.collect(1, 0, self.size, prefix, min_end - 1, &mut idxs);
-        // The tree test used `end > min_end - 1` i.e. `end >= span.end`;
-        // refine exact containment (empty-span boundary rule).
-        idxs.into_iter()
-            .filter_map(|i| {
-                let (s, en, id) = self.entries[i];
-                Span::new(s, en).contains(span).then_some(id)
-            })
-            .collect()
+        self.collect(1, 0, self.size, prefix, span.end.max(1) - 1, out);
     }
 
-    /// All non-empty elements whose span lies within `span` (the
+    /// Appends every non-empty element whose span lies within `span` (the
     /// milestones are [`OverlapIndex::milestones_inside`]).
-    pub fn contained_in(&self, span: Span) -> Vec<NodeId> {
-        if span.is_empty() || self.entries.is_empty() {
-            return Vec::new();
-        }
+    pub fn contained_in(&self, span: Span, out: &mut Vec<NodeId>) {
         let lo = self.entries.partition_point(|&(s, _, _)| s < span.start);
         let hi = self.entries.partition_point(|&(s, _, _)| s < span.end);
-        self.entries[lo..hi]
-            .iter()
-            .filter(|&&(_, e, _)| e <= span.end)
-            .map(|&(_, _, id)| id)
-            .collect()
+        out.extend(
+            self.entries[lo..hi].iter().filter(|&&(_, e, _)| e <= span.end).map(|&(_, _, id)| id),
+        );
     }
 
-    /// All milestones anchored strictly inside `span`.
-    pub fn milestones_inside(&self, span: Span) -> Vec<NodeId> {
+    /// Appends every milestone anchored strictly inside `span`.
+    pub fn milestones_inside(&self, span: Span, out: &mut Vec<NodeId>) {
         let lo = self.milestones.partition_point(|&(m, _)| m <= span.start);
         let hi = self.milestones.partition_point(|&(m, _)| m < span.end);
-        self.milestones[lo..hi.max(lo)].iter().map(|&(_, id)| id).collect()
+        out.extend(self.milestones[lo..hi.max(lo)].iter().map(|&(_, id)| id));
     }
 
-    /// All non-empty elements with exactly this span.
-    pub fn co_extensive(&self, span: Span) -> Vec<NodeId> {
+    /// Appends every non-empty element with exactly this span.
+    pub fn co_extensive(&self, span: Span, out: &mut Vec<NodeId>) {
         let lo = self.entries.partition_point(|&(s, _, _)| s < span.start);
-        self.entries[lo..]
-            .iter()
-            .take_while(|&&(s, _, _)| s == span.start)
-            .filter(|&&(_, e, _)| e == span.end)
-            .map(|&(_, _, id)| id)
-            .collect()
+        out.extend(
+            self.entries[lo..]
+                .iter()
+                .take_while(|&&(s, _, _)| s == span.start)
+                .filter(|&&(_, e, _)| e == span.end)
+                .map(|&(_, _, id)| id),
+        );
     }
 
-    /// Collect entry indices in `[0, prefix)` with `end > min_end_exclusive`.
+    /// Appends the elements of the entries in `[0, prefix)` with
+    /// `end > min_end_exclusive`, in entry order.
     fn collect(
         &self,
         node: usize,
@@ -139,14 +125,14 @@ impl OverlapIndex {
         hi: usize,
         prefix: usize,
         min_end_exclusive: u32,
-        out: &mut Vec<usize>,
+        out: &mut Vec<NodeId>,
     ) {
         if lo >= prefix || self.max_end[node] <= min_end_exclusive {
             return;
         }
         if hi - lo == 1 {
-            if lo < self.entries.len() {
-                out.push(lo);
+            if let Some(&(_, _, id)) = self.entries.get(lo) {
+                out.push(id);
             }
             return;
         }
@@ -156,10 +142,11 @@ impl OverlapIndex {
     }
 }
 
-/// The naive baseline: scan every element (used when no index is supplied;
-/// also the comparison point for ablation A1).
-pub fn scan_intersecting(g: &Goddag, span: Span) -> Vec<NodeId> {
-    g.elements().filter(|&e| g.span(e).intersects(span)).collect()
+/// The naive baseline: appends every element whose span intersects `span`,
+/// read off a scan of all elements. The evaluator's path without an index,
+/// and the reference `index_matches_naive_scan` holds the index to.
+pub fn scan_intersecting(g: &Goddag, span: Span, out: &mut Vec<NodeId>) {
+    out.extend(g.elements().filter(|&e| g.span(e).intersects(span)));
 }
 
 #[cfg(test)]
@@ -184,6 +171,16 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// An index query, as the evaluator calls it.
+    type Query = fn(&OverlapIndex, Span, &mut Vec<NodeId>);
+
+    /// What `query` appends to an empty buffer.
+    fn run(query: Query, idx: &OverlapIndex, span: Span) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        query(idx, span, &mut out);
+        out
+    }
+
     fn names(g: &Goddag, mut ids: Vec<NodeId>) -> Vec<String> {
         g.sort_doc_order(&mut ids);
         ids.iter().map(|&e| g.name(e).unwrap().local.clone()).collect()
@@ -196,8 +193,9 @@ mod tests {
         for start in 0..10u32 {
             for end in start..=10u32 {
                 let span = Span::new(start, end);
-                let mut from_index = idx.intersecting(span);
-                let mut from_scan = scan_intersecting(&g, span);
+                let mut from_index = run(OverlapIndex::intersecting, &idx, span);
+                let mut from_scan = Vec::new();
+                scan_intersecting(&g, span, &mut from_scan);
                 g.sort_doc_order(&mut from_index);
                 g.sort_doc_order(&mut from_scan);
                 assert_eq!(from_index, from_scan, "span {span}");
@@ -213,9 +211,12 @@ mod tests {
         // markup boundaries {0,3,4,5,6,8,9,10}: 7 leaves. Element leaf
         // spans: e05=(0,3) e09=(0,7) e38=(1,5) e46=(2,4) e59=(3,6).
         // Who contains e46's span [2,4)? e09, e38, e46 itself.
-        assert_eq!(names(&g, idx.containing(Span::new(2, 4))), ["e09", "e38", "e46"]);
+        assert_eq!(
+            names(&g, run(OverlapIndex::containing, &idx, Span::new(2, 4))),
+            ["e09", "e38", "e46"]
+        );
         // Who contains the whole doc? e09 only.
-        assert_eq!(names(&g, idx.containing(Span::new(0, 7))), ["e09"]);
+        assert_eq!(names(&g, run(OverlapIndex::containing, &idx, Span::new(0, 7))), ["e09"]);
     }
 
     #[test]
@@ -223,7 +224,7 @@ mod tests {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
         // Anchor at leaf 3: e05 [0,5), e38 [3,8) (boundary), e09.
-        let got = names(&g, idx.containing(Span::empty_at(3)));
+        let got = names(&g, run(OverlapIndex::containing, &idx, Span::empty_at(3)));
         assert!(got.contains(&"e09".to_string()));
         assert!(got.contains(&"e05".to_string()));
     }
@@ -232,12 +233,15 @@ mod tests {
     fn contained_in_query() {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
-        assert_eq!(names(&g, idx.contained_in(Span::new(1, 5))), ["e38", "e46"]);
         assert_eq!(
-            names(&g, idx.contained_in(Span::new(0, 7))),
+            names(&g, run(OverlapIndex::contained_in, &idx, Span::new(1, 5))),
+            ["e38", "e46"]
+        );
+        assert_eq!(
+            names(&g, run(OverlapIndex::contained_in, &idx, Span::new(0, 7))),
             ["e09", "e05", "e38", "e46", "e59"]
         );
-        assert!(idx.contained_in(Span::new(0, 1)).is_empty());
+        assert!(run(OverlapIndex::contained_in, &idx, Span::new(0, 1)).is_empty());
     }
 
     #[test]
@@ -245,10 +249,10 @@ mod tests {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
         // e33 anchors at leaf boundary 1: inside (0,2), not on either end.
-        assert_eq!(names(&g, idx.milestones_inside(Span::new(0, 2))), ["e33"]);
-        assert!(idx.milestones_inside(Span::new(1, 5)).is_empty());
-        assert!(idx.milestones_inside(Span::new(0, 1)).is_empty());
-        assert!(idx.milestones_inside(Span::empty_at(1)).is_empty());
+        assert_eq!(names(&g, run(OverlapIndex::milestones_inside, &idx, Span::new(0, 2))), ["e33"]);
+        assert!(run(OverlapIndex::milestones_inside, &idx, Span::new(1, 5)).is_empty());
+        assert!(run(OverlapIndex::milestones_inside, &idx, Span::new(0, 1)).is_empty());
+        assert!(run(OverlapIndex::milestones_inside, &idx, Span::empty_at(1)).is_empty());
         assert_eq!(idx.len(), 5, "milestones are not interval entries");
     }
 
@@ -256,16 +260,16 @@ mod tests {
     fn co_extensive_query() {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
-        assert_eq!(names(&g, idx.co_extensive(Span::new(1, 5))), ["e38"]);
-        assert!(idx.co_extensive(Span::new(1, 2)).is_empty());
+        assert_eq!(names(&g, run(OverlapIndex::co_extensive, &idx, Span::new(1, 5))), ["e38"]);
+        assert!(run(OverlapIndex::co_extensive, &idx, Span::new(1, 2)).is_empty());
     }
 
     #[test]
     fn empty_span_queries() {
         let g = fixture();
         let idx = OverlapIndex::build(&g);
-        assert!(idx.intersecting(Span::empty_at(3)).is_empty());
-        assert!(idx.contained_in(Span::empty_at(3)).is_empty());
+        assert!(run(OverlapIndex::intersecting, &idx, Span::empty_at(3)).is_empty());
+        assert!(run(OverlapIndex::contained_in, &idx, Span::empty_at(3)).is_empty());
     }
 
     #[test]
@@ -274,8 +278,8 @@ mod tests {
         let g = b.finish().unwrap();
         let idx = OverlapIndex::build(&g);
         assert!(idx.is_empty());
-        assert!(idx.intersecting(Span::new(0, 1)).is_empty());
-        assert!(idx.containing(Span::new(0, 0)).is_empty());
+        assert!(run(OverlapIndex::intersecting, &idx, Span::new(0, 1)).is_empty());
+        assert!(run(OverlapIndex::containing, &idx, Span::new(0, 0)).is_empty());
     }
 
     /// Up to 30 random ranges per hierarchy over 60 bytes, a quarter of
@@ -304,7 +308,7 @@ mod tests {
 
     /// An index query, and the filter over one element's span that its doc
     /// states.
-    type Query = (&'static str, fn(&OverlapIndex, Span) -> Vec<NodeId>, fn(Span, Span) -> bool);
+    type Stated = (&'static str, Query, fn(Span, Span) -> bool);
 
     #[test]
     fn randomized_against_scan() {
@@ -313,7 +317,7 @@ mod tests {
             let g = random_doc(src);
             let idx = OverlapIndex::build(&g);
             let leaves = g.leaf_count() as u32;
-            let queries: [Query; 5] = [
+            let queries: [Stated; 5] = [
                 ("intersecting", OverlapIndex::intersecting, |es, q| es.intersects(q)),
                 ("containing", OverlapIndex::containing, |es, q| !es.is_empty() && es.contains(q)),
                 ("contained_in", OverlapIndex::contained_in, |es, q| {
@@ -330,7 +334,7 @@ mod tests {
                 let s = src.below(leaves as u64 + 1) as u32;
                 let span = Span::new(s, s + src.below((leaves - s) as u64 + 1) as u32);
                 for (what, query, doc) in queries {
-                    let mut got = query(&idx, span);
+                    let mut got = run(query, &idx, span);
                     let mut want: Vec<NodeId> =
                         g.elements().filter(|&e| doc(g.span(e), span)).collect();
                     g.sort_doc_order(&mut got);

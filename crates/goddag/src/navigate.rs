@@ -170,33 +170,6 @@ impl Goddag {
         }
     }
 
-    /// Nodes of hierarchy `h` that strictly follow `n` in document order
-    /// (start after `n` ends), excluding ancestors/descendants — the XPath
-    /// `following` axis restricted to `h`.
-    pub fn following_in(&self, n: NodeId, h: HierarchyId) -> Vec<NodeId> {
-        let span = self.span(n);
-        let mut out: Vec<NodeId> = self
-            .elements_in(h)
-            .filter(|&e| span.precedes(self.span(e)) && e != n && !self.span(e).is_empty())
-            .collect();
-        out.extend(self.leaves.iter().copied().filter(|&l| span.precedes(self.span(l))));
-        self.sort_doc_order(&mut out);
-        out
-    }
-
-    /// Nodes of hierarchy `h` that strictly precede `n` in document order —
-    /// the XPath `preceding` axis restricted to `h`.
-    pub fn preceding_in(&self, n: NodeId, h: HierarchyId) -> Vec<NodeId> {
-        let span = self.span(n);
-        let mut out: Vec<NodeId> = self
-            .elements_in(h)
-            .filter(|&e| self.span(e).precedes(span) && e != n && !self.span(e).is_empty())
-            .collect();
-        out.extend(self.leaves.iter().copied().filter(|&l| self.span(l).precedes(span)));
-        self.sort_doc_order(&mut out);
-        out
-    }
-
     /// The deepest element of hierarchy `h` whose span contains `span`
     /// (falling back to the root). This is the insertion host used by edits.
     pub fn host_in(&self, h: HierarchyId, span: crate::span::Span) -> NodeId {
@@ -357,28 +330,6 @@ mod tests {
         let ps = g.preceding_siblings_in(lines[1], phys);
         assert_eq!(ps.len(), 2);
         assert!(g.is_leaf(ps[0])); // nearest first
-    }
-
-    #[test]
-    fn following_and_preceding() {
-        let (g, ling, _) = {
-            let (g, _, ling) = doc();
-            (g, ling, ())
-        };
-        let words = g.find_elements("w");
-        let one = words[0];
-        let following = g.following_in(one, ling);
-        // w(two), s? (s starts at 4 which is after one ends at 3) — s starts at leaf of "two"
-        let elem_names: Vec<_> = following
-            .iter()
-            .filter(|&&n| g.is_element(n))
-            .map(|&n| g.name(n).unwrap().local.clone())
-            .collect();
-        assert!(elem_names.contains(&"w".to_string()));
-        assert!(elem_names.contains(&"s".to_string()));
-        let preceding = g.preceding_in(words[3], ling);
-        let elem_count = preceding.iter().filter(|&&n| g.is_element(n)).count();
-        assert_eq!(elem_count, 4); // one, two, s, three all end before four
     }
 
     #[test]

@@ -240,10 +240,11 @@ fn a_rejected_candidate_costs_no_allocation() {
 /// (requests, nodes selected) per [`SHAPES`] entry, at 300 and 2 000 words.
 /// Before borrowed values the first six were 256, 2 111, 185, 444, 256 and
 /// 2 411 requests at 300 words, and 1 624, 14 015, 1 091, 2 681, 1 624 and
-/// 16 015 at 2 000. The last still allocates per candidate.
+/// 16 015 at 2 000. The last still allocates per candidate: each evaluation
+/// of its predicate's path grows that path's own buffers.
 const PINS: [(usize, [(usize, usize); 7]); 2] = [
-    (300, [(1, 1), (1, 1), (7, 2), (8, 23), (1, 1), (4, 27), (139, 23)]),
-    (2000, [(1, 1), (1, 1), (7, 1), (11, 152), (1, 1), (7, 170), (886, 152)]),
+    (300, [(1, 1), (1, 1), (5, 2), (8, 23), (1, 1), (4, 27), (92, 23)]),
+    (2000, [(1, 1), (1, 1), (5, 1), (11, 152), (1, 1), (7, 170), (581, 152)]),
 ];
 
 #[test]

@@ -135,8 +135,9 @@ fn overlap_index_agrees_with_scan() {
             let e = e.min(g.leaf_count() as u32);
             let s = s.min(e);
             let span = Span::new(s, e);
-            let mut from_idx = idx.intersecting(span);
-            let mut from_scan = expath::scan_intersecting(&g, span);
+            let (mut from_idx, mut from_scan) = (Vec::new(), Vec::new());
+            idx.intersecting(span, &mut from_idx);
+            expath::scan_intersecting(&g, span, &mut from_scan);
             g.sort_doc_order(&mut from_idx);
             g.sort_doc_order(&mut from_scan);
             assert_eq!(from_idx, from_scan);

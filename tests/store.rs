@@ -13,8 +13,8 @@ fn manuscript(words: usize, seed: u64) -> goddag::Goddag {
     generate(&Params { words, seed, ..Params::default() }).goddag
 }
 
-/// The editorial query mix from EXPERIMENTS.md, exercising both classic and
-/// extended axes.
+/// Four queries of the served palette, exercising both classic and extended
+/// axes.
 const QUERIES: &[&str] =
     &["//ling:w", "//s/overlapping::phys:line", "//dmg/overlapping::ling:w", "//dmg/containing::*"];
 
