@@ -12,7 +12,7 @@
 
 use crate::ast::Axis;
 use crate::error::Result;
-use crate::overlap_index::{scan_intersecting, OverlapIndex};
+use crate::overlap_index::OverlapIndex;
 use goddag::{Goddag, HierarchyId, NodeId, Span};
 
 /// A node test with its hierarchy resolved.
@@ -30,7 +30,7 @@ pub(crate) enum Test<'a> {
     Name(Option<HierarchyId>, &'a str),
 }
 
-impl Test<'_> {
+impl<'a> Test<'a> {
     /// Whether the test accepts `n`.
     #[inline]
     fn accepts(self, g: &Goddag, n: NodeId) -> bool {
@@ -85,6 +85,15 @@ impl Test<'_> {
             _ => None,
         }
     }
+
+    /// What is left of the test on elements of its [`Test::hierarchy`].
+    fn within_hierarchy(self) -> Test<'a> {
+        match self {
+            Test::In(_) => Test::Node,
+            Test::Name(_, local) => Test::Name(None, local),
+            test => test,
+        }
+    }
 }
 
 /// Appends to `out` the nodes of `axis` from `origin` that `test` accepts,
@@ -132,7 +141,8 @@ pub(crate) fn candidates(
         }
         Axis::Descendant => {
             if let Some(h) = g.hierarchy_of(origin) {
-                descendants_in(g, origin, h, test, out);
+                g.extend_descendants_in(origin, h, out);
+                retain_from(out, from, |n| test.accepts(g, n));
             }
         }
         Axis::Parent => {
@@ -151,9 +161,8 @@ pub(crate) fn candidates(
         Axis::FollowingSibling | Axis::PrecedingSibling => {
             let forward = axis == Axis::FollowingSibling;
             for h in g.hierarchy_ids() {
-                let Some(parent) = g.parent_in(origin, h) else { continue };
+                let Some((parent, i)) = g.child_index_in(origin, h) else { continue };
                 let siblings = g.children_in(parent, h);
-                let Some(i) = siblings.iter().position(|&s| s == origin) else { continue };
                 let side = if forward { &siblings[i + 1..] } else { &siblings[..i] };
                 test.append(g, side.iter().copied(), out);
             }
@@ -163,15 +172,24 @@ pub(crate) fn candidates(
             }
         }
         Axis::Following | Axis::Preceding => {
-            // Elements and leaves wholly after (before) the origin's span;
-            // milestones (empty elements) are on neither side.
+            // Elements and leaves wholly after (before) the origin's span,
+            // except its ancestors: a milestone's empty span is wholly before
+            // (after) a parent it starts (ends). Milestones (empty elements)
+            // are on neither side.
             let forward = axis == Axis::Following;
             let span = g.span(origin);
             let apart = |s: Span| {
                 !s.is_empty() && if forward { span.precedes(s) } else { s.precedes(span) }
             };
+            let ancestor = |n: NodeId| {
+                span.is_empty()
+                    && g.hierarchy_of(origin).is_some_and(|h| {
+                        std::iter::successors(g.parent_in(origin, h), |&p| g.parent_in(p, h))
+                            .any(|p| p == n)
+                    })
+            };
             let nodes = g.elements().chain(g.leaves().iter().copied());
-            test.append(g, nodes.filter(|&n| apart(g.span(n))), out);
+            test.append(g, nodes.filter(|&n| apart(g.span(n)) && !ancestor(n)), out);
             sort_from(g, out, from);
             if !forward {
                 out[from..].reverse();
@@ -189,8 +207,7 @@ pub(crate) fn candidates(
                     idx.milestones_inside(span, out);
                 }
                 (Some(idx), Axis::CoExtensive) if !span.is_empty() => idx.co_extensive(span, out),
-                (None, Axis::Overlapping) => scan_intersecting(g, span, out),
-                _ => out.extend(g.elements().filter(|&e| related(axis, span, g.span(e)))),
+                _ => out.extend(g.elements()),
             }
             retain_from(out, from, |e| {
                 e != origin && related(axis, span, g.span(e)) && test.accepts(g, e)
@@ -218,9 +235,9 @@ fn related(axis: Axis, span: Span, s: Span) -> bool {
 }
 
 /// Feeds `descendant::T` from the root to `f` and says whether it came in
-/// document order: the leaves do (for `text()`), the live elements are
-/// enumerated in arena order and the caller sorts what it keeps. Only
-/// `node()` lists the whole document.
+/// document order: the leaves do (for `text()`), the live elements (of the
+/// test's hierarchy, when it names one) are enumerated in arena order and
+/// the caller sorts what it keeps. Only `node()` lists the whole document.
 #[inline]
 pub(crate) fn root_descendants(
     g: &Goddag,
@@ -234,22 +251,14 @@ pub(crate) fn root_descendants(
         Test::Text if g.hierarchy_count() == 0 => {}
         Test::Text => g.leaves().iter().try_for_each(|&l| f(l))?,
         _ => {
-            test.try_each(g, g.elements(), f)?;
+            match test.hierarchy() {
+                Some(h) => test.within_hierarchy().try_each(g, g.elements_in(h), f)?,
+                None => test.try_each(g, g.elements(), f)?,
+            }
             return Ok(false);
         }
     }
     Ok(true)
-}
-
-/// Appends the descendants of `n` in hierarchy `h` that `test` accepts, in
-/// the hierarchy's child order (pre-order).
-fn descendants_in(g: &Goddag, n: NodeId, h: HierarchyId, test: Test<'_>, out: &mut Vec<NodeId>) {
-    for &child in g.children_in(n, h) {
-        if test.accepts(g, child) {
-            out.push(child);
-        }
-        descendants_in(g, child, h, test, out);
-    }
 }
 
 /// Keeps, in order, the nodes of `out[from..]` that `keep` allows (it sees
@@ -413,6 +422,27 @@ mod tests {
         // Reverse axis: nearest first.
         let first = preceding[0];
         assert!(g.span(first).end >= g.span(*preceding.last().unwrap()).end);
+    }
+
+    #[test]
+    fn a_milestone_is_not_before_or_after_its_ancestors() {
+        let mut b = GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("abc def");
+        let phys = b.hierarchy("phys");
+        b.range(phys, "line", vec![], 0, 7).unwrap();
+        let mut g = b.finish().unwrap();
+        for at in [0, 7] {
+            g.insert_element(phys, QName::parse("pb").unwrap(), vec![], at, at).unwrap();
+        }
+        let line = g.find_elements("line")[0];
+        // Spans count leaves: the one leaf is [0, 1).
+        let pb = |at| *g.find_elements("pb").iter().find(|&&p| g.span(p).start == at).unwrap();
+        let (first, last) = (pb(0), pb(1));
+        assert_eq!(g.parent_in(first, phys), Some(line));
+        assert_eq!(g.parent_in(last, phys), Some(line));
+        let elements = |n, axis| on(&g, None, n, axis).into_iter().filter(|&e| g.is_element(e));
+        assert_eq!(elements(first, Axis::Following).count(), 0);
+        assert_eq!(elements(last, Axis::Preceding).count(), 0);
     }
 
     #[test]

@@ -667,6 +667,7 @@ impl<'g> Evaluator<'g> {
     }
 
     /// Whether every predicate of a position-free step accepts `item`.
+    #[inline]
     fn accepts_all(&self, preds: &Preds<'_>, item: Item) -> Result<bool> {
         for i in 0..preds.len() {
             if !self.accepts(preds.get(i), item, 1, 1)? {

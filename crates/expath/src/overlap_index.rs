@@ -4,10 +4,10 @@
 //! Layout: all non-empty element spans sorted by start offset, with a
 //! segment tree of maximum end offsets on top. Queries descend only into
 //! subtrees whose max end can still intersect, giving `O(log n + k)` for
-//! `k` results where [`scan_intersecting`], the evaluator's path without an
-//! index, reads every element. Empty-span elements (milestones) sit in a
-//! second list sorted by their anchor, so `contained::` finds the
-//! milestones strictly inside a span by binary search as well.
+//! `k` results where a scan, the evaluator's path without an index, reads
+//! every element. Empty-span elements (milestones) sit in a second list
+//! sorted by their anchor, so `contained::` finds the milestones strictly
+//! inside a span by binary search as well.
 //!
 //! Every query appends the elements it finds to the caller's buffer, in
 //! index order; the evaluator applies the node test and sorts.
@@ -143,8 +143,8 @@ impl OverlapIndex {
 }
 
 /// The naive baseline: appends every element whose span intersects `span`,
-/// read off a scan of all elements. The evaluator's path without an index,
-/// and the reference `index_matches_naive_scan` holds the index to.
+/// read off a scan of all elements. The reference `index_matches_naive_scan`
+/// and `overlap_index_agrees_with_scan` hold the index to.
 pub fn scan_intersecting(g: &Goddag, span: Span, out: &mut Vec<NodeId>) {
     out.extend(g.elements().filter(|&e| g.span(e).intersects(span)));
 }

@@ -90,27 +90,21 @@ impl Goddag {
         out
     }
 
-    /// Ancestors across *all* hierarchies (union of per-hierarchy ancestor
-    /// chains), deduplicated, document order.
-    pub fn ancestors(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        for h in self.hierarchy_ids() {
-            out.extend(self.ancestors_in(n, h));
-        }
-        self.sort_doc_order(&mut out);
-        out
-    }
-
     /// Pre-order descendants of `n` (excluding `n`) within hierarchy `h`,
     /// including the leaves it dominates.
     pub fn descendants_in(&self, n: NodeId, h: HierarchyId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        let mut stack: Vec<NodeId> = self.children_in(n, h).iter().rev().copied().collect();
-        while let Some(c) = stack.pop() {
-            out.push(c);
-            stack.extend(self.children_in(c, h).iter().rev().copied());
-        }
+        self.extend_descendants_in(n, h, &mut out);
         out
+    }
+
+    /// Appends [`Goddag::descendants_in`] to `out`, without a list of its
+    /// own.
+    pub fn extend_descendants_in(&self, n: NodeId, h: HierarchyId, out: &mut Vec<NodeId>) {
+        for &c in self.children_in(n, h) {
+            out.push(c);
+            self.extend_descendants_in(c, h, out);
+        }
     }
 
     /// Descendants of an element within its own hierarchy; for the root, the
@@ -120,7 +114,7 @@ impl Goddag {
         if self.is_root(n) {
             let mut out = Vec::new();
             for h in self.hierarchy_ids() {
-                out.extend(self.descendants_in(n, h));
+                self.extend_descendants_in(n, h, &mut out);
             }
             self.sort_doc_order(&mut out);
             out
@@ -131,8 +125,9 @@ impl Goddag {
         }
     }
 
-    /// Index of `n` within its parent's child list in hierarchy `h`.
-    fn child_index_in(&self, n: NodeId, h: HierarchyId) -> Option<(NodeId, usize)> {
+    /// The parent of `n` in hierarchy `h` and where `n` stands in its child
+    /// list there.
+    pub fn child_index_in(&self, n: NodeId, h: HierarchyId) -> Option<(NodeId, usize)> {
         let p = self.parent_in(n, h)?;
         let siblings = self.children_in(p, h);
         siblings.iter().position(|&s| s == n).map(|i| (p, i))
@@ -148,26 +143,6 @@ impl Goddag {
     pub fn prev_sibling_in(&self, n: NodeId, h: HierarchyId) -> Option<NodeId> {
         let (p, i) = self.child_index_in(n, h)?;
         i.checked_sub(1).and_then(|j| self.children_in(p, h).get(j).copied())
-    }
-
-    /// All following siblings in order.
-    pub fn following_siblings_in(&self, n: NodeId, h: HierarchyId) -> Vec<NodeId> {
-        match self.child_index_in(n, h) {
-            Some((p, i)) => self.children_in(p, h)[i + 1..].to_vec(),
-            None => Vec::new(),
-        }
-    }
-
-    /// All preceding siblings, nearest first.
-    pub fn preceding_siblings_in(&self, n: NodeId, h: HierarchyId) -> Vec<NodeId> {
-        match self.child_index_in(n, h) {
-            Some((p, i)) => {
-                let mut v = self.children_in(p, h)[..i].to_vec();
-                v.reverse();
-                v
-            }
-            None => Vec::new(),
-        }
     }
 
     /// The deepest element of hierarchy `h` whose span contains `span`
@@ -272,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn ancestors_union() {
-        let (g, _, _) = doc();
-        let three = g.leaf_at_char(9).unwrap();
-        let all = g.ancestors(three);
-        // line2, w(three), s, root
-        assert_eq!(all.len(), 4);
-        assert!(all.contains(&g.root()));
-    }
-
-    #[test]
     fn descendants_in_hierarchy() {
         let (g, phys, ling) = doc();
         let phys_desc = g.descendants_in(g.root(), phys);
@@ -319,17 +284,6 @@ mod tests {
         assert_eq!(g.prev_sibling_in(line2, phys), Some(after));
         assert_eq!(g.prev_sibling_in(lines[0], phys), None);
         assert_eq!(g.next_sibling_in(lines[1], phys), None);
-    }
-
-    #[test]
-    fn sibling_lists() {
-        let (g, phys, _) = doc();
-        let lines = g.find_elements("line");
-        let fs = g.following_siblings_in(lines[0], phys);
-        assert_eq!(fs.len(), 2);
-        let ps = g.preceding_siblings_in(lines[1], phys);
-        assert_eq!(ps.len(), 2);
-        assert!(g.is_leaf(ps[0])); // nearest first
     }
 
     #[test]

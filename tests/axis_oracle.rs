@@ -20,7 +20,7 @@
 
 use corpus::{generate, Params};
 use expath::{Evaluator, OverlapIndex};
-use goddag::{check_invariants, Goddag, HierarchyId, NodeId};
+use goddag::{check_invariants, Goddag, HierarchyId, NodeId, Span};
 use std::sync::Arc;
 use xmlcore::QName;
 
@@ -93,6 +93,8 @@ fn on_axis(g: &Goddag, axis: &str, n: NodeId, m: NodeId) -> bool {
     let mut hierarchies = g.hierarchy_ids();
     let (sn, sm) = (g.span(n), g.span(m));
     let element = g.is_element(m);
+    let apart =
+        |before: Span, after: Span| !g.is_root(m) && !sm.is_empty() && before.precedes(after);
     match axis {
         "self" => m == n,
         "child" => hierarchies.any(|h| g.parent_in(m, h) == Some(n)),
@@ -103,9 +105,10 @@ fn on_axis(g: &Goddag, axis: &str, n: NodeId, m: NodeId) -> bool {
         "ancestor-or-self" => m == n || on_axis(g, "ancestor", n, m),
         "following-sibling" => hierarchies.any(|h| later_sibling(g, h, m, n)),
         "preceding-sibling" => hierarchies.any(|h| later_sibling(g, h, n, m)),
-        // Wholly after (before) the node; milestones are on neither side.
-        "following" => !g.is_root(m) && !sm.is_empty() && sn.precedes(sm),
-        "preceding" => !g.is_root(m) && !sm.is_empty() && sm.precedes(sn),
+        // Wholly after (before) the node and not its ancestor; milestones
+        // are on neither side.
+        "following" => apart(sn, sm) && !on_axis(g, "ancestor", n, m),
+        "preceding" => apart(sm, sn) && !on_axis(g, "ancestor", n, m),
         "overlapping" => element && sm.overlaps(sn),
         "containing" => m != n && (g.is_root(m) || element && !sm.is_empty() && sm.contains(sn)),
         // A milestone is contained when it is anchored strictly inside.
