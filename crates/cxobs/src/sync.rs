@@ -94,9 +94,6 @@ pub enum Level {
     /// entry fails its epoch check and is rebuilt: at worst a redundant
     /// rebuild, never a wrong answer.
     Index,
-    /// One document's prevalidation engines, one per hierarchy: a cache
-    /// whose entries are inserted whole.
-    Engines,
     /// `cxserve::Client`'s idle-connection pool. Whole connections are
     /// pushed and popped one at a time.
     ClientIdle,

@@ -1,36 +1,35 @@
-//! Per-document state: the GODDAG under its lock, and the epoch-validated
-//! caches that ride along with it.
+//! Per-document state: the GODDAG under its lock, the epoch-validated
+//! overlap index, and the document's prevalidation engines.
 
 use crate::stats::StoreMetrics;
 use cxobs::sync::{Level, Mutex, RwLock};
 use expath::OverlapIndex;
 use goddag::Goddag;
-use prevalid::PrevalidEngine;
-use std::collections::HashMap;
+use prevalid::DocEngines;
 use std::sync::Arc;
 
-/// One document slot. The `doc` lock orders all access; the caches are
+/// One document slot. The `doc` lock orders all access; the index is
 /// guarded separately and validated lazily against the document's edit
-/// epoch, so writers never have to touch them.
+/// epoch, so writers never have to touch it.
 pub(crate) struct DocEntry {
     /// The document itself. Many readers or one writer.
     pub(crate) doc: RwLock<Goddag>,
     /// `(epoch, index)` — the overlap index built at that edit epoch, or
     /// `None` before the first query.
     index: Mutex<Option<(u64, Arc<OverlapIndex>)>>,
-    /// Prevalidation engines by hierarchy index. An engine compiles the
-    /// hierarchy DTD's Glushkov automata, which is worth amortizing across
-    /// edits. Never invalidated: no [`crate::EditOp`] changes a DTD, so a
-    /// hierarchy's DTD is fixed from insert on.
-    engines: Mutex<HashMap<u16, Arc<PrevalidEngine>>>,
+    /// The prevalidation gate: one engine per hierarchy with a DTD,
+    /// compiled on first use and written once, so it needs no lock of its
+    /// own. Never invalidated: no [`crate::EditOp`] adds a hierarchy or
+    /// changes a DTD, so both are fixed from insert on.
+    pub(crate) engines: DocEngines,
 }
 
 impl DocEntry {
     pub(crate) fn new(g: Goddag) -> DocEntry {
         DocEntry {
+            engines: DocEngines::new(&g),
             doc: RwLock::new(Level::Doc, g),
             index: Mutex::new(Level::Index, None),
-            engines: Mutex::new(Level::Engines, HashMap::new()),
         }
     }
 
@@ -55,22 +54,5 @@ impl DocEntry {
     /// True when a cached index exists for the current epoch.
     pub(crate) fn index_is_warm(&self, g: &Goddag) -> bool {
         self.index.lock().as_ref().is_some_and(|(built_at, _)| *built_at == g.edit_epoch())
-    }
-
-    /// The prevalidation engine for hierarchy `h` of `g`, if that hierarchy
-    /// carries a DTD. Built once per entry and reused across edits; the DTD
-    /// is cloned only to build it.
-    pub(crate) fn engine_for(
-        &self,
-        g: &Goddag,
-        h: goddag::HierarchyId,
-    ) -> Option<Arc<PrevalidEngine>> {
-        let dtd = g.hierarchy(h).ok()?.dtd.as_ref()?;
-        let mut engines = self.engines.lock();
-        Some(Arc::clone(
-            engines
-                .entry(h.idx() as u16)
-                .or_insert_with(|| Arc::new(PrevalidEngine::new(dtd.clone()))),
-        ))
     }
 }

@@ -24,7 +24,8 @@
 //!   resolve + apply body lives) is the only way a stored document changes.
 //!   [`Store::edit`] applies one under the document's write lock; names are
 //!   checked, and markup insertions into a hierarchy with a DTD go through
-//!   `prevalid`, before the durability hook sees the op, so a store full of
+//!   the document's [`prevalid::DocEngines`] (the gate an xTagger session
+//!   runs too), before the durability hook sees the op, so a store full of
 //!   valid documents stays potentially valid.
 //! * **Observability** — every store owns a [`cxobs::Registry`] holding
 //!   its event counters (cache hits/misses, edits) and latency histograms

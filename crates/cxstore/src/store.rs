@@ -8,7 +8,6 @@ use cxobs::sync::{Level, RwLock};
 use cxobs::{trace, Exposition, Observable, Registry};
 use expath::{parse, Evaluator, Expr, Value};
 use goddag::Goddag;
-use prevalid::InsertionContext;
 use sacx::{EditError, EditOp, EditOutcome, Resolved};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -469,30 +468,18 @@ impl Store {
         if let (Some(h), EditOp::InsertElement { tag, start, end, .. }) =
             (resolved.hierarchy(), resolved.op())
         {
-            if let Some(engine) = entry.engine_for(g, h) {
-                // One reusable check context per gated edit: the host
-                // partition and wrap tables are built once and the tag is
-                // tested against them (the same context that powers
-                // [`Store::suggest_tags`]).
-                let verdict = match InsertionContext::new(&engine, g, h, *start, *end) {
-                    Ok(ctx) => ctx.check(tag),
-                    Err(v) => v,
-                };
-                if !verdict.ok {
-                    return Err(StoreError::EditRejected(
-                        verdict.reason.unwrap_or_else(|| "prevalidation failed".into()),
-                    ));
-                }
+            let verdict = entry.engines.check(g, h, tag, *start, *end);
+            if !verdict.ok {
+                return Err(StoreError::EditRejected(verdict.reason.unwrap_or_default()));
             }
         }
         Ok(resolved)
     }
 
     /// Every tag the hierarchy's DTD allows over `start..end` — the editor
-    /// suggestion service, served from the cached prevalidation engine with
-    /// the host partition and covered-items wrap table shared across all
-    /// candidate tags (only the per-tag host-side check re-runs). Empty
-    /// when the hierarchy carries no DTD or the range itself is unusable.
+    /// suggestion service, [`prevalid::DocEngines::suggest`] on the
+    /// document's engines. Empty when the hierarchy carries no DTD or the
+    /// range itself is unusable.
     pub fn suggest_tags(
         &self,
         id: DocId,
@@ -505,13 +492,7 @@ impl Store {
         let h = g
             .hierarchy_by_name(hierarchy)
             .ok_or_else(|| StoreError::UnknownHierarchy(hierarchy.into()))?;
-        let Some(engine) = entry.engine_for(&g, h) else {
-            return Ok(Vec::new());
-        };
-        Ok(match InsertionContext::new(&engine, &g, h, start, end) {
-            Ok(ctx) => ctx.suggestions(),
-            Err(_) => Vec::new(),
-        })
+        Ok(entry.engines.suggest(&g, h, start, end))
     }
 
     // ------------------------------------------------------------------

@@ -9,20 +9,25 @@
 //! * [`suggest_tags`] — every tag the DTD allows over a selection: exactly
 //!   xTagger's "choose the appropriate markup" list.
 //!
+//! [`DocEngines`] is the one prevalidation gate: it holds a document's
+//! engines and answers these three questions per hierarchy, passing a
+//! hierarchy without a DTD. `cxstore`'s gated edits and suggestions and
+//! `xtagger`'s session both go through it.
+//!
 //! Both single-tag checks and tag suggestion run through an
-//! [`InsertionContext`]: the host lookup and the child-sequence partition
+//! `InsertionContext`: the host lookup and the child-sequence partition
 //! against the byte range (resolved straight to engine symbols) are
 //! computed **once** and every candidate tag is tested against them. Each
 //! check is first put to the engine's linear decision; the wrap table over
 //! the covered items is built lazily, only when some tag's check cannot be
 //! decided that way, and then shared by the rest. The host-side sequence
 //! check, whose sequence genuinely differs per tag (the tag sits in it),
-//! runs per candidate. `cxstore` threads the same context through its
-//! gated-edit path.
+//! runs per candidate.
 
 use crate::engine::{ItemSym, PrevalidEngine, Verdict, WrapTable};
 use goddag::{Goddag, HierarchyId, NodeId, NodeKind, Span};
 use std::cell::OnceCell;
+use std::sync::OnceLock;
 
 /// Result of a whole-hierarchy check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,7 +120,7 @@ fn push(part: &mut Part, item: Result<ItemSym, Verdict>) {
 /// is unusable: out of bounds, splitting a character, or crossing markup of
 /// the same hierarchy. [`InsertionContext::check`] then decides individual
 /// tags, and [`InsertionContext::suggestions`] ranks the whole DTD.
-pub struct InsertionContext<'e> {
+pub(crate) struct InsertionContext<'e> {
     engine: &'e PrevalidEngine,
     host_name: String,
     /// Host children outside the range (the insertion point marked by
@@ -129,7 +134,7 @@ pub struct InsertionContext<'e> {
 impl<'e> InsertionContext<'e> {
     /// Locate the host of `start..end` in hierarchy `h` and partition its
     /// children against the range.
-    pub fn new(
+    pub(crate) fn new(
         engine: &'e PrevalidEngine,
         g: &Goddag,
         h: HierarchyId,
@@ -204,16 +209,11 @@ impl<'e> InsertionContext<'e> {
         Ok(InsertionContext { engine, host_name, outer, inner })
     }
 
-    /// The host element's name.
-    pub fn host_name(&self) -> &str {
-        &self.host_name
-    }
-
     /// Would inserting `<tag>` here keep the hierarchy potentially valid?
     /// The covered items are tested with the shared (lazily built) wrap
     /// table as their fallback; the host's new sequence, which differs per
     /// tag, is checked from scratch.
-    pub fn check(&self, tag: &str) -> Verdict {
+    pub(crate) fn check(&self, tag: &str) -> Verdict {
         let Some(tag_sym) =
             self.engine.symbol(tag).filter(|_| self.engine.dtd().element(tag).is_some())
         else {
@@ -259,7 +259,7 @@ impl<'e> InsertionContext<'e> {
     }
 
     /// All DTD elements [`Self::check`] approves, sorted by name.
-    pub fn suggestions(&self) -> Vec<String> {
+    pub(crate) fn suggestions(&self) -> Vec<String> {
         self.engine.dtd().elements.keys().filter(|tag| self.check(tag).ok).cloned().collect()
     }
 }
@@ -319,6 +319,57 @@ pub fn suggest_tags(
     match InsertionContext::new(engine, g, h, start, end) {
         Ok(ctx) => ctx.suggestions(),
         Err(_) => Vec::new(),
+    }
+}
+
+/// One document's prevalidation engines: one slot per hierarchy, each
+/// compiled from the hierarchy's DTD on first use and kept. The slots are
+/// sized from the document they are built from, and never invalidated: no
+/// edit adds a hierarchy or changes a DTD, so the document's hierarchies
+/// and DTDs are fixed once it is handed over. Each method states the one
+/// rule for a hierarchy without a DTD.
+pub struct DocEngines {
+    engines: Box<[OnceLock<PrevalidEngine>]>,
+}
+
+impl DocEngines {
+    /// Empty slots for every hierarchy of `g`.
+    pub fn new(g: &Goddag) -> DocEngines {
+        DocEngines { engines: g.hierarchy_ids().map(|_| OnceLock::new()).collect() }
+    }
+
+    /// The engine of hierarchy `h` of `g`, compiled on first use; `None`
+    /// when `h` carries no DTD.
+    fn engine(&self, g: &Goddag, h: HierarchyId) -> Option<&PrevalidEngine> {
+        let dtd = g.hierarchy(h).ok()?.dtd.as_ref()?;
+        Some(self.engines.get(h.idx())?.get_or_init(|| PrevalidEngine::new(dtd.clone())))
+    }
+
+    /// The gate: [`check_insertion`] of `<tag>` over `start..end` in `h`,
+    /// or yes when `h` carries no DTD.
+    pub fn check(
+        &self,
+        g: &Goddag,
+        h: HierarchyId,
+        tag: &str,
+        start: usize,
+        end: usize,
+    ) -> Verdict {
+        match self.engine(g, h) {
+            Some(engine) => check_insertion(engine, g, h, tag, start, end),
+            None => Verdict::yes(),
+        }
+    }
+
+    /// [`suggest_tags`] over `start..end` in `h`; empty when `h` carries no
+    /// DTD.
+    pub fn suggest(&self, g: &Goddag, h: HierarchyId, start: usize, end: usize) -> Vec<String> {
+        self.engine(g, h).map(|engine| suggest_tags(engine, g, h, start, end)).unwrap_or_default()
+    }
+
+    /// [`check_hierarchy`] of `h`; `None` when `h` carries no DTD.
+    pub fn report(&self, g: &Goddag, h: HierarchyId) -> Option<HierarchyReport> {
+        self.engine(g, h).map(|engine| check_hierarchy(engine, g, h))
     }
 }
 
@@ -469,13 +520,33 @@ mod tests {
     fn context_reuse_matches_one_shot() {
         let (engine, g, h) = setup();
         let ctx = InsertionContext::new(&engine, &g, h, 0, 3).unwrap();
-        assert_eq!(ctx.host_name(), "line");
+        assert_eq!(ctx.host_name, "line");
         for tag in ["w", "line", "page", "r"] {
             assert_eq!(ctx.check(tag), check_insertion(&engine, &g, h, tag, 0, 3), "tag {tag}");
         }
         // Error verdicts surface at construction.
         assert!(InsertionContext::new(&engine, &g, h, 0, 999).is_err());
         assert!(InsertionContext::new(&engine, &g, h, 4, 9).is_err());
+    }
+
+    #[test]
+    fn doc_engines_pass_a_hierarchy_without_a_dtd() {
+        let (engine, mut g, phys) = setup();
+        g.set_dtd(phys, parse_dtd(DTD).unwrap()).unwrap();
+        let bare = g.add_hierarchy("bare");
+        let engines = DocEngines::new(&g);
+        assert!(engines.check(&g, bare, "ghost", 4, 9).ok);
+        assert!(engines.suggest(&g, bare, 0, 3).is_empty());
+        assert_eq!(engines.report(&g, bare), None);
+        // With a DTD, each method is the free function on the engine.
+        for (tag, s, e) in [("w", 0, 3), ("ghost", 4, 9), ("w", 4, 9), ("w", 0, 999)] {
+            assert_eq!(
+                engines.check(&g, phys, tag, s, e),
+                check_insertion(&engine, &g, phys, tag, s, e)
+            );
+        }
+        assert_eq!(engines.suggest(&g, phys, 0, 3), suggest_tags(&engine, &g, phys, 0, 3));
+        assert_eq!(engines.report(&g, phys), Some(check_hierarchy(&engine, &g, phys)));
     }
 
     #[test]

@@ -43,12 +43,12 @@
 //! xTagger makes is decided by the linear pass: a `check_insertion` takes
 //! ~17 µs in release, where the table took ~74 ms and the set-based engine
 //! ~387 s. [`suggest_tags`] shares the host partition across all candidate
-//! tags (see [`InsertionContext`]) and builds the covered-items wrap table
-//! lazily, only if some tag needs it, so the whole suggestion list costs
-//! about one check. The undecided class stays cubic: the same `phrase`
+//! tags and builds the covered-items wrap table lazily, only if some tag
+//! needs it, so the whole suggestion list costs about one check. The undecided class stays cubic: the same `phrase`
 //! insertion directly under a bare 200-word `<r>` (legal only by wrapping
 //! it into an `<s>`) takes ~60 ms. Engine compilation itself is ~8 µs for
-//! the standard DTDs, amortized per store entry / editing session.
+//! the standard DTDs, paid once per hierarchy by [`DocEngines`], which each
+//! store entry and editing session holds.
 //!
 //! ```
 //! use prevalid::{PrevalidEngine, Item};
@@ -67,5 +67,5 @@ mod goddag_check;
 
 pub use engine::{Item, PrevalidEngine, SymbolId, Verdict};
 pub use goddag_check::{
-    check_hierarchy, check_insertion, suggest_tags, HierarchyReport, InsertionContext,
+    check_hierarchy, check_insertion, suggest_tags, DocEngines, HierarchyReport,
 };

@@ -20,9 +20,9 @@ crate::line! {
     pub enum EditOp: pub OpKind("edit op") {
         /// Wrap content bytes `start..end` of hierarchy `hierarchy` in a new
         /// `tag` element. Where the hierarchy carries a DTD, the store and
-        /// the xTagger session first check the insertion through
-        /// `prevalid`; a rejection leaves the document untouched and
-        /// surfaces the reason.
+        /// the xTagger session first check the insertion through the one
+        /// prevalidation gate, `prevalid::DocEngines::check`; a rejection
+        /// leaves the document untouched and surfaces the reason.
         InsertElement {
             /// Hierarchy name (`"phys"`, `"ling"`, …).
             hierarchy: String,

@@ -114,22 +114,6 @@ impl Automaton {
         }
         states.iter().any(|&s| self.is_accepting(s))
     }
-
-    /// Which symbols can be consumed next from the active `states` set?
-    /// (Used by validation diagnostics and by xTagger tag suggestions.)
-    pub fn expected_next(&self, states: &BTreeSet<StateId>) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for &s in states {
-            for &t in &self.transitions[s] {
-                let sym = self.symbols[t - 1].as_str();
-                if !out.contains(&sym) {
-                    out.push(sym);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
 }
 
 /// Number of `u64` words needed for a bitset over `n` bits.
@@ -429,15 +413,6 @@ mod tests {
         assert!(a.matches::<_, &str>([]));
         assert!(a.matches(["a", "a", "b", "a"]));
         assert!(!a.matches(["b"]));
-    }
-
-    #[test]
-    fn expected_next_from_start() {
-        let a = Automaton::compile(&m_doc());
-        let start = BTreeSet::from([0]);
-        assert_eq!(a.expected_next(&start), ["head", "list", "p"]);
-        let after_head = a.step(&start, "head");
-        assert_eq!(a.expected_next(&after_head), ["list", "p"]);
     }
 
     #[test]

@@ -101,11 +101,6 @@ impl Event {
         }
     }
 
-    /// True for `StartElement` / `EmptyElement`.
-    pub fn is_start(&self) -> bool {
-        matches!(self, Event::StartElement { .. } | Event::EmptyElement { .. })
-    }
-
     /// The element name for element events.
     pub fn name(&self) -> Option<&QName> {
         match self {
@@ -138,7 +133,6 @@ mod tests {
     #[test]
     fn event_accessors() {
         let e = Event::StartElement { name: "w".into(), attrs: vec![], pos: Pos::start() };
-        assert!(e.is_start());
         assert_eq!(e.name().unwrap().local, "w");
         assert!(Event::Eof.pos().is_none());
     }

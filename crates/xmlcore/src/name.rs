@@ -100,21 +100,6 @@ impl QName {
             _ => false,
         }
     }
-
-    /// True if this name has no prefix.
-    pub fn is_unprefixed(&self) -> bool {
-        self.prefix.is_none()
-    }
-
-    /// A copy of this name with the prefix removed.
-    pub fn without_prefix(&self) -> QName {
-        QName { prefix: None, local: self.local.clone() }
-    }
-
-    /// A copy of this name with the prefix replaced.
-    pub fn with_prefix(&self, prefix: impl Into<String>) -> QName {
-        QName { prefix: Some(prefix.into()), local: self.local.clone() }
-    }
 }
 
 impl fmt::Display for QName {
@@ -165,15 +150,6 @@ mod tests {
         assert!(QName::parse("a:b:c").is_err());
         assert!(QName::parse(":b").is_err());
         assert!(QName::parse("a:").is_err());
-    }
-
-    #[test]
-    fn qname_prefix_manipulation() {
-        let q = QName::parse("w").unwrap();
-        assert!(q.is_unprefixed());
-        let p = q.with_prefix("ling");
-        assert_eq!(p.to_string(), "ling:w");
-        assert_eq!(p.without_prefix(), q);
     }
 
     #[test]

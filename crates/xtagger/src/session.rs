@@ -5,16 +5,16 @@
 //! extended to valid XML with further markup insertions."
 //!
 //! The session wraps a [`Goddag`] with:
-//! * per-hierarchy prevalidation engines (from the hierarchy DTDs);
-//! * a **prevalidation gate**: markup insertions that would create a
-//!   content-model dead end are refused before they touch the document;
+//! * a **prevalidation gate** ([`DocEngines`], from the hierarchy DTDs):
+//!   markup insertions that would create a content-model dead end are
+//!   refused before they touch the document;
 //! * snapshot-based **undo/redo**;
 //! * tag **suggestions** for a selection;
 //! * Extended XPath querying of the working document.
 
 use crate::error::{Result, XTaggerError};
 use goddag::{Goddag, HierarchyId, NodeId};
-use prevalid::{check_hierarchy, check_insertion, suggest_tags, HierarchyReport, PrevalidEngine};
+use prevalid::{DocEngines, HierarchyReport};
 use sacx::{EditOp, EditOutcome};
 use xmlcore::Attribute;
 
@@ -28,34 +28,23 @@ struct Snapshot {
 /// An interactive editing session over a multihierarchical document.
 pub struct Session {
     goddag: Goddag,
-    engines: Vec<Option<PrevalidEngine>>,
+    /// Sized from the document at `new`: undo and redo swap in snapshots
+    /// of it, and no edit adds a hierarchy or changes a DTD.
+    engines: DocEngines,
     undo_stack: Vec<Snapshot>,
     redo_stack: Vec<Snapshot>,
-    prevalidation: bool,
     history: Vec<String>,
 }
 
 impl Session {
-    /// Start a session. Prevalidation engines are compiled from each
-    /// hierarchy's DTD (hierarchies without DTDs are unchecked).
+    /// Start a session. Each hierarchy's prevalidation engine is compiled
+    /// from its DTD on first use (hierarchies without DTDs are unchecked).
     pub fn new(goddag: Goddag) -> Session {
-        let engines = goddag
-            .hierarchy_ids()
-            .map(|h| {
-                goddag
-                    .hierarchy(h)
-                    .expect("iterating live ids")
-                    .dtd
-                    .clone()
-                    .map(PrevalidEngine::new)
-            })
-            .collect();
         Session {
+            engines: DocEngines::new(&goddag),
             goddag,
-            engines,
             undo_stack: Vec::new(),
             redo_stack: Vec::new(),
-            prevalidation: true,
             history: Vec::new(),
         }
     }
@@ -68,16 +57,6 @@ impl Session {
     /// Consume the session, returning the document.
     pub fn into_goddag(self) -> Goddag {
         self.goddag
-    }
-
-    /// Toggle the prevalidation gate (on by default).
-    pub fn set_prevalidation(&mut self, on: bool) {
-        self.prevalidation = on;
-    }
-
-    /// Is the prevalidation gate active?
-    pub fn prevalidation(&self) -> bool {
-        self.prevalidation
     }
 
     /// Human-readable command history.
@@ -110,10 +89,9 @@ impl Session {
     // ------------------------------------------------------------------
 
     /// Apply one edit: resolve its names, run the prevalidation gate (an
-    /// element insert into a hierarchy with a DTD, while the gate is on),
-    /// then mutate. A refused edit leaves the document, the undo and redo
-    /// stacks and the history as they were; an applied one becomes one
-    /// undo step.
+    /// element insert into a hierarchy with a DTD), then mutate. A refused
+    /// edit leaves the document, the undo and redo stacks and the history
+    /// as they were; an applied one becomes one undo step.
     pub fn apply(&mut self, op: EditOp) -> Result<EditOutcome> {
         let label = match &op {
             EditOp::InsertElement { tag, start, end, .. } => {
@@ -132,15 +110,12 @@ impl Session {
         if let (Some(h), EditOp::InsertElement { tag, start, end, .. }) =
             (resolved.hierarchy(), resolved.op())
         {
-            let engine = self.engines.get(h.idx()).and_then(Option::as_ref);
-            if let Some(engine) = engine.filter(|_| self.prevalidation) {
-                let verdict = check_insertion(engine, &self.goddag, h, tag, *start, *end);
-                if !verdict.ok {
-                    return Err(XTaggerError::PrevalidationRejected {
-                        tag: tag.clone(),
-                        reason: verdict.reason.unwrap_or_else(|| "dead end".into()),
-                    });
-                }
+            let verdict = self.engines.check(&self.goddag, h, tag, *start, *end);
+            if !verdict.ok {
+                return Err(XTaggerError::PrevalidationRejected {
+                    tag: tag.clone(),
+                    reason: verdict.reason.unwrap_or_default(),
+                });
             }
         }
         let before = self.goddag.clone();
@@ -188,18 +163,12 @@ impl Session {
     /// Tags the DTD allows over `start..end` in hierarchy `h` (empty when
     /// the hierarchy has no DTD).
     pub fn suggest(&self, h: HierarchyId, start: usize, end: usize) -> Vec<String> {
-        match self.engines.get(h.idx()).and_then(Option::as_ref) {
-            Some(engine) => suggest_tags(engine, &self.goddag, h, start, end),
-            None => Vec::new(),
-        }
+        self.engines.suggest(&self.goddag, h, start, end)
     }
 
     /// Potential-validity report for one hierarchy (`None` without a DTD).
     pub fn validation_status(&self, h: HierarchyId) -> Option<HierarchyReport> {
-        self.engines
-            .get(h.idx())
-            .and_then(Option::as_ref)
-            .map(|engine| check_hierarchy(engine, &self.goddag, h))
+        self.engines.report(&self.goddag, h)
     }
 
     /// Run an Extended XPath query against the working document.
@@ -232,6 +201,14 @@ mod tests {
         let mut g = sacx::parse_distributed(&[("phys", "<r>swa hwa swe</r>")]).unwrap();
         let h = g.hierarchy_by_name("phys").unwrap();
         g.set_dtd(h, parse_dtd(DTD).unwrap()).unwrap();
+        (Session::new(g), h)
+    }
+
+    /// A hierarchy without a DTD: nothing but the name check and the
+    /// document's own structure stand between a command and the document.
+    fn bare_session() -> (Session, HierarchyId) {
+        let g = sacx::parse_distributed(&[("ling", "<r>swa hwa swe</r>")]).unwrap();
+        let h = g.hierarchy_by_name("ling").unwrap();
         (Session::new(g), h)
     }
 
@@ -280,21 +257,22 @@ mod tests {
     }
 
     #[test]
-    fn prevalidation_gate_can_be_disabled() {
-        let (mut s, h) = session();
-        s.insert_markup(h, "line", vec![], 0, 7).unwrap();
-        s.set_prevalidation(false);
-        // Now the same insert succeeds structurally (w around line) even
-        // though it can never validate.
-        assert!(s.insert_markup(h, "w", vec![], 0, 11).is_ok());
+    fn validation_status_reports_a_dead_end() {
+        // A <w> around a <line> can never validate: w holds only PCDATA.
+        let mut g =
+            sacx::parse_distributed(&[("phys", "<r><w><line>swa hwa</line> swe</w></r>")]).unwrap();
+        let h = g.hierarchy_by_name("phys").unwrap();
+        g.set_dtd(h, parse_dtd(DTD).unwrap()).unwrap();
+        let s = Session::new(g);
         let report = s.validation_status(h).unwrap();
         assert!(!report.is_potentially_valid());
+        let (bare, h) = bare_session();
+        assert_eq!(bare.validation_status(h), None);
     }
 
     #[test]
-    fn crossing_rejected_with_gate_off_too() {
-        let (mut s, h) = session();
-        s.set_prevalidation(false);
+    fn crossing_rejected_without_a_dtd_too() {
+        let (mut s, h) = bare_session();
         s.insert_markup(h, "line", vec![], 0, 7).unwrap();
         let err = s.insert_markup(h, "w", vec![], 4, 9).unwrap_err();
         assert!(matches!(err, XTaggerError::Goddag(GoddagError::WouldCross { .. })), "{err}");
@@ -340,11 +318,7 @@ mod tests {
 
     #[test]
     fn a_refused_insert_leaves_undo_redo_and_history_alone() {
-        // No DTD: nothing but the name check stands between the tag and
-        // the document.
-        let g = sacx::parse_distributed(&[("ling", "<r>swa hwa swe</r>")]).unwrap();
-        let h = g.hierarchy_by_name("ling").unwrap();
-        let mut s = Session::new(g);
+        let (mut s, h) = bare_session();
         s.insert_markup(h, "w", vec![], 0, 3).unwrap();
         s.insert_markup(h, "w", vec![], 4, 7).unwrap();
         s.undo().unwrap();
@@ -368,7 +342,8 @@ mod tests {
 
     #[test]
     fn refused_commands_leave_undo_redo_and_history_alone() {
-        let (mut s, h) = session();
+        // No DTD, so the crossing insert below reaches the document.
+        let (mut s, h) = bare_session();
         s.insert_markup(h, "w", vec![], 0, 3).unwrap();
         s.insert_markup(h, "w", vec![], 4, 7).unwrap();
         s.undo().unwrap();
@@ -382,7 +357,6 @@ mod tests {
             s.apply(EditOp::RemoveElement(NodeId(9999))).unwrap_err(),
         ];
         // Crossing markup fails after the insert has split a leaf.
-        s.set_prevalidation(false);
         let crossing = s.insert_markup(h, "line", vec![], 1, 5).unwrap_err();
         assert!(matches!(crossing, XTaggerError::Goddag(GoddagError::WouldCross { .. })));
         assert!(matches!(refusals[0], XTaggerError::Goddag(_)), "{}", refusals[0]);

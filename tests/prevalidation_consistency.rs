@@ -6,11 +6,16 @@
 //! * if the strict validator accepts a document, the potential-validity
 //!   checker must too (valid ⇒ potentially valid);
 //! * every tag in `suggest_tags` is individually insertable, and no
-//!   non-suggested declared tag is.
+//!   non-suggested declared tag is;
+//! * the store's gate, the session's gate and `check_insertion` accept and
+//!   refuse the same insertions for the same reason, and the store and the
+//!   session suggest the same tags.
 
 use corpus::{dtds, generate, Params};
-use goddag::Goddag;
+use cxstore::{EditOp, Store, StoreError};
+use goddag::{Goddag, HierarchyId};
 use prevalid::{check_hierarchy, check_insertion, suggest_tags, PrevalidEngine};
+use xtagger::{Session, XTaggerError};
 
 fn manuscript() -> (Goddag, goddag::HierarchyId) {
     let ms = generate(&Params { words: 60, seed: 99, ..Params::default() });
@@ -99,23 +104,83 @@ fn valid_implies_potentially_valid() {
     }
 }
 
-#[test]
-fn gate_matches_engine_through_session() {
-    // The Session's gate and the bare engine must agree.
-    let (mut g, ling) = manuscript();
+/// Over `start..end` of `ling`, a fresh store and a fresh session over `g`
+/// suggest the same tags, and inserting `<tag>` there through either gives
+/// the verdict `check_insertion` gives, reason for reason.
+fn gates_agree(g: &Goddag, ling: HierarchyId, tag: &str, start: usize, end: usize) {
+    let store = Store::new();
+    let id = store.insert(g.clone());
+    let mut session = Session::new(g.clone());
+    assert_eq!(
+        store.suggest_tags(id, "ling", start, end).unwrap(),
+        session.suggest(ling, start, end),
+        "suggestions over {start}..{end}"
+    );
+
     let engine = PrevalidEngine::new(dtds::ling());
-    g.set_dtd(ling, dtds::ling()).unwrap();
-    let mut session = xtagger::Session::new(g);
-    // A selection spanning two words (phrase fits, page does not).
+    let verdict = check_insertion(&engine, g, ling, tag, start, end);
+    let expected = if verdict.ok { Ok(()) } else { Err(verdict.reason.unwrap()) };
+    let op = EditOp::InsertElement {
+        hierarchy: "ling".into(),
+        tag: tag.into(),
+        attrs: vec![],
+        start,
+        end,
+    };
+    let by_store = store.edit(id, op.clone()).map(drop).map_err(|e| match e {
+        StoreError::EditRejected(reason) => reason,
+        other => format!("not a gate refusal: {other}"),
+    });
+    let by_session = session.apply(op).map(drop).map_err(|e| match e {
+        XTaggerError::PrevalidationRejected { reason, .. } => reason,
+        other => format!("not a gate refusal: {other}"),
+    });
+    assert_eq!(by_store, expected, "store, <{tag}> {start}..{end}");
+    assert_eq!(by_session, expected, "session, <{tag}> {start}..{end}");
+}
+
+#[test]
+fn store_session_and_engine_gates_agree() {
+    // Fixed cases: a selection spanning the first two words.
     let ms = generate(&Params { words: 60, seed: 99, ..Params::default() });
-    let (s, _) = ms.word_ranges[0];
-    let (_, e) = ms.word_ranges[1];
+    let mut g = ms.goddag;
+    let ling = g.hierarchy_by_name("ling").unwrap();
+    g.set_dtd(ling, dtds::ling()).unwrap();
+    let (s, e) = (ms.word_ranges[0].0, ms.word_ranges[1].1);
     for tag in ["phrase", "s", "w", "r"] {
-        let engine_says = check_insertion(&engine, session.goddag(), ling, tag, s, e).ok;
-        let gate_says = session.insert_markup(ling, tag, vec![], s, e).is_ok();
-        if gate_says {
-            session.undo().unwrap();
-        }
-        assert_eq!(engine_says, gate_says, "tag {tag}");
+        gates_agree(&g, ling, tag, s, e);
     }
+
+    corpus::gen::check("store_session_and_engine_gates_agree", 64, |src| {
+        // Half the words without a `w`, so `w` has words to go around.
+        let ms = generate(&Params {
+            words: 5 + src.index(40),
+            seed: src.below(1 << 16),
+            word_markup_prob: 0.5,
+            ..Params::default()
+        });
+        let mut g = ms.goddag;
+        let ling = g.hierarchy_by_name("ling").unwrap();
+        g.set_dtd(ling, dtds::ling()).unwrap();
+        let words = &ms.word_ranges;
+        let first = src.index(words.len());
+        let last = (first + src.index(3)).min(words.len() - 1);
+        let (start, end) = match src.below(4) {
+            // Word boundaries: one to three words.
+            0 | 1 => (words[first].0, words[last].1),
+            // From inside a word to the end of a later one, so the range
+            // crosses the first word's `w` if it has one.
+            2 => {
+                let mut start = words[first].0 + 1;
+                while !g.is_char_boundary(start) {
+                    start += 1;
+                }
+                (start, words[(last + 1).min(words.len() - 1)].1.max(start))
+            }
+            // Past the content.
+            _ => (words[first].0, g.content_len() + 1 + src.index(8)),
+        };
+        let tag = src.pick(&["r", "s", "phrase", "w", "zz"]);
+        gates_agree(&g, ling, tag, start, end);
+    });
 }
