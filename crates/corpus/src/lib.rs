@@ -11,7 +11,8 @@
 //! * [`figure1`] — a pinned reconstruction of the paper's Figure 1 fragment
 //!   (four conflicting encodings of one piece of Old English);
 //! * [`dtds`] — hierarchy DTDs standing in for the TEI P4 schemas, and
-//!   random small DTDs for the prevalidation properties;
+//!   random small DTDs and randomly edited manuscripts for the validity
+//!   properties;
 //! * [`gen`] — the seeded, shrinking generator behind every randomised
 //!   test in the workspace (`gen::check`, `gen::replay`).
 

@@ -63,4 +63,4 @@ pub use serialize::DotOptions;
 pub use span::Span;
 pub use stats::GoddagStats;
 pub use tables::{Attr, AttrIter, Attrs};
-pub use validate::{check_invariants, validate_all, validate_hierarchy};
+pub use validate::check_invariants;

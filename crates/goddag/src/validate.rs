@@ -1,14 +1,15 @@
-//! Structural invariant checking and per-hierarchy DTD validation.
+//! Structural invariant checking.
 //!
 //! `check_invariants` asserts the restricted-GODDAG properties the rest of
 //! the framework relies on. It is used pervasively in tests (including the
-//! property-based suites) and after editor commands in debug builds.
+//! property-based suites) and after editor commands in debug builds. DTD
+//! validity of a hierarchy is the `prevalid` crate's: one walk there gives
+//! strict and potential validity.
 
-use crate::graph::{Goddag, Kind, NodeKind};
+use crate::graph::{Goddag, Kind};
 use crate::ids::{HierarchyId, NodeId};
 use crate::span::Span;
 use std::collections::HashSet;
-use xmlcore::dtd::{validate_attrs, validate_children, AutomatonCache, ValidationReport};
 
 /// Check every structural invariant of the GODDAG. Returns the first
 /// violation as an error string (with enough context to debug it).
@@ -236,64 +237,10 @@ fn check_ids(g: &Goddag) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate one hierarchy of the GODDAG against a DTD.
-///
-/// Each element's child sequence (element names only; leaf children count as
-/// text) is matched against the DTD content model, and attributes are checked.
-/// The root is validated under the DTD's root declaration.
-pub fn validate_hierarchy(g: &Goddag, h: HierarchyId, dtd: &xmlcore::dtd::Dtd) -> ValidationReport {
-    let mut report = ValidationReport::default();
-    let mut cache = AutomatonCache::default();
-    let mut ids = HashSet::new();
-
-    let mut stack = vec![g.root()];
-    while let Some(n) = stack.pop() {
-        let elem_name = match g.name(n) {
-            Some(q) => q.local.clone(),
-            None => continue,
-        };
-        let children = g.children_in(n, h);
-        let mut child_names: Vec<&str> = Vec::new();
-        let mut has_text = false;
-        for &c in children {
-            match g.kind(c) {
-                NodeKind::Element { name, .. } => {
-                    child_names.push(&name.local);
-                    stack.push(c);
-                }
-                NodeKind::Leaf { text } => {
-                    if !text.chars().all(char::is_whitespace) {
-                        has_text = true;
-                    }
-                }
-                NodeKind::Root { .. } => unreachable!("root is never a child"),
-            }
-        }
-        validate_children(dtd, &mut cache, &elem_name, &child_names, has_text, &mut report);
-        validate_attrs(dtd, &elem_name, &g.attrs(n).to_vec(), &mut ids, &mut report);
-    }
-    report
-}
-
-/// Validate every hierarchy that has a DTD attached; returns one report per
-/// hierarchy (hierarchies without DTDs get empty—valid—reports).
-pub fn validate_all(g: &Goddag) -> Vec<(HierarchyId, ValidationReport)> {
-    g.hierarchy_ids()
-        .map(|h| {
-            let report = match &g.hierarchy(h).expect("iterating live ids").dtd {
-                Some(dtd) => validate_hierarchy(g, h, dtd),
-                None => ValidationReport::default(),
-            };
-            (h, report)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GoddagBuilder;
-    use xmlcore::dtd::parse_dtd;
     use xmlcore::QName;
 
     fn q(s: &str) -> QName {
@@ -315,41 +262,6 @@ mod tests {
     #[test]
     fn built_documents_satisfy_invariants() {
         check_invariants(&doc()).unwrap();
-    }
-
-    #[test]
-    fn validate_hierarchy_against_dtd() {
-        let g = doc();
-        let ling = g.hierarchy_by_name("ling").unwrap();
-        // Words directly under the root mixed with text.
-        let dtd = parse_dtd("<!ELEMENT r (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>").unwrap();
-        let report = validate_hierarchy(&g, ling, &dtd);
-        assert!(report.is_valid(), "{:?}", report.errors);
-    }
-
-    #[test]
-    fn validate_detects_wrong_structure() {
-        let g = doc();
-        let ling = g.hierarchy_by_name("ling").unwrap();
-        // DTD that requires w inside s — our words sit directly under r.
-        let dtd = parse_dtd("<!ELEMENT r (s+)> <!ELEMENT s (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>")
-            .unwrap();
-        let report = validate_hierarchy(&g, ling, &dtd);
-        assert!(!report.is_valid());
-    }
-
-    #[test]
-    fn validate_all_mixed_dtds() {
-        let mut g = doc();
-        let phys = g.hierarchy_by_name("phys").unwrap();
-        g.set_dtd(
-            phys,
-            parse_dtd("<!ELEMENT r (#PCDATA | line)*> <!ELEMENT line (#PCDATA)>").unwrap(),
-        )
-        .unwrap();
-        let reports = validate_all(&g);
-        assert_eq!(reports.len(), 2);
-        assert!(reports.iter().all(|(_, r)| r.is_valid()));
     }
 
     /// Each corruption, applied to a fresh `doc()` (leaves "one", " ",

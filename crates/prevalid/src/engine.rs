@@ -618,7 +618,11 @@ impl PrevalidEngine {
             ContentSpec::Mixed(_) | ContentSpec::Children(_) => {
                 let x = self.index[element];
                 let ok = if !potential {
-                    self.matches_strict(x, items)
+                    let syms = items.iter().filter_map(|&item| match item {
+                        ItemSym::Sym(y) => Some(y),
+                        ItemSym::Text => None,
+                    });
+                    self.matches_strict(element, items.contains(&ItemSym::Text), syms)
                 } else if let Some(ok) = self.decide_linear(x, items) {
                     ok
                 } else {
@@ -689,35 +693,20 @@ impl PrevalidEngine {
         }
     }
 
-    /// Strict NFA simulation: no insertions, no wrapping.
-    fn matches_strict(&self, x: SymbolId, items: &[ItemSym]) -> bool {
-        let Content::Machine(m) = &self.content[x] else {
+    /// Strict match of the machine-content `element` (no insertions, no
+    /// wrapping): text only where the content is mixed, and the child
+    /// elements `syms` through the dense automaton. A symbol the engine
+    /// never interned (say `SymbolId::MAX`) enters no state.
+    pub(crate) fn matches_strict(
+        &self,
+        element: &str,
+        text: bool,
+        syms: impl IntoIterator<Item = SymbolId>,
+    ) -> bool {
+        let Content::Machine(m) = &self.content[self.index[element]] else {
             unreachable!("strict simulation only runs on compiled machines")
         };
-        let a = &m.auto;
-        let mut states = a.start_set();
-        let mut image = a.empty_set();
-        for item in items {
-            match item {
-                ItemSym::Text => {
-                    if !m.text_free {
-                        return false;
-                    }
-                }
-                ItemSym::Sym(y) => {
-                    image.iter_mut().for_each(|w| *w = 0);
-                    a.succ_union_into(&states, &mut image);
-                    let entered = a.entered_by(*y);
-                    for (s, (&i, &e)) in states.iter_mut().zip(image.iter().zip(entered)) {
-                        *s = i & e;
-                    }
-                    if is_zero(&states) {
-                        return false;
-                    }
-                }
-            }
-        }
-        a.accepts_any(&states)
+        (m.text_free || !text) && m.auto.matches_dense(syms)
     }
 
     /// Bottom-up wrap table over `items`: bit `x` of row `(p, m)` is set iff

@@ -1,8 +1,9 @@
-//! Potential-validity checking over GODDAG hierarchies, plus the two editor
+//! Strict and potential validity over GODDAG hierarchies, plus the two editor
 //! services xTagger builds on (paper §4):
 //!
-//! * [`check_hierarchy`] — is the current (partial) encoding of one hierarchy
-//!   still extendable to a valid document? Run after every edit.
+//! * [`check_hierarchy`] — is one hierarchy valid against its DTD, and is
+//!   its current (partial) encoding still extendable to a valid document?
+//!   One walk answers both, element by element; run it after every edit.
 //! * [`check_insertion`] — *prevalidation* proper: would inserting `<tag>`
 //!   over a given content range keep the hierarchy potentially valid?
 //!   Evaluated without mutating the document.
@@ -24,69 +25,196 @@
 //! check, whose sequence genuinely differs per tag (the tag sits in it),
 //! runs per candidate.
 
-use crate::engine::{ItemSym, PrevalidEngine, Verdict, WrapTable};
-use goddag::{Goddag, HierarchyId, NodeId, NodeKind, Span};
+use crate::engine::{ItemSym, PrevalidEngine, SymbolId, Verdict, WrapTable};
+use goddag::{Attrs, Goddag, HierarchyId, NodeId, NodeKind, Span};
 use std::cell::OnceCell;
+use std::collections::HashSet;
 use std::sync::OnceLock;
+use xmlcore::dtd::{AttDef, AttDefault, AttType, ContentSpec, ElementDecl};
+use xmlcore::name::is_name_char;
 
-/// Result of a whole-hierarchy check.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Result of a whole-hierarchy check: both verdicts, each a list of
+/// `(node, reason)` in document order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyReport {
-    /// Per-element failures `(node, reason)`; empty means potentially valid.
+    /// Strict-validity errors (content models, attributes, IDs); empty
+    /// means valid.
+    pub errors: Vec<(NodeId, String)>,
+    /// Potential-validity failures; empty means potentially valid.
     pub failures: Vec<(NodeId, String)>,
 }
 
 impl HierarchyReport {
+    /// No strict errors?
+    pub fn is_valid(&self) -> bool {
+        self.errors.is_empty()
+    }
+
     /// No failures?
     pub fn is_potentially_valid(&self) -> bool {
         self.failures.is_empty()
     }
 }
 
-/// The child sequence of `n` in hierarchy `h`, resolved to engine symbols
-/// (whitespace-only leaves dropped); `Err` on the first undeclared child.
-fn item_sequence(
-    engine: &PrevalidEngine,
-    g: &Goddag,
-    h: HierarchyId,
-    n: NodeId,
-) -> Result<Vec<ItemSym>, Verdict> {
-    g.children_in(n, h)
-        .iter()
-        .filter_map(|&c| match g.kind(c) {
-            NodeKind::Element { name, .. } => Some(engine.resolve_child(&name.local)),
-            NodeKind::Leaf { text } => (!is_blank(text)).then_some(Ok(ItemSym::Text)),
-            NodeKind::Root { .. } => None,
-        })
-        .collect()
-}
-
 fn is_blank(text: &str) -> bool {
     text.chars().all(char::is_whitespace)
 }
 
-/// Check every element of hierarchy `h` (and the root) for potential
-/// validity of its content.
+/// Check the root and every element of hierarchy `h`, once each in
+/// document order, for strict and for potential validity. Each element's
+/// child sequence is resolved once (blank leaves dropped) and read by both
+/// verdicts; IDs are unique per hierarchy, and IDREF values are checked
+/// against them once the walk has seen every ID.
 pub fn check_hierarchy(engine: &PrevalidEngine, g: &Goddag, h: HierarchyId) -> HierarchyReport {
-    let mut failures = Vec::new();
+    let mut report = HierarchyReport::default();
+    let (mut ids, mut idrefs) = (HashSet::new(), Vec::new());
+    let (mut names, mut items) = (Vec::new(), Vec::new());
     let mut stack = vec![g.root()];
     while let Some(n) = stack.pop() {
         let Some(name) = g.name(n) else { continue };
-        let verdict = match item_sequence(engine, g, h, n) {
-            Ok(items) => engine.check_resolved(&name.local, &items, None, true),
-            Err(v) => engine.undeclared_or(&name.local, v),
+        let element = name.local.as_str();
+        let children = g.children_in(n, h);
+        let (mut text, mut undeclared) = (false, None);
+        names.clear();
+        items.clear();
+        for &c in children {
+            match g.kind(c) {
+                NodeKind::Element { name, .. } => {
+                    names.push(name.local.as_str());
+                    match engine.resolve_child(&name.local) {
+                        Ok(item) => items.push(item),
+                        Err(v) => {
+                            undeclared.get_or_insert(v);
+                        }
+                    }
+                }
+                NodeKind::Leaf { text: t } if !is_blank(t) => {
+                    text = true;
+                    items.push(ItemSym::Text);
+                }
+                _ => {}
+            }
+        }
+        let verdict = match undeclared {
+            None => engine.check_resolved(element, &items, None, true),
+            Some(v) => engine.undeclared_or(element, v),
         };
         if !verdict.ok {
-            failures.push((n, verdict.reason.unwrap_or_else(|| "invalid".into())));
+            report.failures.push((n, verdict.reason.unwrap_or_else(|| "invalid".into())));
         }
-        for &c in g.children_in(n, h) {
-            if g.is_element(c) {
-                stack.push(c);
+        let mut err = |reason| report.errors.push((n, reason));
+        content_errors(engine, element, &names, text, &mut err);
+        if let Some(decl) = engine.dtd().element(element) {
+            let refs = attr_errors(decl, g.attrs(n), &mut ids, &mut err);
+            let at = report.errors.len();
+            idrefs.extend(refs.into_iter().map(|(def, value)| (at, n, element, def, value)));
+        }
+        stack.extend(children.iter().rev().filter(|&&c| g.is_element(c)));
+    }
+    // Dangling IDREFs, each slotted in after its element's other errors.
+    for (at, n, element, def, value) in idrefs.into_iter().rev() {
+        if !ids.contains(value) {
+            let reason = format!("IDREF {:?} on <{element}> matches no ID: {value:?}", def.name);
+            report.errors.insert(at, (n, reason));
+        }
+    }
+    report
+}
+
+/// The strict verdict on `element`'s content: `names` are its child
+/// elements in order, `text` whether any child leaf is not blank.
+fn content_errors(
+    engine: &PrevalidEngine,
+    element: &str,
+    names: &[&str],
+    text: bool,
+    err: &mut impl FnMut(String),
+) {
+    let dtd = engine.dtd();
+    let Some(decl) = dtd.element(element) else {
+        return err(format!("element <{element}> is not declared"));
+    };
+    match &decl.content {
+        ContentSpec::Empty => {
+            if !names.is_empty() || text {
+                err(format!("element <{element}> is declared EMPTY but has content"));
+            }
+        }
+        ContentSpec::Any => {
+            for name in names.iter().filter(|name| dtd.element(name).is_none()) {
+                err(format!("element <{name}> (child of <{element}>) is not declared"));
+            }
+        }
+        ContentSpec::Mixed(allowed) => {
+            for name in names.iter().filter(|&name| !allowed.iter().any(|a| a == name)) {
+                err(format!("element <{name}> is not allowed in mixed content of <{element}>"));
+            }
+        }
+        ContentSpec::Children(model) => {
+            if text {
+                err(format!("element <{element}> has element content but contains text"));
+            }
+            let syms = names.iter().map(|name| engine.symbol(name).unwrap_or(SymbolId::MAX));
+            if !engine.matches_strict(element, false, syms) {
+                err(format!(
+                    "children of <{element}> do not match content model {model}: found ({})",
+                    names.join(", ")
+                ));
             }
         }
     }
-    failures.reverse();
-    HierarchyReport { failures }
+}
+
+/// The strict verdict on the attributes `attrs` of an element declared as
+/// `decl`: required, fixed, enumerated and NMTOKEN values, undeclared
+/// names, and IDs unique within `ids`. Returns the element's IDREF
+/// attributes with their values, which can only be checked once every ID
+/// is known.
+fn attr_errors<'a>(
+    decl: &'a ElementDecl,
+    attrs: Attrs<'a>,
+    ids: &mut HashSet<&'a str>,
+    err: &mut impl FnMut(String),
+) -> Vec<(&'a AttDef, &'a str)> {
+    let element = &decl.name;
+    let mut idrefs = Vec::new();
+    for def in &decl.attrs {
+        let present = attrs.iter().find(|a| a.name.eq_str(&def.name));
+        match (&def.default, present) {
+            (AttDefault::Required, None) => {
+                err(format!("required attribute {:?} missing on <{element}>", def.name));
+            }
+            (AttDefault::Fixed(v), Some(a)) if a.value != v => err(format!(
+                "attribute {:?} on <{element}> must have fixed value {v:?}, found {:?}",
+                def.name, a.value
+            )),
+            _ => {}
+        }
+        let Some(a) = present else { continue };
+        match &def.ty {
+            AttType::Enumeration(values) if !values.iter().any(|v| v == a.value) => {
+                err(format!(
+                    "attribute {:?} on <{element}> must be one of ({}), found {:?}",
+                    def.name,
+                    values.join(" | "),
+                    a.value
+                ));
+            }
+            AttType::Id if !ids.insert(a.value) => err(format!("duplicate ID {:?}", a.value)),
+            AttType::NmToken if a.value.is_empty() || !a.value.chars().all(is_name_char) => {
+                err(format!(
+                    "attribute {:?} on <{element}> is not a valid NMTOKEN: {:?}",
+                    def.name, a.value
+                ));
+            }
+            AttType::IdRef => idrefs.push((def, a.value)),
+            _ => {}
+        }
+    }
+    for a in attrs.iter().filter(|a| !decl.attrs.iter().any(|d| a.name.eq_str(&d.name))) {
+        err(format!("attribute {:?} on <{element}> is not declared", a.name.to_string()));
+    }
+    idrefs
 }
 
 /// Resolved items of one side of the range, or the reason of its first
@@ -367,7 +495,8 @@ impl DocEngines {
         self.engine(g, h).map(|engine| suggest_tags(engine, g, h, start, end)).unwrap_or_default()
     }
 
-    /// [`check_hierarchy`] of `h`; `None` when `h` carries no DTD.
+    /// [`check_hierarchy`] of `h`, strict and potential; `None` when `h`
+    /// carries no DTD.
     pub fn report(&self, g: &Goddag, h: HierarchyId) -> Option<HierarchyReport> {
         self.engine(g, h).map(|engine| check_hierarchy(engine, g, h))
     }
@@ -547,6 +676,206 @@ mod tests {
         }
         assert_eq!(engines.suggest(&g, phys, 0, 3), suggest_tags(&engine, &g, phys, 0, 3));
         assert_eq!(engines.report(&g, phys), Some(check_hierarchy(&engine, &g, phys)));
+    }
+
+    /// Attributes of a range, spelled `(name, value)`.
+    type Attrs<'a> = &'a [(&'a str, &'a str)];
+
+    /// The report on the one hierarchy of a document over `content`, built
+    /// from `ranges` (`(tag, attributes, start, end)`, earlier ranges outer
+    /// on equal spans), against `dtd`.
+    fn report(dtd: &str, content: &str, ranges: &[(&str, Attrs, usize, usize)]) -> HierarchyReport {
+        let mut b = goddag::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content(content);
+        let h = b.hierarchy("h");
+        for &(tag, attrs, s, e) in ranges {
+            let attrs = attrs.iter().map(|&(n, v)| xmlcore::Attribute::new(n, v)).collect();
+            b.range(h, tag, attrs, s, e).unwrap();
+        }
+        let g = b.finish().unwrap();
+        check_hierarchy(&PrevalidEngine::new(parse_dtd(dtd).unwrap()), &g, h)
+    }
+
+    /// Does some strict error contain `needle`?
+    fn reports(report: &HierarchyReport, needle: &str) -> bool {
+        report.errors.iter().any(|(_, e)| e.contains(needle))
+    }
+
+    /// Pages of lines, each page numbered.
+    const PAGES: &str = "
+        <!ELEMENT r (page+)>
+        <!ELEMENT page (line+)>
+        <!ATTLIST page no NMTOKEN #REQUIRED>
+        <!ELEMENT line (#PCDATA)>
+    ";
+
+    #[test]
+    fn valid_document_passes() {
+        let r = report(PAGES, "swa hwa", &[("page", &[("no", "1")], 0, 7), ("line", &[], 0, 7)]);
+        assert!(r.is_valid() && r.is_potentially_valid(), "{r:?}");
+    }
+
+    #[test]
+    fn missing_required_attr_reported() {
+        let r = report(PAGES, "t", &[("page", &[], 0, 1), ("line", &[], 0, 1)]);
+        assert_eq!(r.errors.len(), 1, "{r:?}");
+        assert!(reports(&r, "required attribute \"no\" missing on <page>"), "{r:?}");
+    }
+
+    #[test]
+    fn undeclared_attribute_reported() {
+        let page = ("page", &[("no", "1"), ("wild", "x")][..], 0, 1);
+        let r = report(PAGES, "t", &[page, ("line", &[], 0, 1)]);
+        assert!(reports(&r, "attribute \"wild\" on <page> is not declared"), "{r:?}");
+    }
+
+    #[test]
+    fn content_model_violation_reported() {
+        // A page with no line: its children are off `(line)+`.
+        let r = report(PAGES, " ", &[("page", &[("no", "1")], 0, 0)]);
+        assert!(reports(&r, "children of <page> do not match content model"), "{r:?}");
+        assert!(r.is_potentially_valid(), "a line can still be inserted: {r:?}");
+    }
+
+    #[test]
+    fn text_in_element_content_reported() {
+        let r = report(PAGES, "stray t", &[("page", &[("no", "1")], 6, 7), ("line", &[], 6, 7)]);
+        assert_eq!(
+            r.errors,
+            [(NodeId(0), "element <r> has element content but contains text".into())]
+        );
+    }
+
+    #[test]
+    fn whitespace_in_element_content_ok() {
+        let r = report(PAGES, "\n  t \n", &[("page", &[("no", "1")], 3, 4), ("line", &[], 3, 4)]);
+        assert!(r.is_valid(), "{r:?}");
+    }
+
+    #[test]
+    fn undeclared_element_reported() {
+        let ranges = [("page", &[("no", "1")][..], 0, 2), ("line", &[], 0, 2), ("zap", &[], 0, 1)];
+        let r = report(PAGES, "tt", &ranges);
+        assert!(reports(&r, "element <zap> is not allowed in mixed content of <line>"), "{r:?}");
+        assert!(reports(&r, "element <zap> is not declared"), "{r:?}");
+    }
+
+    #[test]
+    fn enumeration_and_fixed_checked() {
+        let dtd = r#"<!ELEMENT r ANY> <!ELEMENT a EMPTY>
+                     <!ATTLIST a kind (x | y) #REQUIRED v CDATA #FIXED "1">"#;
+        let a = |attrs| report(dtd, " ", &[("a", attrs, 0, 0)]);
+        assert!(a(&[("kind", "x"), ("v", "1")]).is_valid());
+        let bad_enum = a(&[("kind", "z"), ("v", "1")]);
+        assert!(reports(&bad_enum, "must be one of (x | y), found \"z\""), "{bad_enum:?}");
+        let bad_fixed = a(&[("kind", "x"), ("v", "2")]);
+        assert!(reports(&bad_fixed, "must have fixed value \"1\", found \"2\""), "{bad_fixed:?}");
+    }
+
+    #[test]
+    fn duplicate_ids_reported() {
+        let dtd = "<!ELEMENT r (w+)> <!ELEMENT w EMPTY> <!ATTLIST w id ID #REQUIRED>";
+        let r = report(dtd, " ", &[("w", &[("id", "a")], 0, 0), ("w", &[("id", "a")], 1, 1)]);
+        assert_eq!(r.errors.len(), 1, "{r:?}");
+        assert!(reports(&r, "duplicate ID \"a\""), "{r:?}");
+    }
+
+    #[test]
+    fn empty_element_with_content_reported() {
+        let r = report("<!ELEMENT r ANY><!ELEMENT pb EMPTY>", "oops", &[("pb", &[], 0, 4)]);
+        assert!(reports(&r, "element <pb> is declared EMPTY but has content"), "{r:?}");
+    }
+
+    #[test]
+    fn dangling_idrefs_reported() {
+        // IDREF values must match an ID of the same hierarchy, wherever it
+        // sits: `x` refers forward, `y` to an ID only the other hierarchy
+        // holds.
+        let dtd = "<!ELEMENT r ANY> <!ELEMENT w EMPTY>
+                   <!ATTLIST w id ID #IMPLIED ref IDREF #IMPLIED>";
+        let mut b = goddag::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content(" ");
+        let (h, other) = (b.hierarchy("h"), b.hierarchy("other"));
+        let w = |attr: &str, v: &str| vec![xmlcore::Attribute::new(attr, v)];
+        b.range(h, "w", w("ref", "x"), 0, 0).unwrap();
+        b.range(h, "w", w("ref", "y"), 0, 0).unwrap();
+        b.range(h, "w", w("id", "x"), 1, 1).unwrap();
+        b.range(other, "w", w("id", "y"), 0, 0).unwrap();
+        let g = b.finish().unwrap();
+        let engine = PrevalidEngine::new(parse_dtd(dtd).unwrap());
+        let r = check_hierarchy(&engine, &g, h);
+        let y = g.children_in(g.root(), h)[1];
+        assert_eq!(r.errors, [(y, "IDREF \"ref\" on <w> matches no ID: \"y\"".into())]);
+        assert!(check_hierarchy(&engine, &g, other).is_valid());
+    }
+
+    #[test]
+    fn errors_come_in_document_order() {
+        // An undeclared attribute on the s, its first w and the w after
+        // it: the walk reports them in that order.
+        let dtd =
+            "<!ELEMENT r (#PCDATA | s | w)*> <!ELEMENT s (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>";
+        let mut b = goddag::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("swa hwa swe");
+        let h = b.hierarchy("h");
+        let zz = || vec![xmlcore::Attribute::new("zz", "1")];
+        b.range(h, "s", zz(), 0, 7).unwrap();
+        b.range(h, "w", zz(), 0, 3).unwrap();
+        b.range(h, "w", vec![], 4, 7).unwrap();
+        b.range(h, "w", zz(), 8, 11).unwrap();
+        let g = b.finish().unwrap();
+        let r = check_hierarchy(&PrevalidEngine::new(parse_dtd(dtd).unwrap()), &g, h);
+        let s = g.children_in(g.root(), h)[0];
+        let expected = [s, g.children_in(s, h)[0], g.children_in(g.root(), h)[2]];
+        assert_eq!(r.errors.iter().map(|&(n, _)| n).collect::<Vec<_>>(), expected, "{r:?}");
+    }
+
+    /// Three words over "one two three": phys has a `line` over the first
+    /// two, ling a `w` over each.
+    fn words_doc() -> Goddag {
+        let mut b = goddag::GoddagBuilder::new(QName::parse("r").unwrap());
+        b.content("one two three");
+        let phys = b.hierarchy("phys");
+        let ling = b.hierarchy("ling");
+        b.range(phys, "line", vec![], 0, 7).unwrap();
+        b.range(ling, "w", vec![], 0, 3).unwrap();
+        b.range(ling, "w", vec![], 4, 7).unwrap();
+        b.range(ling, "w", vec![], 8, 13).unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn validate_hierarchy_against_dtd() {
+        let g = words_doc();
+        let ling = g.hierarchy_by_name("ling").unwrap();
+        // Words directly under the root mixed with text.
+        let dtd = parse_dtd("<!ELEMENT r (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>").unwrap();
+        let report = check_hierarchy(&PrevalidEngine::new(dtd), &g, ling);
+        assert!(report.is_valid(), "{:?}", report.errors);
+    }
+
+    #[test]
+    fn validate_detects_wrong_structure() {
+        let g = words_doc();
+        let ling = g.hierarchy_by_name("ling").unwrap();
+        // A DTD that wants the words inside an s; they sit under r.
+        let dtd = parse_dtd("<!ELEMENT r (s+)> <!ELEMENT s (#PCDATA | w)*> <!ELEMENT w (#PCDATA)>")
+            .unwrap();
+        let report = check_hierarchy(&PrevalidEngine::new(dtd), &g, ling);
+        assert!(!report.is_valid());
+        assert!(report.is_potentially_valid(), "an s can wrap them: {report:?}");
+    }
+
+    #[test]
+    fn validate_all_mixed_dtds() {
+        // One hierarchy with a DTD, one without.
+        let mut g = words_doc();
+        let phys = g.hierarchy_by_name("phys").unwrap();
+        let dtd = parse_dtd("<!ELEMENT r (#PCDATA | line)*> <!ELEMENT line (#PCDATA)>").unwrap();
+        g.set_dtd(phys, dtd).unwrap();
+        let engines = DocEngines::new(&g);
+        assert!(engines.report(&g, phys).unwrap().is_valid());
+        assert_eq!(engines.report(&g, g.hierarchy_by_name("ling").unwrap()), None);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! # prevalid — potential validity checking
+//! # prevalid — strict and potential validity checking
 //!
 //! The prevalidation engine behind xTagger (paper §4: "prevalidation
 //! checking, which detects encodings that cannot be extended to valid XML
@@ -10,8 +10,10 @@
 //! per element-content sequence using the Glushkov automata of the DTD's
 //! content models, an *insertable elements* fixpoint, and a CYK-style
 //! dynamic program for markup wrapping. On top of that sit the GODDAG-level
-//! services: whole-hierarchy checks, single-insertion prevalidation, and
-//! tag suggestions for a selection.
+//! services: whole-hierarchy checks (one walk gives each element's strict
+//! and potential verdicts — the crate is the workspace's one DTD
+//! validator), single-insertion prevalidation, and tag suggestions for a
+//! selection.
 //!
 //! # Performance model
 //!

@@ -1,18 +1,57 @@
-//! Verdict equivalence of the bitset engine against a naive reference.
+//! Verdict equivalence of the bitset engine against naive references.
 //!
-//! The `naive` module below is the original set-based dynamic program
-//! (string-keyed `BTreeMap`s, `BTreeSet<StateId>` state sets, per-span
-//! chain fixpoint) kept verbatim as an executable specification. The
-//! property tests drive both engines over random small DTDs × random item
-//! sequences and require identical potential and strict verdicts, plus an
-//! identical insertable set.
+//! * `sparse` is the set-based simulation of the Glushkov automaton
+//!   (`BTreeSet<StateId>` state sets); the dense bitset automaton must
+//!   accept exactly the words it accepts.
+//! * `naive` is the original set-based dynamic program (string-keyed
+//!   `BTreeMap`s, per-span chain fixpoint) kept verbatim as an executable
+//!   specification. The property tests drive both engines over random
+//!   small DTDs × random item sequences and require identical potential
+//!   and strict verdicts, plus an identical insertable set.
+//! * `reference` is the strict validator the one hierarchy walk replaced:
+//!   a DFS per hierarchy, the sparse automaton for element content and the
+//!   attribute rules as they stood. Over generated and randomly edited
+//!   manuscripts, `check_hierarchy`'s strict errors must equal its errors.
 
 use corpus::dtds::{random, random_name};
 use corpus::gen::Source;
-use prevalid::{Item, PrevalidEngine};
+use prevalid::{DocEngines, Item, PrevalidEngine};
+use xmlcore::dtd::{Automaton, ContentModel as M};
+
+/// The sparse automaton's own simulation, the reference for the dense one.
+mod sparse {
+    use std::collections::BTreeSet;
+    use xmlcore::dtd::{Automaton, StateId};
+
+    /// Successor states of the active `states` set on consuming `symbol`.
+    pub fn step(a: &Automaton, states: &BTreeSet<StateId>, symbol: &str) -> BTreeSet<StateId> {
+        let mut next = BTreeSet::new();
+        for &s in states {
+            for &t in a.transitions_from(s) {
+                if a.entry_symbol(t) == Some(symbol) {
+                    next.insert(t);
+                }
+            }
+        }
+        next
+    }
+
+    /// Run the automaton over a sequence of child element names.
+    pub fn matches<'a>(a: &Automaton, names: impl IntoIterator<Item = &'a str>) -> bool {
+        let mut states: BTreeSet<StateId> = BTreeSet::from([0]);
+        for name in names {
+            states = step(a, &states, name);
+            if states.is_empty() {
+                return false;
+            }
+        }
+        states.iter().any(|&s| a.is_accepting(s))
+    }
+}
 
 /// The pre-rewrite set-based engine, kept as the reference implementation.
 mod naive {
+    use super::sparse;
     use prevalid::Item;
     use std::collections::{BTreeMap, BTreeSet};
     use xmlcore::dtd::{Automaton, ContentSpec, Dtd, StateId};
@@ -197,7 +236,7 @@ mod naive {
                             continue;
                         }
                         if let Item::Elem(n) = &items[p] {
-                            let stepped = a.step(&states[p - i], n);
+                            let stepped = sparse::step(a, &states[p - i], n);
                             if !stepped.is_empty() {
                                 let next =
                                     if potential { self.close(element, &stepped) } else { stepped };
@@ -207,7 +246,7 @@ mod naive {
                         if potential {
                             for m in p + 1..=j {
                                 for x in wrap.wrappers(p, m) {
-                                    let stepped = a.step(&states[p - i], x);
+                                    let stepped = sparse::step(a, &states[p - i], x);
                                     if !stepped.is_empty() {
                                         let next = self.close(element, &stepped);
                                         states[m - i].extend(next);
@@ -273,6 +312,150 @@ mod naive {
     }
 }
 
+/// The strict validator the one hierarchy walk replaced, kept as the
+/// reference for its strict errors: a DFS over one hierarchy, the sparse
+/// automaton compiled per element-content check, and the attribute rules
+/// as they stood (no IDREF check). Each error carries its element.
+mod reference {
+    use super::sparse;
+    use goddag::{Goddag, HierarchyId, NodeId, NodeKind};
+    use std::collections::HashSet;
+    use xmlcore::dtd::{AttDefault, AttType, Automaton, ContentSpec, Dtd};
+    use xmlcore::Attribute;
+
+    pub fn validate_hierarchy(g: &Goddag, h: HierarchyId, dtd: &Dtd) -> Vec<(NodeId, String)> {
+        let mut errors = Vec::new();
+        let mut ids = HashSet::new();
+        let mut stack = vec![g.root()];
+        while let Some(n) = stack.pop() {
+            let Some(q) = g.name(n) else { continue };
+            let mut child_names: Vec<&str> = Vec::new();
+            let mut has_text = false;
+            for &c in g.children_in(n, h) {
+                match g.kind(c) {
+                    NodeKind::Element { name, .. } => {
+                        child_names.push(&name.local);
+                        stack.push(c);
+                    }
+                    NodeKind::Leaf { text } => has_text |= !text.chars().all(char::is_whitespace),
+                    NodeKind::Root { .. } => unreachable!("root is never a child"),
+                }
+            }
+            let mut err = |e: String| errors.push((n, e));
+            validate_children(dtd, &q.local, &child_names, has_text, &mut err);
+            validate_attrs(dtd, &q.local, &g.attrs(n).to_vec(), &mut ids, &mut err);
+        }
+        errors
+    }
+
+    fn validate_children(
+        dtd: &Dtd,
+        element: &str,
+        child_names: &[&str],
+        has_nonws_text: bool,
+        err: &mut impl FnMut(String),
+    ) {
+        let Some(decl) = dtd.element(element) else {
+            return err(format!("element <{element}> is not declared"));
+        };
+        match &decl.content {
+            ContentSpec::Empty => {
+                if !child_names.is_empty() || has_nonws_text {
+                    err(format!("element <{element}> is declared EMPTY but has content"));
+                }
+            }
+            ContentSpec::Any => {
+                for name in child_names {
+                    if dtd.element(name).is_none() {
+                        err(format!("element <{name}> (child of <{element}>) is not declared"));
+                    }
+                }
+            }
+            ContentSpec::Mixed(allowed) => {
+                for name in child_names {
+                    if !allowed.iter().any(|a| a == name) {
+                        err(format!(
+                            "element <{name}> is not allowed in mixed content of <{element}>"
+                        ));
+                    }
+                }
+            }
+            ContentSpec::Children(model) => {
+                if has_nonws_text {
+                    err(format!("element <{element}> has element content but contains text"));
+                }
+                let automaton = Automaton::compile(model);
+                if !sparse::matches(&automaton, child_names.iter().copied()) {
+                    err(format!(
+                        "children of <{element}> do not match content model {model}: found ({})",
+                        child_names.join(", ")
+                    ));
+                }
+            }
+        }
+    }
+
+    fn validate_attrs(
+        dtd: &Dtd,
+        element: &str,
+        attrs: &[Attribute],
+        ids_seen: &mut HashSet<String>,
+        err: &mut impl FnMut(String),
+    ) {
+        let Some(decl) = dtd.element(element) else {
+            return; // undeclared element reported elsewhere
+        };
+        for def in &decl.attrs {
+            let present = attrs.iter().find(|a| a.name.as_str() == def.name.as_str());
+            match (&def.default, present) {
+                (AttDefault::Required, None) => {
+                    err(format!("required attribute {:?} missing on <{element}>", def.name));
+                }
+                (AttDefault::Fixed(v), Some(a)) if &a.value != v => {
+                    err(format!(
+                        "attribute {:?} on <{element}> must have fixed value {v:?}, found {:?}",
+                        def.name, a.value
+                    ));
+                }
+                _ => {}
+            }
+            if let Some(a) = present {
+                match &def.ty {
+                    AttType::Enumeration(values) => {
+                        if !values.contains(&a.value) {
+                            err(format!(
+                                "attribute {:?} on <{element}> must be one of ({}), found {:?}",
+                                def.name,
+                                values.join(" | "),
+                                a.value
+                            ));
+                        }
+                    }
+                    AttType::Id => {
+                        if !ids_seen.insert(a.value.clone()) {
+                            err(format!("duplicate ID {:?}", a.value));
+                        }
+                    }
+                    AttType::NmToken => {
+                        if a.value.is_empty() || !a.value.chars().all(xmlcore::name::is_name_char) {
+                            err(format!(
+                                "attribute {:?} on <{element}> is not a valid NMTOKEN: {:?}",
+                                def.name, a.value
+                            ));
+                        }
+                    }
+                    AttType::Cdata | AttType::IdRef => {}
+                }
+            }
+        }
+        for a in attrs {
+            if !decl.attrs.iter().any(|d| d.name == a.name.as_str()) {
+                err(format!("attribute {:?} on <{element}> is not declared", a.name.to_string()));
+            }
+        }
+    }
+}
+
 /// Random items over a [`corpus::dtds::random`] DTD: text, or an element
 /// whose name may be the undeclared `ghost`.
 fn items(src: &mut Source, k: usize) -> Vec<Item> {
@@ -325,6 +508,62 @@ fn potential_is_implied_by_strict() {
                     "strict ok but potential rejected: <{element}> over {items:?}"
                 );
             }
+        }
+    });
+}
+
+#[test]
+fn dense_matches_agrees_with_sparse() {
+    // (head?, (p | list)+, trailer?)
+    let model = M::seq([
+        M::name("head").opt(),
+        M::choice([M::name("p"), M::name("list")]).plus(),
+        M::name("trailer").opt(),
+    ]);
+    let a = Automaton::compile(&model);
+    let alphabet = ["head", "p", "list", "trailer", "ghost"];
+    let d = a.to_dense(|s| alphabet.iter().position(|&t| t == s).expect("model names listed"));
+    assert_eq!(d.num_states(), a.num_states());
+    // Exhaustive words up to length 3 over the alphabet (plus empty).
+    let mut words: Vec<Vec<usize>> = vec![vec![]];
+    for len in 1..=3u32 {
+        for mut k in 0..alphabet.len().pow(len) {
+            let mut w = Vec::new();
+            for _ in 0..len {
+                w.push(k % alphabet.len());
+                k /= alphabet.len();
+            }
+            words.push(w);
+        }
+    }
+    for w in words {
+        let by_sparse = sparse::matches(&a, w.iter().map(|&i| alphabet[i]));
+        assert_eq!(by_sparse, d.matches_dense(w.iter().copied()), "word {w:?}");
+    }
+}
+
+/// Errors as a sorted multiset. The reference visits siblings in reverse,
+/// so of two elements sharing an ID it blames the later one's twin; a
+/// duplicate ID is compared by its reason alone.
+fn multiset(errors: Vec<(goddag::NodeId, String)>) -> Vec<(Option<goddag::NodeId>, String)> {
+    let mut keyed: Vec<_> = errors
+        .into_iter()
+        .map(|(n, reason)| (Some(n).filter(|_| !reason.starts_with("duplicate ID")), reason))
+        .collect();
+    keyed.sort();
+    keyed
+}
+
+#[test]
+fn strict_errors_match_the_reference_walk() {
+    corpus::gen::check("strict_errors_match_the_reference_walk", 128, |src| {
+        let g = corpus::dtds::edited_manuscript(src);
+        let engines = DocEngines::new(&g);
+        for h in g.hierarchy_ids() {
+            let hierarchy = g.hierarchy(h).unwrap();
+            let expected = reference::validate_hierarchy(&g, h, hierarchy.dtd.as_ref().unwrap());
+            let found = engines.report(&g, h).unwrap().errors;
+            assert_eq!(multiset(found), multiset(expected), "hierarchy {}", hierarchy.name);
         }
     });
 }

@@ -1,19 +1,13 @@
 //! Glushkov automata compiled from content models.
 //!
-//! The automaton serves two consumers:
-//!
-//! * **Validation** (this crate): simulate the NFA over an element's child
-//!   name sequence; accept iff an accepting state is active at the end.
-//! * **Prevalidation** (`prevalid` crate): potential validity asks whether the
-//!   child sequence is a *scattered subsequence* of some accepted word, which
-//!   reduces to the same simulation over the automaton's transitive
-//!   reachability closure (computed there).
-//!
-//! Glushkov construction: one state per name occurrence (position) in the
-//! content model plus a start state; transitions follow the classic
-//! first/last/follow sets. The automaton's size is linear in the content
-//! model, and matching is `O(children × states²)` worst case (states are tiny
-//! for realistic DTDs).
+//! [`Automaton`] is the compile stage: one state per name occurrence
+//! (position) in the content model plus a start state, with transitions
+//! from the classic first/last/follow sets, so its size is linear in the
+//! content model. [`Automaton::to_dense`] lowers it onto
+//! [`DenseAutomaton`], the one automaton that runs: the `prevalid` crate
+//! matches an element's child sequence with [`DenseAutomaton::matches_dense`]
+//! for strict validity, and builds potential validity (insertions and
+//! wrapping) on the same bitset tables.
 
 use super::content_model::ContentModel;
 use std::collections::BTreeSet;
@@ -84,35 +78,6 @@ impl Automaton {
     /// Is `s` accepting?
     pub fn is_accepting(&self, s: StateId) -> bool {
         self.accepting.contains(&s)
-    }
-
-    /// Successor states of the active `states` set on consuming `symbol`.
-    pub fn step(&self, states: &BTreeSet<StateId>, symbol: &str) -> BTreeSet<StateId> {
-        let mut next = BTreeSet::new();
-        for &s in states {
-            for &t in &self.transitions[s] {
-                if self.symbols[t - 1] == symbol {
-                    next.insert(t);
-                }
-            }
-        }
-        next
-    }
-
-    /// Run the automaton over a sequence of child element names.
-    pub fn matches<I, S>(&self, names: I) -> bool
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut states: BTreeSet<StateId> = BTreeSet::from([0]);
-        for name in names {
-            states = self.step(&states, name.as_ref());
-            if states.is_empty() {
-                return false;
-            }
-        }
-        states.iter().any(|&s| self.is_accepting(s))
     }
 }
 
@@ -221,8 +186,8 @@ impl DenseAutomaton {
         states.iter().all(|&w| w == 0)
     }
 
-    /// Run the automaton over dense symbol ids (bitset analogue of
-    /// [`Automaton::matches`]).
+    /// Run the automaton over dense symbol ids: accept iff an accepting
+    /// state is active once every symbol is consumed.
     pub fn matches_dense(&self, syms: impl IntoIterator<Item = usize>) -> bool {
         let mut states = self.start_set();
         let mut image = self.empty_set();
@@ -352,67 +317,73 @@ mod tests {
         ])
     }
 
+    /// Run `word` through the automaton's dense form.
+    fn run(a: &Automaton, word: &[&str]) -> bool {
+        let (d, ids) = dense_with_interner(a, word);
+        d.matches_dense(ids)
+    }
+
     #[test]
     fn single_name() {
         let a = Automaton::compile(&M::name("w"));
-        assert!(a.matches(["w"]));
-        assert!(!a.matches::<_, &str>([]));
-        assert!(!a.matches(["w", "w"]));
-        assert!(!a.matches(["v"]));
+        assert!(run(&a, &["w"]));
+        assert!(!run(&a, &[]));
+        assert!(!run(&a, &["w", "w"]));
+        assert!(!run(&a, &["v"]));
     }
 
     #[test]
     fn star_matches_any_count() {
         let a = Automaton::compile(&M::name("w").star());
-        assert!(a.matches::<_, &str>([]));
-        assert!(a.matches(["w"]));
-        assert!(a.matches(vec!["w"; 50]));
+        assert!(run(&a, &[]));
+        assert!(run(&a, &["w"]));
+        assert!(run(&a, &["w"; 50]));
     }
 
     #[test]
     fn plus_requires_one() {
         let a = Automaton::compile(&M::name("w").plus());
-        assert!(!a.matches::<_, &str>([]));
-        assert!(a.matches(["w", "w", "w"]));
+        assert!(!run(&a, &[]));
+        assert!(run(&a, &["w", "w", "w"]));
     }
 
     #[test]
     fn seq_order_enforced() {
         let a = Automaton::compile(&M::seq([M::name("a"), M::name("b")]));
-        assert!(a.matches(["a", "b"]));
-        assert!(!a.matches(["b", "a"]));
-        assert!(!a.matches(["a"]));
-        assert!(!a.matches(["a", "b", "b"]));
+        assert!(run(&a, &["a", "b"]));
+        assert!(!run(&a, &["b", "a"]));
+        assert!(!run(&a, &["a"]));
+        assert!(!run(&a, &["a", "b", "b"]));
     }
 
     #[test]
     fn choice_alternatives() {
         let a = Automaton::compile(&M::choice([M::name("a"), M::name("b")]));
-        assert!(a.matches(["a"]));
-        assert!(a.matches(["b"]));
-        assert!(!a.matches(["a", "b"]));
+        assert!(run(&a, &["a"]));
+        assert!(run(&a, &["b"]));
+        assert!(!run(&a, &["a", "b"]));
     }
 
     #[test]
     fn document_model() {
         let a = Automaton::compile(&m_doc());
-        assert!(a.matches(["head", "p", "trailer"]));
-        assert!(a.matches(["p"]));
-        assert!(a.matches(["p", "list", "p"]));
-        assert!(a.matches(["head", "list"]));
-        assert!(!a.matches(["head", "trailer"]));
-        assert!(!a.matches(["head"]));
-        assert!(!a.matches(["trailer", "p"]));
-        assert!(!a.matches(["p", "head"]));
+        assert!(run(&a, &["head", "p", "trailer"]));
+        assert!(run(&a, &["p"]));
+        assert!(run(&a, &["p", "list", "p"]));
+        assert!(run(&a, &["head", "list"]));
+        assert!(!run(&a, &["head", "trailer"]));
+        assert!(!run(&a, &["head"]));
+        assert!(!run(&a, &["trailer", "p"]));
+        assert!(!run(&a, &["p", "head"]));
     }
 
     #[test]
     fn nested_repeats() {
         // ((a, b?)+)*  — equivalent to (a, b?)*
         let a = Automaton::compile(&M::seq([M::name("a"), M::name("b").opt()]).plus().star());
-        assert!(a.matches::<_, &str>([]));
-        assert!(a.matches(["a", "a", "b", "a"]));
-        assert!(!a.matches(["b"]));
+        assert!(run(&a, &[]));
+        assert!(run(&a, &["a", "a", "b", "a"]));
+        assert!(!run(&a, &["b"]));
     }
 
     #[test]
@@ -428,9 +399,9 @@ mod tests {
     fn repeated_symbol_positions_distinct() {
         // (a, a) — two positions for the same symbol.
         let a = Automaton::compile(&M::seq([M::name("a"), M::name("a")]));
-        assert!(a.matches(["a", "a"]));
-        assert!(!a.matches(["a"]));
-        assert!(!a.matches(["a", "a", "a"]));
+        assert!(run(&a, &["a", "a"]));
+        assert!(!run(&a, &["a"]));
+        assert!(!run(&a, &["a", "a", "a"]));
     }
 
     /// Intern symbols into a growing table; returns (dense automaton, ids).
@@ -446,32 +417,6 @@ mod tests {
         let d = a.to_dense(&mut intern);
         let ids = alphabet.iter().map(|s| intern(s)).collect();
         (d, ids)
-    }
-
-    #[test]
-    fn dense_matches_agrees_with_sparse() {
-        let model = m_doc();
-        let a = Automaton::compile(&model);
-        let alphabet = ["head", "p", "list", "trailer", "ghost"];
-        let (d, ids) = dense_with_interner(&a, &alphabet);
-        assert_eq!(d.num_states(), a.num_states());
-        // Exhaustive words up to length 3 over the alphabet (plus empty).
-        let mut words: Vec<Vec<usize>> = vec![vec![]];
-        for len in 1..=3usize {
-            for mut k in 0..alphabet.len().pow(len as u32) {
-                let mut w = Vec::with_capacity(len);
-                for _ in 0..len {
-                    w.push(k % alphabet.len());
-                    k /= alphabet.len();
-                }
-                words.push(w);
-            }
-        }
-        for w in words {
-            let sparse = a.matches(w.iter().map(|&i| alphabet[i]));
-            let dense = d.matches_dense(w.iter().map(|&i| ids[i]));
-            assert_eq!(sparse, dense, "word {:?}", w);
-        }
     }
 
     #[test]

@@ -3,21 +3,18 @@
 //! A *concurrent markup hierarchy* (paper §3) is "a collection of DTD elements
 //! that are not in conflict with each other" — i.e. each hierarchy is
 //! described by its own DTD. This module provides the DTD model, a parser for
-//! DTD text, Glushkov automata compiled from content models (shared with the
-//! `prevalid` crate for potential-validity checking), and a validator.
+//! DTD text, and Glushkov automata compiled from content models. Validation
+//! lives in the `prevalid` crate: one walk per hierarchy gives strict and
+//! potential validity over these automata.
 
 mod automaton;
 mod content_model;
 mod parser;
 mod serialize;
-mod validate;
 
 pub use automaton::{Automaton, DenseAutomaton, StateId};
 pub use content_model::{ContentModel, Occurrence};
 pub use parser::parse_dtd;
-pub use validate::{
-    validate_attrs, validate_children, validate_document, AutomatonCache, ValidationReport,
-};
 
 use std::collections::BTreeMap;
 

@@ -41,7 +41,7 @@ impl fmt::Display for Pos {
 }
 
 /// Errors produced by the XML substrate (lexing, parsing, well-formedness,
-/// DTD parsing, validation).
+/// DTD parsing, writing).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
     /// Input ended in the middle of a construct.
@@ -71,8 +71,8 @@ pub enum XmlError {
     IllFormed { pos: Pos, detail: String },
     /// Errors from the DTD parser.
     Dtd { pos: Pos, detail: String },
-    /// Validation failure (element content did not match its content model,
-    /// missing required attribute, ...).
+    /// Output the writer refuses to produce (a late XML declaration, `--`
+    /// in a comment, an element left open at `finish`, ...).
     Invalid { detail: String },
 }
 

@@ -4,8 +4,8 @@
 //! framework (Iacob & Dekhtyar, SIGMOD 2005): pull parsing with full
 //! well-formedness checking, escaping, serialization, a classic DOM (the
 //! baseline data structure the GODDAG generalizes), and a DTD engine with
-//! Glushkov content-model automata (shared with validation and
-//! prevalidation).
+//! Glushkov content-model automata (which `prevalid` runs for strict and
+//! potential validity).
 //!
 //! ## Quick tour
 //!
@@ -18,10 +18,17 @@
 //!     if matches!(ev, Event::Eof) { break; }
 //! }
 //!
-//! // DOM + DTD validation
+//! // DOM
+//! let doc = Document::parse("<r><w>swa</w><w>hwa</w></r>").unwrap();
+//! assert_eq!(doc.children(doc.root()).len(), 2);
+//!
+//! // DTD: a content model compiled to its automaton
 //! let dtd = dtd::parse_dtd("<!ELEMENT r (w+)> <!ELEMENT w (#PCDATA)>").unwrap();
-//! let doc = Document::parse("<r><w>swa</w></r>").unwrap();
-//! assert!(dtd::validate_document(&dtd, &doc).unwrap().is_valid());
+//! let dtd::ContentSpec::Children(model) = &dtd.element("r").unwrap().content else {
+//!     unreachable!()
+//! };
+//! let words = dtd::Automaton::compile(model).to_dense(|_| 0);
+//! assert!(words.matches_dense([0, 0]) && !words.matches_dense([]));
 //! ```
 
 pub mod dom;

@@ -166,7 +166,8 @@ impl Session {
         self.engines.suggest(&self.goddag, h, start, end)
     }
 
-    /// Potential-validity report for one hierarchy (`None` without a DTD).
+    /// Strict and potential validity of one hierarchy, element by element
+    /// (`None` without a DTD).
     pub fn validation_status(&self, h: HierarchyId) -> Option<HierarchyReport> {
         self.engines.report(&self.goddag, h)
     }

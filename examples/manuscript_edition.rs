@@ -8,6 +8,7 @@
 
 use corpus::{dtds, generate, Params};
 use expath::Evaluator;
+use prevalid::DocEngines;
 use xmlcore::dom::Document;
 
 fn main() {
@@ -41,14 +42,16 @@ fn main() {
     // ------------------------------------------------------------------
     dtds::attach_standard(&mut g);
     println!("\n== DTD validation ==");
-    for (h, report) in goddag::validate_all(&g) {
+    let engines = DocEngines::new(&g);
+    for h in g.hierarchy_ids() {
+        let Some(report) = engines.report(&g, h) else { continue };
         println!(
             "  {}: {}",
             g.hierarchy(h).unwrap().name,
-            if report.is_valid() {
-                "valid".to_string()
-            } else {
-                format!("{} errors (first: {})", report.errors.len(), report.errors[0])
+            match report.errors.first() {
+                None => "valid".to_string(),
+                Some((n, reason)) =>
+                    format!("{} errors (first, at {n}: {reason})", report.errors.len()),
             }
         );
     }

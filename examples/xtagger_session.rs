@@ -94,10 +94,15 @@ fn main() {
     // ------------------------------------------------------------------
     // Validation status per hierarchy, then query the result.
     // ------------------------------------------------------------------
-    println!("\n== Potential validity ==");
+    println!("\n== Validity ==");
     for (name, h) in [("phys", phys), ("ling", ling), ("edit", edit)] {
-        let ok = session.validation_status(h).map(|r| r.is_potentially_valid()).unwrap_or(true);
-        println!("  {name}: {}", if ok { "potentially valid" } else { "DEAD END" });
+        let status = match session.validation_status(h) {
+            None => "no DTD",
+            Some(r) if r.is_valid() => "valid",
+            Some(r) if r.is_potentially_valid() => "potentially valid",
+            Some(_) => "DEAD END",
+        };
+        println!("  {name}: {status}");
     }
 
     println!("\n== Query the working document ==");

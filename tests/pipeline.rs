@@ -5,6 +5,7 @@
 use corpus::{dtds, generate, Params};
 use expath::Evaluator;
 use goddag::check_invariants;
+use prevalid::DocEngines;
 use xtagger::Session;
 
 #[test]
@@ -20,7 +21,9 @@ fn end_to_end_manuscript_pipeline() {
 
     // 3. Validate every hierarchy against its DTD.
     dtds::attach_standard(&mut g);
-    for (h, report) in goddag::validate_all(&g) {
+    let engines = DocEngines::new(&g);
+    for h in g.hierarchy_ids() {
+        let report = engines.report(&g, h).expect("every hierarchy carries a DTD");
         assert!(
             report.is_valid(),
             "hierarchy {h}: {:?}",
